@@ -12,9 +12,13 @@ the paper's methodology is meant to prevent from going unnoticed:
 Since the :mod:`repro.lint` analyzer landed, this module is a thin
 compatibility shim: the checks run on the diagnostics engine
 (``lint_model(..., legacy_only=True)``) and the historical problem strings
-are reproduced byte-for-byte from each diagnostic's ``legacy`` text.  New
-code should call ``lint_model`` directly — it also runs the dataflow, race
-and protocol passes this API never had.
+are reproduced byte-for-byte from each diagnostic's ``legacy`` text.  Without
+a view library the legacy stage is read from the model's lint memo
+(:func:`~repro.lint.engine.memo_report`), so re-validating a model — every
+session built from it, every DSE candidate check — costs a lookup, and
+never pays for the extended passes.  New code should call ``lint_model``
+directly — it also runs the dataflow, race and protocol passes this API
+never had.
 """
 
 from repro.utils.errors import ValidationError
@@ -28,11 +32,14 @@ def validate_model(model, library=None, platforms=(), raise_on_error=True):
     error additionally carries the structured diagnostics as
     ``exc.diagnostics``.
     """
-    from repro.lint import lint_model
+    from repro.lint.engine import lint_model, memo_report
 
-    report = lint_model(model, library=library, platforms=platforms,
-                        legacy_only=True)
+    if library is None:
+        report = memo_report(model, legacy_only=True)
+    else:
+        report = lint_model(model, library=library, platforms=platforms,
+                            legacy_only=True)
     problems = [diagnostic.legacy_text for diagnostic in report.diagnostics]
     if problems and raise_on_error:
-        raise ValidationError(problems, diagnostics=report.diagnostics)
+        raise ValidationError(problems, diagnostics=list(report.diagnostics))
     return problems

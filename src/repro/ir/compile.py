@@ -28,11 +28,18 @@ messages, same :class:`~repro.ir.interp.StepResult` stream.  The
 differential suite in ``tests/test_ir_compile.py`` and the conformance
 kit's ``--fsm-mode`` pin that equivalence.
 
-Programs are cached per :class:`~repro.ir.fsm.Fsm` in a weak-key map and
-shared by every :class:`~repro.ir.interp.FsmInstance` of that FSM; the
-cache assumes the FSM is not structurally mutated (``add_transition``)
-after its first instance is built — call :func:`compile_fsm` with
-``force=True`` after such a mutation.
+Programs are keyed on the FSM's *content*: :func:`fsm_spec` is the
+canonical description of everything the code generators consume (the
+whole-system compiler in :mod:`repro.ir.syscompile` digests the same spec)
+and :func:`fsm_digest` its content digest.  Structurally equal FSMs —
+every rebuilt model of the same system, every protocol controller stamped
+from one template — therefore share one program, held in a fixed-size LRU
+(:data:`PROGRAM_CACHE_SIZE`).  :class:`~repro.ir.interp.FsmInstance`
+compiles on its first per-FSM step, so FSMs the fused whole-system step
+executes instead never build a per-FSM program at all.  The digest is
+memoised per :class:`~repro.ir.fsm.Fsm` object, which assumes the FSM is
+not structurally mutated (``add_transition``) after its first compilation
+— call :func:`compile_fsm` with ``force=True`` after such a mutation.
 """
 
 import weakref
@@ -40,7 +47,9 @@ import weakref
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
+from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
+from repro.utils.lru import LruCache
 
 
 class CompileError(SimulationError):
@@ -323,8 +332,7 @@ class CompiledState:
 class CompiledFsm:
     """The per-FSM compiled program, shared by all its instances."""
 
-    __slots__ = ("name", "initial", "done_states", "result_var", "states",
-                 "__weakref__")
+    __slots__ = ("name", "initial", "done_states", "result_var", "states")
 
     def __init__(self, fsm):
         self.name = fsm.name
@@ -339,9 +347,86 @@ class CompiledFsm:
         return f"CompiledFsm({self.name}, states={len(self.states)})"
 
 
-#: fsm -> CompiledFsm.  Weak keys keep FSM descriptions collectable and the
-#: Fsm objects free of unpicklable code-object attributes.
-_PROGRAM_CACHE = weakref.WeakKeyDictionary()
+# -------------------------------------------------------------- content key
+
+
+def _expr_spec(expr):
+    if isinstance(expr, Const):
+        return ["c", expr.value]
+    if isinstance(expr, Var):
+        return ["v", expr.name]
+    if isinstance(expr, PortRef):
+        return ["p", expr.port_name]
+    if isinstance(expr, BinOp):
+        return ["b", expr.op, _expr_spec(expr.left), _expr_spec(expr.right)]
+    if isinstance(expr, UnOp):
+        return ["u", expr.op, _expr_spec(expr.operand)]
+    raise CompileError(f"cannot compile expression {expr!r}")
+
+
+def _stmt_spec(stmt):
+    if isinstance(stmt, Assign):
+        return ["a", stmt.target, _expr_spec(stmt.expr)]
+    if isinstance(stmt, PortWrite):
+        return ["w", stmt.port_name, _expr_spec(stmt.expr)]
+    if isinstance(stmt, If):
+        return ["i", _expr_spec(stmt.cond),
+                [_stmt_spec(s) for s in stmt.then],
+                [_stmt_spec(s) for s in stmt.orelse]]
+    if isinstance(stmt, Nop):
+        return ["n"]
+    raise CompileError(f"cannot compile statement {stmt!r}")
+
+
+def fsm_spec(fsm):
+    """Canonical structural description of *fsm* — the FSM content key.
+
+    Everything either code generator reads from an FSM is here, so equal
+    specs compile to equal programs.  Raises :class:`CompileError` on IR
+    nodes outside the core set.
+    """
+    return {
+        "name": fsm.name,
+        "initial": fsm.initial,
+        "done": sorted(fsm.done_states),
+        "result": fsm.result_var,
+        "vars": [[d.name, d.init] for d in fsm.variables.values()],
+        "states": [
+            [state.name,
+             [_stmt_spec(s) for s in state.actions],
+             [{"target": t.target,
+               "guard": None if t.guard is None else _expr_spec(t.guard),
+               "actions": [_stmt_spec(s) for s in t.actions],
+               "call": (None if t.call is None else
+                        [t.call.service, [_expr_spec(a) for a in t.call.args],
+                         t.call.store])}
+              for t in state.transitions]]
+            for state in fsm.iter_states()
+        ],
+    }
+
+
+#: fsm -> content digest.  Weak keys keep FSM descriptions collectable.
+_FSM_DIGESTS = weakref.WeakKeyDictionary()
+
+
+def fsm_digest(fsm, force=False):
+    """Content digest of :func:`fsm_spec`, memoised per Fsm object.
+
+    *force* recomputes it (after a structural mutation of *fsm*).
+    """
+    digest = None if force else _FSM_DIGESTS.get(fsm)
+    if digest is None:
+        digest = content_digest(fsm_spec(fsm))
+        _FSM_DIGESTS[fsm] = digest
+    return digest
+
+
+#: Most distinct per-FSM programs kept in-process.
+PROGRAM_CACHE_SIZE = 256
+
+#: fsm digest -> CompiledFsm, shared by every structurally equal FSM.
+_PROGRAM_CACHE = LruCache(PROGRAM_CACHE_SIZE)
 
 
 def compile_fsm(fsm, force=False):
@@ -352,10 +437,9 @@ def compile_fsm(fsm, force=False):
     to the interpreter in that case.  *force* recompiles after a structural
     mutation of the FSM.
     """
-    if not force:
-        program = _PROGRAM_CACHE.get(fsm)
-        if program is not None:
-            return program
-    program = CompiledFsm(fsm)
-    _PROGRAM_CACHE[fsm] = program
+    digest = fsm_digest(fsm, force=force)
+    program = None if force else _PROGRAM_CACHE.get(digest)
+    if program is None:
+        program = CompiledFsm(fsm)
+        _PROGRAM_CACHE.put(digest, program)
     return program

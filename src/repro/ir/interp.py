@@ -14,10 +14,11 @@ adapter (SW simulation view), the ISA-bus model (SW synthesis view executed
 on the platform model) — which is precisely the paper's multi-view idea.
 
 Execution has two tiers.  ``FsmInstance(mode="compiled")`` — the default —
-runs the per-FSM program generated once by :mod:`repro.ir.compile` (plain
-Python code objects, shared across instances); ``mode="interpreted"`` walks
-the IR tree through :func:`evaluate`/:func:`execute` below and serves as
-the differential oracle.  Both tiers are byte-identical in every
+runs the per-FSM program :mod:`repro.ir.compile` generates on the
+instance's first step (plain Python code objects, shared by every
+structurally equal FSM); ``mode="interpreted"`` walks the IR tree through
+:func:`evaluate`/:func:`execute` below and serves as the differential
+oracle.  Both tiers are byte-identical in every
 observable: StepResult streams, environments, port traffic, errors.
 """
 
@@ -214,15 +215,11 @@ class FsmInstance:
         # instrumentation (repro.testkit.coverage) hangs off this.  Structural
         # (not part of capture_state), like the port accessor.
         self.observer = None
+        # The compiled program is fetched on the first step, not here: the
+        # fused whole-system step executes controllers and hardware FSMs
+        # itself, so most instances of a fused session never need one.
         self._program = None
-        if mode == "compiled":
-            from repro.ir.compile import CompileError, compile_fsm
-            try:
-                self._program = compile_fsm(fsm)
-            except CompileError:
-                # Permanent per-instance fallback to the interpreter; every
-                # step taken this way bumps the ``fallback`` counter.
-                self._program = None
+        self._compile_pending = mode == "compiled"
         self.reset()
 
     def reset(self):
@@ -244,7 +241,10 @@ class FsmInstance:
         """Execute one activation: state actions then at most one transition."""
         program = self._program
         if program is None:
-            return self._step_interpreted(args)
+            if self._compile_pending:
+                program = self._load_program()
+            if program is None:
+                return self._step_interpreted(args)
         if args:
             self.env.update(args)
         self.steps += 1
@@ -281,6 +281,22 @@ class FsmInstance:
         if done and self.reset_on_done:
             self.current = program.initial
         return step_result
+
+    def _load_program(self):
+        """Fetch the compiled program once; None keeps the interpreter.
+
+        An FSM the compile tier cannot translate falls back to the
+        interpreter permanently; every step taken that way bumps the
+        ``fallback`` counter.
+        """
+        from repro.ir.compile import CompileError, compile_fsm
+
+        self._compile_pending = False
+        try:
+            self._program = compile_fsm(self.fsm)
+        except CompileError:
+            self._program = None
+        return self._program
 
     def _run_call_transitions(self, state, env, ports):
         """Driver loop for a compiled state with service-call transitions.

@@ -36,9 +36,9 @@ count in the session's ``system_compile_hits``.
 
 The generated source is a pure function of the model structure: it is
 cached per model (weak), per digest (:func:`model_digest`, via
-:mod:`repro.utils.canonical`) in-process, and optionally in a
-content-addressed :class:`~repro.sweep.cache.ArtifactCache`, so warm
-sweep/server re-runs skip codegen the way they already skip HLS.
+:mod:`repro.utils.canonical`) in a fixed-size in-process LRU, and
+optionally in a content-addressed :class:`~repro.sweep.cache.ArtifactCache`,
+so warm sweep/server re-runs skip codegen the way they already skip HLS.
 
 ``system_mode="differential"`` keeps the per-FSM wiring as ground truth
 and cross-checks the fused codegen every rising edge with a *shadow*
@@ -51,11 +51,19 @@ matrix covers those end to end.
 
 import weakref
 
-from repro.ir.compile import _BINOP_TEMPLATES, _UNOP_TEMPLATES, _expr_var_reads, _stmt_var_reads
+from repro.ir.compile import (
+    _BINOP_TEMPLATES,
+    _UNOP_TEMPLATES,
+    CompileError,
+    _expr_var_reads,
+    _stmt_var_reads,
+    fsm_spec,
+)
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
+from repro.utils.lru import LruCache
 
 #: System execution tiers understood by ``CosimSession(system_mode=...)``.
 #: ``fused`` runs the whole-system program below; ``per-fsm`` is the PR 5
@@ -84,64 +92,23 @@ class SystemCompileError(SimulationError):
 # --------------------------------------------------------------------- spec
 
 
-def _expr_spec(expr):
-    if isinstance(expr, Const):
-        return ["c", expr.value]
-    if isinstance(expr, Var):
-        return ["v", expr.name]
-    if isinstance(expr, PortRef):
-        return ["p", expr.port_name]
-    if isinstance(expr, BinOp):
-        return ["b", expr.op, _expr_spec(expr.left), _expr_spec(expr.right)]
-    if isinstance(expr, UnOp):
-        return ["u", expr.op, _expr_spec(expr.operand)]
-    raise SystemCompileError(f"cannot compile expression {expr!r}")
-
-
-def _stmt_spec(stmt):
-    if isinstance(stmt, Assign):
-        return ["a", stmt.target, _expr_spec(stmt.expr)]
-    if isinstance(stmt, PortWrite):
-        return ["w", stmt.port_name, _expr_spec(stmt.expr)]
-    if isinstance(stmt, If):
-        return ["i", _expr_spec(stmt.cond),
-                [_stmt_spec(s) for s in stmt.then],
-                [_stmt_spec(s) for s in stmt.orelse]]
-    if isinstance(stmt, Nop):
-        return ["n"]
-    raise SystemCompileError(f"cannot compile statement {stmt!r}")
-
-
-def _fsm_spec(fsm):
-    return {
-        "name": fsm.name,
-        "initial": fsm.initial,
-        "done": sorted(fsm.done_states),
-        "result": fsm.result_var,
-        "vars": [[d.name, d.init] for d in fsm.variables.values()],
-        "states": [
-            [state.name,
-             [_stmt_spec(s) for s in state.actions],
-             [{"target": t.target,
-               "guard": None if t.guard is None else _expr_spec(t.guard),
-               "actions": [_stmt_spec(s) for s in t.actions],
-               "call": (None if t.call is None else
-                        [t.call.service, [_expr_spec(a) for a in t.call.args],
-                         t.call.store])}
-              for t in state.transitions]]
-            for state in fsm.iter_states()
-        ],
-    }
-
-
 def system_spec(model):
     """Canonical structural description of everything the codegen consumes.
 
     Two models with equal specs generate byte-identical source, so the
     spec's :func:`~repro.utils.canonical.content_digest` keys every source
-    cache.  Bindings and port initial values are bind-time inputs, not
-    codegen inputs, and are deliberately absent.
+    cache.  Each FSM enters as its :func:`~repro.ir.compile.fsm_spec`, the
+    same content key the per-FSM program cache uses.  Bindings and port
+    initial values are bind-time inputs, not codegen inputs, and are
+    deliberately absent.
     """
+    try:
+        return _system_spec(model)
+    except CompileError as exc:
+        raise SystemCompileError(str(exc)) from None
+
+
+def _system_spec(model):
     return {
         "syscompile": SOURCE_FORMAT,
         "units": [
@@ -149,14 +116,14 @@ def system_spec(model):
              "ports": sorted(unit.ports),
              "controllers": [{"name": c.name,
                               "protocol": getattr(c, "protocol", ""),
-                              "fsm": _fsm_spec(c.fsm)}
+                              "fsm": fsm_spec(c.fsm)}
                              for c in unit.controllers]}
             for unit in model.comm_units.values()
         ],
         "modules": [
             {"name": module.name,
              "ports": sorted(module.all_signal_names()),
-             "fsms": [_fsm_spec(fsm) for fsm in module.behaviours()]}
+             "fsms": [fsm_spec(fsm) for fsm in module.behaviours()]}
             for module in model.hardware_modules()
         ],
     }
@@ -683,7 +650,7 @@ class SystemProgram:
         code = _CODE_CACHE.get(digest)
         if code is None:
             code = compile(source, f"<syscompile:{model.name}>", "exec")
-            _CODE_CACHE[digest] = code
+            _CODE_CACHE.put(digest, code)
         namespace = {}
         exec(code, namespace)  # noqa: S102 - our own generated source
         self._bind_fused = namespace["_bind_fused"]
@@ -805,45 +772,41 @@ class ShadowChecker:
 # ------------------------------------------------------------------- caches
 
 
+#: Most distinct whole-system code objects kept in-process.
+CODE_CACHE_SIZE = 64
+
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
-_CODE_CACHE = {}                             # digest -> code object
-_LINT_CACHE = weakref.WeakKeyDictionary()    # model -> tuple of error texts
-
-
-def lint_errors(model):
-    """Error-level lint diagnostics of *model* (weakly cached texts)."""
-    cached = _LINT_CACHE.get(model)
-    if cached is None:
-        from repro.lint import lint_model
-
-        report = lint_model(model)
-        cached = tuple(diagnostic.legacy_text
-                       for diagnostic in report.errors)
-        _LINT_CACHE[model] = cached
-    return cached
+_CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # digest -> code object
 
 
 def compile_system(model, cache=None, lint=True):
     """The (cached) whole-system program of *model*.
 
-    *lint* runs the static analyzer first: error-level findings refuse
-    compilation (:class:`SystemCompileError`) exactly as they refuse
-    sweep/server jobs — callers that already linted pass ``lint=False``.
+    *lint* gates compilation on the static analyzer: error-level findings
+    refuse it (:class:`SystemCompileError`) exactly as they refuse
+    sweep/server jobs.  The verdict is read from the model's lint memo
+    (:func:`~repro.lint.engine.memo_report`), so a job whose pre-flight
+    already linted the model pays nothing here.  A model without a single
+    fusable FSM is refused too: there is nothing to fuse.
     *cache* (an :class:`~repro.sweep.cache.ArtifactCache` or a directory
     path) persists the generated source keyed by the model digest, so a
     warm worker skips codegen.
     """
     if lint:
-        errors = lint_errors(model)
+        from repro.lint.engine import memo_report
+
+        errors = memo_report(model).errors
         if errors:
             raise SystemCompileError(
                 "lint errors refuse whole-system compilation: "
-                + "; ".join(errors)
+                + "; ".join(diagnostic.legacy_text for diagnostic in errors)
             )
     program = _SYSTEM_CACHE.get(model)
     if program is not None:
         return program
     plan = SystemPlan(model)
+    if not plan.candidates:
+        raise SystemCompileError("no fusable FSM")
     digest = model_digest(model)
     source = None
     cache_key = None

@@ -1,11 +1,22 @@
 """The lint engine: runs every pass over a :class:`SystemModel`.
 
 ``lint_model`` is the single entry point used by the CLI, the conformance
-kit's pre-flight stage, the sweep/server jobs and the ``validate_model``
-compatibility shim.  The legacy-rule passes run first and in exactly the
-order the old string-based validator reported problems, so the shim can
-reproduce its output byte-for-byte from the diagnostics' ``legacy`` texts.
+kit's pre-flight stage and the ``validate_model`` compatibility shim.  The
+legacy-rule passes run first and in exactly the order the old string-based
+validator reported problems, so the shim can reproduce its output
+byte-for-byte from the diagnostics' ``legacy`` texts.
+
+``memo_report`` is the same analysis memoised per model object, in the same
+two stages: the *legacy* stage (structural, interface and view passes,
+before suppression) is cached on first use; the *extended* stage (dataflow,
+protocol and race passes plus suppression) runs only when a caller asks
+for the full report.  The job pipeline's three readers — the sweep/server
+pre-flight, ``CosimSession``'s ``validate_model`` and the fused-codegen
+gate of ``compile_system`` — all read this one memo, so a job lints its
+model once.
 """
+
+import weakref
 
 from repro.core.module import HardwareModule, SoftwareModule
 from repro.lint import dataflow, interface, protocol, races
@@ -67,8 +78,15 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     ``validate_model`` shim uses.
     """
     report = LintReport(target=model.name)
+    _legacy_stage(model, report, library, platforms)
+    if legacy_only:
+        return report
+    _extended_stage(model, report, disable, suppress)
+    return report
 
-    # --- legacy-ordered passes (behaviours, units, bindings, views) --------
+
+def _legacy_stage(model, report, library=None, platforms=()):
+    """Behaviours, units, bindings and views, in the old validator's order."""
     for module in model.modules.values():
         for fsm in module.behaviours():
             dataflow.structural_pass(
@@ -100,10 +118,9 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     if library is not None:
         interface.view_pass(model, library, platforms, report)
 
-    if legacy_only:
-        return report
 
-    # --- extended passes ---------------------------------------------------
+def _extended_stage(model, report, disable=(), suppress=()):
+    """Dataflow, call, port-write, protocol and race passes; suppression."""
     for module in model.modules.values():
         ports = _module_ports(module)
         for fsm in module.behaviours():
@@ -137,4 +154,37 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     entries = _collect_suppressions(model, suppress)
     entries += [(rule, "") for rule in disable]
     report.apply_suppressions(entries)
-    return report
+
+
+class _Stages:
+    __slots__ = ("legacy", "full")
+
+    def __init__(self, legacy):
+        self.legacy = legacy
+        self.full = None
+
+
+#: model -> _Stages.  Weak keys keep models collectable.
+_MEMO = weakref.WeakKeyDictionary()
+
+
+def memo_report(model, legacy_only=False):
+    """``lint_model(model, legacy_only=...)``, memoised per model object.
+
+    The legacy stage is computed on first use; the extended stage runs on
+    top of the cached legacy diagnostics the first time the full report is
+    asked for.  The returned report is shared: treat it as read-only.  Like
+    the compiled-program caches, the memo assumes the model is not mutated
+    after it was first linted.
+    """
+    stages = _MEMO.get(model)
+    if stages is None:
+        stages = _MEMO[model] = _Stages(lint_model(model, legacy_only=True))
+    if legacy_only:
+        return stages.legacy
+    if stages.full is None:
+        report = LintReport(target=model.name)
+        report.diagnostics = list(stages.legacy.diagnostics)
+        _extended_stage(model, report)
+        stages.full = report
+    return stages.full

@@ -15,6 +15,8 @@ report verbatim.  Three kinds cover the project's workloads:
   same generated system inside one job, amortizing model generation, lint
   pre-flight and whole-system compilation across the batch while keeping
   every per-scenario fingerprint byte-identical to a standalone run.
+  Either way a job builds its model once and every session, validation,
+  lint verdict and compiled program of the job derives from that object.
 * :class:`CosynJob` — one generated system (optionally repartitioned, e.g.
   to a DSE Pareto candidate) co-synthesized on one platform.  The full
   artefact dict is the **cacheable payload**: the sweep service stores it
@@ -48,10 +50,12 @@ def _lint_preflight(model, no_lint):
     """
     if no_lint:
         return None
-    from repro.lint import lint_model
+    from repro.lint.engine import memo_report
     from repro.utils.errors import ValidationError
 
-    report = lint_model(model)
+    # The memoised report: the session's validation and the fused-codegen
+    # gate read the same one, so the model is linted once per job.
+    report = memo_report(model)
     errors = report.errors
     if errors:
         raise ValidationError(
@@ -162,14 +166,16 @@ class CosimJob(SweepJob):
         self.kernel = kernel
         # Resolved at construction so the job spec — the report/replay
         # identity — stays explicit even if the project default flips.
-        if fsm_mode is None:
-            from repro.ir.interp import DEFAULT_FSM_MODE
-            fsm_mode = DEFAULT_FSM_MODE
-        self.fsm_mode = fsm_mode
         if system_mode is None:
             from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
             system_mode = DEFAULT_SYSTEM_MODE
         self.system_mode = system_mode
+        if fsm_mode is None:
+            from repro.ir.interp import DEFAULT_FSM_MODE
+            # The interpreted system tier runs every FSM on the oracle.
+            fsm_mode = ("interpreted" if system_mode == "interpreted"
+                        else DEFAULT_FSM_MODE)
+        self.fsm_mode = fsm_mode
         self.batch = None if batch is None else int(batch)
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be a positive scenario count")
@@ -226,17 +232,13 @@ class CosimJob(SweepJob):
         batch = f"*{self.batch}" if self.batch is not None else ""
         return f"cosim-{self.seed}{suffix}{fault}{batch}@{self.kernel}"
 
-    def _session(self, system, model=None, scenario_index=0,
-                 validate=True):
+    def _session(self, system, model, scenario_index=0):
         from repro.cosim import CosimSession
         from repro.cosim.faults import default_fault_window, plan_for_unit
 
-        if model is None:
-            model = system.build_model()
         session = CosimSession(model, kernel=self.kernel,
                                fsm_mode=self.fsm_mode,
                                system_mode=self.system_mode,
-                               validate=validate,
                                **system.cosim_params)
         if self.fault_kind is not None:
             units = list(session.model.comm_units.values())
@@ -248,14 +250,16 @@ class CosimJob(SweepJob):
                                                  at=at, duration=duration))
         return session
 
-    def _run_scenario(self, system, model=None, scenario_index=0,
-                      validate=True):
-        """One co-simulated scenario; returns ``(entry, coverage_or_none)``.
+    def _run_scenario(self, system, model, scenario_index=0):
+        """One co-simulated scenario of *model*; ``(entry, coverage_or_none)``.
 
         *entry* is the deterministic per-scenario report fragment — the
         same fields whether the scenario runs standalone or inside a
         batch, so batched fingerprints are directly comparable to
-        sequential ones.
+        sequential ones.  Every session of the job (each batch scenario,
+        the checkpoint's restore target) shares the one *model* object, so
+        its validation, lint verdict and whole-system program are computed
+        once per job.
         """
         from repro.testkit.coverage import (
             CoverageMap,
@@ -272,15 +276,14 @@ class CosimJob(SweepJob):
         from repro.testkit.scenarios import FAULT_MAX_TIME
 
         coverage = CoverageMap() if self.coverage else None
-        session = self._session(system, model=model,
-                                scenario_index=scenario_index,
-                                validate=validate)
+        session = self._session(system, model, scenario_index)
         if coverage is not None:
             attach_session(session, coverage)
         if self.checkpoint_at is not None:
             session.run(until=self.checkpoint_at)
             checkpoint = session.save()
-            session = self._session(system).restore(checkpoint)
+            session = self._session(system, model,
+                                    scenario_index).restore(checkpoint)
             if coverage is not None:
                 # Rewire the observers onto the restored instances; the
                 # map keeps accumulating across the checkpoint boundary.
@@ -329,9 +332,10 @@ class CosimJob(SweepJob):
         from repro.testkit.models import generate_system
 
         system = generate_system(self.seed, networks=self.networks)
+        model = system.build_model()
+        lint = _lint_preflight(model, self.no_lint)
         if self.batch is None:
-            lint = _lint_preflight(system.build_model(), self.no_lint)
-            entry, coverage = self._run_scenario(system)
+            entry, coverage = self._run_scenario(system, model)
             record = self._base_record()
             record.update(entry)
             # Lint pre-flight summary (None when skipped via no_lint); an
@@ -339,21 +343,13 @@ class CosimJob(SweepJob):
             record["lint"] = lint
             coverages = [] if coverage is None else [coverage]
         else:
-            # One model object serves the whole batch: generation, the lint
-            # pre-flight and the whole-system compile (weakly cached per
-            # model in repro.ir.syscompile) all happen once, which is where
-            # the batched speed-up over N standalone jobs comes from.
-            model = system.build_model()
-            lint = _lint_preflight(model, self.no_lint)
+            # The batch shares the job's model exactly as a single scenario
+            # does; what it saves over N standalone jobs is N-1 generations,
+            # model builds, lint passes and whole-system compiles.
             scenarios = []
             coverages = []
             for index in range(self.batch):
-                # The shared model is validated once (scenario 0); model
-                # validation is read-only, so skipping the re-check on the
-                # same object cannot change any observable.
-                entry, coverage = self._run_scenario(
-                    system, model=model, scenario_index=index,
-                    validate=index == 0)
+                entry, coverage = self._run_scenario(system, model, index)
                 entry["index"] = index
                 scenarios.append(entry)
                 if coverage is not None:

@@ -77,7 +77,6 @@ def assert_differential(fsm, steps=60, args=None, port_values=None, seed=0,
                                       reset_on_done=reset_on_done,
                                       trace=True, mode=mode)
     compiled, interpreted = instances["compiled"], instances["interpreted"]
-    assert compiled._program is not None, f"{fsm.name} did not compile"
     for index in range(steps):
         step_args = dict(args) if args else None
         left = compiled.step(step_args)
@@ -87,6 +86,7 @@ def assert_differential(fsm, steps=60, args=None, port_values=None, seed=0,
         )
         assert compiled.env == interpreted.env, f"{fsm.name} step {index}"
         assert compiled.current == interpreted.current
+    assert compiled._program is not None, f"{fsm.name} did not compile"
     assert ports["compiled"].writes == ports["interpreted"].writes
     assert ports["compiled"].reads == ports["interpreted"].reads
     assert handlers["compiled"].log == handlers["interpreted"].log
@@ -244,7 +244,18 @@ class TestCompiledTier:
         assert compile_fsm(fsm) is compile_fsm(fsm)
         first = FsmInstance(fsm)
         second = FsmInstance(fsm)
+        # Programs are fetched on the first step, not at construction.
+        assert first._program is None and second._program is None
+        first.step()
+        second.step()
         assert first._program is second._program is compile_fsm(fsm)
+
+    def test_structurally_equal_fsms_share_one_program(self):
+        # The cache is keyed on content: a rebuilt FSM (a rebuilt model,
+        # a controller stamped from one template) reuses the program.
+        assert counter_fsm() is not counter_fsm()
+        assert compile_fsm(counter_fsm()) is compile_fsm(counter_fsm())
+        assert compile_fsm(counter_fsm(3)) is not compile_fsm(counter_fsm(4))
 
     def test_mode_validated(self):
         with pytest.raises(SimulationError, match="unknown FSM execution mode"):
@@ -269,18 +280,25 @@ class TestCompiledTier:
         with pytest.raises(CompileError):
             compile_fsm(fsm, force=True)
         instance = FsmInstance(fsm, mode="compiled")
-        assert instance._program is None
         # The interpreter cannot evaluate it either, but the error now
         # surfaces at step time through the fallback tier, as before.
         with pytest.raises(SimulationError, match="cannot evaluate"):
             instance.step()
+        assert instance._program is None
         assert instance.fallback == 1
+        assert instance.compile_hits == 0
+        # The fallback is permanent: later steps stay on the interpreter.
+        with pytest.raises(SimulationError, match="cannot evaluate"):
+            instance.step()
+        assert instance.fallback == 2
 
     def test_stale_program_reports_missing_state_explicitly(self):
         from repro.ir import State, Transition
 
         fsm = counter_fsm()
         instance = FsmInstance(fsm, mode="compiled")
+        instance.step()  # the first step compiles the program
+        assert instance._program is not None
         # Mutate the FSM after compilation: the cached program is now stale.
         late = State("Late", transitions=[Transition("Late")])
         fsm.states["Late"] = late

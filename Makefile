@@ -37,17 +37,17 @@ bench-quick:
 bench-seed:
 	$(PYTHON) -m benchmarks.perf --label seed --repeats 2
 
-# Full cosim perf sweep on the compiled FSM tier inside the fused
-# whole-system program; merges "current" into BENCH_cosim.json
+# Full cosim perf sweep on the fused tier (compiled FSMs inside the
+# whole-system program); merges "current" into BENCH_cosim.json
 # (acceptance: >= 5x vs the interpreted seed on the largest
-# transition-rate AND mixed-system points, plus >= 3x batched-vs-
+# transition-rate AND mixed-system points, plus >= 1.5x batched-vs-
 # sequential amortization on the recorded batch section).
 bench-cosim:
 	$(PYTHON) -m benchmarks.perf.cosim --label current --repeats 2
 
 # Record the interpreted-tier baseline the cosim speedups compare against.
 bench-cosim-seed:
-	$(PYTHON) -m benchmarks.perf.cosim --label seed --fsm-mode interpreted --repeats 2
+	$(PYTHON) -m benchmarks.perf.cosim --label seed --tier interpreted --repeats 2
 
 # Smoke run of the cosim harness (no file writes).
 bench-cosim-quick:
@@ -55,7 +55,7 @@ bench-cosim-quick:
 
 # CI regression gate: quick cosim tier must stay within 2x of the recorded
 # quick-baseline label in BENCH_cosim.json (refused if the baseline was
-# recorded on a different fsm/system tier), every fast path must actually
+# recorded on a different tier), every fast path must actually
 # be taken, the batched amortization must hold its threshold, and the
 # file's recorded acceptance verdict must be passing.
 bench-cosim-check:
@@ -70,10 +70,10 @@ conformance:
 conformance-quick:
 	$(PYTHON) -m repro.testkit --quick
 
-# Whole-system tier oracle: every quick scenario byte-identical across the
-# fused, per-FSM and interpreted system tiers on both kernels.
+# Tier oracle: every quick scenario byte-identical across the fused,
+# compiled and interpreted tiers on both kernels.
 conformance-differential:
-	$(PYTHON) -m repro.testkit --quick --system-mode differential
+	$(PYTHON) -m repro.testkit --quick --tier differential
 
 # Coverage-directed campaign: 24 novelty-weighted scenarios (plain, fault
 # injection, platform-timed real-time) sharing one coverage map; fails

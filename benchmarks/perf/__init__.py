@@ -10,8 +10,8 @@ must be proportional to activity, not population.
 **Cosim suite** (``python -m benchmarks.perf.cosim`` -> ``BENCH_cosim.json``)
 — measures the end-to-end co-simulation backplane (FSM execution, adapters,
 services) over module-count and transition-rate scaling; its seed label is
-recorded with the interpreted FSM tier and its current label with the
-compiled tier, so the speedup table tracks the compile tier's win.  See
+recorded on the interpreted tier and its current label on the fused
+tier, so the speedup table tracks the compilation stack's win.  See
 :mod:`benchmarks.perf.cosim_workloads` and ``docs/perf.md``.
 
 * **idle-heavy** — one clock plus one active counter process, and N idle

@@ -6,16 +6,15 @@ and merges labelled runs into ``BENCH_cosim.json`` (same file format as
 ``BENCH_kernel.json``; the shared ``n_processes`` key holds the workload's
 scale — modules or networks).  Typical sequence::
 
-    python -m benchmarks.perf.cosim --label seed --fsm-mode interpreted
-    python -m benchmarks.perf.cosim --label current     # compiled + fused
+    python -m benchmarks.perf.cosim --label seed --tier interpreted
+    python -m benchmarks.perf.cosim --label current     # fused tier
     python -m benchmarks.perf.cosim --quick --label quick-baseline
     python -m benchmarks.perf.cosim --quick --check     # CI gate
 
-``seed`` is recorded with the fully interpreted tiers (the pre-compile
-behaviour: ``--fsm-mode interpreted`` implies the interpreted system tier)
-and ``current`` with the compiled per-FSM tier inside the fused
-whole-system program (:mod:`repro.ir.syscompile`), so the file's speedup
-table *is* the compilation win.  The acceptance criteria demand
+``seed`` is recorded on the interpreted tier (the pre-compile behaviour)
+and ``current`` on the fused tier — compiled FSMs inside the whole-system
+program of :mod:`repro.ir.syscompile` — so the file's speedup table *is*
+the compilation win.  The acceptance criteria demand
 :data:`ACCEPTANCE_POINTS` — the transition-rate workload's largest point
 **and** the mixed-system workload's largest point — plus the batched
 multi-scenario amortization of :data:`BATCH_THRESHOLD` x recorded in each
@@ -35,10 +34,10 @@ from pathlib import Path
 
 from benchmarks.perf.cosim_workloads import COSIM_WORKLOADS
 from benchmarks.perf.harness import update_bench_file
-from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
+from repro.cosim import DEFAULT_TIER, TIERS
 
 #: The gated (workload, scale, required speedup) acceptance points of
-#: ``current`` (compiled + fused) over ``seed`` (interpreted).
+#: ``current`` (fused) over ``seed`` (interpreted).
 ACCEPTANCE_POINTS = [
     ("transition_rate", 32, 5.0),
     ("mixed_system", 8, 5.0),
@@ -66,19 +65,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parents[2] / "BENCH_cosim.json"
 SCHEMA = "bench-cosim/2"
 
 
-def resolve_system_mode(fsm_mode, system_mode=None):
-    """The system tier a run uses when none is requested explicitly.
-
-    An interpreted-FSM run means the *whole* stack runs on the oracle
-    tiers (that is what the ``seed`` label records), so the system tier
-    follows the FSM tier down; otherwise the project default applies.
-    """
-    if system_mode is not None:
-        return system_mode
-    return "interpreted" if fsm_mode == "interpreted" else DEFAULT_SYSTEM_MODE
-
-
-def time_cosim_point(workload, size, fsm_mode, system_mode=None, quick=False,
+def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
                      repeats=1):
     """Time one (workload, scale) point; returns a result dict.
 
@@ -89,14 +76,12 @@ def time_cosim_point(workload, size, fsm_mode, system_mode=None, quick=False,
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    system_mode = resolve_system_mode(fsm_mode, system_mode)
     best = None
     statistics = None
     counters = None
-    tier = None
+    wired = None
     for _ in range(repeats):
-        session, run = workload.prepare(size, fsm_mode,
-                                        system_mode=system_mode, quick=quick)
+        session, run = workload.prepare(size, tier, quick=quick)
         start = time.perf_counter()
         run()
         elapsed = time.perf_counter() - start
@@ -104,12 +89,11 @@ def time_cosim_point(workload, size, fsm_mode, system_mode=None, quick=False,
             best = elapsed
             statistics = dict(session.simulator.statistics)
             counters = session.fsm_counters()
-            tier = session.system_tier
+            wired = session.wired_tier
     return {
         "workload": workload.name,
         "n_processes": size,
-        "fsm_mode": fsm_mode,
-        "system_mode": tier,
+        "tier": wired,
         "sim_ns": session.simulator.now,
         "wall_s": best,
         "statistics": statistics,
@@ -122,7 +106,7 @@ def time_batch_point(quick=False, scenarios=None):
 
     Runs :data:`BATCH_SEED`'s scenario *scenarios* times as independent
     ``CosimJob`` executions and once as a single ``CosimJob(batch=N)``,
-    both under the project-default tiers, and reports the amortization
+    both on the project-default tier, and reports the amortization
     speedup.  ``identical`` asserts the batched per-scenario fingerprints
     are byte-identical to the sequential ones — the speedup is only
     meaningful while that holds.
@@ -148,7 +132,7 @@ def time_batch_point(quick=False, scenarios=None):
     return {
         "seed": BATCH_SEED,
         "scenarios": count,
-        "system_mode": record["system_mode"],
+        "tier": record["tier"],
         "sequential_wall_s": sequential_wall,
         "batch_wall_s": batch_wall,
         "speedup": (round(sequential_wall / batch_wall, 2)
@@ -158,44 +142,40 @@ def time_batch_point(quick=False, scenarios=None):
     }
 
 
-def run_cosim_suite(quick=False, fsm_mode="compiled", system_mode=None,
-                    repeats=1, workloads=None, progress=None,
-                    include_batch=None):
+def run_cosim_suite(quick=False, tier=DEFAULT_TIER, repeats=1, workloads=None,
+                    progress=None, include_batch=None):
     """Run every cosim workload over its scale sweep; returns a run dict.
 
-    *include_batch* adds the batched-execution point (default: whenever the
-    compiled tier is benchmarked — the batch path always runs the project
-    defaults, so measuring it inside an interpreted seed run would be
-    misleading).
+    *include_batch* adds the batched-execution point (default: unless the
+    interpreted tier is benchmarked — the batch path always runs the
+    project default, so measuring it inside an interpreted seed run would
+    be misleading).
     """
-    system_mode = resolve_system_mode(fsm_mode, system_mode)
     results = []
     for workload in (workloads or COSIM_WORKLOADS):
         sizes = workload.quick_sizes if quick else workload.sizes
         for size in sizes:
-            point = time_cosim_point(workload, size, fsm_mode,
-                                     system_mode=system_mode, quick=quick,
+            point = time_cosim_point(workload, size, tier, quick=quick,
                                      repeats=repeats)
             results.append(point)
             if progress is not None:
                 progress(
-                    f"{workload.name:<16} n={size:<4} mode={fsm_mode:<11} "
-                    f"system={point['system_mode']:<8} "
+                    f"{workload.name:<16} n={size:<4} "
+                    f"tier={point['tier']:<11} "
                     f"wall={point['wall_s']:.4f}s "
                     f"fsm_steps={point['fsm']['steps']}"
                 )
     run = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "quick": bool(quick),
-        "fsm_mode": fsm_mode,
-        "system_mode": system_mode,
+        "tier": tier,
         "repeats": repeats,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "results": results,
     }
     if include_batch is None:
-        include_batch = fsm_mode == "compiled"
+        include_batch = tier != "interpreted"
     if include_batch:
         batch = time_batch_point(quick=quick)
         run["batch"] = batch
@@ -242,24 +222,24 @@ def check_against_baseline(baseline_run, run, max_slowdown=DEFAULT_MAX_SLOWDOWN)
 def check_fast_paths(run):
     """Counter-based (hardware-independent) gate lines; returns (ok, lines).
 
-    With the fused system tier, every point must report zero runtime
-    delegation (``system_fallback``) and nonzero fused activity; with the
-    plain compiled tier, zero interpreter fallback and nonzero compiled
-    activity.  A lost fast path fails the gate even when the wall-clock
-    ratio happens to still look green.
+    On the fused tier, every point must report zero runtime delegation
+    (``system_fallback``) and nonzero fused activity; on the compiled
+    tier, zero interpreter fallback and nonzero compiled activity.  A lost
+    fast path fails the gate even when the wall-clock ratio happens to
+    still look green.
     """
     ok = True
     lines = []
     for point in run.get("results", ()):
         counters = point["fsm"]
         prefix = f"{point['workload']:<16} n={point['n_processes']:<4}"
-        if point.get("system_mode") == "fused":
+        if point.get("tier") == "fused":
             if (counters["system_fallback"]
                     or not counters["system_compile_hits"]
                     or counters["fallback"]):
                 ok = False
                 lines.append(f"{prefix} lost the fused fast path: {counters}")
-        elif point.get("fsm_mode") == "compiled":
+        elif point.get("tier") == "compiled":
             if counters["fallback"] or not counters["compile_hits"]:
                 ok = False
                 lines.append(f"{prefix} lost the compiled fast path: {counters}")
@@ -274,16 +254,11 @@ def main(argv=None):
     )
     parser.add_argument("--label", default="current",
                         help="label to store this run under (default: "
-                             "current; use 'seed' with --fsm-mode "
+                             "current; use 'seed' with --tier "
                              "interpreted to record the baseline)")
-    parser.add_argument("--fsm-mode", default="compiled",
-                        choices=("compiled", "interpreted"),
-                        help="FSM execution tier to benchmark")
-    parser.add_argument("--system-mode", default=None,
-                        choices=("fused", "per-fsm", "interpreted"),
-                        help="whole-system execution tier (default: fused "
-                             "for compiled runs, interpreted for "
-                             "interpreted runs)")
+    parser.add_argument("--tier", default=DEFAULT_TIER, choices=TIERS,
+                        help=f"execution tier to benchmark (default: "
+                             f"{DEFAULT_TIER})")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT),
                         help="result JSON path (default: repo-root "
                              "BENCH_cosim.json)")
@@ -310,7 +285,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
-    system_mode = resolve_system_mode(args.fsm_mode, args.system_mode)
 
     if args.check:
         path = Path(args.output)
@@ -325,23 +299,14 @@ def main(argv=None):
                   f"record one with --quick --label {args.baseline_label}",
                   file=sys.stderr)
             return 1
-        baseline_mode = baseline_run.get("fsm_mode")
-        if baseline_mode != args.fsm_mode:
-            # A baseline recorded on the wrong tier would make the gate
-            # trivially green (or red); refuse rather than mislead.
+        baseline_tier = baseline_run.get("tier")
+        if baseline_tier != args.tier:
+            # A baseline recorded on another tier is not wall-comparable:
+            # it would make the gate trivially green (or red); refuse
+            # rather than mislead.
             print(f"error: baseline '{args.baseline_label}' was recorded "
-                  f"with fsm_mode={baseline_mode!r}, the check runs "
-                  f"{args.fsm_mode!r}; re-record the baseline",
-                  file=sys.stderr)
-            return 1
-        baseline_system = baseline_run.get("system_mode")
-        if baseline_system != system_mode:
-            # Same refusal for the whole-system tier: a pre-fused baseline
-            # (or one recorded per-FSM) is not wall-comparable to a fused
-            # check run.
-            print(f"error: baseline '{args.baseline_label}' was recorded "
-                  f"with system_mode={baseline_system!r}, the check runs "
-                  f"{system_mode!r}; re-record the baseline",
+                  f"with tier={baseline_tier!r}, the check runs "
+                  f"{args.tier!r}; re-record the baseline",
                   file=sys.stderr)
             return 1
         if not baseline_run.get("quick"):
@@ -351,8 +316,7 @@ def main(argv=None):
                   "recorded with --quick; re-record it with "
                   f"--quick --label {args.baseline_label}", file=sys.stderr)
             return 1
-        run = run_cosim_suite(quick=True, fsm_mode=args.fsm_mode,
-                              system_mode=system_mode,
+        run = run_cosim_suite(quick=True, tier=args.tier,
                               repeats=max(args.repeats, 3), progress=print)
         ok, lines = check_against_baseline(baseline_run, run,
                                            max_slowdown=args.max_slowdown)
@@ -405,8 +369,7 @@ def main(argv=None):
               f"'{args.baseline_label}')")
         return 0 if ok else 1
 
-    run = run_cosim_suite(quick=args.quick, fsm_mode=args.fsm_mode,
-                          system_mode=system_mode,
+    run = run_cosim_suite(quick=args.quick, tier=args.tier,
                           repeats=args.repeats, progress=print)
     if args.no_write:
         print(json.dumps(run, indent=2))

@@ -91,8 +91,7 @@ def datapath_fsm(name):
     return build.build(initial="Fetch")
 
 
-def prepare_transition_rate(n_modules, fsm_mode, system_mode=None,
-                            quick=False):
+def prepare_transition_rate(n_modules, tier, quick=False):
     """N datapath modules on one clock; returns ``(session, run_callable)``."""
     model = SystemModel(f"TransitionRate{n_modules}")
     for index in range(n_modules):
@@ -100,8 +99,7 @@ def prepare_transition_rate(n_modules, fsm_mode, system_mode=None,
             HardwareModule(f"Dp{index}", [datapath_fsm(f"DP{index}")])
         )
     session = CosimSession(model, clock_period=COSIM_CLOCK_PERIOD,
-                           trace_signals=False, fsm_mode=fsm_mode,
-                           system_mode=system_mode)
+                           trace_signals=False, tier=tier)
     session.build()
     edges = TRANSITION_QUICK_EDGES if quick else TRANSITION_EDGES
     horizon = edges * COSIM_CLOCK_PERIOD
@@ -112,8 +110,7 @@ def prepare_transition_rate(n_modules, fsm_mode, system_mode=None,
     return session, run
 
 
-def prepare_mixed_system(n_networks, fsm_mode, system_mode=None,
-                         quick=False):
+def prepare_mixed_system(n_networks, tier, quick=False):
     """N generated networks run over a fixed horizon.
 
     The horizon covers the transfers and the steady state after them
@@ -122,8 +119,7 @@ def prepare_mixed_system(n_networks, fsm_mode, system_mode=None,
     simulated time regardless of execution tier.
     """
     system = generate_system(MIXED_SEED, networks=n_networks)
-    session = CosimSession(system.build_model(), fsm_mode=fsm_mode,
-                           system_mode=system_mode,
+    session = CosimSession(system.build_model(), tier=tier,
                            trace_signals=False, **system.cosim_params)
     session.build()
     horizon = MIXED_QUICK_HORIZON if quick else MIXED_HORIZON
@@ -144,10 +140,9 @@ class CosimWorkload:
         self.sizes = tuple(sizes)
         self.quick_sizes = tuple(quick_sizes)
 
-    def prepare(self, size, fsm_mode, system_mode=None, quick=False):
+    def prepare(self, size, tier, quick=False):
         """Build an un-run session; returns ``(session, run_callable)``."""
-        return self.preparer(size, fsm_mode, system_mode=system_mode,
-                             quick=quick)
+        return self.preparer(size, tier, quick=quick)
 
     def __repr__(self):
         return f"CosimWorkload({self.name}, sizes={self.sizes})"

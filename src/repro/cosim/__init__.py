@@ -22,7 +22,7 @@ from repro.cosim.tracing import ServiceCallTrace, ServiceCallRecord
 from repro.cosim.sync import ActivationPolicy, OneTransitionPerActivation, RunToIdle
 from repro.cosim.sw_executor import SoftwareExecutor
 from repro.cosim.hw_adapter import HardwareAdapter
-from repro.cosim.session import CosimSession, CosimResult
+from repro.cosim.session import DEFAULT_TIER, TIERS, CosimSession, CosimResult
 from repro.cosim.faults import (
     FAULT_KINDS,
     FaultEvent,
@@ -44,6 +44,8 @@ __all__ = [
     "HardwareAdapter",
     "CosimSession",
     "CosimResult",
+    "DEFAULT_TIER",
+    "TIERS",
     "FAULT_KINDS",
     "FaultEvent",
     "FaultInjector",

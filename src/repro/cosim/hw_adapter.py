@@ -15,7 +15,7 @@ class HardwareAdapter:
     """Drives the processes of one hardware module inside a co-simulation."""
 
     def __init__(self, module, simulator, clock, accessor, registry,
-                 fsm_mode=None, register=True):
+                 mode=None, register=True):
         self.module = module
         self.simulator = simulator
         self.clock = clock
@@ -28,7 +28,7 @@ class HardwareAdapter:
                 ports=accessor,
                 call_handler=registry.call_handler(),
                 trace=False,
-                mode=fsm_mode,
+                mode=mode,
             )
         self.cycles = 0
         # register=False leaves the clocked process out: the session's

@@ -27,17 +27,26 @@ from repro.cosim.tracing import ServiceCallTrace
 from repro.core.module import HardwareModule, SoftwareModule
 from repro.core.validation import validate_model
 from repro.desim import Timeout, WaveformRecorder, create_simulator
-from repro.ir.interp import DEFAULT_FSM_MODE, FSM_MODES, FsmInstance
+from repro.ir.interp import FsmInstance
 from repro.ir.syscompile import (
-    DEFAULT_SYSTEM_MODE,
-    SYSTEM_MODES,
     LateBoundService,
-    ShadowChecker,
     SystemCompileError,
     compile_system,
 )
 from repro.obs import TELEMETRY
 from repro.utils.errors import SimulationError
+
+#: Execution tiers of a session, fastest first.  ``fused`` runs every
+#: clocked FSM (unit controllers and hardware-module processes) inside one
+#: generated step function (:mod:`repro.ir.syscompile`); ``compiled``
+#: registers one clocked process per FSM, each running its compiled
+#: per-FSM program; ``interpreted`` is that wiring on the tree-walking
+#: interpreter, the oracle.  Software and service FSMs run per-FSM on
+#: every tier, interpreted only on ``interpreted``.  All three tiers are
+#: byte-identical in every conformance fingerprint.
+TIERS = ("fused", "compiled", "interpreted")
+
+DEFAULT_TIER = "fused"
 
 
 def _unbound_system_step():  # pragma: no cover - rebound during build()
@@ -71,7 +80,7 @@ class CosimResult:
             monitor.name: list(monitor.violations) for monitor in session.monitors
         }
         self.fsm_counters = session.fsm_counters()
-        self.system_mode = session.system_tier
+        self.tier = session.wired_tier
 
     @property
     def all_monitors_ok(self):
@@ -86,7 +95,7 @@ class CosimResult:
             "sw_activations": self.sw_activations,
             "hw_cycles": self.hw_cycles,
             "monitors_ok": self.all_monitors_ok,
-            "system_mode": self.system_mode,
+            "tier": self.tier,
             "fsm": dict(self.fsm_counters),
             # Per-service latency distributions (simulated ns): count, mean,
             # p50/p95/max — the mean alone hides a saturated channel's tail.
@@ -103,8 +112,7 @@ class CosimSession:
     def __init__(self, model, library=None, clock_period=100,
                  sw_activation_period=None, activation_policy=None,
                  validate=True, trace_signals=True, kernel="production",
-                 fsm_mode=None, detect_races=False, system_mode=None,
-                 system_lint=True, system_cache=None):
+                 tier=None, detect_races=False):
         if validate:
             validate_model(model, library=library)
         self.model = model
@@ -114,50 +122,28 @@ class CosimSession:
         self.activation_policy = activation_policy or OneTransitionPerActivation()
         self.trace_signals = trace_signals
         self.kernel = kernel
-        explicit_fsm_mode = fsm_mode
-        if fsm_mode is None:
-            fsm_mode = DEFAULT_FSM_MODE
-        if fsm_mode not in FSM_MODES:
+        if tier is None:
+            tier = DEFAULT_TIER
+        if tier not in TIERS:
             raise SimulationError(
-                f"unknown fsm_mode {fsm_mode!r}; expected one of {FSM_MODES}"
+                f"unknown tier {tier!r}; expected one of {TIERS}"
             )
-        if system_mode is None:
-            system_mode = DEFAULT_SYSTEM_MODE
-        if system_mode not in SYSTEM_MODES:
-            raise SimulationError(
-                f"unknown system_mode {system_mode!r}; "
-                f"expected one of {SYSTEM_MODES}"
-            )
-        if system_mode == "interpreted":
-            # The interpreted system tier means *everything* runs on the
-            # tree-walking oracle; a session asking for compiled FSMs inside
-            # it is contradictory.
-            if explicit_fsm_mode == "compiled":
-                raise SimulationError(
-                    'system_mode="interpreted" forces fsm_mode="interpreted"; '
-                    'drop the explicit fsm_mode="compiled"'
-                )
-            fsm_mode = "interpreted"
-        self.fsm_mode = fsm_mode
-        self.system_mode = system_mode
-        self.system_lint = system_lint
-        self.system_cache = system_cache
+        self.tier = tier
+        # The one place a tier maps onto the per-FSM execution mode.
+        self._instance_mode = ("interpreted" if tier == "interpreted"
+                               else "compiled")
         self.detect_races = detect_races
-        #: Resolved at build time: the tier actually wired ("fused",
-        #: "per-fsm", "interpreted" or "differential") — a requested
-        #: "fused"/"differential" falls back to "per-fsm" when the model
-        #: cannot be fused (reason in :attr:`system_fallback_reason`).
-        self.system_tier = None
+        #: Resolved at build time: the tier actually wired.  A requested
+        #: "fused" falls back to "compiled" when the model cannot be fused
+        #: (reason in :attr:`system_fallback_reason`).
+        self.wired_tier = None
         self.system_fallback_reason = None
         self.system_program = None
         #: Candidate FSM steps executed inside the fused program / executed
         #: per-FSM at runtime although the fused program was active.
         self.system_compile_hits = 0
         self.system_fallback = 0
-        self.system_checker = None
         self._fused_process = None
-        self._check_pre_process = None
-        self._system_wiring = None
 
         self.simulator = create_simulator(kernel, detect_races=detect_races)
         self.trace = ServiceCallTrace()
@@ -243,77 +229,49 @@ class CosimSession:
         return self
 
     def _system_prepare(self):
-        """Resolve the system tier; compile the fused program when asked.
+        """Resolve the wired tier; compile the fused program when asked.
 
-        Requested "fused"/"differential" degrade to the per-FSM wiring —
-        with :attr:`system_fallback_reason` recording why — when the model
-        carries un-fusable constructs, lint errors (``system_lint=True``)
-        or the kernel runs with ``detect_races`` (write-race attribution
-        needs one kernel process per writer, which fusing removes).
+        A requested "fused" degrades to the "compiled" wiring — with
+        :attr:`system_fallback_reason` recording why — when the model
+        carries un-fusable constructs or lint errors, or the kernel runs
+        with ``detect_races`` (write-race attribution needs one kernel
+        process per writer, which fusing removes).
         """
-        self._system_wiring = "per-fsm"
-        if self.system_mode in ("per-fsm", "interpreted"):
-            self.system_tier = self.system_mode
+        self.wired_tier = self.tier
+        if self.tier != "fused":
             return
-        program = None
         if self.detect_races:
             self.system_fallback_reason = (
                 "detect_races attributes writes to kernel processes; the "
                 "fused step merges them"
             )
-        else:
-            try:
-                program = compile_system(self.model, cache=self.system_cache,
-                                         lint=self.system_lint)
-            except SystemCompileError as exc:
-                self.system_fallback_reason = str(exc)
-        if program is None:
-            self.system_tier = "per-fsm"
+            self.wired_tier = "compiled"
             return
-        self.system_program = program
-        self.system_tier = (
-            "differential" if self.system_mode == "differential" else "fused"
-        )
-        if program.process_count:
-            self._system_wiring = (
-                "differential" if self.system_mode == "differential"
-                else "fused"
-            )
+        try:
+            self.system_program = compile_system(self.model)
+        except SystemCompileError as exc:
+            self.system_fallback_reason = str(exc)
+            self.wired_tier = "compiled"
 
     def _system_bind(self):
-        """Bind the generated code to the built backplane.
+        """Bind the generated step function to the built backplane.
 
-        Runs after controllers and hardware exist.  In fused wiring the
-        placeholder process registered first on the clock receives the
-        generated step function; in differential wiring the per-FSM
-        processes stay authoritative and a :class:`ShadowChecker` brackets
-        them (pre-sampler registered before the controllers, post-checker
-        registered here, after the adapters).
+        Runs after controllers and hardware exist: the placeholder process
+        registered first on the clock receives the generated step function.
         """
-        if self._system_wiring == "per-fsm":
+        if self.wired_tier != "fused":
             return
-        program = self.system_program
-        plan = program.plan
-        instances, labels = [], []
+        plan = self.system_program.plan
+        instances = []
         for cand in plan.candidates:
             if cand.kind == "ctrl":
                 instances.append(self.controller_instances[cand.label])
             else:
                 instances.append(self.hw_adapters[cand.owner].instances[cand.name])
-            labels.append(cand.label)
         signals = []
         for kind, owner, port in plan.signal_keys:
             table = self.unit_signals if kind == "unit" else self.module_signals
             signals.append(table[owner][port])
-        if self._system_wiring == "differential":
-            shadow = program.bind_shadow({"signals": signals})
-            self.system_checker = ShadowChecker(self.clock, instances,
-                                                labels, shadow)
-            self._check_pre_process.func = self.system_checker.pre
-            self.simulator.add_fused_process(
-                "system_check_post", self.system_checker.post, self.clock
-            )
-            return
         accessors = []
         for key in plan.accessor_keys:
             if key[0] == "ctrl":
@@ -331,7 +289,7 @@ class CosimSession:
                 # Not bound (a lint warning, not an error): the canonical
                 # "no bound service" error must surface at call time.
                 services.append(LateBoundService(registry, service_name))
-        self._fused_process.func = program.bind({
+        self._fused_process.func = self.system_program.bind({
             "sim": self.simulator,
             "clock": self.clock,
             "session": self,
@@ -353,25 +311,21 @@ class CosimSession:
             self.unit_signals[unit.name] = signals
 
     def _build_controllers(self):
-        # The fused step (or the differential pre-sampler) must occupy the
-        # clock-sensitivity position of the first process it replaces
-        # (precedes), so registration happens before any controller.
-        if self._system_wiring == "fused":
+        # The fused step must occupy the clock-sensitivity position of the
+        # first process it replaces (precedes), so registration happens
+        # before any controller.
+        register = self.wired_tier != "fused"
+        if not register:
             self._fused_process = self.simulator.add_fused_process(
                 "system_fused", _unbound_system_step, self.clock
             )
-        elif self._system_wiring == "differential":
-            self._check_pre_process = self.simulator.add_fused_process(
-                "system_check_pre", _unbound_system_step, self.clock
-            )
-        register = self._system_wiring != "fused"
         for unit in self.model.comm_units.values():
             signals = self.unit_signals[unit.name]
             for controller in unit.controllers:
                 accessor = SignalPortAccessor(self.simulator, signals,
                                               writer=f"{unit.name}.{controller.name}")
                 instance = FsmInstance(controller.fsm, ports=accessor,
-                                       mode=self.fsm_mode)
+                                       mode=self._instance_mode)
                 self.controller_instances[f"{unit.name}.{controller.name}"] = instance
                 if register:
                     self.simulator.add_clocked_process(
@@ -391,7 +345,7 @@ class CosimSession:
                 ServiceInstance(
                     module.name, unit.service(service_name), unit.name, accessor,
                     trace=self.trace, time_fn=lambda: self.simulator.now,
-                    fsm_mode=self.fsm_mode,
+                    mode=self._instance_mode,
                 )
             )
         return registry
@@ -409,8 +363,8 @@ class CosimSession:
             registry = self._registry_for(module, software=False)
             self.hw_adapters[module.name] = HardwareAdapter(
                 module, self.simulator, self.clock, accessor, registry,
-                fsm_mode=self.fsm_mode,
-                register=self._system_wiring != "fused",
+                mode=self._instance_mode,
+                register=self.wired_tier != "fused",
             )
 
     def _build_software(self):
@@ -418,7 +372,7 @@ class CosimSession:
             registry = self._registry_for(module, software=True)
             executor = SoftwareExecutor(module, registry,
                                         policy=self.activation_policy,
-                                        fsm_mode=self.fsm_mode)
+                                        mode=self._instance_mode)
             self.sw_executors[module.name] = executor
             period = module.activation_period or self.sw_activation_period
 
@@ -448,7 +402,7 @@ class CosimSession:
         """Build if needed, run the simulation and return a :class:`CosimResult`."""
         self.build()
         with TELEMETRY.span("cosim.run", cat="cosim", system=self.model.name,
-                            kernel=self.kernel, fsm_mode=self.fsm_mode):
+                            kernel=self.kernel, tier=self.wired_tier):
             end_time = self.simulator.run(until=until, max_time=max_time)
         result = CosimResult(self, end_time)
         if TELEMETRY.enabled:
@@ -467,7 +421,7 @@ class CosimSession:
         self.build()
         with TELEMETRY.span("cosim.run_until_software_done", cat="cosim",
                             system=self.model.name, kernel=self.kernel,
-                            fsm_mode=self.fsm_mode):
+                            tier=self.wired_tier):
             while self.simulator.now < max_time:
                 target = min(
                     ((self.simulator.now // check_every) + 1) * check_every,
@@ -493,8 +447,7 @@ class CosimSession:
         the previous flush — each simulated event is counted exactly once
         no matter how the run was sliced.
         """
-        labels = {"kernel": self.kernel, "fsm_mode": self.fsm_mode,
-                  "system_mode": self.system_tier or self.system_mode}
+        labels = {"kernel": self.kernel, "tier": self.wired_tier}
         metrics = TELEMETRY.metrics
         fsm = self.fsm_counters()
         current = {
@@ -510,11 +463,11 @@ class CosimSession:
         metrics.counter("repro_cosim_runs_total", labels=labels,
                         help="Completed CosimSession runs.").inc()
         steps = metrics.counter
-        for tier in ("compiled", "interpreted", "fused"):
-            delta = current[tier] - prev[tier]
+        for step_tier in ("compiled", "interpreted", "fused"):
+            delta = current[step_tier] - prev[step_tier]
             if delta:
                 steps("repro_cosim_fsm_steps_total",
-                      labels=dict(labels, tier=tier),
+                      labels=dict(labels, step_tier=step_tier),
                       help="FSM steps split by execution tier.").inc(delta)
         delta = current["transitions"] - prev["transitions"]
         if delta:
@@ -551,16 +504,13 @@ class CosimSession:
         self.build()
         kernel_snapshot = self.simulator.snapshot()
         return {
-            "format": 1,
+            "format": 2,
             "system": self.model.name,
             "kernel": self.kernel,
-            # Informational only: compiled and interpreted execution are
-            # byte-identical, so a checkpoint restores into either tier.
-            "fsm_mode": self.fsm_mode,
-            # NOT informational: system wiring modes register different
-            # kernel processes, so a checkpoint only restores into a
-            # session wired the same way.
-            "system_mode": self.system_mode,
+            # The wired tier, not the requested one: a fused tier registers
+            # different kernel processes than the other tiers, so a
+            # checkpoint only restores into a session wired the same way.
+            "tier": self.wired_tier,
             "system_counters": {
                 "system_compile_hits": self.system_compile_hits,
                 "system_fallback": self.system_fallback,
@@ -597,11 +547,12 @@ class CosimSession:
         checkpointed state.  ``run()`` then resumes exactly where the saved
         session stopped.
         """
-        if checkpoint.get("format") != 1:
+        if checkpoint.get("format") != 2:
             raise SimulationError(
                 f"unsupported session checkpoint format "
                 f"{checkpoint.get('format')!r}"
             )
+        self.build()  # resolves the wired tier compared below
         mismatches = [
             f"{what}: checkpoint has {theirs!r}, session has {ours!r}"
             for what, theirs, ours in (
@@ -612,9 +563,7 @@ class CosimSession:
                  self.sw_activation_period),
                 ("activation policy", checkpoint["policy"],
                  self.activation_policy.name),
-                ("system_mode",
-                 checkpoint.get("system_mode", self.system_mode),
-                 self.system_mode),
+                ("tier", checkpoint["tier"], self.wired_tier),
             )
             if theirs != ours
         ]
@@ -623,7 +572,6 @@ class CosimSession:
                 "checkpoint does not match this session — "
                 + "; ".join(mismatches)
             )
-        self.build()
         # Validate every membership BEFORE mutating anything: a restore
         # that raises must leave the session exactly as built, never in a
         # half-restored hybrid of checkpoint and fresh state.

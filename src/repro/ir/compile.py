@@ -26,7 +26,7 @@ same values, same port read/write sequence (``and``/``or`` do not
 short-circuit, exactly like ``evaluate``), same exception types and
 messages, same :class:`~repro.ir.interp.StepResult` stream.  The
 differential suite in ``tests/test_ir_compile.py`` and the conformance
-kit's ``--fsm-mode`` pin that equivalence.
+kit's ``--tier differential`` pin that equivalence.
 
 Programs are keyed on the FSM's *content*: :func:`fsm_spec` is the
 canonical description of everything the code generators consume (the

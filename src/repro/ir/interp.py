@@ -28,10 +28,11 @@ from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.utils.errors import SimulationError
 
-#: Execution tiers understood by :class:`FsmInstance`.  ``compiled`` (the
+#: Execution modes understood by :class:`FsmInstance`.  ``compiled`` (the
 #: default) runs the per-FSM program generated by :mod:`repro.ir.compile`;
 #: ``interpreted`` walks the IR tree through :func:`evaluate`/:func:`execute`
-#: and is kept as the differential oracle (``--fsm-mode`` in the testkit).
+#: and is kept as the differential oracle (``--tier interpreted`` in the
+#: testkit).
 FSM_MODES = ("compiled", "interpreted")
 
 DEFAULT_FSM_MODE = "compiled"

@@ -25,28 +25,24 @@ process, i.e. the complete population of clocked FSM processes — into a
   invocation counts and ``reset_on_done`` semantics stay canonical), and
 * the kernel statistics the replaced processes would have produced are
   folded in (``process_runs`` compensation, ``transactions`` per write),
-  so a fused run is **byte-identical** to the per-FSM and interpreted
+  so a fused run is **byte-identical** to the compiled and interpreted
   tiers in every conformance fingerprint: waveforms, traces, environments,
   counters and kernel statistics.
 
 Software executors, their activation processes and all service FSMs stay
-on the per-FSM tier (they are demand-driven, not clocked); their steps
-keep counting ``compile_hits``/``fallback`` while fused candidate steps
-count in the session's ``system_compile_hits``.
+per-FSM (they are demand-driven, not clocked); their steps keep counting
+``compile_hits``/``fallback`` while fused candidate steps count in the
+session's ``system_compile_hits``.
 
-The generated source is a pure function of the model structure: it is
-cached per model (weak), per digest (:func:`model_digest`, via
-:mod:`repro.utils.canonical`) in a fixed-size in-process LRU, and
-optionally in a content-addressed :class:`~repro.sweep.cache.ArtifactCache`,
-so warm sweep/server re-runs skip codegen the way they already skip HLS.
+The generated source is a pure function of the model structure: the
+program is cached per model (weak) and its code object per digest
+(:func:`model_digest`, via :mod:`repro.utils.canonical`) in a fixed-size
+in-process LRU.
 
-``system_mode="differential"`` keeps the per-FSM wiring as ground truth
-and cross-checks the fused codegen every rising edge with a *shadow*
-variant of the generated function (:class:`ShadowChecker`): pre-edge
-state in, predicted post-edge state out, compared against what the real
-processes did.  Service-call states are skipped (stepping a service twice
-would side-effect the trace); the conformance kit's separate-session
-matrix covers those end to end.
+The fused program is cross-checked end to end, not in-session: the
+conformance kit's ``--tier differential`` runs every scenario on the
+fused, compiled and interpreted tiers in separate sessions and compares
+their complete fingerprints.
 """
 
 import weakref
@@ -65,19 +61,9 @@ from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
 
-#: System execution tiers understood by ``CosimSession(system_mode=...)``.
-#: ``fused`` runs the whole-system program below; ``per-fsm`` is the PR 5
-#: wiring (one clocked process per instance, per-FSM compiled programs);
-#: ``interpreted`` is the per-FSM wiring on the tree-walking oracle;
-#: ``differential`` executes per-FSM and shadow-checks the fused codegen
-#: every rising edge.
-SYSTEM_MODES = ("fused", "per-fsm", "interpreted", "differential")
-
-DEFAULT_SYSTEM_MODE = "fused"
-
-#: Bumped whenever the generated source changes shape: it keys the
-#: cross-process source cache, so stale cached sources are never reused.
-SOURCE_FORMAT = 3
+#: Bumped whenever the generated source changes shape; it is part of
+#: :func:`system_spec`, so it keys the code-object cache too.
+SOURCE_FORMAT = 4
 
 
 class SystemCompileError(SimulationError):
@@ -96,9 +82,10 @@ def system_spec(model):
     """Canonical structural description of everything the codegen consumes.
 
     Two models with equal specs generate byte-identical source, so the
-    spec's :func:`~repro.utils.canonical.content_digest` keys every source
-    cache.  Each FSM enters as its :func:`~repro.ir.compile.fsm_spec`, the
-    same content key the per-FSM program cache uses.  Bindings and port
+    spec's :func:`~repro.utils.canonical.content_digest` keys the
+    code-object cache.  Each FSM enters as its
+    :func:`~repro.ir.compile.fsm_spec`, the same content key the per-FSM
+    program cache uses.  Bindings and port
     initial values are bind-time inputs, not codegen inputs, and are
     deliberately absent.
     """
@@ -259,23 +246,18 @@ class SystemPlan:
 class _FragmentEmitter:
     """Emits the inlined step fragment of one candidate.
 
-    ``mode="fused"`` produces the production fragment: canonical counter
-    updates, delta-queue writes, observer callbacks.  ``mode="shadow"``
-    produces the differential variant: state/env/fired tracked in locals,
-    writes evaluated but discarded, no counters — the oracle's prediction
-    of what the real per-FSM step will do.
-
-    Accessor read/write counts and the ``transactions`` statistic are
-    accumulated in pending counters and flushed as ``+= n`` lines at every
-    control-flow boundary, so each executed path bumps exactly the counts
-    the per-FSM tier would have bumped on that path (only the per-call
-    fold point differs, which is unobservable between deltas).
+    The fragment performs canonical counter updates, delta-queue writes
+    and observer callbacks.  Accessor read/write counts and the
+    ``transactions`` statistic are accumulated in pending counters and
+    flushed as ``+= n`` lines at every control-flow boundary, so each
+    executed path bumps exactly the counts the per-FSM tier would have
+    bumped on that path (only the per-call fold point differs, which is
+    unobservable between deltas).
     """
 
-    def __init__(self, plan, cand, mode, lines):
+    def __init__(self, plan, cand, lines):
         self.plan = plan
         self.cand = cand
-        self.mode = mode
         self.lines = lines
         self._reads = 0
         self._writes = 0
@@ -291,9 +273,6 @@ class _FragmentEmitter:
         self.lines.append("    " * depth + text)
 
     def flush(self, depth):
-        if self.mode != "fused":
-            self._reads = self._writes = self._tx = 0
-            return
         pad = "    " * depth
         ai = self.cand.accessor
         if self._reads:
@@ -351,12 +330,9 @@ class _FragmentEmitter:
             elif isinstance(stmt, PortWrite):
                 src = self.expr(stmt.expr)
                 slot = self.plan.signal_slot(self.cand, stmt.port_name)
-                if self.mode == "fused":
-                    self.line(depth, f"_dq((g{slot}, {src}))")
-                    self._writes += 1
-                    self._tx += 1
-                else:
-                    self.line(depth, f"_sw = {src}")
+                self.line(depth, f"_dq((g{slot}, {src}))")
+                self._writes += 1
+                self._tx += 1
             elif isinstance(stmt, If):
                 cond = self.expr(stmt.cond)
                 self.flush(depth)
@@ -380,8 +356,6 @@ class _FragmentEmitter:
     # -- step results / observers
 
     def _observe(self, depth, from_state, to_state, fired, called_local):
-        if self.mode != "fused":
-            return
         fsm = self.cand.fsm
         done = to_state in fsm.done_states
         args = [repr(from_state), repr(to_state), repr(fired), repr(done)]
@@ -399,14 +373,10 @@ class _FragmentEmitter:
         self.emit_stmts(transition.actions, depth)
         self.flush(depth)
         i = self.cand.index
-        if self.mode == "fused":
-            self.line(depth, f"i{i}.current = {transition.target!r}")
-            self.line(depth, f"i{i}.transitions_fired += 1")
-            self._observe(depth, state.name, transition.target, True,
-                          called_local)
-        else:
-            self.line(depth, f"_c = {transition.target!r}")
-            self.line(depth, "_f = True")
+        self.line(depth, f"i{i}.current = {transition.target!r}")
+        self.line(depth, f"i{i}.transitions_fired += 1")
+        self._observe(depth, state.name, transition.target, True,
+                      called_local)
         self.line(depth, "break")
 
     # -- transitions
@@ -492,12 +462,11 @@ def generate_system_source(model, plan=None):
 
     The candidate fragments are emitted first (slot allocation on the plan
     is demand-driven: a signal/service gets a slot when a fragment first
-    references it), then the factory headers — whose default-argument
-    bindings must cover every allocated slot — are rendered around them.
+    references it), then the factory header — whose default-argument
+    bindings must cover every allocated slot — is rendered around them.
     """
     plan = plan or SystemPlan(model)
 
-    # ------------------------------------------------- fused step body
     lines = []
 
     def emit_candidate(cand):
@@ -515,7 +484,7 @@ def generate_system_source(model, plan=None):
             lines.append(f"            {keyword} _c == {state.name!r}:")
             keyword = "elif"
             lines.append("                while True:")
-            emitter = _FragmentEmitter(plan, cand, "fused", lines)
+            emitter = _FragmentEmitter(plan, cand, lines)
             emitter.emit_state(state, 5)
         lines.append("            else:")
         lines.append(f"                i{i}.steps -= 1")
@@ -544,42 +513,6 @@ def generate_system_source(model, plan=None):
         lines.append(f"        a{n}.writes += _w{n}")
     lines.append("        _ses.system_compile_hits += _hits")
     lines.append("    return _step")
-    lines.append("")
-    fused_body = lines
-
-    # ------------------------------------------------- shadow step body
-    lines = []
-    for cand in plan.candidates:
-        i = cand.index
-        lines.append(f"        # {cand.kind} {cand.label}")
-        lines.append(f"        _p = PRE[{i}]")
-        lines.append("        while _p is not None:")
-        lines.append("            _c = _p[0]")
-        lines.append("            _e = _p[1]")
-        lines.append("            _f = False")
-        keyword = "if"
-        emitted_any = False
-        for state in cand.fsm.iter_states():
-            if any(t.call is not None for t in state.transitions):
-                continue  # call states are resynced, not shadow-stepped
-            lines.append(f"            {keyword} _c == {state.name!r}:")
-            keyword = "elif"
-            emitted_any = True
-            lines.append("                while True:")
-            emitter = _FragmentEmitter(plan, cand, "shadow", lines)
-            emitter.emit_state(state, 5)
-        if emitted_any:
-            lines.append("            else:")
-            lines.append(f"                OUT[{i}] = None")
-            lines.append("                break")
-            lines.append(f"            OUT[{i}] = (_c, _e, _f)")
-            lines.append("            break")
-        else:
-            lines.append(f"            OUT[{i}] = None")
-            lines.append("            break")
-    lines.append("    return _shadow")
-    lines.append("")
-    shadow_body = lines
 
     # ------------------------------------- assemble (slots now complete)
     out = [
@@ -620,13 +553,7 @@ def generate_system_source(model, plan=None):
     for n in range(len(plan.accessor_keys)):
         counters += [f"_r{n}", f"_w{n}"]
     _chunk_zero_init(counters, out, 2)
-    out.extend(fused_body)
-    defaults = [("SE", "SimulationError")]
-    defaults += [(f"g{n}", f'_c["signals"][{n}]')
-                 for n in range(len(plan.signal_keys))]
-    out.append("def _bind_shadow(_c):")
-    out.append(f"    def _shadow(PRE, OUT, {_defaults(defaults)}):")
-    out.extend(shadow_body)
+    out.extend(lines)
     return "\n".join(out)
 
 
@@ -637,9 +564,9 @@ class SystemProgram:
     """The compiled whole-system program of one model.
 
     Holds the generated source, its digest, the slot metadata a session
-    needs to assemble a binding context, and the two bind entry points
-    (production step function and differential shadow).  Shared by every
-    session built from the same model object.
+    needs to assemble a binding context, and the bind entry point of the
+    step function.  Shared by every session built from the same model
+    object.
     """
 
     def __init__(self, model, plan, digest, source):
@@ -654,15 +581,6 @@ class SystemProgram:
         namespace = {}
         exec(code, namespace)  # noqa: S102 - our own generated source
         self._bind_fused = namespace["_bind_fused"]
-        self._bind_shadow = namespace["_bind_shadow"]
-
-    @property
-    def process_count(self):
-        return self.plan.process_count
-
-    @property
-    def candidates(self):
-        return self.plan.candidates
 
     def bind(self, ctx):
         """Bind the production step function to one session's objects.
@@ -672,10 +590,6 @@ class SystemProgram:
         in the orders recorded on :attr:`plan`.
         """
         return self._bind_fused(ctx)
-
-    def bind_shadow(self, ctx):
-        """Bind the shadow variant (needs only ``signals``)."""
-        return self._bind_shadow(ctx)
 
     def __repr__(self):
         return (f"SystemProgram({self.name}, candidates="
@@ -700,75 +614,6 @@ class LateBoundService:
         return self.registry.get(self.name).step(arg_values)
 
 
-class ShadowChecker:
-    """Per-edge differential oracle comparing fused codegen to per-FSM runs.
-
-    Two clock-sensitive hooks bracket the real clocked processes:
-    :meth:`pre` (registered before every controller) samples each
-    candidate's state, environment and fired-count; :meth:`post`
-    (registered after every adapter, before the generator waiters run)
-    executes the shadow program from those samples and compares its
-    predicted post-edge state/env/fired against what the real per-FSM
-    processes actually did.  Candidates whose pre-edge state carries
-    service calls are skipped (``OUT`` slot ``None``) — stepping a service
-    twice would corrupt the trace; the testkit's separate-session matrix
-    covers them.
-
-    The two hooks add their own process runs, so a differential session's
-    kernel statistics intentionally differ from the pure tiers': it is an
-    oracle mode, not a conformance variant.
-    """
-
-    def __init__(self, clock, instances, labels, shadow):
-        self.clock = clock
-        self.instances = list(instances)
-        self.labels = list(labels)
-        self.shadow = shadow
-        self._pre = [None] * len(self.instances)
-        self._out = [None] * len(self.instances)
-        self.checked_edges = 0
-        self.compared_steps = 0
-
-    def pre(self):
-        if self.clock._value != 1:
-            return
-        pre = self._pre
-        for index, instance in enumerate(self.instances):
-            pre[index] = (instance.current, dict(instance.env),
-                          instance.transitions_fired)
-
-    def post(self):
-        if self.clock._value != 1:
-            return
-        out = self._out
-        for index in range(len(out)):
-            out[index] = None
-        try:
-            self.shadow(self._pre, out)
-        except Exception as exc:
-            raise SimulationError(
-                f"system differential: shadow execution failed at "
-                f"t={self.clock.last_changed}: {exc}"
-            ) from exc
-        self.checked_edges += 1
-        for index, instance in enumerate(self.instances):
-            predicted = out[index]
-            if predicted is None:
-                continue
-            self.compared_steps += 1
-            fired = instance.transitions_fired - self._pre[index][2]
-            if (predicted[0] != instance.current
-                    or predicted[1] != instance.env
-                    or int(predicted[2]) != fired):
-                raise SimulationError(
-                    f"system differential divergence at {self.labels[index]}:"
-                    f" fused predicts state={predicted[0]!r}"
-                    f" fired={int(predicted[2])} env={predicted[1]!r};"
-                    f" per-FSM tier has state={instance.current!r}"
-                    f" fired={fired} env={dict(instance.env)!r}"
-                )
-
-
 # ------------------------------------------------------------------- caches
 
 
@@ -779,7 +624,7 @@ _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
 _CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # digest -> code object
 
 
-def compile_system(model, cache=None, lint=True):
+def compile_system(model, lint=True):
     """The (cached) whole-system program of *model*.
 
     *lint* gates compilation on the static analyzer: error-level findings
@@ -788,9 +633,6 @@ def compile_system(model, cache=None, lint=True):
     (:func:`~repro.lint.engine.memo_report`), so a job whose pre-flight
     already linted the model pays nothing here.  A model without a single
     fusable FSM is refused too: there is nothing to fuse.
-    *cache* (an :class:`~repro.sweep.cache.ArtifactCache` or a directory
-    path) persists the generated source keyed by the model digest, so a
-    warm worker skips codegen.
     """
     if lint:
         from repro.lint.engine import memo_report
@@ -807,24 +649,7 @@ def compile_system(model, cache=None, lint=True):
     plan = SystemPlan(model)
     if not plan.candidates:
         raise SystemCompileError("no fusable FSM")
-    digest = model_digest(model)
-    source = None
-    cache_key = None
-    if cache is not None:
-        from repro.sweep.cache import ArtifactCache
-
-        if isinstance(cache, str):
-            cache = ArtifactCache(cache)
-        cache_key = ArtifactCache.key_for(
-            {"kind": "syscompile", "format": SOURCE_FORMAT, "digest": digest}
-        )
-        payload = cache.get(cache_key)
-        if payload is not None:
-            source = payload.get("source")
-    if source is None:
-        source = generate_system_source(model, plan)
-        if cache is not None:
-            cache.put(cache_key, {"source": source})
-    program = SystemProgram(model, plan, digest, source)
+    source = generate_system_source(model, plan)
+    program = SystemProgram(model, plan, model_digest(model), source)
     _SYSTEM_CACHE[model] = program
     return program

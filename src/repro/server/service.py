@@ -31,6 +31,7 @@ Design points:
   resubmitted.
 """
 
+import collections
 import itertools
 import threading
 import time
@@ -145,7 +146,7 @@ class JobService:
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
         self._jobs = {}          # id -> JobRecord (insertion-ordered)
-        self._queue = []         # FIFO of job ids (head at index 0)
+        self._queue = collections.deque()  # FIFO of job ids
         self._seq = itertools.count(1)
         self._threads = []
         self._pool = None
@@ -400,7 +401,7 @@ class JobService:
                     self._wake.wait(timeout=0.2)
                 if self._stopping:
                     return
-                record = self._jobs[self._queue.pop(0)]
+                record = self._jobs[self._queue.popleft()]
                 record.state = "running"
                 record.started_at = time.time()
                 record.started_mono = time.monotonic()

@@ -39,6 +39,19 @@ deterministic report entry and *payload* the cacheable artefact (or None).
 from repro.utils.canonical import content_digest
 
 
+def _check_tier(tier, default, allowed):
+    """*tier* or *default* when None; ``ValueError`` unless it is *allowed*.
+
+    Raised at construction, so ``job_from_dict`` (and ``POST /jobs``)
+    refuse a bad tier before the job ever reaches a worker.
+    """
+    if tier is None:
+        return default
+    if tier not in allowed:
+        raise ValueError(f"unknown tier {tier!r}; available: {allowed}")
+    return tier
+
+
 def _lint_preflight(model, no_lint):
     """Lint *model* before running a job; returns the report summary dict.
 
@@ -158,24 +171,17 @@ class CosimJob(SweepJob):
     kind = "cosim"
 
     def __init__(self, seed, networks=None, kernel="production", until=None,
-                 checkpoint_at=None, fsm_mode=None, system_mode=None,
-                 coverage=False, fault_kind=None, fault_unit_index=0,
-                 no_lint=False, batch=None, fault_at_offset=0):
+                 checkpoint_at=None, tier=None, coverage=False,
+                 fault_kind=None, fault_unit_index=0, no_lint=False,
+                 batch=None, fault_at_offset=0):
         self.seed = int(seed)
         self.networks = None if networks is None else int(networks)
         self.kernel = kernel
         # Resolved at construction so the job spec — the report/replay
         # identity — stays explicit even if the project default flips.
-        if system_mode is None:
-            from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
-            system_mode = DEFAULT_SYSTEM_MODE
-        self.system_mode = system_mode
-        if fsm_mode is None:
-            from repro.ir.interp import DEFAULT_FSM_MODE
-            # The interpreted system tier runs every FSM on the oracle.
-            fsm_mode = ("interpreted" if system_mode == "interpreted"
-                        else DEFAULT_FSM_MODE)
-        self.fsm_mode = fsm_mode
+        from repro.cosim.session import DEFAULT_TIER, TIERS
+
+        self.tier = _check_tier(tier, DEFAULT_TIER, TIERS)
         self.batch = None if batch is None else int(batch)
         if self.batch is not None and self.batch < 1:
             raise ValueError("batch must be a positive scenario count")
@@ -213,8 +219,7 @@ class CosimJob(SweepJob):
             "seed": self.seed,
             "networks": self.networks,
             "kernel": self.kernel,
-            "fsm_mode": self.fsm_mode,
-            "system_mode": self.system_mode,
+            "tier": self.tier,
             "until": self.until,
             "checkpoint_at": self.checkpoint_at,
             "coverage": self.coverage,
@@ -236,9 +241,7 @@ class CosimJob(SweepJob):
         from repro.cosim import CosimSession
         from repro.cosim.faults import default_fault_window, plan_for_unit
 
-        session = CosimSession(model, kernel=self.kernel,
-                               fsm_mode=self.fsm_mode,
-                               system_mode=self.system_mode,
+        session = CosimSession(model, kernel=self.kernel, tier=self.tier,
                                **system.cosim_params)
         if self.fault_kind is not None:
             units = list(session.model.comm_units.values())
@@ -311,7 +314,7 @@ class CosimJob(SweepJob):
             # fast path (per-FSM or whole-system) shows up here as
             # fallback/system_fallback > 0 or *_hits == 0.
             "fsm": dict(result.fsm_counters),
-            "system_mode": result.system_mode,
+            "tier": result.tier,
             "fingerprint_digest": content_digest(
                 cosim_fingerprint(session, result)
             ),
@@ -374,7 +377,7 @@ class CosimJob(SweepJob):
                 "functional_problems": (None if self.fault_kind is not None
                                         else problems),
                 "fsm": fsm_totals,
-                "system_mode": scenarios[0]["system_mode"],
+                "tier": scenarios[0]["tier"],
                 # The batch digest pins every per-scenario fingerprint.
                 "fingerprint_digest": content_digest(
                     [entry["fingerprint_digest"] for entry in scenarios]
@@ -487,20 +490,16 @@ class ConformanceJob(SweepJob):
 
     kind = "conformance"
 
-    def __init__(self, scenario, fsm_mode=None, system_mode=None):
+    def __init__(self, scenario, tier=None):
+        from repro.cosim.session import DEFAULT_TIER, TIERS
+
         self.scenario = str(scenario)
-        if fsm_mode is None:
-            from repro.ir.interp import DEFAULT_FSM_MODE
-            fsm_mode = DEFAULT_FSM_MODE
-        self.fsm_mode = fsm_mode
-        if system_mode is None:
-            from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
-            system_mode = DEFAULT_SYSTEM_MODE
-        self.system_mode = system_mode
+        # "differential" replays the scenario on every tier.
+        self.tier = _check_tier(tier, DEFAULT_TIER, TIERS + ("differential",))
 
     def spec(self):
         return {"kind": self.kind, "scenario": self.scenario,
-                "fsm_mode": self.fsm_mode, "system_mode": self.system_mode}
+                "tier": self.tier}
 
     @property
     def name(self):
@@ -509,8 +508,7 @@ class ConformanceJob(SweepJob):
     def execute(self):
         from repro.testkit.runner import replay
 
-        problems = replay(self.scenario, fsm_mode=self.fsm_mode,
-                          system_mode=self.system_mode)
+        problems = replay(self.scenario, tier=self.tier)
         record = self._base_record()
         record.update({
             "ok": not problems,

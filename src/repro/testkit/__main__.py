@@ -6,7 +6,7 @@ Usage::
     python -m repro.testkit --quick        # < 30 s smoke tier
     python -m repro.testkit --seed-base 1000
     python -m repro.testkit --replay kernel-medium-17
-    python -m repro.testkit --fsm-mode interpreted   # or: differential
+    python -m repro.testkit --tier interpreted   # or: compiled, differential
     python -m repro.testkit --kernel-scenarios tiny=5 small=2 --cosim 3 --cosyn 1
     python -m repro.testkit --emit-models 5 --networks 4   # generator only
     python -m repro.testkit --coverage --budget 24 --coverage-floor 0.9
@@ -27,6 +27,7 @@ import json
 import sys
 import time
 
+from repro.cosim import TIERS
 from repro.testkit.models import generate_models
 from repro.testkit.runner import (
     FULL_COSIM_MODELS,
@@ -89,19 +90,12 @@ def main(argv=None):
     parser.add_argument("--uniform", action="store_true",
                         help="with --coverage: draw scenarios uniformly "
                              "instead of coverage-directed (baseline)")
-    parser.add_argument("--fsm-mode", default=None,
-                        choices=("compiled", "interpreted", "differential"),
-                        help="FSM execution tier for the cosim oracle: the "
-                             "compiled programs (the project default), the "
+    parser.add_argument("--tier", default=None,
+                        choices=TIERS + ("differential",),
+                        help="execution tier of the co-simulation oracles: "
+                             "the fused single-step program (the project "
+                             "default), compiled per-FSM processes, the "
                              "tree-walking interpreter, or 'differential' "
-                             "to cross-check both tiers against each other")
-    parser.add_argument("--system-mode", default=None,
-                        choices=("fused", "per-fsm", "interpreted",
-                                 "differential"),
-                        help="whole-system execution tier for the cosim "
-                             "oracle: the fused single-step program (the "
-                             "project default), per-FSM processes, the "
-                             "whole-interpreted stack, or 'differential' "
                              "to cross-check all three tiers")
     parser.add_argument("--replay", metavar="NAME",
                         help="re-run one scenario by name and exit")
@@ -115,6 +109,9 @@ def main(argv=None):
                         help="print one line per scenario")
     args = parser.parse_args(argv)
 
+    if args.coverage and args.tier == "differential":
+        parser.error("--coverage runs one tier; 'differential' applies to "
+                     "the conformance tiers")
     if args.networks is not None and args.emit_models is None:
         parser.error("--networks only applies to --emit-models; the "
                      "conformance tiers use the generator's own 1-3 "
@@ -143,8 +140,7 @@ def main(argv=None):
         return 0
 
     if args.replay:
-        problems = replay(args.replay, fsm_mode=args.fsm_mode,
-                          system_mode=args.system_mode)
+        problems = replay(args.replay, tier=args.tier)
         if problems:
             print("\n".join(problems))
             return 1
@@ -186,8 +182,7 @@ def main(argv=None):
                              realtime_models=realtime_models,
                              seed_base=args.seed_base,
                              progress=progress,
-                             fsm_mode=args.fsm_mode,
-                             system_mode=args.system_mode)
+                             tier=args.tier)
     elapsed = time.perf_counter() - started
     print(report.summary())
     print(f"({elapsed:.1f} s wall clock)")
@@ -206,7 +201,7 @@ def run_coverage_campaign(args):
     runner = run_uniform if args.uniform else run_directed
     started = time.perf_counter()
     campaign = runner(args.budget, rng_seed=args.campaign_seed,
-                      fsm_mode=args.fsm_mode)
+                      tier=args.tier)
     elapsed = time.perf_counter() - started
     universe = campaign_universe()
     survivals = [report["survival"] for report in campaign["reports"]

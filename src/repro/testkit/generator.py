@@ -511,7 +511,7 @@ def dedupe_scenarios(configs):
     return unique
 
 
-def run_scenario_config(config, coverage, kernel="production", fsm_mode=None):
+def run_scenario_config(config, coverage, kernel="production", tier=None):
     """Execute one scenario config, folding its run into *coverage*.
 
     Returns a small report dict: the config, its digest, and the
@@ -526,21 +526,19 @@ def run_scenario_config(config, coverage, kernel="production", fsm_mode=None):
     if family == "fault":
         scenario = FaultScenario(config["seed"], kind=config["kind"],
                                  unit_index=config["unit_index"])
-        session, result = scenario.run(kernel, fsm_mode=fsm_mode,
-                                       coverage=coverage)
+        session, result = scenario.run(kernel, tier=tier, coverage=coverage)
         report["survival"] = scenario.survival(session, result)
         report["end_time"] = result.end_time
     elif family == "realtime":
         scenario = RealtimeScenario(config["seed"], load=config["load"],
                                     deadline_factor=config["deadline_factor"])
-        _, result, timing = scenario.run(kernel, fsm_mode=fsm_mode,
-                                         coverage=coverage)
+        _, result, timing = scenario.run(kernel, tier=tier, coverage=coverage)
         report["deadline_misses"] = timing["deadline_misses"]
         report["end_time"] = result.end_time
     elif family == "system":
         system = generate_system(config["seed"])
         session = CosimSession(system.build_model(), kernel=kernel,
-                               fsm_mode=fsm_mode, **system.cosim_params)
+                               tier=tier, **system.cosim_params)
         attach_session(session, coverage)
         result = run_session_to_completion(session, system.expectations)
         coverage.record_trace(result.trace)
@@ -560,7 +558,7 @@ def campaign_universe(seed_span=SCENARIO_SEED_SPAN):
 
 
 def run_uniform(budget, rng_seed=0, seed_span=SCENARIO_SEED_SPAN,
-                kernel="production", fsm_mode=None):
+                kernel="production", tier=None):
     """Blind baseline: *budget* uniform draws, deduplicated, dispatched.
 
     Duplicate draws are discarded (never dispatched) but still consume
@@ -571,7 +569,7 @@ def run_uniform(budget, rng_seed=0, seed_span=SCENARIO_SEED_SPAN,
     drawn = [random_scenario_config(rng, seed_span) for _ in range(budget)]
     unique = dedupe_scenarios(drawn)
     coverage = CoverageMap()
-    reports = [run_scenario_config(config, coverage, kernel, fsm_mode)
+    reports = [run_scenario_config(config, coverage, kernel, tier)
                for config in unique]
     return {"mode": "uniform", "budget": budget, "executed": len(reports),
             "coverage": coverage, "reports": reports}
@@ -612,7 +610,7 @@ def _is_stall_bin(tag):
 
 
 def run_directed(budget, rng_seed=0, seed_span=SCENARIO_SEED_SPAN,
-                 kernel="production", fsm_mode=None, greed=0.75,
+                 kernel="production", tier=None, greed=0.75,
                  universe=None, candidates=12):
     """Coverage-directed campaign: one run at a time, feedback-driven.
 
@@ -688,7 +686,7 @@ def run_directed(budget, rng_seed=0, seed_span=SCENARIO_SEED_SPAN,
         config = max(pool, key=potential)
         promised = _seed_bins(config["seed"], seed_bins_cache) - covered
         before = len(covered)
-        report = run_scenario_config(config, coverage, kernel, fsm_mode)
+        report = run_scenario_config(config, coverage, kernel, tier)
         covered = _covered_bins(coverage, universe)
         novelty = len(covered) - before
         signature = _signature(config)

@@ -26,10 +26,8 @@ Both return a list of human-readable problem strings (empty = pass), each
 prefixed with the generated system's name so a failure pins its seed.
 """
 
-from repro.cosim import CosimSession
+from repro.cosim import DEFAULT_TIER, TIERS, CosimSession
 from repro.cosyn import CosynthesisFlow
-from repro.ir.interp import DEFAULT_FSM_MODE
-from repro.ir.syscompile import DEFAULT_SYSTEM_MODE
 from repro.lint import lint_model
 from repro.platforms import get_platform
 
@@ -37,46 +35,25 @@ from repro.platforms import get_platform
 COSIM_MAX_TIME = 500_000
 
 
-def variant_matrix(kernels, fsm_mode=None, system_mode=None):
-    """The (kernel, fsm_mode, system_mode) grid a conformance check runs.
+def variant_matrix(kernels, tier=None):
+    """The (kernel, tier) grid a conformance check runs.
 
-    ``fsm_mode="differential"`` expands to the compiled and interpreted
-    per-FSM tiers (the PR 5 oracle); ``system_mode="differential"``
-    expands to the fused, per-FSM and whole-interpreted system tiers.
-    ``system_mode="interpreted"`` (explicit or expanded) forces the FSM
-    tier to ``interpreted`` — the session would reject the contradictory
-    combination — which also deduplicates the expanded grid.  ``None``
-    defers to the project defaults.
+    ``tier="differential"`` expands to every execution tier of
+    :data:`repro.cosim.session.TIERS` — the fused-codegen and compiled-FSM
+    oracle; ``None`` defers to the project default.
     """
-    if fsm_mode is None:
-        fsm_mode = DEFAULT_FSM_MODE
-    if system_mode is None:
-        system_mode = DEFAULT_SYSTEM_MODE
-    fsm_modes = (("compiled", "interpreted") if fsm_mode == "differential"
-                 else (fsm_mode,))
-    system_modes = (("fused", "per-fsm", "interpreted")
-                    if system_mode == "differential" else (system_mode,))
-    variants = []
-    for kernel in kernels:
-        for smode in system_modes:
-            for fmode in fsm_modes:
-                if smode == "interpreted":
-                    fmode = "interpreted"
-                variant = (kernel, fmode, smode)
-                if variant not in variants:
-                    variants.append(variant)
-    return variants
+    if tier is None:
+        tier = DEFAULT_TIER
+    tiers = TIERS if tier == "differential" else (tier,)
+    return [(kernel, each) for kernel in kernels for each in tiers]
 
 
 def variant_label(variant, variants):
-    """Human label for one matrix entry, terse when an axis is constant."""
-    kernel, fmode, smode = variant
-    parts = [kernel]
-    if len({v[2] for v in variants}) > 1:
-        parts.append(smode)
+    """Human label for one matrix entry, terse when the tier is constant."""
+    kernel, tier = variant
     if len({v[1] for v in variants}) > 1:
-        parts.append(fmode)
-    return "/".join(parts)
+        return f"{kernel}/{tier}"
+    return kernel
 
 
 def hw_consumers_pending(session, expectations):
@@ -113,16 +90,13 @@ def run_session_to_completion(session, expectations, max_time=COSIM_MAX_TIME):
     return result
 
 
-def run_cosim(system, kernel, fsm_mode=None, system_mode=None):
+def run_cosim(system, kernel, tier=None):
     """One fresh co-simulation of *system* on *kernel*; returns (session, result).
 
-    ``fsm_mode=None`` / ``system_mode=None`` defer to the project defaults
-    (:data:`repro.ir.interp.DEFAULT_FSM_MODE`,
-    :data:`repro.ir.syscompile.DEFAULT_SYSTEM_MODE`), resolved by the
-    session.
+    ``tier=None`` defers to :data:`repro.cosim.session.DEFAULT_TIER`,
+    resolved by the session.
     """
-    session = CosimSession(system.build_model(), kernel=kernel,
-                           fsm_mode=fsm_mode, system_mode=system_mode,
+    session = CosimSession(system.build_model(), kernel=kernel, tier=tier,
                            **system.cosim_params)
     result = run_session_to_completion(session, system.expectations)
     return session, result
@@ -204,20 +178,17 @@ def _diff_fingerprints(label, left, right):
 
 
 def check_cosim_conformance(system, kernels=("production", "reference"),
-                            fsm_mode=None, system_mode=None):
+                            tier=None):
     """Run the full co-simulation oracle on one generated system.
 
-    *fsm_mode* selects the FSM execution tier every run uses (``compiled``
-    or ``interpreted``; ``None`` defers to the project default); the
-    reports must be identical either way.  The special value
-    ``"differential"`` additionally crosses each kernel with **both** tiers
-    and asserts every observable matches across the whole (kernel, tier)
-    matrix — the compiled-vs-interpreted oracle.  *system_mode* does the
-    same for the whole-system tier (:mod:`repro.ir.syscompile`): its
-    ``"differential"`` crosses each kernel with the fused, per-FSM and
-    interpreted system tiers — the fused-codegen oracle.
+    *tier* selects the execution tier every run uses (``fused``,
+    ``compiled`` or ``interpreted``; ``None`` defers to the project
+    default); the reports must be identical either way.  The special value
+    ``"differential"`` crosses each kernel with **every** tier and asserts
+    every observable matches across the whole (kernel, tier) matrix — the
+    fused-codegen and compiled-FSM oracle.
     """
-    variants = variant_matrix(kernels, fsm_mode, system_mode)
+    variants = variant_matrix(kernels, tier)
 
     # Lint pre-flight: a generated system must be free of error-level
     # findings before any simulation is trusted (warnings are tolerated —
@@ -237,11 +208,9 @@ def check_cosim_conformance(system, kernels=("production", "reference"),
     fingerprints = {}
     sessions = {}
     for variant in variants:
-        kernel, fmode, smode = variant
-        session_a, result_a = run_cosim(system, kernel, fsm_mode=fmode,
-                                        system_mode=smode)
-        session_b, result_b = run_cosim(system, kernel, fsm_mode=fmode,
-                                        system_mode=smode)
+        kernel, each = variant
+        session_a, result_a = run_cosim(system, kernel, tier=each)
+        session_b, result_b = run_cosim(system, kernel, tier=each)
         fingerprint_a = cosim_fingerprint(session_a, result_a)
         fingerprint_b = cosim_fingerprint(session_b, result_b)
         problems.extend(_diff_fingerprints(

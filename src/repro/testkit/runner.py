@@ -97,19 +97,15 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
                     cosyn_models=FULL_COSYN_MODELS,
                     fault_seeds=FULL_FAULT_SEEDS,
                     realtime_models=FULL_REALTIME_MODELS,
-                    seed_base=0, progress=None, fsm_mode=None,
-                    system_mode=None):
+                    seed_base=0, progress=None, tier=None):
     """Run a full conformance sweep; returns a :class:`ConformanceReport`.
 
     *seed_base* shifts every generated seed, so nightly runs can explore
     fresh scenarios while `make conformance` stays reproducible by default.
-    *fsm_mode* selects the FSM execution tier of the cosim oracle
-    (``compiled``, ``interpreted``, ``differential`` to cross-check both
-    tiers against each other, or ``None`` for the project default — see
-    :func:`repro.testkit.oracles.check_cosim_conformance`).
-    *system_mode* does the same for the whole-system execution tier
-    (``fused``, ``per-fsm``, ``interpreted``, or ``differential`` to
-    cross-check all three against each other).
+    *tier* selects the execution tier of the cosim, fault and real-time
+    oracles (``fused``, ``compiled``, ``interpreted``, ``differential`` to
+    cross-check all three against each other, or ``None`` for the project
+    default — see :func:`repro.testkit.oracles.check_cosim_conformance`).
     """
     report = ConformanceReport()
 
@@ -126,8 +122,7 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
                  f"{'ok' if not problems else 'DIVERGED'}")
     for offset in range(cosim_models):
         system = generate_system(seed_base + offset)
-        problems = check_cosim_conformance(system, fsm_mode=fsm_mode,
-                                           system_mode=system_mode)
+        problems = check_cosim_conformance(system, tier=tier)
         report.record(problems)
         note(f"[cosim ] {system.name} ({system.summary}): "
              f"{'ok' if not problems else 'FAILED'}")
@@ -140,22 +135,20 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
     for kind in FAULT_KINDS:
         for offset in range(fault_seeds):
             scenario = FaultScenario(seed_base + offset, kind=kind)
-            problems = check_fault_scenario(scenario, fsm_mode=fsm_mode,
-                                            system_mode=system_mode)
+            problems = check_fault_scenario(scenario, tier=tier)
             report.record(problems)
             note(f"[fault ] {scenario.name}: "
                  f"{'ok' if not problems else 'FAILED'}")
     for offset in range(realtime_models):
         scenario = RealtimeScenario(seed_base + offset)
-        problems = check_realtime_scenario(scenario, fsm_mode=fsm_mode,
-                                           system_mode=system_mode)
+        problems = check_realtime_scenario(scenario, tier=tier)
         report.record(problems)
         note(f"[rtime ] {scenario.name}: "
              f"{'ok' if not problems else 'FAILED'}")
     return report
 
 
-def replay(name, fsm_mode=None, system_mode=None):
+def replay(name, tier=None):
     """Re-run one scenario from its printed name; returns problem strings.
 
     Accepts ``kernel-<size>-<seed>`` (differential kernel check),
@@ -168,18 +161,15 @@ def replay(name, fsm_mode=None, system_mode=None):
         return check_kernel_scenario(KernelScenario(int(parts[2]), size=parts[1]))
     if parts[0] == "system" and len(parts) == 2:
         system = generate_system(int(parts[1]))
-        return (check_cosim_conformance(system, fsm_mode=fsm_mode,
-                                        system_mode=system_mode)
+        return (check_cosim_conformance(system, tier=tier)
                 + check_cosyn_conformance(system))
     if parts[0] == "fault" and len(parts) >= 3:
         kind = "-".join(parts[1:-1])
         scenario = FaultScenario(int(parts[-1]), kind=kind)
-        return check_fault_scenario(scenario, fsm_mode=fsm_mode,
-                                    system_mode=system_mode)
+        return check_fault_scenario(scenario, tier=tier)
     if parts[0] == "realtime" and len(parts) == 2:
         scenario = RealtimeScenario(int(parts[1]))
-        return check_realtime_scenario(scenario, fsm_mode=fsm_mode,
-                                       system_mode=system_mode)
+        return check_realtime_scenario(scenario, tier=tier)
     raise ValueError(
         f"unrecognised scenario name {name!r}; expected "
         "'kernel-<size>-<seed>', 'system-<seed>', 'fault-<kind>-<seed>' "

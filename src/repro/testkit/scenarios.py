@@ -80,12 +80,10 @@ class FaultScenario:
             "unit_index": self.unit_index,
         }
 
-    def build_session(self, kernel="production", fsm_mode=None, coverage=None,
-                      system_mode=None):
+    def build_session(self, kernel="production", tier=None, coverage=None):
         """A fresh faulted session (built when *coverage* is attached)."""
         model = self.system.build_model()
-        session = CosimSession(model, kernel=kernel, fsm_mode=fsm_mode,
-                               system_mode=system_mode,
+        session = CosimSession(model, kernel=kernel, tier=tier,
                                **self.system.cosim_params)
         units = list(model.comm_units.values())
         unit = units[self.unit_index % len(units)]
@@ -96,12 +94,10 @@ class FaultScenario:
             attach_session(session, coverage)
         return session
 
-    def run(self, kernel="production", fsm_mode=None, coverage=None,
-            max_time=FAULT_MAX_TIME, system_mode=None):
+    def run(self, kernel="production", tier=None, coverage=None,
+            max_time=FAULT_MAX_TIME):
         """Run to completion (or the horizon); returns ``(session, result)``."""
-        session = self.build_session(kernel, fsm_mode=fsm_mode,
-                                     coverage=coverage,
-                                     system_mode=system_mode)
+        session = self.build_session(kernel, tier=tier, coverage=coverage)
         result = run_session_to_completion(session, self.system.expectations,
                                            max_time=max_time)
         if coverage is not None:
@@ -116,17 +112,17 @@ class FaultScenario:
 
 
 def check_fault_scenario(scenario, kernels=("production", "reference"),
-                         fsm_mode=None, system_mode=None):
+                         tier=None):
     """Differential oracle for one fault scenario; returns problem strings.
 
     Asserts seeded determinism per (kernel, tier) variant and byte-identical
-    observables across the whole variant matrix — including the
-    whole-system tiers when *system_mode* expands them — plus that the
+    observables across the whole variant matrix — every tier when *tier*
+    is ``"differential"`` — plus that the
     fault plan actually fired.  The functional outcome is *not* asserted
     (faults may break it) but must itself be identical everywhere, which
     the fingerprint comparison already guarantees.
     """
-    variants = variant_matrix(kernels, fsm_mode, system_mode)
+    variants = variant_matrix(kernels, tier)
 
     def label(variant):
         return variant_label(variant, variants)
@@ -134,11 +130,9 @@ def check_fault_scenario(scenario, kernels=("production", "reference"),
     problems = []
     fingerprints = {}
     for variant in variants:
-        kernel, fmode, smode = variant
-        session_a, result_a = scenario.run(kernel, fsm_mode=fmode,
-                                           system_mode=smode)
-        session_b, result_b = scenario.run(kernel, fsm_mode=fmode,
-                                           system_mode=smode)
+        kernel, each = variant
+        session_a, result_a = scenario.run(kernel, tier=each)
+        session_b, result_b = scenario.run(kernel, tier=each)
         fingerprint_a = cosim_fingerprint(session_a, result_a)
         fingerprint_b = cosim_fingerprint(session_b, result_b)
         for field in fingerprint_a:
@@ -201,8 +195,7 @@ class RealtimeScenario:
         )
         return params
 
-    def run(self, kernel="production", fsm_mode=None, coverage=None,
-            system_mode=None):
+    def run(self, kernel="production", tier=None, coverage=None):
         """Run the platform-timed session; returns ``(session, result, report)``.
 
         The report carries the scoreboard inputs: the back-annotated
@@ -212,8 +205,7 @@ class RealtimeScenario:
         """
         params = self.session_parameters()
         session = CosimSession(self.system.build_model(), kernel=kernel,
-                               fsm_mode=fsm_mode, system_mode=system_mode,
-                               **params)
+                               tier=tier, **params)
         if coverage is not None:
             from repro.testkit.coverage import attach_session
             attach_session(session, coverage)
@@ -249,7 +241,7 @@ class RealtimeScenario:
 
 
 def check_realtime_scenario(scenario, kernels=("production", "reference"),
-                            fsm_mode=None, system_mode=None):
+                            tier=None):
     """Differential oracle for one real-time scenario.
 
     Asserts determinism and kernel conformance of the platform-timed run
@@ -257,7 +249,7 @@ def check_realtime_scenario(scenario, kernels=("production", "reference"),
     contract), plus that the clock pulse train satisfies its own
     back-annotated period — the one timing property load cannot excuse.
     """
-    variants = variant_matrix(kernels, fsm_mode, system_mode)
+    variants = variant_matrix(kernels, tier)
 
     def label(variant):
         return variant_label(variant, variants)
@@ -266,11 +258,9 @@ def check_realtime_scenario(scenario, kernels=("production", "reference"),
     fingerprints = {}
     reports = {}
     for variant in variants:
-        kernel, fmode, smode = variant
-        session_a, result_a, report_a = scenario.run(kernel, fsm_mode=fmode,
-                                                     system_mode=smode)
-        session_b, result_b, report_b = scenario.run(kernel, fsm_mode=fmode,
-                                                     system_mode=smode)
+        kernel, each = variant
+        session_a, result_a, report_a = scenario.run(kernel, tier=each)
+        session_b, result_b, report_b = scenario.run(kernel, tier=each)
         fingerprint_a = cosim_fingerprint(session_a, result_a)
         fingerprint_b = cosim_fingerprint(session_b, result_b)
         for field in fingerprint_a:

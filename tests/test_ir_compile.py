@@ -135,14 +135,14 @@ class TestGeneratedScenarioParity:
     @pytest.mark.parametrize("seed", (0, 3))
     def test_cosim_differential_oracle(self, seed):
         problems = check_cosim_conformance(generate_system(seed),
-                                           fsm_mode="differential")
+                                           tier="differential")
         assert problems == []
 
     def test_full_session_fingerprints_match_across_tiers(self):
         system = generate_system(5)
         fingerprints = {}
         for mode in ("compiled", "interpreted"):
-            session, result = run_cosim(system, "production", fsm_mode=mode)
+            session, result = run_cosim(system, "production", tier=mode)
             fingerprints[mode] = cosim_fingerprint(session, result)
         assert fingerprints["compiled"] == fingerprints["interpreted"]
 
@@ -408,11 +408,10 @@ class TestStateHistoryEviction:
 class TestSessionCounters:
     def test_summary_reports_tier_counters(self):
         system = generate_system(2)
-        # Per-FSM wiring: every step lands on exactly one per-FSM tier.
-        for mode, hot, cold in (("compiled", "compile_hits", "fallback"),
+        # Per-FSM wiring: every step lands on exactly one per-FSM counter.
+        for tier, hot, cold in (("compiled", "compile_hits", "fallback"),
                                 ("interpreted", "fallback", "compile_hits")):
-            session, result = run_cosim(system, "production", fsm_mode=mode,
-                                        system_mode="per-fsm")
+            session, result = run_cosim(system, "production", tier=tier)
             counters = result.summary()["fsm"]
             assert counters["steps"] > 0
             assert counters["transitions_fired"] > 0
@@ -425,10 +424,9 @@ class TestSessionCounters:
         # steps land on system_compile_hits; software executors and service
         # instances stay on the per-FSM compiled tier.
         system = generate_system(2)
-        session, result = run_cosim(system, "production",
-                                    system_mode="fused")
+        session, result = run_cosim(system, "production", tier="fused")
         counters = result.summary()["fsm"]
-        assert result.summary()["system_mode"] == "fused"
+        assert result.summary()["tier"] == "fused"
         assert counters["system_compile_hits"] > 0
         assert counters["system_fallback"] == 0
         assert counters["steps"] == (counters["compile_hits"]

@@ -2,16 +2,16 @@
 
 The fused tier's one promise is *invisibility*: a session run on the
 generated whole-system step function must be byte-identical — waveforms,
-traces, states, kernel statistics — to the per-FSM compiled tier and the
+traces, states, kernel statistics — to the compiled per-FSM tier and the
 interpreter, on both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
-scenario families), plus the machinery around it: the differential
-shadow oracle, batched multi-scenario execution, source caching, the
-lint pre-flight refusal path and the tier counters.
+scenario families), plus the machinery around it: batched multi-scenario
+execution, program caching, the lint pre-flight refusal path and the
+tier counters.
 
 The full 334-scenario sweep across all three tiers runs via
-``python -m repro.testkit --system-mode differential``; here the same
-check runs at quick scale so tier-1 catches a divergence early.
+``python -m repro.testkit --tier differential``; here the same check
+runs at quick scale so tier-1 catches a divergence early.
 """
 
 import pytest
@@ -26,7 +26,6 @@ from repro.ir import (
 )
 from repro.ir.syscompile import SOURCE_FORMAT, SystemProgram
 from repro.lint.selfcheck import MUTANTS
-from repro.sweep.cache import ArtifactCache
 from repro.sweep.jobs import CosimJob
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, cosim_fingerprint
@@ -42,25 +41,24 @@ from repro.utils.errors import SimulationError
 
 
 class TestLockstepDifferential:
-    """Fused vs per-FSM vs interpreter, both kernels, byte-identical."""
+    """Fused vs compiled vs interpreted, both kernels, byte-identical."""
 
     @staticmethod
     def _tier_fingerprints(seed, kernel, until=40_000):
         system = generate_system(seed)
         fingerprints = []
-        for system_mode in ("fused", "per-fsm", "interpreted"):
+        for tier in ("fused", "compiled", "interpreted"):
             session = CosimSession(system.build_model(), kernel=kernel,
-                                   system_mode=system_mode,
-                                   **system.cosim_params)
+                                   tier=tier, **system.cosim_params)
             result = session.run(until=until)
             fingerprints.append(cosim_fingerprint(session, result))
         return fingerprints
 
     @pytest.mark.parametrize("seed", range(10))
     def test_generated_system_identical_across_tiers(self, seed):
-        fused, per_fsm, interpreted = self._tier_fingerprints(seed,
-                                                              "production")
-        assert fused == per_fsm
+        fused, compiled, interpreted = self._tier_fingerprints(seed,
+                                                               "production")
+        assert fused == compiled
         assert fused == interpreted
 
     @pytest.mark.parametrize("seed", [2, 7])
@@ -73,22 +71,22 @@ class TestLockstepDifferential:
         # The complete oracle (completion runs, determinism double-runs,
         # functional expectations) across all three tiers on both kernels;
         # the 334-scenario version runs via
-        # ``python -m repro.testkit --system-mode differential``.
+        # ``python -m repro.testkit --tier differential``.
         problems = check_cosim_conformance(generate_system(seed),
-                                           system_mode="differential")
+                                           tier="differential")
         assert not problems, "\n".join(problems)
 
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fault_family_identical_across_tiers(self, kind, seed):
         problems = check_fault_scenario(FaultScenario(seed, kind),
-                                        system_mode="differential")
+                                        tier="differential")
         assert not problems, "\n".join(problems)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_realtime_family_identical_across_tiers(self, seed):
         problems = check_realtime_scenario(RealtimeScenario(seed),
-                                           system_mode="differential")
+                                           tier="differential")
         assert not problems, "\n".join(problems)
 
 
@@ -96,7 +94,7 @@ class TestSessionModes:
     def test_fused_is_the_default_tier(self):
         session = CosimSession(generate_system(0).build_model())
         session.run(until=20_000)
-        assert session.system_tier == "fused"
+        assert session.wired_tier == "fused"
         counters = session.fsm_counters()
         assert counters["system_compile_hits"] > 0
         assert counters["system_fallback"] == 0
@@ -105,77 +103,27 @@ class TestSessionModes:
                                      + counters["fallback"]
                                      + counters["system_compile_hits"])
 
-    def test_interpreted_system_mode_forces_interpreted_fsms(self):
+    def test_interpreted_tier_runs_no_fused_program(self):
         model = generate_system(0).build_model()
-        session = CosimSession(model, system_mode="interpreted")
+        session = CosimSession(model, tier="interpreted")
         session.run(until=5_000)
-        assert session.system_tier == "interpreted"
-        assert session.fsm_counters()["system_compile_hits"] == 0
-        with pytest.raises(SimulationError):
-            CosimSession(model, system_mode="interpreted",
-                         fsm_mode="compiled")
+        assert session.wired_tier == "interpreted"
+        counters = session.fsm_counters()
+        assert counters["system_compile_hits"] == 0
+        assert counters["compile_hits"] == 0
+        assert counters["fallback"] == counters["steps"] > 0
 
-    def test_detect_races_falls_back_to_per_fsm(self):
+    def test_unknown_tier_is_refused(self):
+        with pytest.raises(SimulationError, match="unknown tier"):
+            CosimSession(generate_system(0).build_model(), tier="per-fsm")
+
+    def test_detect_races_falls_back_to_compiled(self):
         session = CosimSession(generate_system(0).build_model(),
                                detect_races=True)
         session.build()
-        assert session.system_tier == "per-fsm"
+        assert session.tier == "fused"
+        assert session.wired_tier == "compiled"
         assert "detect_races" in session.system_fallback_reason
-
-    def test_differential_session_runs_clean_on_a_real_model(self):
-        session = CosimSession(generate_system(3).build_model(),
-                               system_mode="differential")
-        session.run(until=20_000)
-        assert session.system_tier == "differential"
-        checker = session.system_checker
-        assert checker.checked_edges > 0
-        assert checker.compared_steps > 0
-
-    def test_differential_flags_a_diverging_prediction(self):
-        # Unit-level: a shadow whose prediction disagrees with what the
-        # per-FSM instance actually did must raise, naming the instance.
-        class _Clock:
-            _value = 1
-            last_changed = 0
-
-        class _Instance:
-            current = "A"
-            env = {}
-            transitions_fired = 0
-
-        def shadow(pre, out):
-            out[0] = ("B", {}, 1)  # predicts a transition that never fired
-
-        from repro.ir.syscompile import ShadowChecker
-
-        checker = ShadowChecker(_Clock(), [_Instance()], ["Net0.Ctrl"],
-                                shadow)
-        checker.pre()
-        with pytest.raises(SimulationError,
-                           match="system differential divergence"):
-            checker.post()
-
-    def test_differential_skips_unpredicted_instances(self):
-        class _Clock:
-            _value = 1
-            last_changed = 0
-
-        class _Instance:
-            current = "A"
-            env = {}
-            transitions_fired = 0
-
-        def shadow(pre, out):
-            out[0] = None  # service-calling edge: comparison is skipped
-
-        from repro.ir.syscompile import ShadowChecker
-
-        checker = ShadowChecker(_Clock(), [_Instance()], ["Net0.Ctrl"],
-                                shadow)
-        checker.pre()
-        checker.post()
-        assert checker.checked_edges == 1
-        assert checker.compared_steps == 0
 
 
 class TestCheckpointUnderFused:
@@ -183,7 +131,7 @@ class TestCheckpointUnderFused:
         system = generate_system(4)
         straight = CosimSession(system.build_model(), **system.cosim_params)
         expected = straight.run(until=30_000)
-        assert straight.system_tier == "fused"
+        assert straight.wired_tier == "fused"
 
         interrupted = CosimSession(system.build_model(),
                                    **system.cosim_params)
@@ -193,6 +141,25 @@ class TestCheckpointUnderFused:
                                **system.cosim_params).restore(checkpoint)
         actual = resumed.run(until=30_000)
         assert actual.summary() == expected.summary()
+
+    def test_checkpoint_records_the_wired_tier(self):
+        # detect_races wires a fused request per FSM; the checkpoint must
+        # say so, and a fused session must refuse it by name rather than
+        # fail on the kernel's process registrations.
+        system = generate_system(4)
+        raced = CosimSession(system.build_model(), detect_races=True,
+                             **system.cosim_params)
+        raced.run(until=5_000)
+        checkpoint = raced.save()
+        assert checkpoint["tier"] == "compiled"
+        fused = CosimSession(system.build_model(), **system.cosim_params)
+        with pytest.raises(SimulationError,
+                           match="tier: checkpoint has 'compiled', "
+                                 "session has 'fused'"):
+            fused.restore(checkpoint)
+        compiled = CosimSession(system.build_model(), tier="compiled",
+                                **system.cosim_params)
+        assert compiled.restore(checkpoint).simulator.now == 5_000
 
 
 class TestBatchedExecution:
@@ -227,24 +194,6 @@ class TestBatchedExecution:
 
 
 class TestSourceCache:
-    def test_artifact_cache_round_trips_generated_source(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path))
-        model = generate_system(5).build_model()
-        program = compile_system(model, cache=cache)
-        key = ArtifactCache.key_for({"kind": "syscompile",
-                                     "format": SOURCE_FORMAT,
-                                     "digest": model_digest(model)})
-        payload = cache.get(key)
-        assert payload is not None
-        assert payload["source"] == program.source
-        # A fresh, structurally identical model compiles from the cached
-        # source: same digest, same program text, no regeneration needed.
-        rebuilt = generate_system(5).build_model()
-        assert model_digest(rebuilt) == model_digest(model)
-        warm = compile_system(rebuilt, cache=cache)
-        assert warm is not program  # weak cache is per model object
-        assert warm.source == program.source
-
     def test_program_is_weakly_cached_per_model(self):
         model = generate_system(0).build_model()
         assert compile_system(model) is compile_system(model)
@@ -282,8 +231,8 @@ class TestLintPreflight:
         program = compile_system(self._mutant_model(), lint=False)
         assert isinstance(program, SystemProgram)
 
-    def test_session_degrades_to_per_fsm_with_reason(self):
+    def test_session_degrades_to_compiled_with_reason(self):
         session = CosimSession(self._mutant_model())
         session.build()
-        assert session.system_tier == "per-fsm"
+        assert session.wired_tier == "compiled"
         assert "lint errors" in session.system_fallback_reason

@@ -142,10 +142,8 @@ class TestCosimInstrumentation:
         families = _families(TELEMETRY.metrics)
         [entry] = families["repro_cosim_runs_total"]["series"]
         assert entry["value"] == 1
-        assert entry["labels"] == {"kernel": "production",
-                                   "fsm_mode": "compiled"} \
-            or entry["labels"]["kernel"] == "production"
-        tiers = {entry["labels"]["tier"]: entry["value"] for entry in
+        assert entry["labels"] == {"kernel": "production", "tier": "fused"}
+        tiers = {entry["labels"]["step_tier"]: entry["value"] for entry in
                  families["repro_cosim_fsm_steps_total"]["series"]}
         fsm = session.fsm_counters()
         assert tiers.get("compiled", 0) == fsm["compile_hits"]
@@ -163,7 +161,7 @@ class TestCosimInstrumentation:
         session.run(until=20_000)
         families = _families(TELEMETRY.metrics)
         fsm = session.fsm_counters()
-        tiers = {entry["labels"]["tier"]: entry["value"] for entry in
+        tiers = {entry["labels"]["step_tier"]: entry["value"] for entry in
                  families["repro_cosim_fsm_steps_total"]["series"]}
         assert sum(tiers.values()) == (fsm["compile_hits"] + fsm["fallback"]
                                        + fsm["system_compile_hits"])

@@ -23,7 +23,6 @@ from benchmarks.perf.cosim import (  # noqa: E402  (path setup above)
     check_against_baseline,
     check_fast_paths,
     main,
-    resolve_system_mode,
     time_batch_point,
     time_cosim_point,
 )
@@ -47,16 +46,10 @@ def test_acceptance_points_exist_in_full_sweep():
         assert threshold > 1.0
 
 
-def test_resolve_system_mode_follows_fsm_tier():
-    assert resolve_system_mode("compiled") == "fused"
-    assert resolve_system_mode("interpreted") == "interpreted"
-    assert resolve_system_mode("compiled", "per-fsm") == "per-fsm"
-
-
 def test_transition_rate_point_counts_transitions():
-    point = time_cosim_point(TRANSITION_RATE, 2, "compiled", quick=True)
+    point = time_cosim_point(TRANSITION_RATE, 2, quick=True)
     assert point["wall_s"] >= 0
-    assert point["system_mode"] == "fused"
+    assert point["tier"] == "fused"
     assert point["fsm"]["steps"] > 0
     # Transition-rate-bound by construction: every step fires, and under
     # the fused tier every hardware step lands in the fused program.
@@ -66,24 +59,23 @@ def test_transition_rate_point_counts_transitions():
     assert point["fsm"]["fallback"] == 0
 
 
-def test_per_fsm_point_reports_compiled_steps():
-    point = time_cosim_point(TRANSITION_RATE, 2, "compiled",
-                             system_mode="per-fsm", quick=True)
-    assert point["system_mode"] == "per-fsm"
+def test_compiled_point_reports_compiled_steps():
+    point = time_cosim_point(TRANSITION_RATE, 2, "compiled", quick=True)
+    assert point["tier"] == "compiled"
     assert point["fsm"]["compile_hits"] == point["fsm"]["steps"] > 0
     assert point["fsm"]["system_compile_hits"] == 0
 
 
 def test_interpreted_point_reports_fallback_steps():
     point = time_cosim_point(MIXED_SYSTEM, 1, "interpreted", quick=True)
-    assert point["system_mode"] == "interpreted"
+    assert point["tier"] == "interpreted"
     assert point["fsm"]["fallback"] == point["fsm"]["steps"] > 0
     assert point["fsm"]["compile_hits"] == 0
 
 
 def test_repeats_validated():
     with pytest.raises(ValueError, match="repeats"):
-        time_cosim_point(TRANSITION_RATE, 2, "compiled", repeats=0)
+        time_cosim_point(TRANSITION_RATE, 2, repeats=0)
 
 
 def test_batch_point_is_byte_identical():
@@ -166,7 +158,7 @@ def test_check_against_baseline_rejects_vacuous_comparison():
 def test_check_fast_paths_flags_lost_tiers():
     fused_ok = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
-        "fsm_mode": "compiled", "system_mode": "fused",
+        "tier": "fused",
         "fsm": {"steps": 10, "compile_hits": 0, "fallback": 0,
                 "system_compile_hits": 10, "system_fallback": 0},
     }]}
@@ -174,7 +166,7 @@ def test_check_fast_paths_flags_lost_tiers():
     assert ok and not lines
     fused_lost = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
-        "fsm_mode": "compiled", "system_mode": "fused",
+        "tier": "fused",
         "fsm": {"steps": 10, "compile_hits": 8, "fallback": 0,
                 "system_compile_hits": 2, "system_fallback": 8},
     }]}
@@ -183,7 +175,7 @@ def test_check_fast_paths_flags_lost_tiers():
     assert any("fused fast path" in line for line in lines)
     compiled_lost = {"results": [{
         "workload": "mixed_system", "n_processes": 1,
-        "fsm_mode": "compiled", "system_mode": "per-fsm",
+        "tier": "compiled",
         "fsm": {"steps": 10, "compile_hits": 5, "fallback": 5,
                 "system_compile_hits": 0, "system_fallback": 0},
     }]}
@@ -204,10 +196,9 @@ def test_check_cli_requires_recorded_baseline(tmp_path, capsys):
 
 def test_check_cli_rejects_baseline_from_wrong_tier(tmp_path, capsys):
     # A baseline recorded on the interpreted tier must not silently gate a
-    # compiled-tier run (it would be trivially green).
+    # fused-tier run (it would be trivially green).
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
-                              fsm_mode="interpreted",
-                              system_mode="interpreted", quick=True)
+                              tier="interpreted", quick=True)
     path = tmp_path / "bench.json"
     update_bench_file(path, "quick-baseline", baseline, schema=SCHEMA,
                       points=ACCEPTANCE_POINTS)
@@ -215,18 +206,18 @@ def test_check_cli_rejects_baseline_from_wrong_tier(tmp_path, capsys):
     assert "re-record the baseline" in capsys.readouterr().err
 
 
-def test_check_cli_rejects_baseline_from_wrong_system_tier(tmp_path, capsys):
-    # Right FSM tier, wrong whole-system tier: a per-FSM baseline must not
-    # gate a fused run — that is exactly the gap this PR's tier closes.
+def test_check_cli_rejects_baseline_from_compiled_tier(tmp_path, capsys):
+    # Compiled FSMs but no fused program: a compiled-tier baseline must not
+    # gate a fused run, and the refusal names both tiers.
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
-                              fsm_mode="compiled", system_mode="per-fsm",
-                              quick=True)
+                              tier="compiled", quick=True)
     path = tmp_path / "bench.json"
     update_bench_file(path, "quick-baseline", baseline, schema=SCHEMA,
                       points=ACCEPTANCE_POINTS)
     assert main(["--check", "--output", str(path)]) == 1
     err = capsys.readouterr().err
-    assert "system_mode='per-fsm'" in err
+    assert "tier='compiled'" in err
+    assert "'fused'" in err
     assert "re-record the baseline" in err
 
 
@@ -234,8 +225,7 @@ def test_check_cli_rejects_full_tier_baseline(tmp_path, capsys):
     # A full-tier baseline does ~10x the quick tier's work per point, which
     # would make every wall-clock ratio trivially green.
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
-                              fsm_mode="compiled", system_mode="fused",
-                              quick=False)
+                              tier="fused", quick=False)
     path = tmp_path / "bench.json"
     update_bench_file(path, "quick-baseline", baseline, schema=SCHEMA,
                       points=ACCEPTANCE_POINTS)

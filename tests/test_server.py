@@ -172,6 +172,15 @@ class TestQueueShape:
             ])
         assert service.jobs() == []
 
+    def test_unknown_tier_rejects_whole_batch_before_queueing(self):
+        service = JobService(workers=1)
+        with pytest.raises(ValueError, match="unknown tier 'bogus'"):
+            service.submit_body([
+                {"kind": "cosim", "seed": 0},
+                {"kind": "cosim", "seed": 1, "tier": "bogus"},
+            ])
+        assert service.jobs() == []
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError, match="workers"):
             JobService(workers=0)
@@ -339,6 +348,15 @@ class TestHttpServer:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
+
+    def test_http_refuses_an_unknown_tier(self, endpoint):
+        status, reply = self._call(endpoint, "POST", "/jobs",
+                                   {"kind": "conformance",
+                                    "scenario": "system-0",
+                                    "tier": "per-fsm"})
+        assert status == 400 and "unknown tier 'per-fsm'" in reply["error"]
+        status, reply = self._call(endpoint, "GET", "/jobs")
+        assert status == 200 and not reply["jobs"]
 
     def test_http_error_statuses(self, endpoint):
         status, reply = self._call(endpoint, "POST", "/jobs",

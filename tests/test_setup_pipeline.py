@@ -63,7 +63,7 @@ class TestOneSetupPass:
         record, _ = CosimJob(9).execute()
         assert record["error"] is None
         assert not record["functional_problems"]
-        assert record["system_mode"] == "fused"
+        assert record["tier"] == "fused"
         assert len(models) == 1
         assert len(extended) == 1
         fused = {id(fsm) for fsm in _fused_fsms(models[0])}
@@ -167,7 +167,7 @@ class TestBoundedProgramCaches:
             system = generate_system(0)
             session = CosimSession(model, **system.cosim_params)
             result = session.run(until=20_000)
-            assert session.system_tier == "fused"
+            assert session.wired_tier == "fused"
             return cosim_fingerprint(session, result)
 
         first = generate_system(0).build_model()
@@ -192,37 +192,32 @@ class TestNoFusableFsm:
     def test_identical_across_tiers_with_reason(self):
         system = generate_system(NO_FUSABLE_SEED)
         fingerprints = {}
-        for mode in ("fused", "per-fsm", "interpreted"):
-            session = CosimSession(system.build_model(), system_mode=mode,
+        for tier in ("fused", "compiled", "interpreted"):
+            session = CosimSession(system.build_model(), tier=tier,
                                    **system.cosim_params)
             result = session.run(until=40_000)
-            fingerprints[mode] = cosim_fingerprint(session, result)
-            if mode == "fused":
-                assert session.system_tier == "per-fsm"
+            fingerprints[tier] = cosim_fingerprint(session, result)
+            if tier == "fused":
+                assert session.wired_tier == "compiled"
                 assert session.system_fallback_reason == "no fusable FSM"
-        assert fingerprints["fused"] == fingerprints["per-fsm"]
+        assert fingerprints["fused"] == fingerprints["compiled"]
         assert fingerprints["fused"] == fingerprints["interpreted"]
 
     def test_job_runs_clean(self):
         record, _ = CosimJob(NO_FUSABLE_SEED).execute()
         assert record["error"] is None
         assert not record["functional_problems"]
-        assert record["system_mode"] == "per-fsm"
+        assert record["tier"] == "compiled"
 
 
 class TestInterpretedJob:
-    def test_interpreted_system_tier_resolves_interpreted_fsms(self):
-        job = CosimJob(0, system_mode="interpreted")
-        assert job.spec()["fsm_mode"] == "interpreted"
+    def test_interpreted_tier_runs_interpreted_fsms(self):
+        job = CosimJob(0, tier="interpreted")
+        assert job.spec()["tier"] == "interpreted"
         record, _ = job.execute()
         assert record["error"] is None
         assert not record["functional_problems"]
-        assert record["system_mode"] == "interpreted"
+        assert record["tier"] == "interpreted"
         assert record["fsm"]["compile_hits"] == 0
         default, _ = CosimJob(0).execute()
         assert record["fingerprint_digest"] == default["fingerprint_digest"]
-
-    def test_explicit_fsm_mode_is_kept(self):
-        assert CosimJob(0, fsm_mode="compiled").spec()["fsm_mode"] \
-            == "compiled"
-        assert CosimJob(0).spec()["fsm_mode"] == "compiled"

@@ -162,6 +162,16 @@ class TestJobBehaviour:
         with pytest.raises(ValueError, match="bad cosim job"):
             job_from_dict({"kind": "cosim", "sneed": 3})
 
+    def test_unknown_tier_is_refused_at_construction(self):
+        for spec in ({"kind": "cosim", "seed": 0, "tier": "bogus"},
+                     {"kind": "cosim", "seed": 0, "tier": "differential"},
+                     {"kind": "conformance", "scenario": "system-0",
+                      "tier": "per-fsm"}):
+            with pytest.raises(ValueError, match="unknown tier"):
+                job_from_dict(spec)
+        assert job_from_dict({"kind": "conformance", "scenario": "system-0",
+                              "tier": "differential"}).tier == "differential"
+
     def test_job_from_dict_round_trips_spec(self):
         for job in (KernelJob("small", 7, kernel="reference"),
                     CosimJob(2, networks=4, until=9_000, checkpoint_at=100),

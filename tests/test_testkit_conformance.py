@@ -8,6 +8,7 @@ runs via ``make conformance``.
 
 import pytest
 
+from repro.cosim import TIERS
 from repro.testkit import (
     KernelScenario,
     check_cosim_conformance,
@@ -15,6 +16,7 @@ from repro.testkit import (
     check_kernel_scenario,
     generate_system,
 )
+from repro.testkit.oracles import variant_matrix
 from repro.testkit.runner import (
     QUICK_COSIM_MODELS,
     QUICK_COSYN_MODELS,
@@ -99,19 +101,24 @@ class TestKit:
         assert "4 scenarios — PASS" in report.summary()
 
     def test_fault_and_realtime_tiers_pass(self):
-        """The quick fault/realtime tiers hold on both FSM execution tiers.
+        """The quick fault/realtime tiers hold on every execution tier.
 
-        ``fsm_mode="differential"`` runs every fault scenario on the
-        compiled *and* interpreted tiers and cross-checks the full variant
-        matrix — the ISSUE's "full conformance sweep passes with
-        fault-injection scenarios in both fsm modes" criterion, at quick
-        scale.
+        ``tier="differential"`` runs every fault and real-time scenario on
+        both kernels crossed with the fused, compiled *and* interpreted
+        tiers and cross-checks the full variant matrix, at quick scale.
         """
+        kernels = ("production", "reference")
+        assert variant_matrix(kernels, "differential") == [
+            (kernel, tier) for kernel in kernels for tier in TIERS
+        ]
+        assert TIERS == ("fused", "compiled", "interpreted")
+        assert variant_matrix(kernels) == [("production", "fused"),
+                                           ("reference", "fused")]
         report = run_conformance(kernel_tier=(), cosim_models=0,
                                  cosyn_models=0,
                                  fault_seeds=QUICK_FAULT_SEEDS,
                                  realtime_models=QUICK_REALTIME_MODELS,
-                                 fsm_mode="differential")
+                                 tier="differential")
         assert report.ok, report.summary()
         assert report.scenarios_run == \
             4 * QUICK_FAULT_SEEDS + QUICK_REALTIME_MODELS
@@ -171,3 +178,15 @@ class TestWorkloadSourceHook:
             assert record["name"] == f"system-{index}"
             assert record["modules"] >= 6
             assert "topology" in record and "cosim_params" in record
+
+    def test_tier_cli_accepts_one_axis(self, capsys):
+        from repro.testkit.__main__ import main
+
+        assert main(["--replay", "system-1", "--tier", "compiled"]) == 0
+        assert "system-1: ok" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["--tier", "per-fsm"])
+        # A coverage campaign runs one tier; it cannot cross-check.
+        with pytest.raises(SystemExit):
+            main(["--coverage", "--tier", "differential"])
+        assert "--coverage runs one tier" in capsys.readouterr().err

@@ -35,10 +35,10 @@ from repro.testkit.oracles import run_session_to_completion
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def coverage_json(seed, fsm_mode):
-    """Serialized coverage of one full system run on the given FSM tier."""
+def coverage_json(seed, tier):
+    """Serialized coverage of one full system run on the given tier."""
     system = generate_system(seed)
-    session = CosimSession(system.build_model(), fsm_mode=fsm_mode,
+    session = CosimSession(system.build_model(), tier=tier,
                            **system.cosim_params)
     coverage = attach_session(session, CoverageMap())
     result = run_session_to_completion(session, system.expectations)
@@ -49,9 +49,10 @@ def coverage_json(seed, fsm_mode):
 class TestCoverageDeterminism:
     @pytest.mark.parametrize("seed", [2, 5, 8])
     def test_byte_identical_across_fsm_tiers(self, seed):
-        """Compiled and interpreted execution count the same transitions."""
-        assert coverage_json(seed, "compiled") == coverage_json(seed,
-                                                                "interpreted")
+        """Every execution tier counts the same transitions."""
+        fused = coverage_json(seed, "fused")
+        assert coverage_json(seed, "compiled") == fused
+        assert coverage_json(seed, "interpreted") == fused
 
     def test_byte_identical_across_hash_seeds(self):
         """The directed campaign is hash-randomization independent.

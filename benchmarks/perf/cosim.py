@@ -72,7 +72,9 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
     The session is prepared — model built, signals registered, FSM and
     whole-system programs compiled — outside the timed region; only the
     simulation run is timed.  With *repeats* > 1 the minimum wall-clock is
-    kept.
+    kept.  ``clock_fast_edges`` counts the clock edges the kernel fired
+    on its arithmetic fast path (kept outside ``statistics``, which must
+    not depend on the path taken).
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -80,6 +82,7 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
     statistics = None
     counters = None
     wired = None
+    fast_edges = None
     for _ in range(repeats):
         session, run = workload.prepare(size, tier, quick=quick)
         start = time.perf_counter()
@@ -90,6 +93,7 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
             statistics = dict(session.simulator.statistics)
             counters = session.fsm_counters()
             wired = session.wired_tier
+            fast_edges = session.simulator.clock_fast_edges
     return {
         "workload": workload.name,
         "n_processes": size,
@@ -97,6 +101,7 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
         "sim_ns": session.simulator.now,
         "wall_s": best,
         "statistics": statistics,
+        "clock_fast_edges": fast_edges,
         "fsm": counters,
     }
 
@@ -224,9 +229,11 @@ def check_fast_paths(run):
 
     On the fused tier, every point must report zero runtime delegation
     (``system_fallback``) and nonzero fused activity; on the compiled
-    tier, zero interpreter fallback and nonzero compiled activity.  A lost
-    fast path fails the gate even when the wall-clock ratio happens to
-    still look green.
+    tier, zero interpreter fallback and nonzero compiled activity.  On
+    both, the kernel must have fired clock edges on its arithmetic fast
+    path (``clock_fast_edges``; a point without the count fails too).  A
+    lost fast path fails the gate even when the wall-clock ratio happens
+    to still look green.
     """
     ok = True
     lines = []
@@ -243,6 +250,12 @@ def check_fast_paths(run):
             if counters["fallback"] or not counters["compile_hits"]:
                 ok = False
                 lines.append(f"{prefix} lost the compiled fast path: {counters}")
+        else:
+            continue
+        if not point.get("clock_fast_edges"):
+            ok = False
+            lines.append(f"{prefix} lost the kernel clock fast path: "
+                         f"clock_fast_edges={point.get('clock_fast_edges')}")
     return ok, lines
 
 

@@ -102,10 +102,33 @@ class _KernelObs:
         }
         self.profile = {}  # process name -> [runs, seconds]
 
-    def flush(self, statistics, stats_before):
-        """Export the run's statistics deltas and per-process profile."""
+    def clock_edge(self, process_name, timeout_depth):
+        """Account the delta cycle a fast-path clock edge did not run.
+
+        The depth histograms get the observations the skipped delta 0
+        would have made (an empty delta queue, the unchanged deadline
+        index) and the toggler's profile its run, so histogram counts
+        and profiled runs do not depend on which path fired the edge.
+        """
+        self.delta_depth.observe(0)
+        self.timeout_depth.observe(timeout_depth)
+        entry = self.profile.get(process_name)
+        if entry is None:
+            self.profile[process_name] = entry = [0, 0.0]
+        entry[0] += 1
+
+    def flush(self, statistics, stats_before, fast_edges):
+        """Export the run's statistics deltas and per-process profile.
+
+        *fast_edges* is the run's count of fast-path clock edges, kept
+        outside ``statistics`` (see :attr:`Simulator.clock_fast_edges`).
+        """
         for key, counter in self.totals.items():
             counter.inc(statistics[key] - stats_before[key])
+        self.registry.counter(
+            "repro_kernel_clock_fast_edges_total", labels=self.labels,
+            help="Clock edges fired by the kernel's arithmetic fast path",
+        ).inc(fast_edges)
         for name, (runs, seconds) in self.profile.items():
             self.registry.counter(
                 "repro_kernel_process_seconds_total",
@@ -230,6 +253,12 @@ class Simulator:
             "time_points": 0,
             "timeouts": 0,
         }
+        #: clock edges fired by the fast path of :meth:`_clock_edge`.
+        #: Observation state like :attr:`race_log`: the fast path is
+        #: unobservable by design, so the count is kept out of
+        #: ``statistics`` (which fingerprints compare across kernels) and
+        #: out of :meth:`snapshot`.
+        self.clock_fast_edges = 0
 
     # ------------------------------------------------------------------ setup
 
@@ -336,8 +365,9 @@ class Simulator:
                 yield tick
 
         first_wait = Timeout(start_delay) if start_delay else None
-        self.add_process(f"{name}_gen", toggler, first_wait=first_wait,
-                         rearmable=True)
+        process = self.add_process(f"{name}_gen", toggler,
+                                   first_wait=first_wait, rearmable=True)
+        process._clock = (clock, half)
         return clock
 
     def add_recorder(self, recorder):
@@ -440,8 +470,13 @@ class Simulator:
             until = max_time
         obs = self._obs_bind()
         stats_before = dict(self.statistics) if obs is not None else None
+        edges_before = self.clock_fast_edges
         if not self._started:
             self._start()
+        # The clock fast path finds due deadlines at the heap top (which
+        # the reference kernel does not keep) and skips a delta cycle that
+        # race attribution would have to see.
+        fast_clocks = self.deadlines_in_heap and not self.detect_races
         self._in_run = True
         try:
             while True:
@@ -453,14 +488,18 @@ class Simulator:
                     break
                 self.now = next_time
                 self.statistics["time_points"] += 1
-                self._begin_time_point()
-                self._drain_deltas()
+                if fast_clocks and not self.monitors and self._clock_edge():
+                    self._drain_deltas(1)
+                else:
+                    self._begin_time_point()
+                    self._drain_deltas()
                 if until is not None and self.now >= until:
                     break
         finally:
             self._in_run = False
             if obs is not None:
-                obs.flush(self.statistics, stats_before)
+                obs.flush(self.statistics, stats_before,
+                          self.clock_fast_edges - edges_before)
         return self.now
 
     def run_for(self, duration):
@@ -516,6 +555,55 @@ class Simulator:
             moved = True
         if moved:
             self._next_time_dirty = True
+
+    def _clock_edge(self):
+        """Fire a lone clock edge at ``now`` arithmetically; True when taken.
+
+        Applies when the only activity due at this time point is a live
+        wait of an :meth:`add_clock` toggler at the heap top: no other
+        matured deadline (a heap entry's ancestors are never later than
+        it, so checking the top's two children suffices), no future
+        transaction maturing now and no queued zero-delay transaction.
+        Delta 0 of such a time point would only wake the toggler, which
+        schedules the inverted clock value and re-arms its half-period
+        timeout.  Here that is done directly: the wait is re-armed in
+        place with the sequence number the generator's suspension would
+        have drawn, the transaction is queued, and the counters delta 0
+        would have bumped are compensated, so statistics, run counts and
+        snapshots match the generic path exactly.  The caller then
+        drains from delta 1.  The toggler generator is not resumed: its
+        loop carries no state beyond the clock signal.
+        """
+        heap = self._timeout_heap
+        if not heap or self._delta_queue:
+            return False
+        now = self.now
+        resume_at, _, wait = heap[0]
+        process = wait.process
+        clock = process._clock
+        if (clock is None or resume_at != now or wait.done
+                or process.finished
+                or (len(heap) > 1 and heap[1][0] <= now)
+                or (len(heap) > 2 and heap[2][0] <= now)
+                or (self._future and self._future[0][0] <= now)):
+            return False
+        signal, half = clock
+        seq = next(self._seq)
+        wait.resume_at = resume_at = now + half
+        wait.seq = seq
+        heapq.heapreplace(heap, (resume_at, seq, wait))
+        self._next_time_dirty = True
+        self._delta_queue.append((signal, 1 - signal.value))
+        process.run_count += 1
+        statistics = self.statistics
+        statistics["timeouts"] += 1
+        statistics["process_runs"] += 1
+        statistics["transactions"] += 1
+        statistics["delta_cycles"] += 1
+        self.clock_fast_edges += 1
+        if self._obs is not None:
+            self._obs.clock_edge(process.name, len(heap))
+        return True
 
     def _expired_waits(self):
         """Pop and wake every wait whose deadline has matured.
@@ -586,9 +674,14 @@ class Simulator:
         """Current deadline-index population (for the depth histogram)."""
         return len(self._timeout_heap)
 
-    def _drain_deltas(self):
+    def _drain_deltas(self, delta=0):
+        """Run delta cycles from *delta* until the time point settles.
+
+        *delta* is 1 after a fast-path clock edge (:meth:`_clock_edge`
+        already did delta 0's work).
+        """
         if self._obs is not None:
-            return self._drain_deltas_obs(self._obs)
+            return self._drain_deltas_obs(self._obs, delta)
         # Guarded phase dispatch: each phase call below is skipped when its
         # input is visibly empty (no queued transactions, no changed
         # signals, no matured deadline at the heap top).  The skipped calls
@@ -603,7 +696,7 @@ class Simulator:
         # already implements.  The deadline guard only holds when matured
         # deadlines surface at ``_timeout_heap[0]`` (``deadlines_in_heap``);
         # the reference kernel keeps them in a flat list and opts out.
-        self.delta = 0
+        self.delta = delta
         statistics = self.statistics
         now = self.now
         guard_deadlines = self.deadlines_in_heap
@@ -637,7 +730,7 @@ class Simulator:
                     "combinational loop or zero-delay oscillation"
                 )
 
-    def _drain_deltas_obs(self, obs):
+    def _drain_deltas_obs(self, obs, delta=0):
         """The delta loop with wall-clock phase timing and depth sampling.
 
         A timed twin of :meth:`_drain_deltas` — same phase calls in the
@@ -649,7 +742,7 @@ class Simulator:
         sweep runs with telemetry enabled to pin that both loops produce
         identical simulations.
         """
-        self.delta = 0
+        self.delta = delta
         statistics = self.statistics
         perf = time.perf_counter
         while True:

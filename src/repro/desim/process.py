@@ -83,6 +83,10 @@ class Process:
         # Recyclable deadline-only wait (Timeout/Delta), owned by the
         # kernel's _park_timed; reused only when consumed (done).
         self._timer_wait = None
+        # (signal, half period) when the kernel registered this process as
+        # a free-running clock (Simulator.add_clock): its edges may then be
+        # fired arithmetically instead of by stepping the generator.
+        self._clock = None
 
     @property
     def restorable(self):

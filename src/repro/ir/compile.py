@@ -65,6 +65,16 @@ def _eager_or(a, b):
     return 1 if a or b else 0
 
 
+def _pos_div(a, c):
+    # Truncating a div c for a constant divisor c > 0.
+    return a // c if a >= 0 else -(-a // c)
+
+
+def _pos_mod(a, c):
+    # Truncating a mod c for a constant divisor c > 0: the sign of a.
+    return a % c if a >= 0 else -(-a % c)
+
+
 #: Globals shared by every generated code object.  The helpers reproduce the
 #: interpreter's operator semantics exactly (see ``_BINARY_FUNCS``).
 _GENERATED_GLOBALS = {
@@ -73,6 +83,8 @@ _GENERATED_GLOBALS = {
     "_mod": _int_mod,
     "_and": _eager_and,
     "_or": _eager_or,
+    "_pos_div": _pos_div,
+    "_pos_mod": _pos_mod,
     "min": min,
     "max": max,
     "abs": abs,
@@ -147,6 +159,32 @@ def _stmt_var_reads(statements, names):
             _stmt_var_reads(stmt.orelse, names)
 
 
+def constant_divisor_source(op, left_src, right):
+    """Single-call source of ``left div/mod c`` for a nonzero int constant *c*.
+
+    The shared rule of both code generators.  Truncating division by a
+    known nonzero divisor needs no zero check and no ``abs`` of the
+    divisor, so it becomes one ``_pos_div``/``_pos_mod`` call on ``|c|``
+    (``div`` negated when ``c < 0``; the remainder takes the dividend's
+    sign whatever the divisor's).  Returns ``None`` for any other
+    operand — other operators, non-constant divisors and a constant
+    ``0``, which keeps the ``_div``/``_mod`` helpers so the division
+    error is still raised at run time.  The helpers are deliberately
+    calls, not inlined conditional expressions: inlining grows the
+    generated source and CPython's peak memory compiling it.
+    """
+    if op not in ("div", "mod") or not isinstance(right, Const):
+        return None
+    divisor = right.value
+    if type(divisor) is not int or divisor == 0:
+        return None
+    if op == "mod":
+        return f"_pos_mod({left_src}, {abs(divisor)})"
+    if divisor > 0:
+        return f"_pos_div({left_src}, {divisor})"
+    return f"(- _pos_div({left_src}, {-divisor}))"
+
+
 def expr_source(expr):
     """Python source with the exact value semantics of :func:`evaluate`.
 
@@ -162,9 +200,11 @@ def expr_source(expr):
     if isinstance(expr, PortRef):
         return f"ports.read({expr.port_name!r})"
     if isinstance(expr, BinOp):
-        return _BINOP_TEMPLATES[expr.op].format(
-            expr_source(expr.left), expr_source(expr.right)
-        )
+        left = expr_source(expr.left)
+        fast = constant_divisor_source(expr.op, left, expr.right)
+        if fast is not None:
+            return fast
+        return _BINOP_TEMPLATES[expr.op].format(left, expr_source(expr.right))
     if isinstance(expr, UnOp):
         return _UNOP_TEMPLATES[expr.op].format(expr_source(expr.operand))
     raise CompileError(f"cannot compile expression {expr!r}")

@@ -42,12 +42,29 @@ DEFAULT_FSM_MODE = "compiled"
 #: ``history_limit=None`` for the old unbounded behaviour.
 DEFAULT_HISTORY_LIMIT = 100_000
 
+
+def _int_div(a, b):
+    """Truncating integer division (C/VHDL semantics, not Python's floor)."""
+    if b == 0:
+        raise SimulationError("division by zero in IR expression")
+    quotient = abs(a) // abs(b)
+    return quotient if (a >= 0) == (b >= 0) else -quotient
+
+
+def _int_mod(a, b):
+    """Remainder of :func:`_int_div`: ``a - b * (a div b)``, sign of *a*."""
+    if b == 0:
+        raise SimulationError("modulo by zero in IR expression")
+    remainder = abs(a) % abs(b)
+    return remainder if a >= 0 else -remainder
+
+
 _BINARY_FUNCS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
     "mul": lambda a, b: a * b,
-    "div": lambda a, b: _int_div(a, b),
-    "mod": lambda a, b: _int_mod(a, b),
+    "div": _int_div,
+    "mod": _int_mod,
     "eq": lambda a, b: int(a == b),
     "ne": lambda a, b: int(a != b),
     "lt": lambda a, b: int(a < b),
@@ -66,19 +83,6 @@ _UNARY_FUNCS = {
     "neg": lambda a: -a,
     "abs": abs,
 }
-
-
-def _int_div(a, b):
-    if b == 0:
-        raise SimulationError("division by zero in IR expression")
-    quotient = abs(a) // abs(b)
-    return quotient if (a >= 0) == (b >= 0) else -quotient
-
-
-def _int_mod(a, b):
-    if b == 0:
-        raise SimulationError("modulo by zero in IR expression")
-    return a - b * _int_div(a, b)
 
 
 class NullPortAccessor:

@@ -53,6 +53,7 @@ from repro.ir.compile import (
     CompileError,
     _expr_var_reads,
     _stmt_var_reads,
+    constant_divisor_source,
     fsm_spec,
 )
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
@@ -63,7 +64,7 @@ from repro.utils.lru import LruCache
 
 #: Bumped whenever the generated source changes shape; it is part of
 #: :func:`system_spec`, so it keys the code-object cache too.
-SOURCE_FORMAT = 4
+SOURCE_FORMAT = 5
 
 
 class SystemCompileError(SimulationError):
@@ -312,7 +313,11 @@ class _FragmentEmitter:
             template = _BINOP_TEMPLATES.get(expr.op)
             if template is None:
                 raise SystemCompileError(f"cannot compile expression {expr!r}")
-            return template.format(self.expr(expr.left), self.expr(expr.right))
+            l_src = self.expr(expr.left)
+            fast = constant_divisor_source(expr.op, l_src, expr.right)
+            if fast is not None:
+                return fast
+            return template.format(l_src, self.expr(expr.right))
         if isinstance(expr, UnOp):
             template = _UNOP_TEMPLATES.get(expr.op)
             if template is None:
@@ -518,7 +523,8 @@ def generate_system_source(model, plan=None):
     out = [
         f"# Whole-system program for {model.name!r}"
         f" (repro.ir.syscompile format {SOURCE_FORMAT}).",
-        "from repro.ir.compile import _eager_and as _and, _eager_or as _or",
+        "from repro.ir.compile import _eager_and as _and, _eager_or as _or, "
+        "_pos_div, _pos_mod",
         "from repro.ir.interp import StepResult, _int_div as _div, _int_mod as _mod",
         "from repro.utils.errors import SimulationError",
         "",

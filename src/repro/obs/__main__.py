@@ -211,6 +211,16 @@ def selfcheck(quick=True):
             "kernel phase counters missing from the registry"
         note(f"artefact holds {len(spans)} spans and "
              f"{len(artifact['metrics']['families'])} metric families")
+        fast_edges = sum(
+            series["value"]
+            for family in artifact["metrics"]["families"]
+            if family["name"] == "repro_kernel_clock_fast_edges_total"
+            for series in family["series"]
+        )
+        assert fast_edges > 0, \
+            "the kernel clock fast path never fired with telemetry on"
+        note(f"kernel clock fast path taken under telemetry "
+             f"({fast_edges:g} edges)")
 
         trace = chrome_trace(artifact["trace"])
         events = validate_chrome_trace(

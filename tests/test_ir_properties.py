@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.ir import FsmBuilder, Assign, INT, FsmInstance, constant_fold, evaluate, var
+from repro.ir.compile import _pos_div, _pos_mod, compile_expr_fn, expr_source
 from repro.ir.expr import BinOp, Const, UnOp, Var
 from repro.ir.interp import _int_div, _int_mod
 from repro.ir.transform import reachable_states
@@ -43,6 +44,24 @@ class TestExpressionProperties:
         remainder = _int_mod(a, b)
         assert quotient * b + remainder == a
         assert abs(remainder) < abs(b)
+
+    @given(a=st.integers(min_value=-10**12, max_value=10**12),
+           c=st.integers(min_value=-10**6, max_value=10**6)
+           .filter(lambda v: v != 0))
+    @settings(max_examples=300, deadline=None)
+    def test_constant_divisor_helpers_match_truncating_ops(self, a, c):
+        quotient = _pos_div(a, abs(c))
+        assert (quotient if c > 0 else -quotient) == _int_div(a, c)
+        assert _pos_mod(a, abs(c)) == _int_mod(a, c)
+
+    @given(a=_values, c=_values.filter(lambda v: v != 0),
+           op=st.sampled_from(["div", "mod"]))
+    @settings(max_examples=150, deadline=None)
+    def test_constant_divisor_codegen_matches_evaluate(self, a, c, op):
+        expr = BinOp(op, Var("a"), Const(c))
+        assert "_pos_" in expr_source(expr)
+        env = {"a": a}
+        assert compile_expr_fn(expr)(env, None) == evaluate(expr, env)
 
     @given(a=_values, b=_values)
     @settings(max_examples=100, deadline=None)

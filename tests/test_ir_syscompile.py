@@ -16,14 +16,20 @@ runs at quick scale so tier-1 catches a divergence early.
 
 import pytest
 
+from repro.core import HardwareModule, SystemModel
 from repro.cosim import CosimSession
 from repro.ir import (
+    INT,
+    Assign,
+    FsmBuilder,
     SystemCompileError,
     compile_system,
     generate_system_source,
     model_digest,
     system_spec,
+    var,
 )
+from repro.ir.expr import BinOp, Const
 from repro.ir.syscompile import SOURCE_FORMAT, SystemProgram
 from repro.lint.selfcheck import MUTANTS
 from repro.sweep.jobs import CosimJob
@@ -236,3 +242,47 @@ class TestLintPreflight:
         session.build()
         assert session.wired_tier == "compiled"
         assert "lint errors" in session.system_fallback_reason
+
+
+class TestConstantDivisor:
+    @staticmethod
+    def _model(op, divisor):
+        build = FsmBuilder("CDIV")
+        build.variable("N", INT, -7)
+        build.variable("Q", INT, 0)
+        with build.state("Run") as state:
+            state.do(Assign("Q", BinOp(op, var("N"), Const(divisor))))
+            state.do(Assign("N", var("N") + 3))
+            state.stay()
+        model = SystemModel(f"ConstantDivisor{op.title()}")
+        model.add_hardware_module(
+            HardwareModule("Cd", [build.build(initial="Run")]))
+        return model
+
+    @pytest.mark.parametrize("op", ["div", "mod"])
+    @pytest.mark.parametrize("divisor", [3, -3])
+    def test_single_call_form_matches_across_tiers(self, op, divisor):
+        source = generate_system_source(self._model(op, divisor))
+        assert f"_pos_{op}(" in source
+        assert "_div(" not in source.replace("_pos_div(", "")
+        assert "_mod(" not in source.replace("_pos_mod(", "")
+        fingerprints = []
+        for tier in ("fused", "compiled", "interpreted"):
+            session = CosimSession(self._model(op, divisor), tier=tier)
+            result = session.run(until=2_000)
+            assert session.wired_tier == tier
+            fingerprints.append(cosim_fingerprint(session, result))
+        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+
+    @pytest.mark.parametrize("tier", ["fused", "compiled"])
+    @pytest.mark.parametrize("op,message", [
+        ("div", "division by zero in IR expression"),
+        ("mod", "modulo by zero in IR expression"),
+    ])
+    def test_zero_constant_divisor_raises_at_run_time(self, tier, op,
+                                                      message):
+        session = CosimSession(self._model(op, 0), tier=tier)
+        session.build()  # code generation accepts the constant zero
+        assert session.wired_tier == tier
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            session.run(until=1_000)

@@ -57,11 +57,13 @@ def test_transition_rate_point_counts_transitions():
     assert point["fsm"]["system_compile_hits"] == point["fsm"]["steps"]
     assert point["fsm"]["system_fallback"] == 0
     assert point["fsm"]["fallback"] == 0
+    assert point["clock_fast_edges"] > 0
 
 
 def test_compiled_point_reports_compiled_steps():
     point = time_cosim_point(TRANSITION_RATE, 2, "compiled", quick=True)
     assert point["tier"] == "compiled"
+    assert point["clock_fast_edges"] > 0
     assert point["fsm"]["compile_hits"] == point["fsm"]["steps"] > 0
     assert point["fsm"]["system_compile_hits"] == 0
 
@@ -158,12 +160,18 @@ def test_check_against_baseline_rejects_vacuous_comparison():
 def test_check_fast_paths_flags_lost_tiers():
     fused_ok = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
-        "tier": "fused",
+        "tier": "fused", "clock_fast_edges": 40,
         "fsm": {"steps": 10, "compile_hits": 0, "fallback": 0,
                 "system_compile_hits": 10, "system_fallback": 0},
     }]}
     ok, lines = check_fast_paths(fused_ok)
     assert ok and not lines
+    for edges in (0, None):
+        clock_lost = {"results": [dict(fused_ok["results"][0],
+                                       clock_fast_edges=edges)]}
+        ok, lines = check_fast_paths(clock_lost)
+        assert not ok
+        assert any("kernel clock fast path" in line for line in lines)
     fused_lost = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
         "tier": "fused",

@@ -37,8 +37,8 @@ bench-quick:
 bench-seed:
 	$(PYTHON) -m benchmarks.perf --label seed --repeats 2
 
-# Full cosim perf sweep on the fused tier (compiled FSMs inside the
-# whole-system program); merges "current" into BENCH_cosim.json
+# Full cosim perf sweep on the fused tier (controllers and hardware FSMs
+# inside the whole-system program); merges "current" into BENCH_cosim.json
 # (acceptance: >= 5x vs the interpreted seed on the largest
 # transition-rate AND mixed-system points, plus >= 1.5x batched-vs-
 # sequential amortization on the recorded batch section).
@@ -70,8 +70,8 @@ conformance:
 conformance-quick:
 	$(PYTHON) -m repro.testkit --quick
 
-# Tier oracle: every quick scenario byte-identical across the fused,
-# compiled and interpreted tiers on both kernels.
+# Tier oracle: every quick scenario byte-identical across the fused and
+# interpreted tiers on both kernels.
 conformance-differential:
 	$(PYTHON) -m repro.testkit --quick --tier differential
 

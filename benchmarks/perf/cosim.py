@@ -12,9 +12,9 @@ scale — modules or networks).  Typical sequence::
     python -m benchmarks.perf.cosim --quick --check     # CI gate
 
 ``seed`` is recorded on the interpreted tier (the pre-compile behaviour)
-and ``current`` on the fused tier — compiled FSMs inside the whole-system
-program of :mod:`repro.ir.syscompile` — so the file's speedup table *is*
-the compilation win.  The acceptance criteria demand
+and ``current`` on the fused tier — controllers and hardware FSMs inside
+the whole-system program of :mod:`repro.ir.syscompile` — so the file's
+speedup table *is* the compilation win.  The acceptance criteria demand
 :data:`ACCEPTANCE_POINTS` — the transition-rate workload's largest point
 **and** the mixed-system workload's largest point — plus the batched
 multi-scenario amortization of :data:`BATCH_THRESHOLD` x recorded in each
@@ -69,8 +69,8 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
                      repeats=1):
     """Time one (workload, scale) point; returns a result dict.
 
-    The session is prepared — model built, signals registered, FSM and
-    whole-system programs compiled — outside the timed region; only the
+    The session is prepared — model built, signals registered, the
+    whole-system program compiled — outside the timed region; only the
     simulation run is timed.  With *repeats* > 1 the minimum wall-clock is
     kept.  ``clock_fast_edges`` counts the clock edges the kernel fired
     on its arithmetic fast path (kept outside ``statistics``, which must
@@ -227,31 +227,25 @@ def check_against_baseline(baseline_run, run, max_slowdown=DEFAULT_MAX_SLOWDOWN)
 def check_fast_paths(run):
     """Counter-based (hardware-independent) gate lines; returns (ok, lines).
 
-    On the fused tier, every point must report zero runtime delegation
-    (``system_fallback``) and nonzero fused activity; on the compiled
-    tier, zero interpreter fallback and nonzero compiled activity.  On
-    both, the kernel must have fired clock edges on its arithmetic fast
-    path (``clock_fast_edges``; a point without the count fails too).  A
-    lost fast path fails the gate even when the wall-clock ratio happens
-    to still look green.
+    On the fused tier, every point must report no tier fallback, zero
+    runtime delegation (``system_fallback``) and nonzero fused activity,
+    and the kernel must have fired clock edges on its arithmetic fast
+    path (``clock_fast_edges``; a point without the count fails too).
+    Interpreted points are not gated.  A lost fast path fails the gate
+    even when the wall-clock ratio happens to still look green.
     """
     ok = True
     lines = []
     for point in run.get("results", ()):
         counters = point["fsm"]
         prefix = f"{point['workload']:<16} n={point['n_processes']:<4}"
-        if point.get("tier") == "fused":
-            if (counters["system_fallback"]
-                    or not counters["system_compile_hits"]
-                    or counters["fallback"]):
-                ok = False
-                lines.append(f"{prefix} lost the fused fast path: {counters}")
-        elif point.get("tier") == "compiled":
-            if counters["fallback"] or not counters["compile_hits"]:
-                ok = False
-                lines.append(f"{prefix} lost the compiled fast path: {counters}")
-        else:
+        if point.get("tier") != "fused":
             continue
+        if (counters["system_fallback"]
+                or not counters["system_compile_hits"]
+                or counters["fallback"]):
+            ok = False
+            lines.append(f"{prefix} lost the fused fast path: {counters}")
         if not point.get("clock_fast_edges"):
             ok = False
             lines.append(f"{prefix} lost the kernel clock fast path: "

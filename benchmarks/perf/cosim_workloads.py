@@ -9,15 +9,15 @@ per simulated nanosecond.  Two scaling axes:
 * :data:`transition_rate` — N hardware modules, each a datapath-heavy FSM
   firing one transition per clock edge.  Total FSM transition rate scales
   linearly with N and the per-transition expression work dominates, which
-  is exactly the shape the compiled IR tier targets.  This carries the
-  suite's acceptance criterion (compiled vs. interpreted-seed speedup).
+  is exactly the shape the fused tier targets.  This carries the
+  suite's acceptance criterion (fused vs. interpreted-seed speedup).
 * :data:`mixed_system` — N testkit-generated producer/consumer networks
   with the generator's random hardware/software split, channel kinds and
   service-call traffic, run to software completion.  FSMs are small, so
   this measures the realistic blend of kernel, backplane and FSM cost.
 
-Sessions are prepared (built, FSMs compiled) **outside** the timed region:
-program compilation is a once-per-FSM cost shared by every instance, not a
+Sessions are prepared (built, whole-system program compiled) **outside**
+the timed region: program compilation is a once-per-model cost, not a
 per-run scheduling cost.  Waveform tracing is disabled so the recorder does
 not flatten the very ratio being measured.
 """

@@ -9,7 +9,7 @@ injector process then walks the timetable during the run.
 
 Faults travel through the ordinary transaction queue, so a faulted run is
 still deterministic and *differentially comparable*: the production and
-reference kernels — and the fused, compiled and interpreted tiers — must
+reference kernels — and the fused and interpreted tiers — must
 produce byte-identical results under the same plan.  What a fault may
 legitimately change is the functional outcome (words delayed, dropped,
 corrupted or duplicated); that is recorded as the *fault-survival* field

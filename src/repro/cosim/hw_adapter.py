@@ -15,7 +15,7 @@ class HardwareAdapter:
     """Drives the processes of one hardware module inside a co-simulation."""
 
     def __init__(self, module, simulator, clock, accessor, registry,
-                 mode=None, register=True):
+                 register=True):
         self.module = module
         self.simulator = simulator
         self.clock = clock
@@ -28,7 +28,6 @@ class HardwareAdapter:
                 ports=accessor,
                 call_handler=registry.call_handler(),
                 trace=False,
-                mode=mode,
             )
         self.cycles = 0
         # register=False leaves the clocked process out: the session's

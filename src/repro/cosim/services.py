@@ -14,7 +14,7 @@ class ServiceInstance:
     """The run-time state of one service as used by one caller."""
 
     def __init__(self, caller, service, unit_name, accessor, trace=None,
-                 time_fn=None, mode=None):
+                 time_fn=None):
         self.caller = caller
         self.service = service
         self.unit_name = unit_name
@@ -22,7 +22,7 @@ class ServiceInstance:
         self.trace = trace
         self.time_fn = time_fn or (lambda: 0)
         self.instance = FsmInstance(service.fsm, ports=accessor,
-                                    reset_on_done=True, mode=mode)
+                                    reset_on_done=True)
         self.invocations = 0
         self.total_steps = 0
 

@@ -38,13 +38,11 @@ from repro.utils.errors import SimulationError
 
 #: Execution tiers of a session, fastest first.  ``fused`` runs every
 #: clocked FSM (unit controllers and hardware-module processes) inside one
-#: generated step function (:mod:`repro.ir.syscompile`); ``compiled``
-#: registers one clocked process per FSM, each running its compiled
-#: per-FSM program; ``interpreted`` is that wiring on the tree-walking
-#: interpreter, the oracle.  Software and service FSMs run per-FSM on
-#: every tier, interpreted only on ``interpreted``.  All three tiers are
-#: byte-identical in every conformance fingerprint.
-TIERS = ("fused", "compiled", "interpreted")
+#: generated step function (:mod:`repro.ir.syscompile`); ``interpreted``
+#: registers one clocked process per FSM, each walking the IR tree — the
+#: oracle.  Software and service FSMs run on the interpreter on both
+#: tiers.  Both tiers are byte-identical in every conformance fingerprint.
+TIERS = ("fused", "interpreted")
 
 DEFAULT_TIER = "fused"
 
@@ -81,6 +79,7 @@ class CosimResult:
         }
         self.fsm_counters = session.fsm_counters()
         self.tier = session.wired_tier
+        self.tier_reason = session.system_fallback_reason
 
     @property
     def all_monitors_ok(self):
@@ -96,6 +95,7 @@ class CosimResult:
             "hw_cycles": self.hw_cycles,
             "monitors_ok": self.all_monitors_ok,
             "tier": self.tier,
+            "tier_reason": self.tier_reason,
             "fsm": dict(self.fsm_counters),
             # Per-service latency distributions (simulated ns): count, mean,
             # p50/p95/max — the mean alone hides a saturated channel's tail.
@@ -129,18 +129,15 @@ class CosimSession:
                 f"unknown tier {tier!r}; expected one of {TIERS}"
             )
         self.tier = tier
-        # The one place a tier maps onto the per-FSM execution mode.
-        self._instance_mode = ("interpreted" if tier == "interpreted"
-                               else "compiled")
         self.detect_races = detect_races
         #: Resolved at build time: the tier actually wired.  A requested
-        #: "fused" falls back to "compiled" when the model cannot be fused
-        #: (reason in :attr:`system_fallback_reason`).
+        #: "fused" falls back to "interpreted" when the model cannot be
+        #: fused (reason in :attr:`system_fallback_reason`).
         self.wired_tier = None
         self.system_fallback_reason = None
         self.system_program = None
-        #: Candidate FSM steps executed inside the fused program / executed
-        #: per-FSM at runtime although the fused program was active.
+        #: Candidate FSM steps executed inside the fused program / handed
+        #: back to the interpreter at runtime although it was active.
         self.system_compile_hits = 0
         self.system_fallback = 0
         self._fused_process = None
@@ -231,7 +228,7 @@ class CosimSession:
     def _system_prepare(self):
         """Resolve the wired tier; compile the fused program when asked.
 
-        A requested "fused" degrades to the "compiled" wiring — with
+        A requested "fused" degrades to the "interpreted" wiring — with
         :attr:`system_fallback_reason` recording why — when the model
         carries un-fusable constructs or lint errors, or the kernel runs
         with ``detect_races`` (write-race attribution needs one kernel
@@ -245,13 +242,13 @@ class CosimSession:
                 "detect_races attributes writes to kernel processes; the "
                 "fused step merges them"
             )
-            self.wired_tier = "compiled"
+            self.wired_tier = "interpreted"
             return
         try:
             self.system_program = compile_system(self.model)
         except SystemCompileError as exc:
             self.system_fallback_reason = str(exc)
-            self.wired_tier = "compiled"
+            self.wired_tier = "interpreted"
 
     def _system_bind(self):
         """Bind the generated step function to the built backplane.
@@ -324,8 +321,7 @@ class CosimSession:
             for controller in unit.controllers:
                 accessor = SignalPortAccessor(self.simulator, signals,
                                               writer=f"{unit.name}.{controller.name}")
-                instance = FsmInstance(controller.fsm, ports=accessor,
-                                       mode=self._instance_mode)
+                instance = FsmInstance(controller.fsm, ports=accessor)
                 self.controller_instances[f"{unit.name}.{controller.name}"] = instance
                 if register:
                     self.simulator.add_clocked_process(
@@ -345,7 +341,6 @@ class CosimSession:
                 ServiceInstance(
                     module.name, unit.service(service_name), unit.name, accessor,
                     trace=self.trace, time_fn=lambda: self.simulator.now,
-                    mode=self._instance_mode,
                 )
             )
         return registry
@@ -363,7 +358,6 @@ class CosimSession:
             registry = self._registry_for(module, software=False)
             self.hw_adapters[module.name] = HardwareAdapter(
                 module, self.simulator, self.clock, accessor, registry,
-                mode=self._instance_mode,
                 register=self.wired_tier != "fused",
             )
 
@@ -371,8 +365,7 @@ class CosimSession:
         for module in self.model.software_modules():
             registry = self._registry_for(module, software=True)
             executor = SoftwareExecutor(module, registry,
-                                        policy=self.activation_policy,
-                                        mode=self._instance_mode)
+                                        policy=self.activation_policy)
             self.sw_executors[module.name] = executor
             period = module.activation_period or self.sw_activation_period
 
@@ -451,8 +444,7 @@ class CosimSession:
         metrics = TELEMETRY.metrics
         fsm = self.fsm_counters()
         current = {
-            "compiled": fsm["compile_hits"],
-            "interpreted": fsm["fallback"],
+            "interpreted": fsm["interpreted"],
             "fused": fsm["system_compile_hits"],
             "transitions": fsm["transitions_fired"],
             "services": len(self.trace),
@@ -463,7 +455,7 @@ class CosimSession:
         metrics.counter("repro_cosim_runs_total", labels=labels,
                         help="Completed CosimSession runs.").inc()
         steps = metrics.counter
-        for step_tier in ("compiled", "interpreted", "fused"):
+        for step_tier in ("interpreted", "fused"):
             delta = current[step_tier] - prev[step_tier]
             if delta:
                 steps("repro_cosim_fsm_steps_total",
@@ -634,26 +626,27 @@ class CosimSession:
     def fsm_counters(self):
         """Aggregate execution-tier counters across every FSM instance.
 
-        ``steps`` / ``transitions_fired`` measure behavioural activity;
-        ``compile_hits`` / ``fallback`` / ``system_compile_hits`` split the
-        steps by execution tier (per-FSM compiled program, tree-walking
-        interpreter, fused whole-system program), so a silent loss of a
-        fast path shows up in artefacts, not just wall-clock.
-        ``system_fallback`` counts candidate steps the fused program
-        delegated back to the per-FSM tier at runtime (those steps also
-        appear in ``compile_hits``/``fallback``); in a pure fused run
-        ``steps == compile_hits + fallback + system_compile_hits``.
+        ``steps`` / ``transitions_fired`` measure behavioural activity, and
+        ``interpreted`` / ``system_compile_hits`` split the steps by engine
+        (tree-walking interpreter, fused whole-system program), so
+        ``steps == interpreted + system_compile_hits``.  ``fallback``
+        counts the ``interpreted`` steps of a session whose wired tier fell
+        back from the requested one (:attr:`system_fallback_reason`), and
+        ``system_fallback`` the candidate steps the fused program handed
+        back to the interpreter at runtime (also counted in
+        ``interpreted``): a silent loss of the fast path shows up in
+        artefacts, not just wall-clock.
         """
-        totals = {"steps": 0, "transitions_fired": 0,
-                  "compile_hits": 0, "fallback": 0,
-                  "system_compile_hits": self.system_compile_hits,
-                  "system_fallback": self.system_fallback}
+        steps = transitions = 0
         for instance in self.fsm_instances():
-            totals["steps"] += instance.steps
-            totals["transitions_fired"] += instance.transitions_fired
-            totals["compile_hits"] += instance.compile_hits
-            totals["fallback"] += instance.fallback
-        return totals
+            steps += instance.steps
+            transitions += instance.transitions_fired
+        interpreted = steps - self.system_compile_hits
+        return {"steps": steps, "transitions_fired": transitions,
+                "interpreted": interpreted,
+                "fallback": interpreted if self.wired_tier != self.tier else 0,
+                "system_compile_hits": self.system_compile_hits,
+                "system_fallback": self.system_fallback}
 
     def unit_signal(self, unit_name, port_name):
         """The simulation signal of a communication-unit port."""

@@ -21,7 +21,7 @@ from repro.ir.interp import FsmInstance, NullPortAccessor
 class SoftwareExecutor:
     """Drives one software module's FSM inside a co-simulation."""
 
-    def __init__(self, module, registry, policy=None, ports=None, mode=None):
+    def __init__(self, module, registry, policy=None, ports=None):
         self.module = module
         self.registry = registry
         self.policy = policy or OneTransitionPerActivation()
@@ -30,7 +30,6 @@ class SoftwareExecutor:
             ports=ports or NullPortAccessor(),
             call_handler=registry.call_handler(),
             trace=True,
-            mode=mode,
         )
         self.activations = 0
         self.transitions = 0

@@ -6,9 +6,10 @@ the same FSM-structured IR, mirroring the SOLAR-style intermediate format the
 paper's group used ([13] in the paper).  The IR is:
 
 * **executed** by the co-simulation backplane (one transition per software
-  activation, one transition per clock cycle in hardware) — compiled once
-  into Python code objects by :mod:`repro.ir.compile` (the default tier) or
-  tree-walked by :mod:`repro.ir.interp` (the oracle tier),
+  activation, one transition per clock cycle in hardware) — controllers and
+  hardware processes fused into one generated step function by
+  :mod:`repro.ir.syscompile` (the default tier), every FSM tree-walked by
+  :mod:`repro.ir.interp` otherwise (the reference),
 * **emitted** as C by :mod:`repro.swc` (SW simulation / SW synthesis views)
   and as VHDL by :mod:`repro.hdl` (HW view),
 * **synthesized** by :mod:`repro.cosyn.hls` into an FSMD and RTL netlist.
@@ -41,14 +42,8 @@ from repro.ir.expr import (
 from repro.ir.stmt import Stmt, Assign, PortWrite, If, Nop
 from repro.ir.fsm import Fsm, State, Transition, ServiceCall, VarDecl
 from repro.ir.builder import FsmBuilder
-from repro.ir.interp import (
-    DEFAULT_FSM_MODE,
-    FSM_MODES,
-    FsmInstance,
-    evaluate,
-    execute,
-)
-from repro.ir.compile import CompileError, CompiledFsm, compile_fsm
+from repro.ir.interp import FsmInstance, evaluate, execute
+from repro.ir.compile import CompileError
 from repro.ir.printer import format_fsm, format_expr, format_stmt
 from repro.ir.transform import (
     constant_fold,
@@ -87,11 +82,7 @@ __all__ = [
     "VarDecl",
     "FsmBuilder",
     "FsmInstance",
-    "DEFAULT_FSM_MODE",
-    "FSM_MODES",
     "CompileError",
-    "CompiledFsm",
-    "compile_fsm",
     "evaluate",
     "execute",
     "format_fsm",

@@ -1,45 +1,29 @@
-"""The compiled execution tier of the behavioural IR.
+"""Per-FSM code generation for the behavioural IR.
 
-:mod:`repro.ir.interp` executes FSMs by walking the expression tree through
-``isinstance``-dispatched ``evaluate``/``execute`` — one Python-level
-recursion per IR node, every transition, every delta cycle.  That is the
-right *oracle* (small, obviously correct) but the wrong hot path: the
-co-simulation backplane steps thousands of FSM instances per simulated
-microsecond.
+This module holds the expression rules the fused whole-system step of
+:mod:`repro.ir.syscompile` is generated with — operator templates, eager
+``and``/``or``, :func:`constant_divisor_source` and the ``_pos_div`` /
+``_pos_mod`` helpers — and the canonical FSM description :func:`fsm_spec`
+/ :func:`fsm_digest` that the whole-system digest is built from.
 
-This module translates an :class:`~repro.ir.fsm.Fsm` **once** into plain
-Python code objects:
-
-* every expression becomes Python source with the interpreter's exact
-  semantics (truncating division, eager ``and``/``or`` with 0/1 results,
-  integer comparisons) — ``env[...]``/``ports.read(...)`` access compiled
-  to native bytecode instead of per-node dispatch,
-* every state's action list becomes one function ``(env, ports) -> None``,
-* a state whose transitions carry no service calls gets a single
-  **stepper** ``(env, ports) -> (next_state, fired)`` inlining actions,
-  guards and transition actions into one code object,
-* service-call transitions keep a thin driver loop (the call handler is
-  user code), with guard / actions / argument evaluation compiled.
-
-The generated program is observably **byte-identical** to the interpreter:
-same values, same port read/write sequence (``and``/``or`` do not
-short-circuit, exactly like ``evaluate``), same exception types and
-messages, same :class:`~repro.ir.interp.StepResult` stream.  The
-differential suite in ``tests/test_ir_compile.py`` and the conformance
-kit's ``--tier differential`` pin that equivalence.
-
-Programs are keyed on the FSM's *content*: :func:`fsm_spec` is the
-canonical description of everything the code generators consume (the
-whole-system compiler in :mod:`repro.ir.syscompile` digests the same spec)
-and :func:`fsm_digest` its content digest.  Structurally equal FSMs —
-every rebuilt model of the same system, every protocol controller stamped
-from one template — therefore share one program, held in a fixed-size LRU
-(:data:`PROGRAM_CACHE_SIZE`).  :class:`~repro.ir.interp.FsmInstance`
-compiles on its first per-FSM step, so FSMs the fused whole-system step
-executes instead never build a per-FSM program at all.  The digest is
-memoised per :class:`~repro.ir.fsm.Fsm` object, which assumes the FSM is
-not structurally mutated (``add_transition``) after its first compilation
-— call :func:`compile_fsm` with ``force=True`` after such a mutation.
+It also still holds the retired per-FSM program generator,
+:func:`compile_fsm` / :class:`CompiledFsm`: it translates one
+:class:`~repro.ir.fsm.Fsm` into plain Python code objects (one
+``(env, ports) -> None`` action function per state, one inlined
+**stepper** ``(env, ports) -> (next_state, fired)`` per state without
+service calls, a compiled guard/argument/action set per service-call
+transition), byte-identical to :mod:`repro.ir.interp` in values, port
+read/write order (``and``/``or`` never short-circuit), exceptions and
+messages.  Nothing in the co-simulation executes these programs any
+more — every FSM outside the fused step runs on the interpreter — and no
+code in ``src/`` calls :func:`compile_fsm`.  The generator, its program LRU
+(:data:`PROGRAM_CACHE_SIZE`, keyed on :func:`fsm_digest`) and their tests
+stay only because the ``perfbench`` harness looks up
+``repro.ir.compile.compile_fsm`` by name for its ``ir.compile_fsm_*``
+metrics; they go together with those metrics.  The digest is memoised per
+:class:`~repro.ir.fsm.Fsm` object, which assumes the FSM is not
+structurally mutated (``add_transition``) after its first compilation —
+call :func:`compile_fsm` with ``force=True`` after such a mutation.
 """
 
 import weakref
@@ -53,7 +37,7 @@ from repro.utils.lru import LruCache
 
 
 class CompileError(SimulationError):
-    """The FSM contains a node the compile tier cannot translate."""
+    """The FSM contains a node the code generators cannot translate."""
 
 
 def _eager_and(a, b):
@@ -126,7 +110,7 @@ _UNOP_TEMPLATES = {
 #: a variable this code reads *and* that variable really is absent from the
 #: environment — a ``KeyError`` escaping a user-supplied port accessor (or
 #: call handler, on the driver path) propagates unchanged, exactly as it
-#: does through the interpreted tier.
+#: does through the interpreter.
 _EXCEPT_SUFFIX = (
     "    except KeyError as exc:\n"
     "        _key = exc.args[0] if exc.args else None\n"
@@ -321,8 +305,8 @@ class CompiledState:
 
     ``stepper`` is the single-code-object fast path ``(env, ports) ->
     (next_state, fired)`` for states without service calls; call states set
-    it to ``None`` and are driven through ``actions``/``transitions`` by
-    :meth:`FsmInstance._run_call_transitions`.
+    it to ``None`` and are driven through ``actions``/``transitions`` by a
+    loop mirroring the interpreter's transition scan.
     """
 
     __slots__ = ("name", "stepper", "actions", "transitions", "source")
@@ -473,9 +457,8 @@ def compile_fsm(fsm, force=False):
     """Return the (cached) compiled program of *fsm*.
 
     Raises :class:`CompileError` when the FSM contains expression or
-    statement nodes outside the core IR; callers (``FsmInstance``) fall back
-    to the interpreter in that case.  *force* recompiles after a structural
-    mutation of the FSM.
+    statement nodes outside the core IR.  *force* recompiles after a
+    structural mutation of the FSM.
     """
     digest = fsm_digest(fsm, force=force)
     program = None if force else _PROGRAM_CACHE.get(digest)

@@ -13,13 +13,12 @@ different accessors: simulator signals (HW view), the C-language-interface
 adapter (SW simulation view), the ISA-bus model (SW synthesis view executed
 on the platform model) — which is precisely the paper's multi-view idea.
 
-Execution has two tiers.  ``FsmInstance(mode="compiled")`` — the default —
-runs the per-FSM program :mod:`repro.ir.compile` generates on the
-instance's first step (plain Python code objects, shared by every
-structurally equal FSM); ``mode="interpreted"`` walks the IR tree through
-:func:`evaluate`/:func:`execute` below and serves as the differential
-oracle.  Both tiers are byte-identical in every
-observable: StepResult streams, environments, port traffic, errors.
+Every :class:`FsmInstance` walks the IR tree through
+:func:`evaluate`/:func:`execute` below.  The co-simulation's fused tier
+(:mod:`repro.ir.syscompile`) runs controllers and hardware processes in
+one generated step function instead; this module is the reference every
+such generated step must match byte for byte: StepResult streams,
+environments, port traffic, errors.
 """
 
 from collections import deque
@@ -27,15 +26,6 @@ from collections import deque
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.utils.errors import SimulationError
-
-#: Execution modes understood by :class:`FsmInstance`.  ``compiled`` (the
-#: default) runs the per-FSM program generated by :mod:`repro.ir.compile`;
-#: ``interpreted`` walks the IR tree through :func:`evaluate`/:func:`execute`
-#: and is kept as the differential oracle (``--tier interpreted`` in the
-#: testkit).
-FSM_MODES = ("compiled", "interpreted")
-
-DEFAULT_FSM_MODE = "compiled"
 
 #: Default cap on the ``trace=True`` step history.  A ring buffer of the
 #: most recent steps keeps long sweeps bounded in memory; pass
@@ -189,42 +179,23 @@ class FsmInstance:
     trace:
         When true, every step appends a :class:`StepResult` to :attr:`history`
         (a ring buffer of the most recent *history_limit* steps).
-    mode:
-        ``"compiled"`` (default) executes the program generated by
-        :mod:`repro.ir.compile`; ``"interpreted"`` walks the IR tree.  Both
-        tiers produce byte-identical :class:`StepResult` streams, variable
-        environments and port traffic; an FSM the compile tier cannot
-        translate falls back to the interpreter per step (counted in
-        :attr:`fallback`).
     history_limit:
         Cap on :attr:`history` when tracing; ``None`` disables the cap.
     """
 
     def __init__(self, fsm, ports=None, call_handler=None, reset_on_done=False,
-                 trace=False, mode=None, history_limit=DEFAULT_HISTORY_LIMIT):
+                 trace=False, history_limit=DEFAULT_HISTORY_LIMIT):
         self.fsm = fsm
         self.ports = ports or NullPortAccessor()
         self.call_handler = call_handler
         self.reset_on_done = reset_on_done
         self.trace = trace
         self.history_limit = history_limit
-        if mode is None:
-            mode = DEFAULT_FSM_MODE
-        if mode not in FSM_MODES:
-            raise SimulationError(
-                f"unknown FSM execution mode {mode!r}; expected one of {FSM_MODES}"
-            )
-        self.mode = mode
-        # Optional per-step callback ``observer(step_result)``, invoked by
-        # both execution tiers on the identical StepResult object — coverage
-        # instrumentation (repro.testkit.coverage) hangs off this.  Structural
-        # (not part of capture_state), like the port accessor.
+        # Optional per-step callback ``observer(step_result)``, invoked on
+        # every StepResult (also by the fused step) — coverage
+        # instrumentation (repro.testkit.coverage) hangs off this.
+        # Structural (not part of capture_state), like the port accessor.
         self.observer = None
-        # The compiled program is fetched on the first step, not here: the
-        # fused whole-system step executes controllers and hardware FSMs
-        # itself, so most instances of a fused session never need one.
-        self._program = None
-        self._compile_pending = mode == "compiled"
         self.reset()
 
     def reset(self):
@@ -233,8 +204,6 @@ class FsmInstance:
         self.env = {name: decl.init for name, decl in self.fsm.variables.items()}
         self.steps = 0
         self.transitions_fired = 0
-        self.compile_hits = 0
-        self.fallback = 0
         self.history = deque(maxlen=self.history_limit)
 
     @property
@@ -244,108 +213,9 @@ class FsmInstance:
 
     def step(self, args=None):
         """Execute one activation: state actions then at most one transition."""
-        program = self._program
-        if program is None:
-            if self._compile_pending:
-                program = self._load_program()
-            if program is None:
-                return self._step_interpreted(args)
         if args:
             self.env.update(args)
         self.steps += 1
-        self.compile_hits += 1
-        env = self.env
-        ports = self.ports
-        from_state = self.current
-        state = program.states.get(from_state)
-        if state is None:
-            self.fsm.state(from_state)  # unknown state: the canonical error
-            raise SimulationError(  # known to the FSM but not the program
-                f"FSM {self.fsm.name!r} state {from_state!r} is missing from "
-                "the compiled program — the FSM was mutated after "
-                "compilation; recompile with compile_fsm(fsm, force=True)"
-            )
-        stepper = state.stepper
-        called = None
-        if stepper is not None:
-            current, fired = stepper(env, ports)
-            if fired:
-                self.transitions_fired += 1
-        else:
-            current, fired, called = self._run_call_transitions(state, env, ports)
-        self.current = current
-        done = current in program.done_states
-        result = None
-        if done and program.result_var:
-            result = env.get(program.result_var)
-        step_result = StepResult(from_state, current, fired, done, result, called)
-        if self.observer is not None:
-            self.observer(step_result)
-        if self.trace:
-            self.history.append(step_result)
-        if done and self.reset_on_done:
-            self.current = program.initial
-        return step_result
-
-    def _load_program(self):
-        """Fetch the compiled program once; None keeps the interpreter.
-
-        An FSM the compile tier cannot translate falls back to the
-        interpreter permanently; every step taken that way bumps the
-        ``fallback`` counter.
-        """
-        from repro.ir.compile import CompileError, compile_fsm
-
-        self._compile_pending = False
-        try:
-            self._program = compile_fsm(self.fsm)
-        except CompileError:
-            self._program = None
-        return self._program
-
-    def _run_call_transitions(self, state, env, ports):
-        """Driver loop for a compiled state with service-call transitions.
-
-        Mirrors the interpreter's transition scan exactly: the call advances
-        before the guard is evaluated (the guard may read the stored
-        result), a pending call skips to the next transition, and the first
-        transition whose call completed and whose guard holds fires.
-        """
-        actions = state.actions
-        if actions is not None:
-            actions(env, ports)
-        called = None
-        for transition in state.transitions:
-            call = transition.call
-            if call is not None:
-                called = transition.service
-                if self.call_handler is None:
-                    raise SimulationError(
-                        f"FSM {self.fsm.name!r} calls service "
-                        f"{transition.service!r} but no call handler is bound"
-                    )
-                args_fn = transition.args
-                arg_values = args_fn(env, ports) if args_fn is not None else []
-                call_done, value = self.call_handler(call, arg_values)
-                if call_done and transition.store:
-                    env[transition.store] = value
-                if not call_done:
-                    continue
-            guard = transition.guard
-            if guard is not None and not guard(env, ports):
-                continue
-            if transition.actions is not None:
-                transition.actions(env, ports)
-            self.transitions_fired += 1
-            return transition.target, True, called
-        return state.name, False, called
-
-    def _step_interpreted(self, args=None):
-        """The tree-walking oracle tier (also the fallback path)."""
-        if args:
-            self.env.update(args)
-        self.steps += 1
-        self.fallback += 1
         from_state = self.current
         state = self.fsm.state(self.current)
         for stmt in state.actions:
@@ -412,8 +282,6 @@ class FsmInstance:
             "env": dict(self.env),
             "steps": self.steps,
             "transitions_fired": self.transitions_fired,
-            "compile_hits": self.compile_hits,
-            "fallback": self.fallback,
             "history": [
                 (result.from_state, result.to_state, result.fired,
                  result.done, result.result, result.called)
@@ -422,7 +290,11 @@ class FsmInstance:
         }
 
     def restore_state(self, state):
-        """Overwrite run-time state with a :meth:`capture_state` copy."""
+        """Overwrite run-time state with a :meth:`capture_state` copy.
+
+        Checkpoints taken before the per-FSM tier was retired also carry
+        ``compile_hits``/``fallback`` counters; they are ignored.
+        """
         if state["fsm"] != self.fsm.name:
             raise SimulationError(
                 f"cannot restore FSM state of {state['fsm']!r} "
@@ -432,8 +304,6 @@ class FsmInstance:
         self.env = dict(state["env"])
         self.steps = state["steps"]
         self.transitions_fired = state["transitions_fired"]
-        self.compile_hits = state.get("compile_hits", 0)
-        self.fallback = state.get("fallback", 0)
         self.history = deque((StepResult(*entry) for entry in state["history"]),
                              maxlen=self.history_limit)
 

@@ -1,13 +1,12 @@
 """Whole-system compilation: one code object for the clocked backplane.
 
-:mod:`repro.ir.compile` (PR 5) made each FSM *state* fast, but a
-co-simulated system still pays per-delta Python dispatch around those code
-objects: one ``on_edge`` wrapper frame per clocked process, one
-``FsmInstance.step`` frame (plus a :class:`~repro.ir.interp.StepResult`
-allocation) per instance, one accessor method call per port access and one
-``Simulator.schedule`` call per port write — on every rising clock edge.
-On the mixed-system benchmark that dispatch, not the FSM arithmetic, is
-the plateau (2.07x vs the 5.76x of the pure-FSM workload).
+Wired one kernel process per FSM, a co-simulated system pays per-delta
+Python dispatch around every FSM step: one ``on_edge`` wrapper frame per
+clocked process, one ``FsmInstance.step`` frame (plus a
+:class:`~repro.ir.interp.StepResult` allocation) per instance, one
+accessor method call per port access and one ``Simulator.schedule`` call
+per port write — on every rising clock edge — on top of the tree walk
+itself.
 
 This module translates an entire :class:`~repro.core.model.SystemModel` —
 every communication-unit protocol controller and every hardware-module
@@ -18,21 +17,21 @@ process, i.e. the complete population of clocked FSM processes — into a
   ``sig._value`` (the attribute the ``Signal.value`` property returns),
   writes append to the kernel's delta queue directly,
 * per-instance dispatch becomes an ``if/elif`` chain over state-name
-  literals with the transition logic inlined exactly as the per-FSM tier
-  inlines it (same evaluation order, same eager operators, same errors),
+  literals with the transition logic inlined in the interpreter's order
+  (same evaluation order, same eager operators, same errors),
 * service-call transitions call the bound
   :class:`~repro.cosim.services.ServiceInstance` directly (trace tokens,
   invocation counts and ``reset_on_done`` semantics stay canonical), and
 * the kernel statistics the replaced processes would have produced are
   folded in (``process_runs`` compensation, ``transactions`` per write),
-  so a fused run is **byte-identical** to the compiled and interpreted
-  tiers in every conformance fingerprint: waveforms, traces, environments,
-  counters and kernel statistics.
+  so a fused run is **byte-identical** to the interpreted tier in every
+  conformance fingerprint: waveforms, traces, environments, counters and
+  kernel statistics.
 
 Software executors, their activation processes and all service FSMs stay
-per-FSM (they are demand-driven, not clocked); their steps keep counting
-``compile_hits``/``fallback`` while fused candidate steps count in the
-session's ``system_compile_hits``.
+per-FSM on the interpreter (they are demand-driven, not clocked); fused
+candidate steps count in the session's ``system_compile_hits``, every
+other step in its ``interpreted`` counter.
 
 The generated source is a pure function of the model structure: the
 program is cached per model (weak) and its code object per digest
@@ -41,7 +40,7 @@ in-process LRU.
 
 The fused program is cross-checked end to end, not in-session: the
 conformance kit's ``--tier differential`` runs every scenario on the
-fused, compiled and interpreted tiers in separate sessions and compares
+fused and interpreted tiers in separate sessions and compares
 their complete fingerprints.
 """
 
@@ -85,8 +84,7 @@ def system_spec(model):
     Two models with equal specs generate byte-identical source, so the
     spec's :func:`~repro.utils.canonical.content_digest` keys the
     code-object cache.  Each FSM enters as its
-    :func:`~repro.ir.compile.fsm_spec`, the same content key the per-FSM
-    program cache uses.  Bindings and port
+    :func:`~repro.ir.compile.fsm_spec`.  Bindings and port
     initial values are bind-time inputs, not codegen inputs, and are
     deliberately absent.
     """
@@ -123,8 +121,8 @@ _DIGEST_CACHE = weakref.WeakKeyDictionary()
 def model_digest(model):
     """Content digest of :func:`system_spec`, weakly cached per model.
 
-    Like the per-FSM program cache this assumes the model is not mutated
-    after its first compilation.
+    Like :func:`~repro.ir.compile.fsm_digest` this assumes the model is not
+    mutated after its first compilation.
     """
     digest = _DIGEST_CACHE.get(model)
     if digest is None:

@@ -16,7 +16,7 @@ This package serves those specs over HTTP from a persistent process:
   resubmission of a cacheable job (co-synthesis, DSE, coverage cosim) is
   served from the cache without re-running HLS;
 * ``GET /metrics`` reports queue depth, jobs by state, cache hit/miss
-  and the aggregated ``compile_hits``/``fallback`` execution-tier
+  and the aggregated ``interpreted``/``fallback`` execution-tier
   counters;
 * ``POST /tick`` advances the scheduler: configured re-sweep schedules
   enqueue their job batches every N ticks, so an external timer (cron,

@@ -156,7 +156,7 @@ class JobService:
         self._ticks = 0
         self._pool_replacements = 0
         self._fsm_totals = {"steps": 0, "transitions_fired": 0,
-                            "compile_hits": 0, "fallback": 0,
+                            "interpreted": 0, "fallback": 0,
                             "system_compile_hits": 0, "system_fallback": 0}
 
     @staticmethod

@@ -310,11 +310,13 @@ class CosimJob(SweepJob):
             # the fault-survival signal, not an error.
             "functional_problems": (None if self.fault_kind is not None
                                     else problems),
-            # Execution-tier counters: a sweep silently losing the compiled
-            # fast path (per-FSM or whole-system) shows up here as
-            # fallback/system_fallback > 0 or *_hits == 0.
+            # Execution-tier counters: a sweep silently losing the fused
+            # fast path shows up here as fallback/system_fallback > 0 or
+            # system_compile_hits == 0, and the tier decision carries its
+            # reason (None when the requested tier was wired).
             "fsm": dict(result.fsm_counters),
             "tier": result.tier,
+            "tier_reason": result.tier_reason,
             "fingerprint_digest": content_digest(
                 cosim_fingerprint(session, result)
             ),
@@ -378,6 +380,7 @@ class CosimJob(SweepJob):
                                         else problems),
                 "fsm": fsm_totals,
                 "tier": scenarios[0]["tier"],
+                "tier_reason": scenarios[0]["tier_reason"],
                 # The batch digest pins every per-scenario fingerprint.
                 "fingerprint_digest": content_digest(
                     [entry["fingerprint_digest"] for entry in scenarios]

@@ -6,7 +6,7 @@ Usage::
     python -m repro.testkit --quick        # < 30 s smoke tier
     python -m repro.testkit --seed-base 1000
     python -m repro.testkit --replay kernel-medium-17
-    python -m repro.testkit --tier interpreted   # or: compiled, differential
+    python -m repro.testkit --tier interpreted   # or: differential
     python -m repro.testkit --kernel-scenarios tiny=5 small=2 --cosim 3 --cosyn 1
     python -m repro.testkit --emit-models 5 --networks 4   # generator only
     python -m repro.testkit --coverage --budget 24 --coverage-floor 0.9
@@ -94,9 +94,8 @@ def main(argv=None):
                         choices=TIERS + ("differential",),
                         help="execution tier of the co-simulation oracles: "
                              "the fused single-step program (the project "
-                             "default), compiled per-FSM processes, the "
-                             "tree-walking interpreter, or 'differential' "
-                             "to cross-check all three tiers")
+                             "default), the tree-walking interpreter, or "
+                             "'differential' to cross-check both tiers")
     parser.add_argument("--replay", metavar="NAME",
                         help="re-run one scenario by name and exit")
     parser.add_argument("--emit-models", type=int, metavar="N",

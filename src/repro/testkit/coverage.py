@@ -19,7 +19,7 @@ networks" cannot masquerade as "more behaviour covered".
 
 Collection hangs off the per-step ``observer`` hook of
 :class:`repro.ir.interp.FsmInstance`, which both execution tiers invoke on
-the identical StepResult — a compiled and an interpreted run of the same
+the identical StepResult — a fused and an interpreted run of the same
 seed serialise to byte-identical coverage.  Serialisation goes through
 :func:`repro.utils.canonical.canonical_json`, so it is also independent of
 PYTHONHASHSEED and platform.

@@ -39,8 +39,8 @@ def variant_matrix(kernels, tier=None):
     """The (kernel, tier) grid a conformance check runs.
 
     ``tier="differential"`` expands to every execution tier of
-    :data:`repro.cosim.session.TIERS` — the fused-codegen and compiled-FSM
-    oracle; ``None`` defers to the project default.
+    :data:`repro.cosim.session.TIERS` — the fused-codegen oracle;
+    ``None`` defers to the project default.
     """
     if tier is None:
         tier = DEFAULT_TIER
@@ -181,12 +181,12 @@ def check_cosim_conformance(system, kernels=("production", "reference"),
                             tier=None):
     """Run the full co-simulation oracle on one generated system.
 
-    *tier* selects the execution tier every run uses (``fused``,
-    ``compiled`` or ``interpreted``; ``None`` defers to the project
-    default); the reports must be identical either way.  The special value
-    ``"differential"`` crosses each kernel with **every** tier and asserts
-    every observable matches across the whole (kernel, tier) matrix — the
-    fused-codegen and compiled-FSM oracle.
+    *tier* selects the execution tier every run uses (``fused`` or
+    ``interpreted``; ``None`` defers to the project default); the reports
+    must be identical either way.  The special value ``"differential"``
+    crosses each kernel with **every** tier and asserts every observable
+    matches across the whole (kernel, tier) matrix — the fused-codegen
+    oracle.
     """
     variants = variant_matrix(kernels, tier)
 

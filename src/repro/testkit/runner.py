@@ -103,8 +103,8 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
     *seed_base* shifts every generated seed, so nightly runs can explore
     fresh scenarios while `make conformance` stays reproducible by default.
     *tier* selects the execution tier of the cosim, fault and real-time
-    oracles (``fused``, ``compiled``, ``interpreted``, ``differential`` to
-    cross-check all three against each other, or ``None`` for the project
+    oracles (``fused``, ``interpreted``, ``differential`` to cross-check
+    both against each other, or ``None`` for the project
     default — see :func:`repro.testkit.oracles.check_cosim_conformance`).
     """
     report = ConformanceReport()

@@ -1,9 +1,9 @@
 """A fixed-size least-recently-used map.
 
-The compiled-program caches (:mod:`repro.ir.compile`,
-:mod:`repro.ir.syscompile`) are keyed on content digests, so long-running
-processes — sweep workers, the job server — would otherwise keep one entry
-per distinct model they ever saw.  An :class:`LruCache` keeps the
+The generated-program caches (:mod:`repro.ir.syscompile`, and the
+retired per-FSM one of :mod:`repro.ir.compile`) are keyed on content
+digests, so long-running processes — sweep workers, the job server —
+would otherwise keep one entry per distinct model they ever saw.  An :class:`LruCache` keeps the
 *maxsize* most recently used entries and evicts the rest; an evicted
 program is simply regenerated on its next use.
 """

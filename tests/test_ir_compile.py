@@ -1,11 +1,14 @@
-"""Differential tests of the compiled IR execution tier.
+"""Differential tests of the per-FSM code generator and the interpreter.
 
-The compiled tier must be observably indistinguishable from the
-tree-walking interpreter: byte-identical StepResult streams, environments,
-port-access sequences, exceptions.  These tests pin that equivalence over
-the full testkit generator scenario set (every module, controller and
-service FSM of the generated systems), over random expression trees, and
-end-to-end through the co-simulation backplane.
+The co-simulation runs every FSM outside the fused step on the
+tree-walking interpreter; :func:`repro.ir.compile.compile_fsm` programs
+are no longer executed by it.  While the generator exists its programs
+must stay observably indistinguishable from the interpreter:
+byte-identical StepResult streams, environments, port-access sequences,
+exceptions.  These tests pin that equivalence over the full testkit
+generator scenario set (every module, controller and service FSM of the
+generated systems) through a small program stepper, over random expression
+trees, and end-to-end through the co-simulation backplane.
 """
 
 import random
@@ -19,13 +22,13 @@ from repro.ir import (
     FsmBuilder,
     FsmInstance,
     INT,
-    compile_fsm,
     evaluate,
     var,
 )
-from repro.ir.compile import compile_expr_fn
+from repro.ir import compile as ir_compile
+from repro.ir.compile import compile_expr_fn, compile_fsm
 from repro.ir.expr import BinOp, Const, Expr, PortRef, UnOp, Var
-from repro.ir.interp import DEFAULT_HISTORY_LIMIT, DictPortAccessor
+from repro.ir.interp import DEFAULT_HISTORY_LIMIT, DictPortAccessor, StepResult
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, cosim_fingerprint, run_cosim
 from repro.utils.errors import SimulationError
@@ -63,20 +66,69 @@ def result_tuple(step_result):
             step_result.done, step_result.result, step_result.called)
 
 
+class ProgramStepper:
+    """Steps a :func:`compile_fsm` program the way FsmInstance steps the IR."""
+
+    def __init__(self, fsm, ports, call_handler, reset_on_done=False):
+        self.program = compile_fsm(fsm)
+        self.ports = ports
+        self.call_handler = call_handler
+        self.reset_on_done = reset_on_done
+        self.current = fsm.initial
+        self.env = {name: decl.init for name, decl in fsm.variables.items()}
+        self.transitions_fired = 0
+
+    def step(self, args=None):
+        if args:
+            self.env.update(args)
+        program = self.program
+        from_state = self.current
+        state = program.states[from_state]
+        called = None
+        if state.stepper is not None:
+            current, fired = state.stepper(self.env, self.ports)
+        else:
+            current, fired, called = self._call_transitions(state)
+        self.transitions_fired += fired
+        self.current = current
+        done = current in program.done_states
+        result = (self.env.get(program.result_var)
+                  if done and program.result_var else None)
+        if done and self.reset_on_done:
+            self.current = program.initial
+        return StepResult(from_state, current, fired, done, result, called)
+
+    def _call_transitions(self, state):
+        env, ports = self.env, self.ports
+        if state.actions is not None:
+            state.actions(env, ports)
+        called = None
+        for transition in state.transitions:
+            if transition.call is not None:
+                called = transition.service
+                args = (transition.args(env, ports)
+                        if transition.args is not None else [])
+                call_done, value = self.call_handler(transition.call, args)
+                if call_done and transition.store:
+                    env[transition.store] = value
+                if not call_done:
+                    continue
+            if transition.guard is not None and not transition.guard(env, ports):
+                continue
+            if transition.actions is not None:
+                transition.actions(env, ports)
+            return transition.target, True, called
+        return state.name, False, called
+
+
 def assert_differential(fsm, steps=60, args=None, port_values=None, seed=0,
                         reset_on_done=False):
-    """Step *fsm* through both tiers in lockstep and compare every observable."""
-    ports = {}
-    instances = {}
-    handlers = {}
-    for mode in ("compiled", "interpreted"):
-        ports[mode] = RecordingAccessor(port_values)
-        handlers[mode] = ScriptedHandler(seed)
-        instances[mode] = FsmInstance(fsm, ports=ports[mode],
-                                      call_handler=handlers[mode],
-                                      reset_on_done=reset_on_done,
-                                      trace=True, mode=mode)
-    compiled, interpreted = instances["compiled"], instances["interpreted"]
+    """Step *fsm*'s program and the interpreter in lockstep; compare all."""
+    ports = [RecordingAccessor(port_values), RecordingAccessor(port_values)]
+    handlers = [ScriptedHandler(seed), ScriptedHandler(seed)]
+    compiled = ProgramStepper(fsm, ports[0], handlers[0], reset_on_done)
+    interpreted = FsmInstance(fsm, ports=ports[1], call_handler=handlers[1],
+                              reset_on_done=reset_on_done)
     for index in range(steps):
         step_args = dict(args) if args else None
         left = compiled.step(step_args)
@@ -86,22 +138,10 @@ def assert_differential(fsm, steps=60, args=None, port_values=None, seed=0,
         )
         assert compiled.env == interpreted.env, f"{fsm.name} step {index}"
         assert compiled.current == interpreted.current
-    assert compiled._program is not None, f"{fsm.name} did not compile"
-    assert ports["compiled"].writes == ports["interpreted"].writes
-    assert ports["compiled"].reads == ports["interpreted"].reads
-    assert handlers["compiled"].log == handlers["interpreted"].log
+    assert ports[0].writes == ports[1].writes
+    assert ports[0].reads == ports[1].reads
+    assert handlers[0].log == handlers[1].log
     assert compiled.transitions_fired == interpreted.transitions_fired
-    assert compiled.steps == interpreted.steps == steps
-    assert compiled.compile_hits == steps and compiled.fallback == 0
-    assert interpreted.fallback == steps and interpreted.compile_hits == 0
-    history = [result_tuple(r) for r in compiled.history]
-    assert history == [result_tuple(r) for r in interpreted.history]
-    # The runtime state captures must agree on everything but the tier split.
-    left_state = compiled.capture_state()
-    right_state = interpreted.capture_state()
-    for key in ("fsm", "current", "env", "steps", "transitions_fired",
-                "history"):
-        assert left_state[key] == right_state[key]
 
 
 def generated_fsm_population(seed):
@@ -122,7 +162,7 @@ def generated_fsm_population(seed):
 
 
 class TestGeneratedScenarioParity:
-    """Both tiers agree over the full generator scenario set."""
+    """Programs and interpreter agree over the full generator scenario set."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_generated_system_fsms(self, seed):
@@ -141,10 +181,11 @@ class TestGeneratedScenarioParity:
     def test_full_session_fingerprints_match_across_tiers(self):
         system = generate_system(5)
         fingerprints = {}
-        for mode in ("compiled", "interpreted"):
-            session, result = run_cosim(system, "production", tier=mode)
-            fingerprints[mode] = cosim_fingerprint(session, result)
-        assert fingerprints["compiled"] == fingerprints["interpreted"]
+        for tier in ("fused", "interpreted"):
+            session, result = run_cosim(system, "production", tier=tier)
+            assert session.wired_tier == tier
+            fingerprints[tier] = cosim_fingerprint(session, result)
+        assert fingerprints["fused"] == fingerprints["interpreted"]
 
 
 _values = st.integers(min_value=-1000, max_value=1000)
@@ -239,16 +280,17 @@ def counter_fsm(limit=3):
 
 
 class TestCompiledTier:
-    def test_program_cached_and_shared_across_instances(self):
+    def test_program_cached_and_never_fetched_by_instances(self,
+                                                           monkeypatch):
         fsm = counter_fsm()
         assert compile_fsm(fsm) is compile_fsm(fsm)
-        first = FsmInstance(fsm)
-        second = FsmInstance(fsm)
-        # Programs are fetched on the first step, not at construction.
-        assert first._program is None and second._program is None
-        first.step()
-        second.step()
-        assert first._program is second._program is compile_fsm(fsm)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("FsmInstance fetched a per-FSM program")
+
+        monkeypatch.setattr(ir_compile, "compile_fsm", refuse)
+        instance = FsmInstance(counter_fsm())
+        assert instance.run_to_done().done
 
     def test_structurally_equal_fsms_share_one_program(self):
         # The cache is keyed on content: a rebuilt FSM (a rebuilt model,
@@ -257,17 +299,11 @@ class TestCompiledTier:
         assert compile_fsm(counter_fsm()) is compile_fsm(counter_fsm())
         assert compile_fsm(counter_fsm(3)) is not compile_fsm(counter_fsm(4))
 
-    def test_mode_validated(self):
-        with pytest.raises(SimulationError, match="unknown FSM execution mode"):
-            FsmInstance(counter_fsm(), mode="jit")
+    def test_instance_takes_no_mode(self):
+        with pytest.raises(TypeError, match="mode"):
+            FsmInstance(counter_fsm(), mode="compiled")
 
-    def test_steps_split_between_tiers(self):
-        instance = FsmInstance(counter_fsm(5))
-        instance.run_to_done()
-        assert instance.steps == instance.compile_hits + instance.fallback
-        assert instance.fallback == 0
-
-    def test_unknown_node_falls_back_to_interpreter(self):
+    def test_unknown_node_refused_by_compiler_raised_by_interpreter(self):
         class Opaque(Expr):
             """An expression node the compile tier cannot translate."""
 
@@ -279,37 +315,30 @@ class TestCompiledTier:
         fsm = build.build(initial="Run")
         with pytest.raises(CompileError):
             compile_fsm(fsm, force=True)
-        instance = FsmInstance(fsm, mode="compiled")
-        # The interpreter cannot evaluate it either, but the error now
-        # surfaces at step time through the fallback tier, as before.
-        with pytest.raises(SimulationError, match="cannot evaluate"):
-            instance.step()
-        assert instance._program is None
-        assert instance.fallback == 1
-        assert instance.compile_hits == 0
-        # The fallback is permanent: later steps stay on the interpreter.
-        with pytest.raises(SimulationError, match="cannot evaluate"):
-            instance.step()
-        assert instance.fallback == 2
+        instance = FsmInstance(fsm)
+        # The interpreter cannot evaluate it either: the error surfaces at
+        # step time, on every step.
+        for steps in (1, 2):
+            with pytest.raises(SimulationError, match="cannot evaluate"):
+                instance.step()
+            assert instance.steps == steps
 
-    def test_stale_program_reports_missing_state_explicitly(self):
+    def test_mutated_fsm_is_stepped_as_mutated(self):
         from repro.ir import State, Transition
 
         fsm = counter_fsm()
-        instance = FsmInstance(fsm, mode="compiled")
-        instance.step()  # the first step compiles the program
-        assert instance._program is not None
-        # Mutate the FSM after compilation: the cached program is now stale.
+        stale = compile_fsm(fsm)
+        instance = FsmInstance(fsm)
+        instance.step()
+        # Mutate the FSM after compilation: the interpreter sees the new
+        # state at once; the program cache needs force=True.
         late = State("Late", transitions=[Transition("Late")])
         fsm.states["Late"] = late
         fsm.state_order.append("Late")
         instance.current = "Late"
-        with pytest.raises(SimulationError, match="force=True"):
-            instance.step()
-        compile_fsm(fsm, force=True)
-        fresh = FsmInstance(fsm, mode="compiled")
-        fresh.current = "Late"
-        assert fresh.step().to_state == "Late"
+        assert instance.step().to_state == "Late"
+        assert "Late" not in stale.states
+        assert "Late" in compile_fsm(fsm, force=True).states
 
     def test_reset_runs_exactly_once_during_init(self):
         calls = []
@@ -371,11 +400,24 @@ class TestHistoryRingBuffer:
         assert target.history.maxlen == 8
         assert ([result_tuple(r) for r in target.history]
                 == [result_tuple(r) for r in source.history])
-        assert target.compile_hits == source.compile_hits
-        assert target.fallback == source.fallback
+        assert target.steps == source.steps
+        assert target.transitions_fired == source.transitions_fired
         # Both must continue identically after the round-trip.
         for _ in range(10):
             assert result_tuple(source.step()) == result_tuple(target.step())
+
+    def test_restore_accepts_older_tier_counters(self):
+        source = FsmInstance(counter_fsm(50))
+        for _ in range(5):
+            source.step()
+        state = source.capture_state()
+        assert "compile_hits" not in state and "fallback" not in state
+        # Checkpoints taken before the per-FSM tier was retired carry
+        # per-instance tier counters; they restore and are dropped.
+        state.update(compile_hits=5, fallback=0)
+        target = FsmInstance(counter_fsm(50))
+        target.restore_state(state)
+        assert target.capture_state() == source.capture_state()
 
 
 class TestStateHistoryEviction:
@@ -407,28 +449,30 @@ class TestStateHistoryEviction:
 
 class TestSessionCounters:
     def test_summary_reports_tier_counters(self):
-        system = generate_system(2)
-        # Per-FSM wiring: every step lands on exactly one per-FSM counter.
-        for tier, hot, cold in (("compiled", "compile_hits", "fallback"),
-                                ("interpreted", "fallback", "compile_hits")):
-            session, result = run_cosim(system, "production", tier=tier)
-            counters = result.summary()["fsm"]
-            assert counters["steps"] > 0
-            assert counters["transitions_fired"] > 0
-            assert counters[hot] == counters["steps"]
-            assert counters[cold] == 0
-            assert counters["system_compile_hits"] == 0
+        # Per-FSM wiring: every step is interpreted, and a requested
+        # interpreted tier is no fallback.
+        session, result = run_cosim(generate_system(2), "production",
+                                    tier="interpreted")
+        counters = result.summary()["fsm"]
+        assert counters["steps"] > 0
+        assert counters["transitions_fired"] > 0
+        assert counters["interpreted"] == counters["steps"]
+        assert counters["fallback"] == 0
+        assert counters["system_compile_hits"] == 0
 
     def test_summary_reports_fused_tier_counters(self):
         # Under the fused whole-system tier the controller and hardware
         # steps land on system_compile_hits; software executors and service
-        # instances stay on the per-FSM compiled tier.
+        # instances stay on the interpreter.
         system = generate_system(2)
         session, result = run_cosim(system, "production", tier="fused")
-        counters = result.summary()["fsm"]
-        assert result.summary()["tier"] == "fused"
+        summary = result.summary()
+        counters = summary["fsm"]
+        assert summary["tier"] == "fused"
+        assert summary["tier_reason"] is None
         assert counters["system_compile_hits"] > 0
+        assert counters["interpreted"] > 0
+        assert counters["fallback"] == 0
         assert counters["system_fallback"] == 0
-        assert counters["steps"] == (counters["compile_hits"]
-                                     + counters["fallback"]
+        assert counters["steps"] == (counters["interpreted"]
                                      + counters["system_compile_hits"])

@@ -2,14 +2,14 @@
 
 The fused tier's one promise is *invisibility*: a session run on the
 generated whole-system step function must be byte-identical — waveforms,
-traces, states, kernel statistics — to the compiled per-FSM tier and the
-interpreter, on both kernels.  This file pins that promise over the
+traces, states, kernel statistics — to the interpreted per-FSM tier, on
+both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
 scenario families), plus the machinery around it: batched multi-scenario
 execution, program caching, the lint pre-flight refusal path and the
 tier counters.
 
-The full 334-scenario sweep across all three tiers runs via
+The full 334-scenario sweep across both tiers runs via
 ``python -m repro.testkit --tier differential``; here the same check
 runs at quick scale so tier-1 catches a divergence early.
 """
@@ -47,13 +47,13 @@ from repro.utils.errors import SimulationError
 
 
 class TestLockstepDifferential:
-    """Fused vs compiled vs interpreted, both kernels, byte-identical."""
+    """Fused vs interpreted, both kernels, byte-identical."""
 
     @staticmethod
     def _tier_fingerprints(seed, kernel, until=40_000):
         system = generate_system(seed)
         fingerprints = []
-        for tier in ("fused", "compiled", "interpreted"):
+        for tier in ("fused", "interpreted"):
             session = CosimSession(system.build_model(), kernel=kernel,
                                    tier=tier, **system.cosim_params)
             result = session.run(until=until)
@@ -62,9 +62,7 @@ class TestLockstepDifferential:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_generated_system_identical_across_tiers(self, seed):
-        fused, compiled, interpreted = self._tier_fingerprints(seed,
-                                                               "production")
-        assert fused == compiled
+        fused, interpreted = self._tier_fingerprints(seed, "production")
         assert fused == interpreted
 
     @pytest.mark.parametrize("seed", [2, 7])
@@ -75,7 +73,7 @@ class TestLockstepDifferential:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_full_conformance_matrix_at_quick_scale(self, seed):
         # The complete oracle (completion runs, determinism double-runs,
-        # functional expectations) across all three tiers on both kernels;
+        # functional expectations) across both tiers on both kernels;
         # the 334-scenario version runs via
         # ``python -m repro.testkit --tier differential``.
         problems = check_cosim_conformance(generate_system(seed),
@@ -104,9 +102,9 @@ class TestSessionModes:
         counters = session.fsm_counters()
         assert counters["system_compile_hits"] > 0
         assert counters["system_fallback"] == 0
-        # Every hardware step is accounted to exactly one tier.
-        assert counters["steps"] == (counters["compile_hits"]
-                                     + counters["fallback"]
+        assert counters["fallback"] == 0
+        # Every step is accounted to exactly one engine.
+        assert counters["steps"] == (counters["interpreted"]
                                      + counters["system_compile_hits"])
 
     def test_interpreted_tier_runs_no_fused_program(self):
@@ -116,20 +114,35 @@ class TestSessionModes:
         assert session.wired_tier == "interpreted"
         counters = session.fsm_counters()
         assert counters["system_compile_hits"] == 0
-        assert counters["compile_hits"] == 0
-        assert counters["fallback"] == counters["steps"] > 0
+        assert counters["interpreted"] == counters["steps"] > 0
+        # Requested, not fallen back to.
+        assert counters["fallback"] == 0
 
     def test_unknown_tier_is_refused(self):
-        with pytest.raises(SimulationError, match="unknown tier"):
-            CosimSession(generate_system(0).build_model(), tier="per-fsm")
+        for tier in ("per-fsm", "compiled"):
+            with pytest.raises(SimulationError, match="unknown tier"):
+                CosimSession(generate_system(0).build_model(), tier=tier)
 
-    def test_detect_races_falls_back_to_compiled(self):
+    def test_detect_races_falls_back_to_interpreted(self):
         session = CosimSession(generate_system(0).build_model(),
                                detect_races=True)
         session.build()
         assert session.tier == "fused"
-        assert session.wired_tier == "compiled"
+        assert session.wired_tier == "interpreted"
         assert "detect_races" in session.system_fallback_reason
+
+    @pytest.mark.parametrize("seed,races,reason", [
+        (113, False, "no fusable FSM"),
+        (0, True, "detect_races attributes writes to kernel processes"),
+    ])
+    def test_tier_decision_carries_its_reason(self, seed, races, reason):
+        system = generate_system(seed)
+        session = CosimSession(system.build_model(), detect_races=races,
+                               **system.cosim_params)
+        summary = session.run(until=20_000).summary()
+        assert summary["tier"] == "interpreted"
+        assert summary["tier_reason"].startswith(reason)
+        assert summary["fsm"]["fallback"] == summary["fsm"]["steps"] > 0
 
 
 class TestCheckpointUnderFused:
@@ -157,15 +170,15 @@ class TestCheckpointUnderFused:
                              **system.cosim_params)
         raced.run(until=5_000)
         checkpoint = raced.save()
-        assert checkpoint["tier"] == "compiled"
+        assert checkpoint["tier"] == "interpreted"
         fused = CosimSession(system.build_model(), **system.cosim_params)
         with pytest.raises(SimulationError,
-                           match="tier: checkpoint has 'compiled', "
+                           match="tier: checkpoint has 'interpreted', "
                                  "session has 'fused'"):
             fused.restore(checkpoint)
-        compiled = CosimSession(system.build_model(), tier="compiled",
-                                **system.cosim_params)
-        assert compiled.restore(checkpoint).simulator.now == 5_000
+        interpreted = CosimSession(system.build_model(), tier="interpreted",
+                                   **system.cosim_params)
+        assert interpreted.restore(checkpoint).simulator.now == 5_000
 
 
 class TestBatchedExecution:
@@ -237,10 +250,10 @@ class TestLintPreflight:
         program = compile_system(self._mutant_model(), lint=False)
         assert isinstance(program, SystemProgram)
 
-    def test_session_degrades_to_compiled_with_reason(self):
+    def test_session_degrades_to_interpreted_with_reason(self):
         session = CosimSession(self._mutant_model())
         session.build()
-        assert session.wired_tier == "compiled"
+        assert session.wired_tier == "interpreted"
         assert "lint errors" in session.system_fallback_reason
 
 
@@ -267,14 +280,14 @@ class TestConstantDivisor:
         assert "_div(" not in source.replace("_pos_div(", "")
         assert "_mod(" not in source.replace("_pos_mod(", "")
         fingerprints = []
-        for tier in ("fused", "compiled", "interpreted"):
+        for tier in ("fused", "interpreted"):
             session = CosimSession(self._model(op, divisor), tier=tier)
             result = session.run(until=2_000)
             assert session.wired_tier == tier
             fingerprints.append(cosim_fingerprint(session, result))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+        assert fingerprints[0] == fingerprints[1]
 
-    @pytest.mark.parametrize("tier", ["fused", "compiled"])
+    @pytest.mark.parametrize("tier", ["fused", "interpreted"])
     @pytest.mark.parametrize("op,message", [
         ("div", "division by zero in IR expression"),
         ("mod", "modulo by zero in IR expression"),

@@ -146,8 +146,9 @@ class TestCosimInstrumentation:
         tiers = {entry["labels"]["step_tier"]: entry["value"] for entry in
                  families["repro_cosim_fsm_steps_total"]["series"]}
         fsm = session.fsm_counters()
-        assert tiers.get("compiled", 0) == fsm["compile_hits"]
-        assert tiers.get("interpreted", 0) == fsm["fallback"]
+        assert set(tiers) == {"fused", "interpreted"}
+        assert tiers["fused"] == fsm["system_compile_hits"]
+        assert tiers["interpreted"] == fsm["interpreted"]
         [services] = families["repro_cosim_service_calls_total"]["series"]
         assert services["value"] == len(session.trace)
         names = {span["name"] for span in TELEMETRY.tracer.spans()}
@@ -163,8 +164,8 @@ class TestCosimInstrumentation:
         fsm = session.fsm_counters()
         tiers = {entry["labels"]["step_tier"]: entry["value"] for entry in
                  families["repro_cosim_fsm_steps_total"]["series"]}
-        assert sum(tiers.values()) == (fsm["compile_hits"] + fsm["fallback"]
-                                       + fsm["system_compile_hits"])
+        assert sum(tiers.values()) == fsm["steps"] \
+            == fsm["interpreted"] + fsm["system_compile_hits"]
 
     def test_telemetry_never_perturbs_simulated_results(self):
         _, plain = self._run()

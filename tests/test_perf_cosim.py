@@ -60,19 +60,20 @@ def test_transition_rate_point_counts_transitions():
     assert point["clock_fast_edges"] > 0
 
 
-def test_compiled_point_reports_compiled_steps():
-    point = time_cosim_point(TRANSITION_RATE, 2, "compiled", quick=True)
-    assert point["tier"] == "compiled"
+def test_interpreted_transition_rate_point_takes_clock_fast_path():
+    point = time_cosim_point(TRANSITION_RATE, 2, "interpreted", quick=True)
+    assert point["tier"] == "interpreted"
     assert point["clock_fast_edges"] > 0
-    assert point["fsm"]["compile_hits"] == point["fsm"]["steps"] > 0
+    assert point["fsm"]["interpreted"] == point["fsm"]["steps"] > 0
     assert point["fsm"]["system_compile_hits"] == 0
 
 
-def test_interpreted_point_reports_fallback_steps():
+def test_interpreted_point_reports_interpreted_steps():
     point = time_cosim_point(MIXED_SYSTEM, 1, "interpreted", quick=True)
     assert point["tier"] == "interpreted"
-    assert point["fsm"]["fallback"] == point["fsm"]["steps"] > 0
-    assert point["fsm"]["compile_hits"] == 0
+    assert point["fsm"]["interpreted"] == point["fsm"]["steps"] > 0
+    # The interpreted tier was requested: no fallback.
+    assert point["fsm"]["fallback"] == 0
 
 
 def test_repeats_validated():
@@ -161,7 +162,7 @@ def test_check_fast_paths_flags_lost_tiers():
     fused_ok = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
         "tier": "fused", "clock_fast_edges": 40,
-        "fsm": {"steps": 10, "compile_hits": 0, "fallback": 0,
+        "fsm": {"steps": 10, "interpreted": 0, "fallback": 0,
                 "system_compile_hits": 10, "system_fallback": 0},
     }]}
     ok, lines = check_fast_paths(fused_ok)
@@ -175,21 +176,28 @@ def test_check_fast_paths_flags_lost_tiers():
     fused_lost = {"results": [{
         "workload": "transition_rate", "n_processes": 2,
         "tier": "fused",
-        "fsm": {"steps": 10, "compile_hits": 8, "fallback": 0,
+        "fsm": {"steps": 10, "interpreted": 8, "fallback": 0,
                 "system_compile_hits": 2, "system_fallback": 8},
     }]}
     ok, lines = check_fast_paths(fused_lost)
     assert not ok
     assert any("fused fast path" in line for line in lines)
-    compiled_lost = {"results": [{
+    fell_back = {"results": [dict(
+        fused_ok["results"][0],
+        fsm={"steps": 10, "interpreted": 10, "fallback": 10,
+             "system_compile_hits": 0, "system_fallback": 0},
+    )]}
+    ok, lines = check_fast_paths(fell_back)
+    assert not ok
+    assert any("fused fast path" in line for line in lines)
+    # The interpreted tier has no fast path to lose.
+    interpreted = {"results": [{
         "workload": "mixed_system", "n_processes": 1,
-        "tier": "compiled",
-        "fsm": {"steps": 10, "compile_hits": 5, "fallback": 5,
+        "tier": "interpreted",
+        "fsm": {"steps": 10, "interpreted": 10, "fallback": 0,
                 "system_compile_hits": 0, "system_fallback": 0},
     }]}
-    ok, lines = check_fast_paths(compiled_lost)
-    assert not ok
-    assert any("compiled fast path" in line for line in lines)
+    assert check_fast_paths(interpreted) == (True, [])
 
 
 def test_check_cli_requires_recorded_baseline(tmp_path, capsys):
@@ -215,7 +223,7 @@ def test_check_cli_rejects_baseline_from_wrong_tier(tmp_path, capsys):
 
 
 def test_check_cli_rejects_baseline_from_compiled_tier(tmp_path, capsys):
-    # Compiled FSMs but no fused program: a compiled-tier baseline must not
+    # A ledger recorded before the compiled tier was retired must not
     # gate a fused run, and the refusal names both tiers.
     baseline = _synthetic_run([("transition_rate", 2, 0.5)],
                               tier="compiled", quick=True)

@@ -60,7 +60,9 @@ class TestJobLifecycle:
         assert all(r.state == "done" for r in records)
         cosim = records[1].record
         assert cosim["functional_problems"] == []
-        assert cosim["fsm"]["compile_hits"] > 0
+        assert cosim["tier"] == "fused" and cosim["tier_reason"] is None
+        assert cosim["fsm"]["interpreted"] > 0
+        assert cosim["fsm"]["system_compile_hits"] > 0
         conformance = records[2].record
         assert conformance["ok"] is True
 
@@ -129,11 +131,14 @@ class TestJobLifecycle:
         assert metrics["jobs"]["submitted"] == len(running_service.jobs())
         assert metrics["queue"]["limit"] == running_service.queue_limit
         assert metrics["cache"]["writes"] >= 1
-        # The cosim jobs above ran compiled FSMs; their per-job counters
-        # must have rolled up into the service totals.
-        assert metrics["fsm"]["compile_hits"] > 0
+        # The cosim jobs above ran fused and interpreted FSMs; their
+        # per-job counters must have rolled up into the service totals.
+        assert "compile_hits" not in metrics["fsm"]
+        assert metrics["fsm"]["interpreted"] > 0
+        assert metrics["fsm"]["system_compile_hits"] > 0
         assert metrics["fsm"]["steps"] > 0
         assert metrics["fsm"]["fallback"] == 0
+        assert metrics["fsm"]["system_fallback"] == 0
 
 
 class TestQueueShape:
@@ -355,6 +360,16 @@ class TestHttpServer:
                                     "scenario": "system-0",
                                     "tier": "per-fsm"})
         assert status == 400 and "unknown tier 'per-fsm'" in reply["error"]
+        status, reply = self._call(endpoint, "GET", "/jobs")
+        assert status == 200 and not reply["jobs"]
+
+    def test_http_refuses_the_retired_compiled_tier(self, endpoint):
+        for spec in ({"kind": "cosim", "seed": 0, "tier": "compiled"},
+                     {"kind": "conformance", "scenario": "system-0",
+                      "tier": "compiled"}):
+            status, reply = self._call(endpoint, "POST", "/jobs", spec)
+            assert status == 400
+            assert "unknown tier 'compiled'" in reply["error"]
         status, reply = self._call(endpoint, "GET", "/jobs")
         assert status == 200 and not reply["jobs"]
 

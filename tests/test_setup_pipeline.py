@@ -1,9 +1,10 @@
-"""One setup pass per scenario: one model, one lint, lazy per-FSM programs.
+"""One setup pass per scenario: one model, one lint, no per-FSM programs.
 
 A single-scenario ``CosimJob`` builds its model once; the sweep pre-flight,
 the session's validation and the fused-codegen gate read one staged lint
-memo; per-FSM programs are compiled on first per-FSM step and keyed on FSM
-content in a bounded LRU, as is the whole-system code cache.
+memo; no per-FSM program is compiled (FSMs outside the fused step run on
+the interpreter).  The whole-system code cache, and the retired per-FSM
+program cache, are keyed on content in bounded LRUs.
 """
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro.apps.motor_controller.system import build_system
 from repro.core import validate_model
 from repro.cosim import CosimSession
-from repro.ir import FsmInstance, compile_system
+from repro.ir import compile_system
 from repro.ir import compile as ir_compile
 from repro.ir import syscompile
 from repro.lint import engine, lint_model
@@ -59,20 +60,22 @@ class TestOneSetupPass:
 
         monkeypatch.setattr(GeneratedSystem, "build_model", counting_build)
         extended = _count_calls(monkeypatch, engine, "_extended_stage")
-        compiled = _count_calls(monkeypatch, ir_compile, "compile_fsm")
         record, _ = CosimJob(9).execute()
         assert record["error"] is None
         assert not record["functional_problems"]
         assert record["tier"] == "fused"
         assert len(models) == 1
         assert len(extended) == 1
-        fused = {id(fsm) for fsm in _fused_fsms(models[0])}
-        assert fused
-        stepped = [args[0] for args in compiled]
-        # Services and software FSMs still step per-FSM and compile ...
-        assert stepped
-        # ... but no controller or hardware FSM does.
-        assert not [fsm.name for fsm in stepped if id(fsm) in fused]
+        assert _fused_fsms(models[0])
+
+    def test_fused_job_compiles_no_per_fsm_program(self, monkeypatch):
+        compiled = _count_calls(monkeypatch, ir_compile, "compile_fsm")
+        record, _ = CosimJob(9).execute()
+        assert record["tier"] == "fused"
+        # Services and software FSMs step per-FSM, on the interpreter.
+        assert record["fsm"]["interpreted"] > 0
+        assert record["fsm"]["system_compile_hits"] > 0
+        assert compiled == []
 
     def test_checkpointed_job_restores_into_the_same_model(self, monkeypatch):
         builds = _count_calls(monkeypatch, GeneratedSystem, "build_model")
@@ -134,12 +137,6 @@ class TestBoundedProgramCaches:
             state.stay()
         return build.build(initial="Run")
 
-    @staticmethod
-    def _history(fsm):
-        instance = FsmInstance(fsm, trace=True)
-        instance.run_to_done()
-        return ([(r.from_state, r.to_state, r.fired, r.done)
-                 for r in instance.history], instance.env, instance._program)
 
     def test_default_bounds_are_fixed(self):
         assert ir_compile._PROGRAM_CACHE.maxsize == ir_compile.PROGRAM_CACHE_SIZE
@@ -150,15 +147,16 @@ class TestBoundedProgramCaches:
     def test_fsm_program_lru_stays_bounded_and_recompiles(self, monkeypatch):
         monkeypatch.setattr(ir_compile, "_PROGRAM_CACHE", LruCache(3))
         first = self._counter(2)
-        steps, env, program = self._history(first)
+        program = ir_compile.compile_fsm(first)
         for limit in range(3, 7):
             ir_compile.compile_fsm(self._counter(limit))
             assert len(ir_compile._PROGRAM_CACHE) <= 3
         assert len(ir_compile._PROGRAM_CACHE) == 3
         assert ir_compile.fsm_digest(first) not in ir_compile._PROGRAM_CACHE
-        again_steps, again_env, again = self._history(self._counter(2))
+        again = ir_compile.compile_fsm(self._counter(2))
         assert again is not program
-        assert (again_steps, again_env) == (steps, env)
+        assert (again.initial, list(again.states), again.done_states) \
+            == (program.initial, list(program.states), program.done_states)
 
     def test_system_code_lru_stays_bounded_and_recompiles(self, monkeypatch):
         monkeypatch.setattr(syscompile, "_CODE_CACHE", LruCache(2))
@@ -192,22 +190,25 @@ class TestNoFusableFsm:
     def test_identical_across_tiers_with_reason(self):
         system = generate_system(NO_FUSABLE_SEED)
         fingerprints = {}
-        for tier in ("fused", "compiled", "interpreted"):
+        for tier in ("fused", "interpreted"):
             session = CosimSession(system.build_model(), tier=tier,
                                    **system.cosim_params)
             result = session.run(until=40_000)
             fingerprints[tier] = cosim_fingerprint(session, result)
+            assert session.wired_tier == "interpreted"
             if tier == "fused":
-                assert session.wired_tier == "compiled"
                 assert session.system_fallback_reason == "no fusable FSM"
-        assert fingerprints["fused"] == fingerprints["compiled"]
         assert fingerprints["fused"] == fingerprints["interpreted"]
 
     def test_job_runs_clean(self):
         record, _ = CosimJob(NO_FUSABLE_SEED).execute()
         assert record["error"] is None
         assert not record["functional_problems"]
-        assert record["tier"] == "compiled"
+        assert record["tier"] == "interpreted"
+        assert record["tier_reason"] == "no fusable FSM"
+        # Every step fell back to the interpreter, and says so.
+        assert record["fsm"]["fallback"] == record["fsm"]["interpreted"] \
+            == record["fsm"]["steps"] > 0
 
 
 class TestInterpretedJob:
@@ -218,6 +219,8 @@ class TestInterpretedJob:
         assert record["error"] is None
         assert not record["functional_problems"]
         assert record["tier"] == "interpreted"
-        assert record["fsm"]["compile_hits"] == 0
+        assert record["tier_reason"] is None
+        assert record["fsm"]["interpreted"] == record["fsm"]["steps"]
+        assert record["fsm"]["fallback"] == 0
         default, _ = CosimJob(0).execute()
         assert record["fingerprint_digest"] == default["fingerprint_digest"]

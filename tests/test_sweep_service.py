@@ -164,6 +164,9 @@ class TestJobBehaviour:
 
     def test_unknown_tier_is_refused_at_construction(self):
         for spec in ({"kind": "cosim", "seed": 0, "tier": "bogus"},
+                     {"kind": "cosim", "seed": 0, "tier": "compiled"},
+                     {"kind": "conformance", "scenario": "system-0",
+                      "tier": "compiled"},
                      {"kind": "cosim", "seed": 0, "tier": "differential"},
                      {"kind": "conformance", "scenario": "system-0",
                       "tier": "per-fsm"}):

@@ -92,6 +92,13 @@ class TestKit:
         with pytest.raises(ValueError):
             replay("bogus-name")
 
+    def test_differential_expands_to_four_variants(self):
+        kernels = ("production", "reference")
+        assert variant_matrix(kernels, "differential") == [
+            ("production", "fused"), ("production", "interpreted"),
+            ("reference", "fused"), ("reference", "interpreted"),
+        ]
+
     def test_report_aggregation(self):
         report = run_conformance(kernel_tier=(("tiny", 2),), cosim_models=1,
                                  cosyn_models=1, fault_seeds=0,
@@ -104,14 +111,14 @@ class TestKit:
         """The quick fault/realtime tiers hold on every execution tier.
 
         ``tier="differential"`` runs every fault and real-time scenario on
-        both kernels crossed with the fused, compiled *and* interpreted
-        tiers and cross-checks the full variant matrix, at quick scale.
+        both kernels crossed with the fused *and* interpreted tiers and
+        cross-checks the full variant matrix, at quick scale.
         """
         kernels = ("production", "reference")
         assert variant_matrix(kernels, "differential") == [
             (kernel, tier) for kernel in kernels for tier in TIERS
         ]
-        assert TIERS == ("fused", "compiled", "interpreted")
+        assert TIERS == ("fused", "interpreted")
         assert variant_matrix(kernels) == [("production", "fused"),
                                            ("reference", "fused")]
         report = run_conformance(kernel_tier=(), cosim_models=0,
@@ -182,10 +189,11 @@ class TestWorkloadSourceHook:
     def test_tier_cli_accepts_one_axis(self, capsys):
         from repro.testkit.__main__ import main
 
-        assert main(["--replay", "system-1", "--tier", "compiled"]) == 0
+        assert main(["--replay", "system-1", "--tier", "interpreted"]) == 0
         assert "system-1: ok" in capsys.readouterr().out
-        with pytest.raises(SystemExit):
-            main(["--tier", "per-fsm"])
+        for retired in ("per-fsm", "compiled"):
+            with pytest.raises(SystemExit):
+                main(["--tier", retired])
         # A coverage campaign runs one tier; it cannot cross-check.
         with pytest.raises(SystemExit):
             main(["--coverage", "--tier", "differential"])

@@ -227,21 +227,25 @@ def check_against_baseline(baseline_run, run, max_slowdown=DEFAULT_MAX_SLOWDOWN)
 def check_fast_paths(run):
     """Counter-based (hardware-independent) gate lines; returns (ok, lines).
 
-    On the fused tier, every point must report no tier fallback, zero
-    runtime delegation (``system_fallback``) and nonzero fused activity,
-    and the kernel must have fired clock edges on its arithmetic fast
-    path (``clock_fast_edges``; a point without the count fails too).
-    Interpreted points are not gated.  A lost fast path fails the gate
-    even when the wall-clock ratio happens to still look green.
+    When the run requested the fused tier (the run's ``tier``), every
+    point must have wired it (a point records the tier it wired, so a
+    fallen-back point reads ``interpreted``), report no tier fallback,
+    zero runtime delegation (``system_fallback``) and nonzero fused
+    activity, and the kernel must have fired clock edges on its
+    arithmetic fast path (``clock_fast_edges``; a point without the count
+    fails too).  Runs of the interpreted tier are not gated.  A lost fast
+    path fails the gate even when the wall-clock ratio happens to still
+    look green.
     """
     ok = True
     lines = []
+    if run.get("tier") != "fused":
+        return ok, lines
     for point in run.get("results", ()):
         counters = point["fsm"]
         prefix = f"{point['workload']:<16} n={point['n_processes']:<4}"
-        if point.get("tier") != "fused":
-            continue
-        if (counters["system_fallback"]
+        if (point.get("tier") != "fused"
+                or counters["system_fallback"]
                 or not counters["system_compile_hits"]
                 or counters["fallback"]):
             ok = False

@@ -545,6 +545,11 @@ class CosimSession:
                 f"{checkpoint.get('format')!r}"
             )
         self.build()  # resolves the wired tier compared below
+        # The retired per-FSM "compiled" tier registered the same kernel
+        # processes as "interpreted"; its checkpoints restore there.
+        tier = checkpoint["tier"]
+        if tier == "compiled":
+            tier = "interpreted"
         mismatches = [
             f"{what}: checkpoint has {theirs!r}, session has {ours!r}"
             for what, theirs, ours in (
@@ -555,7 +560,7 @@ class CosimSession:
                  self.sw_activation_period),
                 ("activation policy", checkpoint["policy"],
                  self.activation_policy.name),
-                ("tier", checkpoint["tier"], self.wired_tier),
+                ("tier", tier, self.wired_tier),
             )
             if theirs != ours
         ]

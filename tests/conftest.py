@@ -11,7 +11,73 @@ from repro.comm import handshake_channel
 from repro.core import SystemModel, SoftwareModule, HardwareModule
 from repro.core.service import Service, ServiceParam
 from repro.ir import FsmBuilder, Assign, PortWrite, var, port, INT
+from repro.ir.compile import compile_fsm
+from repro.ir.interp import StepResult
 from repro.ir.dtypes import word_type
+
+
+class ProgramStepper:
+    """Steps a :func:`compile_fsm` program the way FsmInstance steps the IR."""
+
+    def __init__(self, fsm, ports, call_handler, reset_on_done=False):
+        self.program = compile_fsm(fsm)
+        self.ports = ports
+        self.call_handler = call_handler
+        self.reset_on_done = reset_on_done
+        self.current = fsm.initial
+        self.env = {name: decl.init for name, decl in fsm.variables.items()}
+        self.transitions_fired = 0
+
+    def run_to_done(self, max_steps=10_000):
+        """Step until a done state; return every StepResult on the way."""
+        history = []
+        for _ in range(max_steps):
+            history.append(self.step())
+            if history[-1].done:
+                return history
+        raise AssertionError(f"program did not finish within {max_steps} steps")
+
+    def step(self, args=None):
+        if args:
+            self.env.update(args)
+        program = self.program
+        from_state = self.current
+        state = program.states[from_state]
+        called = None
+        if state.stepper is not None:
+            current, fired = state.stepper(self.env, self.ports)
+        else:
+            current, fired, called = self._call_transitions(state)
+        self.transitions_fired += fired
+        self.current = current
+        done = current in program.done_states
+        result = (self.env.get(program.result_var)
+                  if done and program.result_var else None)
+        if done and self.reset_on_done:
+            self.current = program.initial
+        return StepResult(from_state, current, fired, done, result, called)
+
+    def _call_transitions(self, state):
+        env, ports = self.env, self.ports
+        if state.actions is not None:
+            state.actions(env, ports)
+        called = None
+        for transition in state.transitions:
+            if transition.call is not None:
+                called = transition.service
+                args = (transition.args(env, ports)
+                        if transition.args is not None else [])
+                call_done, value = self.call_handler(transition.call, args)
+                if call_done and transition.store:
+                    env[transition.store] = value
+                if not call_done:
+                    continue
+            if transition.guard is not None and not transition.guard(env, ports):
+                continue
+            if transition.actions is not None:
+                transition.actions(env, ports)
+            return transition.target, True, called
+        return state.name, False, called
 
 
 def make_put_like_service(name="PUT", prefix=""):

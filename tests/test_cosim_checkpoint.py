@@ -151,6 +151,27 @@ class TestSessionCheckpoint:
         )
         assert actual == expected
 
+    def test_restore_accepts_checkpoint_of_retired_compiled_tier(self):
+        # Before the per-FSM compiled tier was retired, a fused session
+        # that could not fuse wired "compiled" (the same kernel processes
+        # as "interpreted") and every FSM state carried tier counters.
+        system = generate_system(0)
+        straight = make_session(system)
+        expected = cosim_fingerprint(straight, straight.run(until=30_000))
+
+        interrupted = CosimSession(system.build_model(), detect_races=True,
+                                   **system.cosim_params)
+        interrupted.run(until=12_345)
+        assert interrupted.wired_tier == "interpreted"
+        checkpoint = interrupted.save()
+        checkpoint["tier"] = "compiled"
+        for entry in checkpoint["controllers"].values():
+            entry["instance"].update(compile_hits=7, fallback=0)
+        resumed = CosimSession(system.build_model(), detect_races=True,
+                               **system.cosim_params).restore(checkpoint)
+        actual = cosim_fingerprint(resumed, resumed.run(until=30_000))
+        assert actual == expected
+
     def test_restore_rejects_parameter_mismatch(self):
         system = generate_system(0)
         checkpoint = make_session(system).save()

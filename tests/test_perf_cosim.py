@@ -159,7 +159,7 @@ def test_check_against_baseline_rejects_vacuous_comparison():
 
 
 def test_check_fast_paths_flags_lost_tiers():
-    fused_ok = {"results": [{
+    fused_ok = {"tier": "fused", "results": [{
         "workload": "transition_rate", "n_processes": 2,
         "tier": "fused", "clock_fast_edges": 40,
         "fsm": {"steps": 10, "interpreted": 0, "fallback": 0,
@@ -168,12 +168,13 @@ def test_check_fast_paths_flags_lost_tiers():
     ok, lines = check_fast_paths(fused_ok)
     assert ok and not lines
     for edges in (0, None):
-        clock_lost = {"results": [dict(fused_ok["results"][0],
+        clock_lost = {"tier": "fused",
+                      "results": [dict(fused_ok["results"][0],
                                        clock_fast_edges=edges)]}
         ok, lines = check_fast_paths(clock_lost)
         assert not ok
         assert any("kernel clock fast path" in line for line in lines)
-    fused_lost = {"results": [{
+    fused_lost = {"tier": "fused", "results": [{
         "workload": "transition_rate", "n_processes": 2,
         "tier": "fused",
         "fsm": {"steps": 10, "interpreted": 8, "fallback": 0,
@@ -182,8 +183,9 @@ def test_check_fast_paths_flags_lost_tiers():
     ok, lines = check_fast_paths(fused_lost)
     assert not ok
     assert any("fused fast path" in line for line in lines)
-    fell_back = {"results": [dict(
-        fused_ok["results"][0],
+    # A fused request that fell back records the tier it wired.
+    fell_back = {"tier": "fused", "results": [dict(
+        fused_ok["results"][0], tier="interpreted", clock_fast_edges=40,
         fsm={"steps": 10, "interpreted": 10, "fallback": 10,
              "system_compile_hits": 0, "system_fallback": 0},
     )]}
@@ -191,7 +193,7 @@ def test_check_fast_paths_flags_lost_tiers():
     assert not ok
     assert any("fused fast path" in line for line in lines)
     # The interpreted tier has no fast path to lose.
-    interpreted = {"results": [{
+    interpreted = {"tier": "interpreted", "results": [{
         "workload": "mixed_system", "n_processes": 1,
         "tier": "interpreted",
         "fsm": {"steps": 10, "interpreted": 10, "fallback": 0,

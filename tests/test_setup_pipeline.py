@@ -12,14 +12,15 @@ import pytest
 from repro.apps.motor_controller.system import build_system
 from repro.core import validate_model
 from repro.cosim import CosimSession
-from repro.ir import compile_system
 from repro.ir import compile as ir_compile
-from repro.ir import syscompile
+from repro.ir import compile_system, syscompile
+from repro.ir.interp import DictPortAccessor
 from repro.lint import engine, lint_model
 from repro.sweep.jobs import CosimJob
 from repro.testkit.models import GeneratedSystem, generate_system
 from repro.testkit.oracles import cosim_fingerprint
 from repro.utils.lru import LruCache
+from tests.conftest import ProgramStepper
 
 #: Testkit seed whose model has no fusable FSM (no controllers, no
 #: hardware-module behaviours).
@@ -137,6 +138,12 @@ class TestBoundedProgramCaches:
             state.stay()
         return build.build(initial="Run")
 
+    @staticmethod
+    def _history(fsm):
+        stepper = ProgramStepper(fsm, DictPortAccessor(), call_handler=None)
+        steps = [(r.from_state, r.to_state, r.fired, r.done)
+                 for r in stepper.run_to_done()]
+        return steps, stepper.env, stepper.program
 
     def test_default_bounds_are_fixed(self):
         assert ir_compile._PROGRAM_CACHE.maxsize == ir_compile.PROGRAM_CACHE_SIZE
@@ -147,16 +154,15 @@ class TestBoundedProgramCaches:
     def test_fsm_program_lru_stays_bounded_and_recompiles(self, monkeypatch):
         monkeypatch.setattr(ir_compile, "_PROGRAM_CACHE", LruCache(3))
         first = self._counter(2)
-        program = ir_compile.compile_fsm(first)
+        steps, env, program = self._history(first)
         for limit in range(3, 7):
             ir_compile.compile_fsm(self._counter(limit))
             assert len(ir_compile._PROGRAM_CACHE) <= 3
         assert len(ir_compile._PROGRAM_CACHE) == 3
         assert ir_compile.fsm_digest(first) not in ir_compile._PROGRAM_CACHE
-        again = ir_compile.compile_fsm(self._counter(2))
+        again_steps, again_env, again = self._history(self._counter(2))
         assert again is not program
-        assert (again.initial, list(again.states), again.done_states) \
-            == (program.initial, list(program.states), program.done_states)
+        assert (again_steps, again_env) == (steps, env)
 
     def test_system_code_lru_stays_bounded_and_recompiles(self, monkeypatch):
         monkeypatch.setattr(syscompile, "_CODE_CACHE", LruCache(2))

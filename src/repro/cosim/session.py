@@ -313,9 +313,10 @@ class CosimSession:
         # before any controller.
         register = self.wired_tier != "fused"
         if not register:
-            self._fused_process = self.simulator.add_fused_process(
-                "system_fused", _unbound_system_step, self.clock
-            )
+            # No edge-filter wrapper frame: the fused step checks the edge.
+            self._fused_process = self.simulator.add_process(
+                "system_fused", _unbound_system_step, sensitivity=[self.clock],
+                initial_run=False)
         for unit in self.model.comm_units.values():
             signals = self.unit_signals[unit.name]
             for controller in unit.controllers:

@@ -55,11 +55,11 @@ class _KernelObs:
     """Instruments cached for one telemetry-enabled :meth:`Simulator.run`.
 
     Bound once per ``run()`` call (:meth:`Simulator._obs_bind`), so the
-    instrumented delta loop increments plain attributes instead of doing
-    registry lookups per delta cycle.  ``profile`` accumulates per-process
-    ``[runs, seconds]`` locally and is flushed into labelled counters when
-    the run returns — both kernels report under the same counter names,
-    distinguished only by the ``kernel`` label.
+    delta loop's telemetry branches increment plain attributes instead of
+    doing registry lookups per delta cycle.  ``profile`` accumulates
+    per-process ``[runs, seconds]`` locally and is flushed into labelled
+    counters when the run returns — both kernels report under the same
+    counter names, distinguished only by the ``kernel`` label.
     """
 
     __slots__ = ("registry", "labels", "update_s", "wake_s", "run_s",
@@ -112,10 +112,15 @@ class _KernelObs:
         """
         self.delta_depth.observe(0)
         self.timeout_depth.observe(timeout_depth)
+        self.profile_run(process_name, 0.0)
+
+    def profile_run(self, process_name, seconds):
+        """Add one run of *process_name* taking *seconds* to the profile."""
         entry = self.profile.get(process_name)
         if entry is None:
             self.profile[process_name] = entry = [0, 0.0]
         entry[0] += 1
+        entry[1] += seconds
 
     def flush(self, statistics, stats_before, fast_edges):
         """Export the run's statistics deltas and per-process profile.
@@ -326,23 +331,6 @@ class Simulator:
                 func()
 
         return self.add_process(name, on_edge, sensitivity=[clock],
-                                initial_run=False)
-
-    def add_fused_process(self, name, func, clock):
-        """Register a whole-system fused stepper on *clock*'s sensitivity list.
-
-        Unlike :meth:`add_clocked_process` there is no edge-filtering
-        wrapper: *func* is entered on **every** transition of *clock* and
-        performs its own edge check.  The fused stepper generated by
-        :mod:`repro.ir.syscompile` folds the edge filter, the per-instance
-        dispatch and the run-statistics compensation of all the clocked
-        processes it replaces into one code object, so a wrapper frame here
-        would be pure per-delta overhead on the hottest call in the
-        simulator.  Returns the created :class:`Process`; its ``func`` may
-        be rebound after registration (the session binds the generated code
-        once the whole backplane exists).
-        """
-        return self.add_process(name, func, sensitivity=[clock],
                                 initial_run=False)
 
     def add_clock(self, name, period, start_value=0, start_delay=0):
@@ -660,9 +648,9 @@ class Simulator:
     def _obs_bind(self):
         """(Re)bind cached telemetry instruments for the next run.
 
-        The disabled fast path is this one attribute check: with telemetry
-        off, ``self._obs`` stays ``None`` and every instrumented loop
-        dispatches straight to its uninstrumented twin.
+        With telemetry off, ``self._obs`` stays ``None`` and the one delta
+        loop (:meth:`_drain_deltas`, :meth:`_run_processes`) skips every
+        instrument behind an ``is None`` check.
         """
         if not TELEMETRY.enabled:
             self._obs = None
@@ -678,10 +666,9 @@ class Simulator:
         """Run delta cycles from *delta* until the time point settles.
 
         *delta* is 1 after a fast-path clock edge (:meth:`_clock_edge`
-        already did delta 0's work).
+        already did delta 0's work).  With telemetry bound, each delta also
+        samples the queue depths and times its update, wake and run phases.
         """
-        if self._obs is not None:
-            return self._drain_deltas_obs(self._obs, delta)
         # Guarded phase dispatch: each phase call below is skipped when its
         # input is visibly empty (no queued transactions, no changed
         # signals, no matured deadline at the heap top).  The skipped calls
@@ -693,82 +680,42 @@ class Simulator:
         # clock edge) gets cheaper.  A ``done`` wait surfacing at the heap
         # top with a future deadline is left for a later guard pass to
         # discard — the same lazy-invalidation contract ``_peek_deadline``
-        # already implements.  The deadline guard only holds when matured
-        # deadlines surface at ``_timeout_heap[0]`` (``deadlines_in_heap``);
-        # the reference kernel keeps them in a flat list and opts out.
+        # already implements.  Kernels without ``deadlines_in_heap`` opt out
+        # of the deadline guard.
         self.delta = delta
         statistics = self.statistics
         now = self.now
         guard_deadlines = self.deadlines_in_heap
+        obs = self._obs
         while True:
             if self._delta_writes:
                 self._race_scan()
+            if obs is not None:
+                obs.delta_depth.observe(len(self._delta_queue))
+                obs.timeout_depth.observe(self._obs_timeout_depth())
+                begin = time.perf_counter()
             changed = self._update_phase() if self._delta_queue else ()
+            if obs is not None:
+                updated = time.perf_counter()
             runnable = self._collect_runnable(changed) if changed else []
-            if guard_deadlines:
-                heap = self._timeout_heap
-                if heap and heap[0][0] <= now:
-                    expired = self._expired_waits()
-                    if expired:
-                        runnable.extend(expired)
-            else:
+            heap = self._timeout_heap
+            if not guard_deadlines or heap and heap[0][0] <= now:
                 expired = self._expired_waits()
                 if expired:
                     runnable.extend(expired)
+            if obs is not None:
+                woken = time.perf_counter()
+                obs.update_s.inc(updated - begin)
+                obs.wake_s.inc(woken - updated)
             if not changed and not runnable and not self._delta_queue:
                 break
             self._run_processes(runnable)
+            if obs is not None:
+                obs.run_s.inc(time.perf_counter() - woken)
             for signal in changed:
                 signal.clear_event()
-            if self.monitors:
-                self._check_monitors()
-            self.delta += 1
-            statistics["delta_cycles"] += 1
-            if self.delta > self.max_deltas:
-                raise SimulationError(
-                    f"delta-cycle limit exceeded at {format_time(self.now)}; "
-                    "combinational loop or zero-delay oscillation"
-                )
-
-    def _drain_deltas_obs(self, obs, delta=0):
-        """The delta loop with wall-clock phase timing and depth sampling.
-
-        A timed twin of :meth:`_drain_deltas` — same phase calls in the
-        same order, with ``perf_counter`` brackets around the update phase,
-        the wake scan (runnable collection + deadline expiry) and the
-        process-execution phase, plus one depth observation per delta.
-        Keeping the uninstrumented loop untouched is the point: telemetry
-        off costs one ``is not None`` check per drain.  The conformance
-        sweep runs with telemetry enabled to pin that both loops produce
-        identical simulations.
-        """
-        self.delta = delta
-        statistics = self.statistics
-        perf = time.perf_counter
-        while True:
-            obs.delta_depth.observe(len(self._delta_queue))
-            obs.timeout_depth.observe(self._obs_timeout_depth())
-            if self._delta_writes:
-                self._race_scan()
-            begin = perf()
-            changed = self._update_phase()
-            updated = perf()
-            runnable = self._collect_runnable(changed)
-            expired = self._expired_waits()
-            if expired:
-                runnable.extend(expired)
-            woken = perf()
-            obs.update_s.inc(updated - begin)
-            obs.wake_s.inc(woken - updated)
-            if not changed and not runnable and not self._delta_queue:
-                break
-            ran_at = perf()
-            self._run_processes_obs(runnable, obs.profile)
-            obs.run_s.inc(perf() - ran_at)
-            for signal in changed:
-                signal.clear_event()
-            if self.monitors:
-                self._check_monitors()
+            for monitor in self.monitors:
+                monitor.check(self)
             self.delta += 1
             statistics["delta_cycles"] += 1
             if self.delta > self.max_deltas:
@@ -870,19 +817,23 @@ class Simulator:
         sensitivity-list processes — always runnable when their signal
         fires, the dominant co-simulation shape — take a direct-call fast
         path with no generator bookkeeping, and the run statistic is
-        accumulated locally and added once.
+        accumulated locally and added once.  With telemetry bound, each run
+        is also timed into the profile (:meth:`_KernelObs.profile_run`).
         """
         if not runnable:
             return
         runs = 0
         suspend = self._suspend
         detect = self.detect_races
+        obs = self._obs
         for process in runnable:
             if process.finished:
                 continue
             runs += 1
             if detect:
                 self._current_writer = process.name
+            if obs is not None:
+                begin = time.perf_counter()
             if process.is_generator:
                 condition = process.step()
                 if not process.finished:
@@ -890,43 +841,8 @@ class Simulator:
             else:
                 process.run_count += 1
                 process.func()
-        if detect:
-            self._current_writer = None
-        self.statistics["process_runs"] += runs
-
-    def _run_processes_obs(self, runnable, profile):
-        """Timed twin of :meth:`_run_processes`: per-process wall seconds.
-
-        *profile* maps process name to ``[runs, seconds]``; it lives on the
-        bound :class:`_KernelObs` and is flushed into labelled counters
-        when ``run()`` returns, so the hot-spot accounting costs two dict
-        operations per process run while live.
-        """
-        if not runnable:
-            return
-        runs = 0
-        suspend = self._suspend
-        detect = self.detect_races
-        perf = time.perf_counter
-        for process in runnable:
-            if process.finished:
-                continue
-            runs += 1
-            if detect:
-                self._current_writer = process.name
-            begin = perf()
-            if process.is_generator:
-                condition = process.step()
-                if not process.finished:
-                    suspend(process, condition)
-            else:
-                process.run_count += 1
-                process.func()
-            entry = profile.get(process.name)
-            if entry is None:
-                profile[process.name] = entry = [0, 0.0]
-            entry[0] += 1
-            entry[1] += perf() - begin
+            if obs is not None:
+                obs.profile_run(process.name, time.perf_counter() - begin)
         if detect:
             self._current_writer = None
         self.statistics["process_runs"] += runs
@@ -985,10 +901,6 @@ class Simulator:
                 self._timeout_heap, (wait.resume_at, wait.seq, wait)
             )
             self._next_time_dirty = True
-
-    def _check_monitors(self):
-        for monitor in self.monitors:
-            monitor.check(self)
 
     # ------------------------------------------------------- snapshot/restore
 

@@ -197,6 +197,7 @@ def selfcheck(quick=True):
     TELEMETRY.enable()
     try:
         jobs = [KernelJob("tiny", seed) for seed in range(2 if quick else 8)]
+        jobs += [KernelJob("tiny", 0, kernel="reference")]
         jobs += [CosimJob(seed) for seed in range(1 if quick else 4)]
         report = SweepService(jobs, workers=1).run()
         assert report.ok, f"sweep failed:\n{report.summary()}"
@@ -204,23 +205,32 @@ def selfcheck(quick=True):
 
         artifact = TELEMETRY.export()
         spans = artifact["trace"]["spans"]
+        families = artifact["metrics"]["families"]
         assert any(span["name"] == "sweep.job" for span in spans), \
             "no sweep.job spans were traced"
         assert any(f["name"] == "repro_kernel_phase_seconds_total"
-                   for f in artifact["metrics"]["families"]), \
+                   for f in families), \
             "kernel phase counters missing from the registry"
         note(f"artefact holds {len(spans)} spans and "
-             f"{len(artifact['metrics']['families'])} metric families")
-        fast_edges = sum(
-            series["value"]
-            for family in artifact["metrics"]["families"]
-            if family["name"] == "repro_kernel_clock_fast_edges_total"
-            for series in family["series"]
-        )
+             f"{len(families)} metric families")
+
+        def total(name, kernel=None):
+            return sum(series["value"] for family in families
+                       if family["name"] == name for series in family["series"]
+                       if kernel in (None, series["labels"]["kernel"]))
+
+        fast_edges = total("repro_kernel_clock_fast_edges_total")
         assert fast_edges > 0, \
             "the kernel clock fast path never fired with telemetry on"
         note(f"kernel clock fast path taken under telemetry "
              f"({fast_edges:g} edges)")
+        # The reference label only: production CosimJobs add fused-step
+        # run compensation to process_runs that the profiler cannot see.
+        profiled = total("repro_kernel_process_profile_runs_total", "reference")
+        counted = total("repro_kernel_process_runs_total", "reference")
+        assert counted > 0 and profiled == counted, \
+            f"profiler saw {profiled:g} of {counted:g} reference process runs"
+        note(f"profiler attributes all {counted:g} reference process runs")
 
         trace = chrome_trace(artifact["trace"])
         events = validate_chrome_trace(

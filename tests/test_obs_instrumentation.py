@@ -26,8 +26,12 @@ def clean_global_telemetry():
     TELEMETRY.reset()
 
 
-def _timeout_scenario(sim):
-    """A small mixed workload: clocked counter + signal wait with deadline."""
+def _timeout_scenario(sim, racer=False):
+    """A small mixed workload: clocked counter + signal wait with deadline.
+
+    *racer* adds a second driver of ``data`` writing in the producer's
+    deltas, so ``detect_races`` has same-delta write races to log.
+    """
     clk = sim.add_clock("clk", period=20)
     data = sim.add_signal("data", init=0)
 
@@ -36,16 +40,26 @@ def _timeout_scenario(sim):
             sim.schedule(data, value + 1)
             yield Timeout(30)
 
+    def rival():
+        while True:
+            sim.schedule(data, 99)
+            yield Timeout(30)
+
     def watcher():
         while True:
-            yield SignalChange([data], timeout=7)
+            yield SignalChange(data, timeout=7)
 
     ticks = []
     sim.add_process("count", lambda: ticks.append(sim.now),
                     sensitivity=[clk])
     sim.add_process("producer", producer)
     sim.add_process("watcher", watcher)
+    if racer:
+        sim.add_process("rival", rival)
     sim.run(until=200)
+
+
+KERNELS = [(Simulator, "production"), (ReferenceSimulator, "reference")]
 
 
 def _families(registry):
@@ -61,10 +75,7 @@ class TestKernelInstrumentation:
         assert len(TELEMETRY.tracer) == 0
         assert TELEMETRY.metrics.as_dict()["families"] == []
 
-    @pytest.mark.parametrize("factory,label", [
-        (Simulator, "production"),
-        (ReferenceSimulator, "reference"),
-    ])
+    @pytest.mark.parametrize("factory,label", KERNELS)
     def test_both_kernels_export_the_same_counter_names(self, factory,
                                                         label):
         TELEMETRY.enable()
@@ -98,6 +109,18 @@ class TestKernelInstrumentation:
             assert entry["value"] == sim.statistics[stat]
         assert sim.statistics["timeouts"] > 0  # the scenario exercises it
 
+    @pytest.mark.parametrize("factory,label", KERNELS)
+    def test_profiler_attributes_every_process_run(self, factory, label):
+        """Initial runs from ``_start`` included: every run is profiled."""
+        TELEMETRY.enable()
+        sim = factory()
+        _timeout_scenario(sim)
+        families = _families(TELEMETRY.metrics)
+        series = families["repro_kernel_process_profile_runs_total"]["series"]
+        profiled = sum(entry["value"] for entry in series
+                       if entry["labels"]["kernel"] == label)
+        assert profiled == sim.statistics["process_runs"]
+
     def test_per_process_profile_names_every_process(self):
         TELEMETRY.enable()
         _timeout_scenario(Simulator())
@@ -116,14 +139,21 @@ class TestKernelInstrumentation:
         assert "timeouts" in production.statistics
         assert production.statistics == reference.statistics
 
-    def test_instrumented_run_matches_uninstrumented_results(self):
-        plain = Simulator()
-        _timeout_scenario(plain)
+    @pytest.mark.parametrize("detect_races", [False, True])
+    @pytest.mark.parametrize("factory,label", KERNELS)
+    def test_instrumented_run_matches_uninstrumented_results(
+            self, factory, label, detect_races):
+        plain = factory(detect_races=detect_races)
+        _timeout_scenario(plain, racer=detect_races)
         TELEMETRY.enable()
-        observed = Simulator()
-        _timeout_scenario(observed)
+        observed = factory(detect_races=detect_races)
+        _timeout_scenario(observed, racer=detect_races)
         assert observed.statistics == plain.statistics
         assert observed.now == plain.now
+        assert observed.snapshot() == plain.snapshot()
+        assert observed.clock_fast_edges == plain.clock_fast_edges
+        assert observed.race_log == plain.race_log
+        assert bool(plain.race_log) == detect_races
 
 
 class TestCosimInstrumentation:

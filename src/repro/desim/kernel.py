@@ -103,7 +103,7 @@ class _KernelObs:
         self.profile = {}  # process name -> [runs, seconds]
 
     def clock_edge(self, process_name, timeout_depth):
-        """Account the delta cycle a fast-path clock edge did not run.
+        """Account the delta 0 a fast-path clock edge did not run.
 
         The depth histograms get the observations the skipped delta 0
         would have made (an empty delta queue, the unchanged deadline
@@ -258,7 +258,7 @@ class Simulator:
             "time_points": 0,
             "timeouts": 0,
         }
-        #: clock edges fired by the fast path of :meth:`_clock_edge`.
+        #: clock edges fired by the fast path of :meth:`_clock_edges`.
         #: Observation state like :attr:`race_log`: the fast path is
         #: unobservable by design, so the count is kept out of
         #: ``statistics`` (which fingerprints compare across kernels) and
@@ -451,11 +451,17 @@ class Simulator:
         """Run the simulation.
 
         *until* (alias *max_time*) is an absolute stop time in nanoseconds;
-        when omitted the simulation runs until no activity remains.  Returns
-        the simulation time reached.
+        when omitted the simulation runs until no activity remains.  A stop
+        time before ``now`` raises :class:`SimulationError`: simulated time
+        never moves backwards.  Returns the simulation time reached.
         """
         if until is None:
             until = max_time
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until}) is before the current time "
+                f"{format_time(self.now)}: simulated time cannot go back"
+            )
         obs = self._obs_bind()
         stats_before = dict(self.statistics) if obs is not None else None
         edges_before = self.clock_fast_edges
@@ -476,9 +482,7 @@ class Simulator:
                     break
                 self.now = next_time
                 self.statistics["time_points"] += 1
-                if fast_clocks and not self.monitors and self._clock_edge():
-                    self._drain_deltas(1)
-                else:
+                if not (fast_clocks and self._clock_edges(until)):
                     self._begin_time_point()
                     self._drain_deltas()
                 if until is not None and self.now >= until:
@@ -544,54 +548,117 @@ class Simulator:
         if moved:
             self._next_time_dirty = True
 
-    def _clock_edge(self):
-        """Fire a lone clock edge at ``now`` arithmetically; True when taken.
+    def _lone_clock_wait(self, now):
+        """The clock wait that is the only activity due at *now*, or None.
 
-        Applies when the only activity due at this time point is a live
-        wait of an :meth:`add_clock` toggler at the heap top: no other
-        matured deadline (a heap entry's ancestors are never later than
-        it, so checking the top's two children suffices), no future
-        transaction maturing now and no queued zero-delay transaction.
-        Delta 0 of such a time point would only wake the toggler, which
-        schedules the inverted clock value and re-arms its half-period
-        timeout.  Here that is done directly: the wait is re-armed in
-        place with the sequence number the generator's suspension would
-        have drawn, the transaction is queued, and the counters delta 0
-        would have bumped are compensated, so statistics, run counts and
-        snapshots match the generic path exactly.  The caller then
-        drains from delta 1.  The toggler generator is not resumed: its
-        loop carries no state beyond the clock signal.
+        That is a live wait of an unfinished :meth:`add_clock` toggler at
+        the timeout-heap top, due exactly at *now*, with no other matured
+        deadline (a heap entry's ancestors are never later than it, so
+        checking the top's two children suffices), no future transaction
+        maturing at *now*, no queued zero-delay transaction and no monitor
+        to check.  :meth:`_clock_edges` checks it before every edge.
         """
         heap = self._timeout_heap
-        if not heap or self._delta_queue:
-            return False
-        now = self.now
+        if not heap or self._delta_queue or self.monitors:
+            return None
         resume_at, _, wait = heap[0]
         process = wait.process
-        clock = process._clock
-        if (clock is None or resume_at != now or wait.done
+        if (process._clock is None or resume_at != now or wait.done
                 or process.finished
                 or (len(heap) > 1 and heap[1][0] <= now)
                 or (len(heap) > 2 and heap[2][0] <= now)
                 or (self._future and self._future[0][0] <= now)):
+            return None
+        return wait
+
+    def _clock_edges(self, until):
+        """Fire lone clock edges from ``now`` in one loop; False if none.
+
+        Runs while the clock's next edge is the only due activity
+        (:meth:`_lone_clock_wait`) and not after *until*, one whole time
+        point per iteration.  Delta 0 of such a time point would only wake
+        the toggler, which schedules the inverted clock value and re-arms
+        its half-period timeout.  Here the wait is re-armed in place with
+        the sequence number the generator's suspension would have drawn
+        and the counters delta 0 would have bumped are compensated; the
+        generator is not resumed (its loop carries no state beyond the
+        clock signal).  Delta 1 is done inline: flip and record the clock,
+        run its sensitivity-list processes (falling edges too: the fused
+        step's falling-edge effect is its ``process_runs`` compensation)
+        and hand staged writes to :meth:`_drain_deltas` from delta 2.  A
+        forced clock, a generator waiting on it or a ``max_deltas`` below 2
+        (which delta 1 exceeds) takes the generic delta 1 instead.
+        Statistics, run counts and snapshots match the generic path
+        exactly; nothing here reads the ``_next_time_cache`` memo.
+        """
+        now = self.now
+        wait = self._lone_clock_wait(now)
+        if wait is None:
             return False
-        signal, half = clock
-        seq = next(self._seq)
-        wait.resume_at = resume_at = now + half
-        wait.seq = seq
-        heapq.heapreplace(heap, (resume_at, seq, wait))
         self._next_time_dirty = True
-        self._delta_queue.append((signal, 1 - signal.value))
-        process.run_count += 1
+        process = wait.process
+        signal, half = process._clock
+        key = id(signal)
+        heap = self._timeout_heap
+        waiters = self._waiters
+        sensitivity = self._sensitivity
+        recorders = self.recorders
         statistics = self.statistics
-        statistics["timeouts"] += 1
-        statistics["process_runs"] += 1
-        statistics["transactions"] += 1
-        statistics["delta_cycles"] += 1
-        self.clock_fast_edges += 1
-        if self._obs is not None:
-            self._obs.clock_edge(process.name, len(heap))
-        return True
+        obs = self._obs
+        inline = self.max_deltas >= 2
+        while True:
+            seq = next(self._seq)
+            wait.resume_at = resume_at = now + half
+            wait.seq = seq
+            heapq.heapreplace(heap, (resume_at, seq, wait))
+            process.run_count += 1
+            statistics["timeouts"] += 1
+            statistics["process_runs"] += 1
+            statistics["transactions"] += 1
+            statistics["delta_cycles"] += 1
+            self.clock_fast_edges += 1
+            if obs is not None:
+                obs.clock_edge(process.name, len(heap))
+            if not inline or key in waiters or signal._forced is not None:
+                self._delta_queue.append((signal, 1 - signal._value))
+                self._drain_deltas(1)
+            else:
+                if obs is not None:
+                    obs.delta_depth.observe(1)
+                    obs.timeout_depth.observe(len(heap))
+                self.delta = 1
+                signal._value = 1 - signal._value
+                signal.last_changed = now
+                signal.change_count += 1
+                signal.event = True
+                for recorder in recorders:
+                    recorder.record(now, signal)
+                procs = sensitivity.get(signal.name)
+                runnable = list(procs.values()) if procs else ()
+                for clocked in runnable:
+                    clocked.run_count += 1
+                    if obs is None:
+                        clocked.func()
+                    else:
+                        begin = time.perf_counter()
+                        clocked.func()
+                        obs.profile_run(clocked.name,
+                                        time.perf_counter() - begin)
+                statistics["process_runs"] += len(runnable)
+                signal.event = False
+                self.delta = 2
+                statistics["delta_cycles"] += 1
+                if self._delta_queue:
+                    self._drain_deltas(2)
+                elif obs is not None:
+                    obs.delta_depth.observe(0)
+                    obs.timeout_depth.observe(len(heap))
+            now = heap[0][0]
+            if (until is not None and now > until
+                    or self._lone_clock_wait(now) is not wait):
+                return True
+            self.now = now
+            statistics["time_points"] += 1
 
     def _expired_waits(self):
         """Pop and wake every wait whose deadline has matured.
@@ -665,9 +732,10 @@ class Simulator:
     def _drain_deltas(self, delta=0):
         """Run delta cycles from *delta* until the time point settles.
 
-        *delta* is 1 after a fast-path clock edge (:meth:`_clock_edge`
-        already did delta 0's work).  With telemetry bound, each delta also
-        samples the queue depths and times its update, wake and run phases.
+        *delta* is 1 or 2 after a fast-path clock edge (:meth:`_clock_edges`
+        already did delta 0's or deltas 0 and 1's work).  With telemetry
+        bound, each delta also samples the queue depths and times its
+        update, wake and run phases.
         """
         # Guarded phase dispatch: each phase call below is skipped when its
         # input is visibly empty (no queued transactions, no changed

@@ -14,6 +14,7 @@ from repro.ir import FsmBuilder, Assign, PortWrite, var, port, INT
 from repro.ir.compile import compile_fsm
 from repro.ir.interp import StepResult
 from repro.ir.dtypes import word_type
+from repro.desim import SignalChange, Timeout, WaveformRecorder
 
 
 class ProgramStepper:
@@ -189,3 +190,81 @@ def pc_at_cosynthesis():
     library = build_view_library_for({platform.name: platform}, config)
     flow = CosynthesisFlow(model, platform, library=library)
     return config, model, platform, library, flow.run()
+
+
+#: ``until`` values for :func:`build_clock_burst` runs: on clock edges
+#: (multiples of 5) and between them, inside and across quiet stretches.
+CLOCK_BURST_SLICES = (137, 500, 1_000, 2_003, 2_500, 4_050, 4_105, 6_000,
+                      7_777, 10_000)
+
+
+def build_clock_burst(sim, log):
+    """A clock-dominated scenario with every kind of burst interruption.
+
+    ``clk`` (period 10) drives ``writer``, which logs ``(now, delta,
+    clk.event, clk.value)`` on every edge and writes ``data`` on every
+    37th rising edge (zero delay) and ``late_data`` on every 53rd (15 ns
+    later, maturing on an edge).  ``watcher`` waits on ``data`` and so
+    wakes mid-stretch; ``soft`` is a sparse timeout between edges (it
+    logs ``clk.event``, which must read False there) with a delayed write
+    landing on an edge; ``late`` waits on ``clk`` itself for 12 edges
+    from t=2000; ``forcer`` forces ``clk`` high for 100 ns every 3 us
+    from t=4003.  Every generator is an act-first loop whose state lives
+    in signals or ``now``, so the scenario survives snapshot/restore.
+    Returns the attached waveform recorder.
+    """
+    clk = sim.add_clock("clk", period=10)
+    data = sim.add_signal("data", init=0)
+    late_data = sim.add_signal("late_data", init=0)
+    mark = sim.add_signal("mark", init=0)
+
+    def writer():
+        log.append((sim.now, sim.delta, "clk", clk.event, clk.value))
+        if clk.value == 1:
+            edge = sim.now // 10
+            if edge % 37 == 0:
+                sim.schedule(data, data.value + 1, 0)
+            if edge % 53 == 0:
+                sim.schedule(late_data, edge, 15)
+
+    sim.add_process("writer", writer, sensitivity=[clk], initial_run=False)
+
+    def watcher():
+        while True:
+            log.append((sim.now, sim.delta, "watch", data.value))
+            yield SignalChange(data)
+
+    sim.add_process("watcher", watcher, first_wait=SignalChange(data),
+                    rearmable=True)
+
+    def soft():
+        while True:
+            log.append((sim.now, sim.delta, "soft", clk.event))
+            sim.schedule(mark, sim.now % 4, 0)
+            sim.schedule(mark, sim.now % 3, 7)
+            yield Timeout(250)
+
+    sim.add_process("soft", soft, first_wait=Timeout(123), rearmable=True)
+
+    def late():
+        while True:
+            log.append((sim.now, sim.delta, "late", clk.value))
+            if 2_000 <= sim.now < 2_060:
+                yield SignalChange(clk)
+            else:
+                yield Timeout(1_500)
+
+    sim.add_process("late", late, first_wait=Timeout(2_000), rearmable=True)
+
+    def forcer():
+        while True:
+            if clk.forced:
+                sim.release("clk")
+                yield Timeout(2_900)
+            else:
+                sim.force("clk", 1)
+                yield Timeout(100)
+
+    sim.add_process("forcer", forcer, first_wait=Timeout(4_003),
+                    rearmable=True)
+    return sim.add_recorder(WaveformRecorder())

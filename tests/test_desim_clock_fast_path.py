@@ -1,8 +1,9 @@
 """The production kernel's clock-edge fast path is unobservable.
 
-``Simulator._clock_edge`` fires a time point whose only due activity is a
-free-running clock's toggle arithmetically, compensating the counters of
-the delta cycle it skips.  Every test here compares a fast-path run with
+``Simulator._clock_edges`` fires a time point whose only due activity is
+a free-running clock's toggle arithmetically, compensating the counters
+of the delta cycle it skips, and fires the following lone edges of that
+clock in the same loop.  Every test here compares a fast-path run with
 the same model forced onto the generic path — by an inert monitor, which
 disables the fast path — or with the naive reference kernel, and demands
 identical observables: values, waveforms, run counts, statistics,
@@ -13,10 +14,12 @@ import pickle
 
 import pytest
 
+from conftest import CLOCK_BURST_SLICES, build_clock_burst
 from repro.cosim import CosimSession
 from repro.desim import (
     Monitor,
     ReferenceSimulator,
+    SimulationError,
     Simulator,
     Timeout,
     WaveformRecorder,
@@ -169,6 +172,136 @@ class TestKernelFastPath:
                     == [series["counts"] for series in generic[name]])
         assert _profile_runs(fast) == _profile_runs(generic)
         assert _profile_runs(fast)["clk_gen"] > 0
+
+
+#: ``clock_fast_edges`` after each of the ``CLOCK_BURST_SLICES``: one per
+#: lone clock edge, however many edges one ``_clock_edges`` call fires.
+BURST_FAST_EDGES = [25, 97, 194, 387, 484, 784, 795, 1_161, 1_506, 1_937]
+
+
+def _run_burst(factory, telemetry, generic=False):
+    """Run :func:`build_clock_burst` over every slice; return observables."""
+    if telemetry:
+        TELEMETRY.enable()
+    try:
+        sim = factory()
+        log = []
+        recorder = build_clock_burst(sim, log)
+        if generic:
+            sim.add_monitor(_inert_monitor())
+        snapshots, edges = [], []
+        for until in CLOCK_BURST_SLICES:
+            assert sim.run(until=until) == until
+            snapshots.append(sim.snapshot())
+            edges.append(sim.clock_fast_edges)
+        families = (_families(TELEMETRY.metrics.as_dict()) if telemetry
+                    else None)
+    finally:
+        if telemetry:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+    return {"fingerprint": fingerprint(sim, recorder), "log": log,
+            "snapshots": snapshots, "edges": edges, "families": families}
+
+
+def _depth_counts(families):
+    return {name: [series["counts"] for series in families[name]]
+            for name in ("repro_kernel_delta_queue_depth",
+                         "repro_kernel_timeout_heap_depth")}
+
+
+class TestClockBurst:
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_matches_generic_and_reference_runs(self, telemetry):
+        burst = _run_burst(Simulator, telemetry)
+        generic = _run_burst(Simulator, telemetry, generic=True)
+        reference = _run_burst(ReferenceSimulator, telemetry)
+        # The scenario exercises every interruption of a quiet stretch.
+        tags = {entry[2] for entry in burst["log"]}
+        assert tags == {"clk", "watch", "late", "soft"}
+        assert burst["fingerprint"]["values"]["late_data"] > 0
+        assert burst["fingerprint"]["waveform"]["mark"]
+        assert burst["edges"] == BURST_FAST_EDGES
+        assert generic["edges"][-1] == reference["edges"][-1] == 0
+        for other in (generic, reference):
+            assert other["fingerprint"] == burst["fingerprint"]
+            assert other["log"] == burst["log"]
+        assert generic["snapshots"] == burst["snapshots"]
+        if telemetry:
+            families = burst["families"]
+            assert (_depth_counts(generic["families"])
+                    == _depth_counts(families))
+            assert (_profile_runs(generic["families"])
+                    == _profile_runs(families))
+            [exported] = families["repro_kernel_clock_fast_edges_total"]
+            assert exported["value"] == BURST_FAST_EDGES[-1]
+
+    @pytest.mark.parametrize("cut", [1_205, 1_207])
+    def test_restore_inside_a_quiet_stretch_then_continue(self, cut):
+        straight_log = []
+        straight = Simulator()
+        straight_rec = build_clock_burst(straight, straight_log)
+        straight.run(until=3_000)
+
+        source_log = []
+        source = Simulator()
+        source_rec = build_clock_burst(source, source_log)
+        source.run(until=cut)
+        blob = pickle.dumps((source.snapshot(), source_rec.capture_state()))
+        target_log = []
+        target = Simulator()
+        target_rec = build_clock_burst(target, target_log)
+        snapshot, recorder_state = pickle.loads(blob)
+        target.restore(snapshot)
+        target_rec.restore_state(recorder_state)
+        target.run(until=3_000)
+        assert source_log + target_log == straight_log
+        assert target_log and target_log[0][0] > cut
+        assert (fingerprint(target, target_rec)
+                == fingerprint(straight, straight_rec))
+
+    def test_quiet_stretch_enters_the_burst_once(self, monkeypatch):
+        entries = []
+        burst = Simulator._clock_edges
+
+        def counting(self, until):
+            entries.append(self.now)
+            return burst(self, until)
+
+        monkeypatch.setattr(Simulator, "_clock_edges", counting)
+        sim = Simulator()
+        clk = sim.add_clock("clk", period=20)
+        rising = []
+        sim.add_clocked_process("count", lambda: rising.append(sim.now), clk)
+        sim.run(until=10_000)
+        assert sim.clock_fast_edges == 1_000
+        assert len(rising) == 501  # rising edges at 0, 20, ..., 10_000
+        assert entries == [10]
+
+
+class TestDeltaLimit:
+    @pytest.mark.parametrize("factory", [Simulator, ReferenceSimulator])
+    def test_a_clock_edge_exceeds_a_limit_of_one_delta(self, factory):
+        sim = factory(max_deltas=1)
+        clk = sim.add_clock("clk", period=10)
+        sim.add_clocked_process("count", lambda: None, clk)
+        with pytest.raises(SimulationError, match="delta-cycle limit"):
+            sim.run(until=100)
+        assert sim.now == 5
+
+
+class TestRunUntil:
+    @pytest.mark.parametrize("factory", [Simulator, ReferenceSimulator])
+    def test_until_in_the_past_raises_and_keeps_time(self, factory):
+        sim = factory()
+        sim.add_clock("clk", period=10)
+        sim.run(until=100)
+        statistics = dict(sim.statistics)
+        with pytest.raises(SimulationError, match="cannot go back"):
+            sim.run(until=50)
+        assert sim.now == 100
+        assert sim.run(until=100) == 100
+        assert sim.statistics == statistics
 
 
 def _families(snapshot):

@@ -9,7 +9,11 @@ Pins the three contracts of :mod:`repro.obs` at its call sites:
 
 import pytest
 
-from conftest import make_producer_consumer_model
+from conftest import (
+    CLOCK_BURST_SLICES,
+    build_clock_burst,
+    make_producer_consumer_model,
+)
 from repro.cosim import CosimSession
 from repro.desim import ReferenceSimulator, Simulator, SignalChange, Timeout
 from repro.obs import TELEMETRY
@@ -57,6 +61,12 @@ def _timeout_scenario(sim, racer=False):
     if racer:
         sim.add_process("rival", rival)
     sim.run(until=200)
+
+
+def _clock_burst_scenario(sim):
+    build_clock_burst(sim, [])
+    for until in CLOCK_BURST_SLICES:
+        sim.run(until=until)
 
 
 KERNELS = [(Simulator, "production"), (ReferenceSimulator, "reference")]
@@ -109,12 +119,16 @@ class TestKernelInstrumentation:
             assert entry["value"] == sim.statistics[stat]
         assert sim.statistics["timeouts"] > 0  # the scenario exercises it
 
+    @pytest.mark.parametrize("scenario", [_timeout_scenario,
+                                          _clock_burst_scenario])
     @pytest.mark.parametrize("factory,label", KERNELS)
-    def test_profiler_attributes_every_process_run(self, factory, label):
-        """Initial runs from ``_start`` included: every run is profiled."""
+    def test_profiler_attributes_every_process_run(self, factory, label,
+                                                   scenario):
+        """Initial runs from ``_start`` and clock-burst edges included:
+        every run is profiled."""
         TELEMETRY.enable()
         sim = factory()
-        _timeout_scenario(sim)
+        scenario(sim)
         families = _families(TELEMETRY.metrics)
         series = families["repro_kernel_process_profile_runs_total"]["series"]
         profiled = sum(entry["value"] for entry in series

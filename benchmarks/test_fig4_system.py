@@ -6,7 +6,7 @@ motor attached to the hardware side.
 """
 
 from repro.apps.motor_controller import build_system
-from repro.core.validation import validate_model
+from repro.lint import lint_model
 from repro.utils.text import format_table
 
 
@@ -18,7 +18,7 @@ def build_topology():
 def test_fig4_system_structure(benchmark):
     model, config, topology = benchmark(build_topology)
 
-    assert validate_model(model) == []
+    assert lint_model(model, structural_only=True).diagnostics == []
     assert topology["software_modules"] == ["DistributionMod"]
     assert topology["hardware_modules"] == ["SpeedControlMod"]
     assert sorted(topology["comm_units"]) == ["MotorUnit", "SwHwUnit"]

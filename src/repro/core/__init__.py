@@ -23,7 +23,6 @@ from repro.core.comm_unit import CommunicationController, CommunicationUnit
 from repro.core.views import View, ViewKind, MultiViewLibrary
 from repro.core.module import Module, SoftwareModule, HardwareModule
 from repro.core.model import SystemModel, Binding
-from repro.core.validation import validate_model
 
 __all__ = [
     "Port",
@@ -40,5 +39,4 @@ __all__ = [
     "HardwareModule",
     "SystemModel",
     "Binding",
-    "validate_model",
 ]

@@ -24,8 +24,6 @@ from repro.cosim.services import ServiceInstance, ServiceRegistry
 from repro.cosim.sw_executor import SoftwareExecutor
 from repro.cosim.sync import OneTransitionPerActivation
 from repro.cosim.tracing import ServiceCallTrace
-from repro.core.module import HardwareModule, SoftwareModule
-from repro.core.validation import validate_model
 from repro.desim import Timeout, WaveformRecorder, create_simulator
 from repro.ir.interp import FsmInstance
 from repro.ir.syscompile import (
@@ -33,8 +31,9 @@ from repro.ir.syscompile import (
     SystemCompileError,
     compile_system,
 )
+from repro.lint.engine import lint_model, memo_report
 from repro.obs import TELEMETRY
-from repro.utils.errors import SimulationError
+from repro.utils.errors import SimulationError, ValidationError
 
 #: Execution tiers of a session, fastest first.  ``fused`` runs every
 #: clocked FSM (unit controllers and hardware-module processes) inside one
@@ -114,7 +113,14 @@ class CosimSession:
                  validate=True, trace_signals=True, kernel="production",
                  tier=None, detect_races=False):
         if validate:
-            validate_model(model, library=library)
+            # The structural lint stage; only error-level findings refuse.
+            if library is None:
+                report = memo_report(model, structural_only=True)
+            else:
+                report = lint_model(model, library=library,
+                                    structural_only=True)
+            if report.errors:
+                raise ValidationError(report.errors)
         self.model = model
         self.library = library
         self.clock_period = clock_period

@@ -17,13 +17,13 @@ printable report — the co-synthesis half of the paper's Figure 1.
 
 import json
 
-from repro.core.validation import validate_model
+from repro.lint.engine import lint_model, memo_report
 from repro.utils.canonical import content_digest
 from repro.cosyn.sw_synthesis import synthesize_software
 from repro.cosyn.hw_synthesis import synthesize_hardware
 from repro.cosyn.target import TargetArchitecture
 from repro.platforms.base import Platform
-from repro.utils.errors import SynthesisError
+from repro.utils.errors import SynthesisError, ValidationError
 from repro.utils.text import format_table
 
 #: A hardware module's clock must track the platform bus within this many
@@ -191,8 +191,15 @@ class CosynthesisFlow:
         self.hw_resources = hw_resources
         self.target = TargetArchitecture(model, platform, address_base=address_base)
         if validate:
-            validate_model(model, library=library,
-                           platforms=[platform.name] if library is not None else ())
+            # The structural lint stage; only error-level findings refuse.
+            if library is None:
+                report = memo_report(model, structural_only=True)
+            else:
+                report = lint_model(model, library=library,
+                                    platforms=[platform.name],
+                                    structural_only=True)
+            if report.errors:
+                raise ValidationError(report.errors)
 
     def run(self):
         """Execute the flow and return a :class:`CosynthesisResult`."""

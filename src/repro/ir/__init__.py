@@ -49,7 +49,6 @@ from repro.ir.transform import (
     constant_fold,
     reachable_states,
     remove_unreachable_states,
-    check_fsm,
 )
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "constant_fold",
     "reachable_states",
     "remove_unreachable_states",
-    "check_fsm",
     "SystemCompileError",
     "SystemPlan",
     "SystemProgram",

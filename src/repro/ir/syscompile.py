@@ -69,8 +69,8 @@ SOURCE_FORMAT = 5
 class SystemCompileError(SimulationError):
     """The model cannot be fused into a whole-system program.
 
-    Raised at compile time (unknown IR node, port not wired, lint errors
-    with ``lint=True``); the session reacts by falling back to the per-FSM
+    Raised at compile time (unknown IR node, port not wired, lint
+    errors); the session reacts by falling back to the per-FSM
     wiring and recording the reason — never by changing behaviour.
     """
 
@@ -628,25 +628,24 @@ _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
 _CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # digest -> code object
 
 
-def compile_system(model, lint=True):
+def compile_system(model):
     """The (cached) whole-system program of *model*.
 
-    *lint* gates compilation on the static analyzer: error-level findings
+    Compilation is gated on the static analyzer: error-level findings
     refuse it (:class:`SystemCompileError`) exactly as they refuse
     sweep/server jobs.  The verdict is read from the model's lint memo
     (:func:`~repro.lint.engine.memo_report`), so a job whose pre-flight
     already linted the model pays nothing here.  A model without a single
     fusable FSM is refused too: there is nothing to fuse.
     """
-    if lint:
-        from repro.lint.engine import memo_report
+    from repro.lint.engine import memo_report
 
-        errors = memo_report(model).errors
-        if errors:
-            raise SystemCompileError(
-                "lint errors refuse whole-system compilation: "
-                + "; ".join(diagnostic.legacy_text for diagnostic in errors)
-            )
+    errors = memo_report(model).errors
+    if errors:
+        raise SystemCompileError(
+            "lint errors refuse whole-system compilation: "
+            + "; ".join(diagnostic.format() for diagnostic in errors)
+        )
     program = _SYSTEM_CACHE.get(model)
     if program is not None:
         return program

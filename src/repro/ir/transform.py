@@ -1,10 +1,9 @@
-"""IR transformations and structural checks."""
+"""IR transformations."""
 
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.fsm import Fsm, State, Transition
 from repro.ir.interp import _BINARY_FUNCS, _UNARY_FUNCS
 from repro.ir.stmt import Assign, If, Nop, PortWrite
-from repro.ir.visitor import variables_read, variables_written
 
 
 def constant_fold(expr):
@@ -106,30 +105,3 @@ def remove_unreachable_states(fsm):
         done_states=[d for d in fsm.done_states if d in keep],
         result_var=fsm.result_var,
     )
-
-
-def check_fsm(fsm):
-    """Structural checks; returns a list of problem descriptions (empty = OK)."""
-    problems = []
-    for state in fsm.iter_states():
-        for transition in state.transitions:
-            if transition.target not in fsm.states:
-                problems.append(
-                    f"state {state.name!r}: transition targets unknown state "
-                    f"{transition.target!r}"
-                )
-    unreachable = set(fsm.states) - reachable_states(fsm)
-    for name in sorted(unreachable):
-        problems.append(f"state {name!r} is unreachable from {fsm.initial!r}")
-    declared = set(fsm.variables)
-    undeclared_reads = set(variables_read(fsm)) - declared
-    for name in sorted(undeclared_reads):
-        problems.append(f"variable {name!r} is read but never declared")
-    undeclared_writes = set(variables_written(fsm)) - declared
-    for name in sorted(undeclared_writes):
-        problems.append(f"variable {name!r} is written but never declared")
-    # A state with no outgoing transition that is not a done state is a trap.
-    for state in fsm.iter_states():
-        if not state.transitions and state.name not in fsm.done_states:
-            problems.append(f"state {state.name!r} is a trap (no transitions, not done)")
-    return problems

@@ -6,15 +6,13 @@ protocol misuse — *before* simulation or synthesis.  ``lint_model`` returns
 a :class:`LintReport` of structured :class:`Diagnostic` objects; the rule
 catalog lives in :mod:`repro.lint.rules` and ``docs/lint.md``.
 
-``python -m repro.lint`` is the command-line front end;
-``core.validation.validate_model`` is a thin compatibility shim over the
-same engine.
+``python -m repro.lint`` is the command-line front end.
 """
 
 from repro.lint.diagnostics import Diagnostic, LintReport, SEVERITIES
 from repro.lint.engine import lint_model
 from repro.lint.races import collect_write_contexts, static_race_signals
-from repro.lint.rules import LEGACY_RULES, RULES, RULES_BY_ID
+from repro.lint.rules import RULES, RULES_BY_ID, STRUCTURAL_RULES
 
 __all__ = [
     "Diagnostic",
@@ -25,5 +23,5 @@ __all__ = [
     "static_race_signals",
     "RULES",
     "RULES_BY_ID",
-    "LEGACY_RULES",
+    "STRUCTURAL_RULES",
 ]

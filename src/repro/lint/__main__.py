@@ -50,8 +50,8 @@ def _targets(args):
 
 def _print_rules():
     for rule in RULES:
-        origin = "legacy" if rule.legacy else "extended"
-        print(f"{rule.rule:<9} {rule.severity:<8} {origin:<9} {rule.title}")
+        stage = "structural" if rule.structural else "extended"
+        print(f"{rule.rule:<9} {rule.severity:<8} {stage:<10} {rule.title}")
 
 
 def main(argv=None):

@@ -2,10 +2,8 @@
 
 Two families:
 
-* **structural** (FSM001–FSM005) — the checks :func:`repro.ir.transform.check_fsm`
-  performs, re-emitted as structured diagnostics.  The emission order and the
-  message text replicate ``check_fsm`` exactly so the ``validate_model``
-  compatibility shim can reproduce its historical strings byte-for-byte.
+* **structural** (FSM001–FSM005) — unknown transition targets, unreachable
+  and trap states, undeclared variables.
 * **dataflow** (DF001–DF004) — use-before-init detection via a forward
   must-be-assigned analysis over the transition graph, dead-store detection,
   and statically-false / shadowed transition guards via interval evaluation
@@ -24,12 +22,11 @@ from repro.lint.intervals import (
 )
 
 
-def structural_pass(fsm, path, report, legacy_prefix=""):
-    """FSM001–FSM005: re-emit ``check_fsm``'s findings as diagnostics."""
+def structural_pass(fsm, path, report):
+    """FSM001–FSM005: the structural checks of one FSM."""
 
     def emit(rule, severity, where, message):
-        report.add(Diagnostic(rule, severity, where, message,
-                              legacy=f"{legacy_prefix}{message}"))
+        report.add(Diagnostic(rule, severity, where, message))
 
     for state in fsm.iter_states():
         for transition in state.transitions:

@@ -1,8 +1,7 @@
 """Structured diagnostics: the output vocabulary of the static analyzer.
 
-A :class:`Diagnostic` replaces the plain strings ``core/validation.py`` used
-to return: every finding carries a stable rule id, a severity, a location
-path (``module/<name>/<fsm>/<state>`` style) and a human-readable message.
+Every finding is a :class:`Diagnostic`: it carries a stable rule id, a
+severity, a location path (``module/<name>/<fsm>/<state>`` style) and a human-readable message.
 A :class:`LintReport` is an ordered collection of diagnostics plus the
 findings that were suppressed (kept for auditability — a suppressed finding
 is still part of the machine-readable report).
@@ -53,32 +52,20 @@ class Diagnostic:
     data:
         Optional dict of machine-readable details (signal names, writer
         contexts, ...); must be JSON-serialisable.
-    legacy:
-        Optional exact string the old ``validate_model`` API produced for
-        this finding; used by the compatibility shim so existing callers
-        keep seeing byte-identical problem strings.
     """
 
-    __slots__ = ("rule", "severity", "path", "message", "data", "legacy")
+    __slots__ = ("rule", "severity", "path", "message", "data")
 
-    def __init__(self, rule, severity, path, message, data=None, legacy=None):
+    def __init__(self, rule, severity, path, message, data=None):
         severity_rank(severity)  # validates
         self.rule = rule
         self.severity = severity
         self.path = path
         self.message = message
         self.data = dict(data) if data else {}
-        self.legacy = legacy
-
-    @property
-    def legacy_text(self):
-        """The string the pre-diagnostics validation API reported."""
-        if self.legacy is not None:
-            return self.legacy
-        return f"{self.path}: {self.message}"
 
     def format(self):
-        """One-line text rendering used by the CLI."""
+        """One-line text rendering, used by the CLI and every refusal."""
         return f"{self.severity:<7} {self.rule:<8} {self.path}: {self.message}"
 
     def as_dict(self):

@@ -1,17 +1,15 @@
 """The lint engine: runs every pass over a :class:`SystemModel`.
 
-``lint_model`` is the single entry point used by the CLI, the conformance
-kit's pre-flight stage and the ``validate_model`` compatibility shim.  The
-legacy-rule passes run first and in exactly the order the old string-based
-validator reported problems, so the shim can reproduce its output
-byte-for-byte from the diagnostics' ``legacy`` texts.
+``lint_model`` is the single entry point of the analyzer: the CLI, the
+job pre-flight, ``CosimSession``/``CosynthesisFlow`` validation and the
+fused-codegen gate all read its :class:`LintReport`.
 
 ``memo_report`` is the same analysis memoised per model object, in the same
-two stages: the *legacy* stage (structural, interface and view passes,
-before suppression) is cached on first use; the *extended* stage (dataflow,
-protocol and race passes plus suppression) runs only when a caller asks
-for the full report.  The job pipeline's three readers — the sweep/server
-pre-flight, ``CosimSession``'s ``validate_model`` and the fused-codegen
+two stages: the *structural* stage (FSM structure, interface and view
+passes, before suppression) is cached on first use; the *extended* stage
+(dataflow, protocol and race passes plus suppression) runs only when a
+caller asks for the full report.  The job pipeline's three readers — the
+sweep/server pre-flight, ``CosimSession`` validation and the fused-codegen
 gate of ``compile_system`` — all read this one memo, so a job lints its
 model once.
 """
@@ -67,53 +65,42 @@ def _collect_suppressions(model, extra=()):
 
 
 def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
-               legacy_only=False):
+               structural_only=False):
     """Run the analyzer over *model*; returns a :class:`LintReport`.
 
-    *library*/*platforms* enable the view-completeness checks (as in the
-    old ``validate_model``).  *disable* silences whole rules; *suppress*
-    takes suppression entries (``"RULE"`` / ``"RULE:fragment"``).  With
-    *legacy_only* true, only the rules the historical validator covered run
-    and no suppression filtering is applied — the strict mode the
-    ``validate_model`` shim uses.
+    *library*/*platforms* enable the view-completeness checks for the flows
+    about to run.  *disable* silences whole rules; *suppress* takes
+    suppression entries (``"RULE"`` / ``"RULE:fragment"``).  With
+    *structural_only* true, only the structural stage runs and no
+    suppression filtering is applied — the strict mode model validation
+    uses before a flow starts.
     """
     report = LintReport(target=model.name)
-    _legacy_stage(model, report, library, platforms)
-    if legacy_only:
+    _structural_stage(model, report, library, platforms)
+    if structural_only:
         return report
     _extended_stage(model, report, disable, suppress)
     return report
 
 
-def _legacy_stage(model, report, library=None, platforms=()):
-    """Behaviours, units, bindings and views, in the old validator's order."""
+def _structural_stage(model, report, library=None, platforms=()):
+    """Behaviours, units, bindings and views."""
     for module in model.modules.values():
         for fsm in module.behaviours():
-            dataflow.structural_pass(
-                fsm, f"module/{module.name}/{fsm.name}", report,
-                legacy_prefix=f"module {module.name}/{fsm.name}: ",
-            )
+            dataflow.structural_pass(fsm, f"module/{module.name}/{fsm.name}",
+                                     report)
         if isinstance(module, SoftwareModule) and len(module.behaviours()) != 1:
-            message = "software modules have exactly one FSM"
-            report.add(Diagnostic(
-                "FSM006", "error", f"module/{module.name}", message,
-                legacy=f"module {module.name}: {message}",
-            ))
+            report.add(Diagnostic("FSM006", "error", f"module/{module.name}",
+                                  "software modules have exactly one FSM"))
     for unit in model.comm_units.values():
         interface.unit_port_pass(unit, report)
         for service in unit.services.values():
             dataflow.structural_pass(
-                service.fsm, f"unit/{unit.name}/service/{service.name}", report,
-                legacy_prefix=(f"communication unit {unit.name}, "
-                               f"service {service.name}: "),
-            )
+                service.fsm, f"unit/{unit.name}/service/{service.name}", report)
         for controller in unit.controllers:
             dataflow.structural_pass(
                 controller.fsm, f"unit/{unit.name}/controller/{controller.name}",
-                report,
-                legacy_prefix=(f"communication unit {unit.name}, "
-                               f"controller {controller.name}: "),
-            )
+                report)
     interface.binding_pass(model, report)
     if library is not None:
         interface.view_pass(model, library, platforms, report)
@@ -157,10 +144,10 @@ def _extended_stage(model, report, disable=(), suppress=()):
 
 
 class _Stages:
-    __slots__ = ("legacy", "full")
+    __slots__ = ("structural", "full")
 
-    def __init__(self, legacy):
-        self.legacy = legacy
+    def __init__(self, structural):
+        self.structural = structural
         self.full = None
 
 
@@ -168,23 +155,23 @@ class _Stages:
 _MEMO = weakref.WeakKeyDictionary()
 
 
-def memo_report(model, legacy_only=False):
-    """``lint_model(model, legacy_only=...)``, memoised per model object.
+def memo_report(model, structural_only=False):
+    """``lint_model(model, structural_only=...)``, memoised per model object.
 
-    The legacy stage is computed on first use; the extended stage runs on
-    top of the cached legacy diagnostics the first time the full report is
-    asked for.  The returned report is shared: treat it as read-only.  Like
-    the compiled-program caches, the memo assumes the model is not mutated
-    after it was first linted.
+    The structural stage is computed on first use; the extended stage runs
+    on top of the cached structural diagnostics the first time the full
+    report is asked for.  The returned report is shared: treat it as
+    read-only.  Like the compiled-program caches, the memo assumes the
+    model is not mutated after it was first linted.
     """
     stages = _MEMO.get(model)
     if stages is None:
-        stages = _MEMO[model] = _Stages(lint_model(model, legacy_only=True))
-    if legacy_only:
-        return stages.legacy
+        stages = _MEMO[model] = _Stages(lint_model(model, structural_only=True))
+    if structural_only:
+        return stages.structural
     if stages.full is None:
         report = LintReport(target=model.name)
-        report.diagnostics = list(stages.legacy.diagnostics)
+        report.diagnostics = list(stages.structural.diagnostics)
         _extended_stage(model, report)
         stages.full = report
     return stages.full

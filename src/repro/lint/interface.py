@@ -1,8 +1,8 @@
 """Interface checks: bindings, service-call shapes and value ranges.
 
-Legacy rules (IF001/IF002/IF008 plus the view checks VIEW001/VIEW002)
-replicate what ``core/validation.py`` reported, with byte-identical legacy
-strings.  The extended rules (IF003–IF007) use the declared data types and
+The structural rules (IF001/IF002/IF008 plus the view checks
+VIEW001/VIEW002) check bindings, unit ports and view coverage.  The
+extended rules (IF003–IF007) use the declared data types and
 interval evaluation; the width rules only fire on *definite* violations —
 the expression's value set and the target's range are disjoint, so no run
 can ever produce a legal value.  "Might overflow" (overlapping ranges) is
@@ -16,7 +16,7 @@ from repro.lint.intervals import dtype_interval, eval_interval, is_disjoint
 
 
 def binding_pass(model, report):
-    """IF001 (unbound service) and IF002 (unused binding), legacy order."""
+    """IF001 (unbound service) and IF002 (unused binding)."""
     for module in model.modules.values():
         for service_name in module.services_used():
             if model.binding_for(module.name, service_name) is None:
@@ -25,8 +25,6 @@ def binding_pass(model, report):
                     f"service {service_name!r} is called but not bound to any "
                     "communication unit",
                     data={"service": service_name},
-                    legacy=(f"module {module.name}: service {service_name!r} is "
-                            "called but not bound to any communication unit"),
                 ))
     for binding in model.bindings:
         module = model.modules[binding.module]
@@ -36,8 +34,6 @@ def binding_pass(model, report):
                 f"binding/{binding.module}.{binding.service}",
                 f"module {binding.module} never calls {binding.service!r}",
                 data={"service": binding.service, "unit": binding.unit},
-                legacy=(f"binding {binding!r}: module {binding.module} never "
-                        f"calls {binding.service!r}"),
             ))
 
 
@@ -47,38 +43,33 @@ def unit_port_pass(unit, report):
     for service in unit.services.values():
         for port_name in service.ports_used():
             if port_name not in known:
-                message = (f"service {service.name!r} uses undeclared port "
-                           f"{port_name!r}")
                 report.add(Diagnostic(
                     "IF008", "error", f"unit/{unit.name}/service/{service.name}",
-                    message,
+                    f"service {service.name!r} uses undeclared port "
+                    f"{port_name!r}",
                     data={"port": port_name},
-                    legacy=f"communication unit {unit.name}: {message}",
                 ))
     for controller in unit.controllers:
         controller_ports = set(controller.fsm.read_ports()) | set(
             controller.fsm.written_ports()
         )
         for port_name in sorted(controller_ports - known):
-            message = (f"controller {controller.name!r} uses undeclared port "
-                       f"{port_name!r}")
             report.add(Diagnostic(
                 "IF008", "error", f"unit/{unit.name}/controller/{controller.name}",
-                message,
+                f"controller {controller.name!r} uses undeclared port "
+                f"{port_name!r}",
                 data={"port": port_name},
-                legacy=f"communication unit {unit.name}: {message}",
             ))
 
 
 def view_pass(model, library, platforms, report):
-    """VIEW001/VIEW002: the view-completeness checks of the old validator."""
+    """VIEW001/VIEW002: the view-completeness checks."""
     from repro.core.views import MultiViewLibrary, ViewKind
 
     if not isinstance(library, MultiViewLibrary):
-        message = (f"view library must be a MultiViewLibrary, got "
-                   f"{type(library).__name__}")
-        report.add(Diagnostic("VIEW002", "error", "library", message,
-                              legacy=message))
+        report.add(Diagnostic("VIEW002", "error", "library",
+                              f"view library must be a MultiViewLibrary, got "
+                              f"{type(library).__name__}"))
         return
     for module in model.modules.values():
         for service_name in module.services_used():
@@ -90,8 +81,7 @@ def view_pass(model, library, platforms, report):
                 if not library.has(service_name, ViewKind.SW_SIM):
                     message = (f"service {service_name!r}: missing SW simulation "
                                f"view (needed by software module {module.name})")
-                    report.add(Diagnostic("VIEW001", "error", where, message,
-                                          legacy=message))
+                    report.add(Diagnostic("VIEW001", "error", where, message))
                 for platform in platforms:
                     if not library.has(service_name, ViewKind.SW_SYNTH, platform):
                         message = (
@@ -99,14 +89,12 @@ def view_pass(model, library, platforms, report):
                             f"for platform {platform!r} (needed by software module "
                             f"{module.name})"
                         )
-                        report.add(Diagnostic("VIEW001", "error", where, message,
-                                              legacy=message))
+                        report.add(Diagnostic("VIEW001", "error", where, message))
             else:
                 if not library.has(service_name, ViewKind.HW):
                     message = (f"service {service_name!r}: missing HW view "
                                f"(needed by hardware module {module.name})")
-                    report.add(Diagnostic("VIEW001", "error", where, message,
-                                          legacy=message))
+                    report.add(Diagnostic("VIEW001", "error", where, message))
 
 
 # ------------------------------------------------------------- IF003..IF007

@@ -2,17 +2,17 @@
 
 ``docs/lint.md`` renders this table with examples; the CLI's ``--disable``
 and the ``lint_suppress`` attributes reference rules by id.  Rules marked
-*legacy* are the ones the pre-diagnostics ``validate_model`` reported — the
-compatibility shim runs exactly this subset.
+*structural* run in the engine's first stage — the subset model validation
+checks before a flow starts.
 """
 
 from collections import namedtuple
 
-Rule = namedtuple("Rule", "rule severity legacy title")
+Rule = namedtuple("Rule", "rule severity structural title")
 
 #: Every rule, in catalog order.
 RULES = [
-    # Structural FSM checks (mirrors ir.transform.check_fsm).
+    # Structural FSM checks.
     Rule("FSM001", "error", True, "transition targets an unknown state"),
     Rule("FSM002", "warning", True, "state unreachable from the initial state"),
     Rule("FSM003", "error", True, "trap state (no transitions, not done)"),
@@ -47,8 +47,8 @@ RULES = [
 
 RULES_BY_ID = {rule.rule: rule for rule in RULES}
 
-#: The subset the ``validate_model`` compatibility shim runs.
-LEGACY_RULES = frozenset(rule.rule for rule in RULES if rule.legacy)
+#: The rules of the structural stage.
+STRUCTURAL_RULES = frozenset(rule.rule for rule in RULES if rule.structural)
 
 
 def known_rule(rule_id):

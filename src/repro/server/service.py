@@ -39,6 +39,7 @@ import time
 from repro.obs import TELEMETRY, prometheus_line
 from repro.sweep.cache import ArtifactCache
 from repro.sweep.jobs import job_from_dict
+from repro.sweep.service import _execute_job
 from repro.utils.errors import ReproError
 from repro.utils.pool import PoolError, WorkerPool
 
@@ -48,14 +49,6 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 class QueueFullError(ReproError):
     """The bounded submission queue is at capacity (HTTP 503)."""
-
-
-def _execute_job(job):
-    """Worker-process entry: run one job, degrade library errors to records."""
-    try:
-        return job.execute()
-    except ReproError as exc:
-        return job.error_record(exc), None
 
 
 class JobRecord:

@@ -69,12 +69,8 @@ def _lint_preflight(model, no_lint):
     # The memoised report: the session's validation and the fused-codegen
     # gate read the same one, so the model is linted once per job.
     report = memo_report(model)
-    errors = report.errors
-    if errors:
-        raise ValidationError(
-            [diagnostic.legacy_text for diagnostic in errors],
-            diagnostics=errors,
-        )
+    if report.errors:
+        raise ValidationError(report.errors)
     return report.summary()
 
 

@@ -14,19 +14,17 @@ class ModelError(ReproError):
 
 
 class ValidationError(ModelError):
-    """Model validation failed; carries the list of individual problems.
+    """Model validation failed; carries the lint findings that refused it.
 
-    *problems* are the human-readable strings the validator has always
-    reported; *diagnostics* optionally carries the structured
-    :class:`repro.lint.Diagnostic` objects behind them (empty for errors
-    raised from plain string lists).  ``str(exc)`` is unchanged.
+    *diagnostics* are the error-level :class:`repro.lint.Diagnostic`
+    objects; the message renders each with ``Diagnostic.format()``, so it
+    names every finding's rule id and path.
     """
 
-    def __init__(self, problems, diagnostics=()):
-        self.problems = list(problems)
+    def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
-        joined = "; ".join(self.problems) if self.problems else "unknown problem"
-        super().__init__(f"model validation failed: {joined}")
+        super().__init__("model validation failed: " + "; ".join(
+            diagnostic.format() for diagnostic in self.diagnostics))
 
 
 class SimulationError(ReproError):

@@ -18,10 +18,17 @@ from repro.apps.motor_controller.comm_units import (
     MOTOR_INTERFACE,
     SPEED_CONTROL_INTERFACE,
 )
-from repro.core.validation import validate_model
 from repro.desim import Simulator, Timeout
-from repro.ir.transform import check_fsm
+from repro.lint import LintReport, lint_model
+from repro.lint.dataflow import structural_pass
 from repro.utils.errors import ModelError, SimulationError
+
+
+def structural_findings(fsm):
+    """FSM001–FSM005 findings on one behaviour."""
+    report = LintReport()
+    structural_pass(fsm, fsm.name, report)
+    return report.diagnostics
 
 
 class TestConfig:
@@ -68,7 +75,7 @@ class TestCommUnits:
     def test_all_service_fsms_are_structurally_clean(self):
         for unit in (build_sw_hw_unit(), build_motor_unit()):
             for service in unit.services.values():
-                assert check_fsm(service.fsm) == [], service.name
+                assert structural_findings(service.fsm) == [], service.name
 
 
 class TestBehaviours:
@@ -82,7 +89,7 @@ class TestBehaviours:
         assert module.fsm.initial == "Start"
         assert module.services_used() == ["SetupControl", "MotorPosition",
                                           "ReadMotorState"]
-        assert check_fsm(module.fsm) == []
+        assert structural_findings(module.fsm) == []
 
     def test_speed_control_units_match_figure_7(self):
         module = build_speed_control(MotorControllerConfig())
@@ -92,14 +99,14 @@ class TestBehaviours:
             "ReadSampledData", "SendMotorPulses",
         }
         for fsm in module.behaviours():
-            assert check_fsm(fsm) == [], fsm.name
+            assert structural_findings(fsm) == [], fsm.name
         # Internal signals of Figure 7 exist.
         for signal in ("TARGETSIG", "NEWTARGET", "BUSY", "PULSECMD", "PULSEACK"):
             assert signal in module.internal_signals
 
     def test_system_model_validates(self):
         model, config = build_system()
-        assert validate_model(model) == []
+        assert lint_model(model, structural_only=True).diagnostics == []
         topology = model.topology()
         assert topology["software_modules"] == ["DistributionMod"]
         assert topology["hardware_modules"] == ["SpeedControlMod"]

@@ -8,7 +8,7 @@ from repro.apps.motor_controller.two_axis import (
     build_two_axis_system,
     two_axis_observables,
 )
-from repro.core.validation import validate_model
+from repro.lint import lint_model
 
 
 class TestTwoAxisModel:
@@ -21,7 +21,7 @@ class TestTwoAxisModel:
         assert sorted(model.comm_units) == [
             "MotorUnitX", "MotorUnitY", "SwHwUnitX", "SwHwUnitY",
         ]
-        assert validate_model(model) == []
+        assert lint_model(model, structural_only=True).diagnostics == []
         assert len(model.bindings) == 16
 
     def test_axis_services_are_disjoint(self):

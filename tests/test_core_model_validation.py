@@ -3,8 +3,13 @@
 import pytest
 
 from repro.comm import build_view_library, handshake_channel
-from repro.core import SystemModel, validate_model
-from repro.core.views import MultiViewLibrary, ViewKind
+from repro.core import Binding, SystemModel
+from repro.core.views import MultiViewLibrary
+from repro.cosim import CosimSession
+from repro.cosyn import CosynthesisFlow
+from repro.lint import lint_model
+from repro.platforms import get_platform
+from repro.sweep.jobs import _lint_preflight
 from repro.utils.errors import ModelError, ValidationError
 
 from tests.conftest import (
@@ -93,43 +98,95 @@ class TestSystemModel:
         assert kinds == {"HostMod": "software", "ServerMod": "hardware"}
 
 
+def structural(model, **kwargs):
+    """The structural lint stage: what validation reads before a flow."""
+    return lint_model(model, structural_only=True, **kwargs)
+
+
+def with_unused_binding():
+    """Producer/consumer plus a binding HostMod never calls: warnings only."""
+    model = make_producer_consumer_model()
+    model.bindings.append(Binding("HostMod", "ServerGet", "Channel"))
+    return model
+
+
 class TestValidation:
     def test_valid_model_passes(self, producer_consumer_model):
-        assert validate_model(producer_consumer_model) == []
+        assert structural(producer_consumer_model).diagnostics == []
 
     def test_unbound_service_detected(self):
         model = SystemModel("Sys")
         model.add_software_module(make_host_module())
-        problems = validate_model(model, raise_on_error=False)
-        assert any("not bound" in p for p in problems)
-        with pytest.raises(ValidationError):
-            validate_model(model)
+        (finding,) = structural(model).diagnostics
+        assert (finding.rule, finding.severity, finding.path) == (
+            "IF001", "error", "module/HostMod")
+        assert finding.data == {"service": "HostPut"}
 
-    def test_binding_to_never_called_service_detected(self, producer_consumer_model):
-        model = producer_consumer_model
-        # HostMod never calls ServerGet, but bind it anyway.
-        model.bindings.append(type(model.bindings[0])("HostMod", "ServerGet", "Channel"))
-        problems = validate_model(model, raise_on_error=False)
-        assert any("never calls" in p for p in problems)
+    def test_binding_to_never_called_service_detected(self):
+        (finding,) = structural(with_unused_binding()).diagnostics
+        assert (finding.rule, finding.severity, finding.path) == (
+            "IF002", "warning", "binding/HostMod.ServerGet")
 
     def test_view_library_gaps_detected(self, producer_consumer_model):
-        empty_library = MultiViewLibrary()
-        problems = validate_model(producer_consumer_model, library=empty_library,
-                                  raise_on_error=False)
-        assert any("SW simulation view" in p for p in problems)
-        assert any("HW view" in p for p in problems)
+        report = structural(producer_consumer_model, library=MultiViewLibrary())
+        assert [(d.rule, d.path) for d in report.diagnostics] == [
+            ("VIEW001", "service/HostPut"), ("VIEW001", "service/ServerGet")]
+        assert "SW simulation view" in report.diagnostics[0].message
+        assert "HW view" in report.diagnostics[1].message
 
     def test_view_library_with_all_views_passes(self, producer_consumer_model):
         library = build_view_library([producer_consumer_model.comm_unit("Channel")])
-        assert validate_model(producer_consumer_model, library=library) == []
+        assert structural(producer_consumer_model, library=library).diagnostics == []
 
     def test_platform_views_checked_when_requested(self, producer_consumer_model):
         library = build_view_library([producer_consumer_model.comm_unit("Channel")])
-        problems = validate_model(producer_consumer_model, library=library,
-                                  platforms=["pc_at_fpga"], raise_on_error=False)
-        assert any("SW synthesis view" in p for p in problems)
+        report = structural(producer_consumer_model, library=library,
+                            platforms=["pc_at_fpga"])
+        (finding,) = report.diagnostics
+        assert (finding.rule, finding.path) == ("VIEW001", "service/HostPut")
+        assert "SW synthesis view" in finding.message
 
     def test_library_must_be_a_multiview_library(self, producer_consumer_model):
-        problems = validate_model(producer_consumer_model, library={},
-                                  raise_on_error=False)
-        assert any("MultiViewLibrary" in p for p in problems)
+        (finding,) = structural(producer_consumer_model, library={}).diagnostics
+        assert (finding.rule, finding.path) == ("VIEW002", "library")
+
+
+class TestRefusal:
+    """Errors refuse a session or a flow; warnings never do."""
+
+    def test_warnings_pass_preflight_and_session(self):
+        model = with_unused_binding()
+        summary = _lint_preflight(model, no_lint=False)
+        assert (summary["errors"], summary["warnings"]) == (0, 2)
+        assert summary["rules"] == ["IF002", "IF007"]
+        session = CosimSession(model)
+        result = session.run_until_software_done(max_time=500_000)
+        assert result.sw_finished["HostMod"] is True
+        server = session.hardware_adapter("ServerMod").process_variables("SERVER")
+        assert server["RECEIVED"] == 5
+
+    def test_unbound_service_refuses_session_and_preflight(self):
+        model = SystemModel("Sys")
+        model.add_software_module(make_host_module())
+        for refuse in (lambda: CosimSession(model),
+                       lambda: _lint_preflight(model, no_lint=False)):
+            with pytest.raises(ValidationError) as excinfo:
+                refuse()
+            (finding,) = excinfo.value.diagnostics
+            assert (finding.rule, finding.path) == ("IF001", "module/HostMod")
+            assert str(excinfo.value) == ("model validation failed: "
+                                          + finding.format())
+
+    def test_missing_platform_view_refuses_flow(self, producer_consumer_model):
+        library = build_view_library([producer_consumer_model.comm_unit("Channel")])
+        with pytest.raises(ValidationError) as excinfo:
+            CosynthesisFlow(producer_consumer_model, get_platform("pc_at_fpga"),
+                            library=library)
+        assert [(d.rule, d.path) for d in excinfo.value.diagnostics] == [
+            ("VIEW001", "service/HostPut")]
+        assert "VIEW001" in str(excinfo.value)
+
+    def test_warnings_do_not_refuse_a_flow(self):
+        result = CosynthesisFlow(with_unused_binding(),
+                                 get_platform("pc_at_fpga")).run()
+        assert "HostMod" in result.software

@@ -127,11 +127,11 @@ class TestRepartition:
             repartition(model, [])
 
     def test_repartitioned_testkit_model_still_validates(self):
-        from repro.core.validation import validate_model
+        from repro.lint import lint_model
 
         system = generate_system(0, networks=2)
         model = system.build_model()
         all_hw = repartition(model, list(model.modules))
         all_sw = repartition(model, [])
-        assert validate_model(all_hw, raise_on_error=False) == []
-        assert validate_model(all_sw, raise_on_error=False) == []
+        assert lint_model(all_hw, structural_only=True).diagnostics == []
+        assert lint_model(all_sw, structural_only=True).diagnostics == []

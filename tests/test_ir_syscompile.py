@@ -30,7 +30,7 @@ from repro.ir import (
     var,
 )
 from repro.ir.expr import BinOp, Const
-from repro.ir.syscompile import SOURCE_FORMAT, SystemProgram
+from repro.ir.syscompile import SOURCE_FORMAT, SystemPlan, SystemProgram
 from repro.lint.selfcheck import MUTANTS
 from repro.sweep.jobs import CosimJob
 from repro.testkit.models import generate_system
@@ -246,9 +246,14 @@ class TestLintPreflight:
         with pytest.raises(SystemCompileError, match="lint errors"):
             compile_system(self._mutant_model())
 
-    def test_lint_false_bypasses_the_preflight(self):
-        program = compile_system(self._mutant_model(), lint=False)
-        assert isinstance(program, SystemProgram)
+    def test_only_lint_refuses_the_mutant(self):
+        # Planned and generated without consulting lint, the mutant fuses.
+        model = self._mutant_model()
+        plan = SystemPlan(model)
+        assert plan.candidates
+        program = SystemProgram(model, plan, model_digest(model),
+                                generate_system_source(model, plan))
+        assert program.plan is plan
 
     def test_session_degrades_to_interpreted_with_reason(self):
         session = CosimSession(self._mutant_model())

@@ -1,4 +1,4 @@
-"""Unit tests of IR transformations, checks and the pretty printer."""
+"""Unit tests of IR transformations, structural checks and the pretty printer."""
 
 from repro.ir import (
     Assign,
@@ -6,7 +6,6 @@ from repro.ir import (
     If,
     INT,
     PortWrite,
-    check_fsm,
     constant_fold,
     format_expr,
     format_fsm,
@@ -18,6 +17,8 @@ from repro.ir import (
 )
 from repro.ir.expr import BinOp, Const, UnOp
 from repro.ir.transform import fold_fsm, fold_statement
+from repro.lint import LintReport
+from repro.lint.dataflow import structural_pass
 from repro.ir.visitor import variables_read, variables_written
 
 
@@ -64,6 +65,13 @@ class TestConstantFold:
         assert folded.name == fsm.name and folded.initial == fsm.initial
 
 
+def structural_findings(fsm):
+    """``(rule, path)`` of every FSM001–FSM005 finding on *fsm*."""
+    report = LintReport()
+    structural_pass(fsm, "F", report)
+    return [(d.rule, d.path) for d in report.diagnostics]
+
+
 class TestReachability:
     def _fsm_with_orphan(self):
         build = FsmBuilder("F")
@@ -85,29 +93,30 @@ class TestReachability:
         assert set(trimmed.states) == {"A", "B"}
         assert "Orphan" not in trimmed.states
 
-    def test_check_fsm_reports_orphans_and_traps(self):
+    def test_structural_pass_reports_orphans(self):
         fsm = self._fsm_with_orphan()
-        problems = check_fsm(fsm)
-        assert any("unreachable" in p for p in problems)
+        assert structural_findings(fsm) == [("FSM002", "F/Orphan")]
 
-    def test_check_fsm_reports_unknown_target(self):
+    def test_structural_pass_reports_unknown_target(self):
         build = FsmBuilder("F")
         with build.state("A") as state:
             state.go("Missing")
         fsm = build.build(initial="A")
-        assert any("unknown state" in p for p in check_fsm(fsm))
+        assert structural_findings(fsm) == [("FSM001", "F/A")]
 
-    def test_check_fsm_reports_undeclared_variables(self):
+    def test_structural_pass_reports_undeclared_variables(self):
         build = FsmBuilder("F")
         with build.state("A") as state:
             state.do(Assign("x", var("y") + 1))
             state.stay()
-        fsm = build.build(initial="A")
-        problems = check_fsm(fsm)
-        assert any("'y' is read" in p for p in problems)
-        assert any("'x' is written" in p for p in problems)
+        report = LintReport()
+        structural_pass(build.build(initial="A"), "F", report)
+        assert [(d.rule, d.message) for d in report.diagnostics] == [
+            ("FSM004", "variable 'y' is read but never declared"),
+            ("FSM005", "variable 'x' is written but never declared"),
+        ]
 
-    def test_check_fsm_accepts_clean_fsm(self):
+    def test_structural_pass_accepts_clean_fsm(self):
         build = FsmBuilder("F")
         build.variable("x", INT, 0)
         with build.state("A") as state:
@@ -116,15 +125,15 @@ class TestReachability:
             state.stay()
         with build.state("B", done=True) as state:
             state.stay()
-        assert check_fsm(build.build(initial="A")) == []
+        assert structural_findings(build.build(initial="A")) == []
 
-    def test_check_fsm_reports_trap_state(self):
+    def test_structural_pass_reports_trap_state(self):
         build = FsmBuilder("F")
         with build.state("A") as state:
             state.go("Dead")
         build.add_state("Dead")
         fsm = build.build(initial="A")
-        assert any("trap" in p for p in check_fsm(fsm))
+        assert structural_findings(fsm) == [("FSM003", "F/Dead")]
 
 
 class TestVisitors:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.apps.motor_controller.system import build_system
 from repro.apps.motor_controller.two_axis import build_two_axis_system
-from repro.core import validate_model
-from repro.lint import LEGACY_RULES, RULES_BY_ID, Diagnostic, LintReport, lint_model
+from repro.cosim import CosimSession
+from repro.lint import RULES_BY_ID, STRUCTURAL_RULES, Diagnostic, LintReport, lint_model
 from repro.lint.__main__ import main as lint_main
 from repro.lint.selfcheck import MUTANTS, run_selfcheck
 from repro.testkit.models import generate_system
@@ -19,9 +19,9 @@ class TestDiagnostics:
         diagnostic = Diagnostic("DF001", "warning", "module/M/F",
                                 "variable 'X' may be read before init",
                                 data={"variable": "X"})
-        assert "DF001" in diagnostic.format()
+        assert diagnostic.format() == (
+            "warning DF001    module/M/F: variable 'X' may be read before init")
         assert diagnostic.as_dict()["data"] == {"variable": "X"}
-        assert diagnostic.legacy_text.startswith("module/M/F: ")
 
     def test_suppression_matching(self):
         diagnostic = Diagnostic("DF002", "warning", "module/M/F",
@@ -103,28 +103,33 @@ class TestCorpusClean:
         assert run_selfcheck() == []
 
 
-class TestValidationShim:
+class TestStructuralValidation:
     def test_validation_error_carries_diagnostics(self):
         builder, _ = MUTANTS["trap-state"]
         with pytest.raises(ValidationError) as excinfo:
-            validate_model(builder())
+            CosimSession(builder())
         exc = excinfo.value
-        assert exc.problems
         assert exc.diagnostics
-        assert {d.rule for d in exc.diagnostics} <= LEGACY_RULES
-        # str() keeps the historical shape.
-        assert str(exc).startswith("model validation failed: ")
+        assert {d.rule for d in exc.diagnostics} == {"FSM003"}
+        assert all(d.severity == "error" for d in exc.diagnostics)
+        assert str(exc) == "model validation failed: " + "; ".join(
+            d.format() for d in exc.diagnostics)
 
-    def test_legacy_mode_ignores_suppressions(self):
-        # The motor app suppresses DF002, an extended rule: legacy-only
-        # validation must stay clean AND must not consult suppressions.
+    def test_structural_stage_ignores_suppressions(self):
+        # The motor app suppresses DF002, an extended rule: the structural
+        # stage stays clean AND does not consult suppressions.
         model = build_system()[0]
-        assert validate_model(model) == []
+        report = lint_model(model, structural_only=True)
+        assert report.diagnostics == [] and report.suppressed == []
+        assert [d.rule for d in lint_model(model).suppressed] == ["DF002"]
+        CosimSession(model)
 
-    def test_extended_rules_do_not_leak_into_shim(self):
+    def test_extended_errors_do_not_refuse_a_session(self):
         builder, rule = MUTANTS["bad-width"]
-        # IF006 is an extended (non-legacy) error: the legacy shim passes.
-        assert validate_model(builder()) == []
+        # IF006 is an extended (non-structural) error: validation passes.
+        assert rule not in STRUCTURAL_RULES
+        assert lint_model(builder(), structural_only=True).diagnostics == []
+        CosimSession(builder())
         assert lint_model(builder()).by_rule(rule)
 
 
@@ -149,8 +154,12 @@ class TestCli:
 
     def test_rules_catalog(self, capsys):
         assert lint_main(["--rules"]) == 0
-        out = capsys.readouterr().out
-        assert "RACE001" in out and "PROTO002" in out
+        lines = {line.split()[0]: line.split()[2]
+                 for line in capsys.readouterr().out.splitlines()}
+        assert lines["FSM001"] == "structural"
+        assert lines["RACE001"] == "extended"
+        assert {rule for rule, stage in lines.items()
+                if stage == "structural"} == STRUCTURAL_RULES
 
     def test_selfcheck_entry(self, capsys):
         assert lint_main(["--selfcheck"]) == 0

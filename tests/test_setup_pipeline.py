@@ -10,7 +10,6 @@ program cache, are keyed on content in bounded LRUs.
 import pytest
 
 from repro.apps.motor_controller.system import build_system
-from repro.core import validate_model
 from repro.cosim import CosimSession
 from repro.ir import compile as ir_compile
 from repro.ir import compile_system, syscompile
@@ -93,19 +92,22 @@ class TestStagedLintMemo:
         models.append(build_system()[0])
         return models
 
-    def test_validation_matches_legacy_lint_before_and_after_full(
+    def test_structural_memo_matches_lint_before_and_after_full(
             self, monkeypatch):
         extended = _count_calls(monkeypatch, engine, "_extended_stage")
         for model in self._models():
-            expected = [diagnostic.legacy_text for diagnostic
-                        in lint_model(model, legacy_only=True).diagnostics]
-            assert validate_model(model, raise_on_error=False) == expected
-            assert validate_model(model, raise_on_error=False) == expected
-            # Validation alone never pays for the extended passes.
+            expected = lint_model(model, structural_only=True).as_dict()
+            structural = engine.memo_report(model, structural_only=True)
+            assert structural.as_dict() == expected
+            # Validation reads the memo and never pays for the extended
+            # passes.
+            CosimSession(model)
+            assert engine.memo_report(model, structural_only=True) is structural
             assert extended == []
             full = engine.memo_report(model)
             assert len(extended) == 1
-            assert validate_model(model, raise_on_error=False) == expected
+            assert engine.memo_report(model, structural_only=True) is structural
+            assert structural.as_dict() == expected
             assert engine.memo_report(model) is full
             assert len(extended) == 1
             del extended[:]
@@ -117,10 +119,10 @@ class TestStagedLintMemo:
 
     def test_motor_suppression_applies_to_the_memo_only_in_full(self):
         model = build_system()[0]
-        legacy = engine.memo_report(model, legacy_only=True)
+        structural = engine.memo_report(model, structural_only=True)
         full = engine.memo_report(model)
         assert full.suppressed  # the distribution FSM's DF002 entry
-        assert legacy.suppressed == []
+        assert structural.suppressed == []
 
 
 class TestBoundedProgramCaches:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.lint import Diagnostic
 from repro.utils.errors import (
     ModelError,
     ReproError,
@@ -24,19 +25,18 @@ class TestErrors:
         for exc in (ModelError, SimulationError, SynthesisError, ViewError):
             assert issubclass(exc, ReproError)
 
-    def test_validation_error_collects_problems(self):
-        error = ValidationError(["first problem", "second problem"])
-        assert error.problems == ["first problem", "second problem"]
-        assert "first problem" in str(error)
-        assert "second problem" in str(error)
+    def test_validation_error_renders_its_diagnostics(self):
+        findings = [Diagnostic("IF001", "error", "module/A", "first problem"),
+                    Diagnostic("FSM003", "error", "module/B/F/S", "second")]
+        error = ValidationError(iter(findings))
+        assert error.diagnostics == findings
+        assert str(error) == (
+            "model validation failed: "
+            "error   IF001    module/A: first problem; "
+            "error   FSM003   module/B/F/S: second")
 
     def test_validation_error_is_a_model_error(self):
         assert issubclass(ValidationError, ModelError)
-
-    def test_validation_error_with_no_problems(self):
-        error = ValidationError([])
-        assert error.problems == []
-        assert "unknown problem" in str(error)
 
 
 class TestCheckIdentifier:

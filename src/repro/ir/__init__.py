@@ -95,13 +95,11 @@ __all__ = [
     "SystemProgram",
     "compile_system",
     "generate_system_source",
-    "model_digest",
-    "system_spec",
 ]
 
 _SYSCOMPILE_EXPORTS = frozenset({
     "SystemCompileError", "SystemPlan", "SystemProgram", "compile_system",
-    "generate_system_source", "model_digest", "system_spec",
+    "generate_system_source",
 })
 
 

@@ -1,10 +1,9 @@
 """Per-FSM code generation for the behavioural IR.
 
 This module holds the expression rules the fused whole-system step of
-:mod:`repro.ir.syscompile` is generated with — operator templates, eager
-``and``/``or``, :func:`constant_divisor_source` and the ``_pos_div`` /
-``_pos_mod`` helpers — and the canonical FSM description :func:`fsm_spec`
-/ :func:`fsm_digest` that the whole-system digest is built from.
+:mod:`repro.ir.syscompile` is generated with — operator templates,
+:func:`constant_divisor_source` and the ``_pos_div`` / ``_pos_mod``
+helpers.
 
 It also still holds the retired per-FSM program generator,
 :func:`compile_fsm` / :class:`CompiledFsm`: it translates one

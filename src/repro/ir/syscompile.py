@@ -13,12 +13,15 @@ every communication-unit protocol controller and every hardware-module
 process, i.e. the complete population of clocked FSM processes — into a
 **single** generated step function registered once on the clock:
 
-* signals are bound as default-argument locals (``LOAD_FAST``), reads are
-  ``sig._value`` (the attribute the ``Signal.value`` property returns),
-  writes append to the kernel's delta queue directly,
+* signals are bound as default-argument locals (``LOAD_FAST``): the
+  source declares plain parameters and :meth:`SystemProgram.bind` supplies
+  one session's objects as their defaults; reads are ``sig._value`` (the
+  attribute the ``Signal.value`` property returns), writes append to the
+  kernel's delta queue directly,
 * per-instance dispatch becomes an ``if/elif`` chain over state-name
   literals with the transition logic inlined in the interpreter's order
-  (same evaluation order, same eager operators, same errors),
+  (same evaluation order, same eager operators, same errors); guards and
+  ``If`` conditions are emitted in truth context,
 * service-call transitions call the bound
   :class:`~repro.cosim.services.ServiceInstance` directly (trace tokens,
   invocation counts and ``reset_on_done`` semantics stay canonical), and
@@ -33,10 +36,11 @@ per-FSM on the interpreter (they are demand-driven, not clocked); fused
 candidate steps count in the session's ``system_compile_hits``, every
 other step in its ``interpreted`` counter.
 
-The generated source is a pure function of the model structure: the
-program is cached per model (weak) and its code object per digest
-(:func:`model_digest`, via :mod:`repro.utils.canonical`) in a fixed-size
-in-process LRU.
+The generated source is a pure function of the model structure, so the
+source text itself keys the code-object cache, a fixed-size in-process
+LRU.  The program is cached per model in a weak map; a program holds no
+reference to its model, so the entry goes when the model's last session
+does.
 
 The fused program is cross-checked end to end, not in-session: the
 conformance kit's ``--tier differential`` runs every scenario on the
@@ -44,26 +48,20 @@ fused and interpreted tiers in separate sessions and compares
 their complete fingerprints.
 """
 
+import types
 import weakref
 
 from repro.ir.compile import (
     _BINOP_TEMPLATES,
     _UNOP_TEMPLATES,
-    CompileError,
     _expr_var_reads,
     _stmt_var_reads,
     constant_divisor_source,
-    fsm_spec,
 )
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
-from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
-
-#: Bumped whenever the generated source changes shape; it is part of
-#: :func:`system_spec`, so it keys the code-object cache too.
-SOURCE_FORMAT = 5
 
 
 class SystemCompileError(SimulationError):
@@ -73,62 +71,6 @@ class SystemCompileError(SimulationError):
     errors); the session reacts by falling back to the per-FSM
     wiring and recording the reason — never by changing behaviour.
     """
-
-
-# --------------------------------------------------------------------- spec
-
-
-def system_spec(model):
-    """Canonical structural description of everything the codegen consumes.
-
-    Two models with equal specs generate byte-identical source, so the
-    spec's :func:`~repro.utils.canonical.content_digest` keys the
-    code-object cache.  Each FSM enters as its
-    :func:`~repro.ir.compile.fsm_spec`.  Bindings and port
-    initial values are bind-time inputs, not codegen inputs, and are
-    deliberately absent.
-    """
-    try:
-        return _system_spec(model)
-    except CompileError as exc:
-        raise SystemCompileError(str(exc)) from None
-
-
-def _system_spec(model):
-    return {
-        "syscompile": SOURCE_FORMAT,
-        "units": [
-            {"name": unit.name,
-             "ports": sorted(unit.ports),
-             "controllers": [{"name": c.name,
-                              "protocol": getattr(c, "protocol", ""),
-                              "fsm": fsm_spec(c.fsm)}
-                             for c in unit.controllers]}
-            for unit in model.comm_units.values()
-        ],
-        "modules": [
-            {"name": module.name,
-             "ports": sorted(module.all_signal_names()),
-             "fsms": [fsm_spec(fsm) for fsm in module.behaviours()]}
-            for module in model.hardware_modules()
-        ],
-    }
-
-
-_DIGEST_CACHE = weakref.WeakKeyDictionary()
-
-
-def model_digest(model):
-    """Content digest of :func:`system_spec`, weakly cached per model.
-
-    Like :func:`~repro.ir.compile.fsm_digest` this assumes the model is not
-    mutated after its first compilation.
-    """
-    digest = _DIGEST_CACHE.get(model)
-    if digest is None:
-        digest = content_digest(system_spec(model))
-        _DIGEST_CACHE[model] = digest
-    return digest
 
 
 # --------------------------------------------------------------------- plan
@@ -176,11 +118,10 @@ class SystemPlan:
     Mirrors the session's build order exactly — controllers in unit order
     then hardware modules in model order — because the fused step function
     must execute its candidates in the order their clocked processes would
-    have run.
+    have run.  The plan keeps no reference to the model.
     """
 
     def __init__(self, model):
-        self.model = model
         self.candidates = []
         self.accessor_keys = []     # ("ctrl", unit, ctrl) | ("hw", module)
         self.adapter_keys = []      # hardware module names
@@ -242,16 +183,22 @@ class SystemPlan:
 # ------------------------------------------------------------------ codegen
 
 
-class _FragmentEmitter:
-    """Emits the inlined step fragment of one candidate.
+#: IR comparison operators, emitted bare in truth context.
+_COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
+                "ge": ">="}
 
-    The fragment performs canonical counter updates, delta-queue writes
-    and observer callbacks.  Accessor read/write counts and the
-    ``transactions`` statistic are accumulated in pending counters and
-    flushed as ``+= n`` lines at every control-flow boundary, so each
-    executed path bumps exactly the counts the per-FSM tier would have
-    bumped on that path (only the per-call fold point differs, which is
-    unobservable between deltas).
+
+class _FragmentEmitter:
+    """Emits the inlined fragment of one candidate state.
+
+    The fragment performs canonical counter updates and delta-queue
+    writes.  Accessor read/write counts are accumulated in pending
+    counters and flushed as ``+= n`` lines at every control-flow
+    boundary, so each executed path bumps exactly the counts the per-FSM
+    tier would have bumped on that path (only the per-call fold point
+    differs, which is unobservable between deltas).  Every write is one
+    kernel transaction, so the ``transactions`` statistic is the sum of
+    the write counts.
     """
 
     def __init__(self, plan, cand, lines):
@@ -260,7 +207,6 @@ class _FragmentEmitter:
         self.lines = lines
         self._reads = 0
         self._writes = 0
-        self._tx = 0
         # Unique-name counter for the walrus temporaries of inlined
         # eager and/or sites (each site needs its own pair: a nested
         # and/or in an operand would clobber shared names mid-expression).
@@ -278,9 +224,7 @@ class _FragmentEmitter:
             self.lines.append(f"{pad}_r{ai} += {self._reads}")
         if self._writes:
             self.lines.append(f"{pad}_w{ai} += {self._writes}")
-        if self._tx:
-            self.lines.append(f"{pad}_tx += {self._tx}")
-        self._reads = self._writes = self._tx = 0
+        self._reads = self._writes = 0
 
     def expr(self, expr):
         if isinstance(expr, Const):
@@ -323,6 +267,27 @@ class _FragmentEmitter:
             return template.format(self.expr(expr.operand))
         raise SystemCompileError(f"cannot compile expression {expr!r}")
 
+    def cond(self, expr, exact=False):
+        """Source of *expr* where only its truth value is read.
+
+        Comparisons are emitted bare, eager ``and``/``or`` as ``&``/``|``
+        over bool operands (both evaluated, left first, as the interpreter
+        does) and ``not`` as ``not``.  With *exact* the source yields
+        exactly ``bool(value)``, as an ``&``/``|`` operand must.
+        """
+        if isinstance(expr, BinOp):
+            op = _COMPARISONS.get(expr.op)
+            if op is not None:
+                return f"({self.expr(expr.left)} {op} {self.expr(expr.right)})"
+            if expr.op in ("and", "or"):
+                op = "&" if expr.op == "and" else "|"
+                return (f"({self.cond(expr.left, True)} {op} "
+                        f"{self.cond(expr.right, True)})")
+        elif isinstance(expr, UnOp) and expr.op == "not":
+            return f"(not {self.cond(expr.operand)})"
+        src = self.expr(expr)
+        return f"bool({src})" if exact else src
+
     # -- statements
 
     def emit_stmts(self, statements, depth):
@@ -335,9 +300,8 @@ class _FragmentEmitter:
                 slot = self.plan.signal_slot(self.cand, stmt.port_name)
                 self.line(depth, f"_dq((g{slot}, {src}))")
                 self._writes += 1
-                self._tx += 1
             elif isinstance(stmt, If):
-                cond = self.expr(stmt.cond)
+                cond = self.cond(stmt.cond)
                 self.flush(depth)
                 self.line(depth, f"if {cond}:")
                 self._emit_suite(stmt.then, depth + 1)
@@ -356,57 +320,36 @@ class _FragmentEmitter:
         if len(self.lines) == before:
             self.line(depth, "pass")
 
-    # -- step results / observers
+    # -- transitions
 
-    def _observe(self, depth, from_state, to_state, fired, called_local):
-        fsm = self.cand.fsm
-        done = to_state in fsm.done_states
-        args = [repr(from_state), repr(to_state), repr(fired), repr(done)]
-        result = "None"
-        if done and fsm.result_var:
-            result = f"_e.get({fsm.result_var!r})"
-        if called_local is not None:
-            args += [result, called_local]
-        elif result != "None":
-            args.append(result)
-        self.line(depth, "if _ob is not None:")
-        self.line(depth + 1, f"_ob(SR({', '.join(args)}))")
-
-    def _fire(self, transition, state, depth, called_local):
+    def _fire(self, transition, state, depth, last=False):
+        """Take *transition*; ``break`` out of the state unless *last*."""
         self.emit_stmts(transition.actions, depth)
         self.flush(depth)
         i = self.cand.index
-        self.line(depth, f"i{i}.current = {transition.target!r}")
-        self.line(depth, f"i{i}.transitions_fired += 1")
-        self._observe(depth, state.name, transition.target, True,
-                      called_local)
-        self.line(depth, "break")
-
-    # -- transitions
+        if transition.target != state.name:
+            self.line(depth, f"i{i}.current = {transition.target!r}")
+        self.line(depth, "_f = True")
+        if not last:
+            self.line(depth, "break")
 
     def emit_state(self, state, depth):
-        """The full fragment of one state, inside a ``while True:`` goto."""
-        has_calls = any(t.call is not None for t in state.transitions)
-        called_local = "_cl" if has_calls else None
-        if has_calls:
-            self.line(depth, "_cl = None")
+        """The fragment of one state, inside the candidate's ``while True:``
+        goto: a taken transition breaks out unless it ends the state."""
         self.emit_stmts(state.actions, depth)
         for transition in state.transitions:
             if transition.call is not None:
                 if self._emit_call_transition(transition, state, depth):
                     return  # unconditional raise: rest unreachable
                 continue
-            if transition.guard is not None:
-                guard = self.expr(transition.guard)
-                self.flush(depth)
-                self.line(depth, f"if {guard}:")
-                self._fire(transition, state, depth + 1, called_local)
-            else:
-                self._fire(transition, state, depth, called_local)
+            if transition.guard is None:
+                self._fire(transition, state, depth, last=True)
                 return  # later transitions are unreachable, as in the oracle
+            guard = self.cond(transition.guard)
+            self.flush(depth)
+            self.line(depth, f"if {guard}:")
+            self._fire(transition, state, depth + 1)
         self.flush(depth)
-        self._observe(depth, state.name, state.name, False, called_local)
-        self.line(depth, "break")
 
     def _emit_call_transition(self, transition, state, depth):
         """One service-call transition; returns True when it always raises.
@@ -434,13 +377,70 @@ class _FragmentEmitter:
         if call.store:
             self.line(inner, f"_e[{call.store!r}] = _v")
         if transition.guard is not None:
-            guard = self.expr(transition.guard)
+            guard = self.cond(transition.guard)
             self.flush(inner)
             self.line(inner, f"if {guard}:")
-            self._fire(transition, state, inner + 1, "_cl")
+            self._fire(transition, state, inner + 1)
         else:
-            self._fire(transition, state, inner, "_cl")
+            self._fire(transition, state, inner)
         return False
+
+
+def _emit_candidate(plan, cand, lines):
+    """The step of one candidate: state dispatch, then one observer site.
+
+    Every path records in ``_f`` whether a transition fired (and in
+    ``_cl`` the last service it called); after the dispatch ``_f`` is
+    added to ``transitions_fired`` and the one observer call builds the
+    :class:`~repro.ir.interp.StepResult` the interpreter would have.  An
+    unknown state falls back to the interpreter, which counts and
+    observes its own step.
+    """
+    i = cand.index
+    fsm = cand.fsm
+    has_calls = any(t.call is not None
+                    for state in fsm.iter_states()
+                    for t in state.transitions)
+    tag = f", protocol {cand.protocol}" if cand.protocol else ""
+    lines.append(f"        # {cand.kind} {cand.label} "
+                 f"(fsm {fsm.name!r}{tag})")
+    lines.append(f"        _e = i{i}.env")
+    lines.append(f"        _er = _ER{i}")
+    lines.append(f"        i{i}.steps += 1")
+    lines.append(f"        _c = i{i}.current")
+    lines.append(f"        _ob = i{i}.observer")
+    lines.append("        _f = False")
+    if has_calls:
+        lines.append("        _cl = None")
+    lines.append("        while True:")
+    keyword = "if"
+    for state in fsm.iter_states():
+        lines.append(f"            {keyword} _c == {state.name!r}:")
+        keyword = "elif"
+        before = len(lines)
+        _FragmentEmitter(plan, cand, lines).emit_state(state, 4)
+        if len(lines) == before:
+            lines.append("                pass")
+    lines.append("            else:")
+    lines.append(f"                i{i}.steps -= 1")
+    lines.append("                _hits -= 1")
+    lines.append("                _ses.system_fallback += 1")
+    lines.append(f"                i{i}.step()")
+    lines.append("                _ob = None  # i.step() observed itself")
+    lines.append("            break")
+    lines.append(f"        i{i}.transitions_fired += _f")
+    lines.append("        if _ob is not None:")
+    lines.append(f"            _t = i{i}.current")
+    done, result = "False", "None"
+    if fsm.done_states:
+        names = ", ".join(repr(name) for name in sorted(fsm.done_states))
+        done = f"_t in {{{names}}}"
+        if fsm.result_var:
+            lines.append(f"            _dn = {done}")
+            done = "_dn"
+            result = f"_e.get({fsm.result_var!r}) if _dn else None"
+    called = "_cl" if has_calls else "None"
+    lines.append(f"            _ob(SR(_c, _t, _f, {done}, {result}, {called}))")
 
 
 def _chunk_zero_init(names, lines, depth):
@@ -451,113 +451,71 @@ def _chunk_zero_init(names, lines, depth):
         lines.append(pad + " = ".join(chunk) + " = 0")
 
 
-def _defaults(pairs):
-    """Render default-argument bindings, eight per line."""
-    out = []
-    for start in range(0, len(pairs), 8):
-        out.append(", ".join(f"{name}={value}"
-                             for name, value in pairs[start:start + 8]))
-    return (",\n              ").join(out)
-
-
 def generate_system_source(model, plan=None):
     """The whole-system source text — a pure function of the model.
 
     The candidate fragments are emitted first (slot allocation on the plan
     is demand-driven: a signal/service gets a slot when a fragment first
-    references it), then the factory header — whose default-argument
-    bindings must cover every allocated slot — is rendered around them.
+    references it), then the ``_step`` header — whose parameters must
+    cover every allocated slot — is rendered around them.
     """
     plan = plan or SystemPlan(model)
 
     lines = []
-
-    def emit_candidate(cand):
-        i = cand.index
-        tag = f", protocol {cand.protocol}" if cand.protocol else ""
-        lines.append(f"        # {cand.kind} {cand.label} "
-                     f"(fsm {cand.fsm.name!r}{tag})")
-        lines.append("        try:")
-        lines.append(f"            i{i}.steps += 1")
-        lines.append(f"            _e = i{i}.env")
-        lines.append(f"            _c = i{i}.current")
-        lines.append(f"            _ob = i{i}.observer")
-        keyword = "if"
-        for state in cand.fsm.iter_states():
-            lines.append(f"            {keyword} _c == {state.name!r}:")
-            keyword = "elif"
-            lines.append("                while True:")
-            emitter = _FragmentEmitter(plan, cand, lines)
-            emitter.emit_state(state, 5)
-        lines.append("            else:")
-        lines.append(f"                i{i}.steps -= 1")
-        lines.append("                _hits -= 1")
-        lines.append("                _ses.system_fallback += 1")
-        lines.append(f"                i{i}.step()")
-        lines.append("        except KeyError as exc:")
-        lines.append("            _k = exc.args[0] if exc.args else None")
-        lines.append(f"            if _k in _ER{i} and _k not in i{i}.env:")
-        lines.append("                raise SE('undefined variable %r' % (_k,))"
-                     " from None")
-        lines.append("            raise")
-
     for cand in plan.candidates:
         if cand.kind == "ctrl":
-            emit_candidate(cand)
+            _emit_candidate(plan, cand, lines)
     for adapter_index, module_name in enumerate(plan.adapter_keys):
         lines.append(f"        # hardware module {module_name!r}")
         lines.append(f"        d{adapter_index}.cycles += 1")
         for cand in plan.candidates:
             if cand.kind == "hw" and cand.owner == module_name:
-                emit_candidate(cand)
-    lines.append('        _st["transactions"] += _tx')
-    for n in range(len(plan.accessor_keys)):
-        lines.append(f"        a{n}.reads += _r{n}")
-        lines.append(f"        a{n}.writes += _w{n}")
-    lines.append("        _ses.system_compile_hits += _hits")
-    lines.append("    return _step")
+                _emit_candidate(plan, cand, lines)
 
     # ------------------------------------- assemble (slots now complete)
     out = [
-        f"# Whole-system program for {model.name!r}"
-        f" (repro.ir.syscompile format {SOURCE_FORMAT}).",
-        "from repro.ir.compile import _eager_and as _and, _eager_or as _or, "
-        "_pos_div, _pos_mod",
-        "from repro.ir.interp import StepResult, _int_div as _div, _int_mod as _mod",
-        "from repro.utils.errors import SimulationError",
+        "from repro.ir.compile import _pos_div, _pos_mod",
+        "from repro.ir.interp import StepResult as SR, _int_div as _div, "
+        "_int_mod as _mod",
+        "from repro.utils.errors import SimulationError as SE",
         "",
     ]
     for cand in plan.candidates:
         reads = ", ".join(repr(name) for name in sorted(cand.env_reads))
         out.append(f"_ER{cand.index} = frozenset(({reads}{',' if reads else ''}))")
     out.append("")
-    defaults = [("_sim", '_c["sim"]'), ("_clk", '_c["clock"]'),
-                ("_ses", '_c["session"]'), ("SR", "StepResult"),
-                ("SE", "SimulationError")]
-    defaults += [(f"g{n}", f'_c["signals"][{n}]')
-                 for n in range(len(plan.signal_keys))]
-    defaults += [(f"i{c.index}", f'_c["instances"][{c.index}]')
-                 for c in plan.candidates]
-    defaults += [(f"a{n}", f'_c["accessors"][{n}]')
-                 for n in range(len(plan.accessor_keys))]
-    defaults += [(f"v{n}", f'_c["services"][{n}]')
-                 for n in range(len(plan.service_keys))]
-    defaults += [(f"d{n}", f'_c["adapters"][{n}]')
-                 for n in range(len(plan.adapter_keys))]
-    out.append("def _bind_fused(_c):")
-    out.append(f"    def _step({_defaults(defaults)}):")
-    out.append("        _st = _sim.statistics")
-    out.append(f'        _st["process_runs"] += {plan.process_count - 1}')
-    out.append("        if _clk._value != 1:")
-    out.append("            return")
-    out.append("        _dq = _sim._delta_queue.append")
-    out.append("        _tx = 0")
-    out.append(f"        _hits = {len(plan.candidates)}")
+    params = ["_sim", "_clk", "_ses"]
+    params += [f"g{n}" for n in range(len(plan.signal_keys))]
+    params += [f"i{c.index}" for c in plan.candidates]
+    params += [f"a{n}" for n in range(len(plan.accessor_keys))]
+    params += [f"v{n}" for n in range(len(plan.service_keys))]
+    params += [f"d{n}" for n in range(len(plan.adapter_keys))]
+    rows = ",\n          ".join(", ".join(params[start:start + 12])
+                                   for start in range(0, len(params), 12))
+    out.append(f"def _step({rows}):")
+    out.append("    _st = _sim.statistics")
+    out.append(f'    _st["process_runs"] += {plan.process_count - 1}')
+    out.append("    if _clk._value != 1:")
+    out.append("        return")
+    out.append("    _dq = _sim._delta_queue.append")
+    out.append(f"    _hits = {len(plan.candidates)}")
     counters = []
     for n in range(len(plan.accessor_keys)):
         counters += [f"_r{n}", f"_w{n}"]
-    _chunk_zero_init(counters, out, 2)
+    _chunk_zero_init(counters, out, 1)
+    out.append("    try:")
     out.extend(lines)
+    out.append("    except KeyError as exc:")
+    out.append("        _k = exc.args[0] if exc.args else None")
+    out.append("        if _k in _er and _k not in _e:")
+    out.append("            raise SE('undefined variable %r' % (_k,)) from None")
+    out.append("        raise")
+    writes = " + ".join(f"_w{n}" for n in range(len(plan.accessor_keys)))
+    out.append(f'    _st["transactions"] += {writes}')
+    for n in range(len(plan.accessor_keys)):
+        out.append(f"    a{n}.reads += _r{n}")
+        out.append(f"    a{n}.writes += _w{n}")
+    out.append("    _ses.system_compile_hits += _hits")
     return "\n".join(out)
 
 
@@ -567,37 +525,41 @@ def generate_system_source(model, plan=None):
 class SystemProgram:
     """The compiled whole-system program of one model.
 
-    Holds the generated source, its digest, the slot metadata a session
-    needs to assemble a binding context, and the bind entry point of the
-    step function.  Shared by every session built from the same model
-    object.
+    Holds the generated source, the slot metadata a session needs to
+    assemble a binding context, and the prototype step function.  Shared
+    by every session built from the same model object; it keeps no
+    reference to the model.
     """
 
-    def __init__(self, model, plan, digest, source):
+    def __init__(self, model, plan, source):
         self.name = model.name
         self.plan = plan
-        self.digest = digest
         self.source = source
-        code = _CODE_CACHE.get(digest)
+        code = _CODE_CACHE.get(source)
         if code is None:
             code = compile(source, f"<syscompile:{model.name}>", "exec")
-            _CODE_CACHE.put(digest, code)
+            _CODE_CACHE.put(source, code)
         namespace = {}
         exec(code, namespace)  # noqa: S102 - our own generated source
-        self._bind_fused = namespace["_bind_fused"]
+        self._step = namespace["_step"]
 
     def bind(self, ctx):
         """Bind the production step function to one session's objects.
 
         *ctx* maps ``sim``/``clock``/``session`` plus the slot lists
         (``signals``/``instances``/``accessors``/``services``/``adapters``)
-        in the orders recorded on :attr:`plan`.
+        in the orders recorded on :attr:`plan`; they become the defaults
+        of ``_step``'s parameters, in that order.
         """
-        return self._bind_fused(ctx)
+        defaults = (ctx["sim"], ctx["clock"], ctx["session"],
+                    *ctx["signals"], *ctx["instances"], *ctx["accessors"],
+                    *ctx["services"], *ctx["adapters"])
+        return types.FunctionType(self._step.__code__, self._step.__globals__,
+                                  "_step", defaults)
 
     def __repr__(self):
         return (f"SystemProgram({self.name}, candidates="
-                f"{len(self.plan.candidates)}, digest={self.digest[:12]})")
+                f"{len(self.plan.candidates)})")
 
 
 class LateBoundService:
@@ -625,7 +587,7 @@ class LateBoundService:
 CODE_CACHE_SIZE = 64
 
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
-_CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # digest -> code object
+_CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # source -> code object
 
 
 def compile_system(model):
@@ -652,7 +614,6 @@ def compile_system(model):
     plan = SystemPlan(model)
     if not plan.candidates:
         raise SystemCompileError("no fusable FSM")
-    source = generate_system_source(model, plan)
-    program = SystemProgram(model, plan, model_digest(model), source)
+    program = SystemProgram(model, plan, generate_system_source(model, plan))
     _SYSTEM_CACHE[model] = program
     return program

@@ -18,18 +18,21 @@ so a ``--cache-dir`` sweep replays them from the artefact cache.
 ``--fault-kinds`` adds one faulted variant of every cosim seed per kind.
 
 ``--selfcheck`` runs the batch serially and on the pool, asserts the two
-reports are byte-identical, then re-runs the cacheable jobs against the
-warm cache and asserts zero re-synthesis.  Exit status is non-zero when a
+reports are byte-identical and that no ``SystemModel`` outlives the serial
+run's jobs, then re-runs the cacheable jobs against the warm cache and
+asserts zero re-synthesis.  Exit status is non-zero when a
 job errors, a co-simulation misses its expected outcome, or a selfcheck
 assertion fails.
 """
 
 import argparse
+import gc
 import json
 import sys
 import tempfile
 import time
 
+from repro.core import SystemModel
 from repro.cosim.faults import FAULT_KINDS
 from repro.obs import TELEMETRY
 from repro.sweep.cache import ArtifactCache
@@ -121,14 +124,27 @@ def build_jobs(args, parser):
     return jobs
 
 
+def _live_models():
+    """How many :class:`SystemModel` objects survive a full collection."""
+    gc.collect()
+    return sum(isinstance(obj, SystemModel) for obj in gc.get_objects())
+
+
 def run_selfcheck(jobs, args):
-    """Serial/parallel parity plus warm-cache zero-resynthesis assertions."""
+    """Serial/parallel parity, warm-cache zero-resynthesis and no model
+    outliving its job."""
     failures = []
     with tempfile.TemporaryDirectory(prefix="sweep-selfcheck-") as scratch:
         serial_cache = f"{scratch}/serial"
         parallel_cache = f"{scratch}/parallel"
+        models_before = _live_models()
         serial = SweepService(jobs, workers=1,
                               cache=ArtifactCache(serial_cache)).run()
+        leaked = _live_models() - models_before
+        if leaked:
+            failures.append(f"{leaked} SystemModel(s) outlived their jobs")
+        else:
+            print("memory: no SystemModel outlived its job")
         parallel = SweepService(jobs, workers=max(2, args.workers),
                                 cache=ArtifactCache(parallel_cache)).run()
         if serial.to_json() != parallel.to_json():

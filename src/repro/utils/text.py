@@ -1,5 +1,7 @@
 """Small text-formatting helpers shared by the code emitters and reports."""
 
+from itertools import zip_longest
+
 
 def indent_block(text, levels=1, width=2):
     """Indent every non-empty line of *text* by ``levels * width`` spaces."""
@@ -12,26 +14,17 @@ def format_table(headers, rows):
     """Render a simple monospace table used by synthesis and benchmark reports.
 
     *headers* is a sequence of column titles; *rows* a sequence of sequences.
-    Every cell is converted with ``str``.
+    Every cell is converted with ``str``; a short row is padded with empty
+    cells.  Each line is rendered by one format string built from the
+    column widths.
     """
     headers = [str(h) for h in headers]
     str_rows = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in str_rows:
-        for index, cell in enumerate(row):
-            if index < len(widths):
-                widths[index] = max(widths[index], len(cell))
-            else:
-                widths.append(len(cell))
-
-    def line(cells):
-        padded = []
-        for index, width in enumerate(widths):
-            cell = cells[index] if index < len(cells) else ""
-            padded.append(cell.ljust(width))
-        return "| " + " | ".join(padded) + " |"
-
+    widths = [max(map(len, column))
+              for column in zip_longest(headers, *str_rows, fillvalue="")]
+    template = "| " + " | ".join(f"{{:<{width}}}" for width in widths) + " |"
+    blank = [""] * len(widths)
     separator = "|-" + "-|-".join("-" * width for width in widths) + "-|"
-    out = [line(headers), separator]
-    out.extend(line(row) for row in str_rows)
+    out = [template.format(*headers, *blank[len(headers):]), separator]
+    out.extend(template.format(*row, *blank[len(row):]) for row in str_rows)
     return "\n".join(out)

@@ -14,6 +14,9 @@ The full 334-scenario sweep across both tiers runs via
 runs at quick scale so tier-1 catches a divergence early.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import HardwareModule, SystemModel
@@ -25,14 +28,14 @@ from repro.ir import (
     SystemCompileError,
     compile_system,
     generate_system_source,
-    model_digest,
-    system_spec,
+    syscompile,
     var,
 )
 from repro.ir.expr import BinOp, Const
-from repro.ir.syscompile import SOURCE_FORMAT, SystemPlan, SystemProgram
+from repro.ir.syscompile import SystemPlan, SystemProgram
 from repro.lint.selfcheck import MUTANTS
 from repro.sweep.jobs import CosimJob
+from repro.sweep.service import SweepService
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, cosim_fingerprint
 from repro.testkit.scenarios import (
@@ -212,29 +215,123 @@ class TestBatchedExecution:
             CosimJob(0, checkpoint_at=1_000, batch=2)
 
 
+def _live_models():
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, SystemModel)]
+
+
 class TestSourceCache:
     def test_program_is_weakly_cached_per_model(self):
         model = generate_system(0).build_model()
         assert compile_system(model) is compile_system(model)
 
-    def test_spec_records_protocol_templates(self):
+    def test_program_dies_with_its_last_session(self, monkeypatch):
+        monkeypatch.setattr(syscompile, "_SYSTEM_CACHE",
+                            weakref.WeakKeyDictionary())
+        system = generate_system(1)
+        session = CosimSession(system.build_model(), **system.cosim_params)
+        result = session.run(until=20_000)
+        assert session.wired_tier == "fused"
+        model = weakref.ref(session.model)
+        assert len(syscompile._SYSTEM_CACHE) == 1
+        del session, result
+        gc.collect()
+        assert model() is None
+        assert len(syscompile._SYSTEM_CACHE) == 0
+
+    def test_sweep_service_leaves_no_model_alive(self):
+        before = _live_models()
+        report = SweepService([CosimJob(seed) for seed in range(30)],
+                              workers=1).run()
+        assert len(report.records) == 30
+        assert not report.errors
+        del report
+        leaked = [model for model in _live_models()
+                  if not any(model is old for old in before)]
+        assert leaked == []
+
+    def test_source_records_protocol_templates(self):
         model = generate_system(1).build_model()
-        spec = system_spec(model)
-        assert spec["syscompile"] == SOURCE_FORMAT
-        tags = [controller["protocol"]
-                for unit in spec["units"]
-                for controller in unit["controllers"]]
+        tags = [controller.protocol
+                for unit in model.comm_units.values()
+                for controller in unit.controllers]
+        assert any(tags)
         source = generate_system_source(model)
         for tag in tags:
             if tag:
                 assert f"protocol {tag}" in source
 
-    def test_digest_excludes_bindings_but_not_structure(self):
+    def test_code_is_shared_across_bindings_but_not_structure(self):
         left = generate_system(6).build_model()
         right = generate_system(6).build_model()
         other = generate_system(7).build_model()
-        assert model_digest(left) == model_digest(right)
-        assert model_digest(left) != model_digest(other)
+        programs = [compile_system(model) for model in (left, right, other)]
+        assert programs[0] is not programs[1]
+        assert programs[0].source == programs[1].source
+        assert programs[0]._step.__code__ is programs[1]._step.__code__
+        assert programs[0].source != programs[2].source
+        assert programs[0]._step.__code__ is not programs[2]._step.__code__
+
+
+class TestObserverParity:
+    """The fused step's one observer site reproduces every StepResult."""
+
+    @staticmethod
+    def _counter_model():
+        # A fused hardware FSM with a done state and a result variable.
+        build = FsmBuilder("CNT")
+        build.variable("N", INT, 0)
+        with build.state("Run") as state:
+            state.do(Assign("N", var("N") + 1))
+            state.go("Done", when=BinOp("ge", var("N"), Const(3)))
+            state.stay()
+        with build.state("Done", done=True) as state:
+            state.stay()
+        build.returns("N")
+        model = SystemModel("ObservedCounter")
+        model.add_hardware_module(
+            HardwareModule("Cnt", [build.build(initial="Run")]))
+        return model, {}
+
+    @staticmethod
+    def _observed_steps(model, tier, params, until):
+        session = CosimSession(model, tier=tier, **params)
+        session.build()
+        assert session.wired_tier == tier
+        instances = dict(session.controller_instances)
+        for name, adapter in session.hw_adapters.items():
+            for fsm_name, instance in adapter.instances.items():
+                instances[f"{name}.{fsm_name}"] = instance
+            for service in adapter.registry.instances():
+                instances[f"{name}/{service.instance.fsm.name}"] = \
+                    service.instance
+        for name, executor in session.sw_executors.items():
+            instances[name] = executor.instance
+        steps = {name: [] for name in instances}
+        for name, instance in instances.items():
+            instance.observer = lambda r, log=steps[name]: log.append(
+                (r.from_state, r.to_state, r.fired, r.done, r.result,
+                 r.called))
+        session.run(until=until)
+        return steps
+
+    @pytest.mark.parametrize("source", [0, 1, 4, 9, 12, "counter"])
+    def test_fused_and_interpreted_observers_see_equal_steps(self, source):
+        runs = []
+        for tier in ("fused", "interpreted"):
+            if source == "counter":
+                model, params = self._counter_model()
+            else:
+                system = generate_system(source)
+                model, params = system.build_model(), system.cosim_params
+            runs.append(self._observed_steps(model, tier, params, 20_000))
+        assert runs[0] == runs[1]
+        steps = [step for log in runs[0].values() for step in log]
+        assert any(done for _, _, _, done, _, _ in steps)
+        if source == "counter":
+            assert ("Run", "Done", True, True, 3, None) in steps
+        else:
+            assert any(called for *_, called in steps)
 
 
 class TestLintPreflight:
@@ -251,7 +348,7 @@ class TestLintPreflight:
         model = self._mutant_model()
         plan = SystemPlan(model)
         assert plan.candidates
-        program = SystemProgram(model, plan, model_digest(model),
+        program = SystemProgram(model, plan,
                                 generate_system_source(model, plan))
         assert program.plan is plan
 

@@ -146,7 +146,12 @@ class CosimSession:
         #: back to the interpreter at runtime although it was active.
         self.system_compile_hits = 0
         self.system_fallback = 0
+        #: Candidate steps run on the fragment step; decides the switch to
+        #: the whole-system step and, unlike the counters above, is never
+        #: checkpointed.
+        self.fragment_steps = 0
         self._fused_process = None
+        self._system_ctx = None
 
         self.simulator = create_simulator(kernel, detect_races=detect_races)
         self.trace = ServiceCallTrace()
@@ -257,10 +262,11 @@ class CosimSession:
             self.wired_tier = "interpreted"
 
     def _system_bind(self):
-        """Bind the generated step function to the built backplane.
+        """Bind the fragment step to the built backplane.
 
         Runs after controllers and hardware exist: the placeholder process
-        registered first on the clock receives the generated step function.
+        registered first on the clock receives the fragment step, which
+        later calls :meth:`_system_switch`.
         """
         if self.wired_tier != "fused":
             return
@@ -292,7 +298,7 @@ class CosimSession:
                 # Not bound (a lint warning, not an error): the canonical
                 # "no bound service" error must surface at call time.
                 services.append(LateBoundService(registry, service_name))
-        self._fused_process.func = self.system_program.bind({
+        self._system_ctx = {
             "sim": self.simulator,
             "clock": self.clock,
             "session": self,
@@ -301,7 +307,26 @@ class CosimSession:
             "accessors": accessors,
             "services": services,
             "adapters": [self.hw_adapters[name] for name in plan.adapter_keys],
-        })
+            "switch": self._system_switch,
+        }
+        self._fused_process.func = self.system_program.bind(self._system_ctx)
+
+    def _system_switch(self):
+        """Swap the fragment step for the whole-system step, once.
+
+        The fragment step calls this when its candidate steps have repaid
+        compiling the whole-system code object
+        (:data:`~repro.ir.syscompile.SWITCH_STEPS_PER_LINE`).  Both steps
+        are observably identical, so the switch shows only in telemetry.
+        """
+        ctx, self._system_ctx = self._system_ctx, None
+        self._fused_process.func = self.system_program.bind(ctx, whole=True)
+        if TELEMETRY.enabled:
+            TELEMETRY.metrics.counter(
+                "repro_cosim_fused_switches_total",
+                labels={"kernel": self.kernel, "reason": "break_even"},
+                help="Fused sessions that swapped the fragment step for the "
+                     "whole-system step, by reason.").inc()
 
     def _build_unit_signals(self):
         for unit in self.model.comm_units.values():

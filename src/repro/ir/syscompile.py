@@ -1,4 +1,4 @@
-"""Whole-system compilation: one code object for the clocked backplane.
+"""Whole-system compilation: the clocked backplane as one fused step.
 
 Wired one kernel process per FSM, a co-simulated system pays per-delta
 Python dispatch around every FSM step: one ``on_edge`` wrapper frame per
@@ -10,8 +10,9 @@ itself.
 
 This module translates an entire :class:`~repro.core.model.SystemModel` —
 every communication-unit protocol controller and every hardware-module
-process, i.e. the complete population of clocked FSM processes — into a
-**single** generated step function registered once on the clock:
+process, i.e. the complete population of clocked FSM processes (the
+*candidates*) — into **one** generated step function registered once on
+the clock:
 
 * signals are bound as default-argument locals (``LOAD_FAST``): the
   source declares plain parameters and :meth:`SystemProgram.bind` supplies
@@ -36,11 +37,20 @@ per-FSM on the interpreter (they are demand-driven, not clocked); fused
 candidate steps count in the session's ``system_compile_hits``, every
 other step in its ``interpreted`` counter.
 
-The generated source is a pure function of the model structure, so the
-source text itself keys the code-object cache, a fixed-size in-process
-LRU.  The program is cached per model in a weak map; a program holds no
-reference to its model, so the entry goes when the model's last session
-does.
+Each candidate is emitted as a *fragment*, a function of its own slots
+named locally (``i0``, ``g0…``, ``v0…``), so the same controller or
+datapath compiles to the same source in every model.  The source text
+keys the code-object cache, a fixed-size in-process LRU, so a fragment
+is compiled once per process, not once per model.  A session's step is
+then a short *fragment step* that calls its bound fragments in plan
+order and does the header work (``process_runs`` compensation, the edge
+test, the ``transactions``/hits/accessor totals).  Once it has run
+:data:`SWITCH_STEPS_PER_LINE` candidate steps per fragment-source line,
+the session swaps in the *whole-system step*: the same candidate code
+from the same emitter, inlined into one function, compiled on first use
+and cached on its source too.  The program is cached per model in a
+weak map; a program holds no reference to its model, so the entry goes
+when the model's last session does.
 
 The fused program is cross-checked end to end, not in-session: the
 conformance kit's ``--tier differential`` runs every scenario on the
@@ -48,6 +58,7 @@ fused and interpreted tiers in separate sessions and compares
 their complete fingerprints.
 """
 
+import builtins
 import types
 import weakref
 
@@ -55,10 +66,13 @@ from repro.ir.compile import (
     _BINOP_TEMPLATES,
     _UNOP_TEMPLATES,
     _expr_var_reads,
+    _pos_div,
+    _pos_mod,
     _stmt_var_reads,
     constant_divisor_source,
 )
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
+from repro.ir.interp import StepResult, _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
@@ -188,22 +202,60 @@ _COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
                 "ge": ">="}
 
 
-class _FragmentEmitter:
-    """Emits the inlined fragment of one candidate state.
+class _Slots:
+    """The source names of one candidate's slots.
 
-    The fragment performs canonical counter updates and delta-queue
-    writes.  Accessor read/write counts are accumulated in pending
-    counters and flushed as ``+= n`` lines at every control-flow
-    boundary, so each executed path bumps exactly the counts the per-FSM
-    tier would have bumped on that path (only the per-call fold point
-    differs, which is unobservable between deltas).  Every write is one
-    kernel transaction, so the ``transactions`` statistic is the sum of
-    the write counts.
+    The whole-system step names every slot after its plan index, so its
+    candidates share signal, service and accessor-counter names.  A
+    fragment numbers its own slots from 0, first use first, and records
+    the plan slot behind each local name: equal structure then emits
+    equal source wherever it sits in whichever model.
     """
 
-    def __init__(self, plan, cand, lines):
+    def __init__(self, plan, cand, local):
         self.plan = plan
         self.cand = cand
+        self.local = local
+        self.signals = []   # plan signal slots, in local-name order
+        self.services = []  # plan service slots, in local-name order
+        if local:
+            self.inst, self.reads, self.writes = "i0", "_r", "_w"
+        else:
+            self.inst = f"i{cand.index}"
+            self.reads = f"_r{cand.accessor}"
+            self.writes = f"_w{cand.accessor}"
+
+    def _name(self, prefix, used, slot):
+        if self.local:
+            if slot not in used:
+                used.append(slot)
+            slot = used.index(slot)
+        return f"{prefix}{slot}"
+
+    def signal(self, port_name):
+        slot = self.plan.signal_slot(self.cand, port_name)
+        return self._name("g", self.signals, slot)
+
+    def service(self, service_name):
+        slot = self.plan.service_slot(self.cand, service_name)
+        return self._name("v", self.services, slot)
+
+
+class _StateEmitter:
+    """Emits the inlined code of one candidate state.
+
+    The code performs canonical counter updates and delta-queue writes.
+    Accessor read/write counts are accumulated in pending counters and
+    flushed as ``+= n`` lines at every control-flow boundary, so each
+    executed path bumps exactly the counts the per-FSM tier would have
+    bumped on that path (only the per-call fold point differs, which is
+    unobservable between deltas).  Every write is one kernel transaction,
+    so the ``transactions`` statistic is the sum of the write counts.
+    """
+
+    def __init__(self, slots, lines):
+        self.slots = slots
+        self.cand = slots.cand
         self.lines = lines
         self._reads = 0
         self._writes = 0
@@ -219,11 +271,10 @@ class _FragmentEmitter:
 
     def flush(self, depth):
         pad = "    " * depth
-        ai = self.cand.accessor
         if self._reads:
-            self.lines.append(f"{pad}_r{ai} += {self._reads}")
+            self.lines.append(f"{pad}{self.slots.reads} += {self._reads}")
         if self._writes:
-            self.lines.append(f"{pad}_w{ai} += {self._writes}")
+            self.lines.append(f"{pad}{self.slots.writes} += {self._writes}")
         self._reads = self._writes = 0
 
     def expr(self, expr):
@@ -232,9 +283,8 @@ class _FragmentEmitter:
         if isinstance(expr, Var):
             return f"_e[{expr.name!r}]"
         if isinstance(expr, PortRef):
-            slot = self.plan.signal_slot(self.cand, expr.port_name)
             self._reads += 1
-            return f"g{slot}._value"
+            return f"{self.slots.signal(expr.port_name)}._value"
         if isinstance(expr, BinOp):
             if expr.op in ("and", "or"):
                 # Inlined eager logic, allocation- and call-free: the left
@@ -297,8 +347,8 @@ class _FragmentEmitter:
                 self.line(depth, f"_e[{stmt.target!r}] = {src}")
             elif isinstance(stmt, PortWrite):
                 src = self.expr(stmt.expr)
-                slot = self.plan.signal_slot(self.cand, stmt.port_name)
-                self.line(depth, f"_dq((g{slot}, {src}))")
+                signal = self.slots.signal(stmt.port_name)
+                self.line(depth, f"_dq(({signal}, {src}))")
                 self._writes += 1
             elif isinstance(stmt, If):
                 cond = self.cond(stmt.cond)
@@ -326,15 +376,15 @@ class _FragmentEmitter:
         """Take *transition*; ``break`` out of the state unless *last*."""
         self.emit_stmts(transition.actions, depth)
         self.flush(depth)
-        i = self.cand.index
         if transition.target != state.name:
-            self.line(depth, f"i{i}.current = {transition.target!r}")
+            self.line(depth,
+                      f"{self.slots.inst}.current = {transition.target!r}")
         self.line(depth, "_f = True")
         if not last:
             self.line(depth, "break")
 
     def emit_state(self, state, depth):
-        """The fragment of one state, inside the candidate's ``while True:``
+        """The code of one state, inside the candidate's ``while True:``
         goto: a taken transition breaks out unless it ends the state."""
         self.emit_stmts(state.actions, depth)
         for transition in state.transitions:
@@ -370,8 +420,8 @@ class _FragmentEmitter:
             return True
         args = [self.expr(arg) for arg in call.args]
         self.flush(depth)
-        slot = self.plan.service_slot(self.cand, call.service)
-        self.line(depth, f"_d, _v = v{slot}.step([{', '.join(args)}])")
+        service = self.slots.service(call.service)
+        self.line(depth, f"_d, _v = {service}.step([{', '.join(args)}])")
         self.line(depth, "if _d:")
         inner = depth + 1
         if call.store:
@@ -386,29 +436,29 @@ class _FragmentEmitter:
         return False
 
 
-def _emit_candidate(plan, cand, lines):
-    """The step of one candidate: state dispatch, then one observer site.
+def _emit_candidate(slots, lines):
+    """One candidate step: state dispatch, then one observer site.
 
-    Every path records in ``_f`` whether a transition fired (and in
-    ``_cl`` the last service it called); after the dispatch ``_f`` is
-    added to ``transitions_fired`` and the one observer call builds the
+    The one emitter of candidate code: a fragment's body and each
+    candidate of the whole-system step.  Every path records in ``_f``
+    whether a transition fired (and in ``_cl`` the last service it
+    called); after the dispatch ``_f`` is added to ``transitions_fired``
+    and the one observer call builds the
     :class:`~repro.ir.interp.StepResult` the interpreter would have.  An
     unknown state falls back to the interpreter, which counts and
     observes its own step.
     """
-    i = cand.index
+    cand = slots.cand
     fsm = cand.fsm
+    i = slots.inst
     has_calls = any(t.call is not None
                     for state in fsm.iter_states()
                     for t in state.transitions)
-    tag = f", protocol {cand.protocol}" if cand.protocol else ""
-    lines.append(f"        # {cand.kind} {cand.label} "
-                 f"(fsm {fsm.name!r}{tag})")
-    lines.append(f"        _e = i{i}.env")
-    lines.append(f"        _er = _ER{i}")
-    lines.append(f"        i{i}.steps += 1")
-    lines.append(f"        _c = i{i}.current")
-    lines.append(f"        _ob = i{i}.observer")
+    lines.append("    try:")
+    lines.append(f"        _e = {i}.env")
+    lines.append(f"        {i}.steps += 1")
+    lines.append(f"        _c = {i}.current")
+    lines.append(f"        _ob = {i}.observer")
     lines.append("        _f = False")
     if has_calls:
         lines.append("        _cl = None")
@@ -418,19 +468,18 @@ def _emit_candidate(plan, cand, lines):
         lines.append(f"            {keyword} _c == {state.name!r}:")
         keyword = "elif"
         before = len(lines)
-        _FragmentEmitter(plan, cand, lines).emit_state(state, 4)
+        _StateEmitter(slots, lines).emit_state(state, 4)
         if len(lines) == before:
             lines.append("                pass")
     lines.append("            else:")
-    lines.append(f"                i{i}.steps -= 1")
-    lines.append("                _hits -= 1")
+    lines.append(f"                {i}.steps -= 1")
     lines.append("                _ses.system_fallback += 1")
-    lines.append(f"                i{i}.step()")
+    lines.append(f"                {i}.step()")
     lines.append("                _ob = None  # i.step() observed itself")
     lines.append("            break")
-    lines.append(f"        i{i}.transitions_fired += _f")
+    lines.append(f"        {i}.transitions_fired += _f")
     lines.append("        if _ob is not None:")
-    lines.append(f"            _t = i{i}.current")
+    lines.append(f"            _t = {i}.current")
     done, result = "False", "None"
     if fsm.done_states:
         names = ", ".join(repr(name) for name in sorted(fsm.done_states))
@@ -441,121 +490,248 @@ def _emit_candidate(plan, cand, lines):
             result = f"_e.get({fsm.result_var!r}) if _dn else None"
     called = "_cl" if has_calls else "None"
     lines.append(f"            _ob(SR(_c, _t, _f, {done}, {result}, {called}))")
+    reads = tuple(sorted(cand.env_reads))
+    lines.append("    except KeyError as _x:")
+    lines.append(f"        raise _undefined(_x, _e, {reads!r})")
 
 
-def _chunk_zero_init(names, lines, depth):
-    """Emit ``a = b = ... = 0`` chains in readable chunks."""
-    pad = "    " * depth
-    for start in range(0, len(names), 8):
-        chunk = names[start:start + 8]
-        lines.append(pad + " = ".join(chunk) + " = 0")
+def _undefined(exc, env, reads):
+    """The error a ``KeyError`` raised inside a candidate step stands for.
 
-
-def generate_system_source(model, plan=None):
-    """The whole-system source text — a pure function of the model.
-
-    The candidate fragments are emitted first (slot allocation on the plan
-    is demand-driven: a signal/service gets a slot when a fragment first
-    references it), then the ``_step`` header — whose parameters must
-    cover every allocated slot — is rendered around them.
+    A variable the FSM reads but its environment lacks is the
+    interpreter's "undefined variable" error; any other ``KeyError`` is
+    re-raised as it is.
     """
-    plan = plan or SystemPlan(model)
+    key = exc.args[0] if exc.args else None
+    if key in reads and key not in env:
+        error = SimulationError(f"undefined variable {key!r}")
+        error.__suppress_context__ = True
+        return error
+    return exc
 
-    lines = []
+
+def _plan_order(plan):
+    """The step's work in plan order: ``(adapter, candidate)`` pairs.
+
+    Controllers first, then per hardware module its cycle count
+    (``(adapter index, None)``) followed by its processes — the order the
+    replaced clocked processes would have run in.
+    """
     for cand in plan.candidates:
         if cand.kind == "ctrl":
-            _emit_candidate(plan, cand, lines)
-    for adapter_index, module_name in enumerate(plan.adapter_keys):
-        lines.append(f"        # hardware module {module_name!r}")
-        lines.append(f"        d{adapter_index}.cycles += 1")
+            yield None, cand
+    for adapter, module_name in enumerate(plan.adapter_keys):
+        yield adapter, None
         for cand in plan.candidates:
             if cand.kind == "hw" and cand.owner == module_name:
-                _emit_candidate(plan, cand, lines)
+                yield None, cand
 
-    # ------------------------------------- assemble (slots now complete)
+
+def _step_source(plan, params, body, accessors, tail=()):
+    """A ``_step`` function around *body*, with the header work of both steps.
+
+    The header compensates ``process_runs`` for the processes the step
+    replaces and returns on a falling edge.  After *body* the write
+    counters of *accessors* are summed into ``transactions`` and flushed
+    to their accessors, and the candidate steps that did not fall back
+    count as ``system_compile_hits``.  A raising step flushes none of it.
+    """
+    rows = ",\n          ".join(", ".join(params[start:start + 12])
+                                   for start in range(0, len(params), 12))
     out = [
-        "from repro.ir.compile import _pos_div, _pos_mod",
-        "from repro.ir.interp import StepResult as SR, _int_div as _div, "
-        "_int_mod as _mod",
-        "from repro.utils.errors import SimulationError as SE",
-        "",
+        f"def _step({rows}):",
+        "    _st = _sim.statistics",
+        f'    _st["process_runs"] += {plan.process_count - 1}',
+        "    if _clk._value != 1:",
+        "        return",
+        "    _dq = _sim._delta_queue.append",
+        "    _fb = _ses.system_fallback",
+        *body,
+        f'    _st["transactions"] += {" + ".join(f"_w{n}" for n in accessors)}',
     ]
-    for cand in plan.candidates:
-        reads = ", ".join(repr(name) for name in sorted(cand.env_reads))
-        out.append(f"_ER{cand.index} = frozenset(({reads}{',' if reads else ''}))")
-    out.append("")
+    for n in accessors:
+        out.append(f"    a{n}.reads += _r{n}")
+        out.append(f"    a{n}.writes += _w{n}")
+    out.append(f"    _ses.system_compile_hits += {len(plan.candidates)} + _fb"
+               " - _ses.system_fallback")
+    out.extend(tail)
+    return "\n".join(out)
+
+
+def _whole_source(plan):
+    """The whole-system step: every candidate inlined, slots named by plan."""
+    counters = [f"_{rw}{n}" for n in range(len(plan.accessor_keys))
+                for rw in "rw"]
+    body = ["    " + " = ".join(counters[start:start + 8]) + " = 0"
+            for start in range(0, len(counters), 8)]
+    for adapter, cand in _plan_order(plan):
+        if cand is None:
+            body.append(f"    # hardware module {plan.adapter_keys[adapter]!r}")
+            body.append(f"    d{adapter}.cycles += 1")
+            continue
+        tag = f", protocol {cand.protocol}" if cand.protocol else ""
+        body.append(f"    # {cand.kind} {cand.label} "
+                    f"(fsm {cand.fsm.name!r}{tag})")
+        _emit_candidate(_Slots(plan, cand, local=False), body)
+    # Slots are allocated on demand, so the parameters follow the body.
     params = ["_sim", "_clk", "_ses"]
     params += [f"g{n}" for n in range(len(plan.signal_keys))]
     params += [f"i{c.index}" for c in plan.candidates]
     params += [f"a{n}" for n in range(len(plan.accessor_keys))]
     params += [f"v{n}" for n in range(len(plan.service_keys))]
     params += [f"d{n}" for n in range(len(plan.adapter_keys))]
-    rows = ",\n          ".join(", ".join(params[start:start + 12])
-                                   for start in range(0, len(params), 12))
-    out.append(f"def _step({rows}):")
-    out.append("    _st = _sim.statistics")
-    out.append(f'    _st["process_runs"] += {plan.process_count - 1}')
-    out.append("    if _clk._value != 1:")
-    out.append("        return")
-    out.append("    _dq = _sim._delta_queue.append")
-    out.append(f"    _hits = {len(plan.candidates)}")
-    counters = []
-    for n in range(len(plan.accessor_keys)):
-        counters += [f"_r{n}", f"_w{n}"]
-    _chunk_zero_init(counters, out, 1)
-    out.append("    try:")
-    out.extend(lines)
-    out.append("    except KeyError as exc:")
-    out.append("        _k = exc.args[0] if exc.args else None")
-    out.append("        if _k in _er and _k not in _e:")
-    out.append("            raise SE('undefined variable %r' % (_k,)) from None")
-    out.append("        raise")
-    writes = " + ".join(f"_w{n}" for n in range(len(plan.accessor_keys)))
-    out.append(f'    _st["transactions"] += {writes}')
-    for n in range(len(plan.accessor_keys)):
-        out.append(f"    a{n}.reads += _r{n}")
-        out.append(f"    a{n}.writes += _w{n}")
-    out.append("    _ses.system_compile_hits += _hits")
-    return "\n".join(out)
+    return _step_source(plan, params, body, range(len(plan.accessor_keys)))
+
+
+def _fragment_source(slots):
+    """One candidate as a function of its own slots, returning its counts."""
+    body = []
+    _emit_candidate(slots, body)
+    params = ["_dq", "_ses", "i0"]
+    params += [f"g{n}" for n in range(len(slots.signals))]
+    params += [f"v{n}" for n in range(len(slots.services))]
+    return "\n".join([f"def _fragment({', '.join(params)}):",
+                      "    _r = _w = 0", *body, "    return _r, _w"])
+
+
+def _fragment_step_source(plan):
+    """The fragment step: the bound fragments called in plan order.
+
+    Each fragment returns its accessor's read/write counts; the first
+    fragment of an accessor names them, later ones add to them.  After
+    the totals the step counts its candidate steps on the session and
+    calls ``_sw`` once they reach ``_bud``.
+    """
+    body = []
+    seen = []
+    for adapter, cand in _plan_order(plan):
+        if cand is None:
+            body.append(f"    d{adapter}.cycles += 1")
+            continue
+        n = cand.accessor
+        if n in seen:
+            body.append(f"    _r, _w = f{cand.index}(_dq)")
+            body.append(f"    _r{n} += _r")
+            body.append(f"    _w{n} += _w")
+        else:
+            seen.append(n)
+            body.append(f"    _r{n}, _w{n} = f{cand.index}(_dq)")
+    params = ["_sim", "_clk", "_ses", "_bud", "_sw"]
+    params += [f"f{c.index}" for c in plan.candidates]
+    params += [f"a{n}" for n in range(len(plan.accessor_keys))]
+    params += [f"d{n}" for n in range(len(plan.adapter_keys))]
+    tail = [
+        "    _ses.fragment_steps = _n = _ses.fragment_steps + "
+        f"{len(plan.candidates)}",
+        "    if _n >= _bud:",
+        "        _sw()",
+    ]
+    return _step_source(plan, params, body, seen, tail)
+
+
+def generate_system_source(model):
+    """The whole-system source text — a pure function of the model."""
+    return _whole_source(SystemPlan(model))
 
 
 # ------------------------------------------------------------------ program
 
 
-class SystemProgram:
-    """The compiled whole-system program of one model.
+#: The names generated code reads besides its parameters.
+_GLOBALS = {
+    "__builtins__": builtins,
+    "SR": StepResult,
+    "SE": SimulationError,
+    "_div": _int_div,
+    "_mod": _int_mod,
+    "_pos_div": _pos_div,
+    "_pos_mod": _pos_mod,
+    "_undefined": _undefined,
+}
 
-    Holds the generated source, the slot metadata a session needs to
-    assemble a binding context, and the prototype step function.  Shared
-    by every session built from the same model object; it keeps no
-    reference to the model.
+
+def _compiled(source, filename):
+    """The code object of the one function *source* defines.
+
+    Keyed on the source text in the bounded :data:`_CODE_CACHE`: equal
+    text compiles to equal code, so a source seen before costs nothing.
+    """
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        module = compile(source, filename, "exec")
+        [code] = [const for const in module.co_consts
+                  if isinstance(const, types.CodeType)]
+        _CODE_CACHE.put(source, code)
+    return code
+
+
+class _Fragment:
+    """One candidate's compiled fragment and the plan slots it binds."""
+
+    __slots__ = ("code", "signals", "services", "lines")
+
+    def __init__(self, plan, cand):
+        slots = _Slots(plan, cand, local=True)
+        source = _fragment_source(slots)
+        self.code = _compiled(source, "<syscompile:fragment>")
+        self.signals = slots.signals
+        self.services = slots.services
+        self.lines = source.count("\n") + 1
+
+
+class SystemProgram:
+    """The compiled fused program of one model.
+
+    Holds the plan, one :class:`_Fragment` per candidate and the fragment
+    step's code; the whole-system step's code is compiled on the first
+    :meth:`bind` that asks for it.  Shared by every session built from the
+    same model object; it keeps no reference to the model.
     """
 
-    def __init__(self, model, plan, source):
+    def __init__(self, model, plan):
         self.name = model.name
         self.plan = plan
-        self.source = source
-        code = _CODE_CACHE.get(source)
-        if code is None:
-            code = compile(source, f"<syscompile:{model.name}>", "exec")
-            _CODE_CACHE.put(source, code)
-        namespace = {}
-        exec(code, namespace)  # noqa: S102 - our own generated source
-        self._step = namespace["_step"]
+        self.fragments = [_Fragment(plan, cand) for cand in plan.candidates]
+        #: Lines of all fragment sources: what compiling the whole-system
+        #: step costs, in :data:`SWITCH_STEPS_PER_LINE` units.
+        self.lines = sum(fragment.lines for fragment in self.fragments)
+        self._fragment_step = _compiled(_fragment_step_source(plan),
+                                        "<syscompile:step>")
+        self._whole_step = None
 
-    def bind(self, ctx):
-        """Bind the production step function to one session's objects.
+    def bind(self, ctx, whole=False):
+        """Bind a step function to one session's objects.
 
         *ctx* maps ``sim``/``clock``/``session`` plus the slot lists
         (``signals``/``instances``/``accessors``/``services``/``adapters``)
-        in the orders recorded on :attr:`plan`; they become the defaults
-        of ``_step``'s parameters, in that order.
+        in the orders recorded on :attr:`plan`, and ``switch``, the
+        callable the fragment step calls once it has run
+        ``SWITCH_STEPS_PER_LINE * lines`` candidate steps.  They become
+        the defaults of the step's and each fragment's parameters.  With
+        *whole* the step is the whole-system one.
         """
-        defaults = (ctx["sim"], ctx["clock"], ctx["session"],
-                    *ctx["signals"], *ctx["instances"], *ctx["accessors"],
-                    *ctx["services"], *ctx["adapters"])
-        return types.FunctionType(self._step.__code__, self._step.__globals__,
-                                  "_step", defaults)
+        sim, clock, session = ctx["sim"], ctx["clock"], ctx["session"]
+        signals, services = ctx["signals"], ctx["services"]
+        if whole:
+            if self._whole_step is None:
+                self._whole_step = _compiled(_whole_source(self.plan),
+                                        f"<syscompile:{self.name}>")
+            defaults = (sim, clock, session, *signals, *ctx["instances"],
+                        *ctx["accessors"], *services, *ctx["adapters"])
+            return types.FunctionType(self._whole_step, _GLOBALS, "_step",
+                                      defaults)
+        calls = [
+            types.FunctionType(fragment.code, _GLOBALS, "_fragment", (
+                session, instance,
+                *[signals[slot] for slot in fragment.signals],
+                *[services[slot] for slot in fragment.services],
+            ))
+            for fragment, instance in zip(self.fragments, ctx["instances"])
+        ]
+        defaults = (sim, clock, session, SWITCH_STEPS_PER_LINE * self.lines,
+                    ctx["switch"], *calls, *ctx["accessors"], *ctx["adapters"])
+        return types.FunctionType(self._fragment_step, _GLOBALS, "_step",
+                                  defaults)
 
     def __repr__(self):
         return (f"SystemProgram({self.name}, candidates="
@@ -583,15 +759,24 @@ class LateBoundService:
 # ------------------------------------------------------------------- caches
 
 
-#: Most distinct whole-system code objects kept in-process.
-CODE_CACHE_SIZE = 64
+#: Most distinct code objects (fragments, fragment steps, whole-system
+#: steps) kept in-process.
+CODE_CACHE_SIZE = 256
+
+#: Candidate steps per generated source line after which a session's
+#: fused process swaps the fragment step for the whole-system step.
+#: Compiling costs about 8.4 µs per line (1.9 ms for the median 226-line
+#: model); a fragment call costs about 0.14 µs per candidate step more
+#: than inlined code.  So the whole-system compile is repaid after about
+#: 8.4 / 0.14 = 60 candidate steps per line.
+SWITCH_STEPS_PER_LINE = 60
 
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
 _CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # source -> code object
 
 
 def compile_system(model):
-    """The (cached) whole-system program of *model*.
+    """The (cached) fused program of *model*.
 
     Compilation is gated on the static analyzer: error-level findings
     refuse it (:class:`SystemCompileError`) exactly as they refuse
@@ -614,6 +799,6 @@ def compile_system(model):
     plan = SystemPlan(model)
     if not plan.candidates:
         raise SystemCompileError("no fusable FSM")
-    program = SystemProgram(model, plan, generate_system_source(model, plan))
+    program = SystemProgram(model, plan)
     _SYSTEM_CACHE[model] = program
     return program

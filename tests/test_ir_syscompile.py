@@ -15,22 +15,28 @@ runs at quick scale so tier-1 catches a divergence early.
 """
 
 import gc
+import math
 import weakref
 
 import pytest
 
 from repro.core import HardwareModule, SystemModel
+from repro.core.comm_unit import CommunicationController, CommunicationUnit
+from repro.core.port import Port
 from repro.cosim import CosimSession
 from repro.ir import (
     INT,
     Assign,
     FsmBuilder,
+    PortWrite,
     SystemCompileError,
     compile_system,
     generate_system_source,
+    port,
     syscompile,
     var,
 )
+from repro.ir.dtypes import word_type
 from repro.ir.expr import BinOp, Const
 from repro.ir.syscompile import SystemPlan, SystemProgram
 from repro.lint.selfcheck import MUTANTS
@@ -47,6 +53,7 @@ from repro.testkit.scenarios import (
 )
 from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
+from repro.utils.lru import LruCache
 
 
 class TestLockstepDifferential:
@@ -267,10 +274,13 @@ class TestSourceCache:
         other = generate_system(7).build_model()
         programs = [compile_system(model) for model in (left, right, other)]
         assert programs[0] is not programs[1]
-        assert programs[0].source == programs[1].source
-        assert programs[0]._step.__code__ is programs[1]._step.__code__
-        assert programs[0].source != programs[2].source
-        assert programs[0]._step.__code__ is not programs[2]._step.__code__
+        codes = [[fragment.code for fragment in program.fragments]
+                 + [program._fragment_step] for program in programs]
+        assert all(a is b for a, b in zip(codes[0], codes[1]))
+        assert codes[0] != codes[2]
+        sources = [generate_system_source(model)
+                   for model in (left, right, other)]
+        assert sources[0] == sources[1] != sources[2]
 
 
 class TestObserverParity:
@@ -294,7 +304,7 @@ class TestObserverParity:
         return model, {}
 
     @staticmethod
-    def _observed_steps(model, tier, params, until):
+    def _observed_steps(model, tier, params, until, per_line=math.inf):
         session = CosimSession(model, tier=tier, **params)
         session.build()
         assert session.wired_tier == tier
@@ -313,25 +323,297 @@ class TestObserverParity:
                 (r.from_state, r.to_state, r.fired, r.done, r.result,
                  r.called))
         session.run(until=until)
+        if tier == "fused":
+            # Forced: only the first rising edge ran on fragments.
+            candidates = len(session.system_program.plan.candidates)
+            assert session.fragment_steps == (
+                candidates if per_line == 0 else session.system_compile_hits)
         return steps
 
     @pytest.mark.parametrize("source", [0, 1, 4, 9, 12, "counter"])
-    def test_fused_and_interpreted_observers_see_equal_steps(self, source):
+    def test_fused_and_interpreted_observers_see_equal_steps(
+            self, source, monkeypatch):
+        # The fragment step (switch disabled), the whole-system step
+        # (switch forced at the first rising edge) and the interpreter.
         runs = []
-        for tier in ("fused", "interpreted"):
+        for tier, per_line in (("fused", math.inf), ("fused", 0),
+                               ("interpreted", math.inf)):
+            monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
             if source == "counter":
                 model, params = self._counter_model()
             else:
                 system = generate_system(source)
                 model, params = system.build_model(), system.cosim_params
-            runs.append(self._observed_steps(model, tier, params, 20_000))
-        assert runs[0] == runs[1]
+            runs.append(self._observed_steps(model, tier, params, 20_000,
+                                             per_line))
+        assert runs[0] == runs[1] == runs[2]
         steps = [step for log in runs[0].values() for step in log]
         assert any(done for _, _, _, done, _, _ in steps)
         if source == "counter":
             assert ("Run", "Done", True, True, 3, None) in steps
         else:
             assert any(called for *_, called in steps)
+
+
+def _mix(dst, taps, modulus):
+    """``dst = (weighted mix of taps) mod modulus`` as a deep BinOp tree."""
+    acc = BinOp("mul", var(taps[0][0]), taps[0][1])
+    for name, weight in taps[1:]:
+        acc = BinOp("add", acc, BinOp("mul", var(name), weight))
+    return Assign(dst, BinOp("mod", BinOp("add", acc, 13), modulus))
+
+
+def _datapath_fsm(name, inits):
+    """A three-state FSM with a filter-style datapath in every state."""
+    build = FsmBuilder(name)
+    regs = [f"R{index}" for index in range(8)]
+    for reg, init in zip(regs, inits):
+        build.variable(reg, INT, init)
+    build.variable("ACC", INT, 0)
+
+    def stage(state, rotation):
+        rotated = regs[rotation:] + regs[:rotation]
+        for position, reg in enumerate(rotated):
+            taps = [(rotated[(position + offset) % len(rotated)],
+                     3 + 2 * offset) for offset in range(3)]
+            state.do(_mix(reg, taps, 251 + 2 * position))
+        state.do(Assign("ACC", BinOp(
+            "mod",
+            BinOp("add", var("ACC"),
+                  BinOp("add", BinOp("mul", var(rotated[0]), var(rotated[1])),
+                        BinOp("max", var(rotated[2]), var(rotated[3])))),
+            65521,
+        )))
+
+    with build.state("Fetch") as state:
+        stage(state, 0)
+        state.go("Execute", when=BinOp("ge", var("ACC"), 1024))
+        state.go("Execute")
+    with build.state("Execute") as state:
+        stage(state, 3)
+        state.go("Commit", when=BinOp("lt", var("R0"), var("R4")))
+        state.go("Commit")
+    with build.state("Commit") as state:
+        stage(state, 5)
+        state.go("Fetch")
+    return build.build(initial="Fetch")
+
+
+def _datapath_model(modules=32):
+    model = SystemModel(f"Datapath{modules}")
+    for index in range(modules):
+        inits = [(7 * index + 3 * reg) % 250 + 1 for reg in range(8)]
+        model.add_hardware_module(HardwareModule(
+            f"Dp{index}", [_datapath_fsm(f"DP{index}", inits)]))
+    return model
+
+
+def _bound_fragments(session):
+    """The fragment functions bound into *session*'s fragment step."""
+    return [default for default in session._fused_process.func.__defaults__
+            if getattr(default, "__name__", None) == "_fragment"]
+
+
+class TestFragmentCache:
+    """One code object per fragment source, shared across models."""
+
+    def test_shared_protocol_template_binds_one_controller_code(self):
+        codes = []
+        for seed in (1, 3):
+            system = generate_system(seed)
+            session = CosimSession(system.build_model(),
+                                   **system.cosim_params)
+            session.build()
+            plan = session.system_program.plan
+            codes.append([
+                fragment.__code__ for cand, fragment
+                in zip(plan.candidates, _bound_fragments(session))
+                if cand.kind == "ctrl" and cand.protocol == "handshake"
+            ])
+        assert codes[0] and codes[1]
+        assert all(code is codes[0][0] for code in codes[0] + codes[1])
+
+    def test_datapath_model_compiles_one_fragment(self, monkeypatch):
+        monkeypatch.setattr(syscompile, "_CODE_CACHE",
+                            LruCache(syscompile.CODE_CACHE_SIZE))
+        compiled = []
+        monkeypatch.setattr(
+            syscompile, "compile",
+            lambda source, filename, mode: compiled.append(filename)
+            or compile(source, filename, mode), raising=False)
+        program = compile_system(_datapath_model())
+        assert len(program.fragments) == 32
+        assert len({id(fragment.code) for fragment in program.fragments}) == 1
+        assert compiled == ["<syscompile:fragment>", "<syscompile:step>"]
+
+    @pytest.mark.parametrize("per_line", [math.inf, 0],
+                             ids=["fragments", "whole"])
+    def test_datapath_model_matches_the_interpreter(self, per_line,
+                                                    monkeypatch):
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
+        fingerprints = []
+        for tier in ("fused", "interpreted"):
+            session = CosimSession(_datapath_model(), clock_period=20,
+                                   tier=tier)
+            result = session.run(until=400)
+            assert session.wired_tier == tier
+            fingerprints.append(cosim_fingerprint(session, result))
+        assert fingerprints[0] == fingerprints[1]
+
+    def test_cache_stays_bounded_and_recompiles_identically(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(syscompile, "_CODE_CACHE", LruCache(4))
+        system = generate_system(0)
+        first = compile_system(system.build_model())
+        codes = [fragment.code for fragment in first.fragments]
+        codes.append(first._fragment_step)
+        for seed in range(1, 8):
+            compile_system(generate_system(seed).build_model())
+            assert len(syscompile._CODE_CACHE) <= 4
+        model = system.build_model()
+        again = compile_system(model)
+        recompiled = [fragment.code for fragment in again.fragments]
+        recompiled.append(again._fragment_step)
+        assert recompiled == codes
+        assert any(new is not old for new, old in zip(recompiled, codes))
+        session = CosimSession(model, **system.cosim_params)
+        result = session.run(until=20_000)
+        assert session.system_program is again
+        reference = CosimSession(system.build_model(), tier="interpreted",
+                                 **system.cosim_params)
+        assert cosim_fingerprint(session, result) == cosim_fingerprint(
+            reference, reference.run(until=20_000))
+
+
+class TestStepSwitch:
+    """The fragment step hands over to the whole-system step, invisibly."""
+
+    SEEDS = range(60)
+
+    @pytest.fixture(scope="class")
+    def interpreted_digests(self):
+        return [CosimJob(seed, tier="interpreted").execute()[0]
+                ["fingerprint_digest"] for seed in self.SEEDS]
+
+    @pytest.mark.parametrize("per_line", [0, math.inf],
+                             ids=["forced", "disabled"])
+    def test_job_digests_do_not_depend_on_the_switch(
+            self, per_line, monkeypatch, interpreted_digests):
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
+        digests = [CosimJob(seed).execute()[0]["fingerprint_digest"]
+                   for seed in self.SEEDS]
+        assert digests == interpreted_digests
+
+    @staticmethod
+    def _record_switches(monkeypatch):
+        switches = []
+        original = CosimSession._system_switch
+
+        def recording(session):
+            switches.append((session, session.simulator.now))
+            original(session)
+
+        monkeypatch.setattr(CosimSession, "_system_switch", recording)
+        return switches
+
+    def test_each_session_switches_at_most_once(self, monkeypatch):
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", 0)
+        switches = self._record_switches(monkeypatch)
+        system = generate_system(4)
+        session = CosimSession(system.build_model(), **system.cosim_params)
+        session.run(until=10_000)
+        checkpoint = session.save()
+        session.run(until=20_000)
+        session.restore(checkpoint)
+        session.run(until=30_000)
+        # Forced: right after the first rising edge, at t=0.
+        assert switches == [(session, 0)]
+
+    def test_restore_across_the_switch_reproduces_the_fingerprint(
+            self, monkeypatch):
+        system = generate_system(4)
+
+        def session():
+            return CosimSession(system.build_model(), **system.cosim_params)
+
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", math.inf)
+        probe = session()
+        probe.run(until=10_000)
+        before = probe.fragment_steps
+        expected = cosim_fingerprint(probe, probe.run(until=30_000))
+        after = probe.fragment_steps
+        # Switch half-way between the checkpoint and the end of the run.
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE",
+                            (before + after) / 2 / probe.system_program.lines)
+        switches = self._record_switches(monkeypatch)
+        resumed = session()
+        resumed.run(until=10_000)
+        checkpoint = resumed.save()
+        assert switches == []
+        first = cosim_fingerprint(resumed, resumed.run(until=30_000))
+        assert len(switches) == 1
+        resumed.restore(checkpoint)
+        again = cosim_fingerprint(resumed, resumed.run(until=30_000))
+        assert first == again == expected
+        assert len(switches) == 1
+
+
+class TestRaisingStep:
+    """A raising fused step flushes nothing, on either step."""
+
+    @staticmethod
+    def _controller(name, reads, writes, raising=False):
+        build = FsmBuilder(name)
+        build.variable("N", INT, 0)
+        with build.state("Run") as state:
+            state.do(Assign("N", BinOp("mod", var("N") + port(reads),
+                                       Const(1000))))
+            state.do(PortWrite(writes, var("N") + 1))
+            state.stay()
+        if raising:
+            with build.state("Call") as state:
+                state.call("Missing", then="Run")
+        return CommunicationController(name, build.build(initial="Run"))
+
+    def _model(self):
+        wires = [Port(name, dtype=word_type(16)) for name in "ABC"]
+        model = SystemModel("RaisingStep")
+        model.add_comm_unit(CommunicationUnit("Ring", ports=wires, controllers=[
+            self._controller("C0", "C", "A"),
+            self._controller("C1", "A", "B", raising=True),
+            self._controller("C2", "B", "C"),
+        ]))
+        return model
+
+    @pytest.mark.parametrize("per_line", [math.inf, 0],
+                             ids=["fragments", "whole"])
+    @pytest.mark.parametrize("kind,message", [
+        ("undefined", "undefined variable 'N'"),
+        ("unbound", "FSM 'C1' calls service 'Missing' but no call handler "
+                    "is bound"),
+    ])
+    def test_second_candidate_raises_and_nothing_is_flushed(
+            self, kind, message, per_line, monkeypatch):
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
+        session = CosimSession(self._model())
+        session.run(until=1_000)
+        assert session.wired_tier == "fused"
+        instances = session.controller_instances
+        if kind == "undefined":
+            del instances["Ring.C1"].env["N"]
+        else:
+            instances["Ring.C1"].current = "Call"
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            session.run(until=2_000)
+        # The parent's values: 11 completed edges flushed, the twelfth
+        # counted its first two candidates' steps and nothing else (the
+        # two extra transactions are its clock toggles).
+        assert [(instance.ports.reads, instance.ports.writes)
+                for instance in instances.values()] == [(11, 11)] * 3
+        assert session.simulator.statistics["transactions"] == 56
+        assert session.system_compile_hits == 33
+        assert {name: instance.steps for name, instance in instances.items()} \
+            == {"Ring.C0": 12, "Ring.C1": 12, "Ring.C2": 11}
 
 
 class TestLintPreflight:
@@ -348,9 +630,9 @@ class TestLintPreflight:
         model = self._mutant_model()
         plan = SystemPlan(model)
         assert plan.candidates
-        program = SystemProgram(model, plan,
-                                generate_system_source(model, plan))
+        program = SystemProgram(model, plan)
         assert program.plan is plan
+        assert len(program.fragments) == len(plan.candidates)
 
     def test_session_degrades_to_interpreted_with_reason(self):
         session = CosimSession(self._mutant_model())

@@ -7,6 +7,8 @@ Pins the three contracts of :mod:`repro.obs` at its call sites:
 * enabling telemetry never changes simulated results.
 """
 
+import math
+
 import pytest
 
 from conftest import (
@@ -16,6 +18,7 @@ from conftest import (
 )
 from repro.cosim import CosimSession
 from repro.desim import ReferenceSimulator, Simulator, SignalChange, Timeout
+from repro.ir import syscompile
 from repro.obs import TELEMETRY
 from repro.sweep.jobs import CosimJob, KernelJob
 from repro.sweep.service import SweepService
@@ -217,6 +220,28 @@ class TestCosimInstrumentation:
         _, observed = self._run()
         assert observed.end_time == plain.end_time
         assert observed.summary() == plain.summary()
+
+    @pytest.mark.parametrize("switched", [True, False])
+    def test_step_switch_is_counted_with_its_reason(self, switched,
+                                                    monkeypatch):
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE",
+                            0 if switched else math.inf)
+        TELEMETRY.enable()
+        session, result = self._run()
+        families = _families(TELEMETRY.metrics)
+        series = families.get("repro_cosim_fused_switches_total",
+                              {"series": []})["series"]
+        expected = [({"kernel": "production", "reason": "break_even"}, 1)]
+        assert [(entry["labels"], entry["value"]) for entry in series] \
+            == (expected if switched else [])
+        # The switch is telemetry only: no summary or record carries it.
+        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE",
+                            math.inf if switched else 0)
+        _, other = self._run()
+        assert result.summary() == other.summary()
+        assert "switch" not in repr(result.summary())
+        record, _ = CosimJob(0).execute()
+        assert "switch" not in repr(record)
 
     def test_summary_carries_service_latency_percentiles(self):
         _, result = self._run()

@@ -3,8 +3,8 @@
 A single-scenario ``CosimJob`` builds its model once; the sweep pre-flight,
 the session's validation and the fused-codegen gate read one staged lint
 memo; no per-FSM program is compiled (FSMs outside the fused step run on
-the interpreter).  The whole-system code cache, and the retired per-FSM
-program cache, are keyed on content in bounded LRUs.
+the interpreter).  The fused code cache (fragments and steps), and the
+retired per-FSM program cache, are keyed on content in bounded LRUs.
 """
 
 import pytest
@@ -182,7 +182,7 @@ class TestBoundedProgramCaches:
             compile_system(generate_system(seed).build_model())
             assert len(syscompile._CODE_CACHE) <= 2
         assert len(syscompile._CODE_CACHE) == 2
-        key = syscompile.generate_system_source(first)
+        key = syscompile._fragment_step_source(syscompile.SystemPlan(first))
         assert key not in syscompile._CODE_CACHE
         assert fingerprint(generate_system(0).build_model()) == expected
         assert key in syscompile._CODE_CACHE

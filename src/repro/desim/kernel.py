@@ -50,6 +50,9 @@ from repro.desim.simtime import check_delay, format_time
 from repro.obs import DEPTH_BUCKETS, TELEMETRY
 from repro.utils.errors import SimulationError
 
+#: Force/release payloads: a queued one is never a no-op write.
+_CONTROLS = (ForceValue, ReleaseValue)
+
 
 class _KernelObs:
     """Instruments cached for one telemetry-enabled :meth:`Simulator.run`.
@@ -398,7 +401,7 @@ class Simulator:
         process (a testbench ``poke`` between runs) are attributed to
         ``"<external>"``.
         """
-        if isinstance(value, (ForceValue, ReleaseValue)):
+        if isinstance(value, _CONTROLS):
             return
         self._delta_writes.append(
             (signal, self._current_writer or "<external>"))
@@ -587,7 +590,12 @@ class Simulator:
         step's falling-edge effect is its ``process_runs`` compensation)
         and hand staged writes to :meth:`_drain_deltas` from delta 2.  A
         forced clock, a generator waiting on it or a ``max_deltas`` below 2
-        (which delta 1 exceeds) takes the generic delta 1 instead.
+        (which delta 1 exceeds) takes the generic delta 1 instead.  Delta 2
+        is dropped (its queue cleared) when it would change nothing: with
+        telemetry unbound, no deadline due at ``now``, and every queued
+        write a plain value equal to its unforced signal's current value.
+        The generic loop counts no delta for such a queue and transactions
+        were counted at write time.
         Statistics, run counts and snapshots match the generic path
         exactly; nothing here reads the ``_next_time_cache`` memo.
         """
@@ -648,7 +656,17 @@ class Simulator:
                 signal.event = False
                 self.delta = 2
                 statistics["delta_cycles"] += 1
-                if self._delta_queue:
+                queue = self._delta_queue
+                if queue and obs is None and heap[0][0] > now:
+                    # A delta 2 that only re-writes held values: drop it.
+                    for target, value in queue:
+                        if (target._forced is not None
+                                or type(value) in _CONTROLS
+                                or not value == target._value):
+                            break
+                    else:
+                        queue.clear()
+                if queue:
                     self._drain_deltas(2)
                 elif obs is not None:
                     obs.delta_depth.observe(0)

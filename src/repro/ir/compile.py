@@ -1,9 +1,7 @@
 """Per-FSM code generation for the behavioural IR.
 
-This module holds the expression rules the fused whole-system step of
-:mod:`repro.ir.syscompile` is generated with — operator templates,
-:func:`constant_divisor_source` and the ``_pos_div`` / ``_pos_mod``
-helpers.
+This module holds the operator templates and variable-read walkers the
+fused whole-system step of :mod:`repro.ir.syscompile` is generated with.
 
 It also still holds the retired per-FSM program generator,
 :func:`compile_fsm` / :class:`CompiledFsm`: it translates one
@@ -145,16 +143,18 @@ def _stmt_var_reads(statements, names):
 def constant_divisor_source(op, left_src, right):
     """Single-call source of ``left div/mod c`` for a nonzero int constant *c*.
 
-    The shared rule of both code generators.  Truncating division by a
-    known nonzero divisor needs no zero check and no ``abs`` of the
-    divisor, so it becomes one ``_pos_div``/``_pos_mod`` call on ``|c|``
-    (``div`` negated when ``c < 0``; the remainder takes the dividend's
-    sign whatever the divisor's).  Returns ``None`` for any other
-    operand — other operators, non-constant divisors and a constant
-    ``0``, which keeps the ``_div``/``_mod`` helpers so the division
-    error is still raised at run time.  The helpers are deliberately
-    calls, not inlined conditional expressions: inlining grows the
-    generated source and CPython's peak memory compiling it.
+    The retired per-FSM generator's rule (:func:`expr_source`); the fused
+    step inlines constant divisors instead
+    (``_StateEmitter.constant_divisor`` in :mod:`repro.ir.syscompile`).
+    It and the ``_pos_div``/``_pos_mod`` helpers go with the generator.
+    Truncating division by a known nonzero divisor needs no zero check
+    and no ``abs`` of the divisor, so it becomes one
+    ``_pos_div``/``_pos_mod`` call on ``|c|`` (``div`` negated when
+    ``c < 0``; the remainder takes the dividend's sign whatever the
+    divisor's).  Returns ``None`` for any other operand — other
+    operators, non-constant divisors and a constant ``0``, which keeps
+    the ``_div``/``_mod`` helpers so the division error is still raised
+    at run time.
     """
     if op not in ("div", "mod") or not isinstance(right, Const):
         return None

@@ -66,10 +66,7 @@ from repro.ir.compile import (
     _BINOP_TEMPLATES,
     _UNOP_TEMPLATES,
     _expr_var_reads,
-    _pos_div,
-    _pos_mod,
     _stmt_var_reads,
-    constant_divisor_source,
 )
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import StepResult, _int_div, _int_mod
@@ -259,9 +256,10 @@ class _StateEmitter:
         self.lines = lines
         self._reads = 0
         self._writes = 0
-        # Unique-name counter for the walrus temporaries of inlined
-        # eager and/or sites (each site needs its own pair: a nested
-        # and/or in an operand would clobber shared names mid-expression).
+        # Unique-name counter for the walrus temporaries of inlined eager
+        # and/or and constant div/mod sites (each site needs its own: a
+        # nested site in an operand would clobber a shared name
+        # mid-expression).
         self._tmp = 0
 
     # -- low-level helpers
@@ -276,6 +274,10 @@ class _StateEmitter:
         if self._writes:
             self.lines.append(f"{pad}{self.slots.writes} += {self._writes}")
         self._reads = self._writes = 0
+
+    def temp(self):
+        self._tmp += 1
+        return f"_b{self._tmp}"
 
     def expr(self, expr):
         if isinstance(expr, Const):
@@ -293,8 +295,7 @@ class _StateEmitter:
                 # right operand is then always evaluated — left-then-right
                 # order and raise behaviour match `_eager_and`/`_eager_or`
                 # exactly — and the temporary supplies the left truth value.
-                self._tmp += 1
-                left = f"_b{self._tmp}"
+                left = self.temp()
                 l_src = self.expr(expr.left)
                 r_src = self.expr(expr.right)
                 if expr.op == "and":
@@ -305,17 +306,41 @@ class _StateEmitter:
             template = _BINOP_TEMPLATES.get(expr.op)
             if template is None:
                 raise SystemCompileError(f"cannot compile expression {expr!r}")
-            l_src = self.expr(expr.left)
-            fast = constant_divisor_source(expr.op, l_src, expr.right)
-            if fast is not None:
-                return fast
-            return template.format(l_src, self.expr(expr.right))
+            right = expr.right
+            if (expr.op in ("div", "mod") and isinstance(right, Const)
+                    and type(right.value) is int and right.value != 0):
+                return self.constant_divisor(expr.op, expr.left, right.value)
+            return template.format(self.expr(expr.left), self.expr(right))
         if isinstance(expr, UnOp):
             template = _UNOP_TEMPLATES.get(expr.op)
             if template is None:
                 raise SystemCompileError(f"cannot compile expression {expr!r}")
             return template.format(self.expr(expr.operand))
         raise SystemCompileError(f"cannot compile expression {expr!r}")
+
+    def constant_divisor(self, op, left, divisor):
+        """Inline source of ``left div/mod divisor``, *divisor* a nonzero int.
+
+        Truncating division by a known nonzero divisor needs no zero check
+        and no ``abs`` of the divisor, so it needs no helper call either:
+        the dividend is bound to a unique temporary where Python evaluates
+        first, and its sign picks the floor operation that truncates.  With
+        ``c = |divisor|``, the remainder takes the dividend's sign whatever
+        the divisor's, so ``mod`` floors by ``c`` or ``-c``; ``div`` floors
+        ``|a|`` by ``c`` and restores the sign.  A constant ``0`` divisor
+        stays on the generic ``_div``/``_mod`` call, which raises the
+        division error at run time.
+        """
+        tmp = self.temp()
+        a_src = self.expr(left)
+        c = abs(divisor)
+        if op == "mod":
+            return f"(({tmp} := {a_src}) % ({c} if {tmp} >= 0 else {-c}))"
+        if divisor > 0:
+            return (f"({tmp} // {c} if ({tmp} := {a_src}) >= 0 "
+                    f"else -(-{tmp} // {c}))")
+        return (f"(-({tmp} // {c}) if ({tmp} := {a_src}) >= 0 "
+                f"else -{tmp} // {c})")
 
     def cond(self, expr, exact=False):
         """Source of *expr* where only its truth value is read.
@@ -644,8 +669,6 @@ _GLOBALS = {
     "SE": SimulationError,
     "_div": _int_div,
     "_mod": _int_mod,
-    "_pos_div": _pos_div,
-    "_pos_mod": _pos_mod,
     "_undefined": _undefined,
 }
 

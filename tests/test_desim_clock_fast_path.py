@@ -17,8 +17,10 @@ import pytest
 from conftest import CLOCK_BURST_SLICES, build_clock_burst
 from repro.cosim import CosimSession
 from repro.desim import (
+    ForceValue,
     Monitor,
     ReferenceSimulator,
+    ReleaseValue,
     SimulationError,
     Simulator,
     Timeout,
@@ -277,6 +279,125 @@ class TestClockBurst:
         assert sim.clock_fast_edges == 1_000
         assert len(rising) == 501  # rising edges at 0, 20, ..., 10_000
         assert entries == [10]
+
+
+def _on_three_kernels(build, script):
+    """Fingerprints of *build* on the fast path, the forced generic path
+    and the reference kernel, each run through *script*: ``(until,
+    action)`` pairs, *action* called with the simulator after that run."""
+    runs = []
+    for factory, generic in ((Simulator, False), (Simulator, True),
+                             (ReferenceSimulator, False)):
+        sim = factory()
+        log = []
+        recorder = build(sim, log)
+        if generic:
+            sim.add_monitor(_inert_monitor())
+        for until, action in script:
+            sim.run(until=until)
+            if action is not None:
+                action(sim)
+        runs.append((sim, {**fingerprint(sim, recorder), "log": log}))
+    (fast, expected), (generic, _), (reference, _) = runs
+    assert fast.clock_fast_edges > 0
+    assert generic.clock_fast_edges == reference.clock_fast_edges == 0
+    assert [observed for _, observed in runs] == [expected] * 3
+    return fast, expected
+
+
+def build_forced_echo(sim, log):
+    """A clocked process re-writing the visible value of ``wire``."""
+    clk = sim.add_clock("clk", period=10)
+    wire = sim.add_signal("wire", init=0)
+
+    def echo():
+        sim.schedule(wire, wire.value, 0)
+        log.append((sim.now, wire.value, wire.forced))
+
+    sim.add_clocked_process("echo", echo, clk)
+    return sim.add_recorder(WaveformRecorder())
+
+
+def build_self_forcing(sim, log):
+    """A clocked process queueing force/release and plain writes of ``wire``."""
+    clk = sim.add_clock("clk", period=10)
+    wire = sim.add_signal("wire", init=3)
+    edges = []
+
+    def pin():
+        edges.append(sim.now)
+        phase = len(edges) % 10
+        if phase == 3:
+            sim.schedule(wire, ForceValue(wire.value), 0)
+        elif phase == 7:
+            sim.schedule(wire, ReleaseValue(), 0)
+        elif phase == 9:
+            sim.schedule(wire, ReleaseValue(), 0)  # releases an unforced signal
+        else:
+            sim.schedule(wire, wire.value + (phase == 5), 0)
+        log.append((sim.now, wire.value, wire.forced))
+
+    sim.add_clocked_process("pin", pin, clk)
+    return sim.add_recorder(WaveformRecorder())
+
+
+def build_mixed_queue(sim, log):
+    """Each rising edge queues held-value writes around one real change."""
+    clk = sim.add_clock("clk", period=10)
+    held = sim.add_signal("held", init=5)
+    count = sim.add_signal("count", init=0)
+
+    def step():
+        sim.schedule(held, held.value, 0)
+        sim.schedule(count, count.value + 1, 0)
+        sim.schedule(held, held.value, 0)
+
+    sim.add_clocked_process("step", step, clk)
+    sim.add_process("watch", lambda: log.append((sim.now, count.value)),
+                    sensitivity=[count], initial_run=False)
+    return sim.add_recorder(WaveformRecorder())
+
+
+class TestNoOpDelta2:
+    """The fast path drops a delta 2 that only re-writes held values, and
+    refuses to for anything else."""
+
+    def test_held_value_writes_drain_no_delta_2(self, monkeypatch):
+        _on_three_kernels(build_forced_echo, [(500, None)])
+        drains = []
+        drain = Simulator._drain_deltas
+
+        def counting(self, delta=0):
+            drains.append(delta)
+            return drain(self, delta)
+
+        monkeypatch.setattr(Simulator, "_drain_deltas", counting)
+        sim = Simulator()
+        build_forced_echo(sim, [])
+        sim.run(until=500)
+        assert sim.clock_fast_edges == 100
+        assert sim.statistics["transactions"] == 101 + 51  # clock + echoes
+        assert 2 not in drains
+
+    def test_forced_signal_write_is_shadowed_for_release(self):
+        # Forced to 7, the echo re-writes 7 on every edge: equal to the
+        # visible value, but the release must restore it from the shadow.
+        fast, _ = _on_three_kernels(build_forced_echo, [
+            (100, lambda sim: sim.force("wire", 7)),
+            (300, lambda sim: sim.release("wire")),
+            (500, None),
+        ])
+        assert fast.signals["wire"].value == 7
+        assert not fast.signals["wire"].forced
+
+    def test_queued_force_and_release_are_applied(self):
+        _, observed = _on_three_kernels(build_self_forcing, [(1_000, None)])
+        assert any(forced for *_, forced in observed["log"])
+
+    def test_mixed_queue_applies_the_real_change(self):
+        fast, _ = _on_three_kernels(build_mixed_queue, [(1_000, None)])
+        assert fast.signals["count"].value == 101  # rising edges 0..1000
+        assert fast.signals["held"].change_count == 0
 
 
 class TestDeltaLimit:

@@ -1,9 +1,14 @@
 """Property-based tests (hypothesis) of the IR core invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.ir import FsmBuilder, Assign, INT, FsmInstance, constant_fold, evaluate, var
+from repro.core import HardwareModule, SystemModel
+from repro.cosim import CosimSession
+from repro.ir import (
+    FsmBuilder, Assign, If, INT, FsmInstance, constant_fold, evaluate, var,
+)
 from repro.ir.compile import _pos_div, _pos_mod, compile_expr_fn, expr_source
+from repro.ir.dtypes import IntType
 from repro.ir.expr import BinOp, Const, UnOp, Var
 from repro.ir.interp import _int_div, _int_mod
 from repro.ir.transform import reachable_states
@@ -28,6 +33,60 @@ def _expressions(depth=3):
         ),
         max_leaves=12,
     )
+
+
+#: Nonzero constant divisors of both signs, small and far beyond 64 bits.
+_divisors = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-10**24, max_value=10**24),
+).filter(lambda v: v != 0)
+
+#: Dividends: small, negative and large ints, and a type that holds them.
+_dividends = st.one_of(_values, st.integers(min_value=-10**30,
+                                            max_value=10**30))
+_WIDE = IntType(-10**40, 10**40)
+
+
+def _divisor_expressions():
+    """Value-preserving expressions rich in constant-divisor div/mod,
+    nested and as operands of eager and/or."""
+    base = st.one_of(_values.map(Const), _var_names.map(Var))
+    return st.recursive(
+        base,
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from(["div", "mod"]), children, _divisors)
+            .map(lambda t: BinOp(t[0], t[1], Const(t[2]))),
+            st.tuples(st.sampled_from(["and", "or", "add", "sub", "mul"]),
+                      children, children).map(lambda t: BinOp(*t)),
+            children.map(lambda child: UnOp("neg", child)),
+        ),
+        max_leaves=8,
+    )
+
+
+def _fused_and_interpreted(expr, env):
+    """Final ``R``/``T`` of a one-FSM model stepping ``R = expr`` and
+    ``T = 1 if expr else 0``, on the fused and the interpreted tier."""
+    finals = []
+    for tier in ("fused", "interpreted"):
+        build = FsmBuilder("PROP")
+        for name, value in env.items():
+            build.variable(name, _WIDE, value)
+        build.variable("R", _WIDE, 0)
+        build.variable("T", INT, 0)
+        with build.state("Run") as state:
+            state.do(Assign("R", expr))
+            state.do(If(expr, [Assign("T", Const(1))], [Assign("T", Const(0))]))
+            state.stay()
+        model = SystemModel("ConstantDivisorProperty")
+        model.add_hardware_module(
+            HardwareModule("Cd", [build.build(initial="Run")]))
+        session = CosimSession(model, tier=tier)
+        session.run(until=100)
+        assert session.wired_tier == tier
+        variables = session.hw_adapters["Cd"].process_variables("PROP")
+        finals.append((variables["R"], variables["T"]))
+    return finals
 
 
 class TestExpressionProperties:
@@ -62,6 +121,32 @@ class TestExpressionProperties:
         assert "_pos_" in expr_source(expr)
         env = {"a": a}
         assert compile_expr_fn(expr)(env, None) == evaluate(expr, env)
+
+    @given(expr=_divisor_expressions(), a=_dividends, b=_dividends,
+           c=_dividends)
+    @example(expr=BinOp("div", BinOp("mod", Var("a"), Const(7)), Const(-3)),
+             a=-10**30 - 11, b=0, c=0)
+    @example(expr=BinOp("add", BinOp("div", Var("a"), Const(-3)),
+                        BinOp("div", Var("b"), Const(3))),
+             a=7, b=-7, c=0)
+    @example(expr=BinOp("mod", Var("a"), Const(-10**24)),
+             a=-3 * 10**24 - 1, b=0, c=0)
+    @example(expr=BinOp("or", BinOp("div", Var("a"), Const(4)),
+                        BinOp("mod", Var("b"), Const(-3))),
+             a=-3, b=-6, c=0)
+    @example(expr=BinOp("and", BinOp("mod", Var("a"), Const(5)),
+                        BinOp("div", Var("b"), Const(-2))),
+             a=-7, b=-1, c=0)
+    @example(expr=BinOp("sub", BinOp("mod", Var("a"), Const(3)),
+                        BinOp("div", Var("b"), Const(-2))),
+             a=-1, b=-1, c=0)
+    @settings(max_examples=60, deadline=None)
+    def test_fused_constant_divisors_match_the_interpreter(self, expr, a, b,
+                                                           c):
+        env = {"a": a, "b": b, "c": c}
+        expected = evaluate(expr, env)
+        fused, interpreted = _fused_and_interpreted(expr, env)
+        assert fused == interpreted == (expected, 1 if expected else 0)
 
     @given(a=_values, b=_values)
     @settings(max_examples=100, deadline=None)

@@ -656,13 +656,16 @@ class TestConstantDivisor:
             HardwareModule("Cd", [build.build(initial="Run")]))
         return model
 
-    @pytest.mark.parametrize("op", ["div", "mod"])
-    @pytest.mark.parametrize("divisor", [3, -3])
-    def test_single_call_form_matches_across_tiers(self, op, divisor):
+    @pytest.mark.parametrize("op,divisor,inline", [
+        ("div", 3, "(_b1 // 3 if (_b1 := _e['N']) >= 0 else -(-_b1 // 3))"),
+        ("div", -3, "(-(_b1 // 3) if (_b1 := _e['N']) >= 0 else -_b1 // 3)"),
+        ("mod", 3, "((_b1 := _e['N']) % (3 if _b1 >= 0 else -3))"),
+        ("mod", -3, "((_b1 := _e['N']) % (3 if _b1 >= 0 else -3))"),
+    ])
+    def test_inline_form_matches_across_tiers(self, op, divisor, inline):
         source = generate_system_source(self._model(op, divisor))
-        assert f"_pos_{op}(" in source
-        assert "_div(" not in source.replace("_pos_div(", "")
-        assert "_mod(" not in source.replace("_pos_mod(", "")
+        assert f"_e['Q'] = {inline}" in source
+        assert "_div(" not in source and "_mod(" not in source
         fingerprints = []
         for tier in ("fused", "interpreted"):
             session = CosimSession(self._model(op, divisor), tier=tier)

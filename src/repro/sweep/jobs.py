@@ -161,7 +161,11 @@ class CosimJob(SweepJob):
     completion horizon) routes execution through
     ``save()`` → fresh session → ``restore()`` mid-run: the recorded
     fingerprint digest must equal the uninterrupted variant's, which is
-    exactly what the sweep's checkpoint tests pin.
+    exactly what the sweep's checkpoint tests pin.  Sessions, fault plan
+    and completion horizon come from the conformance kit's
+    :class:`~repro.testkit.scenarios.SystemScenario` (a
+    :class:`~repro.testkit.scenarios.FaultScenario` when *fault_kind* is
+    set), so a job simulates exactly the kit's scenario.
     """
 
     kind = "cosim"
@@ -233,23 +237,20 @@ class CosimJob(SweepJob):
         batch = f"*{self.batch}" if self.batch is not None else ""
         return f"cosim-{self.seed}{suffix}{fault}{batch}@{self.kernel}"
 
-    def _session(self, system, model, scenario_index=0):
-        from repro.cosim import CosimSession
-        from repro.cosim.faults import default_fault_window, plan_for_unit
+    def _scenario(self):
+        """The testkit scenario this job runs: plain, or faulted."""
+        from repro.testkit.models import generate_system
+        from repro.testkit.scenarios import FaultScenario, SystemScenario
 
-        session = CosimSession(model, kernel=self.kernel, tier=self.tier,
-                               **system.cosim_params)
-        if self.fault_kind is not None:
-            units = list(session.model.comm_units.values())
-            unit = units[self.fault_unit_index % len(units)]
-            at, duration = default_fault_window(
-                system.cosim_params["clock_period"])
-            at += scenario_index * self.fault_at_offset
-            session.add_fault_plan(plan_for_unit(self.fault_kind, unit,
-                                                 at=at, duration=duration))
-        return session
+        if self.fault_kind is None:
+            return SystemScenario(generate_system(self.seed,
+                                                  networks=self.networks))
+        return FaultScenario(self.seed, self.fault_kind,
+                             networks=self.networks,
+                             unit_index=self.fault_unit_index,
+                             at_offset=self.fault_at_offset)
 
-    def _run_scenario(self, system, model, scenario_index=0):
+    def _run_scenario(self, scenario, model, index=0):
         """One co-simulated scenario of *model*; ``(entry, coverage_or_none)``.
 
         *entry* is the deterministic per-scenario report fragment — the
@@ -267,45 +268,39 @@ class CosimJob(SweepJob):
             scoreboard,
         )
         from repro.testkit.oracles import (
-            COSIM_MAX_TIME,
-            check_functional_outcome,
             cosim_fingerprint,
             run_session_to_completion,
         )
-        from repro.testkit.scenarios import FAULT_MAX_TIME
 
         coverage = CoverageMap() if self.coverage else None
-        session = self._session(system, model, scenario_index)
+        session = scenario.build_session(self.kernel, self.tier, model, index)
         if coverage is not None:
             attach_session(session, coverage)
         if self.checkpoint_at is not None:
             session.run(until=self.checkpoint_at)
             checkpoint = session.save()
-            session = self._session(system, model,
-                                    scenario_index).restore(checkpoint)
+            session = scenario.build_session(self.kernel, self.tier, model,
+                                             index).restore(checkpoint)
             if coverage is not None:
                 # Rewire the observers onto the restored instances; the
                 # map keeps accumulating across the checkpoint boundary.
                 attach_session(session, coverage, seed_states=False)
-        max_time = (FAULT_MAX_TIME if self.fault_kind is not None
-                    else COSIM_MAX_TIME)
         if self.until is None:
-            result = run_session_to_completion(session, system.expectations,
-                                               max_time=max_time)
-            problems = check_functional_outcome(session, result,
-                                                system.expectations,
-                                                max_time=max_time)
+            result = run_session_to_completion(
+                session, scenario.system.expectations,
+                max_time=scenario.max_time(session))
+            problems = scenario.functional_problems(session, result)
         else:
             result = session.run(until=self.until)
             problems = None
+        faulted = self.fault_kind is not None
         entry = {
             "end_time": result.end_time,
             "service_calls": len(result.trace),
             "sw_finished_all": all(result.sw_finished.values()),
             # A faulted run may legitimately miss its expectations; that is
             # the fault-survival signal, not an error.
-            "functional_problems": (None if self.fault_kind is not None
-                                    else problems),
+            "functional_problems": None if faulted else problems,
             # Execution-tier counters: a sweep silently losing the fused
             # fast path shows up here as fallback/system_fallback > 0 or
             # system_compile_hits == 0, and the tier decision carries its
@@ -316,7 +311,7 @@ class CosimJob(SweepJob):
             "fingerprint_digest": content_digest(
                 cosim_fingerprint(session, result)
             ),
-            "fault_survival": (not problems if self.fault_kind is not None
+            "fault_survival": (not problems if faulted
                                and self.until is None else None),
         }
         if coverage is not None:
@@ -330,13 +325,11 @@ class CosimJob(SweepJob):
         return entry, coverage
 
     def execute(self):
-        from repro.testkit.models import generate_system
-
-        system = generate_system(self.seed, networks=self.networks)
-        model = system.build_model()
+        scenario = self._scenario()
+        model = scenario.system.build_model()
         lint = _lint_preflight(model, self.no_lint)
         if self.batch is None:
-            entry, coverage = self._run_scenario(system, model)
+            entry, coverage = self._run_scenario(scenario, model)
             record = self._base_record()
             record.update(entry)
             # Lint pre-flight summary (None when skipped via no_lint); an
@@ -350,7 +343,7 @@ class CosimJob(SweepJob):
             scenarios = []
             coverages = []
             for index in range(self.batch):
-                entry, coverage = self._run_scenario(system, model, index)
+                entry, coverage = self._run_scenario(scenario, model, index)
                 entry["index"] = index
                 scenarios.append(entry)
                 if coverage is not None:

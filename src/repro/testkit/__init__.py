@@ -12,12 +12,16 @@ honest while it evolves.  Three layers:
   relay / consumer module networks with mixed hw/sw partitionings over
   handshake, FIFO and shared-register channels, with computable expected
   outcomes for the lossless channel kinds.
-* :mod:`repro.testkit.oracles` + :mod:`repro.testkit.runner` — the checks:
-  every kernel scenario runs on both the production kernel and the naive
+* :mod:`repro.testkit.scenarios`, :mod:`repro.testkit.oracles` and
+  :mod:`repro.testkit.runner` — the checks: every kernel scenario runs on
+  both the production kernel and the naive
   :class:`~repro.desim.reference.ReferenceSimulator` and must produce
-  identical event ordering, waveforms, final states and statistics; system
-  models are pushed through :class:`~repro.cosim.session.CosimSession`
-  (both kernels, twice per kernel for seeded determinism) and
+  identical event ordering, waveforms, final states and statistics; the
+  plain, fault-injection and real-time system scenarios share one recipe
+  (:class:`~repro.testkit.scenarios.SystemScenario`) and one differential
+  oracle (:func:`~repro.testkit.scenarios.check_scenario`: every
+  (kernel, tier) variant run twice for seeded determinism and compared
+  with the first); system models also go through
   :class:`~repro.cosyn.flow.CosynthesisFlow` (address-map consistency,
   constraint-report stability).
 
@@ -55,8 +59,8 @@ from repro.testkit.runner import (
 from repro.testkit.scenarios import (
     FaultScenario,
     RealtimeScenario,
-    check_fault_scenario,
-    check_realtime_scenario,
+    SystemScenario,
+    check_scenario,
 )
 
 __all__ = [
@@ -79,8 +83,8 @@ __all__ = [
     "dedupe_scenarios",
     "run_directed",
     "run_uniform",
+    "SystemScenario",
     "FaultScenario",
     "RealtimeScenario",
-    "check_fault_scenario",
-    "check_realtime_scenario",
+    "check_scenario",
 ]

@@ -33,11 +33,10 @@ schedule them differently, which is exactly what the kit must detect.
 import random
 
 from repro.desim import Delta, SignalChange, Timeout, WaveformRecorder, create_simulator
-from repro.cosim import CosimSession
 from repro.cosim.faults import FAULT_KINDS
-from repro.testkit.coverage import CoverageMap, attach_session, coverage_universe, merge_universes
+from repro.testkit.coverage import CoverageMap, coverage_universe, merge_universes
 from repro.testkit.models import generate_system
-from repro.testkit.oracles import run_session_to_completion
+from repro.testkit.scenarios import FaultScenario, RealtimeScenario, SystemScenario
 from repro.utils.canonical import content_digest
 
 #: Size bands: (min processes, max processes, min horizon ns, max horizon ns).
@@ -518,34 +517,27 @@ def run_scenario_config(config, coverage, kernel="production", tier=None):
     scoreboard-feeding observations of its family (fault survival,
     deadline misses).
     """
-    from repro.testkit.scenarios import FaultScenario, RealtimeScenario
-
     family = config["family"]
-    report = {"config": dict(config),
-              "digest": scenario_config_digest(config)}
     if family == "fault":
         scenario = FaultScenario(config["seed"], kind=config["kind"],
                                  unit_index=config["unit_index"])
-        session, result = scenario.run(kernel, tier=tier, coverage=coverage)
-        report["survival"] = scenario.survival(session, result)
-        report["end_time"] = result.end_time
     elif family == "realtime":
         scenario = RealtimeScenario(config["seed"], load=config["load"],
                                     deadline_factor=config["deadline_factor"])
-        _, result, timing = scenario.run(kernel, tier=tier, coverage=coverage)
-        report["deadline_misses"] = timing["deadline_misses"]
-        report["end_time"] = result.end_time
     elif family == "system":
-        system = generate_system(config["seed"])
-        session = CosimSession(system.build_model(), kernel=kernel,
-                               tier=tier, **system.cosim_params)
-        attach_session(session, coverage)
-        result = run_session_to_completion(session, system.expectations)
-        coverage.record_trace(result.trace)
-        report["end_time"] = result.end_time
+        scenario = SystemScenario(generate_system(config["seed"]))
     else:
         raise ValueError(f"unknown scenario family {config['family']!r}; "
                          f"available: {SCENARIO_FAMILIES}")
+    session, result = scenario.run(kernel, tier=tier, coverage=coverage)
+    report = {"config": dict(config),
+              "digest": scenario_config_digest(config)}
+    if family == "fault":
+        report["survival"] = not scenario.functional_problems(session, result)
+    elif family == "realtime":
+        report["deadline_misses"] = scenario.deadline_report(
+            session, result)["deadline_misses"]
+    report["end_time"] = result.end_time
     return report
 
 

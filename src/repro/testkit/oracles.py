@@ -4,18 +4,13 @@ Two oracles, one per flow of the paper's Figure 1:
 
 * :func:`check_cosim_conformance` — lints the generated model
   (:func:`repro.lint.lint_model` pre-flight: error-level findings fail the
-  oracle before any run), then runs the system through
-  :class:`~repro.cosim.session.CosimSession` four times (production kernel
-  twice, reference kernel twice) and checks
-
-  - **seeded determinism**: two runs of the same generated system on the
-    same kernel produce byte-identical waveform dumps and service-call
-    trace tables,
-  - **kernel conformance**: the production and reference kernels agree on
-    every observable (waveform, trace, final software states, activation
-    counts, hardware cycles, statistics),
-  - **functional outcome**: every consumer on a lossless channel reports
-    exactly the generated word count and arithmetic-series sum.
+  oracle before any run), then hands the system to the differential
+  oracle :func:`repro.testkit.scenarios.check_scenario`, which runs every
+  (kernel, tier) variant twice and checks seeded determinism, kernel/tier
+  conformance of every observable (waveform, trace, final software and
+  hardware states, activation counts, hardware cycles, statistics) and
+  the functional outcome: every consumer on a lossless channel reports
+  exactly the generated word count and arithmetic-series sum.
 
 * :func:`check_cosyn_conformance` — runs the system through
   :class:`~repro.cosyn.flow.CosynthesisFlow` twice per compatible platform
@@ -24,9 +19,12 @@ Two oracles, one per flow of the paper's Figure 1:
 
 Both return a list of human-readable problem strings (empty = pass), each
 prefixed with the generated system's name so a failure pins its seed.
+The building blocks — the completion policy, the functional check, the
+fingerprint and the variant matrix — live here too and are shared with
+the scenario families, the sweep's cosim jobs and DSE validation.
 """
 
-from repro.cosim import DEFAULT_TIER, TIERS, CosimSession
+from repro.cosim import DEFAULT_TIER, TIERS
 from repro.cosyn import CosynthesisFlow
 from repro.lint import lint_model
 from repro.platforms import get_platform
@@ -96,10 +94,9 @@ def run_cosim(system, kernel, tier=None):
     ``tier=None`` defers to :data:`repro.cosim.session.DEFAULT_TIER`,
     resolved by the session.
     """
-    session = CosimSession(system.build_model(), kernel=kernel, tier=tier,
-                           **system.cosim_params)
-    result = run_session_to_completion(session, system.expectations)
-    return session, result
+    from repro.testkit.scenarios import SystemScenario
+
+    return SystemScenario(system).run(kernel, tier)
 
 
 def check_functional_outcome(session, result, expectations,
@@ -169,17 +166,9 @@ def _module_end_state(session, result, module_name):
     return adapter.process_variables(process_name)
 
 
-def _diff_fingerprints(label, left, right):
-    problems = []
-    for field in left:
-        if left[field] != right[field]:
-            problems.append(f"{label}: {field} differs")
-    return problems
-
-
 def check_cosim_conformance(system, kernels=("production", "reference"),
                             tier=None):
-    """Run the full co-simulation oracle on one generated system.
+    """Lint *system*, then run :func:`~repro.testkit.scenarios.check_scenario`.
 
     *tier* selects the execution tier every run uses (``fused`` or
     ``interpreted``; ``None`` defers to the project default); the reports
@@ -188,7 +177,7 @@ def check_cosim_conformance(system, kernels=("production", "reference"),
     matches across the whole (kernel, tier) matrix — the fused-codegen
     oracle.
     """
-    variants = variant_matrix(kernels, tier)
+    from repro.testkit.scenarios import SystemScenario, check_scenario
 
     # Lint pre-flight: a generated system must be free of error-level
     # findings before any simulation is trusted (warnings are tolerated —
@@ -199,41 +188,7 @@ def check_cosim_conformance(system, kernels=("production", "reference"),
         f"{diagnostic.path}: {diagnostic.message}"
         for diagnostic in lint_model(system.build_model()).errors
     ]
-    if problems:
-        return problems
-
-    def label(variant):
-        return variant_label(variant, variants)
-
-    fingerprints = {}
-    sessions = {}
-    for variant in variants:
-        kernel, each = variant
-        session_a, result_a = run_cosim(system, kernel, tier=each)
-        session_b, result_b = run_cosim(system, kernel, tier=each)
-        fingerprint_a = cosim_fingerprint(session_a, result_a)
-        fingerprint_b = cosim_fingerprint(session_b, result_b)
-        problems.extend(_diff_fingerprints(
-            f"{system.name}: {label(variant)} kernel not deterministic "
-            "under fixed seed",
-            fingerprint_a, fingerprint_b,
-        ))
-        fingerprints[variant] = fingerprint_a
-        sessions[variant] = (session_a, result_a)
-    baseline = variants[0]
-    for variant in variants[1:]:
-        problems.extend(_diff_fingerprints(
-            f"{system.name}: {label(baseline)} vs {label(variant)} divergence",
-            fingerprints[baseline], fingerprints[variant],
-        ))
-
-    session, result = sessions[baseline]
-    problems.extend(
-        f"{system.name}: {problem}"
-        for problem in check_functional_outcome(session, result,
-                                                system.expectations)
-    )
-    return problems
+    return problems or check_scenario(SystemScenario(system), kernels, tier)
 
 
 def _compatible_platforms(model):

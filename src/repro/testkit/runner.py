@@ -13,12 +13,7 @@ from repro.cosim.faults import FAULT_KINDS
 from repro.testkit.generator import KernelScenario
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, check_cosyn_conformance
-from repro.testkit.scenarios import (
-    FaultScenario,
-    RealtimeScenario,
-    check_fault_scenario,
-    check_realtime_scenario,
-)
+from repro.testkit.scenarios import FaultScenario, RealtimeScenario, check_scenario
 
 #: Full-tier composition: (size, count) for kernel scenarios.  Together
 #: with the model tiers below this yields 200+ scenarios per `make
@@ -135,13 +130,13 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
     for kind in FAULT_KINDS:
         for offset in range(fault_seeds):
             scenario = FaultScenario(seed_base + offset, kind=kind)
-            problems = check_fault_scenario(scenario, tier=tier)
+            problems = check_scenario(scenario, tier=tier)
             report.record(problems)
             note(f"[fault ] {scenario.name}: "
                  f"{'ok' if not problems else 'FAILED'}")
     for offset in range(realtime_models):
         scenario = RealtimeScenario(seed_base + offset)
-        problems = check_realtime_scenario(scenario, tier=tier)
+        problems = check_scenario(scenario, tier=tier)
         report.record(problems)
         note(f"[rtime ] {scenario.name}: "
              f"{'ok' if not problems else 'FAILED'}")
@@ -166,10 +161,10 @@ def replay(name, tier=None):
     if parts[0] == "fault" and len(parts) >= 3:
         kind = "-".join(parts[1:-1])
         scenario = FaultScenario(int(parts[-1]), kind=kind)
-        return check_fault_scenario(scenario, tier=tier)
+        return check_scenario(scenario, tier=tier)
     if parts[0] == "realtime" and len(parts) == 2:
         scenario = RealtimeScenario(int(parts[1]))
-        return check_realtime_scenario(scenario, tier=tier)
+        return check_scenario(scenario, tier=tier)
     raise ValueError(
         f"unrecognised scenario name {name!r}; expected "
         "'kernel-<size>-<seed>', 'system-<seed>', 'fault-<kind>-<seed>' "

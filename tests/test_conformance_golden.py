@@ -1,0 +1,56 @@
+"""Golden hash over the conformance fingerprints of the sweep's cosim jobs.
+
+The conformance fingerprint is the project's spec: every refactor of the
+co-simulation stack must leave it byte-identical.  This file pins one
+sha256 over the ``fingerprint_digest``, ``fault_survival`` and
+``coverage_digest`` fields of the :class:`~repro.sweep.jobs.CosimJob`
+records of a fixed job population:
+
+* plain runs to completion, seeds 0–299;
+* every fault kind × seeds 0–7, single-scenario (unit ``seed % 3``) and
+  batched (``batch=3``, ``fault_at_offset=500``);
+* checkpoint round-trips with coverage collection, seeds 0–7.
+
+A change to the hash is a change to observable simulation behaviour.  If
+it is intended, say why in the change log and re-record the constant from
+:func:`golden_digest`.
+"""
+
+import hashlib
+import json
+
+from repro.cosim.faults import FAULT_KINDS
+from repro.sweep.jobs import CosimJob
+
+GOLDEN = "6a1202eb8f56384d92309772b0d00ba2edaaec9cace44c422e654f43f7305fd0"
+
+FIELDS = ("fingerprint_digest", "fault_survival", "coverage_digest")
+
+
+def golden_jobs():
+    """The pinned job population, in a fixed order."""
+    jobs = [CosimJob(seed) for seed in range(300)]
+    for kind in FAULT_KINDS:
+        for seed in range(8):
+            jobs.append(CosimJob(seed, fault_kind=kind,
+                                 fault_unit_index=seed % 3))
+            jobs.append(CosimJob(seed, fault_kind=kind, batch=3,
+                                 fault_at_offset=500))
+    jobs.extend(CosimJob(seed, checkpoint_at=3000, coverage=True)
+                for seed in range(8))
+    return jobs
+
+
+def golden_digest():
+    """sha256 over the pinned fields of every golden job's record."""
+    rows = []
+    for job in golden_jobs():
+        record, _ = job.execute()
+        assert record["error"] is None, record["error"]
+        rows.append([job.name] + [record.get(field) for field in FIELDS])
+    text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_cosim_job_fingerprints_match_the_golden_hash():
+    assert golden_digest() == GOLDEN

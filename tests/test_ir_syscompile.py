@@ -48,8 +48,7 @@ from repro.testkit.scenarios import (
     FAULT_KINDS,
     FaultScenario,
     RealtimeScenario,
-    check_fault_scenario,
-    check_realtime_scenario,
+    check_scenario,
 )
 from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
@@ -93,14 +92,14 @@ class TestLockstepDifferential:
     @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fault_family_identical_across_tiers(self, kind, seed):
-        problems = check_fault_scenario(FaultScenario(seed, kind),
-                                        tier="differential")
+        problems = check_scenario(FaultScenario(seed, kind),
+                                  tier="differential")
         assert not problems, "\n".join(problems)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_realtime_family_identical_across_tiers(self, seed):
-        problems = check_realtime_scenario(RealtimeScenario(seed),
-                                           tier="differential")
+        problems = check_scenario(RealtimeScenario(seed),
+                                  tier="differential")
         assert not problems, "\n".join(problems)
 
 

@@ -1,10 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-smoke bench bench-kernel bench-quick bench-seed bench-cosim bench-cosim-seed bench-cosim-quick bench-cosim-check conformance conformance-quick conformance-differential conformance-coverage dse dse-quick sweep sweep-quick server server-smoke obs-smoke quickstart
+.PHONY: test sloc lint lint-smoke bench bench-kernel bench-quick bench-seed bench-cosim bench-cosim-seed bench-cosim-quick bench-cosim-check conformance conformance-quick conformance-differential conformance-coverage dse dse-quick sweep sweep-quick server server-smoke obs-smoke quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Python line count of src/ (first line) and of each package under it: the
+# code size tracked next to the bench numbers.
+sloc:
+	@for dir in src $$(dirname src/repro/*/__init__.py); do \
+		printf '%6d %s\n' "$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l)" "$$dir"; \
+	done
 
 # Static analysis of the shipped applications; any finding (warning or
 # error) fails.  See docs/lint.md for the rule catalog.

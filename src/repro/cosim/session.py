@@ -31,9 +31,9 @@ from repro.ir.syscompile import (
     SystemCompileError,
     compile_system,
 )
-from repro.lint.engine import lint_model, memo_report
+from repro.lint.engine import validate_structure
 from repro.obs import TELEMETRY
-from repro.utils.errors import SimulationError, ValidationError
+from repro.utils.errors import SimulationError
 
 #: Execution tiers of a session, fastest first.  ``fused`` runs every
 #: clocked FSM (unit controllers and hardware-module processes) inside one
@@ -110,17 +110,9 @@ class CosimSession:
 
     def __init__(self, model, library=None, clock_period=100,
                  sw_activation_period=None, activation_policy=None,
-                 validate=True, trace_signals=True, kernel="production",
-                 tier=None, detect_races=False):
-        if validate:
-            # The structural lint stage; only error-level findings refuse.
-            if library is None:
-                report = memo_report(model, structural_only=True)
-            else:
-                report = lint_model(model, library=library,
-                                    structural_only=True)
-            if report.errors:
-                raise ValidationError(report.errors)
+                 trace_signals=True, kernel="production", tier=None,
+                 detect_races=False):
+        validate_structure(model, library=library)
         self.model = model
         self.library = library
         self.clock_period = clock_period

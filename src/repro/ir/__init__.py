@@ -43,7 +43,6 @@ from repro.ir.stmt import Stmt, Assign, PortWrite, If, Nop
 from repro.ir.fsm import Fsm, State, Transition, ServiceCall, VarDecl
 from repro.ir.builder import FsmBuilder
 from repro.ir.interp import FsmInstance, evaluate, execute
-from repro.ir.compile import CompileError
 from repro.ir.printer import format_fsm, format_expr, format_stmt
 from repro.ir.transform import (
     constant_fold,
@@ -81,7 +80,6 @@ __all__ = [
     "VarDecl",
     "FsmBuilder",
     "FsmInstance",
-    "CompileError",
     "evaluate",
     "execute",
     "format_fsm",

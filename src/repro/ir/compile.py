@@ -1,40 +1,36 @@
-"""Per-FSM code generation for the behavioural IR.
+"""The retired per-FSM program generator.
 
-This module holds the operator templates and variable-read walkers the
-fused whole-system step of :mod:`repro.ir.syscompile` is generated with.
-
-It also still holds the retired per-FSM program generator,
-:func:`compile_fsm` / :class:`CompiledFsm`: it translates one
+:func:`compile_fsm` / :class:`CompiledFsm` translate one
 :class:`~repro.ir.fsm.Fsm` into plain Python code objects (one
 ``(env, ports) -> None`` action function per state, one inlined
 **stepper** ``(env, ports) -> (next_state, fired)`` per state without
 service calls, a compiled guard/argument/action set per service-call
 transition), byte-identical to :mod:`repro.ir.interp` in values, port
 read/write order (``and``/``or`` never short-circuit), exceptions and
-messages.  Nothing in the co-simulation executes these programs any
-more — every FSM outside the fused step runs on the interpreter — and no
-code in ``src/`` calls :func:`compile_fsm`.  The generator, its program LRU
-(:data:`PROGRAM_CACHE_SIZE`, keyed on :func:`fsm_digest`) and their tests
-stay only because the ``perfbench`` harness looks up
-``repro.ir.compile.compile_fsm`` by name for its ``ir.compile_fsm_*``
-metrics; they go together with those metrics.  The digest is memoised per
-:class:`~repro.ir.fsm.Fsm` object, which assumes the FSM is not
-structurally mutated (``add_transition``) after its first compilation —
-call :func:`compile_fsm` with ``force=True`` after such a mutation.
-"""
+messages.
 
-import weakref
+This is a leaf module: nothing in the co-simulation executes these
+programs — every FSM outside the fused step of :mod:`repro.ir.syscompile`
+runs on the interpreter — no production code imports it, and it keeps no
+cache (each :func:`compile_fsm` call builds a fresh program).  It borrows
+the fused step's operator templates, not the other way round.  It stays
+only because the ``perfbench`` harness looks up
+``repro.ir.compile.compile_fsm`` by name for its ``ir.compile_fsm_*``
+metrics, and it goes together with those metrics.
+"""
 
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
-from repro.utils.canonical import content_digest
+from repro.ir.syscompile import (
+    _BINOP_TEMPLATES as _FUSED_BINOP_TEMPLATES,
+    _UNOP_TEMPLATES,
+)
 from repro.utils.errors import SimulationError
-from repro.utils.lru import LruCache
 
 
 class CompileError(SimulationError):
-    """The FSM contains a node the code generators cannot translate."""
+    """The FSM contains a node the generator cannot translate."""
 
 
 def _eager_and(a, b):
@@ -72,34 +68,12 @@ _GENERATED_GLOBALS = {
     "bool": bool,
 }
 
-#: Binary operators emitted as native Python operators.  Comparisons wrap in
-#: ``1 if .. else 0`` to match the interpreter's integer results; both
-#: operands of every operator are evaluated (Python evaluates both sides of
-#: ``+``/``==`` etc., and ``and``/``or``/``div``/``mod`` go through eager
-#: helper calls), preserving the interpreter's port-read sequence.
+#: The fused step's templates plus eager ``and``/``or`` helper calls (the
+#: fused step inlines those two).
 _BINOP_TEMPLATES = {
-    "add": "({} + {})",
-    "sub": "({} - {})",
-    "mul": "({} * {})",
-    "div": "_div({}, {})",
-    "mod": "_mod({}, {})",
-    "eq": "(1 if {} == {} else 0)",
-    "ne": "(1 if {} != {} else 0)",
-    "lt": "(1 if {} < {} else 0)",
-    "le": "(1 if {} <= {} else 0)",
-    "gt": "(1 if {} > {} else 0)",
-    "ge": "(1 if {} >= {} else 0)",
+    **_FUSED_BINOP_TEMPLATES,
     "and": "_and({}, {})",
     "or": "_or({}, {})",
-    "xor": "(1 if bool({}) != bool({}) else 0)",
-    "min": "min({}, {})",
-    "max": "max({}, {})",
-}
-
-_UNOP_TEMPLATES = {
-    "not": "(0 if {} else 1)",
-    "neg": "(- {})",
-    "abs": "abs({})",
 }
 
 #: Exception epilogue of every generated function.  A ``KeyError`` is only
@@ -353,7 +327,7 @@ class CompiledState:
 
 
 class CompiledFsm:
-    """The per-FSM compiled program, shared by all its instances."""
+    """The compiled program of one FSM."""
 
     __slots__ = ("name", "initial", "done_states", "result_var", "states")
 
@@ -370,98 +344,10 @@ class CompiledFsm:
         return f"CompiledFsm({self.name}, states={len(self.states)})"
 
 
-# -------------------------------------------------------------- content key
-
-
-def _expr_spec(expr):
-    if isinstance(expr, Const):
-        return ["c", expr.value]
-    if isinstance(expr, Var):
-        return ["v", expr.name]
-    if isinstance(expr, PortRef):
-        return ["p", expr.port_name]
-    if isinstance(expr, BinOp):
-        return ["b", expr.op, _expr_spec(expr.left), _expr_spec(expr.right)]
-    if isinstance(expr, UnOp):
-        return ["u", expr.op, _expr_spec(expr.operand)]
-    raise CompileError(f"cannot compile expression {expr!r}")
-
-
-def _stmt_spec(stmt):
-    if isinstance(stmt, Assign):
-        return ["a", stmt.target, _expr_spec(stmt.expr)]
-    if isinstance(stmt, PortWrite):
-        return ["w", stmt.port_name, _expr_spec(stmt.expr)]
-    if isinstance(stmt, If):
-        return ["i", _expr_spec(stmt.cond),
-                [_stmt_spec(s) for s in stmt.then],
-                [_stmt_spec(s) for s in stmt.orelse]]
-    if isinstance(stmt, Nop):
-        return ["n"]
-    raise CompileError(f"cannot compile statement {stmt!r}")
-
-
-def fsm_spec(fsm):
-    """Canonical structural description of *fsm* — the FSM content key.
-
-    Everything either code generator reads from an FSM is here, so equal
-    specs compile to equal programs.  Raises :class:`CompileError` on IR
-    nodes outside the core set.
-    """
-    return {
-        "name": fsm.name,
-        "initial": fsm.initial,
-        "done": sorted(fsm.done_states),
-        "result": fsm.result_var,
-        "vars": [[d.name, d.init] for d in fsm.variables.values()],
-        "states": [
-            [state.name,
-             [_stmt_spec(s) for s in state.actions],
-             [{"target": t.target,
-               "guard": None if t.guard is None else _expr_spec(t.guard),
-               "actions": [_stmt_spec(s) for s in t.actions],
-               "call": (None if t.call is None else
-                        [t.call.service, [_expr_spec(a) for a in t.call.args],
-                         t.call.store])}
-              for t in state.transitions]]
-            for state in fsm.iter_states()
-        ],
-    }
-
-
-#: fsm -> content digest.  Weak keys keep FSM descriptions collectable.
-_FSM_DIGESTS = weakref.WeakKeyDictionary()
-
-
-def fsm_digest(fsm, force=False):
-    """Content digest of :func:`fsm_spec`, memoised per Fsm object.
-
-    *force* recomputes it (after a structural mutation of *fsm*).
-    """
-    digest = None if force else _FSM_DIGESTS.get(fsm)
-    if digest is None:
-        digest = content_digest(fsm_spec(fsm))
-        _FSM_DIGESTS[fsm] = digest
-    return digest
-
-
-#: Most distinct per-FSM programs kept in-process.
-PROGRAM_CACHE_SIZE = 256
-
-#: fsm digest -> CompiledFsm, shared by every structurally equal FSM.
-_PROGRAM_CACHE = LruCache(PROGRAM_CACHE_SIZE)
-
-
-def compile_fsm(fsm, force=False):
-    """Return the (cached) compiled program of *fsm*.
+def compile_fsm(fsm):
+    """Build the compiled program of *fsm*.
 
     Raises :class:`CompileError` when the FSM contains expression or
-    statement nodes outside the core IR.  *force* recompiles after a
-    structural mutation of the FSM.
+    statement nodes outside the core IR.
     """
-    digest = fsm_digest(fsm, force=force)
-    program = None if force else _PROGRAM_CACHE.get(digest)
-    if program is None:
-        program = CompiledFsm(fsm)
-        _PROGRAM_CACHE.put(digest, program)
-    return program
+    return CompiledFsm(fsm)

@@ -62,17 +62,42 @@ import builtins
 import types
 import weakref
 
-from repro.ir.compile import (
-    _BINOP_TEMPLATES,
-    _UNOP_TEMPLATES,
-    _expr_var_reads,
-    _stmt_var_reads,
-)
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import StepResult, _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
+from repro.ir.visitor import variables_read
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
+
+
+#: Binary operators emitted as native Python operators.  Comparisons wrap in
+#: ``1 if .. else 0`` to match the interpreter's integer results; both
+#: operands of every operator are evaluated (Python evaluates both sides of
+#: ``+``/``==`` etc., and ``div``/``mod`` go through the interpreter's
+#: helpers), preserving the interpreter's port-read sequence.  ``and``/``or``
+#: are inlined by :meth:`_StateEmitter.expr` and have no template.
+_BINOP_TEMPLATES = {
+    "add": "({} + {})",
+    "sub": "({} - {})",
+    "mul": "({} * {})",
+    "div": "_div({}, {})",
+    "mod": "_mod({}, {})",
+    "eq": "(1 if {} == {} else 0)",
+    "ne": "(1 if {} != {} else 0)",
+    "lt": "(1 if {} < {} else 0)",
+    "le": "(1 if {} <= {} else 0)",
+    "gt": "(1 if {} > {} else 0)",
+    "ge": "(1 if {} >= {} else 0)",
+    "xor": "(1 if bool({}) != bool({}) else 0)",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
+}
+
+_UNOP_TEMPLATES = {
+    "not": "(0 if {} else 1)",
+    "neg": "(- {})",
+    "abs": "abs({})",
+}
 
 
 class SystemCompileError(SimulationError):
@@ -106,17 +131,7 @@ class _Candidate:
         self.sig_kind = sig_kind    # "unit" | "module"
         self.has_handler = has_handler
         self.protocol = protocol    # protocol template tag ("" when none)
-        reads = set()
-        for state in fsm.iter_states():
-            _stmt_var_reads(state.actions, reads)
-            for t in state.transitions:
-                if t.guard is not None:
-                    _expr_var_reads(t.guard, reads)
-                _stmt_var_reads(t.actions, reads)
-                if t.call is not None:
-                    for arg in t.call.args:
-                        _expr_var_reads(arg, reads)
-        self.env_reads = reads
+        self.env_reads = tuple(variables_read(fsm))  # sorted
 
     @property
     def label(self):
@@ -293,8 +308,9 @@ class _StateEmitter:
                 # operand is bound to a unique temporary, `| 1` forces the
                 # chain onward (operands are ints; x|1 is never zero), the
                 # right operand is then always evaluated — left-then-right
-                # order and raise behaviour match `_eager_and`/`_eager_or`
-                # exactly — and the temporary supplies the left truth value.
+                # order and raise behaviour match the interpreter's eager
+                # `and`/`or` exactly — and the temporary supplies the left
+                # truth value.
                 left = self.temp()
                 l_src = self.expr(expr.left)
                 r_src = self.expr(expr.right)
@@ -515,9 +531,8 @@ def _emit_candidate(slots, lines):
             result = f"_e.get({fsm.result_var!r}) if _dn else None"
     called = "_cl" if has_calls else "None"
     lines.append(f"            _ob(SR(_c, _t, _f, {done}, {result}, {called}))")
-    reads = tuple(sorted(cand.env_reads))
     lines.append("    except KeyError as _x:")
-    lines.append(f"        raise _undefined(_x, _e, {reads!r})")
+    lines.append(f"        raise _undefined(_x, _e, {cand.env_reads!r})")
 
 
 def _undefined(exc, env, reads):

@@ -1,8 +1,9 @@
 """The lint engine: runs every pass over a :class:`SystemModel`.
 
 ``lint_model`` is the single entry point of the analyzer: the CLI, the
-job pre-flight, ``CosimSession``/``CosynthesisFlow`` validation and the
-fused-codegen gate all read its :class:`LintReport`.
+job pre-flight, ``CosimSession``/``CosynthesisFlow`` validation (through
+:func:`validate_structure`) and the fused-codegen gate all read its
+:class:`LintReport`.
 
 ``memo_report`` is the same analysis memoised per model object, in the same
 two stages: the *structural* stage (FSM structure, interface and view
@@ -20,6 +21,7 @@ from repro.core.module import HardwareModule, SoftwareModule
 from repro.lint import dataflow, interface, protocol, races
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.intervals import dtype_interval
+from repro.utils.errors import ValidationError
 
 
 def _fsm_envs(fsm, ports):
@@ -161,7 +163,7 @@ def memo_report(model, structural_only=False):
     The structural stage is computed on first use; the extended stage runs
     on top of the cached structural diagnostics the first time the full
     report is asked for.  The returned report is shared: treat it as
-    read-only.  Like the compiled-program caches, the memo assumes the
+    read-only.  Like the fused program cache, the memo assumes the
     model is not mutated after it was first linted.
     """
     stages = _MEMO.get(model)
@@ -175,3 +177,21 @@ def memo_report(model, structural_only=False):
         _extended_stage(model, report)
         stages.full = report
     return stages.full
+
+
+def validate_structure(model, library=None, platforms=()):
+    """Refuse *model* on error-level findings of the structural stage.
+
+    The validation gate of ``CosimSession`` and ``CosynthesisFlow``:
+    without a view *library* it reads the memo; with one it lints afresh
+    with the view-completeness checks for *platforms*.  Warnings never
+    refuse.  Raises :class:`~repro.utils.errors.ValidationError` carrying
+    the errors.
+    """
+    if library is None:
+        report = memo_report(model, structural_only=True)
+    else:
+        report = lint_model(model, library=library, platforms=platforms,
+                            structural_only=True)
+    if report.errors:
+        raise ValidationError(report.errors)

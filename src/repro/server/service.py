@@ -350,6 +350,9 @@ class JobService:
         lines.append("# TYPE repro_server_ticks_total counter")
         lines.append(prometheus_line("repro_server_ticks_total", None,
                                      snapshot["ticks"]))
+        lines.append("# TYPE repro_server_schedules gauge")
+        lines.append(prometheus_line("repro_server_schedules", None,
+                                     snapshot["schedules"]))
         lines.append("# TYPE repro_server_pool_replacements_total counter")
         lines.append(prometheus_line("repro_server_pool_replacements_total",
                                      None, snapshot["pool_replacements"]))

@@ -44,6 +44,7 @@ from repro.sweep.jobs import (
     jobs_from_dse_report,
 )
 from repro.sweep.service import SweepService
+from repro.testkit.generator import kernel_tier_entry
 
 #: Default batch: a ≥100-scenario mix across all three job kinds.
 DEFAULT_KERNEL_TIER = (("tiny", 60), ("small", 20))
@@ -54,16 +55,6 @@ DEFAULT_COSYN_JOBS = 8
 QUICK_KERNEL_TIER = (("tiny", 6),)
 QUICK_COSIM_JOBS = 3
 QUICK_COSYN_JOBS = 3
-
-
-def _parse_kernel_tier(parser, pairs):
-    tier = []
-    for pair in pairs:
-        size, _, count = pair.partition("=")
-        if not count:
-            parser.error(f"--kernel expects SIZE=COUNT, got {pair!r}")
-        tier.append((size, int(count)))
-    return tuple(tier)
 
 
 def build_jobs(args, parser):
@@ -89,7 +80,7 @@ def build_jobs(args, parser):
         jobs.extend(dse_jobs)
 
     if explicit:
-        kernel_tier = _parse_kernel_tier(parser, args.kernel or ())
+        kernel_tier = tuple(args.kernel or ())
         cosim_jobs = args.cosim or 0
         cosyn_jobs = args.cosyn or 0
     elif args.quick:
@@ -186,6 +177,7 @@ def main(argv=None):
     )
     source = parser.add_argument_group("job sources")
     source.add_argument("--kernel", nargs="*", metavar="SIZE=COUNT",
+                        type=kernel_tier_entry,
                         help="kernel scenario jobs per size band")
     source.add_argument("--cosim", type=int, metavar="N",
                         help="co-simulation jobs over generated systems")

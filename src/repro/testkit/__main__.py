@@ -28,6 +28,7 @@ import sys
 import time
 
 from repro.cosim import TIERS
+from repro.testkit.generator import kernel_tier_entry
 from repro.testkit.models import generate_models
 from repro.testkit.runner import (
     FULL_COSIM_MODELS,
@@ -45,16 +46,6 @@ from repro.testkit.runner import (
 )
 
 
-def _parse_kernel_tier(pairs):
-    tier = []
-    for pair in pairs:
-        size, _, count = pair.partition("=")
-        if not count:
-            raise SystemExit(f"--kernel-scenarios expects size=count, got {pair!r}")
-        tier.append((size, int(count)))
-    return tuple(tier)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="python -m repro.testkit",
@@ -65,6 +56,7 @@ def main(argv=None):
     parser.add_argument("--seed-base", type=int, default=0,
                         help="shift every generated seed (default 0)")
     parser.add_argument("--kernel-scenarios", nargs="*", metavar="SIZE=COUNT",
+                        type=kernel_tier_entry,
                         help="override the kernel-scenario tier")
     parser.add_argument("--cosim", type=int, default=None,
                         help="number of generated systems for the cosim oracle")
@@ -162,7 +154,7 @@ def main(argv=None):
         fault_seeds = FULL_FAULT_SEEDS
         realtime_models = FULL_REALTIME_MODELS
     if args.kernel_scenarios is not None:
-        kernel_tier = _parse_kernel_tier(args.kernel_scenarios)
+        kernel_tier = tuple(args.kernel_scenarios)
     if args.cosim is not None:
         cosim_models = args.cosim
     if args.cosyn is not None:

@@ -30,6 +30,7 @@ way, so two builds of one scenario behave identically — unless the kernels
 schedule them differently, which is exactly what the kit must detect.
 """
 
+import argparse
 import random
 
 from repro.desim import Delta, SignalChange, Timeout, WaveformRecorder, create_simulator
@@ -46,6 +47,28 @@ SIZES = {
     "medium": (100, 220, 600, 1_000),
     "stress": (900, 1_200, 250, 400),
 }
+
+
+def kernel_tier_entry(text):
+    """Parse one ``SIZE=COUNT`` entry of a kernel-scenario tier.
+
+    The argparse ``type`` of the testkit's ``--kernel-scenarios`` and the
+    sweep's ``--kernel`` options.  Returns ``(size, count)``.  A size
+    outside :data:`SIZES` or a count that is not a positive int raises
+    :class:`argparse.ArgumentTypeError`, which argparse reports as a
+    usage error (exit status 2).
+    """
+    size, sep, count = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected SIZE=COUNT, got {text!r}")
+    if size not in SIZES:
+        raise argparse.ArgumentTypeError(
+            f"unknown size {size!r} in {text!r}; available: {sorted(SIZES)}")
+    if not count.isdecimal() or int(count) < 1:
+        raise argparse.ArgumentTypeError(
+            f"count must be a positive int, got {count!r} in {text!r}")
+    return size, int(count)
+
 
 #: Far-future deadline for permanently idle waiters (1 simulated second).
 IDLE_TIMEOUT = 1_000_000_000

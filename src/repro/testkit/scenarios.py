@@ -156,19 +156,26 @@ class RealtimeScenario(SystemScenario):
         self.deadline_factor = deadline_factor
         self.platform = platform
         self.name = f"realtime-{seed}"
+        self._params = None
 
     def session_parameters(self):
-        """Back-annotated cosim parameters with the load multiplier applied."""
-        flow = CosynthesisFlow(self.system.build_model(),
-                               get_platform(self.platform)).run()
-        params = back_annotate(flow).session_parameters()
-        # The kernel requires an even clock period; round up.
-        params["clock_period"] += params["clock_period"] % 2
-        params["sw_activation_period"] = (
-            max(params["sw_activation_period"], params["clock_period"])
-            * self.load
-        )
-        return params
+        """Back-annotated cosim parameters with the load multiplier applied.
+
+        The co-synthesis flow behind them runs once per scenario, on first
+        use; every session gets its own copy.
+        """
+        if self._params is None:
+            flow = CosynthesisFlow(self.system.build_model(),
+                                   get_platform(self.platform)).run()
+            params = back_annotate(flow).session_parameters()
+            # The kernel requires an even clock period; round up.
+            params["clock_period"] += params["clock_period"] % 2
+            params["sw_activation_period"] = (
+                max(params["sw_activation_period"], params["clock_period"])
+                * self.load
+            )
+            self._params = params
+        return dict(self._params)
 
     def max_time(self, session):
         return REALTIME_HORIZON_ACTIVATIONS * session.sw_activation_period

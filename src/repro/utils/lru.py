@@ -1,11 +1,12 @@
 """A fixed-size least-recently-used map.
 
-The generated-program caches (:mod:`repro.ir.syscompile`, and the
-retired per-FSM one of :mod:`repro.ir.compile`) are keyed on content
-digests, so long-running processes — sweep workers, the job server —
-would otherwise keep one entry per distinct model they ever saw.  An :class:`LruCache` keeps the
-*maxsize* most recently used entries and evicts the rest; an evicted
-program is simply regenerated on its next use.
+The fused code cache of :mod:`repro.ir.syscompile` is keyed on the
+generated source, so long-running processes — sweep workers, the job
+server — would otherwise keep one entry per distinct fragment or step they
+ever compiled.  An :class:`LruCache` keeps the *maxsize* most recently
+used entries and evicts the rest; an evicted code object is simply
+recompiled on its next use.  (The retired per-FSM generator of
+:mod:`repro.ir.compile` keeps no cache.)
 """
 
 from collections import OrderedDict

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ir import (
     Assign,
-    CompileError,
     FsmBuilder,
     FsmInstance,
     INT,
@@ -26,7 +25,7 @@ from repro.ir import (
     var,
 )
 from repro.ir import compile as ir_compile
-from repro.ir.compile import compile_expr_fn, compile_fsm
+from repro.ir.compile import CompileError, compile_expr_fn, compile_fsm
 from repro.ir.expr import BinOp, Const, Expr, PortRef, UnOp, Var
 from repro.ir.interp import DEFAULT_HISTORY_LIMIT, DictPortAccessor
 from repro.testkit.models import generate_system
@@ -226,24 +225,13 @@ def counter_fsm(limit=3):
 
 
 class TestCompiledTier:
-    def test_program_cached_and_never_fetched_by_instances(self,
-                                                           monkeypatch):
-        fsm = counter_fsm()
-        assert compile_fsm(fsm) is compile_fsm(fsm)
-
+    def test_program_never_fetched_by_instances(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("FsmInstance fetched a per-FSM program")
 
         monkeypatch.setattr(ir_compile, "compile_fsm", refuse)
         instance = FsmInstance(counter_fsm())
         assert instance.run_to_done().done
-
-    def test_structurally_equal_fsms_share_one_program(self):
-        # The cache is keyed on content: a rebuilt FSM (a rebuilt model,
-        # a controller stamped from one template) reuses the program.
-        assert counter_fsm() is not counter_fsm()
-        assert compile_fsm(counter_fsm()) is compile_fsm(counter_fsm())
-        assert compile_fsm(counter_fsm(3)) is not compile_fsm(counter_fsm(4))
 
     def test_instance_takes_no_mode(self):
         with pytest.raises(TypeError, match="mode"):
@@ -260,7 +248,7 @@ class TestCompiledTier:
             state.stay()
         fsm = build.build(initial="Run")
         with pytest.raises(CompileError):
-            compile_fsm(fsm, force=True)
+            compile_fsm(fsm)
         instance = FsmInstance(fsm)
         # The interpreter cannot evaluate it either: the error surfaces at
         # step time, on every step.
@@ -277,14 +265,14 @@ class TestCompiledTier:
         instance = FsmInstance(fsm)
         instance.step()
         # Mutate the FSM after compilation: the interpreter sees the new
-        # state at once; the program cache needs force=True.
+        # state at once; an earlier program does not.
         late = State("Late", transitions=[Transition("Late")])
         fsm.states["Late"] = late
         fsm.state_order.append("Late")
         instance.current = "Late"
         assert instance.step().to_state == "Late"
         assert "Late" not in stale.states
-        assert "Late" in compile_fsm(fsm, force=True).states
+        assert "Late" in compile_fsm(fsm).states
 
     def test_reset_runs_exactly_once_during_init(self):
         calls = []

@@ -28,6 +28,39 @@ def _wait_done(service, records, timeout=90):
         time.sleep(0.05)
 
 
+#: ``JobService.metrics()`` scalar path -> its exposition sample.
+_EXPORTED_SCALARS = {
+    ("uptime_s",): "repro_server_uptime_seconds",
+    ("queue", "depth"): "repro_server_queue_depth",
+    ("queue", "limit"): "repro_server_queue_limit",
+    ("queue", "workers"): "repro_server_workers",
+    ("jobs", "submitted"): "repro_server_jobs_submitted_total",
+    ("jobs", "cache_served"): "repro_server_cache_served_total",
+    ("ticks",): "repro_server_ticks_total",
+    ("schedules",): "repro_server_schedules",
+    ("pool_replacements",): "repro_server_pool_replacements_total",
+}
+
+#: ``JobService.metrics()`` mapping path -> (its sample, the key's label).
+_EXPORTED_FAMILIES = {
+    ("jobs", "by_state"): ("repro_server_jobs_by_state", "state"),
+    ("cache",): ("repro_server_cache_events_total", "event"),
+    ("fsm",): ("repro_server_fsm_counter_total", "counter"),
+}
+
+#: The snapshot's schema version and its display-only wall stamp.
+_NOT_EXPORTED = {("format",), ("started_at",)}
+
+
+def _numeric_fields(node, path=()):
+    """``(path, value)`` of every number in a nested metrics snapshot."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_fields(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, node
+
+
 @pytest.fixture(scope="module")
 def running_service(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("server-cache")
@@ -112,17 +145,29 @@ class TestJobLifecycle:
         assert running_service.metrics()["uptime_s"] >= 0
 
     def test_prometheus_exposition_parses_and_matches_json(
-            self, running_service):
-        text = running_service.prometheus_metrics()
-        samples = parse_prometheus(text)
+            self, running_service, monkeypatch):
+        # Both renderings read one snapshot, so even the uptime matches.
+        snapshot = running_service.metrics()
+        monkeypatch.setattr(running_service, "metrics", lambda: snapshot)
+        samples = parse_prometheus(running_service.prometheus_metrics())
         values = {(name, tuple(sorted(labels.items()))): value
                   for name, labels, value in samples}
-        snapshot = running_service.metrics()
-        assert values[("repro_server_jobs_submitted_total", ())] \
-            == snapshot["jobs"]["submitted"]
-        for state, count in snapshot["jobs"]["by_state"].items():
-            assert values[("repro_server_jobs_by_state",
-                           (("state", state),))] == count
+        assert snapshot["cache"] and snapshot["fsm"]
+        checked = 0
+        for path, value in _numeric_fields(snapshot):
+            if path in _NOT_EXPORTED:
+                continue
+            if path in _EXPORTED_SCALARS:
+                key = (_EXPORTED_SCALARS[path], ())
+            else:
+                name, label = _EXPORTED_FAMILIES[path[:-1]]
+                key = (name, ((label, path[-1]),))
+            assert values[key] == value, path
+            checked += 1
+        # ... and the hand-rendered block holds nothing else.
+        exported = set(_EXPORTED_SCALARS.values()) | {
+            name for name, _ in _EXPORTED_FAMILIES.values()}
+        assert checked == sum(1 for name, _ in values if name in exported)
 
     def test_metrics_schema_and_fsm_aggregation(self, running_service):
         metrics = running_service.metrics()

@@ -3,9 +3,13 @@
 A single-scenario ``CosimJob`` builds its model once; the sweep pre-flight,
 the session's validation and the fused-codegen gate read one staged lint
 memo; no per-FSM program is compiled (FSMs outside the fused step run on
-the interpreter).  The fused code cache (fragments and steps), and the
-retired per-FSM program cache, are keyed on content in bounded LRUs.
+the interpreter).  The fused code cache (fragments and steps) is keyed on
+content in a bounded LRU.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,13 +17,11 @@ from repro.apps.motor_controller.system import build_system
 from repro.cosim import CosimSession
 from repro.ir import compile as ir_compile
 from repro.ir import compile_system, syscompile
-from repro.ir.interp import DictPortAccessor
 from repro.lint import engine, lint_model
 from repro.sweep.jobs import CosimJob
 from repro.testkit.models import GeneratedSystem, generate_system
 from repro.testkit.oracles import cosim_fingerprint
 from repro.utils.lru import LruCache
-from tests.conftest import ProgramStepper
 
 #: Testkit seed whose model has no fusable FSM (no controllers, no
 #: hardware-module behaviours).
@@ -85,6 +87,36 @@ class TestOneSetupPass:
         assert resumed["fingerprint_digest"] == straight["fingerprint_digest"]
 
 
+#: Imports every production surface and runs one job of each sweep kind.
+_FRESH_PROCESS_SCRIPT = """
+import sys
+import repro.cosim, repro.dse, repro.server, repro.sweep, repro.testkit
+from repro.sweep import CosimJob, CosynJob, KernelJob, SweepService
+report = SweepService([CosimJob(9), CosynJob(1), KernelJob("tiny", 0)]).run()
+assert report.ok, [record["error"] for record in report.records]
+print("repro.ir.compile" in sys.modules)
+"""
+
+
+class TestRetiredGeneratorOffTheLivePath:
+    def test_no_production_path_imports_the_per_fsm_generator(self):
+        # The test process itself has imported repro.ir.compile (through
+        # the conftest's ProgramStepper), so the check needs a fresh one.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            "src" + os.pathsep + env["PYTHONPATH"]
+            if env.get("PYTHONPATH") else "src"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _FRESH_PROCESS_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.strip() == "False"
+
+
 class TestStagedLintMemo:
     @staticmethod
     def _models():
@@ -126,45 +158,9 @@ class TestStagedLintMemo:
 
 
 class TestBoundedProgramCaches:
-    @staticmethod
-    def _counter(limit):
-        from repro.ir import INT, Assign, FsmBuilder, var
-
-        build = FsmBuilder("LRU_COUNTER")
-        build.variable("COUNT", INT, 0)
-        with build.state("Run") as state:
-            state.do(Assign("COUNT", var("COUNT") + 1))
-            state.go("Stop", when=var("COUNT").ge(limit))
-            state.stay()
-        with build.state("Stop", done=True) as state:
-            state.stay()
-        return build.build(initial="Run")
-
-    @staticmethod
-    def _history(fsm):
-        stepper = ProgramStepper(fsm, DictPortAccessor(), call_handler=None)
-        steps = [(r.from_state, r.to_state, r.fired, r.done)
-                 for r in stepper.run_to_done()]
-        return steps, stepper.env, stepper.program
-
     def test_default_bounds_are_fixed(self):
-        assert ir_compile._PROGRAM_CACHE.maxsize == ir_compile.PROGRAM_CACHE_SIZE
         assert syscompile._CODE_CACHE.maxsize == syscompile.CODE_CACHE_SIZE
-        assert len(ir_compile._PROGRAM_CACHE) <= ir_compile.PROGRAM_CACHE_SIZE
         assert len(syscompile._CODE_CACHE) <= syscompile.CODE_CACHE_SIZE
-
-    def test_fsm_program_lru_stays_bounded_and_recompiles(self, monkeypatch):
-        monkeypatch.setattr(ir_compile, "_PROGRAM_CACHE", LruCache(3))
-        first = self._counter(2)
-        steps, env, program = self._history(first)
-        for limit in range(3, 7):
-            ir_compile.compile_fsm(self._counter(limit))
-            assert len(ir_compile._PROGRAM_CACHE) <= 3
-        assert len(ir_compile._PROGRAM_CACHE) == 3
-        assert ir_compile.fsm_digest(first) not in ir_compile._PROGRAM_CACHE
-        again_steps, again_env, again = self._history(self._counter(2))
-        assert again is not program
-        assert (again_steps, again_env) == (steps, env)
 
     def test_system_code_lru_stays_bounded_and_recompiles(self, monkeypatch):
         monkeypatch.setattr(syscompile, "_CODE_CACHE", LruCache(2))

@@ -259,6 +259,26 @@ class TestCommandLine:
         assert report["totals"]["jobs"] == 2
         assert report["totals"]["by_kind"] == {"kernel": 1, "cosyn": 1}
 
+    @pytest.mark.parametrize("entry, message", [
+        ("huge=1", "unknown size 'huge'"),
+        ("tiny=x", "count must be a positive int, got 'x'"),
+        ("tiny=-2", "count must be a positive int, got '-2'"),
+        ("tiny", "expected SIZE=COUNT"),
+    ])
+    def test_kernel_cli_refuses_bad_entries(self, capsys, entry, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--kernel", entry])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --kernel" in err and message in err
+
+    def test_kernel_cli_runs_the_requested_tier(self, tmp_path):
+        out_file = tmp_path / "report.json"
+        assert main(["--kernel", "tiny=2", "--workers", "1",
+                     "--out", str(out_file)]) == 0
+        report = json.loads(out_file.read_text())
+        assert report["totals"]["by_kind"] == {"kernel": 2}
+
     def test_unknown_size_fails_cleanly(self, tmp_path, capsys):
         job_file = tmp_path / "jobs.json"
         job_file.write_text(json.dumps([{"kind": "kernel", "size": "nope",

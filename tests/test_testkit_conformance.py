@@ -186,6 +186,29 @@ class TestWorkloadSourceHook:
             assert record["modules"] >= 6
             assert "topology" in record and "cosim_params" in record
 
+    @pytest.mark.parametrize("entry, message", [
+        ("huge=1", "unknown size 'huge'"),
+        ("tiny=x", "count must be a positive int, got 'x'"),
+        ("tiny=-2", "count must be a positive int, got '-2'"),
+        ("tiny=0", "count must be a positive int, got '0'"),
+        ("tiny", "expected SIZE=COUNT"),
+    ])
+    def test_kernel_scenarios_cli_refuses_bad_entries(self, capsys, entry,
+                                                      message):
+        from repro.testkit.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--kernel-scenarios", entry, "--cosim", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --kernel-scenarios" in err and message in err
+
+    def test_kernel_tier_entry_parses_size_and_count(self):
+        from repro.testkit.generator import kernel_tier_entry
+
+        assert kernel_tier_entry("tiny=5") == ("tiny", 5)
+        assert kernel_tier_entry("stress=1") == ("stress", 1)
+
     def test_tier_cli_accepts_one_axis(self, capsys):
         from repro.testkit.__main__ import main
 

@@ -10,6 +10,7 @@ kit, so their fingerprints must agree digest for digest.
 import pytest
 
 from repro.cosim.faults import FAULT_KINDS
+from repro.cosyn import CosynthesisFlow
 from repro.sweep.jobs import CosimJob
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import cosim_fingerprint
@@ -112,6 +113,19 @@ class TestFamilies:
         assert report["clock_period"] == session.clock_period
         assert report["deadline_ns"] \
             == scenario.deadline_factor * session.sw_activation_period
+
+    def test_realtime_flow_runs_once_per_scenario(self, monkeypatch):
+        runs = []
+        original = CosynthesisFlow.run
+
+        def counting_run(flow):
+            runs.append(flow)
+            return original(flow)
+
+        monkeypatch.setattr(CosynthesisFlow, "run", counting_run)
+        scenario = RealtimeScenario(0)
+        assert check_scenario(scenario, tier="differential") == []
+        assert len(runs) == 1
 
     def test_batch_index_shifts_the_fault_window(self):
         scenario = FaultScenario(1, "stuck_handshake", at_offset=500)

@@ -5,8 +5,9 @@ views of a communication procedure:
 
 * :class:`CliPortAccessor` — what the **SW simulation view** compiles to: the
   C-language interface of the VHDL simulator (``cliGetPortValue`` /
-  ``cliOutput``).  Reads and writes are counted so the co-simulation report
-  can show the SW/HW interface traffic.
+  ``cliOutput``).  The SW/HW interface traffic a co-simulation reports is
+  the service-call trace (:mod:`repro.cosim.tracing`), not a count kept
+  here.
 * :class:`SignalPortAccessor` — what the **HW view** is: direct signal
   access inside the hardware simulation.
 
@@ -25,8 +26,6 @@ class SignalPortAccessor:
         self._simulator = simulator
         self._signal_map = dict(signal_map)
         self.writer = writer
-        self.reads = 0
-        self.writes = 0
 
     def _signal(self, port_name):
         try:
@@ -37,43 +36,24 @@ class SignalPortAccessor:
             ) from None
 
     def read(self, port_name):
-        self.reads += 1
         return self._signal(port_name).value
 
     def write(self, port_name, value):
-        self.writes += 1
         self._simulator.schedule(self._signal(port_name), value, 0)
-
-    def extend(self, signal_map):
-        """Add more port-to-signal mappings (used when wiring environments)."""
-        self._signal_map.update(signal_map)
-        return self
-
-    def known_ports(self):
-        return sorted(self._signal_map)
 
 
 class CliPortAccessor(SignalPortAccessor):
     """The simulator's C-language interface, as used by software callers.
 
     ``cli_get_port_value`` and ``cli_output`` are provided under their paper
-    names so the SW simulation views read naturally; the generic
-    ``read``/``write`` interface required by the IR interpreter simply
-    delegates to them.
+    names so the SW simulation views read naturally; they are the generic
+    ``read``/``write`` interface the IR interpreter calls.
     """
 
     def cli_get_port_value(self, port_name):
         """``cliGetPortValue(map(PORT))`` of the paper's Figure 3b."""
-        self.reads += 1
-        return self._signal(port_name).value
+        return self.read(port_name)
 
     def cli_output(self, port_name, value):
         """``cliOutput(map(PORT), value)`` of the paper's Figure 3b."""
-        self.writes += 1
-        self._simulator.schedule(self._signal(port_name), value, 0)
-
-    def read(self, port_name):
-        return self.cli_get_port_value(port_name)
-
-    def write(self, port_name, value):
-        self.cli_output(port_name, value)
+        self.write(port_name, value)

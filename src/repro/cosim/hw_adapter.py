@@ -19,7 +19,6 @@ class HardwareAdapter:
         self.module = module
         self.simulator = simulator
         self.clock = clock
-        self.accessor = accessor
         self.registry = registry
         self.instances = {}
         for fsm in module.behaviours():
@@ -59,7 +58,6 @@ class HardwareAdapter:
             "instances": {name: instance.capture_state()
                           for name, instance in self.instances.items()},
             "services": self.registry.capture_state(),
-            "accessor": (self.accessor.reads, self.accessor.writes),
         }
 
     def restore_state(self, state):
@@ -68,7 +66,6 @@ class HardwareAdapter:
         for name, instance_state in state["instances"].items():
             self.instances[name].restore_state(instance_state)
         self.registry.restore_state(state["services"])
-        self.accessor.reads, self.accessor.writes = state["accessor"]
 
     def process_state(self, process_name):
         """Current FSM state of one named process of the module."""

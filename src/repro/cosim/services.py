@@ -18,13 +18,11 @@ class ServiceInstance:
         self.caller = caller
         self.service = service
         self.unit_name = unit_name
-        self.accessor = accessor
         self.trace = trace
         self.time_fn = time_fn or (lambda: 0)
         self.instance = FsmInstance(service.fsm, ports=accessor,
                                     reset_on_done=True)
         self.invocations = 0
-        self.total_steps = 0
 
     def step(self, arg_values):
         """Advance the service by one step; returns ``(done, result)``."""
@@ -43,7 +41,6 @@ class ServiceInstance:
         if self.trace is not None:
             self.trace.begin(self.caller, self.service.name, self.unit_name, now,
                              arg_values, token=token)
-        self.total_steps += 1
         result = self.instance.step(dict(zip(params, arg_values)))
         if result.done:
             self.invocations += 1
@@ -59,16 +56,12 @@ class ServiceInstance:
         return {
             "instance": self.instance.capture_state(),
             "invocations": self.invocations,
-            "total_steps": self.total_steps,
-            "accessor": (self.accessor.reads, self.accessor.writes),
         }
 
     def restore_state(self, state):
         """Overwrite run-time state with a :meth:`capture_state` copy."""
         self.instance.restore_state(state["instance"])
         self.invocations = state["invocations"]
-        self.total_steps = state["total_steps"]
-        self.accessor.reads, self.accessor.writes = state["accessor"]
 
     def __repr__(self):
         return (

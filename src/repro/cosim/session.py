@@ -134,12 +134,11 @@ class CosimSession:
         self.wired_tier = None
         self.system_fallback_reason = None
         self.system_program = None
-        #: Candidate FSM steps executed inside the fused program / handed
-        #: back to the interpreter at runtime although it was active.
-        self.system_compile_hits = 0
+        #: Candidate FSM steps the fused program handed back to the
+        #: interpreter at runtime.
         self.system_fallback = 0
         #: Candidate steps run on the fragment step; decides the switch to
-        #: the whole-system step and, unlike the counters above, is never
+        #: the whole-system step and, unlike the counter above, is never
         #: checkpointed.
         self.fragment_steps = 0
         self._fused_process = None
@@ -273,14 +272,6 @@ class CosimSession:
         for kind, owner, port in plan.signal_keys:
             table = self.unit_signals if kind == "unit" else self.module_signals
             signals.append(table[owner][port])
-        accessors = []
-        for key in plan.accessor_keys:
-            if key[0] == "ctrl":
-                accessors.append(
-                    self.controller_instances[f"{key[1]}.{key[2]}"].ports
-                )
-            else:
-                accessors.append(self.hw_adapters[key[1]].accessor)
         services = []
         for module_name, service_name in plan.service_keys:
             registry = self.hw_adapters[module_name].registry
@@ -296,7 +287,6 @@ class CosimSession:
             "session": self,
             "signals": signals,
             "instances": instances,
-            "accessors": accessors,
             "services": services,
             "adapters": [self.hw_adapters[name] for name in plan.adapter_keys],
             "switch": self._system_switch,
@@ -520,28 +510,20 @@ class CosimSession:
         self.build()
         kernel_snapshot = self.simulator.snapshot()
         return {
-            "format": 2,
+            "format": 3,
             "system": self.model.name,
             "kernel": self.kernel,
             # The wired tier, not the requested one: a fused tier registers
             # different kernel processes than the other tiers, so a
             # checkpoint only restores into a session wired the same way.
             "tier": self.wired_tier,
-            "system_counters": {
-                "system_compile_hits": self.system_compile_hits,
-                "system_fallback": self.system_fallback,
-            },
+            "system_fallback": self.system_fallback,
             "clock_period": self.clock_period,
             "sw_activation_period": self.sw_activation_period,
             "policy": self.activation_policy.name,
             "simulator": kernel_snapshot,
-            "controllers": {
-                key: {
-                    "instance": instance.capture_state(),
-                    "accessor": (instance.ports.reads, instance.ports.writes),
-                }
-                for key, instance in self.controller_instances.items()
-            },
+            "controllers": {key: instance.capture_state()
+                            for key, instance in self.controller_instances.items()},
             "sw_executors": {name: executor.capture_state()
                              for name, executor in self.sw_executors.items()},
             "hw_adapters": {name: adapter.capture_state()
@@ -563,17 +545,12 @@ class CosimSession:
         checkpointed state.  ``run()`` then resumes exactly where the saved
         session stopped.
         """
-        if checkpoint.get("format") != 2:
+        if checkpoint.get("format") != 3:
             raise SimulationError(
                 f"unsupported session checkpoint format "
                 f"{checkpoint.get('format')!r}"
             )
         self.build()  # resolves the wired tier compared below
-        # The retired per-FSM "compiled" tier registered the same kernel
-        # processes as "interpreted"; its checkpoints restore there.
-        tier = checkpoint["tier"]
-        if tier == "compiled":
-            tier = "interpreted"
         mismatches = [
             f"{what}: checkpoint has {theirs!r}, session has {ours!r}"
             for what, theirs, ours in (
@@ -584,7 +561,7 @@ class CosimSession:
                  self.sw_activation_period),
                 ("activation policy", checkpoint["policy"],
                  self.activation_policy.name),
-                ("tier", tier, self.wired_tier),
+                ("tier", checkpoint["tier"], self.wired_tier),
             )
             if theirs != ours
         ]
@@ -605,8 +582,7 @@ class CosimSession:
             ("hardware adapters", checkpoint["hw_adapters"],
              self.hw_adapters),
             ("monitors", checkpoint["monitors"], monitors),
-            ("fault plans", checkpoint.get("faults", {}),
-             self.fault_injectors),
+            ("fault plans", checkpoint["faults"], self.fault_injectors),
         ):
             if set(theirs) != set(ours):
                 raise SimulationError(
@@ -615,9 +591,7 @@ class CosimSession:
                 )
         self.simulator.restore(checkpoint["simulator"])
         for key, state in checkpoint["controllers"].items():
-            instance = self.controller_instances[key]
-            instance.restore_state(state["instance"])
-            instance.ports.reads, instance.ports.writes = state["accessor"]
+            self.controller_instances[key].restore_state(state)
         for name, state in checkpoint["sw_executors"].items():
             self.sw_executors[name].restore_state(state)
         for name, state in checkpoint["hw_adapters"].items():
@@ -626,11 +600,9 @@ class CosimSession:
         self.waveform.restore_state(checkpoint["waveform"])
         for name, state in checkpoint["monitors"].items():
             monitors[name].restore_state(state)
-        for name, state in checkpoint.get("faults", {}).items():
+        for name, state in checkpoint["faults"].items():
             self.fault_injectors[name].restore_state(state)
-        counters = checkpoint.get("system_counters", {})
-        self.system_compile_hits = counters.get("system_compile_hits", 0)
-        self.system_fallback = counters.get("system_fallback", 0)
+        self.system_fallback = checkpoint["system_fallback"]
         return self
 
     # ------------------------------------------------------------------ query
@@ -658,9 +630,11 @@ class CosimSession:
         ``steps`` / ``transitions_fired`` measure behavioural activity, and
         ``interpreted`` / ``system_compile_hits`` split the steps by engine
         (tree-walking interpreter, fused whole-system program), so
-        ``steps == interpreted + system_compile_hits``.  ``fallback``
-        counts the ``interpreted`` steps of a session whose wired tier fell
-        back from the requested one (:attr:`system_fallback_reason`), and
+        ``steps == interpreted + system_compile_hits``; the fused share is
+        derived: the steps of a fused-wired session's controllers and
+        hardware processes, less ``system_fallback``.  ``fallback`` counts
+        the ``interpreted`` steps of a session whose wired tier fell back
+        from the requested one (:attr:`system_fallback_reason`), and
         ``system_fallback`` the candidate steps the fused program handed
         back to the interpreter at runtime (also counted in
         ``interpreted``): a silent loss of the fast path shows up in
@@ -670,11 +644,17 @@ class CosimSession:
         for instance in self.fsm_instances():
             steps += instance.steps
             transitions += instance.transitions_fired
-        interpreted = steps - self.system_compile_hits
+        hits = 0
+        if self.wired_tier == "fused":
+            fused = list(self.controller_instances.values())
+            for adapter in self.hw_adapters.values():
+                fused.extend(adapter.instances.values())
+            hits = sum(fsm.steps for fsm in fused) - self.system_fallback
+        interpreted = steps - hits
         return {"steps": steps, "transitions_fired": transitions,
                 "interpreted": interpreted,
                 "fallback": interpreted if self.wired_tier != self.tier else 0,
-                "system_compile_hits": self.system_compile_hits,
+                "system_compile_hits": hits,
                 "system_fallback": self.system_fallback}
 
     def unit_signal(self, unit_name, port_name):

@@ -11,7 +11,7 @@ For every software module of the target, software synthesis
    software side of the real-time constraints.
 """
 
-from repro.ir.visitor import iter_statements, iter_expressions
+from repro.ir.visitor import iter_expressions, iter_state_expressions, iter_statements
 from repro.ir.expr import PortRef
 from repro.ir.stmt import PortWrite
 from repro.swc.emitter import emit_program, emit_module_function, emit_service_view
@@ -89,26 +89,13 @@ def _worst_state_costs(fsm):
             for stmt in transition.actions:
                 writes += 1 if isinstance(stmt, PortWrite) else 0
         reads = sum(
-            1 for expr in _state_expressions(state) if isinstance(expr, PortRef)
+            1 for expr in iter_state_expressions(state)
+            if isinstance(expr, PortRef)
         )
         candidate = (max(statements, 1), reads, writes)
         if candidate[0] + candidate[1] + candidate[2] > sum(worst):
             worst = candidate
     return worst
-
-
-def _state_expressions(state):
-    from repro.ir.visitor import iter_stmt_expressions, iter_expr_tree
-    for stmt in state.actions:
-        yield from iter_stmt_expressions(stmt)
-    for transition in state.transitions:
-        if transition.guard is not None:
-            yield from iter_expr_tree(transition.guard)
-        for stmt in transition.actions:
-            yield from iter_stmt_expressions(stmt)
-        if transition.call is not None:
-            for arg in transition.call.args:
-                yield from iter_expr_tree(arg)
 
 
 def estimate_software_metrics(platform, fsm, services):

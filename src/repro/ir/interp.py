@@ -290,11 +290,7 @@ class FsmInstance:
         }
 
     def restore_state(self, state):
-        """Overwrite run-time state with a :meth:`capture_state` copy.
-
-        Checkpoints taken before the per-FSM tier was retired also carry
-        ``compile_hits``/``fallback`` counters; they are ignored.
-        """
+        """Overwrite run-time state with a :meth:`capture_state` copy."""
         if state["fsm"] != self.fsm.name:
             raise SimulationError(
                 f"cannot restore FSM state of {state['fsm']!r} "

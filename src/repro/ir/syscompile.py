@@ -33,9 +33,10 @@ the clock:
   kernel statistics.
 
 Software executors, their activation processes and all service FSMs stay
-per-FSM on the interpreter (they are demand-driven, not clocked); fused
-candidate steps count in the session's ``system_compile_hits``, every
-other step in its ``interpreted`` counter.
+per-FSM on the interpreter (they are demand-driven, not clocked).  The
+generated code counts nothing on the session but the candidate steps it
+hands back to the interpreter: the session derives its fused steps from
+the candidate instances' own ``steps``.
 
 Each candidate is emitted as a *fragment*, a function of its own slots
 named locally (``i0``, ``g0…``, ``v0…``), so the same controller or
@@ -44,7 +45,7 @@ keys the code-object cache, a fixed-size in-process LRU, so a fragment
 is compiled once per process, not once per model.  A session's step is
 then a short *fragment step* that calls its bound fragments in plan
 order and does the header work (``process_runs`` compensation, the edge
-test, the ``transactions``/hits/accessor totals).  Once it has run
+test, the ``transactions`` total).  Once it has run
 :data:`SWITCH_STEPS_PER_LINE` candidate steps per fragment-source line,
 the session swaps in the *whole-system step*: the same candidate code
 from the same emitter, inlined into one function, compiled on first use
@@ -115,19 +116,17 @@ class SystemCompileError(SimulationError):
 class _Candidate:
     """One fused FSM instance: a controller or a hardware-module process."""
 
-    __slots__ = ("index", "kind", "owner", "name", "fsm", "accessor",
-                 "available", "sig_kind", "has_handler", "env_reads",
-                 "protocol")
+    __slots__ = ("index", "kind", "owner", "name", "fsm", "available",
+                 "sig_kind", "has_handler", "env_reads", "protocol")
 
-    def __init__(self, index, kind, owner, name, fsm, accessor, available,
-                 sig_kind, has_handler, protocol=""):
+    def __init__(self, index, kind, owner, name, fsm, available, sig_kind,
+                 has_handler, protocol=""):
         self.index = index
         self.kind = kind            # "ctrl" | "hw"
         self.owner = owner          # unit name | module name
         self.name = name            # controller name | process fsm name
         self.fsm = fsm
-        self.accessor = accessor    # accessor slot index
-        self.available = available  # port names the accessor can resolve
+        self.available = available  # port names wired to a signal
         self.sig_kind = sig_kind    # "unit" | "module"
         self.has_handler = has_handler
         self.protocol = protocol    # protocol template tag ("" when none)
@@ -149,7 +148,6 @@ class SystemPlan:
 
     def __init__(self, model):
         self.candidates = []
-        self.accessor_keys = []     # ("ctrl", unit, ctrl) | ("hw", module)
         self.adapter_keys = []      # hardware module names
         self.service_keys = []      # (module, service) in first-use order
         self.signal_keys = []       # ("unit"|"module", owner, port)
@@ -162,25 +160,21 @@ class SystemPlan:
         for unit in model.comm_units.values():
             available = frozenset(unit.ports)
             for controller in unit.controllers:
-                accessor = len(self.accessor_keys)
-                self.accessor_keys.append(("ctrl", unit.name, controller.name))
                 self.candidates.append(_Candidate(
                     len(self.candidates), "ctrl", unit.name, controller.name,
-                    controller.fsm, accessor, available, "unit",
+                    controller.fsm, available, "unit",
                     has_handler=False,
                     protocol=getattr(controller, "protocol", ""),
                 ))
                 self.process_count += 1
         for module in model.hardware_modules():
             available = frozenset(module.all_signal_names())
-            accessor = len(self.accessor_keys)
-            self.accessor_keys.append(("hw", module.name))
             self.adapter_keys.append(module.name)
             self.process_count += 1
             for fsm in module.behaviours():
                 self.candidates.append(_Candidate(
                     len(self.candidates), "hw", module.name, fsm.name,
-                    fsm, accessor, available, "module", has_handler=True,
+                    fsm, available, "module", has_handler=True,
                 ))
 
     def signal_slot(self, cand, port_name):
@@ -218,7 +212,7 @@ class _Slots:
     """The source names of one candidate's slots.
 
     The whole-system step names every slot after its plan index, so its
-    candidates share signal, service and accessor-counter names.  A
+    candidates share signal and service names.  A
     fragment numbers its own slots from 0, first use first, and records
     the plan slot behind each local name: equal structure then emits
     equal source wherever it sits in whichever model.
@@ -230,12 +224,7 @@ class _Slots:
         self.local = local
         self.signals = []   # plan signal slots, in local-name order
         self.services = []  # plan service slots, in local-name order
-        if local:
-            self.inst, self.reads, self.writes = "i0", "_r", "_w"
-        else:
-            self.inst = f"i{cand.index}"
-            self.reads = f"_r{cand.accessor}"
-            self.writes = f"_w{cand.accessor}"
+        self.inst = "i0" if local else f"i{cand.index}"
 
     def _name(self, prefix, used, slot):
         if self.local:
@@ -257,19 +246,16 @@ class _StateEmitter:
     """Emits the inlined code of one candidate state.
 
     The code performs canonical counter updates and delta-queue writes.
-    Accessor read/write counts are accumulated in pending counters and
-    flushed as ``+= n`` lines at every control-flow boundary, so each
-    executed path bumps exactly the counts the per-FSM tier would have
-    bumped on that path (only the per-call fold point differs, which is
-    unobservable between deltas).  Every write is one kernel transaction,
-    so the ``transactions`` statistic is the sum of the write counts.
+    Every write is one kernel transaction: writes are counted in a pending
+    count, flushed as one ``_w += n`` line at every control-flow boundary,
+    so each executed path adds exactly its own writes to the step's
+    ``_w``, which the step adds to the ``transactions`` statistic.
     """
 
     def __init__(self, slots, lines):
         self.slots = slots
         self.cand = slots.cand
         self.lines = lines
-        self._reads = 0
         self._writes = 0
         # Unique-name counter for the walrus temporaries of inlined eager
         # and/or and constant div/mod sites (each site needs its own: a
@@ -283,12 +269,9 @@ class _StateEmitter:
         self.lines.append("    " * depth + text)
 
     def flush(self, depth):
-        pad = "    " * depth
-        if self._reads:
-            self.lines.append(f"{pad}{self.slots.reads} += {self._reads}")
         if self._writes:
-            self.lines.append(f"{pad}{self.slots.writes} += {self._writes}")
-        self._reads = self._writes = 0
+            self.line(depth, f"_w += {self._writes}")
+            self._writes = 0
 
     def temp(self):
         self._tmp += 1
@@ -300,7 +283,6 @@ class _StateEmitter:
         if isinstance(expr, Var):
             return f"_e[{expr.name!r}]"
         if isinstance(expr, PortRef):
-            self._reads += 1
             return f"{self.slots.signal(expr.port_name)}._value"
         if isinstance(expr, BinOp):
             if expr.op in ("and", "or"):
@@ -456,7 +438,6 @@ class _StateEmitter:
             # raises exactly the per-FSM error.
             message = (f"FSM {self.cand.fsm.name!r} calls service "
                        f"{call.service!r} but no call handler is bound")
-            self.flush(depth)
             self.line(depth, f"raise SE({message!r})")
             return True
         args = [self.expr(arg) for arg in call.args]
@@ -567,43 +548,32 @@ def _plan_order(plan):
                 yield None, cand
 
 
-def _step_source(plan, params, body, accessors, tail=()):
+def _step_source(plan, params, body, tail=()):
     """A ``_step`` function around *body*, with the header work of both steps.
 
     The header compensates ``process_runs`` for the processes the step
-    replaces and returns on a falling edge.  After *body* the write
-    counters of *accessors* are summed into ``transactions`` and flushed
-    to their accessors, and the candidate steps that did not fall back
-    count as ``system_compile_hits``.  A raising step flushes none of it.
+    replaces and returns on a falling edge.  *body* leaves the step's
+    write count in ``_w``, which is added to ``transactions``; a raising
+    step adds none of it.
     """
     rows = ",\n          ".join(", ".join(params[start:start + 12])
                                    for start in range(0, len(params), 12))
-    out = [
+    return "\n".join([
         f"def _step({rows}):",
         "    _st = _sim.statistics",
         f'    _st["process_runs"] += {plan.process_count - 1}',
         "    if _clk._value != 1:",
         "        return",
         "    _dq = _sim._delta_queue.append",
-        "    _fb = _ses.system_fallback",
         *body,
-        f'    _st["transactions"] += {" + ".join(f"_w{n}" for n in accessors)}',
-    ]
-    for n in accessors:
-        out.append(f"    a{n}.reads += _r{n}")
-        out.append(f"    a{n}.writes += _w{n}")
-    out.append(f"    _ses.system_compile_hits += {len(plan.candidates)} + _fb"
-               " - _ses.system_fallback")
-    out.extend(tail)
-    return "\n".join(out)
+        '    _st["transactions"] += _w',
+        *tail,
+    ])
 
 
 def _whole_source(plan):
     """The whole-system step: every candidate inlined, slots named by plan."""
-    counters = [f"_{rw}{n}" for n in range(len(plan.accessor_keys))
-                for rw in "rw"]
-    body = ["    " + " = ".join(counters[start:start + 8]) + " = 0"
-            for start in range(0, len(counters), 8)]
+    body = ["    _w = 0"]
     for adapter, cand in _plan_order(plan):
         if cand is None:
             body.append(f"    # hardware module {plan.adapter_keys[adapter]!r}")
@@ -617,48 +587,40 @@ def _whole_source(plan):
     params = ["_sim", "_clk", "_ses"]
     params += [f"g{n}" for n in range(len(plan.signal_keys))]
     params += [f"i{c.index}" for c in plan.candidates]
-    params += [f"a{n}" for n in range(len(plan.accessor_keys))]
     params += [f"v{n}" for n in range(len(plan.service_keys))]
     params += [f"d{n}" for n in range(len(plan.adapter_keys))]
-    return _step_source(plan, params, body, range(len(plan.accessor_keys)))
+    return _step_source(plan, params, body)
 
 
 def _fragment_source(slots):
-    """One candidate as a function of its own slots, returning its counts."""
+    """One candidate as a function of its own slots, returning its writes."""
     body = []
     _emit_candidate(slots, body)
     params = ["_dq", "_ses", "i0"]
     params += [f"g{n}" for n in range(len(slots.signals))]
     params += [f"v{n}" for n in range(len(slots.services))]
     return "\n".join([f"def _fragment({', '.join(params)}):",
-                      "    _r = _w = 0", *body, "    return _r, _w"])
+                      "    _w = 0", *body, "    return _w"])
 
 
 def _fragment_step_source(plan):
     """The fragment step: the bound fragments called in plan order.
 
-    Each fragment returns its accessor's read/write counts; the first
-    fragment of an accessor names them, later ones add to them.  After
-    the totals the step counts its candidate steps on the session and
-    calls ``_sw`` once they reach ``_bud``.
+    Each fragment returns its write count; the first fragment names
+    ``_w``, later ones add to it.  After the total the step counts its
+    candidate steps on the session and calls ``_sw`` once they reach
+    ``_bud``.
     """
     body = []
-    seen = []
+    assign = "="
     for adapter, cand in _plan_order(plan):
         if cand is None:
             body.append(f"    d{adapter}.cycles += 1")
             continue
-        n = cand.accessor
-        if n in seen:
-            body.append(f"    _r, _w = f{cand.index}(_dq)")
-            body.append(f"    _r{n} += _r")
-            body.append(f"    _w{n} += _w")
-        else:
-            seen.append(n)
-            body.append(f"    _r{n}, _w{n} = f{cand.index}(_dq)")
+        body.append(f"    _w {assign} f{cand.index}(_dq)")
+        assign = "+="
     params = ["_sim", "_clk", "_ses", "_bud", "_sw"]
     params += [f"f{c.index}" for c in plan.candidates]
-    params += [f"a{n}" for n in range(len(plan.accessor_keys))]
     params += [f"d{n}" for n in range(len(plan.adapter_keys))]
     tail = [
         "    _ses.fragment_steps = _n = _ses.fragment_steps + "
@@ -666,7 +628,7 @@ def _fragment_step_source(plan):
         "    if _n >= _bud:",
         "        _sw()",
     ]
-    return _step_source(plan, params, body, seen, tail)
+    return _step_source(plan, params, body, tail)
 
 
 def generate_system_source(model):
@@ -741,7 +703,7 @@ class SystemProgram:
         """Bind a step function to one session's objects.
 
         *ctx* maps ``sim``/``clock``/``session`` plus the slot lists
-        (``signals``/``instances``/``accessors``/``services``/``adapters``)
+        (``signals``/``instances``/``services``/``adapters``)
         in the orders recorded on :attr:`plan`, and ``switch``, the
         callable the fragment step calls once it has run
         ``SWITCH_STEPS_PER_LINE * lines`` candidate steps.  They become
@@ -755,7 +717,7 @@ class SystemProgram:
                 self._whole_step = _compiled(_whole_source(self.plan),
                                         f"<syscompile:{self.name}>")
             defaults = (sim, clock, session, *signals, *ctx["instances"],
-                        *ctx["accessors"], *services, *ctx["adapters"])
+                        *services, *ctx["adapters"])
             return types.FunctionType(self._whole_step, _GLOBALS, "_step",
                                       defaults)
         calls = [
@@ -767,7 +729,7 @@ class SystemProgram:
             for fragment, instance in zip(self.fragments, ctx["instances"])
         ]
         defaults = (sim, clock, session, SWITCH_STEPS_PER_LINE * self.lines,
-                    ctx["switch"], *calls, *ctx["accessors"], *ctx["adapters"])
+                    ctx["switch"], *calls, *ctx["adapters"])
         return types.FunctionType(self._fragment_step, _GLOBALS, "_step",
                                   defaults)
 
@@ -803,9 +765,9 @@ CODE_CACHE_SIZE = 256
 
 #: Candidate steps per generated source line after which a session's
 #: fused process swaps the fragment step for the whole-system step.
-#: Compiling costs about 8.4 µs per line (1.9 ms for the median 226-line
-#: model); a fragment call costs about 0.14 µs per candidate step more
-#: than inlined code.  So the whole-system compile is repaid after about
+#: Compiling costs about 8.4 µs per line (1.6 ms for the median 189-line
+#: whole-system step of testkit seeds 100–399); a fragment call costs
+#: about 0.14 µs per candidate step more than inlined code.  So the whole-system compile is repaid after about
 #: 8.4 / 0.14 = 60 candidate steps per line.
 SWITCH_STEPS_PER_LINE = 60
 

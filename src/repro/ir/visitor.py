@@ -1,6 +1,6 @@
 """Generic traversal helpers over FSMs, statements and expressions."""
 
-from repro.ir.expr import Expr
+from repro.ir.expr import Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 
 
@@ -49,32 +49,61 @@ def iter_statements(fsm):
                 yield from iter_stmt_tree(stmt)
 
 
+def iter_state_expressions(state):
+    """Yield every expression of one state: actions, guards, call arguments."""
+    for stmt in state.actions:
+        yield from iter_stmt_expressions(stmt)
+    for transition in state.transitions:
+        if transition.guard is not None:
+            yield from iter_expr_tree(transition.guard)
+        for stmt in transition.actions:
+            yield from iter_stmt_expressions(stmt)
+        if transition.call is not None:
+            for arg in transition.call.args:
+                yield from iter_expr_tree(arg)
+
+
 def iter_expressions(fsm):
     """Yield every expression of *fsm*: actions, guards and call arguments."""
     for state in fsm.iter_states():
-        for stmt in state.actions:
-            yield from iter_stmt_expressions(stmt)
-        for transition in state.transitions:
-            if transition.guard is not None:
-                yield from iter_expr_tree(transition.guard)
-            for stmt in transition.actions:
-                yield from iter_stmt_expressions(stmt)
-            if transition.call is not None:
-                for arg in transition.call.args:
-                    yield from iter_expr_tree(arg)
-
-
-def expressions_of_kind(fsm, kind):
-    """Return all expressions of *fsm* that are instances of *kind*."""
-    if not issubclass(kind, Expr):
-        raise TypeError("kind must be an Expr subclass")
-    return [expr for expr in iter_expressions(fsm) if isinstance(expr, kind)]
+        yield from iter_state_expressions(state)
 
 
 def variables_read(fsm):
-    """Names of variables read anywhere in the FSM."""
-    from repro.ir.expr import Var
-    return sorted({expr.name for expr in expressions_of_kind(fsm, Var)})
+    """Names of variables read anywhere in the FSM, sorted.
+
+    Walks what :func:`iter_expressions` yields directly, without its
+    generator frames: it runs once per fused FSM, twice per linted one.
+    """
+    names = set()
+
+    def expr(node):
+        if isinstance(node, Var):
+            names.add(node.name)
+        for child in node.children():
+            expr(child)
+
+    def stmts(statements):
+        for stmt in statements:
+            if isinstance(stmt, If):
+                expr(stmt.cond)
+                stmts(stmt.then)
+                stmts(stmt.orelse)
+            elif isinstance(stmt, (Assign, PortWrite)):
+                expr(stmt.expr)
+            elif not isinstance(stmt, Nop):
+                raise TypeError(f"unknown statement {stmt!r}")
+
+    for state in fsm.iter_states():
+        stmts(state.actions)
+        for transition in state.transitions:
+            if transition.guard is not None:
+                expr(transition.guard)
+            stmts(transition.actions)
+            if transition.call is not None:
+                for arg in transition.call.args:
+                    expr(arg)
+    return sorted(names)
 
 
 def variables_written(fsm):

@@ -12,13 +12,15 @@ objects; an external timer POSTing ``/tick`` drives them.
 on an ephemeral port — and exercises it with real ``urllib`` clients:
 concurrent submissions of every job kind, polling to completion, the
 artifact route, a warm cacheable resubmission (must be served from the
-cache), the scheduler tick and the error statuses (400/404/503 paths via
-a malformed spec and an unknown route).  Exit code 0 means the service
-held up end to end; this is what ``make server-smoke`` runs.
+cache), the scheduler tick and the error statuses (400/404 paths via a
+malformed spec, a negative ``Content-Length`` and an unknown route).
+Exit code 0 means the service held up end to end; this is what
+``make server-smoke`` runs.
 """
 
 import argparse
 import json
+import socket
 import sys
 import tempfile
 import threading
@@ -254,11 +256,20 @@ def selfcheck(args):
 
             status, reply = client.post("/jobs", {"kind": "nonsense"})
             _check(status == 400, f"bad spec should 400, got {status}")
+            try:
+                with socket.create_connection((host, port), timeout=10) as raw:
+                    raw.sendall(b"POST /jobs HTTP/1.1\r\nHost: selfcheck\r\n"
+                                b"Content-Length: -1\r\n\r\n")
+                    head = raw.recv(64)
+            except TimeoutError:
+                head = b"no reply within 10 s"
+            _check(head.startswith(b"HTTP/1.1 400 "),
+                   f"negative Content-Length should 400: {head!r}")
             status, reply = client.get("/nope")
             _check(status == 404, f"unknown route should 404, got {status}")
             status, reply = client.get("/jobs/job-999999")
             _check(status == 404, f"unknown job should 404, got {status}")
-            note("error statuses: 400 bad spec, 404 unknown route/job")
+            note("error statuses: 400 bad spec/length, 404 unknown route/job")
         finally:
             server.shutdown()
             server.server_close()

@@ -79,6 +79,11 @@ class JobRequestHandler(BaseHTTPRequestHandler):
 
     def _read_body(self):
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            # read(-1) would read to EOF; the body has no known extent, so
+            # answer and drop the connection.
+            self.close_connection = True
+            raise ValueError(f"negative Content-Length {length}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body (expected JSON)")

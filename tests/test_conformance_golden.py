@@ -11,18 +11,25 @@ records of a fixed job population:
   batched (``batch=3``, ``fault_at_offset=500``);
 * checkpoint round-trips with coverage collection, seeds 0–7.
 
-A change to the hash is a change to observable simulation behaviour.  If
-it is intended, say why in the change log and re-record the constant from
-:func:`golden_digest`.
+A second sha256 pins the records' ``fsm`` counter dicts (steps,
+transitions, the interpreted/fused split, fallbacks), which are not part
+of the fingerprint.
+
+A change to a hash is a change to observable simulation behaviour.  If
+it is intended, say why in the change log and re-record the constants
+from :func:`golden_digests`.
 """
 
 import hashlib
 import json
 
+import pytest
+
 from repro.cosim.faults import FAULT_KINDS
 from repro.sweep.jobs import CosimJob
 
 GOLDEN = "6a1202eb8f56384d92309772b0d00ba2edaaec9cace44c422e654f43f7305fd0"
+GOLDEN_FSM = "5847bf211bf005422e957279c27ce6253bef6469bbf956cc7acb293af9a6249d"
 
 FIELDS = ("fingerprint_digest", "fault_survival", "coverage_digest")
 
@@ -41,16 +48,31 @@ def golden_jobs():
     return jobs
 
 
-def golden_digest():
-    """sha256 over the pinned fields of every golden job's record."""
-    rows = []
-    for job in golden_jobs():
-        record, _ = job.execute()
-        assert record["error"] is None, record["error"]
-        rows.append([job.name] + [record.get(field) for field in FIELDS])
+def _sha256(rows):
     text = json.dumps(rows, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def test_cosim_job_fingerprints_match_the_golden_hash():
-    assert golden_digest() == GOLDEN
+def golden_digests():
+    """sha256 over the pinned fields, and over the ``fsm`` dicts, of the
+    golden jobs' records."""
+    rows, fsm_rows = [], []
+    for job in golden_jobs():
+        record, _ = job.execute()
+        assert record["error"] is None, record["error"]
+        rows.append([job.name] + [record.get(field) for field in FIELDS])
+        fsm_rows.append([job.name, record["fsm"]])
+    return _sha256(rows), _sha256(fsm_rows)
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return golden_digests()
+
+
+def test_cosim_job_fingerprints_match_the_golden_hash(digests):
+    assert digests[0] == GOLDEN
+
+
+def test_cosim_job_fsm_counters_match_the_golden_hash(digests):
+    assert digests[1] == GOLDEN_FSM

@@ -151,25 +151,33 @@ class TestSessionCheckpoint:
         )
         assert actual == expected
 
-    def test_restore_accepts_checkpoint_of_retired_compiled_tier(self):
-        # Before the per-FSM compiled tier was retired, a fused session
-        # that could not fuse wired "compiled" (the same kernel processes
-        # as "interpreted") and every FSM state carried tier counters.
+    def test_restore_refuses_format_2_checkpoint(self):
+        # Format 2 kept port-accessor counts beside each controller state
+        # and the fused-step counters in a block of their own.
         system = generate_system(0)
         straight = make_session(system)
         expected = cosim_fingerprint(straight, straight.run(until=30_000))
 
-        interrupted = CosimSession(system.build_model(), detect_races=True,
-                                   **system.cosim_params)
+        interrupted = make_session(system)
         interrupted.run(until=12_345)
-        assert interrupted.wired_tier == "interpreted"
         checkpoint = interrupted.save()
-        checkpoint["tier"] = "compiled"
-        for entry in checkpoint["controllers"].values():
-            entry["instance"].update(compile_hits=7, fallback=0)
-        resumed = CosimSession(system.build_model(), detect_races=True,
-                               **system.cosim_params).restore(checkpoint)
-        actual = cosim_fingerprint(resumed, resumed.run(until=30_000))
+        assert checkpoint["format"] == 3
+        checkpoint["format"] = 2
+        checkpoint["system_counters"] = {
+            "system_compile_hits": 0,
+            "system_fallback": checkpoint.pop("system_fallback"),
+        }
+        checkpoint["controllers"] = {
+            key: {"instance": state, "accessor": (0, 0)}
+            for key, state in checkpoint["controllers"].items()
+        }
+        session = make_session(system).build()
+        with pytest.raises(SimulationError,
+                           match="unsupported session checkpoint format 2"):
+            session.restore(checkpoint)
+        # Left as built: it runs as if the restore had not been tried.
+        assert session.simulator.now == 0
+        actual = cosim_fingerprint(session, session.run(until=30_000))
         assert actual == expected
 
     def test_restore_rejects_parameter_mismatch(self):

@@ -28,7 +28,6 @@ class TestPortAccessors:
         sim, signal_map = self._simulator_with_signals()
         accessor = SignalPortAccessor(sim, signal_map)
         assert accessor.read("B_FULL") == 0
-        assert accessor.reads == 1
 
     def test_signal_accessor_write_is_delta_delayed(self):
         sim, signal_map = self._simulator_with_signals()
@@ -51,13 +50,6 @@ class TestPortAccessors:
         accessor.cli_output("DATAIN", 3)
         sim.run()
         assert signal_map["DATAIN"].value == 3
-        assert accessor.reads == 1 and accessor.writes == 1
-
-    def test_extend_adds_ports(self):
-        sim, signal_map = self._simulator_with_signals()
-        accessor = SignalPortAccessor(sim, {})
-        accessor.extend(signal_map)
-        assert set(accessor.known_ports()) == {"DATAIN", "B_FULL"}
 
 
 class TestServiceCallTrace:
@@ -192,7 +184,7 @@ class TestServiceRegistry:
         handler = registry.call_handler()
         done, _ = handler(type("C", (), {"service": "PUT"})(), [42])
         assert not done
-        assert instance.total_steps == 1
+        assert instance.instance.steps == 1
         assert len(trace) == 1
         with pytest.raises(SimulationError, match="arguments"):
             instance.step([1, 2])

@@ -116,6 +116,26 @@ class TestSessionModes:
         assert counters["steps"] == (counters["interpreted"]
                                      + counters["system_compile_hits"])
 
+    def test_unit_reset_keeps_the_engine_split_exact(self):
+        # A reset fault zeroes the unit's controller step counts.  The
+        # fused count is derived from the candidates' steps, so after it
+        # the interpreted share is still exactly the steps of the FSMs
+        # outside the fused program: services and software.
+        session, _ = FaultScenario(1, "reset_mid_transaction").run()
+        assert session.wired_tier == "fused"
+        assert all(injector.cursor for injector
+                   in session.fault_injectors.values())
+        others = [service.instance
+                  for adapter in session.hw_adapters.values()
+                  for service in adapter.registry.instances()]
+        for executor in session.sw_executors.values():
+            others.append(executor.instance)
+            others.extend(service.instance
+                          for service in executor.registry.instances())
+        counters = session.fsm_counters()
+        assert counters["system_compile_hits"] > 0
+        assert counters["interpreted"] == sum(fsm.steps for fsm in others)
+
     def test_interpreted_tier_runs_no_fused_program(self):
         model = generate_system(0).build_model()
         session = CosimSession(model, tier="interpreted")
@@ -325,8 +345,9 @@ class TestObserverParity:
         if tier == "fused":
             # Forced: only the first rising edge ran on fragments.
             candidates = len(session.system_program.plan.candidates)
+            hits = session.fsm_counters()["system_compile_hits"]
             assert session.fragment_steps == (
-                candidates if per_line == 0 else session.system_compile_hits)
+                candidates if per_line == 0 else hits)
         return steps
 
     @pytest.mark.parametrize("source", [0, 1, 4, 9, 12, "counter"])
@@ -558,7 +579,7 @@ class TestStepSwitch:
 
 
 class TestRaisingStep:
-    """A raising fused step flushes nothing, on either step."""
+    """A raising fused step adds no transactions, on either step."""
 
     @staticmethod
     def _controller(name, reads, writes, raising=False):
@@ -604,15 +625,14 @@ class TestRaisingStep:
             instances["Ring.C1"].current = "Call"
         with pytest.raises(SimulationError, match=f"^{message}$"):
             session.run(until=2_000)
-        # The parent's values: 11 completed edges flushed, the twelfth
-        # counted its first two candidates' steps and nothing else (the
-        # two extra transactions are its clock toggles).
-        assert [(instance.ports.reads, instance.ports.writes)
-                for instance in instances.values()] == [(11, 11)] * 3
+        # 11 completed edges added their 33 writes; the twelfth counted
+        # its first two candidates' steps and nothing else (the two extra
+        # transactions are its clock toggles).  The fused-step count is
+        # the candidates' steps, so it includes those two started steps.
         assert session.simulator.statistics["transactions"] == 56
-        assert session.system_compile_hits == 33
         assert {name: instance.steps for name, instance in instances.items()} \
             == {"Ring.C0": 12, "Ring.C1": 12, "Ring.C2": 11}
+        assert session.fsm_counters()["system_compile_hits"] == 35
 
 
 class TestLintPreflight:

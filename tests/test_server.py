@@ -7,6 +7,7 @@ so submissions stay deterministically queued.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -417,6 +418,19 @@ class TestHttpServer:
             assert "unknown tier 'compiled'" in reply["error"]
         status, reply = self._call(endpoint, "GET", "/jobs")
         assert status == 200 and not reply["jobs"]
+
+    def test_negative_content_length_is_answered_400(self, endpoint):
+        # read(-1) would read to EOF: no reply while the client waits.
+        host, port = endpoint[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=5) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: -1\r\n\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_http_error_statuses(self, endpoint):
         status, reply = self._call(endpoint, "POST", "/jobs",

@@ -146,6 +146,15 @@ class TestJobBehaviour:
             plain["fingerprint_digest"]
         assert via_checkpoint["end_time"] == plain["end_time"]
 
+    def test_checkpointed_fused_job_keeps_the_fsm_counters(self):
+        # The fused-step count is derived from the candidates' steps, which
+        # travel in the checkpoint; the record must not tell the two apart.
+        plain, _ = CosimJob(6).execute()
+        via_checkpoint, _ = CosimJob(6, checkpoint_at=3_000).execute()
+        assert plain["tier"] == via_checkpoint["tier"] == "fused"
+        assert plain["fsm"]["system_compile_hits"] > 0
+        assert via_checkpoint["fsm"] == plain["fsm"]
+
     def test_cosim_completion_mode_checks_expectations(self):
         record, payload = CosimJob(0).execute()
         assert payload is None

@@ -45,7 +45,7 @@ bench-seed:
 	$(PYTHON) -m benchmarks.perf --label seed --repeats 2
 
 # Full cosim perf sweep on the fused tier (controllers and hardware FSMs
-# inside the whole-system program); merges "current" into BENCH_cosim.json
+# inside the fused program); merges "current" into BENCH_cosim.json
 # (acceptance: >= 5x vs the interpreted seed on the largest
 # transition-rate AND mixed-system points, plus >= 1.5x batched-vs-
 # sequential amortization on the recorded batch section).

@@ -13,7 +13,7 @@ scale — modules or networks).  Typical sequence::
 
 ``seed`` is recorded on the interpreted tier (the pre-compile behaviour)
 and ``current`` on the fused tier — controllers and hardware FSMs inside
-the whole-system program of :mod:`repro.ir.syscompile` — so the file's
+the fused program of :mod:`repro.ir.syscompile` — so the file's
 speedup table *is* the compilation win.  The acceptance criteria demand
 :data:`ACCEPTANCE_POINTS` — the transition-rate workload's largest point
 **and** the mixed-system workload's largest point — plus the batched
@@ -70,7 +70,7 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
     """Time one (workload, scale) point; returns a result dict.
 
     The session is prepared — model built, signals registered, the
-    whole-system program compiled — outside the timed region; only the
+    fused program compiled — outside the timed region; only the
     simulation run is timed.  With *repeats* > 1 the minimum wall-clock is
     kept.  ``clock_fast_edges`` counts the clock edges the kernel fired
     on its arithmetic fast path (kept outside ``statistics``, which must

@@ -16,7 +16,7 @@ per simulated nanosecond.  Two scaling axes:
   service-call traffic, run to software completion.  FSMs are small, so
   this measures the realistic blend of kernel, backplane and FSM cost.
 
-Sessions are prepared (built, whole-system program compiled) **outside**
+Sessions are prepared (built, fused program compiled) **outside**
 the timed region: program compilation is a once-per-model cost, not a
 per-run scheduling cost.  Waveform tracing is disabled so the recorder does
 not flatten the very ratio being measured.

@@ -31,8 +31,8 @@ class CommunicationController:
         self.description = description
         #: Protocol template this controller was stamped from (e.g.
         #: ``"handshake"``, ``"fifo(depth=4)"``); empty for hand-built
-        #: controllers.  Part of the whole-system codegen spec, so two
-        #: structurally equal FSMs from different templates cache apart.
+        #: controllers.  Descriptive only: fused code generation reads the
+        #: FSM, so equal FSMs share one compiled fragment whatever their tag.
         self.protocol = protocol
 
     def __repr__(self):

@@ -37,7 +37,8 @@ The builders below map the protocol-level fault taxonomy onto wires:
     latched meanwhile are corrupted.
 ``reset_mid_transaction``
     The unit's controllers and ports snap back to their initial state at
-    one instant, abandoning any in-flight transaction.
+    one instant, abandoning any in-flight transaction.  The controllers'
+    work counters (``steps``, ``transitions_fired``) keep counting.
 
 Units without the named strobe (a shared register has no flow control)
 degrade to forcing the register itself, which models the same class of

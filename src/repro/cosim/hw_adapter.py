@@ -30,8 +30,8 @@ class HardwareAdapter:
             )
         self.cycles = 0
         # register=False leaves the clocked process out: the session's
-        # fused whole-system step (repro.ir.syscompile) drives the
-        # instances and the cycle counter itself.
+        # fused step (repro.ir.syscompile) drives the instances and the
+        # cycle counter itself.
         if register:
             self._register()
 

@@ -36,8 +36,9 @@ from repro.obs import TELEMETRY
 from repro.utils.errors import SimulationError
 
 #: Execution tiers of a session, fastest first.  ``fused`` runs every
-#: clocked FSM (unit controllers and hardware-module processes) inside one
-#: generated step function (:mod:`repro.ir.syscompile`); ``interpreted``
+#: clocked FSM (unit controllers and hardware-module processes) from one
+#: generated step function that calls one compiled fragment per FSM
+#: (:mod:`repro.ir.syscompile`); ``interpreted``
 #: registers one clocked process per FSM, each walking the IR tree — the
 #: oracle.  Software and service FSMs run on the interpreter on both
 #: tiers.  Both tiers are byte-identical in every conformance fingerprint.
@@ -47,7 +48,7 @@ DEFAULT_TIER = "fused"
 
 
 def _unbound_system_step():  # pragma: no cover - rebound during build()
-    raise SimulationError("whole-system program stepped before it was bound")
+    raise SimulationError("fused step ran before it was bound")
 
 
 class CosimResult:
@@ -137,12 +138,7 @@ class CosimSession:
         #: Candidate FSM steps the fused program handed back to the
         #: interpreter at runtime.
         self.system_fallback = 0
-        #: Candidate steps run on the fragment step; decides the switch to
-        #: the whole-system step and, unlike the counter above, is never
-        #: checkpointed.
-        self.fragment_steps = 0
         self._fused_process = None
-        self._system_ctx = None
 
         self.simulator = create_simulator(kernel, detect_races=detect_races)
         self.trace = ServiceCallTrace()
@@ -253,11 +249,10 @@ class CosimSession:
             self.wired_tier = "interpreted"
 
     def _system_bind(self):
-        """Bind the fragment step to the built backplane.
+        """Bind the fragment step to the built backplane, once.
 
         Runs after controllers and hardware exist: the placeholder process
-        registered first on the clock receives the fragment step, which
-        later calls :meth:`_system_switch`.
+        registered first on the clock receives the fragment step.
         """
         if self.wired_tier != "fused":
             return
@@ -281,7 +276,7 @@ class CosimSession:
                 # Not bound (a lint warning, not an error): the canonical
                 # "no bound service" error must surface at call time.
                 services.append(LateBoundService(registry, service_name))
-        self._system_ctx = {
+        self._fused_process.func = self.system_program.bind({
             "sim": self.simulator,
             "clock": self.clock,
             "session": self,
@@ -289,26 +284,7 @@ class CosimSession:
             "instances": instances,
             "services": services,
             "adapters": [self.hw_adapters[name] for name in plan.adapter_keys],
-            "switch": self._system_switch,
-        }
-        self._fused_process.func = self.system_program.bind(self._system_ctx)
-
-    def _system_switch(self):
-        """Swap the fragment step for the whole-system step, once.
-
-        The fragment step calls this when its candidate steps have repaid
-        compiling the whole-system code object
-        (:data:`~repro.ir.syscompile.SWITCH_STEPS_PER_LINE`).  Both steps
-        are observably identical, so the switch shows only in telemetry.
-        """
-        ctx, self._system_ctx = self._system_ctx, None
-        self._fused_process.func = self.system_program.bind(ctx, whole=True)
-        if TELEMETRY.enabled:
-            TELEMETRY.metrics.counter(
-                "repro_cosim_fused_switches_total",
-                labels={"kernel": self.kernel, "reason": "break_even"},
-                help="Fused sessions that swapped the fragment step for the "
-                     "whole-system step, by reason.").inc()
+        })
 
     def _build_unit_signals(self):
         for unit in self.model.comm_units.values():
@@ -629,7 +605,7 @@ class CosimSession:
 
         ``steps`` / ``transitions_fired`` measure behavioural activity, and
         ``interpreted`` / ``system_compile_hits`` split the steps by engine
-        (tree-walking interpreter, fused whole-system program), so
+        (tree-walking interpreter, fused step), so
         ``steps == interpreted + system_compile_hits``; the fused share is
         derived: the steps of a fused-wired session's controllers and
         hardware processes, less ``system_fallback``.  ``fallback`` counts

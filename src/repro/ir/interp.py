@@ -196,14 +196,19 @@ class FsmInstance:
         # instrumentation (repro.testkit.coverage) hangs off this.
         # Structural (not part of capture_state), like the port accessor.
         self.observer = None
+        self.steps = 0
+        self.transitions_fired = 0
         self.reset()
 
     def reset(self):
-        """Restore initial state, variable values and counters."""
+        """Restore initial state, variable values and history.
+
+        The work counters ``steps`` and ``transitions_fired`` keep
+        counting: a reset (a ``reset_unit`` fault, say) undoes state, not
+        the work already done.
+        """
         self.current = self.fsm.initial
         self.env = {name: decl.init for name, decl in self.fsm.variables.items()}
-        self.steps = 0
-        self.transitions_fired = 0
         self.history = deque(maxlen=self.history_limit)
 
     @property

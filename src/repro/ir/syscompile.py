@@ -45,11 +45,7 @@ keys the code-object cache, a fixed-size in-process LRU, so a fragment
 is compiled once per process, not once per model.  A session's step is
 then a short *fragment step* that calls its bound fragments in plan
 order and does the header work (``process_runs`` compensation, the edge
-test, the ``transactions`` total).  Once it has run
-:data:`SWITCH_STEPS_PER_LINE` candidate steps per fragment-source line,
-the session swaps in the *whole-system step*: the same candidate code
-from the same emitter, inlined into one function, compiled on first use
-and cached on its source too.  The program is cached per model in a
+test, the ``transactions`` total).  The program is cached per model in a
 weak map; a program holds no reference to its model, so the entry goes
 when the model's last session does.
 
@@ -117,10 +113,10 @@ class _Candidate:
     """One fused FSM instance: a controller or a hardware-module process."""
 
     __slots__ = ("index", "kind", "owner", "name", "fsm", "available",
-                 "sig_kind", "has_handler", "env_reads", "protocol")
+                 "sig_kind", "has_handler", "env_reads")
 
     def __init__(self, index, kind, owner, name, fsm, available, sig_kind,
-                 has_handler, protocol=""):
+                 has_handler):
         self.index = index
         self.kind = kind            # "ctrl" | "hw"
         self.owner = owner          # unit name | module name
@@ -129,7 +125,6 @@ class _Candidate:
         self.available = available  # port names wired to a signal
         self.sig_kind = sig_kind    # "unit" | "module"
         self.has_handler = has_handler
-        self.protocol = protocol    # protocol template tag ("" when none)
         self.env_reads = tuple(variables_read(fsm))  # sorted
 
     @property
@@ -164,7 +159,6 @@ class SystemPlan:
                     len(self.candidates), "ctrl", unit.name, controller.name,
                     controller.fsm, available, "unit",
                     has_handler=False,
-                    protocol=getattr(controller, "protocol", ""),
                 ))
                 self.process_count += 1
         for module in model.hardware_modules():
@@ -209,29 +203,24 @@ _COMPARISONS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">",
 
 
 class _Slots:
-    """The source names of one candidate's slots.
+    """The source names of one fragment's slots.
 
-    The whole-system step names every slot after its plan index, so its
-    candidates share signal and service names.  A
-    fragment numbers its own slots from 0, first use first, and records
+    A fragment numbers its own slots from 0, first use first, and records
     the plan slot behind each local name: equal structure then emits
     equal source wherever it sits in whichever model.
     """
 
-    def __init__(self, plan, cand, local):
+    def __init__(self, plan, cand):
         self.plan = plan
         self.cand = cand
-        self.local = local
         self.signals = []   # plan signal slots, in local-name order
         self.services = []  # plan service slots, in local-name order
-        self.inst = "i0" if local else f"i{cand.index}"
 
-    def _name(self, prefix, used, slot):
-        if self.local:
-            if slot not in used:
-                used.append(slot)
-            slot = used.index(slot)
-        return f"{prefix}{slot}"
+    @staticmethod
+    def _name(prefix, used, slot):
+        if slot not in used:
+            used.append(slot)
+        return f"{prefix}{used.index(slot)}"
 
     def signal(self, port_name):
         slot = self.plan.signal_slot(self.cand, port_name)
@@ -401,7 +390,7 @@ class _StateEmitter:
         self.flush(depth)
         if transition.target != state.name:
             self.line(depth,
-                      f"{self.slots.inst}.current = {transition.target!r}")
+                      f"i0.current = {transition.target!r}")
         self.line(depth, "_f = True")
         if not last:
             self.line(depth, "break")
@@ -458,30 +447,32 @@ class _StateEmitter:
         return False
 
 
-def _emit_candidate(slots, lines):
-    """One candidate step: state dispatch, then one observer site.
+def _fragment_source(slots):
+    """One candidate step as a function of its own slots, returning its writes.
 
-    The one emitter of candidate code: a fragment's body and each
-    candidate of the whole-system step.  Every path records in ``_f``
+    State dispatch, then one observer site.  Every path records in ``_f``
     whether a transition fired (and in ``_cl`` the last service it
     called); after the dispatch ``_f`` is added to ``transitions_fired``
     and the one observer call builds the
     :class:`~repro.ir.interp.StepResult` the interpreter would have.  An
     unknown state falls back to the interpreter, which counts and
-    observes its own step.
+    observes its own step.  The slot parameters follow the body, since
+    slots are named on first use.
     """
     cand = slots.cand
     fsm = cand.fsm
-    i = slots.inst
     has_calls = any(t.call is not None
                     for state in fsm.iter_states()
                     for t in state.transitions)
-    lines.append("    try:")
-    lines.append(f"        _e = {i}.env")
-    lines.append(f"        {i}.steps += 1")
-    lines.append(f"        _c = {i}.current")
-    lines.append(f"        _ob = {i}.observer")
-    lines.append("        _f = False")
+    lines = [
+        "    _w = 0",
+        "    try:",
+        "        _e = i0.env",
+        "        i0.steps += 1",
+        "        _c = i0.current",
+        "        _ob = i0.observer",
+        "        _f = False",
+    ]
     if has_calls:
         lines.append("        _cl = None")
     lines.append("        while True:")
@@ -493,15 +484,17 @@ def _emit_candidate(slots, lines):
         _StateEmitter(slots, lines).emit_state(state, 4)
         if len(lines) == before:
             lines.append("                pass")
-    lines.append("            else:")
-    lines.append(f"                {i}.steps -= 1")
-    lines.append("                _ses.system_fallback += 1")
-    lines.append(f"                {i}.step()")
-    lines.append("                _ob = None  # i.step() observed itself")
-    lines.append("            break")
-    lines.append(f"        {i}.transitions_fired += _f")
-    lines.append("        if _ob is not None:")
-    lines.append(f"            _t = {i}.current")
+    lines += [
+        "            else:",
+        "                i0.steps -= 1",
+        "                _ses.system_fallback += 1",
+        "                i0.step()",
+        "                _ob = None  # i.step() observed itself",
+        "            break",
+        "        i0.transitions_fired += _f",
+        "        if _ob is not None:",
+        "            _t = i0.current",
+    ]
     done, result = "False", "None"
     if fsm.done_states:
         names = ", ".join(repr(name) for name in sorted(fsm.done_states))
@@ -514,6 +507,11 @@ def _emit_candidate(slots, lines):
     lines.append(f"            _ob(SR(_c, _t, _f, {done}, {result}, {called}))")
     lines.append("    except KeyError as _x:")
     lines.append(f"        raise _undefined(_x, _e, {cand.env_reads!r})")
+    params = ["_dq", "_ses", "i0"]
+    params += [f"g{n}" for n in range(len(slots.signals))]
+    params += [f"v{n}" for n in range(len(slots.services))]
+    return "\n".join([f"def _fragment({', '.join(params)}):",
+                      *lines, "    return _w"])
 
 
 def _undefined(exc, env, reads):
@@ -548,14 +546,26 @@ def _plan_order(plan):
                 yield None, cand
 
 
-def _step_source(plan, params, body, tail=()):
-    """A ``_step`` function around *body*, with the header work of both steps.
+def _fragment_step_source(plan):
+    """The fragment step: the bound fragments called in plan order.
 
     The header compensates ``process_runs`` for the processes the step
-    replaces and returns on a falling edge.  *body* leaves the step's
-    write count in ``_w``, which is added to ``transactions``; a raising
-    step adds none of it.
+    replaces and returns on a falling edge.  Each fragment returns its
+    write count; the first fragment names ``_w``, later ones add to it,
+    and the total is added to ``transactions``: a raising step adds none
+    of it.
     """
+    body = []
+    assign = "="
+    for adapter, cand in _plan_order(plan):
+        if cand is None:
+            body.append(f"    d{adapter}.cycles += 1")
+            continue
+        body.append(f"    _w {assign} f{cand.index}(_dq)")
+        assign = "+="
+    params = ["_sim", "_clk", "_ses"]
+    params += [f"f{c.index}" for c in plan.candidates]
+    params += [f"d{n}" for n in range(len(plan.adapter_keys))]
     rows = ",\n          ".join(", ".join(params[start:start + 12])
                                    for start in range(0, len(params), 12))
     return "\n".join([
@@ -567,73 +577,16 @@ def _step_source(plan, params, body, tail=()):
         "    _dq = _sim._delta_queue.append",
         *body,
         '    _st["transactions"] += _w',
-        *tail,
     ])
 
 
-def _whole_source(plan):
-    """The whole-system step: every candidate inlined, slots named by plan."""
-    body = ["    _w = 0"]
-    for adapter, cand in _plan_order(plan):
-        if cand is None:
-            body.append(f"    # hardware module {plan.adapter_keys[adapter]!r}")
-            body.append(f"    d{adapter}.cycles += 1")
-            continue
-        tag = f", protocol {cand.protocol}" if cand.protocol else ""
-        body.append(f"    # {cand.kind} {cand.label} "
-                    f"(fsm {cand.fsm.name!r}{tag})")
-        _emit_candidate(_Slots(plan, cand, local=False), body)
-    # Slots are allocated on demand, so the parameters follow the body.
-    params = ["_sim", "_clk", "_ses"]
-    params += [f"g{n}" for n in range(len(plan.signal_keys))]
-    params += [f"i{c.index}" for c in plan.candidates]
-    params += [f"v{n}" for n in range(len(plan.service_keys))]
-    params += [f"d{n}" for n in range(len(plan.adapter_keys))]
-    return _step_source(plan, params, body)
-
-
-def _fragment_source(slots):
-    """One candidate as a function of its own slots, returning its writes."""
-    body = []
-    _emit_candidate(slots, body)
-    params = ["_dq", "_ses", "i0"]
-    params += [f"g{n}" for n in range(len(slots.signals))]
-    params += [f"v{n}" for n in range(len(slots.services))]
-    return "\n".join([f"def _fragment({', '.join(params)}):",
-                      "    _w = 0", *body, "    return _w"])
-
-
-def _fragment_step_source(plan):
-    """The fragment step: the bound fragments called in plan order.
-
-    Each fragment returns its write count; the first fragment names
-    ``_w``, later ones add to it.  After the total the step counts its
-    candidate steps on the session and calls ``_sw`` once they reach
-    ``_bud``.
-    """
-    body = []
-    assign = "="
-    for adapter, cand in _plan_order(plan):
-        if cand is None:
-            body.append(f"    d{adapter}.cycles += 1")
-            continue
-        body.append(f"    _w {assign} f{cand.index}(_dq)")
-        assign = "+="
-    params = ["_sim", "_clk", "_ses", "_bud", "_sw"]
-    params += [f"f{c.index}" for c in plan.candidates]
-    params += [f"d{n}" for n in range(len(plan.adapter_keys))]
-    tail = [
-        "    _ses.fragment_steps = _n = _ses.fragment_steps + "
-        f"{len(plan.candidates)}",
-        "    if _n >= _bud:",
-        "        _sw()",
-    ]
-    return _step_source(plan, params, body, tail)
-
-
 def generate_system_source(model):
-    """The whole-system source text — a pure function of the model."""
-    return _whole_source(SystemPlan(model))
+    """The source that runs for *model*: every candidate's fragment in
+    plan order, then the fragment step — a pure function of the model."""
+    plan = SystemPlan(model)
+    return "\n\n".join(
+        [_fragment_source(_Slots(plan, cand)) for cand in plan.candidates]
+        + [_fragment_step_source(plan)])
 
 
 # ------------------------------------------------------------------ program
@@ -668,58 +621,41 @@ def _compiled(source, filename):
 class _Fragment:
     """One candidate's compiled fragment and the plan slots it binds."""
 
-    __slots__ = ("code", "signals", "services", "lines")
+    __slots__ = ("code", "signals", "services")
 
     def __init__(self, plan, cand):
-        slots = _Slots(plan, cand, local=True)
-        source = _fragment_source(slots)
-        self.code = _compiled(source, "<syscompile:fragment>")
+        slots = _Slots(plan, cand)
+        self.code = _compiled(_fragment_source(slots),
+                              "<syscompile:fragment>")
         self.signals = slots.signals
         self.services = slots.services
-        self.lines = source.count("\n") + 1
 
 
 class SystemProgram:
     """The compiled fused program of one model.
 
     Holds the plan, one :class:`_Fragment` per candidate and the fragment
-    step's code; the whole-system step's code is compiled on the first
-    :meth:`bind` that asks for it.  Shared by every session built from the
-    same model object; it keeps no reference to the model.
+    step's code.  Shared by every session built from the same model
+    object; it keeps no reference to the model.
     """
 
     def __init__(self, model, plan):
         self.name = model.name
         self.plan = plan
         self.fragments = [_Fragment(plan, cand) for cand in plan.candidates]
-        #: Lines of all fragment sources: what compiling the whole-system
-        #: step costs, in :data:`SWITCH_STEPS_PER_LINE` units.
-        self.lines = sum(fragment.lines for fragment in self.fragments)
         self._fragment_step = _compiled(_fragment_step_source(plan),
                                         "<syscompile:step>")
-        self._whole_step = None
 
-    def bind(self, ctx, whole=False):
-        """Bind a step function to one session's objects.
+    def bind(self, ctx):
+        """Bind the fragment step to one session's objects.
 
         *ctx* maps ``sim``/``clock``/``session`` plus the slot lists
-        (``signals``/``instances``/``services``/``adapters``)
-        in the orders recorded on :attr:`plan`, and ``switch``, the
-        callable the fragment step calls once it has run
-        ``SWITCH_STEPS_PER_LINE * lines`` candidate steps.  They become
-        the defaults of the step's and each fragment's parameters.  With
-        *whole* the step is the whole-system one.
+        (``signals``/``instances``/``services``/``adapters``) in the
+        orders recorded on :attr:`plan`.  They become the defaults of the
+        step's and each fragment's parameters.
         """
         sim, clock, session = ctx["sim"], ctx["clock"], ctx["session"]
         signals, services = ctx["signals"], ctx["services"]
-        if whole:
-            if self._whole_step is None:
-                self._whole_step = _compiled(_whole_source(self.plan),
-                                        f"<syscompile:{self.name}>")
-            defaults = (sim, clock, session, *signals, *ctx["instances"],
-                        *services, *ctx["adapters"])
-            return types.FunctionType(self._whole_step, _GLOBALS, "_step",
-                                      defaults)
         calls = [
             types.FunctionType(fragment.code, _GLOBALS, "_fragment", (
                 session, instance,
@@ -728,8 +664,7 @@ class SystemProgram:
             ))
             for fragment, instance in zip(self.fragments, ctx["instances"])
         ]
-        defaults = (sim, clock, session, SWITCH_STEPS_PER_LINE * self.lines,
-                    ctx["switch"], *calls, *ctx["adapters"])
+        defaults = (sim, clock, session, *calls, *ctx["adapters"])
         return types.FunctionType(self._fragment_step, _GLOBALS, "_step",
                                   defaults)
 
@@ -759,17 +694,9 @@ class LateBoundService:
 # ------------------------------------------------------------------- caches
 
 
-#: Most distinct code objects (fragments, fragment steps, whole-system
-#: steps) kept in-process.
+#: Most distinct code objects (fragments and fragment steps) kept
+#: in-process.
 CODE_CACHE_SIZE = 256
-
-#: Candidate steps per generated source line after which a session's
-#: fused process swaps the fragment step for the whole-system step.
-#: Compiling costs about 8.4 µs per line (1.6 ms for the median 189-line
-#: whole-system step of testkit seeds 100–399); a fragment call costs
-#: about 0.14 µs per candidate step more than inlined code.  So the whole-system compile is repaid after about
-#: 8.4 / 0.14 = 60 candidate steps per line.
-SWITCH_STEPS_PER_LINE = 60
 
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
 _CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # source -> code object

@@ -258,7 +258,7 @@ class CosimJob(SweepJob):
         batch, so batched fingerprints are directly comparable to
         sequential ones.  Every session of the job (each batch scenario,
         the checkpoint's restore target) shares the one *model* object, so
-        its validation, lint verdict and whole-system program are computed
+        its validation, lint verdict and fused program are computed
         once per job.
         """
         from repro.testkit.coverage import (
@@ -339,7 +339,7 @@ class CosimJob(SweepJob):
         else:
             # The batch shares the job's model exactly as a single scenario
             # does; what it saves over N standalone jobs is N-1 generations,
-            # model builds, lint passes and whole-system compiles.
+            # model builds, lint passes and fused-program compiles.
             scenarios = []
             coverages = []
             for index in range(self.batch):

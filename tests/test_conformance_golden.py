@@ -29,7 +29,7 @@ from repro.cosim.faults import FAULT_KINDS
 from repro.sweep.jobs import CosimJob
 
 GOLDEN = "6a1202eb8f56384d92309772b0d00ba2edaaec9cace44c422e654f43f7305fd0"
-GOLDEN_FSM = "5847bf211bf005422e957279c27ce6253bef6469bbf956cc7acb293af9a6249d"
+GOLDEN_FSM = "fdbb69aa8a6a068183409e25656812417435dfc58ee96faf18c2403badc9741a"
 
 FIELDS = ("fingerprint_digest", "fault_survival", "coverage_digest")
 

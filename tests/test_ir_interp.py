@@ -131,10 +131,13 @@ class TestFsmInstance:
     def test_reset_restores_variables_and_state(self):
         instance = FsmInstance(counter_fsm(2))
         instance.run_to_done()
+        steps, fired = instance.steps, instance.transitions_fired
         instance.reset()
         assert instance.current == "Run"
         assert instance.env["COUNT"] == 0
-        assert instance.steps == 0
+        # The work counters keep what was done before the reset.
+        assert (instance.steps, instance.transitions_fired) == (steps, fired)
+        assert steps > 0
 
     def test_reset_on_done_returns_to_initial(self):
         build = FsmBuilder("PULSE")

@@ -1,7 +1,8 @@
 """Whole-system compilation (:mod:`repro.ir.syscompile`) contracts.
 
 The fused tier's one promise is *invisibility*: a session run on the
-generated whole-system step function must be byte-identical — waveforms,
+generated fused step — one compiled fragment per clocked FSM, called in
+plan order — must be byte-identical — waveforms,
 traces, states, kernel statistics — to the interpreted per-FSM tier, on
 both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
@@ -15,7 +16,6 @@ runs at quick scale so tier-1 catches a divergence early.
 """
 
 import gc
-import math
 import weakref
 
 import pytest
@@ -117,10 +117,9 @@ class TestSessionModes:
                                      + counters["system_compile_hits"])
 
     def test_unit_reset_keeps_the_engine_split_exact(self):
-        # A reset fault zeroes the unit's controller step counts.  The
-        # fused count is derived from the candidates' steps, so after it
-        # the interpreted share is still exactly the steps of the FSMs
-        # outside the fused program: services and software.
+        # The fused count is derived from the candidates' steps, so after
+        # a reset fault the interpreted share is still exactly the steps
+        # of the FSMs outside the fused program: services and software.
         session, _ = FaultScenario(1, "reset_mid_transaction").run()
         assert session.wired_tier == "fused"
         assert all(injector.cursor for injector
@@ -135,6 +134,32 @@ class TestSessionModes:
         counters = session.fsm_counters()
         assert counters["system_compile_hits"] > 0
         assert counters["interpreted"] == sum(fsm.steps for fsm in others)
+
+    @pytest.mark.parametrize("tier", ["fused", "interpreted"])
+    def test_unit_reset_keeps_its_work_counters(self, tier):
+        # A reset restores the unit's state, not the work done: its
+        # controllers' step counts never fall, on either tier.
+        scenario = FaultScenario(1, "reset_mid_transaction")
+        session = scenario.build_session(tier=tier)
+        session.build()
+        assert session.wired_tier == tier
+        units = list(session.model.comm_units)
+        marker = f"{units[scenario.unit_index % len(units)]}."
+        reset = [instance for key, instance
+                 in session.controller_instances.items()
+                 if key.startswith(marker)]
+        [injector] = session.fault_injectors.values()
+        period = session.clock_period
+        counts = []
+        for edge in range(1, scenario.at // period + 6):
+            session.run(until=edge * period)
+            counts.append(sum(instance.steps for instance in reset))
+            counters = session.fsm_counters()
+            assert counters["steps"] == (counters["interpreted"]
+                                         + counters["system_compile_hits"])
+        assert injector.cursor  # the reset happened mid-run
+        assert counts == sorted(counts)
+        assert counts[-1] > counts[scenario.at // period - 1] > 0
 
     def test_interpreted_tier_runs_no_fused_program(self):
         model = generate_system(0).build_model()
@@ -276,16 +301,22 @@ class TestSourceCache:
                   if not any(model is old for old in before)]
         assert leaked == []
 
-    def test_source_records_protocol_templates(self):
+    def test_source_is_the_code_that_runs(self, monkeypatch):
+        # Every function compile_system compiles, and nothing else, is in
+        # the generated source: the fragments in plan order, then the step.
+        monkeypatch.setattr(syscompile, "_CODE_CACHE",
+                            LruCache(syscompile.CODE_CACHE_SIZE))
+        compiled = []
+        monkeypatch.setattr(
+            syscompile, "compile",
+            lambda source, filename, mode: compiled.append(source)
+            or compile(source, filename, mode), raising=False)
         model = generate_system(1).build_model()
-        tags = [controller.protocol
-                for unit in model.comm_units.values()
-                for controller in unit.controllers]
-        assert any(tags)
-        source = generate_system_source(model)
-        for tag in tags:
-            if tag:
-                assert f"protocol {tag}" in source
+        program = compile_system(model)
+        chunks = generate_system_source(model).split("\n\n")
+        assert len(chunks) == len(program.fragments) + 1
+        assert chunks[-1].startswith("def _step(")
+        assert sorted(set(chunks)) == sorted(compiled)
 
     def test_code_is_shared_across_bindings_but_not_structure(self):
         left = generate_system(6).build_model()
@@ -323,7 +354,7 @@ class TestObserverParity:
         return model, {}
 
     @staticmethod
-    def _observed_steps(model, tier, params, until, per_line=math.inf):
+    def _observed_steps(model, tier, params, until):
         session = CosimSession(model, tier=tier, **params)
         session.build()
         assert session.wired_tier == tier
@@ -342,31 +373,19 @@ class TestObserverParity:
                 (r.from_state, r.to_state, r.fired, r.done, r.result,
                  r.called))
         session.run(until=until)
-        if tier == "fused":
-            # Forced: only the first rising edge ran on fragments.
-            candidates = len(session.system_program.plan.candidates)
-            hits = session.fsm_counters()["system_compile_hits"]
-            assert session.fragment_steps == (
-                candidates if per_line == 0 else hits)
         return steps
 
     @pytest.mark.parametrize("source", [0, 1, 4, 9, 12, "counter"])
-    def test_fused_and_interpreted_observers_see_equal_steps(
-            self, source, monkeypatch):
-        # The fragment step (switch disabled), the whole-system step
-        # (switch forced at the first rising edge) and the interpreter.
+    def test_fused_and_interpreted_observers_see_equal_steps(self, source):
         runs = []
-        for tier, per_line in (("fused", math.inf), ("fused", 0),
-                               ("interpreted", math.inf)):
-            monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
+        for tier in ("fused", "interpreted"):
             if source == "counter":
                 model, params = self._counter_model()
             else:
                 system = generate_system(source)
                 model, params = system.build_model(), system.cosim_params
-            runs.append(self._observed_steps(model, tier, params, 20_000,
-                                             per_line))
-        assert runs[0] == runs[1] == runs[2]
+            runs.append(self._observed_steps(model, tier, params, 20_000))
+        assert runs[0] == runs[1]
         steps = [step for log in runs[0].values() for step in log]
         assert any(done for _, _, _, done, _, _ in steps)
         if source == "counter":
@@ -444,11 +463,14 @@ class TestFragmentCache:
             session = CosimSession(system.build_model(),
                                    **system.cosim_params)
             session.build()
+            protocols = {f"{unit.name}.{controller.name}": controller.protocol
+                         for unit in session.model.comm_units.values()
+                         for controller in unit.controllers}
             plan = session.system_program.plan
             codes.append([
                 fragment.__code__ for cand, fragment
                 in zip(plan.candidates, _bound_fragments(session))
-                if cand.kind == "ctrl" and cand.protocol == "handshake"
+                if protocols.get(cand.label) == "handshake"
             ])
         assert codes[0] and codes[1]
         assert all(code is codes[0][0] for code in codes[0] + codes[1])
@@ -461,16 +483,20 @@ class TestFragmentCache:
             syscompile, "compile",
             lambda source, filename, mode: compiled.append(filename)
             or compile(source, filename, mode), raising=False)
-        program = compile_system(_datapath_model())
+        model = _datapath_model()
+        program = compile_system(model)
         assert len(program.fragments) == 32
         assert len({id(fragment.code) for fragment in program.fragments}) == 1
+        # A long session compiles nothing more: 4,000 edges is past the
+        # ~3,960 at which a compile of all 2,112 fragment lines as one
+        # inlined step would have repaid itself.
+        session = CosimSession(model, clock_period=20)
+        session.run(until=20 * 4_000)
+        assert session.fsm_counters()["system_compile_hits"] \
+            == 32 * 4_001
         assert compiled == ["<syscompile:fragment>", "<syscompile:step>"]
 
-    @pytest.mark.parametrize("per_line", [math.inf, 0],
-                             ids=["fragments", "whole"])
-    def test_datapath_model_matches_the_interpreter(self, per_line,
-                                                    monkeypatch):
-        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
+    def test_datapath_model_matches_the_interpreter(self):
         fingerprints = []
         for tier in ("fused", "interpreted"):
             session = CosimSession(_datapath_model(), clock_period=20,
@@ -505,81 +531,20 @@ class TestFragmentCache:
             reference, reference.run(until=20_000))
 
 
-class TestStepSwitch:
-    """The fragment step hands over to the whole-system step, invisibly."""
+class TestJobDigests:
+    """Fused job digests equal the interpreted ones, seed for seed."""
 
-    SEEDS = range(60)
-
-    @pytest.fixture(scope="class")
-    def interpreted_digests(self):
-        return [CosimJob(seed, tier="interpreted").execute()[0]
-                ["fingerprint_digest"] for seed in self.SEEDS]
-
-    @pytest.mark.parametrize("per_line", [0, math.inf],
-                             ids=["forced", "disabled"])
-    def test_job_digests_do_not_depend_on_the_switch(
-            self, per_line, monkeypatch, interpreted_digests):
-        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
-        digests = [CosimJob(seed).execute()[0]["fingerprint_digest"]
-                   for seed in self.SEEDS]
-        assert digests == interpreted_digests
-
-    @staticmethod
-    def _record_switches(monkeypatch):
-        switches = []
-        original = CosimSession._system_switch
-
-        def recording(session):
-            switches.append((session, session.simulator.now))
-            original(session)
-
-        monkeypatch.setattr(CosimSession, "_system_switch", recording)
-        return switches
-
-    def test_each_session_switches_at_most_once(self, monkeypatch):
-        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", 0)
-        switches = self._record_switches(monkeypatch)
-        system = generate_system(4)
-        session = CosimSession(system.build_model(), **system.cosim_params)
-        session.run(until=10_000)
-        checkpoint = session.save()
-        session.run(until=20_000)
-        session.restore(checkpoint)
-        session.run(until=30_000)
-        # Forced: right after the first rising edge, at t=0.
-        assert switches == [(session, 0)]
-
-    def test_restore_across_the_switch_reproduces_the_fingerprint(
-            self, monkeypatch):
-        system = generate_system(4)
-
-        def session():
-            return CosimSession(system.build_model(), **system.cosim_params)
-
-        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", math.inf)
-        probe = session()
-        probe.run(until=10_000)
-        before = probe.fragment_steps
-        expected = cosim_fingerprint(probe, probe.run(until=30_000))
-        after = probe.fragment_steps
-        # Switch half-way between the checkpoint and the end of the run.
-        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE",
-                            (before + after) / 2 / probe.system_program.lines)
-        switches = self._record_switches(monkeypatch)
-        resumed = session()
-        resumed.run(until=10_000)
-        checkpoint = resumed.save()
-        assert switches == []
-        first = cosim_fingerprint(resumed, resumed.run(until=30_000))
-        assert len(switches) == 1
-        resumed.restore(checkpoint)
-        again = cosim_fingerprint(resumed, resumed.run(until=30_000))
-        assert first == again == expected
-        assert len(switches) == 1
+    def test_fused_job_digests_match_the_interpreter(self):
+        seeds = range(60)
+        fused = [CosimJob(seed).execute()[0]["fingerprint_digest"]
+                 for seed in seeds]
+        interpreted = [CosimJob(seed, tier="interpreted").execute()[0]
+                       ["fingerprint_digest"] for seed in seeds]
+        assert fused == interpreted
 
 
 class TestRaisingStep:
-    """A raising fused step adds no transactions, on either step."""
+    """A raising fused step adds no transactions."""
 
     @staticmethod
     def _controller(name, reads, writes, raising=False):
@@ -605,16 +570,13 @@ class TestRaisingStep:
         ]))
         return model
 
-    @pytest.mark.parametrize("per_line", [math.inf, 0],
-                             ids=["fragments", "whole"])
     @pytest.mark.parametrize("kind,message", [
         ("undefined", "undefined variable 'N'"),
         ("unbound", "FSM 'C1' calls service 'Missing' but no call handler "
                     "is bound"),
     ])
-    def test_second_candidate_raises_and_nothing_is_flushed(
-            self, kind, message, per_line, monkeypatch):
-        monkeypatch.setattr(syscompile, "SWITCH_STEPS_PER_LINE", per_line)
+    def test_second_candidate_raises_and_nothing_is_flushed(self, kind,
+                                                            message):
         session = CosimSession(self._model())
         session.run(until=1_000)
         assert session.wired_tier == "fused"

@@ -215,6 +215,43 @@ class TestCheckpointUnderFused:
         actual = resumed.run(until=30_000)
         assert actual.summary() == expected.summary()
 
+    def test_restore_in_place_reproduces_the_fingerprint(self):
+        # A session restored to a checkpoint it already ran past replays
+        # the same fused run, equal to the interpreted one.
+        system = generate_system(4)
+        session = CosimSession(system.build_model(), **system.cosim_params)
+        session.run(until=10_000)
+        checkpoint = session.save()
+        first = cosim_fingerprint(session, session.run(until=30_000))
+        session.restore(checkpoint)
+        again = cosim_fingerprint(session, session.run(until=30_000))
+        assert session.wired_tier == "fused"
+        reference = CosimSession(system.build_model(), tier="interpreted",
+                                 **system.cosim_params)
+        assert first == again == cosim_fingerprint(
+            reference, reference.run(until=30_000))
+
+    def test_each_session_binds_its_step_once(self, monkeypatch):
+        binds = []
+        original = CosimSession._system_bind
+
+        def recording(session):
+            binds.append(session)
+            original(session)
+
+        monkeypatch.setattr(CosimSession, "_system_bind", recording)
+        system = generate_system(4)
+        session = CosimSession(system.build_model(), **system.cosim_params)
+        session.run(until=10_000)
+        checkpoint = session.save()
+        session.run(until=20_000)
+        session.restore(checkpoint)
+        session.run(until=30_000)
+        assert binds == [session]
+        resumed = CosimSession(system.build_model(), **system.cosim_params)
+        resumed.restore(checkpoint).run(until=30_000)
+        assert binds == [session, resumed]
+
     def test_checkpoint_records_the_wired_tier(self):
         # detect_races wires a fused request per FSM; the checkpoint must
         # say so, and a fused session must refuse it by name rather than
@@ -496,11 +533,12 @@ class TestFragmentCache:
             == 32 * 4_001
         assert compiled == ["<syscompile:fragment>", "<syscompile:step>"]
 
-    def test_datapath_model_matches_the_interpreter(self):
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
+    def test_datapath_model_matches_the_interpreter(self, kernel):
         fingerprints = []
         for tier in ("fused", "interpreted"):
             session = CosimSession(_datapath_model(), clock_period=20,
-                                   tier=tier)
+                                   kernel=kernel, tier=tier)
             result = session.run(until=400)
             assert session.wired_tier == tier
             fingerprints.append(cosim_fingerprint(session, result))
@@ -570,14 +608,15 @@ class TestRaisingStep:
         ]))
         return model
 
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
     @pytest.mark.parametrize("kind,message", [
         ("undefined", "undefined variable 'N'"),
         ("unbound", "FSM 'C1' calls service 'Missing' but no call handler "
                     "is bound"),
     ])
     def test_second_candidate_raises_and_nothing_is_flushed(self, kind,
-                                                            message):
-        session = CosimSession(self._model())
+                                                            message, kernel):
+        session = CosimSession(self._model(), kernel=kernel)
         session.run(until=1_000)
         assert session.wired_tier == "fused"
         instances = session.controller_instances

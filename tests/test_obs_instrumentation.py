@@ -19,6 +19,7 @@ from repro.desim import ReferenceSimulator, Simulator, SignalChange, Timeout
 from repro.obs import TELEMETRY
 from repro.sweep.jobs import CosimJob, KernelJob
 from repro.sweep.service import SweepService
+from repro.testkit.scenarios import FaultScenario
 
 
 @pytest.fixture(autouse=True)
@@ -217,6 +218,28 @@ class TestCosimInstrumentation:
         _, observed = self._run()
         assert observed.end_time == plain.end_time
         assert observed.summary() == plain.summary()
+
+    @pytest.mark.parametrize("tier", ["fused", "interpreted"])
+    def test_unit_reset_never_takes_steps_back(self, tier):
+        # Run in slices across a reset fault: each flush adds a step
+        # delta, so the exported series only grow and end at the steps.
+        TELEMETRY.enable()
+        scenario = FaultScenario(1, "reset_mid_transaction")
+        session = scenario.build_session(tier=tier)
+        [injector] = session.fault_injectors.values()
+        period = session.clock_period
+        totals = []
+        for edge in range(1, scenario.at // period + 6):
+            session.run(until=edge * period)
+            series = _families(TELEMETRY.metrics).get(
+                "repro_cosim_fsm_steps_total", {"series": []})["series"]
+            totals.append({entry["labels"]["step_tier"]: entry["value"]
+                           for entry in series})
+        assert session.wired_tier == tier
+        assert injector.cursor  # the reset happened mid-run
+        for before, after in zip(totals, totals[1:]):
+            assert all(after[key] >= value for key, value in before.items())
+        assert sum(totals[-1].values()) == session.fsm_counters()["steps"]
 
     def test_summary_carries_service_latency_percentiles(self):
         _, result = self._run()

@@ -113,10 +113,12 @@ def prepare_transition_rate(n_modules, tier, quick=False):
 def prepare_mixed_system(n_networks, tier, quick=False):
     """N generated networks run over a fixed horizon.
 
-    The horizon covers the transfers and the steady state after them
-    (controllers and hardware FSMs keep stepping every clock edge), so the
-    point measures the realistic backplane blend at a fixed amount of
-    simulated time regardless of execution tier.
+    The horizon covers the transfers and the steady state after them, so
+    the point measures the realistic backplane blend at a fixed amount of
+    simulated time regardless of execution tier.  The steady tail is
+    skipped arithmetically, not stepped: once the kernel's probe finds
+    one quiet clock period, the rest of the horizon costs no edges
+    (``clock_skipped_edges``), so the transfers dominate the point's time.
     """
     system = generate_system(MIXED_SEED, networks=n_networks)
     session = CosimSession(system.build_model(), tier=tier,

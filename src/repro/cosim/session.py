@@ -218,10 +218,56 @@ class CosimSession:
             self.waveform = WaveformRecorder([])
         for monitor in self.monitors:
             self.simulator.add_monitor(monitor)
+        # The processes the session steps on the clock: one added by a
+        # hook (or later) turns the steady-period skip off.
+        self._clocked = len(self.simulator._sensitivity.get(self.clock.name,
+                                                            ()))
+        self._instances = list(self.fsm_instances())  # for the probe
+        self.simulator._steady_probe = self._steady_probe
         for hook in self._environment_hooks:
             hook(self)
         self._built = True
         return self
+
+    def _steady_probe(self):
+        """The kernel's steady-state probe: ``(key, cells)``, or None.
+
+        The key, a lazy iterable, is the trace's record and pending counts
+        and every FSM instance's state and variables; *cells* yields, when
+        called, the counters a steady period advances: ``system_fallback``,
+        each instance's ``steps``/``transitions_fired``, each adapter's
+        ``cycles`` and each pending trace record's ``steps``.  A watched
+        instance (``observer`` or ``trace`` history, as every software FSM)
+        keeps ``steps`` in the key, so no period it steps in is steady.
+        None while a monitor, a fault plan with events left or a clocked
+        process the session does not own could see skipped edges
+        (:meth:`repro.desim.kernel.Simulator._steady_period`).
+        """
+        simulator = self.simulator
+        clocked = simulator._sensitivity.get(self.clock.name, ())
+        if (simulator.monitors or len(clocked) != self._clocked
+                or self.fault_injectors and any(
+                    injector.cursor < len(injector.plan.events)
+                    for injector in self.fault_injectors.values())):
+            return None
+        return self._steady_key(), self._steady_cells
+
+    def _steady_key(self):
+        yield len(self.trace.records), len(self.trace._open)
+        for fsm in self._instances:
+            watched = fsm.observer is not None or fsm.trace
+            yield fsm.current, dict(fsm.env), watched and fsm.steps
+
+    def _steady_cells(self):
+        yield self, "system_fallback"
+        for fsm in self._instances:
+            if fsm.observer is None and not fsm.trace:
+                yield fsm, "steps"
+                yield fsm, "transitions_fired"
+        for adapter in self.hw_adapters.values():
+            yield adapter, "cycles"
+        for record in self.trace._open.values():
+            yield record, "steps"
 
     def _system_prepare(self):
         """Resolve the wired tier; compile the fused program when asked.

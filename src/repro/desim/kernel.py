@@ -41,6 +41,7 @@ bounded waits on a quiet signal cannot accumulate unbounded garbage.  See
 
 import heapq
 import itertools
+import operator
 import time
 
 from repro.desim.events import Delta, SignalChange, Timeout
@@ -203,6 +204,11 @@ class Simulator:
     #: set this False so the loop calls ``_expired_waits`` every delta.
     deadlines_in_heap = True
 
+    #: Fewest and most rising edges a failed steady-state probe waits
+    #: before the next one (see :meth:`_steady_period`).
+    STEADY_BACKOFF_MIN = 8
+    STEADY_BACKOFF_CAP = 64
+
     def __init__(self, max_deltas=10_000, detect_races=False):
         self.max_deltas = max_deltas
         #: when true, zero-delay writes are attributed to the running
@@ -267,6 +273,14 @@ class Simulator:
         #: ``statistics`` (which fingerprints compare across kernels) and
         #: out of :meth:`snapshot`.
         self.clock_fast_edges = 0
+        #: the part of ``clock_fast_edges`` the steady-period skip of
+        #: :meth:`_clock_edges` accounted arithmetically, without firing.
+        self.clock_skipped_edges = 0
+        # A co-simulation session's probe, ``() -> (key, cells) | None``
+        # (see _steady_period), and its back-off: the first rising edges,
+        # a start-up, go unprobed.
+        self._steady_probe = None
+        self._steady_wait = self._steady_backoff = self.STEADY_BACKOFF_MIN
 
     # ------------------------------------------------------------------ setup
 
@@ -598,6 +612,9 @@ class Simulator:
         were counted at write time.
         Statistics, run counts and snapshots match the generic path
         exactly; nothing here reads the ``_next_time_cache`` memo.
+
+        With a steady-state probe, telemetry unbound and an *until*, a
+        rising edge may first skip whole periods (:meth:`_steady_period`).
         """
         now = self.now
         wait = self._lone_clock_wait(now)
@@ -614,7 +631,17 @@ class Simulator:
         statistics = self.statistics
         obs = self._obs
         inline = self.max_deltas >= 2
+        probe = self._steady_probe
+        if obs is not None or until is None:
+            probe = None
+        base = None
         while True:
+            if probe is not None and not signal._value:
+                if self._steady_wait:
+                    self._steady_wait -= 1
+                else:
+                    base = self._steady_period(base, probe, wait, until)
+                    now = self.now
             seq = next(self._seq)
             wait.resume_at = resume_at = now + half
             wait.seq = seq
@@ -677,6 +704,92 @@ class Simulator:
                 return True
             self.now = now
             statistics["time_points"] += 1
+
+    def _steady_period(self, base, probe, wait, until):
+        """Sample or compare the steady state at a lone rising edge.
+
+        *base* is this burst's sample of the previous rising edge, one
+        period of lone edges ago.  A sample is a state key (heap sizes,
+        every other signal's state, then the probe's parts) and counter
+        cells (the probe's, every process's ``run_count``, the clock's
+        ``change_count``, its wait's ``seq``, ``now`` and
+        ``clock_fast_edges``).  A key equal to the base's, compared part
+        by part, makes the period a fixpoint that :meth:`_skip_periods`
+        repeats arithmetically.  No sample is taken unless the clock keeps
+        the inline delta 1 and every recorder has ``extend``; a refusal or
+        a changed key backs off, doubling from :attr:`STEADY_BACKOFF_MIN`
+        to :attr:`STEADY_BACKOFF_CAP` rising edges.  Returns the new base.
+        """
+        signal = wait.process._clock[0]
+        sample = None
+        if (self.max_deltas >= 2 and id(signal) not in self._waiters
+                and signal._forced is None
+                and all(hasattr(recorder, "extend")
+                        for recorder in self.recorders)):
+            sample = probe()
+        if sample is not None:
+            key = itertools.chain(
+                [(len(self._future), len(self._timeout_heap))],
+                ((other._value, other.change_count, other._forced,
+                  other._shadow)
+                 for other in self.signals.values() if other is not signal),
+                sample[0])
+            if base is None:
+                cells = [*sample[1](),
+                         *((process, "run_count")
+                           for process in self.processes.values()),
+                         (signal, "change_count"), (wait, "seq"),
+                         (self, "now"), (self, "clock_fast_edges")]
+                return (list(key), cells,
+                        [getattr(obj, name) for obj, name in cells],
+                        dict(self.statistics))
+            if all(map(operator.eq, base[0], key)):
+                self._steady_backoff = self.STEADY_BACKOFF_MIN
+                self._skip_periods(base, wait, until)
+                return None
+        self._steady_wait = self._steady_backoff
+        self._steady_backoff = min(2 * self._steady_backoff,
+                                   self.STEADY_BACKOFF_CAP)
+        return None
+
+    def _skip_periods(self, base, wait, until):
+        """Account n whole steady periods from ``now`` without firing them.
+
+        n is the most periods whose edges, and the edge they land on, fall
+        before any other deadline or future transaction and not after
+        *until*.  Each cell and statistic grows by n times its growth since
+        *base*, ``_seq`` resumes n periods' draws later and recorders get
+        the toggles in one call.  The burst fires the landing edge next,
+        which re-arms the clock wait and sets the clock's ``last_changed``.
+        """
+        signal, half = wait.process._clock
+        start = self.now
+        heap = self._timeout_heap
+        limit = until
+        for entry in heap[1:3]:
+            limit = min(limit, entry[0] - 1)
+        if self._future:
+            limit = min(limit, self._future[0][0] - 1)
+        n = (limit - start) // (2 * half)
+        if n <= 0:
+            return
+        _, cells, before, stats_before = base
+        draws = wait.seq
+        for (obj, name), old in zip(cells, before):
+            new = getattr(obj, name)
+            if new != old:
+                setattr(obj, name, new + n * (new - old))
+        statistics = self.statistics
+        for name, old in stats_before.items():
+            statistics[name] += n * (statistics[name] - old)
+        self._seq = itertools.count(next(self._seq) + wait.seq - draws)
+        self.clock_skipped_edges += 2 * n
+        if self.recorders:
+            pair = (1 - signal._value, signal._value)
+            toggles = [(start + i * half, pair[i & 1])
+                       for i in range(2 * n)]
+            for recorder in self.recorders:
+                recorder.extend(signal, toggles)
 
     def _expired_waits(self):
         """Pop and wake every wait whose deadline has matured.

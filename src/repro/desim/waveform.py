@@ -101,6 +101,12 @@ class WaveformRecorder:
             self._initial[name] = signal.value
         self.changes.setdefault(name, []).append((time, signal.value))
 
+    def extend(self, signal, changes):
+        """Record the ``(time, value)`` *changes* of a started signal at
+        once (the clock toggles of the kernel's steady-period skip)."""
+        if self._filter is None or signal.name in self._filter:
+            self.changes.setdefault(signal.name, []).extend(changes)
+
     # ------------------------------------------------------------------ query
 
     def initial_value(self, name, default=0):

@@ -58,6 +58,14 @@ def test_transition_rate_point_counts_transitions():
     assert point["fsm"]["system_fallback"] == 0
     assert point["fsm"]["fallback"] == 0
     assert point["clock_fast_edges"] > 0
+    # Every edge changes the datapath registers: no period is steady.
+    assert point["clock_skipped_edges"] == 0
+
+
+def test_mixed_point_skips_its_quiet_tail():
+    point = time_cosim_point(MIXED_SYSTEM, 1, quick=True)
+    assert point["tier"] == "fused"
+    assert 0 < point["clock_skipped_edges"] < point["clock_fast_edges"]
 
 
 def test_interpreted_transition_rate_point_takes_clock_fast_path():
@@ -192,6 +200,16 @@ def test_check_fast_paths_flags_lost_tiers():
     ok, lines = check_fast_paths(fell_back)
     assert not ok
     assert any("fused fast path" in line for line in lines)
+    mixed_ok = {"tier": "fused", "results": [dict(
+        fused_ok["results"][0], workload="mixed_system",
+        clock_skipped_edges=30)]}
+    assert check_fast_paths(mixed_ok) == (True, [])
+    for skipped in (0, None):
+        skip_lost = {"tier": "fused", "results": [dict(
+            mixed_ok["results"][0], clock_skipped_edges=skipped)]}
+        ok, lines = check_fast_paths(skip_lost)
+        assert not ok
+        assert any("steady-period skip" in line for line in lines)
     # The interpreted tier has no fast path to lose.
     interpreted = {"tier": "interpreted", "results": [{
         "workload": "mixed_system", "n_processes": 1,

@@ -338,8 +338,8 @@ def main(argv=None):
                   file=sys.stderr)
             return 1
         if not baseline_run.get("quick"):
-            # A full-tier baseline does ~10x the quick tier's work per
-            # point, which would make every ratio trivially green.
+            # A full-tier baseline runs other horizons per point, so its
+            # ratios would not measure a regression.
             print(f"error: baseline '{args.baseline_label}' was not "
                   "recorded with --quick; re-record it with "
                   f"--quick --label {args.baseline_label}", file=sys.stderr)

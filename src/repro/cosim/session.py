@@ -255,13 +255,12 @@ class CosimSession:
     def _steady_key(self):
         yield len(self.trace.records), len(self.trace._open)
         for fsm in self._instances:
-            watched = fsm.observer is not None or fsm.trace
-            yield fsm.current, dict(fsm.env), watched and fsm.steps
+            yield fsm.current, dict(fsm.env), fsm.sink is not None and fsm.steps
 
     def _steady_cells(self):
         yield self, "system_fallback"
         for fsm in self._instances:
-            if fsm.observer is None and not fsm.trace:
+            if fsm.sink is None:
                 yield fsm, "steps"
                 yield fsm, "transitions_fired"
         for adapter in self.hw_adapters.values():

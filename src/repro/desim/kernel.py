@@ -376,8 +376,14 @@ class Simulator:
         return clock
 
     def add_recorder(self, recorder):
-        """Attach a waveform recorder (anything with ``record(time, signal)``)."""
+        """Attach a waveform recorder (anything with ``record(time, signal)``).
+
+        A recorder attached after the run started is started at once, so
+        it pins the current values as its signals' initial values.
+        """
         self.recorders.append(recorder)
+        if self._started:
+            recorder.start(self)
         return recorder
 
     def add_monitor(self, monitor):

@@ -8,16 +8,21 @@ simulator's trace window.
 Two correctness rules the recorder guarantees:
 
 * every traced signal has a recorded **initial value** — signals registered
-  after :meth:`start` are announced by the kernel through :meth:`register`
-  (and, as a last resort, the first recorded change pins the baseline), so
-  ``value_at``/``count_pulses``/``edge_times`` never silently assume 0,
-* the merged dumps sort on ``(time, name)`` only, never on values, so
-  signals carrying heterogeneous value types (ints next to strings) cannot
-  raise ``TypeError`` on a time tie, and same-signal changes within one
-  time point keep their delta order (the sort is stable).
+  after :meth:`start` are announced by the kernel through :meth:`register`,
+  so ``value_at``/``count_pulses``/``edge_times`` never silently assume 0;
+  which signals are traced is decided there too, once per signal, so
+  :meth:`record` only appends,
+* the merged dumps are built visiting signals in sorted-name order, then
+  stable-sorted on time alone: the result is ``(time, name)`` ordered,
+  same-signal changes within one time point keep their delta order, and
+  values are never compared, so signals carrying heterogeneous value types
+  (ints next to strings) cannot raise ``TypeError`` on a time tie.
 """
 
-from repro.utils.text import format_table
+from operator import itemgetter
+
+#: Column titles of :meth:`WaveformRecorder.dump`.
+_DUMP_HEADERS = ("time (ns)", "signal", "value")
 
 
 def _vcd_value(value, width, code, real=False):
@@ -72,12 +77,11 @@ class WaveformRecorder:
         self._initial = {}
 
     def start(self, simulator):
+        """Trace the simulator's signals (or the filtered ones it has)."""
         names = self._filter or set(simulator.signals)
         for name in names:
             if name in simulator.signals:
-                signal = simulator.signals[name]
-                self.changes.setdefault(name, [])
-                self._initial.setdefault(name, signal.value)
+                self.register(simulator.signals[name])
 
     def register(self, signal):
         """Announce a signal registered after :meth:`start`.
@@ -92,20 +96,17 @@ class WaveformRecorder:
         self._initial.setdefault(signal.name, signal.value)
 
     def record(self, time, signal):
-        if self._filter is not None and signal.name not in self._filter:
-            return
-        name = signal.name
-        if name not in self._initial:
-            # Last resort for signals never announced (e.g. recorded through
-            # a foreign kernel): the first-seen change fixes the baseline.
-            self._initial[name] = signal.value
-        self.changes.setdefault(name, []).append((time, signal.value))
+        """Append one change of *signal*; untraced signals are ignored."""
+        changes = self.changes.get(signal.name)
+        if changes is not None:
+            changes.append((time, signal.value))
 
     def extend(self, signal, changes):
         """Record the ``(time, value)`` *changes* of a started signal at
         once (the clock toggles of the kernel's steady-period skip)."""
-        if self._filter is None or signal.name in self._filter:
-            self.changes.setdefault(signal.name, []).extend(changes)
+        recorded = self.changes.get(signal.name)
+        if recorded is not None:
+            recorded.extend(changes)
 
     # ------------------------------------------------------------------ query
 
@@ -166,21 +167,39 @@ class WaveformRecorder:
 
     def _merged_changes(self, names):
         """All changes of *names* as ``(time, name, value)``, (time, name)
-        ordered; per-signal delta order is preserved (stable sort, values
-        never compared)."""
+        ordered: built in sorted-name order, then stable-sorted on time, so
+        per-signal delta order is preserved and values are never compared."""
         merged = []
-        for name in names:
-            for change_time, value in self.changes.get(name, []):
-                merged.append((change_time, name, value))
-        merged.sort(key=lambda entry: (entry[0], entry[1]))
+        for name in sorted(names):
+            merged += [(change_time, name, value)
+                       for change_time, value in self.changes.get(name, ())]
+        merged.sort(key=itemgetter(0))
         return merged
 
     def dump(self, names=None):
-        """Return a textual table of all recorded changes (time-ordered)."""
-        names = list(names) if names is not None else sorted(self.changes)
-        rows = [(change_time, name, value)
-                for change_time, name, value in self._merged_changes(names)]
-        return format_table(["time (ns)", "signal", "value"], rows)
+        """Return a textual table of all recorded changes (time-ordered).
+
+        The table is the one :func:`repro.utils.text.format_table` draws
+        for these rows, rendered in one pass: each column is converted
+        once, its width is the widest cell or title, and every row goes
+        through one ``%`` template.
+        """
+        if names is None:
+            names = self.changes
+        merged = self._merged_changes(names)
+        if merged:
+            times, signals, values = zip(*merged)
+            columns = (list(map(str, times)), signals, list(map(str, values)))
+            widths = [max(len(title), max(map(len, column)))
+                      for title, column in zip(_DUMP_HEADERS, columns)]
+        else:
+            columns = ((), (), ())
+            widths = list(map(len, _DUMP_HEADERS))
+        template = "| %%-%ds | %%-%ds | %%-%ds |" % tuple(widths)
+        separator = "|-" + "-|-".join("-" * width for width in widths) + "-|"
+        lines = [template % _DUMP_HEADERS, separator]
+        lines += map(template.__mod__, zip(*columns))
+        return "\n".join(lines)
 
     def _declared_width(self, name):
         """Honest bit width of signal *name*: the widest integer it took."""

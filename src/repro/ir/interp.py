@@ -189,13 +189,9 @@ class FsmInstance:
         self.ports = ports or NullPortAccessor()
         self.call_handler = call_handler
         self.reset_on_done = reset_on_done
-        self.trace = trace
         self.history_limit = history_limit
-        # Optional per-step callback ``observer(step_result)``, invoked on
-        # every StepResult (also by the fused step) — coverage
-        # instrumentation (repro.testkit.coverage) hangs off this.
-        # Structural (not part of capture_state), like the port accessor.
-        self.observer = None
+        self._observer = None
+        self.trace = trace
         self.steps = 0
         self.transitions_fired = 0
         self.reset()
@@ -210,6 +206,44 @@ class FsmInstance:
         self.current = self.fsm.initial
         self.env = {name: decl.init for name, decl in self.fsm.variables.items()}
         self.history = deque(maxlen=self.history_limit)
+
+    @property
+    def observer(self):
+        """Optional per-step callback ``observer(step_result)``.
+
+        Invoked on every StepResult (also by the fused step); coverage
+        instrumentation (:mod:`repro.testkit.coverage`) hangs off this.
+        Structural (not part of capture_state), like the port accessor.
+        """
+        return self._observer
+
+    @observer.setter
+    def observer(self, observer):
+        self._observer = observer
+        self._watch()
+
+    @property
+    def trace(self):
+        """When true, every step appends its StepResult to :attr:`history`."""
+        return self._trace
+
+    @trace.setter
+    def trace(self, trace):
+        self._trace = trace
+        self._watch()
+
+    def _watch(self):
+        # ``sink`` is what a step hands its StepResult to, decided here once
+        # rather than on every step: None when nothing watches the instance,
+        # else the observer, or the observer and the history when traced.
+        # The interpreter and the fused fragments both read it, so an
+        # unwatched instance pays one attribute load per step on either tier.
+        self.sink = self._observe_and_record if self._trace else self._observer
+
+    def _observe_and_record(self, step_result):
+        if self._observer is not None:
+            self._observer(step_result)
+        self.history.append(step_result)
 
     @property
     def done(self):
@@ -264,10 +298,8 @@ class FsmInstance:
         step_result = StepResult(
             from_state, self.current, fired is not None, done, result, called
         )
-        if self.observer is not None:
-            self.observer(step_result)
-        if self.trace:
-            self.history.append(step_result)
+        if self.sink is not None:
+            self.sink(step_result)
         if done and self.reset_on_done:
             self.current = self.fsm.initial
         return step_result

@@ -453,10 +453,11 @@ def _fragment_source(slots):
     State dispatch, then one observer site.  Every path records in ``_f``
     whether a transition fired (and in ``_cl`` the last service it
     called); after the dispatch ``_f`` is added to ``transitions_fired``
-    and the one observer call builds the
-    :class:`~repro.ir.interp.StepResult` the interpreter would have.  An
-    unknown state falls back to the interpreter, which counts and
-    observes its own step.  The slot parameters follow the body, since
+    and, when the instance is watched (an observer or a ``trace``
+    history: its :attr:`~repro.ir.interp.FsmInstance.sink`), the one
+    observer call hands it the :class:`~repro.ir.interp.StepResult` the
+    interpreter would have.  An unknown state falls back to the
+    interpreter, which counts and observes its own step.  The slot parameters follow the body, since
     slots are named on first use.
     """
     cand = slots.cand
@@ -470,7 +471,7 @@ def _fragment_source(slots):
         "        _e = i0.env",
         "        i0.steps += 1",
         "        _c = i0.current",
-        "        _ob = i0.observer",
+        "        _ob = i0.sink",
         "        _f = False",
     ]
     if has_calls:

@@ -1,6 +1,16 @@
 """Unit tests of the waveform recorder."""
 
+import hashlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cosim import CosimSession
 from repro.desim import Simulator, Timeout, WaveformRecorder
+from repro.desim.waveform import _vcd_value
+from repro.testkit.models import generate_system
+from repro.utils.text import format_table
 
 
 def _run_small_trace():
@@ -178,3 +188,185 @@ class TestWaveformRecorder:
         sim.run()
         assert recorder.history("keep") == [(5, 1)]
         assert recorder.history("drop") == []
+
+
+# ------------------------------------------------------------ byte equality
+#
+# The reference renderers below are the recorder's original dump and VCD
+# export: a (time, name)-keyed merge and a format_table dump.  The recorder
+# renders both in one pass now; the bytes must not move.
+
+
+def _reference_merged(recorder, names):
+    merged = []
+    for name in names:
+        for change_time, value in recorder.changes.get(name, []):
+            merged.append((change_time, name, value))
+    merged.sort(key=lambda entry: (entry[0], entry[1]))
+    return merged
+
+
+def _reference_dump(recorder, names=None):
+    names = list(names) if names is not None else sorted(recorder.changes)
+    return format_table(["time (ns)", "signal", "value"],
+                        _reference_merged(recorder, names))
+
+
+def _reference_vcd(recorder, names=None):
+    names = list(names) if names is not None else sorted(recorder.changes)
+    codes = {name: chr(33 + index) for index, name in enumerate(names)}
+    widths, reals = {}, {}
+    lines = ["$timescale 1ns $end"]
+    for name in names:
+        values = [recorder.initial_value(name)]
+        values.extend(value for _, value in recorder.changes.get(name, ()))
+        widths[name] = recorder._declared_width(name)
+        reals[name] = any(isinstance(value, float) for value in values)
+        if reals[name]:
+            lines.append(f"$var real 64 {codes[name]} {name} $end")
+        else:
+            lines.append(f"$var wire {widths[name]} {codes[name]} {name} $end")
+    lines.append("$enddefinitions $end")
+    lines.append("#0")
+    for name in names:
+        lines.append(_vcd_value(recorder.initial_value(name), widths[name],
+                                codes[name], real=reals[name]))
+    current_time = 0
+    for change_time, name, value in _reference_merged(recorder, names):
+        if change_time != current_time:
+            lines.append(f"#{change_time}")
+            current_time = change_time
+        lines.append(_vcd_value(value, widths[name], codes[name],
+                                real=reals[name]))
+    return "\n".join(lines)
+
+
+class _Stub:
+    """A signal as the recorder sees it: a name and a current value."""
+
+    def __init__(self, name, value):
+        self.name = name
+        self.value = value
+
+
+class _StubSimulator:
+    def __init__(self, signals):
+        self.signals = {signal.name: signal for signal in signals}
+
+
+#: Short and long names: the long ones are wider than the "signal" title.
+_NAMES = ("a", "b", "clk", "data_bus", "a_very_long_signal_name", "z")
+
+_VALUES = st.one_of(
+    st.integers(-(1 << 40), 1 << 40),
+    st.booleans(),
+    st.text(max_size=24),
+    st.floats(allow_nan=False),
+)
+
+_CHANGE = st.tuples(st.integers(0, 40), _VALUES)
+
+_OP = st.one_of(
+    st.tuples(st.just("record"), st.sampled_from(_NAMES), _CHANGE),
+    st.tuples(st.just("extend"), st.sampled_from(_NAMES),
+              st.lists(_CHANGE, max_size=6)),
+)
+
+
+@st.composite
+def _recorders(draw):
+    """A started recorder with random changes, and a ``names`` argument."""
+    registered = draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    signals = [_Stub(name, draw(_VALUES)) for name in registered]
+    recorder = WaveformRecorder()
+    recorder.start(_StubSimulator(signals))
+    by_name = {signal.name: signal for signal in signals}
+    for op, name, payload in draw(st.lists(_OP, max_size=40)):
+        signal = by_name.get(name, _Stub(name, None))
+        if op == "record":
+            signal.value = payload[1]
+            recorder.record(payload[0], signal)
+        else:
+            recorder.extend(signal, payload)
+    names = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(_NAMES + ("unknown",)), max_size=8),
+    ))
+    return recorder, names
+
+
+class TestByteEquality:
+    @settings(max_examples=300, deadline=None)
+    @given(_recorders())
+    def test_dump_and_vcd_match_the_reference(self, drawn):
+        recorder, names = drawn
+        assert recorder.dump(names) == _reference_dump(recorder, names)
+        assert recorder.to_vcd(names) == _reference_vcd(recorder, names)
+
+    def test_empty_recorder(self):
+        recorder = WaveformRecorder()
+        recorder.start(_StubSimulator([]))
+        assert recorder.dump() == _reference_dump(recorder)
+        assert recorder.dump().count("\n") == 1
+        assert recorder.to_vcd() == _reference_vcd(recorder)
+
+    def test_time_ties_keep_name_then_delta_order(self):
+        recorder = WaveformRecorder()
+        signals = [_Stub("b", 0), _Stub("a", 0), _Stub("quiet", 0)]
+        recorder.start(_StubSimulator(signals))
+        b, a, _ = signals
+        for value in (1, "x", 2.5):
+            b.value = value
+            recorder.record(10, b)
+        recorder.extend(a, [(10, True), (10, "wider than the header")])
+        dump = recorder.dump(["quiet", "b", "a", "b", "nope"])
+        assert dump == _reference_dump(recorder, ["quiet", "b", "a", "b",
+                                                  "nope"])
+        rows = [line.split("|")[2].strip() + "=" + line.split("|")[3].strip()
+                for line in dump.splitlines()[2:]]
+        assert rows == ["a=True", "a=wider than the header",
+                        "b=1", "b=x", "b=2.5", "b=1", "b=x", "b=2.5"]
+
+    def test_untraced_signal_is_not_recorded(self):
+        recorder = WaveformRecorder()
+        recorder.start(_StubSimulator([_Stub("known", 0)]))
+        recorder.record(5, _Stub("stranger", 1))
+        recorder.extend(_Stub("stranger", 1), [(6, 0)])
+        assert recorder.history("stranger") == []
+        assert "stranger" not in recorder.dump()
+
+    def test_recorder_added_after_start_pins_current_values(self):
+        sim = Simulator()
+        data = sim.add_signal("data", init=0)
+
+        def stim():
+            yield Timeout(5)
+            sim.schedule(data, 3)
+            yield Timeout(5)
+            sim.schedule(data, 4)
+
+        sim.add_process("stim", stim)
+        sim.run(until=7)
+        recorder = sim.add_recorder(WaveformRecorder())
+        sim.run(until=20)
+        assert recorder.initial_value("data") == 3
+        assert recorder.history("data") == [(10, 4)]
+
+
+#: sha256 of ``to_vcd()`` after 20 µs of generated systems (fused tier).
+#: VCD output is not part of the conformance fingerprint; these pin it.
+VCD_DIGESTS = {
+    3: "03520576bd9fbca5627ea7ffe947f92475c8853a14623dce718b4428fd8e0f01",
+    5: "b79a6943b5df275238920ea508577ac023c4b0cda46e1b4b50649b3cabf67ccb",
+    42: "4ceaae3d8962d7d621b0f212f86543557ec774f1d42abd23e49bc077e327751e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VCD_DIGESTS))
+def test_generated_system_vcd_is_pinned(seed):
+    system = generate_system(seed)
+    session = CosimSession(system.build_model(), **system.cosim_params)
+    waveform = session.run(until=20_000).waveform
+    vcd = waveform.to_vcd()
+    assert hashlib.sha256(vcd.encode()).hexdigest() == VCD_DIGESTS[seed]
+    assert waveform.dump() == _reference_dump(waveform)

@@ -391,10 +391,8 @@ class TestObserverParity:
         return model, {}
 
     @staticmethod
-    def _observed_steps(model, tier, params, until):
-        session = CosimSession(model, tier=tier, **params)
-        session.build()
-        assert session.wired_tier == tier
+    def _instances(session):
+        """Every FSM instance of *session* by a tier-independent name."""
         instances = dict(session.controller_instances)
         for name, adapter in session.hw_adapters.items():
             for fsm_name, instance in adapter.instances.items():
@@ -404,6 +402,14 @@ class TestObserverParity:
                     service.instance
         for name, executor in session.sw_executors.items():
             instances[name] = executor.instance
+        return instances
+
+    @classmethod
+    def _observed_steps(cls, model, tier, params, until):
+        session = CosimSession(model, tier=tier, **params)
+        session.build()
+        assert session.wired_tier == tier
+        instances = cls._instances(session)
         steps = {name: [] for name in instances}
         for name, instance in instances.items():
             instance.observer = lambda r, log=steps[name]: log.append(
@@ -429,6 +435,35 @@ class TestObserverParity:
             assert ("Run", "Done", True, True, 3, None) in steps
         else:
             assert any(called for *_, called in steps)
+
+    @pytest.mark.parametrize("source", [5, 12, "counter"])
+    def test_traced_histories_are_equal_on_both_tiers(self, source):
+        histories = []
+        for tier in ("fused", "interpreted"):
+            if source == "counter":
+                model, params = self._counter_model()
+            else:
+                system = generate_system(source)
+                model, params = system.build_model(), system.cosim_params
+            session = CosimSession(model, tier=tier, **params)
+            session.build()
+            assert session.wired_tier == tier
+            software = {executor.instance
+                        for executor in session.sw_executors.values()}
+            instances = self._instances(session)
+            traced = {name: instance for name, instance in instances.items()
+                      if instance not in software}
+            for instance in traced.values():
+                instance.trace = True
+            session.run(until=2_000)
+            for instance in traced.values():
+                assert len(instance.history) == instance.steps
+            histories.append({
+                name: [(r.from_state, r.to_state, r.fired, r.done, r.result,
+                        r.called) for r in instance.history]
+                for name, instance in instances.items()})
+        assert histories[0] == histories[1]
+        assert sum(map(len, histories[0].values())) > 0
 
 
 def _mix(dst, taps, modulus):

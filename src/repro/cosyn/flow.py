@@ -18,6 +18,7 @@ printable report — the co-synthesis half of the paper's Figure 1.
 import json
 
 from repro.lint.engine import validate_structure
+from repro.obs import TELEMETRY
 from repro.utils.canonical import content_digest
 from repro.cosyn.sw_synthesis import synthesize_software
 from repro.cosyn.hw_synthesis import synthesize_hardware
@@ -182,13 +183,16 @@ class CosynthesisFlow:
     """Drives co-synthesis of a system model onto a platform."""
 
     def __init__(self, model, platform, library=None, address_base=None,
-                 hw_resources=None, validate=True):
+                 hw_resources=None, validate=True, hls_memo=None):
         if not isinstance(platform, Platform):
             raise SynthesisError("platform must be a Platform instance")
         self.model = model
         self.platform = platform
         self.library = library
         self.hw_resources = hw_resources
+        #: Process syntheses shared with other flows over the same FSMs
+        #: (see :func:`~repro.cosyn.hw_synthesis.synthesize_hardware`).
+        self.hls_memo = hls_memo
         self.target = TargetArchitecture(model, platform, address_base=address_base)
         if validate:
             validate_structure(model, library=library,
@@ -196,17 +200,21 @@ class CosynthesisFlow:
 
     def run(self):
         """Execute the flow and return a :class:`CosynthesisResult`."""
-        result = CosynthesisResult(self.target)
-        for module in self.target.software_modules():
-            result.software[module.name] = synthesize_software(self.target, module)
-        if self.platform.has_hardware:
-            for module in self.target.hardware_modules():
-                result.hardware[module.name] = synthesize_hardware(
-                    self.target, module, resources=self.hw_resources
-                )
-        result.address_map = self.target.address_map()
-        result.problems = self._check_constraints(result)
-        return result
+        with TELEMETRY.span("cosyn.flow", cat="cosyn", system=self.model.name,
+                            platform=self.platform.name):
+            result = CosynthesisResult(self.target)
+            for module in self.target.software_modules():
+                result.software[module.name] = synthesize_software(self.target,
+                                                                   module)
+            if self.platform.has_hardware:
+                for module in self.target.hardware_modules():
+                    result.hardware[module.name] = synthesize_hardware(
+                        self.target, module, resources=self.hw_resources,
+                        hls_memo=self.hls_memo,
+                    )
+            result.address_map = self.target.address_map()
+            result.problems = self._check_constraints(result)
+            return result
 
     # ------------------------------------------------------------ constraints
 

@@ -51,6 +51,12 @@ class AreaTimingEstimate:
             flip_flops=self.flip_flops + other.flip_flops,
         )
 
+    def renamed(self, name):
+        """A copy of this estimate under *name*."""
+        return AreaTimingEstimate(
+            name, self.clbs_datapath, self.clbs_registers, self.clbs_controller,
+            self.clbs_interconnect, self.critical_path_ns, self.flip_flops)
+
     def as_dict(self):
         return {
             "name": self.name,

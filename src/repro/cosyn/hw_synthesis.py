@@ -40,6 +40,11 @@ class ProcessSynthesis:
         self.rtl_text = rtl_text
         self.estimate = estimate
 
+    def with_estimate(self, estimate):
+        """A copy of these artefacts carrying *estimate*."""
+        return ProcessSynthesis(self.fsm, self.schedules, self.allocation,
+                                self.fsmd, self.netlist, self.rtl_text, estimate)
+
     def __repr__(self):
         return f"ProcessSynthesis({self.fsm.name}, {self.estimate.clbs_total} CLBs)"
 
@@ -154,8 +159,16 @@ def synthesize_process(fsm, resources=None, width=16):
     return ProcessSynthesis(fsm, schedules, allocation, fsmd, netlist, rtl_text, estimate)
 
 
-def synthesize_hardware(target, module, resources=None, width=16):
-    """Run hardware synthesis for one module of a target architecture."""
+def synthesize_hardware(target, module, resources=None, width=16,
+                        hls_memo=None):
+    """Run hardware synthesis for one module of a target architecture.
+
+    *hls_memo* is a dict of :func:`synthesize_process` results keyed on
+    FSM identity, resources and width, shared by several flows over models
+    that share FSMs (a design-space exploration's repartitioned winners);
+    None synthesizes every process afresh.  Memoised processes are never
+    mutated here, so one may appear in several results.
+    """
     if module not in target.hardware_modules():
         raise SynthesisError(
             f"module {module.name!r} is not a hardware module of this target"
@@ -165,13 +178,26 @@ def synthesize_hardware(target, module, resources=None, width=16):
         raise SynthesisError(
             f"platform {platform.name!r} offers no FPGA device for hardware synthesis"
         )
+    memo = {} if hls_memo is None else hls_memo
+    resource_key = None if resources is None else tuple(sorted(resources.items()))
     processes = {}
-    estimate = None
     for fsm in module.behaviours():
-        process = synthesize_process(fsm, resources=resources, width=width)
+        key = (id(fsm), resource_key, width)
+        process = memo.get(key)
+        if process is None:
+            # The entry keeps the FSM alive, so its id stays unique.
+            process = memo[key] = synthesize_process(fsm, resources=resources,
+                                                     width=width)
         processes[fsm.name] = process
-        estimate = process.estimate if estimate is None else estimate.merge(process.estimate)
-    estimate.name = module.name
+    first, *others = processes.values()
+    estimate = first.estimate
+    for process in others:
+        estimate = estimate.merge(process.estimate)
+    estimate = estimate.renamed(module.name)
+    if not others:
+        # A one-process module reports its process under the module's
+        # name: give this result its own copy of the shared process.
+        processes[first.fsm.name] = first.with_estimate(estimate)
 
     services = []
     for service_name in module.services_used():

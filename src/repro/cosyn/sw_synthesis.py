@@ -14,7 +14,7 @@ For every software module of the target, software synthesis
 from repro.ir.visitor import iter_expressions, iter_state_expressions, iter_statements
 from repro.ir.expr import PortRef
 from repro.ir.stmt import PortWrite
-from repro.swc.emitter import emit_program, emit_module_function, emit_service_view
+from repro.swc.emitter import emit_program, emit_service_view
 from repro.utils.errors import SynthesisError
 from repro.utils.text import format_table
 
@@ -158,10 +158,11 @@ def synthesize_software(target, module):
         unit = target.model.unit_for(module.name, service_name)
         services.append(unit.service(service_name))
 
-    program_text = emit_program(module, services, syntax, platform_name=platform.name)
     service_views = {
         service.name: emit_service_view(service, syntax) for service in services
     }
+    program_text = emit_program(module, service_views.values(), syntax,
+                                platform_name=platform.name)
 
     metrics = estimate_software_metrics(platform, module.fsm, services)
     return SoftwareSynthesisResult(

@@ -53,28 +53,27 @@ class TargetArchitecture:
                     units.append(unit)
         return units
 
+    def _software_ports(self):
+        """Port names of the SW-visible units, per unit in declaration order.
+
+        The SW views reference ports by their unqualified name inside one
+        unit; addresses are assigned in this order so both the software
+        and the hardware interface agree on the layout.
+        """
+        ports = []
+        for unit in self.units_used_by_software():
+            ports.extend(unit.ports)
+        return ports
+
     def address_map(self):
         """Physical addresses (or queue ids) of every SW-visible unit port."""
-        port_names = []
-        for unit in self.units_used_by_software():
-            for port_name in unit.ports:
-                qualified = f"{unit.name}_{port_name}"
-                if qualified not in port_names:
-                    port_names.append(qualified)
-        # The SW views reference ports by their unqualified name inside one
-        # unit; addresses are assigned per unit in declaration order so both
-        # the software and the hardware interface agree on the layout.
-        flat = []
-        for unit in self.units_used_by_software():
-            flat.extend(unit.ports)
-        return self.platform.assign_addresses(flat, base=self.address_base)
+        return self.platform.assign_addresses(self._software_ports(),
+                                              base=self.address_base)
 
     def port_syntax(self):
         """The port-access syntax software views are generated with."""
-        flat = []
-        for unit in self.units_used_by_software():
-            flat.extend(unit.ports)
-        return self.platform.port_syntax(flat, base=self.address_base)
+        return self.platform.port_syntax(self._software_ports(),
+                                         base=self.address_base)
 
     def __repr__(self):
         return (

@@ -6,7 +6,8 @@ platform, scores candidates with the memoized static cost model — serially
 or on a ``multiprocessing`` worker pool — prunes by platform constraints,
 extracts the Pareto front, re-runs the full
 :class:`~repro.cosyn.flow.CosynthesisFlow` on each front member so winners
-come with complete synthesis artefacts, and (optionally) validates the
+come with complete synthesis artefacts (one HLS run per FSM for the whole
+front), and (optionally) validates the
 front in co-simulation.
 """
 
@@ -24,6 +25,7 @@ from repro.dse.search import (
 )
 from repro.dse.space import PartitionSpace, repartition
 from repro.dse.validate import validate_candidate
+from repro.obs import TELEMETRY
 from repro.platforms import available_platforms, get_platform
 from repro.utils.errors import ReproError, SynthesisError
 from repro.utils.text import format_table
@@ -191,8 +193,16 @@ class DesignSpaceExplorer:
 
         winners = {}
         if synthesize_winners:
-            for score in front:
-                winners[score.candidate.key()] = self._synthesize(score)
+            # The winners' repartitioned models share their module FSMs,
+            # so HLS runs once per FSM for the whole front.  The memo is
+            # this call's alone and is emptied before it returns.
+            hls_memo = {}
+            with TELEMETRY.span("dse.synthesize_front", cat="dse",
+                                system=self.model.name, front=len(front)):
+                for score in front:
+                    winners[score.candidate.key()] = self._synthesize(
+                        score, hls_memo)
+            hls_memo.clear()
 
         validation = None
         if validate:
@@ -220,13 +230,14 @@ class DesignSpaceExplorer:
             scores, front, winners, validation, stats,
         )
 
-    def _synthesize(self, score):
+    def _synthesize(self, score, hls_memo):
         """Full co-synthesis of one front candidate (complete artefacts)."""
         try:
             candidate_model = repartition(self.model,
                                           score.candidate.hw_modules)
             flow = CosynthesisFlow(candidate_model,
-                                   self.platforms[score.candidate.platform])
+                                   self.platforms[score.candidate.platform],
+                                   hls_memo=hls_memo)
             return flow.run()
         except ReproError as exc:
             # A winner that fails full synthesis becomes a per-entry error,

@@ -12,7 +12,10 @@ passes, before suppression) is cached on first use; the *extended* stage
 caller asks for the full report.  The job pipeline's three readers — the
 sweep/server pre-flight, ``CosimSession`` validation and the fused-codegen
 gate of ``compile_system`` — all read this one memo, so a job lints its
-model once.
+model once.  Below it, the structural stage takes each module FSM's and
+each communication unit's findings from a memo keyed on that object, so
+models that share them (a DSE front's repartitionings) check each once
+and re-run only their own binding pass and the FSM006 check.
 """
 
 import weakref
@@ -21,6 +24,7 @@ from repro.core.module import HardwareModule, SoftwareModule
 from repro.lint import dataflow, interface, protocol, races
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.intervals import dtype_interval
+from repro.obs import TELEMETRY
 from repro.utils.errors import ValidationError
 
 
@@ -85,64 +89,96 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     return report
 
 
+#: Module FSM or communication unit -> {path: diagnostics of its
+#: structural passes}.  Weak keys keep models collectable, and no
+#: diagnostic refers back to its key.
+_PASSES = weakref.WeakKeyDictionary()
+
+
+def _memo_pass(item, path, run, report):
+    """Add ``run(item, path, report)``'s findings, computed once per path.
+
+    Repartitioned models (one per DSE front winner) share their FSMs and
+    communication units, so each is checked once however many models
+    hold it.  Like :func:`memo_report`, this assumes an FSM or unit is
+    not mutated once linted.
+    """
+    by_path = _PASSES.get(item)
+    if by_path is None:
+        by_path = _PASSES[item] = {}
+    found = by_path.get(path)
+    if found is None:
+        scratch = LintReport()
+        run(item, path, scratch)
+        found = by_path[path] = tuple(scratch.diagnostics)
+    report.diagnostics.extend(found)
+
+
+def _unit_passes(unit, path, report):
+    """IF008 plus the structural checks of a unit's service and controller
+    FSMs; *path* is ``unit/<name>``."""
+    interface.unit_port_pass(unit, report)
+    for service in unit.services.values():
+        dataflow.structural_pass(service.fsm, f"{path}/service/{service.name}",
+                                 report)
+    for controller in unit.controllers:
+        dataflow.structural_pass(controller.fsm,
+                                 f"{path}/controller/{controller.name}", report)
+
+
 def _structural_stage(model, report, library=None, platforms=()):
     """Behaviours, units, bindings and views."""
-    for module in model.modules.values():
-        for fsm in module.behaviours():
-            dataflow.structural_pass(fsm, f"module/{module.name}/{fsm.name}",
-                                     report)
-        if isinstance(module, SoftwareModule) and len(module.behaviours()) != 1:
-            report.add(Diagnostic("FSM006", "error", f"module/{module.name}",
-                                  "software modules have exactly one FSM"))
-    for unit in model.comm_units.values():
-        interface.unit_port_pass(unit, report)
-        for service in unit.services.values():
-            dataflow.structural_pass(
-                service.fsm, f"unit/{unit.name}/service/{service.name}", report)
-        for controller in unit.controllers:
-            dataflow.structural_pass(
-                controller.fsm, f"unit/{unit.name}/controller/{controller.name}",
-                report)
-    interface.binding_pass(model, report)
-    if library is not None:
-        interface.view_pass(model, library, platforms, report)
+    with TELEMETRY.span("lint.structural", cat="lint", model=model.name):
+        for module in model.modules.values():
+            for fsm in module.behaviours():
+                _memo_pass(fsm, f"module/{module.name}/{fsm.name}",
+                           dataflow.structural_pass, report)
+            if isinstance(module, SoftwareModule) and len(module.behaviours()) != 1:
+                report.add(Diagnostic("FSM006", "error", f"module/{module.name}",
+                                      "software modules have exactly one FSM"))
+        for unit in model.comm_units.values():
+            _memo_pass(unit, f"unit/{unit.name}", _unit_passes, report)
+        interface.binding_pass(model, report)
+        if library is not None:
+            interface.view_pass(model, library, platforms, report)
 
 
 def _extended_stage(model, report, disable=(), suppress=()):
     """Dataflow, call, port-write, protocol and race passes; suppression."""
-    for module in model.modules.values():
-        ports = _module_ports(module)
-        for fsm in module.behaviours():
-            path = f"module/{module.name}/{fsm.name}"
-            var_env, port_env = _fsm_envs(fsm, ports)
-            dataflow.dataflow_passes(fsm, path, report,
-                                     var_env=var_env, port_env=port_env)
-            interface.call_pass(model, module, fsm, path, report,
-                                var_env=var_env, port_env=port_env)
-            interface.port_write_pass(fsm, path, report, ports,
-                                      var_env=var_env, port_env=port_env)
-    for unit in model.comm_units.values():
-        for service in unit.services.values():
-            path = f"unit/{unit.name}/service/{service.name}"
-            var_env, port_env = _fsm_envs(service.fsm, unit.ports)
-            dataflow.dataflow_passes(service.fsm, path, report,
-                                     pre_assigned=service.param_names,
-                                     var_env=var_env, port_env=port_env)
-            interface.port_write_pass(service.fsm, path, report, unit.ports,
-                                      var_env=var_env, port_env=port_env)
-        for controller in unit.controllers:
-            path = f"unit/{unit.name}/controller/{controller.name}"
-            var_env, port_env = _fsm_envs(controller.fsm, unit.ports)
-            dataflow.dataflow_passes(controller.fsm, path, report,
-                                     var_env=var_env, port_env=port_env)
-            interface.port_write_pass(controller.fsm, path, report, unit.ports,
-                                      var_env=var_env, port_env=port_env)
-        protocol.protocol_pass(unit, report, f"unit/{unit.name}")
-    races.race_pass(model, report)
+    with TELEMETRY.span("lint.extended", cat="lint", model=model.name):
+        for module in model.modules.values():
+            ports = _module_ports(module)
+            for fsm in module.behaviours():
+                path = f"module/{module.name}/{fsm.name}"
+                var_env, port_env = _fsm_envs(fsm, ports)
+                dataflow.dataflow_passes(fsm, path, report,
+                                         var_env=var_env, port_env=port_env)
+                interface.call_pass(model, module, fsm, path, report,
+                                    var_env=var_env, port_env=port_env)
+                interface.port_write_pass(fsm, path, report, ports,
+                                          var_env=var_env, port_env=port_env)
+        for unit in model.comm_units.values():
+            for service in unit.services.values():
+                path = f"unit/{unit.name}/service/{service.name}"
+                var_env, port_env = _fsm_envs(service.fsm, unit.ports)
+                dataflow.dataflow_passes(service.fsm, path, report,
+                                         pre_assigned=service.param_names,
+                                         var_env=var_env, port_env=port_env)
+                interface.port_write_pass(service.fsm, path, report, unit.ports,
+                                          var_env=var_env, port_env=port_env)
+            for controller in unit.controllers:
+                path = f"unit/{unit.name}/controller/{controller.name}"
+                var_env, port_env = _fsm_envs(controller.fsm, unit.ports)
+                dataflow.dataflow_passes(controller.fsm, path, report,
+                                         var_env=var_env, port_env=port_env)
+                interface.port_write_pass(controller.fsm, path, report, unit.ports,
+                                          var_env=var_env, port_env=port_env)
+            protocol.protocol_pass(unit, report, f"unit/{unit.name}")
+        races.race_pass(model, report)
 
-    entries = _collect_suppressions(model, suppress)
-    entries += [(rule, "") for rule in disable]
-    report.apply_suppressions(entries)
+        entries = _collect_suppressions(model, suppress)
+        entries += [(rule, "") for rule in disable]
+        report.apply_suppressions(entries)
 
 
 class _Stages:

@@ -258,13 +258,14 @@ def emit_module_function(module, syntax=None):
     return "\n".join(lines)
 
 
-def emit_program(module, services, syntax=None, platform_name=None):
+def emit_program(module, service_views, syntax=None, platform_name=None):
     """Assemble a complete C translation unit for one software module.
 
-    *services* are the Service objects the module calls; each contributes its
-    view generated with *syntax*.  A trivial ``main`` activation loop closes
-    the file, mirroring how the paper's Distribution program was compiled and
-    run on the PC-AT.
+    *service_views* are the C views of the services the module calls, as
+    :func:`emit_service_view` rendered them with *syntax*; they open the
+    file in the given order.  A trivial ``main`` activation loop closes
+    the file, mirroring how the paper's Distribution program was compiled
+    and run on the PC-AT.
     """
     syntax = syntax or CliPortSyntax()
     header = [
@@ -277,7 +278,7 @@ def emit_program(module, services, syntax=None, platform_name=None):
     header.append(" * Generated by the unified co-simulation / co-synthesis flow.")
     header.append(" */")
     parts = ["\n".join(header)]
-    parts.extend(emit_service_view(service, syntax) for service in services)
+    parts.extend(service_views)
     parts.append(emit_module_function(module, syntax))
     parts.append(
         "\n".join(

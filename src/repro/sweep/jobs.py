@@ -33,10 +33,12 @@ report verbatim.  Three kinds cover the project's workloads:
 
 ``job.spec()`` is the job's identity (canonical, JSON-serializable);
 ``job.execute()`` returns ``(record, payload)`` where *record* is the
-deterministic report entry and *payload* the cacheable artefact (or None).
+deterministic report entry and *payload* the cacheable artefact (or None),
+a :class:`~repro.utils.canonical.CanonicalPayload` rendered once: the
+record's digest and the cache entry both derive from that rendering.
 """
 
-from repro.utils.canonical import content_digest
+from repro.utils.canonical import CanonicalPayload, content_digest
 
 
 def _check_tier(tier, default, allowed):
@@ -382,12 +384,12 @@ class CosimJob(SweepJob):
         if coverages:
             record["cached"] = False
             identity = set(self.spec()) | {"name", "error"}
-            payload = {
+            payload = CanonicalPayload.render({
                 "record": {key: value for key, value in record.items()
                            if key not in identity and key != "cached"},
                 "coverage": (coverages[0].as_dict() if self.batch is None
                              else [cov.as_dict() for cov in coverages]),
-            }
+            })
         return record, payload
 
     def record_from_payload(self, payload, cached):
@@ -450,10 +452,12 @@ class CosynJob(SweepJob):
         result = CosynthesisFlow(model, get_platform(self.platform)).run()
         payload = result.as_dict(include_text=True)
         payload["lint"] = lint
+        payload = CanonicalPayload.render(payload)
         return self.record_from_payload(payload, cached=False), payload
 
     def record_from_payload(self, payload, cached):
-        """Report entry from an artefact payload (fresh or cache-served)."""
+        """Report entry from an artefact :class:`CanonicalPayload`
+        (fresh or cache-served)."""
         record = self._base_record()
         record.update({
             "ok": payload["ok"],
@@ -463,7 +467,7 @@ class CosynJob(SweepJob):
             "hardware_modules": sorted(payload["hardware"]),
             "software_modules": sorted(payload["software"]),
             "lint": payload.get("lint"),
-            "artifact_digest": content_digest(payload),
+            "artifact_digest": payload.digest,
             "cached": cached,
         })
         return record
@@ -566,11 +570,12 @@ class DseJob(SweepJob):
         report = explorer.explore(mode=self.mode, seed=self.search_seed,
                                   restarts=self.restarts,
                                   max_rounds=self.max_rounds)
-        payload = report.as_dict()
+        payload = CanonicalPayload.render(report.as_dict())
         return self.record_from_payload(payload, cached=False), payload
 
     def record_from_payload(self, payload, cached):
-        """Report entry from an exploration report (fresh or cache-served)."""
+        """Report entry from an exploration report's
+        :class:`CanonicalPayload` (fresh or cache-served)."""
         record = self._base_record()
         record.update({
             "mode": payload["mode"],
@@ -580,7 +585,7 @@ class DseJob(SweepJob):
             "front": [{"platform": entry["platform"],
                        "hw_modules": entry["hw_modules"]}
                       for entry in payload["front"]],
-            "report_digest": content_digest(payload),
+            "report_digest": payload.digest,
             "cached": cached,
         })
         return record

@@ -24,6 +24,12 @@ _RESERVED = {
 }
 
 
+#: Names already found valid, so each distinct name is checked once.
+#: Bounded: emptied when full.
+_VALID = set()
+_VALID_LIMIT = 8192
+
+
 def check_identifier(name, what="identifier"):
     """Validate *name* as a C/VHDL-compatible identifier and return it.
 
@@ -32,12 +38,17 @@ def check_identifier(name, what="identifier"):
     """
     if not isinstance(name, str) or not name:
         raise ModelError(f"{what} must be a non-empty string, got {name!r}")
+    if name in _VALID:
+        return name
     if not _IDENTIFIER_RE.match(name):
         raise ModelError(f"{what} {name!r} is not a valid C/VHDL identifier")
     if "__" in name or name.endswith("_"):
         raise ModelError(f"{what} {name!r} is not portable to VHDL (underscore rule)")
     if name.lower() in _RESERVED:
         raise ModelError(f"{what} {name!r} collides with a C/VHDL reserved word")
+    if len(_VALID) >= _VALID_LIMIT:
+        _VALID.clear()
+    _VALID.add(name)
     return name
 
 

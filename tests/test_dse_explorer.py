@@ -214,6 +214,99 @@ class TestMemoization:
         assert first.evaluate(candidate) == second.evaluate(candidate)
 
 
+class TestFrontSynthesisReuse:
+    """One exploration synthesizes each hardware FSM once for its front."""
+
+    SEEDS = (0, 1, 3, 5, 7)
+
+    @staticmethod
+    def _count_hls(monkeypatch):
+        from repro.cosyn import hw_synthesis
+
+        calls = []
+        real = hw_synthesis.synthesize_process
+
+        def counting(fsm, **kwargs):
+            calls.append(id(fsm))
+            return real(fsm, **kwargs)
+
+        monkeypatch.setattr(hw_synthesis, "synthesize_process", counting)
+        return calls
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_winners_equal_standalone_flows(self, seed):
+        from repro.cosyn import CosynthesisFlow
+        from repro.dse.space import repartition
+        from repro.platforms import get_platform
+
+        system = generate_system(seed, networks=2)
+        report = DesignSpaceExplorer(system.build_model()).explore()
+        assert len(report.front) > 1
+        for score in report.front:
+            candidate = score.candidate
+            alone = CosynthesisFlow(
+                repartition(system.build_model(), candidate.hw_modules),
+                get_platform(candidate.platform)).run()
+            winner = report.winners[candidate.key()]
+            assert winner.as_dict(include_text=True) \
+                == alone.as_dict(include_text=True), candidate.label()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_hardware_fsm_passes_hls_once(self, seed, monkeypatch):
+        calls = self._count_hls(monkeypatch)
+        report = DesignSpaceExplorer(
+            generate_system(seed, networks=2).build_model()).explore()
+        assert calls and len(calls) == len(set(calls))
+        processes = sum(len(hw.processes)
+                        for winner in report.winners.values()
+                        for hw in winner.hardware.values())
+        assert processes > len(calls), "the front shares no FSM"
+
+    def test_a_shared_process_is_never_renamed_in_place(self, monkeypatch):
+        """One-process modules report their process under the module name,
+        on a copy: the memoised synthesis keeps its FSM's name."""
+        from repro.cosyn import hw_synthesis
+
+        made = []
+        real = hw_synthesis.synthesize_process
+
+        def keeping(fsm, **kwargs):
+            made.append(real(fsm, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(hw_synthesis, "synthesize_process", keeping)
+        DesignSpaceExplorer(generate_system(3, networks=2).build_model()
+                            ).explore()
+        assert made
+        for process in made:
+            assert process.estimate.name == process.fsm.name
+
+    def test_nothing_of_the_memo_survives_explore(self, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.dse import explorer as explorer_module
+
+        memos = []
+        real_flow = explorer_module.CosynthesisFlow
+
+        def flow(model, platform, **kwargs):
+            memos.append(kwargs["hls_memo"])
+            return real_flow(model, platform, **kwargs)
+
+        monkeypatch.setattr(explorer_module, "CosynthesisFlow", flow)
+        model = generate_system(3, networks=2).build_model()
+        model_ref = weakref.ref(model)
+        explorer = DesignSpaceExplorer(model)
+        report = explorer.explore()
+        assert len(memos) == len(report.front)
+        assert all(memo is memos[0] for memo in memos)
+        assert memos[0] == {}
+        del model, explorer, report, memos
+        gc.collect()
+        assert model_ref() is None
+
+
 class TestHeuristicSearch:
     @pytest.fixture(scope="class")
     def big_system(self):

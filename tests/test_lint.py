@@ -124,6 +124,33 @@ class TestStructuralValidation:
         assert [d.rule for d in lint_model(model).suppressed] == ["DF002"]
         CosimSession(model)
 
+    @pytest.mark.parametrize("mutant", ["dead-state", "trap-state"])
+    def test_shared_fsms_and_units_are_checked_once(self, mutant,
+                                                    monkeypatch):
+        """A repartitioned model takes the structural findings of the FSMs
+        and units it shares from the memo, with the same verdict."""
+        from repro.dse.space import repartition
+        from repro.lint import dataflow, interface
+
+        builder, rule = MUTANTS[mutant]
+        model = builder()
+        assert lint_model(model, structural_only=True).by_rule(rule)
+        calls = []
+        for module, name in ((dataflow, "structural_pass"),
+                             (interface, "unit_port_pass")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        moved = lint_model(repartition(model, ["Prod"]), structural_only=True)
+        assert calls == []
+        fresh = lint_model(repartition(builder(), ["Prod"]),
+                           structural_only=True)
+        assert calls, "a fresh model's FSMs are checked"
+        assert moved.as_dict() == fresh.as_dict()
+        assert moved.by_rule(rule)
+
     def test_extended_errors_do_not_refuse_a_session(self):
         builder, rule = MUTANTS["bad-width"]
         # IF006 is an extended (non-structural) error: validation passes.

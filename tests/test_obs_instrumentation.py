@@ -275,6 +275,27 @@ class TestSweepInstrumentation:
         waits = families["repro_sweep_queue_wait_seconds"]["series"]
         assert waits[0]["count"] == len(self.JOBS)
 
+    def test_codesign_jobs_record_flow_front_cache_and_lint_spans(
+            self, tmp_path):
+        from repro.sweep.cache import ArtifactCache
+        from repro.sweep.jobs import CosynJob, DseJob
+
+        TELEMETRY.enable()
+        jobs = [CosynJob(3, networks=3), DseJob(1, networks=2)]
+        cache = ArtifactCache(tmp_path)
+        for _ in range(2):  # a cold batch, then a cache-served one
+            assert SweepService(jobs, workers=1, cache=cache).run().ok
+
+        def count(name):
+            return len(TELEMETRY.tracer.spans(name=name))
+
+        assert count("sweep.cache_get") == 4
+        assert count("sweep.cache_put") == 2
+        assert count("dse.synthesize_front") == 1
+        assert count("cosyn.flow") > 1
+        assert count("lint.structural") > 1
+        assert count("lint.extended") == 1  # the CosynJob pre-flight
+
     def test_pooled_sweep_reconstructs_worker_spans(self):
         TELEMETRY.enable()
         report = SweepService(self.JOBS, workers=2).run()

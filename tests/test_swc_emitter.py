@@ -144,7 +144,8 @@ class TestModuleFunction:
 
     def test_program_assembles_views_and_main(self, put_service):
         module = make_host_module(service="PUT")
-        text = emit_program(module, [put_service], platform_name="pc_at_fpga")
+        text = emit_program(module, [emit_service_view(put_service)],
+                            platform_name="pc_at_fpga")
         assert "Target platform: pc_at_fpga" in text
         assert "int PUT(unsigned int REQUEST)" in text
         assert "int HOST(void)" in text

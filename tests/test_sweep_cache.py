@@ -3,6 +3,9 @@
 import json
 import multiprocessing
 import os
+import time
+
+import pytest
 
 from repro.sweep.cache import ArtifactCache
 from repro.utils.canonical import canonical_json, content_digest
@@ -173,3 +176,138 @@ class TestArtifactCacheConcurrency:
             key = ArtifactCache.key_for({"stress": index})
             assert cache.get(key) == _stress_payload(index)
         assert cache.stats["invalidated"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Byte-level envelope rule: the file is canonical_json(envelope), so the
+# checksum is verified over the stored payload bytes and nothing renders.
+
+def _old_put(cache, key, payload):
+    """The envelope as the first cache format wrote it: canonical JSON of
+    the parsed envelope dict, checksum over the payload's rendering."""
+    path = cache._path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    envelope = {"format": 1, "key": key, "sha256": content_digest(payload),
+                "payload": payload}
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(canonical_json(envelope))
+
+
+class TestCanonicalEnvelope:
+    def test_put_writes_exactly_the_canonical_envelope(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = ArtifactCache.key_for(SPEC)
+        cache.put(key, PAYLOAD)
+        envelope = {"format": 1, "key": key,
+                    "sha256": content_digest(PAYLOAD), "payload": PAYLOAD}
+        with open(cache._path(key), "rb") as handle:
+            assert handle.read() == canonical_json(envelope).encode("ascii")
+
+    def test_an_entry_written_by_the_old_put_still_hits(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = ArtifactCache.key_for(SPEC)
+        _old_put(cache, key, PAYLOAD)
+        payload = cache.get(key)
+        assert payload == PAYLOAD
+        assert payload.digest == content_digest(PAYLOAD)
+        assert cache.stats["hits"] == 1
+
+    def test_reindented_payload_is_invalidated_despite_its_checksum(
+            self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = ArtifactCache.key_for(SPEC)
+        cache.put(key, PAYLOAD)
+        path = cache._path(key)
+        with open(path, "w", encoding="ascii") as handle:
+            handle.write(
+                f'{{"format":1,"key":"{key}","payload":'
+                + json.dumps(PAYLOAD, indent=2, sort_keys=True)
+                + f',"sha256":"{content_digest(PAYLOAD)}"}}')
+        # The old reader parsed and re-rendered, and accepted this entry.
+        with open(path, encoding="ascii") as handle:
+            stored = json.load(handle)
+        assert stored["sha256"] == content_digest(stored["payload"])
+        assert cache.get(key) is None
+        assert cache.stats["invalidated"] == 1
+        assert not os.path.exists(path)
+
+    def test_payload_that_is_not_an_object_is_invalidated(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        key = ArtifactCache.key_for(SPEC)
+        _old_put(cache, key, [1, 2, 3])
+        assert cache.get(key) is None
+        assert cache.stats["invalidated"] == 1
+
+
+class _CountingJson:
+    """Stands in for ``json`` in ``repro.utils.canonical``: counts the
+    renderings of a job payload (a dict carrying *marker*, one of the
+    payload's own keys), alone or inside a cache envelope."""
+
+    def __init__(self, marker):
+        self.marker = marker
+        self.renderings = 0
+
+    def dumps(self, value, **kwargs):
+        inner = value.get("payload") if isinstance(value, dict) else None
+        for rendered in (value, inner):
+            if isinstance(rendered, dict) and self.marker in rendered:
+                self.renderings += 1
+        return json.dumps(value, **kwargs)
+
+    loads = staticmethod(json.loads)
+
+
+def _cosyn_job():
+    from repro.sweep import CosynJob
+
+    return CosynJob(3, networks=3)
+
+
+def _dse_job():
+    from repro.sweep import DseJob
+
+    return DseJob(1, networks=2)
+
+
+class TestOneRenderingPerPayload:
+    @pytest.mark.parametrize("make_job, marker",
+                             [(_cosyn_job, "hardware"), (_dse_job, "front")])
+    def test_a_miss_renders_once_and_a_hit_never(self, tmp_path, monkeypatch,
+                                                 make_job, marker):
+        from repro.sweep import SweepService
+        from repro.utils import canonical
+
+        counting = _CountingJson(marker)
+        monkeypatch.setattr(canonical, "json", counting)
+        cache = ArtifactCache(tmp_path)
+        fresh = SweepService([make_job()], cache=cache).run().records[0]
+        assert fresh["cached"] is False
+        assert counting.renderings == 1
+        served = SweepService([make_job()], cache=cache).run().records[0]
+        assert served["cached"] is True
+        assert counting.renderings == 1
+        assert {**served, "cached": False} == fresh
+
+    def test_server_records_fresh_and_served_carry_equal_digests(
+            self, tmp_path):
+        from repro.server import JobService
+
+        service = JobService(workers=1, cache=str(tmp_path)).start()
+        try:
+            spec = _cosyn_job().spec()
+            cold = service.submit_spec(spec)
+            deadline = time.monotonic() + 90
+            while cold.state not in ("done", "failed"):
+                assert time.monotonic() < deadline, cold.summary()
+                time.sleep(0.02)
+            warm = service.submit_spec(spec)
+            assert cold.state == warm.state == "done"
+            assert not cold.cached and warm.cached
+            assert warm.record["artifact_digest"] \
+                == cold.record["artifact_digest"]
+            assert {**warm.record, "cached": False} == cold.record
+            assert service.artifact(warm.id).digest \
+                == cold.record["artifact_digest"]
+        finally:
+            service.stop()

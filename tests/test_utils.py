@@ -76,6 +76,25 @@ class TestCheckIdentifier:
         with pytest.raises(ModelError, match="port name"):
             check_identifier("bad name", "port name")
 
+    def test_repeated_names_keep_their_verdicts_and_messages(self):
+        for _ in range(2):
+            assert check_identifier("RepeatMe") == "RepeatMe"
+            for what in ("port name", "state name"):
+                with pytest.raises(ModelError) as excinfo:
+                    check_identifier("bad__name", what)
+                assert str(excinfo.value) == (
+                    f"{what} 'bad__name' is not portable to VHDL "
+                    "(underscore rule)")
+        with pytest.raises(ModelError, match="non-empty string"):
+            check_identifier(b"RepeatMe")
+
+    def test_memo_of_valid_names_is_bounded(self):
+        from repro.utils import ids
+
+        for index in range(ids._VALID_LIMIT + 10):
+            check_identifier(f"N{index}")
+        assert 0 < len(ids._VALID) <= ids._VALID_LIMIT
+
 
 class TestUniqueName:
     def test_generates_distinct_names(self):

@@ -21,6 +21,7 @@ class TargetArchitecture:
         self.platform = platform
         self.address_base = address_base
         self._hw_clock_ns = hw_clock_ns
+        self._ports = None
         if not platform.has_hardware and model.hardware_modules():
             raise SynthesisError(
                 f"platform {platform.name!r} has no programmable hardware but the "
@@ -58,12 +59,14 @@ class TargetArchitecture:
 
         The SW views reference ports by their unqualified name inside one
         unit; addresses are assigned in this order so both the software
-        and the hardware interface agree on the layout.
+        and the hardware interface agree on the layout.  Walked once per
+        target: software synthesis asks for the address map and port
+        syntax once per software module, the flow once more.
         """
-        ports = []
-        for unit in self.units_used_by_software():
-            ports.extend(unit.ports)
-        return ports
+        if self._ports is None:
+            self._ports = tuple(port for unit in self.units_used_by_software()
+                                for port in unit.ports)
+        return self._ports
 
     def address_map(self):
         """Physical addresses (or queue ids) of every SW-visible unit port."""

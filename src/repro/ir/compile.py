@@ -68,12 +68,14 @@ _GENERATED_GLOBALS = {
     "bool": bool,
 }
 
-#: The fused step's templates plus eager ``and``/``or`` helper calls (the
-#: fused step inlines those two).
+#: The fused step's templates plus eager ``and``/``or`` helper calls and
+#: the ``min``/``max`` builtins (the fused step inlines those four).
 _BINOP_TEMPLATES = {
     **_FUSED_BINOP_TEMPLATES,
     "and": "_and({}, {})",
     "or": "_or({}, {})",
+    "min": "min({}, {})",
+    "max": "max({}, {})",
 }
 
 #: Exception epilogue of every generated function.  A ``KeyError`` is only

@@ -23,6 +23,13 @@ the clock:
   literals with the transition logic inlined in the interpreter's order
   (same evaluation order, same eager operators, same errors); guards and
   ``If`` conditions are emitted in truth context,
+* a declared FSM variable is read from a fast local: its first read on a
+  path loads it from the environment, ``(x_N := _e['N'])``, where the
+  interpreter reads it, and every assignment writes through to both,
+  ``_e['N'] = x_N = ...``, so the environment is exact wherever other
+  code can see it; ``min``/``max``/``xor`` are inlined without a
+  builtin call (same operand order, and ``max``/``min`` make the
+  builtins' comparison, so they keep their tie rule and result type),
 * service-call transitions call the bound
   :class:`~repro.cosim.services.ServiceInstance` directly (trace tokens,
   invocation counts and ``reset_on_done`` semantics stay canonical), and
@@ -63,16 +70,19 @@ from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import StepResult, _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.ir.visitor import variables_read
+from repro.obs import TELEMETRY
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
 
 
 #: Binary operators emitted as native Python operators.  Comparisons wrap in
 #: ``1 if .. else 0`` to match the interpreter's integer results; both
-#: operands of every operator are evaluated (Python evaluates both sides of
-#: ``+``/``==`` etc., and ``div``/``mod`` go through the interpreter's
-#: helpers), preserving the interpreter's port-read sequence.  ``and``/``or``
-#: are inlined by :meth:`_StateEmitter.expr` and have no template.
+#: operands of every operator are evaluated, left first (Python evaluates
+#: both sides of ``+``/``==`` etc., and ``div``/``mod`` go through the
+#: interpreter's helpers), preserving the interpreter's port-read sequence.
+#: ``xor`` compares the operands' negations, which equals comparing their
+#: truth values.  ``and``/``or``/``min``/``max`` are inlined by
+#: :meth:`_StateEmitter.expr` and have no template.
 _BINOP_TEMPLATES = {
     "add": "({} + {})",
     "sub": "({} - {})",
@@ -85,9 +95,7 @@ _BINOP_TEMPLATES = {
     "le": "(1 if {} <= {} else 0)",
     "gt": "(1 if {} > {} else 0)",
     "ge": "(1 if {} >= {} else 0)",
-    "xor": "(1 if bool({}) != bool({}) else 0)",
-    "min": "min({}, {})",
-    "max": "max({}, {})",
+    "xor": "(1 if (not {}) != (not {}) else 0)",
 }
 
 _UNOP_TEMPLATES = {
@@ -239,16 +247,29 @@ class _StateEmitter:
     count, flushed as one ``_w += n`` line at every control-flow boundary,
     so each executed path adds exactly its own writes to the step's
     ``_w``, which the step adds to the ``transactions`` statistic.
+
+    A declared FSM variable ``N`` lives in the fast local ``x_N`` as well
+    as in the environment.  Its first read on a path loads it,
+    ``(x_N := _e['N'])``, at the very point the interpreter reads it, so
+    a variable missing from the environment raises where it would; later
+    reads are ``x_N``.  Every assignment writes through, ``_e['N'] = x_N
+    = ...``, so the environment is exact wherever outside code can look
+    at it.  :attr:`loaded` holds the variables bound on every path to the
+    code being emitted; sub-expressions are emitted in the order they are
+    evaluated, and every one of them is evaluated, so the first emitted
+    read is the first executed one.
     """
 
     def __init__(self, slots, lines):
         self.slots = slots
         self.cand = slots.cand
+        self.declared = slots.cand.fsm.variables
+        self.loaded = set()
         self.lines = lines
         self._writes = 0
         # Unique-name counter for the walrus temporaries of inlined eager
-        # and/or and constant div/mod sites (each site needs its own: a
-        # nested site in an operand would clobber a shared name
+        # and/or, min/max and constant div/mod sites (each site needs its
+        # own: a nested site in an operand would clobber a shared name
         # mid-expression).
         self._tmp = 0
 
@@ -270,26 +291,45 @@ class _StateEmitter:
         if isinstance(expr, Const):
             return repr(expr.value)
         if isinstance(expr, Var):
-            return f"_e[{expr.name!r}]"
+            name = expr.name
+            if name not in self.declared:
+                return f"_e[{name!r}]"
+            if name in self.loaded:
+                return f"x_{name}"
+            self.loaded.add(name)
+            return f"(x_{name} := _e[{name!r}])"
         if isinstance(expr, PortRef):
             return f"{self.slots.signal(expr.port_name)}._value"
         if isinstance(expr, BinOp):
             if expr.op in ("and", "or"):
                 # Inlined eager logic, allocation- and call-free: the left
-                # operand is bound to a unique temporary, `| 1` forces the
+                # operand is bound (see :meth:`operand`), `| 1` forces the
                 # chain onward (operands are ints; x|1 is never zero), the
                 # right operand is then always evaluated — left-then-right
                 # order and raise behaviour match the interpreter's eager
-                # `and`/`or` exactly — and the temporary supplies the left
+                # `and`/`or` exactly — and the binding supplies the left
                 # truth value.
-                left = self.temp()
-                l_src = self.expr(expr.left)
+                l_bind, left = self.operand(expr.left)
                 r_src = self.expr(expr.right)
                 if expr.op == "and":
-                    return (f"(1 if (({left} := {l_src}) | 1) and {r_src} "
+                    return (f"(1 if ({l_bind} | 1) and {r_src} "
                             f"and {left} else 0)")
-                return (f"(1 if (({left} := {l_src}) | 1) and ({r_src} "
+                return (f"(1 if ({l_bind} | 1) and ({r_src} "
                         f"or {left}) else 0)")
+            if expr.op in ("min", "max"):
+                # The 2-argument builtin without the call: it compares the
+                # right operand with the left one (``b > a`` for max, so a
+                # failing comparison raises the same TypeError) and returns
+                # the right one only when strictly beyond, so a tie returns
+                # the left operand (``max(True, 1)`` is ``True``).  A left
+                # operand that needs evaluating is evaluated first: `or 1`
+                # makes its binding always true.
+                l_bind, left = self.operand(expr.left)
+                r_bind, right = self.operand(expr.right)
+                test = f"{r_bind} {'>' if expr.op == 'max' else '<'} {left}"
+                if l_bind != left:
+                    test = f"({l_bind} or 1) and {test}"
+                return f"({right} if {test} else {left})"
             template = _BINOP_TEMPLATES.get(expr.op)
             if template is None:
                 raise SystemCompileError(f"cannot compile expression {expr!r}")
@@ -305,12 +345,26 @@ class _StateEmitter:
             return template.format(self.expr(expr.operand))
         raise SystemCompileError(f"cannot compile expression {expr!r}")
 
+    def operand(self, expr):
+        """Source evaluating *expr* once, and source reading its value again.
+
+        A declared variable is read again from its local and a constant
+        is repeated; any other operand is bound to a unique temporary.
+        """
+        if isinstance(expr, Var) and expr.name in self.declared:
+            return self.expr(expr), f"x_{expr.name}"
+        if isinstance(expr, Const):
+            src = repr(expr.value)
+            return src, src
+        tmp = self.temp()
+        return f"({tmp} := {self.expr(expr)})", tmp
+
     def constant_divisor(self, op, left, divisor):
         """Inline source of ``left div/mod divisor``, *divisor* a nonzero int.
 
         Truncating division by a known nonzero divisor needs no zero check
         and no ``abs`` of the divisor, so it needs no helper call either:
-        the dividend is bound to a unique temporary where Python evaluates
+        the dividend is bound (see :meth:`operand`) where Python evaluates
         first, and its sign picks the floor operation that truncates.  With
         ``c = |divisor|``, the remainder takes the dividend's sign whatever
         the divisor's, so ``mod`` floors by ``c`` or ``-c``; ``div`` floors
@@ -318,16 +372,13 @@ class _StateEmitter:
         stays on the generic ``_div``/``_mod`` call, which raises the
         division error at run time.
         """
-        tmp = self.temp()
-        a_src = self.expr(left)
+        bind, a = self.operand(left)
         c = abs(divisor)
         if op == "mod":
-            return f"(({tmp} := {a_src}) % ({c} if {tmp} >= 0 else {-c}))"
+            return f"({bind} % ({c} if {a} >= 0 else {-c}))"
         if divisor > 0:
-            return (f"({tmp} // {c} if ({tmp} := {a_src}) >= 0 "
-                    f"else -(-{tmp} // {c}))")
-        return (f"(-({tmp} // {c}) if ({tmp} := {a_src}) >= 0 "
-                f"else -{tmp} // {c})")
+            return f"({a} // {c} if {bind} >= 0 else -(-{a} // {c}))"
+        return f"(-({a} // {c}) if {bind} >= 0 else -{a} // {c})"
 
     def cond(self, expr, exact=False):
         """Source of *expr* where only its truth value is read.
@@ -345,6 +396,9 @@ class _StateEmitter:
                 op = "&" if expr.op == "and" else "|"
                 return (f"({self.cond(expr.left, True)} {op} "
                         f"{self.cond(expr.right, True)})")
+            if expr.op == "xor":
+                return (f"((not {self.expr(expr.left)}) != "
+                        f"(not {self.expr(expr.right)}))")
         elif isinstance(expr, UnOp) and expr.op == "not":
             return f"(not {self.cond(expr.operand)})"
         src = self.expr(expr)
@@ -356,7 +410,7 @@ class _StateEmitter:
         for stmt in statements:
             if isinstance(stmt, Assign):
                 src = self.expr(stmt.expr)
-                self.line(depth, f"_e[{stmt.target!r}] = {src}")
+                self.line(depth, f"{self.store(stmt.target)} = {src}")
             elif isinstance(stmt, PortWrite):
                 src = self.expr(stmt.expr)
                 signal = self.slots.signal(stmt.port_name)
@@ -366,14 +420,25 @@ class _StateEmitter:
                 cond = self.cond(stmt.cond)
                 self.flush(depth)
                 self.line(depth, f"if {cond}:")
+                before = set(self.loaded)
                 self._emit_suite(stmt.then, depth + 1)
+                then_loaded, self.loaded = self.loaded, before
                 if stmt.orelse:
                     self.line(depth, "else:")
                     self._emit_suite(stmt.orelse, depth + 1)
+                # Bound after the If: what both branches bind.
+                self.loaded &= then_loaded
             elif isinstance(stmt, Nop):
                 pass
             else:
                 raise SystemCompileError(f"cannot compile statement {stmt!r}")
+
+    def store(self, name):
+        """The assignment target(s) of a write to variable *name*."""
+        if name not in self.declared:
+            return f"_e[{name!r}]"
+        self.loaded.add(name)
+        return f"_e[{name!r}] = x_{name}"
 
     def _emit_suite(self, statements, depth):
         before = len(self.lines)
@@ -385,8 +450,15 @@ class _StateEmitter:
     # -- transitions
 
     def _fire(self, transition, state, depth, last=False):
-        """Take *transition*; ``break`` out of the state unless *last*."""
+        """Take *transition*; ``break`` out of the state unless *last*.
+
+        A fire that breaks ends its path, so what its actions bind is not
+        bound for the code after it.
+        """
+        after = set(self.loaded)
         self.emit_stmts(transition.actions, depth)
+        if not last:
+            self.loaded = after
         self.flush(depth)
         if transition.target != state.name:
             self.line(depth,
@@ -435,8 +507,9 @@ class _StateEmitter:
         self.line(depth, f"_d, _v = {service}.step([{', '.join(args)}])")
         self.line(depth, "if _d:")
         inner = depth + 1
+        pending = set(self.loaded)  # a pending call skips the block
         if call.store:
-            self.line(inner, f"_e[{call.store!r}] = _v")
+            self.line(inner, f"{self.store(call.store)} = _v")
         if transition.guard is not None:
             guard = self.cond(transition.guard)
             self.flush(inner)
@@ -444,6 +517,7 @@ class _StateEmitter:
             self._fire(transition, state, inner + 1)
         else:
             self._fire(transition, state, inner)
+        self.loaded = pending
         return False
 
 
@@ -715,18 +789,19 @@ def compile_system(model):
     """
     from repro.lint.engine import memo_report
 
-    errors = memo_report(model).errors
-    if errors:
-        raise SystemCompileError(
-            "lint errors refuse whole-system compilation: "
-            + "; ".join(diagnostic.format() for diagnostic in errors)
-        )
-    program = _SYSTEM_CACHE.get(model)
-    if program is not None:
+    with TELEMETRY.span("ir.compile_system", cat="ir", system=model.name):
+        errors = memo_report(model).errors
+        if errors:
+            raise SystemCompileError(
+                "lint errors refuse whole-system compilation: "
+                + "; ".join(diagnostic.format() for diagnostic in errors)
+            )
+        program = _SYSTEM_CACHE.get(model)
+        if program is not None:
+            return program
+        plan = SystemPlan(model)
+        if not plan.candidates:
+            raise SystemCompileError("no fusable FSM")
+        program = SystemProgram(model, plan)
+        _SYSTEM_CACHE[model] = program
         return program
-    plan = SystemPlan(model)
-    if not plan.candidates:
-        raise SystemCompileError("no fusable FSM")
-    program = SystemProgram(model, plan)
-    _SYSTEM_CACHE[model] = program
-    return program

@@ -24,6 +24,7 @@ from repro.comm import fifo_channel, handshake_channel, shared_register_channel
 from repro.core import HardwareModule, SoftwareModule, SystemModel
 from repro.ir import INT, Assign, FsmBuilder, var
 from repro.ir.dtypes import word_type
+from repro.obs import TELEMETRY
 
 #: Channel kinds with their factory and losslessness.
 CHANNEL_KINDS = {
@@ -54,7 +55,9 @@ class GeneratedSystem:
 
     def build_model(self):
         """Return a **fresh** :class:`SystemModel` (never shared between runs)."""
-        return self._builder()
+        with TELEMETRY.span("testkit.build_model", cat="testkit",
+                            system=self.name):
+            return self._builder()
 
     def __repr__(self):
         return f"GeneratedSystem({self.name}, {self.summary})"

@@ -33,6 +33,26 @@ class TestTargetArchitecture:
         assert min(address_map.values()) == 0x300
         assert len(set(address_map.values())) == len(address_map)
 
+    def test_flow_walks_software_units_once_per_target(self, monkeypatch):
+        calls = []
+        walk = TargetArchitecture.units_used_by_software
+
+        def counted(target):
+            calls.append(target)
+            return walk(target)
+
+        monkeypatch.setattr(TargetArchitecture, "units_used_by_software",
+                            counted)
+        model, _ = build_system(MotorControllerConfig())
+        flow = CosynthesisFlow(model, get_platform("pc_at_fpga"))
+        # Each software module asks for the port syntax and the address
+        # map, and the flow for the address map once more: one walk.
+        result = flow.run()
+        assert result.software
+        assert calls == [flow.target]
+        assert result.address_map == flow.target.address_map()
+        assert calls == [flow.target]
+
     def test_hw_clock_defaults_to_device_recommendation(self):
         model = make_producer_consumer_model()
         platform = get_platform("pc_at_fpga")

@@ -1,17 +1,22 @@
 """Property-based tests (hypothesis) of the IR core invariants."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import HardwareModule, SystemModel
+from repro.core import HardwareModule, Service, SystemModel
+from repro.core.comm_unit import CommunicationUnit
+from repro.core.port import Port
 from repro.cosim import CosimSession
 from repro.ir import (
-    FsmBuilder, Assign, If, INT, FsmInstance, constant_fold, evaluate, var,
+    BOOL, FsmBuilder, Assign, If, INT, FsmInstance, PortWrite, constant_fold,
+    evaluate, var,
 )
 from repro.ir.compile import _pos_div, _pos_mod, compile_expr_fn, expr_source
 from repro.ir.dtypes import IntType
 from repro.ir.expr import BinOp, Const, UnOp, Var
 from repro.ir.interp import _int_div, _int_mod
 from repro.ir.transform import reachable_states
+from repro.utils.errors import SimulationError
 
 # Operators that are safe for arbitrary integer operands (no division by zero).
 _SAFE_BIN_OPS = ["add", "sub", "mul", "eq", "ne", "lt", "le", "gt", "ge",
@@ -87,6 +92,153 @@ def _fused_and_interpreted(expr, env):
         variables = session.hw_adapters["Cd"].process_variables("PROP")
         finals.append((variables["R"], variables["T"]))
     return finals
+
+
+#: Operands of both types: ``B``/``F`` hold bools, ``A``/``C`` ints.
+_MIXED_VARS = ["A", "B", "C", "F"]
+
+
+def _mixed_expressions():
+    """Expressions over bool and int operands, rich in min/max/xor."""
+    base = st.one_of(st.integers(min_value=-3, max_value=3).map(Const),
+                     st.booleans().map(Const),
+                     st.sampled_from(_MIXED_VARS).map(Var))
+    return st.recursive(
+        base,
+        lambda children: st.one_of(
+            st.tuples(st.sampled_from(["min", "max", "xor", "min", "max",
+                                       "xor", "add", "eq", "and", "or"]),
+                      children, children).map(lambda t: BinOp(*t)),
+            children.map(lambda child: UnOp("not", child)),
+        ),
+        max_leaves=6,
+    )
+
+
+def _mixed_statements():
+    exprs = _mixed_expressions()
+    simple = st.one_of(
+        st.builds(Assign, st.sampled_from(_MIXED_VARS), exprs),
+        st.builds(PortWrite, st.sampled_from(["O1", "O2"]), exprs),
+    )
+    # A branch writes a variable, then reads it back into a port.
+    branch = st.tuples(st.sampled_from(_MIXED_VARS), exprs,
+                       st.lists(simple, max_size=2), exprs).map(
+        lambda t: [Assign(t[0], t[1]), *t[2],
+                   PortWrite("O1", BinOp("max", Var(t[0]), t[3]))])
+    branching = st.builds(If, exprs, branch, branch)
+    return st.lists(st.one_of(simple, branching), min_size=1, max_size=5)
+
+
+def _step_model(actions, guard, call_guard):
+    """One fused hardware FSM: *actions* then *guard* in ``Run``, and a
+    ``Call`` state storing a service result in ``V`` and reading it.
+
+    The service returns 1, 2, 0, 1, ... so ``Call`` returns to ``Run``
+    within three steps, counting ``Z`` down from 2 each time.
+    """
+    build = FsmBuilder("P")
+    for name in ("A", "C"):
+        build.variable(name, INT, 2)
+    build.variable("B", BOOL, True)
+    build.variable("F", BOOL, False)
+    build.variable("V", INT, 0)
+    build.variable("Z", INT, 2)
+    with build.state("Run") as state:
+        state.do(*actions)
+        state.go("Call", when=guard, actions=[PortWrite("O2", Var("C"))])
+        state.go("Call")
+    with build.state("Call") as state:
+        state.call("Get", store="V", then="Run",
+                   when=BinOp("xor", call_guard, Var("V")),
+                   actions=[Assign("C", BinOp("max", Var("V"), Var("C"))),
+                            PortWrite("O2", BinOp("min", Var("V"), Var("B"))),
+                            Assign("Z", BinOp("sub", Var("Z"), Const(1)))])
+        state.stay()
+    get = FsmBuilder("GET")
+    get.variable("X", INT, 0)
+    with get.state("Go") as state:
+        state.go("Done", actions=[Assign("X", BinOp("mod", BinOp(
+            "add", Var("X"), Const(1)), Const(3)))])
+    with get.state("Done", done=True) as state:
+        state.go("Go")
+    get.returns("X")
+    model = SystemModel("MixedStep")
+    model.add_comm_unit(CommunicationUnit("U", services=[
+        Service("Get", get.build(initial="Go"), returns=INT)]))
+    model.add_hardware_module(HardwareModule("Hw", [build.build(
+        initial="Run")], ports=[Port("O1", dtype=INT), Port("O2", dtype=INT)]))
+    model.bind("Hw", "Get", "U")
+    return model
+
+
+def _typed(value):
+    """*value* with the type of every value in it spelled out."""
+    if isinstance(value, dict):
+        return sorted((key, _typed(item)) for key, item in value.items())
+    return type(value).__name__, value
+
+
+def _observed_run(model, tier, kernel):
+    """Everything one run of ``Hw.P`` exposes, types included."""
+    session = CosimSession(model, tier=tier, kernel=kernel, clock_period=10)
+    session.build()
+    assert session.wired_tier == tier
+    instance = session.hw_adapters["Hw"].instances["P"]
+    steps = []
+    instance.observer = lambda r: steps.append(
+        (r.from_state, r.to_state, r.fired, r.done, _typed(r.result),
+         r.called))
+    error = None
+    try:
+        session.run(until=400)
+    except SimulationError as exc:
+        error = str(exc)
+    simulator = session.simulator
+    return {
+        "error": error,
+        "steps": steps,
+        "env": _typed(instance.env),
+        "queued": [(signal.name, _typed(value))
+                   for signal, value in simulator._delta_queue],
+        "signals": [(name, _typed(signal.value))
+                    for name, signal in simulator.signals.items()],
+        "now": simulator.now,
+    }
+
+
+class TestFusedStepProperties:
+    """Random fused states behave exactly as the interpreter, raise included."""
+
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
+    @given(actions=_mixed_statements(), guard=_mixed_expressions(),
+           call_guard=_mixed_expressions(),
+           raise_at=st.one_of(st.none(), st.integers(min_value=0,
+                                                     max_value=5)))
+    @example(actions=[Assign("A", BinOp("max", Var("B"), Const(1))),
+                      Assign("F", BinOp("min", Const(1), Var("B")))],
+             guard=Const(0), call_guard=Const(0), raise_at=None)
+    @example(actions=[If(Var("F"), [Assign("A", Var("C"))],
+                         [PortWrite("O1", Var("C"))]),
+                      Assign("C", Var("A"))],
+             guard=Var("A"), call_guard=Const(1), raise_at=2)
+    @settings(max_examples=40, deadline=None)
+    def test_fused_step_matches_the_interpreter(self, kernel, actions, guard,
+                                                call_guard, raise_at):
+        if raise_at is not None:
+            # Division by Z, which is zero from the third visit to Run on:
+            # it raises after the writes before it in that step.
+            actions = list(actions)
+            actions.insert(min(raise_at, len(actions)),
+                           Assign("C", BinOp("div", Var("A"), Var("Z"))))
+        fused, interpreted = (
+            _observed_run(_step_model(actions, guard, call_guard), tier,
+                          kernel)
+            for tier in ("fused", "interpreted"))
+        assert fused == interpreted
+        assert fused["steps"]
+        if raise_at is not None:
+            assert fused["error"] == "division by zero in IR expression"
 
 
 class TestExpressionProperties:

@@ -16,6 +16,7 @@ runs at quick scale so tier-1 catches a divergence early.
 """
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core.comm_unit import CommunicationController, CommunicationUnit
 from repro.core.port import Port
 from repro.cosim import CosimSession
 from repro.ir import (
+    BOOL,
     INT,
     Assign,
     FsmBuilder,
@@ -525,6 +527,26 @@ def _bound_fragments(session):
             if getattr(default, "__name__", None) == "_fragment"]
 
 
+class TestFragmentForms:
+    """What the emitted fragments of the benchmark populations contain."""
+
+    @staticmethod
+    def _sources():
+        yield generate_system_source(_datapath_model(2))
+        for seed in range(0, 2000, 4):
+            yield generate_system_source(generate_system(seed).build_model())
+
+    def test_variables_read_from_locals_and_no_builtin_calls(self):
+        for source in self._sources():
+            assert "max(" not in source and "min(" not in source
+            assert "bool(" not in source
+            # The only environment accesses left are first-read loads into
+            # a local and write-through stores.
+            rest = re.sub(r"\(x_(\w+) := _e\['\1'\]\)", "", source)
+            rest = re.sub(r"_e\['(\w+)'\] = x_\1 = ", "", rest)
+            assert "_e[" not in rest
+
+
 class TestFragmentCache:
     """One code object per fragment source, shared across models."""
 
@@ -620,10 +642,16 @@ class TestRaisingStep:
     """A raising fused step adds no transactions."""
 
     @staticmethod
-    def _controller(name, reads, writes, raising=False):
+    def _controller(name, reads, writes, raising=False, late=False):
         build = FsmBuilder(name)
         build.variable("N", INT, 0)
+        if late:
+            # A port write and an assignment before the first read of N.
+            build.variable("M", INT, 0)
         with build.state("Run") as state:
+            if late:
+                state.do(PortWrite(writes, Const(1)),
+                         Assign("M", var("M") + 1))
             state.do(Assign("N", BinOp("mod", var("N") + port(reads),
                                        Const(1000))))
             state.do(PortWrite(writes, var("N") + 1))
@@ -633,12 +661,12 @@ class TestRaisingStep:
                 state.call("Missing", then="Run")
         return CommunicationController(name, build.build(initial="Run"))
 
-    def _model(self):
+    def _model(self, late=False):
         wires = [Port(name, dtype=word_type(16)) for name in "ABC"]
         model = SystemModel("RaisingStep")
         model.add_comm_unit(CommunicationUnit("Ring", ports=wires, controllers=[
             self._controller("C0", "C", "A"),
-            self._controller("C1", "A", "B", raising=True),
+            self._controller("C1", "A", "B", raising=True, late=late),
             self._controller("C2", "B", "C"),
         ]))
         return model
@@ -669,6 +697,32 @@ class TestRaisingStep:
         assert {name: instance.steps for name, instance in instances.items()} \
             == {"Ring.C0": 12, "Ring.C1": 12, "Ring.C2": 11}
         assert session.fsm_counters()["system_compile_hits"] == 35
+
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
+    def test_deleted_variable_raises_after_the_same_writes(self, kernel):
+        # C1 writes a port and M before it first reads the deleted N: the
+        # fused step must raise where the interpreter does, not earlier.
+        runs = []
+        for tier in ("fused", "interpreted"):
+            session = CosimSession(self._model(late=True), kernel=kernel,
+                                   tier=tier)
+            session.run(until=1_000)
+            assert session.wired_tier == tier
+            instances = session.controller_instances
+            del instances["Ring.C1"].env["N"]
+            with pytest.raises(SimulationError,
+                               match="^undefined variable 'N'$"):
+                session.run(until=2_000)
+            runs.append((
+                [(signal.name, value)
+                 for signal, value in session.simulator._delta_queue],
+                {name: dict(instance.env)
+                 for name, instance in instances.items()},
+            ))
+        assert runs[0] == runs[1]
+        queued, envs = runs[0]
+        assert [name for name, _ in queued] == ["Ring_A", "Ring_B"]
+        assert envs["Ring.C1"] == {"M": 12}
 
 
 class TestLintPreflight:
@@ -711,15 +765,18 @@ class TestConstantDivisor:
             HardwareModule("Cd", [build.build(initial="Run")]))
         return model
 
+    # The dividend N is first read here: it is loaded into its local x_N,
+    # which then serves as the temporary.  The next line reads x_N.
     @pytest.mark.parametrize("op,divisor,inline", [
-        ("div", 3, "(_b1 // 3 if (_b1 := _e['N']) >= 0 else -(-_b1 // 3))"),
-        ("div", -3, "(-(_b1 // 3) if (_b1 := _e['N']) >= 0 else -_b1 // 3)"),
-        ("mod", 3, "((_b1 := _e['N']) % (3 if _b1 >= 0 else -3))"),
-        ("mod", -3, "((_b1 := _e['N']) % (3 if _b1 >= 0 else -3))"),
+        ("div", 3, "(x_N // 3 if (x_N := _e['N']) >= 0 else -(-x_N // 3))"),
+        ("div", -3, "(-(x_N // 3) if (x_N := _e['N']) >= 0 else -x_N // 3)"),
+        ("mod", 3, "((x_N := _e['N']) % (3 if x_N >= 0 else -3))"),
+        ("mod", -3, "((x_N := _e['N']) % (3 if x_N >= 0 else -3))"),
     ])
     def test_inline_form_matches_across_tiers(self, op, divisor, inline):
         source = generate_system_source(self._model(op, divisor))
-        assert f"_e['Q'] = {inline}" in source
+        assert f"_e['Q'] = x_Q = {inline}\n" in source
+        assert "_e['N'] = x_N = (x_N + 3)\n" in source
         assert "_div(" not in source and "_mod(" not in source
         fingerprints = []
         for tier in ("fused", "interpreted"):
@@ -728,6 +785,68 @@ class TestConstantDivisor:
             assert session.wired_tier == tier
             fingerprints.append(cosim_fingerprint(session, result))
         assert fingerprints[0] == fingerprints[1]
+
+    @staticmethod
+    def _builtin_model():
+        build = FsmBuilder("MINMAX")
+        build.variable("A", INT, 3)
+        build.variable("B", BOOL, True)
+        build.variable("M", INT, 0)
+        with build.state("Run") as state:
+            state.do(Assign("M", BinOp("max", var("A"), var("B"))))
+            state.do(Assign("A", BinOp("min", var("A") - 1, var("B"))))
+            state.do(Assign("B", BinOp("xor", var("A"), Const(1))))
+            state.go("Run", when=BinOp("xor", var("M"), var("B")))
+            state.stay()
+        model = SystemModel("InlineBuiltins")
+        model.add_hardware_module(
+            HardwareModule("Mm", [build.build(initial="Run")]))
+        return model
+
+    def test_min_max_xor_call_no_builtin(self):
+        source = generate_system_source(self._builtin_model())
+        for line in [
+            "_e['M'] = x_M = (x_B if ((x_A := _e['A']) or 1) and "
+            "(x_B := _e['B']) > x_A else x_A)",
+            "_e['A'] = x_A = (x_B if ((_b1 := (x_A - 1)) or 1) and "
+            "x_B < _b1 else _b1)",
+            "_e['B'] = x_B = (1 if (not x_A) != (not 1) else 0)",
+            "if ((not x_M) != (not x_B)):",
+        ]:
+            assert f" {line}\n" in source
+        assert "max(" not in source and "min(" not in source
+        assert "bool(" not in source
+        fingerprints = []
+        for tier in ("fused", "interpreted"):
+            session = CosimSession(self._builtin_model(), tier=tier)
+            result = session.run(until=2_000)
+            assert session.wired_tier == tier
+            fingerprints.append(cosim_fingerprint(session, result))
+        assert fingerprints[0] == fingerprints[1]
+
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_min_max_raise_the_builtins_type_error(self, op):
+        # An enum literal against an int: the inline form makes the
+        # builtin's comparison, so it fails with the same message.
+        messages = []
+        for tier in ("fused", "interpreted"):
+            build = FsmBuilder("MIXED")
+            build.variable("A", INT, 1)
+            build.variable("M", INT, 0)
+            with build.state("Run") as state:
+                state.do(Assign("M", BinOp(op, var("A"), Const("IDLE"))))
+                state.stay()
+            model = SystemModel("UnlikeOperands")
+            model.add_hardware_module(
+                HardwareModule("Ul", [build.build(initial="Run")]))
+            session = CosimSession(model, tier=tier)
+            session.build()
+            assert session.wired_tier == tier
+            with pytest.raises(TypeError) as error:
+                session.run(until=1_000)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        assert "between instances of 'str' and 'int'" in messages[0]
 
     @pytest.mark.parametrize("tier", ["fused", "interpreted"])
     @pytest.mark.parametrize("op,message", [

@@ -19,6 +19,7 @@ from repro.desim import ReferenceSimulator, Simulator, SignalChange, Timeout
 from repro.obs import TELEMETRY
 from repro.sweep.jobs import CosimJob, KernelJob
 from repro.sweep.service import SweepService
+from repro.testkit.models import generate_system
 from repro.testkit.scenarios import FaultScenario
 
 
@@ -199,6 +200,23 @@ class TestCosimInstrumentation:
         names = {span["name"] for span in TELEMETRY.tracer.spans()}
         assert "cosim.build" in names
         assert "cosim.run_until_software_done" in names
+
+    def test_model_build_and_system_compile_are_timed(self):
+        TELEMETRY.enable()
+        system = generate_system(3)
+        session = CosimSession(system.build_model(), **system.cosim_params)
+        session.build()
+        [build] = TELEMETRY.tracer.spans(name="testkit.build_model")
+        [compiled] = TELEMETRY.tracer.spans(name="ir.compile_system")
+        [cosim] = TELEMETRY.tracer.spans(name="cosim.build")
+        assert build["cat"] == "testkit"
+        assert build["args"] == {"system": system.name}
+        assert compiled["cat"] == "ir"
+        assert compiled["args"] == {"system": session.model.name}
+        # The compile runs inside the session build.
+        assert cosim["ts_us"] <= compiled["ts_us"]
+        assert compiled["ts_us"] + compiled["dur_us"] \
+            <= cosim["ts_us"] + cosim["dur_us"]
 
     def test_rerun_counts_each_event_once(self):
         TELEMETRY.enable()

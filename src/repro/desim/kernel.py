@@ -16,7 +16,7 @@ Scheduling data structures
 --------------------------
 
 Per-delta work is proportional to *activity* (signals that changed, waits
-that matured), never to *population* (total processes registered).  Four
+that matured), never to *population* (total processes registered).  Three
 structures make that true:
 
 * ``_future`` — min-heap of ``(time, seq, signal, value)`` transactions.
@@ -27,8 +27,6 @@ structures make that true:
 * ``_waiters`` — per-signal lists of suspended waits (``wait on``), so a
   signal event wakes exactly its own waiters instead of scanning every
   suspended process.  Entries are lazily invalidated the same way.
-* ``_next_time_cache`` — memoised result of :meth:`_next_activity_time`,
-  recomputed only after a mutation of the heaps (``_next_time_dirty``).
 
 The invariant tying them together: a suspended process has exactly one
 live (``done == False``) wait; waking it — by signal or by deadline,
@@ -50,9 +48,6 @@ from repro.desim.signal import ForceValue, ReleaseValue, Signal
 from repro.desim.simtime import check_delay, format_time
 from repro.obs import DEPTH_BUCKETS, TELEMETRY
 from repro.utils.errors import SimulationError
-
-#: Force/release payloads: a queued one is never a no-op write.
-_CONTROLS = (ForceValue, ReleaseValue)
 
 
 class _KernelObs:
@@ -249,9 +244,6 @@ class Simulator:
         # id(signal) -> count of done entries still in its waiter list;
         # drives compaction once half a list is dead.
         self._waiter_stale = {}
-        # Memoised _next_activity_time; recomputed when a heap mutates.
-        self._next_time_cache = None
-        self._next_time_dirty = True
         self._started = False
         self._in_run = False
         # Telemetry binding for the current run (None = disabled fast path).
@@ -409,7 +401,6 @@ class Simulator:
             heapq.heappush(
                 self._future, (self.now + delay, next(self._seq), signal, value)
             )
-            self._next_time_dirty = True
 
     # ---------------------------------------------------------- race detection
 
@@ -421,7 +412,7 @@ class Simulator:
         process (a testbench ``poke`` between runs) are attributed to
         ``"<external>"``.
         """
-        if isinstance(value, _CONTROLS):
+        if isinstance(value, (ForceValue, ReleaseValue)):
             return
         self._delta_writes.append(
             (signal, self._current_writer or "<external>"))
@@ -530,22 +521,14 @@ class Simulator:
         or before ``now``, reachable when activity is injected between two
         :meth:`run` calls) report ``self.now``: they are due immediately
         and must not be mistaken for "no activity", which would stall
-        :meth:`run`.  The result is memoised until a heap mutates.
+        :meth:`run`.
         """
         if self._delta_queue:
             return self.now
-        if self._next_time_dirty:
-            future = self._future[0][0] if self._future else None
-            deadline = self._peek_deadline()
-            if future is None:
-                earliest = deadline
-            elif deadline is None or future < deadline:
-                earliest = future
-            else:
-                earliest = deadline
-            self._next_time_cache = earliest
-            self._next_time_dirty = False
-        earliest = self._next_time_cache
+        earliest = self._peek_deadline()
+        if self._future and (earliest is None
+                             or self._future[0][0] < earliest):
+            earliest = self._future[0][0]
         if earliest is None:
             return None
         return self.now if earliest <= self.now else earliest
@@ -563,13 +546,9 @@ class Simulator:
 
     def _begin_time_point(self):
         """Move matured future transactions into the delta queue."""
-        moved = False
         while self._future and self._future[0][0] <= self.now:
             _, _, signal, value = heapq.heappop(self._future)
             self._delta_queue.append((signal, value))
-            moved = True
-        if moved:
-            self._next_time_dirty = True
 
     def _lone_clock_wait(self, now):
         """The clock wait that is the only activity due at *now*, or None.
@@ -610,14 +589,9 @@ class Simulator:
         step's falling-edge effect is its ``process_runs`` compensation)
         and hand staged writes to :meth:`_drain_deltas` from delta 2.  A
         forced clock, a generator waiting on it or a ``max_deltas`` below 2
-        (which delta 1 exceeds) takes the generic delta 1 instead.  Delta 2
-        is dropped (its queue cleared) when it would change nothing: with
-        telemetry unbound, no deadline due at ``now``, and every queued
-        write a plain value equal to its unforced signal's current value.
-        The generic loop counts no delta for such a queue and transactions
-        were counted at write time.
+        (which delta 1 exceeds) takes the generic delta 1 instead.
         Statistics, run counts and snapshots match the generic path
-        exactly; nothing here reads the ``_next_time_cache`` memo.
+        exactly.
 
         With a steady-state probe, telemetry unbound and an *until*, a
         rising edge may first skip whole periods (:meth:`_steady_period`).
@@ -626,7 +600,6 @@ class Simulator:
         wait = self._lone_clock_wait(now)
         if wait is None:
             return False
-        self._next_time_dirty = True
         process = wait.process
         signal, half = process._clock
         key = id(signal)
@@ -689,17 +662,7 @@ class Simulator:
                 signal.event = False
                 self.delta = 2
                 statistics["delta_cycles"] += 1
-                queue = self._delta_queue
-                if queue and obs is None and heap[0][0] > now:
-                    # A delta 2 that only re-writes held values: drop it.
-                    for target, value in queue:
-                        if (target._forced is not None
-                                or type(value) in _CONTROLS
-                                or not value == target._value):
-                            break
-                    else:
-                        queue.clear()
-                if queue:
+                if self._delta_queue:
                     self._drain_deltas(2)
                 elif obs is not None:
                     obs.delta_depth.observe(0)
@@ -818,7 +781,6 @@ class Simulator:
             expired.append(wait.process)
         if expired:
             self.statistics["timeouts"] += len(expired)
-            self._next_time_dirty = True
         return expired
 
     def _wake(self, wait):
@@ -938,17 +900,6 @@ class Simulator:
         value while the signal is appended only once).
         """
         queue, self._delta_queue = self._delta_queue, []
-        if len(queue) == 1:
-            # Single-transaction delta (every clock-toggle delta): no
-            # dedup pass needed, and the _staged flag never moves.
-            signal, value = queue[0]
-            signal.stage(value)
-            if signal.apply_pending(self.now):
-                if self.recorders and signal.name in self.signals:
-                    for recorder in self.recorders:
-                        recorder.record(self.now, signal)
-                return [signal]
-            return []
         staged = []
         for signal, value in queue:
             if not signal._staged:
@@ -975,26 +926,10 @@ class Simulator:
         index; suspended generators come from the per-signal ``_waiters``
         lists, which are popped wholesale (their live entries wake, their
         stale entries drop).  Nothing here iterates over the full process
-        population, and the dominant single-changed-signal delta (a clock
-        edge) collects its runnables with one dict-values copy — no dedup
-        set, no per-process lookups.
+        population.
         """
         sensitivity = self._sensitivity
         waiters_index = self._waiters
-        if len(changed) == 1:
-            signal = changed[0]
-            procs = sensitivity.get(signal.name)
-            runnable = list(procs.values()) if procs else []
-            waiters = waiters_index.pop(id(signal), None)
-            if waiters:
-                self._waiter_stale.pop(id(signal), None)
-                for wait in waiters:
-                    if wait.done:
-                        continue
-                    self._wake(wait)
-                    runnable.append(wait.process)
-                self._next_time_dirty = True
-            return runnable
         runnable = []
         picked = set()
         for signal in changed:
@@ -1012,7 +947,6 @@ class Simulator:
                         continue
                     self._wake(wait)
                     runnable.append(wait.process)
-                self._next_time_dirty = True
         return runnable
 
     def _run_processes(self, runnable):
@@ -1095,7 +1029,6 @@ class Simulator:
             wait = _GenWait(process, resume_at=resume_at, seq=seq)
             process._timer_wait = wait
         heapq.heappush(self._timeout_heap, (resume_at, seq, wait))
-        self._next_time_dirty = True
 
     def _register_wait(self, wait):
         """Index a wait under its signals and, with a deadline, on the heap."""
@@ -1105,7 +1038,6 @@ class Simulator:
             heapq.heappush(
                 self._timeout_heap, (wait.resume_at, wait.seq, wait)
             )
-            self._next_time_dirty = True
 
     # ------------------------------------------------------- snapshot/restore
 
@@ -1276,8 +1208,6 @@ class Simulator:
             )
             self._register_wait(wait)
         self._seq = itertools.count(pending["seq_next"])
-        self._next_time_cache = None
-        self._next_time_dirty = True
 
     # ---------------------------------------------------------------- helpers
 

@@ -10,17 +10,22 @@ identical observables: values, waveforms, run counts, statistics,
 snapshots and co-simulation fingerprints.
 """
 
+import functools
+import operator
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import CLOCK_BURST_SLICES, build_clock_burst
 from repro.cosim import CosimSession
 from repro.desim import (
+    Delta,
     ForceValue,
     Monitor,
     ReferenceSimulator,
     ReleaseValue,
+    SignalChange,
     SimulationError,
     Simulator,
     Timeout,
@@ -74,7 +79,9 @@ def build_clocked(sim, generic=False):
 def fingerprint(sim, recorder):
     return {
         "now": sim.now,
-        "values": {name: signal.value for name, signal in sim.signals.items()},
+        # Value, change counters, force and the shadow a release restores.
+        "values": {name: signal.capture_state()
+                   for name, signal in sim.signals.items()},
         "run_counts": {name: process.run_count
                        for name, process in sim.processes.items()},
         "statistics": dict(sim.statistics),
@@ -221,7 +228,7 @@ class TestClockBurst:
         # The scenario exercises every interruption of a quiet stretch.
         tags = {entry[2] for entry in burst["log"]}
         assert tags == {"clk", "watch", "late", "soft"}
-        assert burst["fingerprint"]["values"]["late_data"] > 0
+        assert burst["fingerprint"]["values"]["late_data"]["value"] > 0
         assert burst["fingerprint"]["waveform"]["mark"]
         assert burst["edges"] == BURST_FAST_EDGES
         assert generic["edges"][-1] == reference["edges"][-1] == 0
@@ -358,26 +365,9 @@ def build_mixed_queue(sim, log):
     return sim.add_recorder(WaveformRecorder())
 
 
-class TestNoOpDelta2:
-    """The fast path drops a delta 2 that only re-writes held values, and
-    refuses to for anything else."""
-
-    def test_held_value_writes_drain_no_delta_2(self, monkeypatch):
-        _on_three_kernels(build_forced_echo, [(500, None)])
-        drains = []
-        drain = Simulator._drain_deltas
-
-        def counting(self, delta=0):
-            drains.append(delta)
-            return drain(self, delta)
-
-        monkeypatch.setattr(Simulator, "_drain_deltas", counting)
-        sim = Simulator()
-        build_forced_echo(sim, [])
-        sim.run(until=500)
-        assert sim.clock_fast_edges == 100
-        assert sim.statistics["transactions"] == 101 + 51  # clock + echoes
-        assert 2 not in drains
+class TestClockedWritesAfterTheEdge:
+    """Writes a clocked process stages at an edge — held values, force and
+    release — take effect exactly as on the generic path."""
 
     def test_forced_signal_write_is_shadowed_for_release(self):
         # Forced to 7, the echo re-writes 7 on every edge: equal to the
@@ -398,6 +388,199 @@ class TestNoOpDelta2:
         fast, _ = _on_three_kernels(build_mixed_queue, [(1_000, None)])
         assert fast.signals["count"].value == 101  # rising edges 0..1000
         assert fast.signals["held"].change_count == 0
+
+
+#: Time after which every generated generator returns when it next runs;
+#: a network's last ``run`` ends well after it, in a stretch of lone
+#: clock edges, so the fast path is always taken somewhere.
+_QUIET_FROM = 200
+_DATA = ("s0", "s1", "s2")
+#: Held writes, forces and releases are drawn twice as often in both
+#: lists: a held write to a forced signal must still reach its shadow.
+_WRITE_KINDS = ("hold", "hold", "inc", "copy", "force", "release")
+_SCRIPT_VERBS = ("poke", "force", "force", "release", "release")
+
+
+@st.composite
+def _networks(draw):
+    """A random small process network and a script of ``run`` pieces.
+
+    ``clk`` (half period 2, 4 or 6: even edge times) drives clocked
+    processes that stage several writes per edge: held values, changed
+    values, copies and, on some edges, force and release.  ``aux`` has
+    odd edge times, so it never shares a time point with ``clk``.
+    Combinational processes copy a data signal into a later one, which
+    adds deltas after the clocked one.  Generators act, then wait on a
+    timeout, a signal (``clk`` included), a signal or a timeout, or a
+    delta; they write the time-dependent value ``now % 5`` so no wake
+    chain can loop.  Between the pieces of ``run(until)`` the script
+    pokes, forces or releases a signal, at once or after a delay.
+    """
+    signals = draw(st.lists(st.integers(0, 3), min_size=len(_DATA),
+                            max_size=len(_DATA)))
+    # Clocked processes and generators write s0 and s1; s2 is written
+    # only by combinational copies.
+    targets = st.sampled_from(_DATA[:2])
+    clocked = draw(st.lists(st.tuples(
+        st.sampled_from((1, 0, None)),  # rising, falling or every edge
+        st.lists(st.tuples(st.sampled_from(_WRITE_KINDS), targets,
+                           st.sampled_from(_DATA),
+                           st.integers(1, 4)),  # on every n-th edge
+                 min_size=1, max_size=3)), min_size=1, max_size=3))
+    combinational = draw(st.lists(
+        st.tuples(st.integers(0, 1), st.booleans(), st.booleans()),
+        max_size=2))
+    generators = draw(st.lists(st.tuples(
+        st.sampled_from(("timeout", "signal", "either", "delta")),
+        st.sampled_from(("clk",) + _DATA), st.integers(1, 15),
+        targets, st.integers(0, 7), st.booleans()), max_size=3))
+    cuts = sorted(draw(st.lists(st.integers(0, _QUIET_FROM), min_size=1,
+                                max_size=4)))
+    actions = draw(st.lists(st.tuples(
+        st.sampled_from(_SCRIPT_VERBS), st.sampled_from(("clk",) + _DATA),
+        st.integers(0, 3), st.integers(0, 9)), min_size=len(cuts),
+        max_size=len(cuts)))
+    network = {
+        "half": draw(st.sampled_from((2, 4, 6))),
+        "aux": (draw(st.sampled_from((4, 8, 12))),
+                draw(st.sampled_from((1, 3, 5)))),
+        "signals": signals, "clocked": clocked,
+        "combinational": combinational, "generators": generators,
+    }
+    script = list(zip(cuts, map(_script_action, actions)))
+    script.append((_QUIET_FROM + 100, None))
+    return network, script
+
+
+def _script_action(action):
+    verb, name, value, delay = action
+    if verb == "release":
+        return operator.methodcaller(verb, name, delay)
+    return operator.methodcaller(verb, name, value, delay)
+
+
+def build_network(network, sim, log):
+    """Register *network* (see :func:`_networks`) on *sim*."""
+    clk = sim.add_clock("clk", period=2 * network["half"])
+    period, start = network["aux"]
+    sim.add_clock("aux", period=period, start_delay=start)
+    data = [sim.add_signal(name, init=init)
+            for name, init in zip(_DATA, network["signals"])]
+    by_name = {**sim.signals}
+
+    def clocked(index, writes):
+        def step():
+            # The whole state, shadows included, as a snapshot would see it.
+            log.append((sim.now, sim.delta, f"c{index}",
+                        [signal.capture_state() for signal in data]))
+            edge = sim.now // network["half"]
+            for kind, name, source, every in writes:
+                target, other = by_name[name], by_name[source]
+                if edge % every:
+                    continue
+                if kind == "hold":
+                    sim.schedule(target, target.value, 0)
+                elif kind == "inc":
+                    sim.schedule(target, (target.value + 1) % 4, 0)
+                elif kind == "copy":
+                    sim.schedule(target, other.value, 0)
+                elif kind == "force":
+                    sim.schedule(target, ForceValue(other.value), 0)
+                else:
+                    sim.schedule(target, ReleaseValue(), 0)
+        return step
+
+    for index, (edge, writes) in enumerate(network["clocked"]):
+        step = clocked(index, writes)
+        if edge is None:
+            sim.add_process(f"c{index}", step, sensitivity=[clk],
+                            initial_run=False)
+        else:
+            sim.add_clocked_process(f"c{index}", step, clk, edge=edge)
+
+    def combinational(index, source, target, offset):
+        def copy():
+            log.append((sim.now, sim.delta, f"m{index}", source.value))
+            sim.schedule(target, (source.value + offset) % 5, 0)
+        return copy
+
+    for index, (src, last, initial) in enumerate(network["combinational"]):
+        source, target = data[src], data[-1 if last else src + 1]
+        sim.add_process(f"m{index}", combinational(index, source, target,
+                                                   index + 1),
+                        sensitivity=[source], initial_run=initial)
+
+    def generator(index, wait, watched, timeout, name, delay):
+        watched, target = by_name[watched], by_name[name]
+
+        def loop():
+            while sim.now < _QUIET_FROM:
+                log.append((sim.now, sim.delta, f"g{index}",
+                            watched.event))
+                sim.schedule(target, sim.now % 5, delay)
+                if wait == "timeout":
+                    yield Timeout(timeout)
+                elif wait == "signal":
+                    yield SignalChange(watched)
+                elif wait == "either":
+                    yield SignalChange(watched, timeout=timeout)
+                else:
+                    yield Delta() if sim.delta < 2 else Timeout(timeout)
+        return loop
+
+    for index, (wait, watched, timeout, name, delay, initial) in enumerate(
+            network["generators"]):
+        sim.add_process(f"g{index}", generator(index, wait, watched, timeout,
+                                               name, delay),
+                        first_wait=None if initial else Timeout(timeout),
+                        rearmable=True)
+    return sim.add_recorder(WaveformRecorder())
+
+
+def _run_script(sim, script):
+    for until, action in script:
+        sim.run(until=until)
+        if action is not None:
+            action(sim)
+
+
+class TestKernelDifferential:
+    """Random networks run alike on the fast path, the forced generic path
+    and the reference kernel, across a snapshot and restore."""
+
+    @given(case=_networks(), cut=st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_random_networks_agree(self, case, cut):
+        network, script = case
+        build = functools.partial(build_network, network)
+        _, expected = _on_three_kernels(build, script)
+        head, tail = script[:cut % len(script)], script[cut % len(script):]
+
+        runs = []
+        for generic in (False, True):
+            sim, log = Simulator(), []
+            recorder = build(sim, log)
+            if generic:
+                sim.add_monitor(_inert_monitor())
+            _run_script(sim, head)
+            runs.append((sim.snapshot(), recorder, log))
+        (snapshot, source_rec, source_log), (generic_snapshot, _, _) = runs
+        # Pickled: a queued ForceValue compares by identity.
+        assert pickle.dumps(snapshot) == pickle.dumps(generic_snapshot)
+
+        blob = pickle.dumps((snapshot, source_rec.capture_state()))
+        for factory in (Simulator, ReferenceSimulator):
+            target_log = []
+            target = factory()
+            target_rec = build(target, target_log)
+            snapshot, recorder_state = pickle.loads(blob)
+            target.restore(snapshot)
+            target_rec.restore_state(recorder_state)
+            _run_script(target, tail)
+            assert source_log + target_log == expected["log"]
+            observed = fingerprint(target, target_rec)
+            assert observed == {key: value for key, value in expected.items()
+                                if key != "log"}
 
 
 class TestDeltaLimit:

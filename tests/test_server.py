@@ -390,11 +390,19 @@ class TestHttpServer:
         TELEMETRY.enable()
         try:
             self._call(endpoint, "GET", "/jobs")
-            request = urllib.request.Request(endpoint + "/metrics/prometheus")
-            with urllib.request.urlopen(request, timeout=30) as response:
-                samples = parse_prometheus(response.read().decode())
-            routes = {labels.get("route") for name, labels, _ in samples
-                      if name == "repro_server_request_seconds_count"}
+            # The handler observes its latency after the response body is
+            # written, so a scrape sent straight away can precede it.
+            deadline = time.monotonic() + 30
+            while True:
+                request = urllib.request.Request(
+                    endpoint + "/metrics/prometheus")
+                with urllib.request.urlopen(request, timeout=30) as response:
+                    samples = parse_prometheus(response.read().decode())
+                routes = {labels.get("route") for name, labels, _ in samples
+                          if name == "repro_server_request_seconds_count"}
+                if "/jobs" in routes or time.monotonic() >= deadline:
+                    break
+                time.sleep(0.05)
             assert "/jobs" in routes
         finally:
             TELEMETRY.disable()

@@ -3,8 +3,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test sloc lint lint-smoke bench bench-kernel bench-quick bench-seed bench-cosim bench-cosim-seed bench-cosim-quick bench-cosim-check conformance conformance-quick conformance-differential conformance-coverage dse dse-quick sweep sweep-quick server server-smoke obs-smoke quickstart
 
+# A test running past 5 minutes dumps every thread's stack under its name.
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q -o faulthandler_timeout=300
 
 # Python line count of src/ (first line) and of each package under it: the
 # code size tracked next to the bench numbers.

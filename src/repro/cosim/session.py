@@ -426,12 +426,12 @@ class CosimSession:
 
     # -------------------------------------------------------------------- run
 
-    def run(self, until=None, max_time=None):
+    def run(self, until=None):
         """Build if needed, run the simulation and return a :class:`CosimResult`."""
         self.build()
         with TELEMETRY.span("cosim.run", cat="cosim", system=self.model.name,
                             kernel=self.kernel, tier=self.wired_tier):
-            end_time = self.simulator.run(until=until, max_time=max_time)
+            end_time = self.simulator.run(until=until)
         result = CosimResult(self, end_time)
         if TELEMETRY.enabled:
             self._obs_record(result)

@@ -193,10 +193,10 @@ class Simulator:
     kernel_name = "production"
 
     #: True when every matured deadline is discoverable from
-    #: ``_timeout_heap[0]`` — the precondition for the delta loop's
-    #: skip-``_expired_waits`` guard.  A subclass keeping deadlines in a
-    #: different structure (the reference kernel's flat wait list) must
-    #: set this False so the loop calls ``_expired_waits`` every delta.
+    #: ``_timeout_heap[0]`` — the precondition for the clock fast path of
+    #: :meth:`_clock_edges`.  A subclass keeping deadlines in a different
+    #: structure (the reference kernel's flat wait list) must set this
+    #: False, which keeps :meth:`run` off that path.
     deadlines_in_heap = True
 
     #: Fewest and most rising edges a failed steady-state probe waits
@@ -282,14 +282,6 @@ class Simulator:
             raise SimulationError(f"duplicate signal name {name!r}")
         signal = Signal(name, init=init, dtype=dtype)
         self.signals[name] = signal
-        self._announce_signal(signal)
-        return signal
-
-    def register_signal(self, signal):
-        """Register an externally created signal (e.g. a ResolvedSignal)."""
-        if signal.name in self.signals:
-            raise SimulationError(f"duplicate signal name {signal.name!r}")
-        self.signals[signal.name] = signal
         self._announce_signal(signal)
         return signal
 
@@ -461,16 +453,14 @@ class Simulator:
         self._run_processes(runnable)
         self._drain_deltas()
 
-    def run(self, until=None, max_time=None):
+    def run(self, until=None):
         """Run the simulation.
 
-        *until* (alias *max_time*) is an absolute stop time in nanoseconds;
-        when omitted the simulation runs until no activity remains.  A stop
-        time before ``now`` raises :class:`SimulationError`: simulated time
-        never moves backwards.  Returns the simulation time reached.
+        *until* is an absolute stop time in nanoseconds; when omitted the
+        simulation runs until no activity remains.  A stop time before
+        ``now`` raises :class:`SimulationError`: simulated time never moves
+        backwards.  Returns the simulation time reached.
         """
-        if until is None:
-            until = max_time
         if until is not None and until < self.now:
             raise SimulationError(
                 f"run(until={until}) is before the current time "
@@ -836,23 +826,8 @@ class Simulator:
         bound, each delta also samples the queue depths and times its
         update, wake and run phases.
         """
-        # Guarded phase dispatch: each phase call below is skipped when its
-        # input is visibly empty (no queued transactions, no changed
-        # signals, no matured deadline at the heap top).  The skipped calls
-        # are no-ops by construction — ``_update_phase`` on an empty queue
-        # returns ``[]``, ``_collect_runnable`` of no changes collects
-        # nothing, ``_expired_waits`` past the guard wakes nothing — so
-        # observables and statistics are bit-identical; only the terminating
-        # empty delta of every time point (and the apply-only delta of every
-        # clock edge) gets cheaper.  A ``done`` wait surfacing at the heap
-        # top with a future deadline is left for a later guard pass to
-        # discard — the same lazy-invalidation contract ``_peek_deadline``
-        # already implements.  Kernels without ``deadlines_in_heap`` opt out
-        # of the deadline guard.
         self.delta = delta
         statistics = self.statistics
-        now = self.now
-        guard_deadlines = self.deadlines_in_heap
         obs = self._obs
         while True:
             if self._delta_writes:
@@ -861,20 +836,16 @@ class Simulator:
                 obs.delta_depth.observe(len(self._delta_queue))
                 obs.timeout_depth.observe(self._obs_timeout_depth())
                 begin = time.perf_counter()
-            changed = self._update_phase() if self._delta_queue else ()
+            changed = self._update_phase()
             if obs is not None:
                 updated = time.perf_counter()
-            runnable = self._collect_runnable(changed) if changed else []
-            heap = self._timeout_heap
-            if not guard_deadlines or heap and heap[0][0] <= now:
-                expired = self._expired_waits()
-                if expired:
-                    runnable.extend(expired)
+            runnable = self._collect_runnable(changed)
+            runnable.extend(self._expired_waits())
             if obs is not None:
                 woken = time.perf_counter()
                 obs.update_s.inc(updated - begin)
                 obs.wake_s.inc(woken - updated)
-            if not changed and not runnable and not self._delta_queue:
+            if not changed and not runnable:
                 break
             self._run_processes(runnable)
             if obs is not None:
@@ -952,12 +923,9 @@ class Simulator:
     def _run_processes(self, runnable):
         """Run every process in *runnable*, re-suspending generators.
 
-        This is the innermost kernel loop (one iteration per process run):
-        sensitivity-list processes — always runnable when their signal
-        fires, the dominant co-simulation shape — take a direct-call fast
-        path with no generator bookkeeping, and the run statistic is
-        accumulated locally and added once.  With telemetry bound, each run
-        is also timed into the profile (:meth:`_KernelObs.profile_run`).
+        Every process runs through :meth:`Process.step`; the run statistic
+        is accumulated locally and added once.  With telemetry bound, each
+        run is also timed into the profile (:meth:`_KernelObs.profile_run`).
         """
         if not runnable:
             return
@@ -973,13 +941,7 @@ class Simulator:
                 self._current_writer = process.name
             if obs is not None:
                 begin = time.perf_counter()
-            if process.is_generator:
-                condition = process.step()
-                if not process.finished:
-                    suspend(process, condition)
-            else:
-                process.run_count += 1
-                process.func()
+            suspend(process, process.step())
             if obs is not None:
                 obs.profile_run(process.name, time.perf_counter() - begin)
         if detect:
@@ -998,10 +960,11 @@ class Simulator:
             return
         seq = next(self._seq)
         if isinstance(condition, Timeout):
-            return self._park_timed(process, self.now + condition.delay, seq)
-        if isinstance(condition, Delta):
-            return self._park_timed(process, self.now, seq)
-        if isinstance(condition, SignalChange):
+            wait = _GenWait(process, resume_at=self.now + condition.delay,
+                            seq=seq)
+        elif isinstance(condition, Delta):
+            wait = _GenWait(process, resume_at=self.now, seq=seq)
+        elif isinstance(condition, SignalChange):
             resume_at = None
             if condition.timeout is not None:
                 resume_at = self.now + condition.timeout
@@ -1010,25 +973,6 @@ class Simulator:
         else:  # pragma: no cover - Process.step already validates
             raise SimulationError(f"unknown wait condition {condition!r}")
         self._register_wait(wait)
-
-    def _park_timed(self, process, resume_at, seq):
-        """Park *process* on a deadline-only wait (``Timeout`` / ``Delta``).
-
-        Signal-less waits can only be consumed by ``_expired_waits``, which
-        pops them off the heap before marking them done — so a ``done``
-        wait cached on the process is guaranteed to be out of every index
-        and is recycled instead of allocated.  A clock rearms through here
-        every edge; this is the hottest allocation site in the kernel.
-        """
-        wait = process._timer_wait
-        if wait is not None and wait.done:
-            wait.done = False
-            wait.resume_at = resume_at
-            wait.seq = seq
-        else:
-            wait = _GenWait(process, resume_at=resume_at, seq=seq)
-            process._timer_wait = wait
-        heapq.heappush(self._timeout_heap, (resume_at, seq, wait))
 
     def _register_wait(self, wait):
         """Index a wait under its signals and, with a deadline, on the heap."""

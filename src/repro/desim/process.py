@@ -80,9 +80,6 @@ class Process:
         self._gen = None
         self.finished = False
         self.run_count = 0
-        # Recyclable deadline-only wait (Timeout/Delta), owned by the
-        # kernel's _park_timed; reused only when consumed (done).
-        self._timer_wait = None
         # (signal, half period) when the kernel registered this process as
         # a free-running clock (Simulator.add_clock): its edges may then be
         # fired arithmetically instead of by stepping the generator.

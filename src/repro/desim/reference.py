@@ -55,8 +55,8 @@ class ReferenceSimulator(Simulator):
 
     kernel_name = "reference"
 
-    # Deadlines live in the flat wait list, not a heap: the delta loop's
-    # skip-_expired_waits guard would never fire, so opt out of it.
+    # Deadlines live in the flat wait list, not a heap, so the clock fast
+    # path (which finds the next edge at the heap top) is never taken.
     deadlines_in_heap = False
 
     def __init__(self, max_deltas=10_000, detect_races=False):

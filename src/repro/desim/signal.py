@@ -13,7 +13,6 @@ only kernel-owned state stored here is the ``_staged`` mark used to batch
 the update phase without a dedup set.
 """
 
-from repro.utils.errors import SimulationError
 from repro.utils.ids import check_identifier
 
 
@@ -36,13 +35,22 @@ class ForceValue:
     same-delta ``release + write`` unpins and then applies the write
     (the driver's latest intent supersedes the restored shadow).  Both
     kernels stage every queued value, so fault runs stay differentially
-    comparable.
+    comparable.  Two payloads are equal when their values are, so kernel
+    snapshots holding the same queued force compare equal.
     """
 
     __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
+
+    def __eq__(self, other):
+        if type(other) is not ForceValue:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        return hash((ForceValue, self.value))
 
     def __repr__(self):
         return f"ForceValue({self.value!r})"
@@ -53,10 +61,18 @@ class ReleaseValue:
 
     The signal resumes the most recent value its drivers tried to write
     during the force window (or the pre-force value when none did).
-    Releasing an unforced signal is a no-op.
+    Releasing an unforced signal is a no-op.  All releases are equal.
     """
 
     __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not ReleaseValue:
+            return NotImplemented
+        return True
+
+    def __hash__(self):
+        return hash(ReleaseValue)
 
     def __repr__(self):
         return "ReleaseValue()"
@@ -217,45 +233,3 @@ class Signal:
 
     def __repr__(self):
         return f"Signal({self.name}={self._value!r})"
-
-
-class ResolvedSignal(Signal):
-    """A signal with several drivers and an explicit resolution function.
-
-    The co-simulation backplane uses resolved signals for buses where both
-    the communication controller and an interface adapter may drive the same
-    wire.  *resolver* receives the list of driver contributions (excluding
-    ``None`` releases) and returns the resolved value.
-    """
-
-    def __init__(self, name, init=0, dtype=None, resolver=None):
-        super().__init__(name, init=init, dtype=dtype)
-        self._drivers = {}
-        self._resolver = resolver or self._default_resolver
-
-    @staticmethod
-    def _default_resolver(contributions):
-        if not contributions:
-            return 0
-        if len(set(contributions)) > 1:
-            raise SimulationError(
-                f"unresolved multiple drivers with values {contributions}"
-            )
-        return contributions[0]
-
-    def drive(self, driver_id, value):
-        """Record the contribution of *driver_id* and stage the resolution."""
-        if value is None:
-            self._drivers.pop(driver_id, None)
-        else:
-            self._drivers[driver_id] = value
-        self.stage(self._resolver(list(self._drivers.values())))
-
-    def capture_state(self):
-        state = super().capture_state()
-        state["drivers"] = dict(self._drivers)
-        return state
-
-    def restore_state(self, state):
-        super().restore_state(state)
-        self._drivers = dict(state["drivers"])

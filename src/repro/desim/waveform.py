@@ -86,9 +86,9 @@ class WaveformRecorder:
     def register(self, signal):
         """Announce a signal registered after :meth:`start`.
 
-        The kernel calls this for late ``add_signal``/``register_signal``
-        registrations so the recorder can pin the signal's true initial
-        value instead of assuming 0 in :meth:`value_at` and friends.
+        The kernel calls this for a late ``add_signal`` so the recorder
+        can pin the signal's true initial value instead of assuming 0 in
+        :meth:`value_at` and friends.
         """
         if self._filter is not None and signal.name not in self._filter:
             return

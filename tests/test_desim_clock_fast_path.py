@@ -390,6 +390,64 @@ class TestClockedWritesAfterTheEdge:
         assert fast.signals["held"].change_count == 0
 
 
+def build_activation_on_edges(sim, log):
+    """A clock, a software-like activation due on every rising edge, and a
+    generator re-parking on ``Delta()`` within one time point.
+
+    The activation's deadline shares each rising edge with the clock's, so
+    rising edges take the generic route through ``_run_processes`` while
+    the lone falling edges take the fast path.
+    """
+    period = 10
+    clk = sim.add_clock("clk", period=period)
+    count = sim.add_signal("count", init=0)
+    mark = sim.add_signal("mark", init=0)
+    echo = sim.add_signal("echo", init=0)
+    sim.add_clocked_process(
+        "counter", lambda: sim.schedule(count, count.value + 1, 0), clk)
+
+    def activation():
+        while True:
+            log.append((sim.now, sim.delta, "act", clk.value, count.value))
+            sim.schedule(mark, count.value % 3, 0)
+            yield Timeout(period)
+
+    sim.add_process("act", activation, first_wait=Timeout(period),
+                    rearmable=True)
+
+    def settle():
+        while True:
+            log.append((sim.now, sim.delta, "settle", mark.value))
+            sim.schedule(echo, (mark.value + sim.delta) % 4, 0)
+            yield Delta() if sim.delta < 3 else SignalChange(mark)
+
+    sim.add_process("settle", settle, first_wait=SignalChange(mark),
+                    rearmable=True)
+    return sim.add_recorder(WaveformRecorder())
+
+
+def _snapshot_restore(sim):
+    sim.restore(sim.snapshot())
+
+
+class TestTimedWaitsOnEdges:
+    # Cuts at a rising edge, between edges and at falling edges.
+    @pytest.mark.parametrize("cuts", [(130, 137), (125, 265)])
+    def test_activation_and_delta_waits_match_across_a_restore(self, cuts):
+        fast, observed = _on_three_kernels(build_activation_on_edges, [
+            *((cut, _snapshot_restore) for cut in cuts), (400, None),
+        ])
+        rising = range(10, 401, 10)
+        # Each activation runs in delta 0 of its rising edge, before the
+        # clock flips; the settler then re-parks on Delta() twice.
+        assert [entry[:2] for entry in observed["log"]
+                if entry[2] == "act"] == [(now, 0) for now in rising]
+        assert [entry[:2] for entry in observed["log"]
+                if entry[2] == "settle"] == [(now, delta) for now in rising
+                                             for delta in (1, 2, 3)]
+        assert fast.clock_fast_edges == len(rising)  # the falling edges
+
+
 #: Time after which every generated generator returns when it next runs;
 #: a network's last ``run`` ends well after it, in a stretch of lone
 #: clock edges, so the fast path is always taken somewhere.
@@ -565,8 +623,7 @@ class TestKernelDifferential:
             _run_script(sim, head)
             runs.append((sim.snapshot(), recorder, log))
         (snapshot, source_rec, source_log), (generic_snapshot, _, _) = runs
-        # Pickled: a queued ForceValue compares by identity.
-        assert pickle.dumps(snapshot) == pickle.dumps(generic_snapshot)
+        assert snapshot == generic_snapshot
 
         blob = pickle.dumps((snapshot, source_rec.capture_state()))
         for factory in (Simulator, ReferenceSimulator):

@@ -1,9 +1,9 @@
-"""Unit tests of signals and resolved signals."""
+"""Unit tests of signals."""
 
 import pytest
 
-from repro.desim.signal import ResolvedSignal, Signal
-from repro.utils.errors import SimulationError, ModelError
+from repro.desim.signal import ForceValue, ReleaseValue, Signal
+from repro.utils.errors import ModelError
 
 
 class TestSignal:
@@ -66,37 +66,12 @@ class TestSignal:
         assert signal.last_changed == 0
 
 
-class TestResolvedSignal:
-    def test_single_driver_behaves_like_plain_signal(self):
-        signal = ResolvedSignal("bus", init=0)
-        signal.drive("a", 4)
-        signal.apply_pending(now=0)
-        assert signal.value == 4
-
-    def test_conflicting_drivers_raise(self):
-        signal = ResolvedSignal("bus", init=0)
-        signal.drive("a", 1)
-        with pytest.raises(SimulationError):
-            signal.drive("b", 2)
-
-    def test_agreeing_drivers_resolve(self):
-        signal = ResolvedSignal("bus", init=0)
-        signal.drive("a", 7)
-        signal.drive("b", 7)
-        signal.apply_pending(now=0)
-        assert signal.value == 7
-
-    def test_releasing_a_driver_with_none(self):
-        signal = ResolvedSignal("bus", init=0)
-        signal.drive("a", 5)
-        signal.apply_pending(now=0)
-        signal.drive("a", None)
-        signal.apply_pending(now=1)
-        assert signal.value == 0, "no drivers left resolves to the default 0"
-
-    def test_custom_resolver(self):
-        signal = ResolvedSignal("wired_or", init=0, resolver=lambda vals: int(any(vals)))
-        signal.drive("a", 0)
-        signal.drive("b", 1)
-        signal.apply_pending(now=0)
-        assert signal.value == 1
+class TestForceReleasePayloads:
+    def test_compare_and_hash_by_value(self):
+        assert ForceValue(3) == ForceValue(3)
+        assert ForceValue(3) != ForceValue(4)
+        assert ForceValue(1) != 1
+        assert ReleaseValue() == ReleaseValue()
+        assert ReleaseValue() != ForceValue(None)
+        assert len({ForceValue(3), ForceValue(3), ReleaseValue(),
+                    ReleaseValue()}) == 2

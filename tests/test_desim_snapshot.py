@@ -197,6 +197,22 @@ class TestKernelSnapshotRestore:
         target.run(until=300)
         assert fingerprint(target, target_rec) == expected
 
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
+    def test_snapshots_holding_the_same_force_and_release_compare_equal(
+            self, kernel):
+        snapshots = []
+        for forced in (7, 7, 8):
+            sim, _ = build_network(kernel)
+            sim.run(until=100)
+            sim.force("data", forced)
+            sim.release("flag")
+            sim.force("acc", forced, 12)
+            snapshots.append(sim.snapshot())
+        same, again, other = snapshots
+        assert same == again
+        assert same != other
+        assert [name for name, _ in same["delta_queue"]] == ["data", "flag"]
+
     def test_snapshot_inside_a_process_is_refused(self):
         sim = create_simulator()
         sim.add_signal("sig", init=0)

@@ -116,29 +116,6 @@ class CommunicationUnit:
                 f"communication unit {self.name!r} has no port {name!r}"
             ) from None
 
-    def check_ports(self):
-        """Check that every port referenced by services/controller exists.
-
-        Returns a list of problems (empty when consistent).
-        """
-        problems = []
-        known = set(self.ports)
-        for service in self.services.values():
-            for port_name in service.ports_used():
-                if port_name not in known:
-                    problems.append(
-                        f"service {service.name!r} uses undeclared port {port_name!r}"
-                    )
-        for controller in self.controllers:
-            controller_ports = set(controller.fsm.read_ports()) | set(
-                controller.fsm.written_ports()
-            )
-            for port_name in sorted(controller_ports - known):
-                problems.append(
-                    f"controller {controller.name!r} uses undeclared port {port_name!r}"
-                )
-        return problems
-
     def __repr__(self):
         return (
             f"CommunicationUnit({self.name}, ports={len(self.ports)}, "

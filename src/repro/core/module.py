@@ -22,12 +22,9 @@ class Module:
 
     def services_used(self):
         """Distinct service names called by any behaviour of the module."""
-        names = []
-        for fsm in self.behaviours():
-            for service in fsm.service_calls():
-                if service not in names:
-                    names.append(service)
-        return names
+        return list(dict.fromkeys(
+            service for fsm in self.behaviours() for service in fsm.services_called
+        ))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"

@@ -87,11 +87,7 @@ class Service:
 
     def ports_used(self):
         """Names of the communication-unit ports the service touches."""
-        used = []
-        for name in self.fsm.read_ports() + self.fsm.written_ports():
-            if name not in used:
-                used.append(name)
-        return used
+        return list(dict.fromkeys(self.fsm.ports_read + self.fsm.ports_written))
 
     def __repr__(self):
         return f"Service({self.name}, params={self.param_names}, interface={self.interface})"

@@ -128,26 +128,6 @@ class MultiViewLibrary:
             {view.platform for view in self._views.values() if view.platform}
         )
 
-    def missing_views(self, services, platforms=()):
-        """Report which views are absent for the given services.
-
-        For each service the HW and SW simulation views are always required;
-        one SW synthesis view is required per platform in *platforms*.
-        Returns a list of human-readable gap descriptions.
-        """
-        missing = []
-        for service in services:
-            if not self.has(service, ViewKind.HW):
-                missing.append(f"{service}: missing HW view")
-            if not self.has(service, ViewKind.SW_SIM):
-                missing.append(f"{service}: missing SW simulation view")
-            for platform in platforms:
-                if not self.has(service, ViewKind.SW_SYNTH, platform):
-                    missing.append(
-                        f"{service}: missing SW synthesis view for platform {platform}"
-                    )
-        return missing
-
     def merge(self, other):
         """Add every view of *other* into this library (duplicates rejected)."""
         for view in other._views.values():

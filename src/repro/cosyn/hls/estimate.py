@@ -33,9 +33,6 @@ class AreaTimingEstimate:
             return None
         return 1e9 / self.critical_path_ns
 
-    def min_clock_ns(self):
-        return self.critical_path_ns
-
     def fits(self, device):
         return device.fits(self.clbs_total, self.flip_flops)
 

@@ -45,9 +45,6 @@ class Schedule:
     def operations_in_step(self, step):
         return [op for op in self.dfg.operations if self.assignment[op.op_id] == step]
 
-    def step_of(self, op_id):
-        return self.assignment[op_id]
-
     def fu_usage(self):
         """Maximum number of simultaneously busy units per class."""
         usage = {}

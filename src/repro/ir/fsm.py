@@ -14,8 +14,8 @@ The classes below capture that structure.
 """
 
 from repro.ir.dtypes import DataType
-from repro.ir.expr import wrap
-from repro.ir.stmt import Stmt
+from repro.ir.expr import PortRef, Var, wrap
+from repro.ir.stmt import Assign, If, Nop, PortWrite, Stmt
 from repro.utils.errors import ModelError
 from repro.utils.ids import check_identifier
 
@@ -102,16 +102,24 @@ class State:
             if not isinstance(transition, Transition):
                 raise ModelError(f"state {name!r}: {transition!r} is not a Transition")
 
-    def add_transition(self, transition):
-        self.transitions.append(transition)
-        return transition
-
     def __repr__(self):
         return f"State({self.name}, actions={len(self.actions)}, transitions={len(self.transitions)})"
 
 
 class Fsm:
     """A complete finite-state machine.
+
+    An ``Fsm`` is immutable once built: nothing may change its states,
+    transitions, statements or variables afterwards.  The names it uses are
+    found in one walk at construction and kept as plain attributes:
+
+    * ``vars_read`` / ``vars_written`` — variable names, sorted; a service
+      call's ``store`` counts as written;
+    * ``ports_read`` / ``ports_written`` — port names in first-use order;
+    * ``services_called`` — service names in first-call order.
+
+    Lint, the fusion plan and the module/service queries read these, and
+    the lint memo keyed on FSM identity relies on the same rule.
 
     Parameters
     ----------
@@ -170,6 +178,8 @@ class Fsm:
             raise ModelError(
                 f"FSM {name!r}: result variable {self.result_var!r} is not declared"
             )
+        (self.vars_read, self.vars_written, self.ports_read,
+         self.ports_written, self.services_called) = _names(self)
 
     # ------------------------------------------------------------------ query
 
@@ -184,33 +194,6 @@ class Fsm:
         for name in self.state_order:
             yield self.states[name]
 
-    def service_calls(self):
-        """Return the distinct service names invoked by this FSM."""
-        names = []
-        for state in self.iter_states():
-            for transition in state.transitions:
-                if transition.call and transition.call.service not in names:
-                    names.append(transition.call.service)
-        return names
-
-    def written_ports(self):
-        """Names of ports written by any statement of the FSM."""
-        from repro.ir.visitor import iter_statements
-        names = []
-        for stmt in iter_statements(self):
-            if type(stmt).__name__ == "PortWrite" and stmt.port_name not in names:
-                names.append(stmt.port_name)
-        return names
-
-    def read_ports(self):
-        """Names of ports read by any expression of the FSM."""
-        from repro.ir.visitor import iter_expressions
-        names = []
-        for expr in iter_expressions(self):
-            if type(expr).__name__ == "PortRef" and expr.port_name not in names:
-                names.append(expr.port_name)
-        return names
-
     def __repr__(self):
         return f"Fsm({self.name}, states={len(self.states)}, initial={self.initial})"
 
@@ -221,3 +204,53 @@ def _check_stmts(statements):
         if not isinstance(statement, Stmt):
             raise ModelError(f"{statement!r} is not an IR statement")
     return statements
+
+
+def _names(fsm):
+    """Walk *fsm* once: the names it reads, writes and calls.
+
+    Expressions are visited in the order state actions, then each
+    transition's guard, actions and call arguments; that order fixes the
+    first-use order of the port and service tuples.
+    """
+    vars_read, vars_written = set(), set()
+    ports_read, ports_written, services = {}, {}, {}
+
+    def expr(node):
+        if isinstance(node, Var):
+            vars_read.add(node.name)
+        elif isinstance(node, PortRef):
+            ports_read.setdefault(node.port_name)
+        for child in node.children():
+            expr(child)
+
+    def stmts(statements):
+        for stmt in statements:
+            if isinstance(stmt, Assign):
+                vars_written.add(stmt.target)
+                expr(stmt.expr)
+            elif isinstance(stmt, PortWrite):
+                ports_written.setdefault(stmt.port_name)
+                expr(stmt.expr)
+            elif isinstance(stmt, If):
+                expr(stmt.cond)
+                stmts(stmt.then)
+                stmts(stmt.orelse)
+            elif not isinstance(stmt, Nop):
+                raise ModelError(f"FSM {fsm.name!r}: {stmt!r} is not an IR statement")
+
+    for state in fsm.iter_states():
+        stmts(state.actions)
+        for transition in state.transitions:
+            if transition.guard is not None:
+                expr(transition.guard)
+            stmts(transition.actions)
+            call = transition.call
+            if call is not None:
+                services.setdefault(call.service)
+                for arg in call.args:
+                    expr(arg)
+                if call.store:
+                    vars_written.add(call.store)
+    return (tuple(sorted(vars_read)), tuple(sorted(vars_written)),
+            tuple(ports_read), tuple(ports_written), tuple(services))

@@ -69,7 +69,6 @@ import weakref
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import StepResult, _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
-from repro.ir.visitor import variables_read
 from repro.obs import TELEMETRY
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
@@ -133,7 +132,7 @@ class _Candidate:
         self.available = available  # port names wired to a signal
         self.sig_kind = sig_kind    # "unit" | "module"
         self.has_handler = has_handler
-        self.env_reads = tuple(variables_read(fsm))  # sorted
+        self.env_reads = fsm.vars_read  # sorted
 
     @property
     def label(self):

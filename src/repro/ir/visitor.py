@@ -1,6 +1,5 @@
 """Generic traversal helpers over FSMs, statements and expressions."""
 
-from repro.ir.expr import Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 
 
@@ -67,53 +66,3 @@ def iter_expressions(fsm):
     """Yield every expression of *fsm*: actions, guards and call arguments."""
     for state in fsm.iter_states():
         yield from iter_state_expressions(state)
-
-
-def variables_read(fsm):
-    """Names of variables read anywhere in the FSM, sorted.
-
-    Walks what :func:`iter_expressions` yields directly, without its
-    generator frames: it runs once per fused FSM, twice per linted one.
-    """
-    names = set()
-
-    def expr(node):
-        if isinstance(node, Var):
-            names.add(node.name)
-        for child in node.children():
-            expr(child)
-
-    def stmts(statements):
-        for stmt in statements:
-            if isinstance(stmt, If):
-                expr(stmt.cond)
-                stmts(stmt.then)
-                stmts(stmt.orelse)
-            elif isinstance(stmt, (Assign, PortWrite)):
-                expr(stmt.expr)
-            elif not isinstance(stmt, Nop):
-                raise TypeError(f"unknown statement {stmt!r}")
-
-    for state in fsm.iter_states():
-        stmts(state.actions)
-        for transition in state.transitions:
-            if transition.guard is not None:
-                expr(transition.guard)
-            stmts(transition.actions)
-            if transition.call is not None:
-                for arg in transition.call.args:
-                    expr(arg)
-    return sorted(names)
-
-
-def variables_written(fsm):
-    """Names of variables assigned anywhere in the FSM."""
-    names = set()
-    for stmt in iter_statements(fsm):
-        if isinstance(stmt, Assign):
-            names.add(stmt.target)
-    for state in fsm.iter_states():
-        for transition in state.transitions:
-            if transition.call is not None and transition.call.store:
-                names.add(transition.call.store)
-    return sorted(names)

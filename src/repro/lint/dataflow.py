@@ -12,7 +12,7 @@ Two families:
 
 from repro.ir.stmt import Assign, If, PortWrite
 from repro.ir.transform import reachable_states
-from repro.ir.visitor import iter_expr_tree, variables_read, variables_written
+from repro.ir.visitor import iter_expr_tree
 from repro.ir.expr import Var
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.intervals import (
@@ -39,10 +39,10 @@ def structural_pass(fsm, path, report):
         emit("FSM002", "warning", f"{path}/{name}",
              f"state {name!r} is unreachable from {fsm.initial!r}")
     declared = set(fsm.variables)
-    for name in sorted(set(variables_read(fsm)) - declared):
+    for name in sorted(set(fsm.vars_read) - declared):
         emit("FSM004", "error", path,
              f"variable {name!r} is read but never declared")
-    for name in sorted(set(variables_written(fsm)) - declared):
+    for name in sorted(set(fsm.vars_written) - declared):
         emit("FSM005", "error", path,
              f"variable {name!r} is written but never declared")
     for state in fsm.iter_states():
@@ -145,9 +145,8 @@ def use_before_init_pass(fsm, path, report, pre_assigned=()):
 
 def dead_store_pass(fsm, path, report, pre_assigned=()):
     """DF002: declared variables that are written but never read."""
-    read = set(variables_read(fsm))
-    written = set(variables_written(fsm)) & set(fsm.variables)
-    dead = written - read - {fsm.result_var} - set(pre_assigned)
+    written = set(fsm.vars_written) & set(fsm.variables)
+    dead = written - set(fsm.vars_read) - {fsm.result_var} - set(pre_assigned)
     for name in sorted(dead):
         report.add(Diagnostic(
             "DF002", "warning", f"{path}/{name}",

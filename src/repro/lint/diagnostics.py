@@ -14,7 +14,6 @@ They can be passed to the engine directly or attached to model objects
 attribute.
 """
 
-import json
 
 #: Severity names, ordered from least to most severe.
 SEVERITIES = ("info", "warning", "error")
@@ -200,9 +199,6 @@ class LintReport:
             tail += f", {len(self.suppressed)} suppressed"
         lines.append(tail)
         return "\n".join(lines)
-
-    def render_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=False)
 
     def __len__(self):
         return len(self.diagnostics)

@@ -15,7 +15,8 @@ gate of ``compile_system`` — all read this one memo, so a job lints its
 model once.  Below it, the structural stage takes each module FSM's and
 each communication unit's findings from a memo keyed on that object, so
 models that share them (a DSE front's repartitionings) check each once
-and re-run only their own binding pass and the FSM006 check.
+and re-run only their own binding pass and the FSM006 check.  Keying on
+an FSM is sound because an ``Fsm`` is immutable once built.
 """
 
 import weakref
@@ -100,8 +101,9 @@ def _memo_pass(item, path, run, report):
 
     Repartitioned models (one per DSE front winner) share their FSMs and
     communication units, so each is checked once however many models
-    hold it.  Like :func:`memo_report`, this assumes an FSM or unit is
-    not mutated once linted.
+    hold it.  An ``Fsm`` is immutable once built; like
+    :func:`memo_report`, this also assumes a unit is not changed once
+    linted.
     """
     by_path = _PASSES.get(item)
     if by_path is None:

@@ -50,10 +50,8 @@ def unit_port_pass(unit, report):
                     data={"port": port_name},
                 ))
     for controller in unit.controllers:
-        controller_ports = set(controller.fsm.read_ports()) | set(
-            controller.fsm.written_ports()
-        )
-        for port_name in sorted(controller_ports - known):
+        fsm = controller.fsm
+        for port_name in sorted(set(fsm.ports_read + fsm.ports_written) - known):
             report.add(Diagnostic(
                 "IF008", "error", f"unit/{unit.name}/controller/{controller.name}",
                 f"controller {controller.name!r} uses undeclared port "

@@ -44,16 +44,13 @@ def collect_write_contexts(model):
     port)`` for communication-unit ports, ``("module", name, port)`` for
     module ports and internal signals.
     """
-    service_writes = {}
-    for unit_name, unit in model.comm_units.items():
-        for service in unit.services.values():
-            service_writes[(unit_name, service.name)] = tuple(
-                service.fsm.written_ports()
-            )
+    service_writes = {(unit_name, service.name): service.fsm.ports_written
+                      for unit_name, unit in model.comm_units.items()
+                      for service in unit.services.values()}
 
     def called_service_writes(module_name, fsm):
         targets = set()
-        for service_name in fsm.service_calls():
+        for service_name in fsm.services_called:
             binding = model.binding_for(module_name, service_name)
             if binding is None:
                 continue  # IF001's business
@@ -68,12 +65,12 @@ def collect_write_contexts(model):
                 "path": f"unit/{unit_name}/controller/{controller.name}",
                 "group": "clocked",
                 "writes": {("unit", unit_name, port)
-                           for port in controller.fsm.written_ports()},
+                           for port in controller.fsm.ports_written},
             })
     for module in model.hardware_modules():
         for fsm in module.behaviours():
             writes = {("module", module.name, port)
-                      for port in fsm.written_ports()}
+                      for port in fsm.ports_written}
             writes |= called_service_writes(module.name, fsm)
             contexts.append({
                 "path": f"module/{module.name}/process/{fsm.name}",
@@ -82,7 +79,7 @@ def collect_write_contexts(model):
             })
     for module in model.software_modules():
         writes = {("module", module.name, port)
-                  for port in module.fsm.written_ports()}
+                  for port in module.fsm.ports_written}
         writes |= called_service_writes(module.name, module.fsm)
         contexts.append({
             "path": f"module/{module.name}",

@@ -18,7 +18,7 @@ one line; the CI lint-smoke job gates on it.
 
 from repro.comm import handshake_channel
 from repro.core import HardwareModule, SoftwareModule, SystemModel
-from repro.core.comm_unit import CommunicationUnit
+from repro.core.comm_unit import CommunicationController, CommunicationUnit
 from repro.core.service import Service
 from repro.ir import INT, Assign, FsmBuilder, var
 from repro.ir.dtypes import word_type
@@ -143,6 +143,45 @@ def build_false_guard_model():
                                  build.build(initial="Send"))
 
 
+def build_undeclared_read_model():
+    """A call argument reading a variable nothing declares (FSM004)."""
+    build = FsmBuilder("PROD")
+    with build.state("Send") as state:
+        state.call("Put", args=[var("VALUE")], then="Send")
+    return _single_network_model("UndeclaredReadMutant",
+                                 build.build(initial="Send"))
+
+
+def build_dead_store_model():
+    """A declared variable written on every send and never read (DF002)."""
+    build = FsmBuilder("PROD")
+    build.variable("VALUE", word_type(16), 1)
+    build.variable("SENT", INT, 0)
+    with build.state("Send") as state:
+        state.call("Put", args=[var("VALUE")], then="Send",
+                   actions=[Assign("SENT", 1)])
+    return _single_network_model("DeadStoreMutant", build.build(initial="Send"))
+
+
+def build_undeclared_port_model():
+    """A second controller strobing a port its unit never declares (IF008)."""
+    build = FsmBuilder("ROGUE")
+    with build.state("Run") as state:
+        state.stay(actions=[PortWrite("NT_STROBE", 1)])
+    rogue = CommunicationController("Rogue", build.build(initial="Run"))
+    channel = handshake_channel("Net", put_name="Put", get_name="Get",
+                                prefix="NT")
+    unit = CommunicationUnit("Net", ports=channel.ports.values(),
+                             services=channel.services.values(),
+                             controllers=channel.controllers + [rogue])
+    model = SystemModel("UndeclaredPortMutant")
+    model.add_comm_unit(unit)
+    model.add_software_module(
+        SoftwareModule("Cons", _consumer_fsm("CONS", "Get")))
+    model.bind("Cons", "Get", "Net")
+    return model
+
+
 def build_bad_protocol_model():
     """A get service acknowledging without waiting for data (PROTO002).
 
@@ -182,6 +221,9 @@ MUTANTS = {
     "shadowed": (build_shadowed_model, "DF004"),
     "false-guard": (build_false_guard_model, "DF003"),
     "bad-protocol": (build_bad_protocol_model, "PROTO002"),
+    "undeclared-read": (build_undeclared_read_model, "FSM004"),
+    "dead-store": (build_dead_store_model, "DF002"),
+    "undeclared-port": (build_undeclared_port_model, "IF008"),
 }
 
 

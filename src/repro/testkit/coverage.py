@@ -138,15 +138,6 @@ class CoverageMap:
             "calls": dict(self.call_pairs),
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        coverage = cls()
-        coverage.state_visits = dict(data["states"])
-        coverage.edges = dict(data["edges"])
-        coverage.phases = dict(data["phases"])
-        coverage.call_pairs = dict(data["calls"])
-        return coverage
-
     def to_json(self):
         """Byte-stable serialisation (same seed + mode → identical bytes)."""
         return canonical_json(self.as_dict())

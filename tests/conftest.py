@@ -14,6 +14,7 @@ from repro.ir import FsmBuilder, Assign, PortWrite, var, port, INT
 from repro.ir.compile import compile_fsm
 from repro.ir.interp import StepResult
 from repro.ir.dtypes import word_type
+from repro.lint import lint_model
 from repro.desim import SignalChange, Timeout, WaveformRecorder
 
 
@@ -102,6 +103,13 @@ def make_put_like_service(name="PUT", prefix=""):
     fsm = build.build(initial="INIT")
     return Service(name, fsm, params=[ServiceParam("REQUEST", data_type)],
                    interface="HostIf")
+
+
+def unit_port_findings(unit):
+    """IF008 diagnostics of a model holding only *unit*."""
+    model = SystemModel(f"{unit.name}Only")
+    model.add_comm_unit(unit)
+    return lint_model(model).by_rule("IF008")
 
 
 def make_host_module(words=5, start=10, name="HostMod", service="HostPut"):

@@ -7,10 +7,12 @@ from repro.apps.motor_controller import (
     MotorControllerConfig,
     RealTimeConstraints,
     build_session,
+    build_system,
     build_view_library_for,
     observables,
 )
 from repro.core.views import ViewKind
+from repro.lint import lint_model
 
 
 class TestMotorControllerCosimulation:
@@ -123,5 +125,6 @@ class TestViewLibraryForTheApplication:
             assert library.has("MotorPosition", ViewKind.SW_SYNTH, platform_name)
         # The HW/HW motor interface is never expanded for software targets.
         assert not library.has("SendMotorPulses", ViewKind.SW_SYNTH, "pc_at_fpga")
-        assert library.missing_views(["SetupControl", "ReadMotorState"],
-                                     platforms=["pc_at_fpga"]) == []
+        model, _ = build_system()
+        report = lint_model(model, library=library, platforms=list(platforms))
+        assert not [d for d in report.diagnostics if d.rule.startswith("VIEW")]

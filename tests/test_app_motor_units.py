@@ -23,6 +23,8 @@ from repro.lint import LintReport, lint_model
 from repro.lint.dataflow import structural_pass
 from repro.utils.errors import ModelError, SimulationError
 
+from tests.conftest import unit_port_findings
+
 
 def structural_findings(fsm):
     """FSM001–FSM005 findings on one behaviour."""
@@ -56,7 +58,7 @@ class TestCommUnits:
         assert distribution == {"SetupControl", "MotorPosition", "ReadMotorState"}
         assert speed_control == {"ReadMotorConstraints", "ReadMotorPosition",
                                  "ReturnMotorState"}
-        assert unit.check_ports() == []
+        assert unit_port_findings(unit) == []
         assert len(unit.controllers) == 2
 
     def test_sw_hw_unit_channels_have_expected_ports(self):
@@ -69,7 +71,7 @@ class TestCommUnits:
         unit = build_motor_unit()
         assert set(unit.services) == {"SendMotorPulses", "ReadSampledData"}
         assert set(unit.interfaces) == {MOTOR_INTERFACE}
-        assert unit.check_ports() == []
+        assert unit_port_findings(unit) == []
         assert "MOT_PULSE" in unit.ports and "MOT_DIR" in unit.ports
 
     def test_all_service_fsms_are_structurally_clean(self):

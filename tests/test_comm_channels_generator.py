@@ -13,23 +13,25 @@ from repro.core.views import ViewKind
 from repro.platforms import get_platform
 from repro.utils.errors import ViewError
 
+from tests.conftest import unit_port_findings
+
 
 class TestChannelFactories:
     def test_handshake_channel_is_consistent(self):
         unit = handshake_channel("Chan", put_name="P", get_name="G")
-        assert unit.check_ports() == []
+        assert unit_port_findings(unit) == []
         assert set(unit.services) == {"P", "G"}
         assert len(unit.controllers) == 1
 
     def test_fifo_channel_depth_and_consistency(self):
         unit = fifo_channel("Fifo", depth=3)
-        assert unit.check_ports() == []
+        assert unit_port_findings(unit) == []
         assert "depth 3" in unit.controller.description
 
     def test_shared_register_channel_has_no_controller(self):
         unit = shared_register_channel("Reg")
         assert unit.controllers == []
-        assert unit.check_ports() == []
+        assert unit_port_findings(unit) == []
 
     def test_prefix_normalisation(self):
         unit = handshake_channel("Chan", prefix="ABC")
@@ -61,7 +63,8 @@ class TestViewGeneration:
         assert sorted(library.services()) == ["G", "P", "R", "W"]
         # Two views (HW + SW_SIM) per service when no platforms are given.
         assert len(library) == 8
-        assert library.missing_views(["P", "G", "R", "W"]) == []
+        assert all(library.has(service, kind) for service in "PGRW"
+                   for kind in (ViewKind.HW, ViewKind.SW_SIM))
 
     def test_duplicate_service_name_across_units_rejected(self):
         units = [handshake_channel("A", put_name="P", get_name="G1"),

@@ -9,7 +9,7 @@ from repro.core.views import MultiViewLibrary, View, ViewKind
 from repro.ir import FsmBuilder
 from repro.utils.errors import ModelError, ViewError
 
-from tests.conftest import make_put_like_service
+from tests.conftest import make_put_like_service, unit_port_findings
 
 
 class TestCommunicationUnit:
@@ -40,15 +40,13 @@ class TestCommunicationUnit:
         with pytest.raises(ModelError):
             unit.interface_services("Missing")
 
-    def test_check_ports_reports_undeclared(self, put_service):
+    def test_undeclared_ports_fire_if008(self, put_service):
         unit = CommunicationUnit("Unit", ports=[Port("DATAIN")], services=[put_service])
-        problems = unit.check_ports()
-        assert any("B_FULL" in p for p in problems)
-        assert any("PUTRDY" in p for p in problems)
+        ports = {d.data["port"] for d in unit_port_findings(unit)}
+        assert ports == {"B_FULL", "PUTRDY"}
 
-    def test_check_ports_clean_channel(self):
-        unit = handshake_channel("Chan")
-        assert unit.check_ports() == []
+    def test_clean_channel_has_no_if008(self):
+        assert unit_port_findings(handshake_channel("Chan")) == []
 
     def test_controller_validation(self):
         with pytest.raises(ModelError):
@@ -108,12 +106,12 @@ class TestViews:
         with pytest.raises(ViewError, match="communication primitive"):
             library.get("PUT", ViewKind.SW_SYNTH, "vme_board")
 
-    def test_missing_views_report(self):
+    def test_has_reports_absent_views(self):
         library = MultiViewLibrary([self._view(ViewKind.HW)])
-        missing = library.missing_views(["PUT", "GET"], platforms=["pc_at_fpga"])
-        assert "PUT: missing SW simulation view" in missing
-        assert "GET: missing HW view" in missing
-        assert any("pc_at_fpga" in entry for entry in missing)
+        assert library.has("PUT", ViewKind.HW)
+        assert not library.has("PUT", ViewKind.SW_SIM)
+        assert not library.has("PUT", ViewKind.SW_SYNTH, "pc_at_fpga")
+        assert not library.has("GET", ViewKind.HW)
 
     def test_services_and_platforms_listing(self):
         library = MultiViewLibrary([

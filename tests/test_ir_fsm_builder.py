@@ -88,7 +88,7 @@ class TestFsmQueries:
         with pytest.raises(ModelError):
             fsm.state("Missing")
 
-    def test_service_calls_lists_distinct_names(self):
+    def test_services_called_lists_distinct_names(self):
         build = FsmBuilder("CALLER")
         build.variable("X", INT, 0)
         with build.state("A") as state:
@@ -96,7 +96,7 @@ class TestFsmQueries:
         with build.state("B") as state:
             state.call("Second", store="X", then="A")
         fsm = build.build(initial="A")
-        assert fsm.service_calls() == ["First", "Second"]
+        assert fsm.services_called == ("First", "Second")
 
     def test_read_and_written_ports(self):
         from repro.ir import port
@@ -105,8 +105,8 @@ class TestFsmQueries:
             state.do(PortWrite("OUTP", 1))
             state.go("A", when=port("INP").eq(1))
         fsm = build.build(initial="A")
-        assert fsm.written_ports() == ["OUTP"]
-        assert fsm.read_ports() == ["INP"]
+        assert fsm.ports_written == ("OUTP",)
+        assert fsm.ports_read == ("INP",)
 
 
 class TestBuilder:

@@ -13,8 +13,10 @@ from repro.ir import (
 )
 from repro.ir.compile import _pos_div, _pos_mod, compile_expr_fn, expr_source
 from repro.ir.dtypes import IntType
-from repro.ir.expr import BinOp, Const, UnOp, Var
+from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
+from repro.ir.fsm import Fsm, ServiceCall, State, Transition
 from repro.ir.interp import _int_div, _int_mod
+from repro.ir.stmt import Nop
 from repro.ir.transform import reachable_states
 from repro.utils.errors import SimulationError
 
@@ -342,7 +344,6 @@ class TestFsmProperties:
            orphans=st.integers(min_value=0, max_value=5))
     @settings(max_examples=30, deadline=None)
     def test_reachable_states_of_a_chain(self, chain_length, orphans):
-        from repro.ir.fsm import Transition
         build = FsmBuilder("CHAIN")
         for index in range(chain_length):
             transitions = []
@@ -356,3 +357,168 @@ class TestFsmProperties:
         reachable = reachable_states(fsm)
         assert reachable == {f"S{i}" for i in range(chain_length)}
         assert len(fsm.states) == chain_length + orphans
+
+
+# ------------------------------------------------- name-walk reference copy
+#
+# The generator walks that answered "which names does this FSM use" before
+# ``Fsm`` computed them once at construction.  They are kept here verbatim
+# in behaviour, so the one-walk attributes can be checked against them,
+# order included.
+
+def _ref_expr_tree(expr):
+    yield expr
+    for child in expr.children():
+        yield from _ref_expr_tree(child)
+
+
+def _ref_stmt_expressions(stmt):
+    if isinstance(stmt, (Assign, PortWrite)):
+        yield from _ref_expr_tree(stmt.expr)
+    elif isinstance(stmt, If):
+        yield from _ref_expr_tree(stmt.cond)
+        for inner in stmt.then + stmt.orelse:
+            yield from _ref_stmt_expressions(inner)
+
+
+def _ref_stmt_tree(stmt):
+    yield stmt
+    if isinstance(stmt, If):
+        for inner in stmt.then + stmt.orelse:
+            yield from _ref_stmt_tree(inner)
+
+
+def _ref_statements(fsm):
+    for state in fsm.iter_states():
+        for stmt in state.actions:
+            yield from _ref_stmt_tree(stmt)
+        for transition in state.transitions:
+            for stmt in transition.actions:
+                yield from _ref_stmt_tree(stmt)
+
+
+def _ref_expressions(fsm):
+    for state in fsm.iter_states():
+        for stmt in state.actions:
+            yield from _ref_stmt_expressions(stmt)
+        for transition in state.transitions:
+            if transition.guard is not None:
+                yield from _ref_expr_tree(transition.guard)
+            for stmt in transition.actions:
+                yield from _ref_stmt_expressions(stmt)
+            if transition.call is not None:
+                for arg in transition.call.args:
+                    yield from _ref_expr_tree(arg)
+
+
+def _first_use(names):
+    return tuple(dict.fromkeys(names))
+
+
+def _reference_names(fsm):
+    """``(vars_read, vars_written, ports_read, ports_written,
+    services_called)`` by the old generator walks."""
+    calls = [transition.call for state in fsm.iter_states()
+             for transition in state.transitions if transition.call]
+    return (
+        tuple(sorted({node.name for node in _ref_expressions(fsm)
+                      if isinstance(node, Var)})),
+        tuple(sorted({stmt.target for stmt in _ref_statements(fsm)
+                      if isinstance(stmt, Assign)}
+                     | {call.store for call in calls if call.store})),
+        _first_use(node.port_name for node in _ref_expressions(fsm)
+                   if type(node).__name__ == "PortRef"),
+        _first_use(stmt.port_name for stmt in _ref_statements(fsm)
+                   if type(stmt).__name__ == "PortWrite"),
+        _first_use(call.service for call in calls),
+    )
+
+
+def _names(fsm):
+    return (fsm.vars_read, fsm.vars_written, fsm.ports_read,
+            fsm.ports_written, fsm.services_called)
+
+
+def _reading_ports():
+    """``_expressions()``, some of them adding a port read."""
+    return st.one_of(_expressions(), st.tuples(
+        st.sampled_from(["I1", "I2", "O1"]), _expressions()).map(
+        lambda t: BinOp("add", PortRef(t[0]), t[1])))
+
+
+def _nested_statements():
+    """``_mixed_statements()`` with port reads, no-ops and nested ``If``s."""
+    inner = st.lists(st.one_of(st.just(Nop()), st.builds(
+        If, _reading_ports(), _mixed_statements(), _mixed_statements())),
+        max_size=1)
+    return st.tuples(_mixed_statements(), inner).map(lambda t: t[0] + t[1])
+
+
+_STATE_NAMES = ["S0", "S1", "S2"]
+
+_transitions = st.builds(
+    Transition,
+    st.sampled_from(_STATE_NAMES),
+    guard=st.one_of(st.none(), _reading_ports()),
+    actions=st.one_of(st.just([]), _mixed_statements()),
+    call=st.one_of(st.none(), st.builds(
+        ServiceCall, st.sampled_from(["Get", "Put", "Ack"]),
+        args=st.lists(_reading_ports(), max_size=2),
+        store=st.one_of(st.none(), st.sampled_from(["a", "V"])))),
+)
+
+
+@st.composite
+def _fsms(draw):
+    states = [State(name, actions=draw(_nested_statements()),
+                    transitions=draw(st.lists(_transitions, max_size=2)))
+              for name in _STATE_NAMES[:draw(st.integers(1, 3))]]
+    return Fsm("NAMES", states, initial="S0")
+
+
+def _model_fsms(model):
+    for module in model.modules.values():
+        yield from module.behaviours()
+    for unit in model.comm_units.values():
+        for service in unit.services.values():
+            yield service.fsm
+        for controller in unit.controllers:
+            yield controller.fsm
+
+
+class TestFsmNames:
+    """The names an FSM records at construction equal the old walks'."""
+
+    @given(fsm=_fsms())
+    @example(fsm=Fsm("NAMES", [
+        State("S0", actions=[If(PortRef("I2"), [
+            PortWrite("O2", Var("b")),
+            If(Var("c"), [Assign("c", PortRef("I1"))], [PortWrite("O1", 1)]),
+        ])], transitions=[
+            Transition("S1", guard=PortRef("I1"),
+                       call=ServiceCall("Put", [Var("a"), PortRef("O1")],
+                                        store="V")),
+            Transition("S0", actions=[PortWrite("O2", PortRef("I2"))],
+                       call=ServiceCall("Get")),
+        ]),
+        State("S1", transitions=[Transition("S0", call=ServiceCall("Put"))]),
+    ], initial="S0"))
+    @settings(max_examples=40, deadline=None)
+    def test_attributes_match_the_generator_walks(self, fsm):
+        assert _names(fsm) == _reference_names(fsm)
+
+    def test_every_corpus_fsm_matches_the_generator_walks(self):
+        from repro.apps.motor_controller.system import build_system
+        from repro.apps.motor_controller.two_axis import build_two_axis_system
+        from repro.lint.selfcheck import MUTANTS
+        from repro.testkit.models import generate_system
+
+        models = [build_system()[0], build_two_axis_system()[0]]
+        models += [builder() for builder, _rule in MUTANTS.values()]
+        models += [generate_system(seed).build_model() for seed in range(500)]
+        checked = 0
+        for model in models:
+            for fsm in _model_fsms(model):
+                assert _names(fsm) == _reference_names(fsm), fsm.name
+                checked += 1
+        assert checked > 500

@@ -19,7 +19,6 @@ from repro.ir.expr import BinOp, Const, UnOp
 from repro.ir.transform import fold_fsm, fold_statement
 from repro.lint import LintReport
 from repro.lint.dataflow import structural_pass
-from repro.ir.visitor import variables_read, variables_written
 
 
 class TestConstantFold:
@@ -145,8 +144,8 @@ class TestVisitors:
             state.do(Assign("a", var("b") + 1), PortWrite("P", var("a")))
             state.call("Svc", args=[var("a")], store="b", then="S")
         fsm = build.build(initial="S")
-        assert variables_read(fsm) == ["a", "b"]
-        assert variables_written(fsm) == ["a", "b"]
+        assert fsm.vars_read == ("a", "b")
+        assert fsm.vars_written == ("a", "b")
 
 
 class TestPrinter:

@@ -46,6 +46,10 @@ TIERS = ("fused", "interpreted")
 
 DEFAULT_TIER = "fused"
 
+#: Grid (ns) on which :meth:`CosimSession.run_until_software_done` checks
+#: whether every software module finished.
+SOFTWARE_DONE_CHECK_NS = 10_000
+
 
 def _unbound_system_step():  # pragma: no cover - rebound during build()
     raise SimulationError("fused step ran before it was bound")
@@ -115,7 +119,6 @@ class CosimSession:
                  detect_races=False):
         validate_structure(model, library=library)
         self.model = model
-        self.library = library
         self.clock_period = clock_period
         self.sw_activation_period = sw_activation_period or clock_period
         self.activation_policy = activation_policy or OneTransitionPerActivation()
@@ -437,24 +440,22 @@ class CosimSession:
             self._obs_record(result)
         return result
 
-    def run_until_software_done(self, max_time=10_000_000, check_every=10_000):
+    def run_until_software_done(self, max_time=10_000_000):
         """Run until every software module finished (or *max_time* is hit).
 
         The completion check happens on an **absolute** time grid (the
-        multiples of *check_every*), not relative to where the run started:
-        a session resumed from a checkpoint therefore checks at exactly the
-        instants an uninterrupted run would, which keeps the reported end
-        time — and thus the whole result — identical.
+        multiples of :data:`SOFTWARE_DONE_CHECK_NS`), not relative to where
+        the run started: a session resumed from a checkpoint therefore
+        checks at exactly the instants an uninterrupted run would, which
+        keeps the reported end time — and thus the whole result — identical.
         """
         self.build()
         with TELEMETRY.span("cosim.run_until_software_done", cat="cosim",
                             system=self.model.name, kernel=self.kernel,
                             tier=self.wired_tier):
             while self.simulator.now < max_time:
-                target = min(
-                    ((self.simulator.now // check_every) + 1) * check_every,
-                    max_time,
-                )
+                step = SOFTWARE_DONE_CHECK_NS
+                target = min((self.simulator.now // step + 1) * step, max_time)
                 self.simulator.run(until=target)
                 if all(executor.finished
                        for executor in self.sw_executors.values()):

@@ -183,15 +183,13 @@ class CosynthesisFlow:
     """Drives co-synthesis of a system model onto a platform."""
 
     def __init__(self, model, platform, library=None, address_base=None,
-                 hw_resources=None, validate=True, hls_memo=None):
+                 validate=True, hls_memo=None):
         if not isinstance(platform, Platform):
             raise SynthesisError("platform must be a Platform instance")
         self.model = model
         self.platform = platform
-        self.library = library
-        self.hw_resources = hw_resources
         #: Process syntheses shared with other flows over the same FSMs
-        #: (see :func:`~repro.cosyn.hw_synthesis.synthesize_hardware`).
+        #: (see :func:`~repro.cosyn.hw_synthesis.synthesize_processes`).
         self.hls_memo = hls_memo
         self.target = TargetArchitecture(model, platform, address_base=address_base)
         if validate:
@@ -209,9 +207,7 @@ class CosynthesisFlow:
             if self.platform.has_hardware:
                 for module in self.target.hardware_modules():
                     result.hardware[module.name] = synthesize_hardware(
-                        self.target, module, resources=self.hw_resources,
-                        hls_memo=self.hls_memo,
-                    )
+                        self.target, module, hls_memo=self.hls_memo)
             result.address_map = self.target.address_map()
             result.problems = self._check_constraints(result)
             return result

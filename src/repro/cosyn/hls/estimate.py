@@ -6,7 +6,6 @@ the clock the ISA bus and the motor's real-time constraints require.
 """
 
 from repro.platforms.fpga import operator_clbs, operator_delay_ns
-from repro.utils.errors import SynthesisError
 
 
 class AreaTimingEstimate:
@@ -126,14 +125,3 @@ def estimate_fsmd(fsmd, width=16, register_width=None):
         flip_flops=flip_flops,
     )
 
-
-def estimate_module(fsmds, name, width=16):
-    """Merge the estimates of several FSMDs (the processes of one module)."""
-    if not fsmds:
-        raise SynthesisError("estimate_module needs at least one FSMD")
-    estimates = [estimate_fsmd(fsmd, width=width) for fsmd in fsmds]
-    total = estimates[0]
-    for other in estimates[1:]:
-        total = total.merge(other)
-    total.name = name
-    return total, estimates

@@ -13,7 +13,7 @@ from repro.cosyn.hls.dfg import build_fsm_dfgs
 from repro.cosyn.hls.estimate import estimate_fsmd
 from repro.cosyn.hls.fsmd import build_fsmd
 from repro.cosyn.hls.rtl import build_netlist, emit_rtl_vhdl
-from repro.cosyn.hls.scheduling import DEFAULT_RESOURCES, list_schedule
+from repro.cosyn.hls.scheduling import list_schedule
 from repro.hdl.emitter import emit_module
 from repro.utils.errors import SynthesisError
 from repro.utils.text import format_table
@@ -129,45 +129,62 @@ class HardwareSynthesisResult:
         )
 
 
-def build_process_fsmd(fsm, resources=None, width=16):
-    """The HLS front half: DFG → verified schedule → allocation → FSMD.
+def synthesize_process(fsm):
+    """Run the HLS pipeline for one behavioural FSM.
 
-    Shared by :func:`synthesize_process` (which continues into netlist/RTL
-    emission) and the :mod:`repro.dse` cost model (which stops here and
-    estimates).  Returns ``(fsmd, schedules, allocation)``.
+    DFG → verified schedule → allocation → FSMD → netlist/RTL → estimate,
+    each stage at its defaults:
+    :data:`~repro.cosyn.hls.scheduling.DEFAULT_RESOURCES` and a 16-bit
+    datapath.
     """
-    resources = dict(DEFAULT_RESOURCES if resources is None else resources)
-    dfgs = build_fsm_dfgs(fsm, width=width)
-    schedules = {name: list_schedule(dfg, resources) for name, dfg in dfgs.items()}
+    schedules = {name: list_schedule(dfg)
+                 for name, dfg in build_fsm_dfgs(fsm).items()}
     for name, schedule in schedules.items():
         problems = schedule.verify()
         if problems:
             raise SynthesisError(
                 f"schedule of state {name!r} of {fsm.name!r} is invalid: {problems}"
             )
-    allocation = allocate(fsm, schedules, width=width)
-    return build_fsmd(fsm, schedules, allocation), schedules, allocation
+    allocation = allocate(fsm, schedules)
+    fsmd = build_fsmd(fsm, schedules, allocation)
+    netlist = build_netlist(fsmd)
+    return ProcessSynthesis(fsm, schedules, allocation, fsmd, netlist,
+                            emit_rtl_vhdl(fsmd, netlist), estimate_fsmd(fsmd))
 
 
-def synthesize_process(fsm, resources=None, width=16):
-    """Run the HLS pipeline for one behavioural FSM."""
-    fsmd, schedules, allocation = build_process_fsmd(fsm, resources=resources,
-                                                     width=width)
-    netlist = build_netlist(fsmd, width=width)
-    rtl_text = emit_rtl_vhdl(fsmd, netlist, width=width)
-    estimate = estimate_fsmd(fsmd, width=width)
-    return ProcessSynthesis(fsm, schedules, allocation, fsmd, netlist, rtl_text, estimate)
+def synthesize_processes(module, hls_memo):
+    """``{process name: ProcessSynthesis}`` of *module*, through *hls_memo*.
+
+    *hls_memo* maps an :class:`~repro.ir.fsm.Fsm` to its
+    :func:`synthesize_process` result; an FSM is immutable once built, so
+    the FSM object itself is the key.  A process found there is reused,
+    one missing is synthesized and stored.
+    """
+    processes = {}
+    for fsm in module.behaviours():
+        process = hls_memo.get(fsm)
+        if process is None:
+            process = hls_memo[fsm] = synthesize_process(fsm)
+        processes[fsm.name] = process
+    return processes
 
 
-def synthesize_hardware(target, module, resources=None, width=16,
-                        hls_memo=None):
+def merge_estimates(estimates, name):
+    """One module's estimate: its processes side by side, under *name*."""
+    first, *others = estimates
+    for other in others:
+        first = first.merge(other)
+    return first.renamed(name)
+
+
+def synthesize_hardware(target, module, hls_memo=None):
     """Run hardware synthesis for one module of a target architecture.
 
-    *hls_memo* is a dict of :func:`synthesize_process` results keyed on
-    FSM identity, resources and width, shared by several flows over models
-    that share FSMs (a design-space exploration's repartitioned winners);
-    None synthesizes every process afresh.  Memoised processes are never
-    mutated here, so one may appear in several results.
+    *hls_memo* is a :func:`synthesize_processes` memo shared by several
+    flows over models that share FSMs (a design-space exploration's cost
+    model and repartitioned winners); None synthesizes every process
+    afresh.  Memoised processes are never mutated here, so one may appear
+    in several results.
     """
     if module not in target.hardware_modules():
         raise SynthesisError(
@@ -178,26 +195,14 @@ def synthesize_hardware(target, module, resources=None, width=16,
         raise SynthesisError(
             f"platform {platform.name!r} offers no FPGA device for hardware synthesis"
         )
-    memo = {} if hls_memo is None else hls_memo
-    resource_key = None if resources is None else tuple(sorted(resources.items()))
-    processes = {}
-    for fsm in module.behaviours():
-        key = (id(fsm), resource_key, width)
-        process = memo.get(key)
-        if process is None:
-            # The entry keeps the FSM alive, so its id stays unique.
-            process = memo[key] = synthesize_process(fsm, resources=resources,
-                                                     width=width)
-        processes[fsm.name] = process
-    first, *others = processes.values()
-    estimate = first.estimate
-    for process in others:
-        estimate = estimate.merge(process.estimate)
-    estimate = estimate.renamed(module.name)
-    if not others:
+    processes = synthesize_processes(module, {} if hls_memo is None else hls_memo)
+    estimate = merge_estimates(
+        [process.estimate for process in processes.values()], module.name)
+    if len(processes) == 1:
         # A one-process module reports its process under the module's
         # name: give this result its own copy of the shared process.
-        processes[first.fsm.name] = first.with_estimate(estimate)
+        (process,) = processes.values()
+        processes[process.fsm.name] = process.with_estimate(estimate)
 
     services = []
     for service_name in module.services_used():

@@ -7,10 +7,10 @@ placements is hopeless.  Two properties make that possible:
 * a module's **software metrics** depend only on its FSM, the service views
   it calls and the platform timing model — not on where the other modules
   sit — so they are memoized per ``(module, "sw", platform)``,
-* a module's **hardware area/timing estimate** (the HLS front half:
-  DFG → schedule → allocate → FSMD → estimate) is device-family-wide, so it
-  is memoized once per module (``(module, "hw", None)``) and shared across
-  every platform of the sweep.
+* a module's **hardware area/timing estimate** (the flow's own process
+  synthesis, through :attr:`CandidateEvaluator.hls_memo`) is
+  device-family-wide, so it is memoized once per module (``(module, "hw",
+  None)``) and shared across every platform of the sweep.
 
 The per-candidate work that remains is pure aggregation: summing cached
 module costs, sizing the address map, pricing the SW/HW boundary traffic
@@ -28,8 +28,7 @@ from repro.cosyn.flow import (
     check_bus_tracking,
     check_device_fit,
 )
-from repro.cosyn.hls.estimate import estimate_module
-from repro.cosyn.hw_synthesis import achievable_clock_ns, build_process_fsmd
+from repro.cosyn.hw_synthesis import achievable_clock_ns, merge_estimates, synthesize_processes
 from repro.cosyn.sw_synthesis import estimate_software_metrics
 from repro.dse.space import (
     Candidate,
@@ -81,12 +80,6 @@ class CandidateScore:
         }
 
 
-def build_hw_fsmds(module, width=16):
-    """HLS front half (DFG → schedule → allocate → FSMD) for each process."""
-    return [build_process_fsmd(fsm, width=width)[0]
-            for fsm in module.behaviours()]
-
-
 class CandidateEvaluator:
     """Scores candidates against the static cost model, with memoization.
 
@@ -96,14 +89,15 @@ class CandidateEvaluator:
     across candidates is done once.
     """
 
-    def __init__(self, model, platform_names=None, width=16):
+    def __init__(self, model, platform_names=None):
         self.model = model
         names = (list(platform_names) if platform_names is not None
                  else available_platforms())
         self.platforms = {name: get_platform(name) for name in names}
-        self.width = width
         self.stats = {"synthesis_calls": 0, "cache_hits": 0}
         self._cache = {}
+        #: ``{Fsm: ProcessSynthesis}``, shared with the front's flows.
+        self.hls_memo = {}
         # Placement-independent per-module data, resolved once so evaluate()
         # is pure aggregation: the service views a module calls and the
         # units it reaches (one binding traversal), plus the
@@ -144,7 +138,9 @@ class CandidateEvaluator:
                 value = exc
             self._cache[key] = value
         if isinstance(value, SynthesisError):
-            raise value
+            # Each raise would append this call's frames to the cached
+            # instance's traceback: raise it bare.
+            raise value.with_traceback(None)
         return value
 
     def software_cost(self, module_name, platform_name):
@@ -171,10 +167,11 @@ class CandidateEvaluator:
         device, so the result is shared across every platform of the sweep.
         """
         def compute():
-            module = self.model.module(module_name)
-            fsmds = build_hw_fsmds(module, width=self.width)
-            total, _ = estimate_module(fsmds, module_name, width=self.width)
-            return total
+            processes = synthesize_processes(self.model.module(module_name),
+                                             self.hls_memo)
+            return merge_estimates(
+                [process.estimate for process in processes.values()],
+                module_name)
         return self._cached((module_name, "hw", None), compute)
 
     # ------------------------------------------------------------ evaluation

@@ -6,9 +6,9 @@ platform, scores candidates with the memoized static cost model — serially
 or on a ``multiprocessing`` worker pool — prunes by platform constraints,
 extracts the Pareto front, re-runs the full
 :class:`~repro.cosyn.flow.CosynthesisFlow` on each front member so winners
-come with complete synthesis artefacts (one HLS run per FSM for the whole
-front), and (optionally) validates the
-front in co-simulation.
+come with complete synthesis artefacts, and (optionally) validates the
+front in co-simulation.  The cost model and the winners' flows share the
+evaluator's HLS memo: one HLS run per FSM per exploration.
 """
 
 import json
@@ -134,7 +134,7 @@ class ExplorationReport:
 class DesignSpaceExplorer:
     """Sweeps hw/sw placements of one model across the registered platforms."""
 
-    def __init__(self, model, platforms=None, pins=None, width=16,
+    def __init__(self, model, platforms=None, pins=None,
                  cosim_params=None, expectations=None, environment=None):
         self.model = model
         self.platform_names = sorted(platforms) if platforms is not None \
@@ -144,14 +144,12 @@ class DesignSpaceExplorer:
         self.platforms = {name: get_platform(name)
                           for name in self.platform_names}
         self.space = PartitionSpace(model, pins=pins)
-        self.width = width
         self.cosim_params = dict(cosim_params or {})
         self.expectations = expectations
         #: Optional ``hook(session)`` attached to every validation cosim
         #: (e.g. the motor's physical plant).
         self.environment = environment
-        self.evaluator = CandidateEvaluator(model, self.platform_names,
-                                            width=width)
+        self.evaluator = CandidateEvaluator(model, self.platform_names)
 
     def resolve_mode(self, mode):
         if mode == "auto":
@@ -184,7 +182,7 @@ class DesignSpaceExplorer:
 
         if workers > 1:
             with ParallelEvaluationPool(self.model, self.platform_names,
-                                        workers, width=self.width) as pool:
+                                        workers) as pool:
                 scores = run_search(pool.evaluate_many)
         else:
             scores = run_search(self.evaluator.evaluate_many)
@@ -193,16 +191,13 @@ class DesignSpaceExplorer:
 
         winners = {}
         if synthesize_winners:
-            # The winners' repartitioned models share their module FSMs,
-            # so HLS runs once per FSM for the whole front.  The memo is
-            # this call's alone and is emptied before it returns.
-            hls_memo = {}
+            # The winners' repartitioned models share their module FSMs
+            # with the model the evaluator costed, so its HLS memo already
+            # holds every process a serial search placed in hardware.
             with TELEMETRY.span("dse.synthesize_front", cat="dse",
                                 system=self.model.name, front=len(front)):
                 for score in front:
-                    winners[score.candidate.key()] = self._synthesize(
-                        score, hls_memo)
-            hls_memo.clear()
+                    winners[score.candidate.key()] = self._synthesize(score)
 
         validation = None
         if validate:
@@ -230,14 +225,14 @@ class DesignSpaceExplorer:
             scores, front, winners, validation, stats,
         )
 
-    def _synthesize(self, score, hls_memo):
+    def _synthesize(self, score):
         """Full co-synthesis of one front candidate (complete artefacts)."""
         try:
             candidate_model = repartition(self.model,
                                           score.candidate.hw_modules)
             flow = CosynthesisFlow(candidate_model,
                                    self.platforms[score.candidate.platform],
-                                   hls_memo=hls_memo)
+                                   hls_memo=self.evaluator.hls_memo)
             return flow.run()
         except ReproError as exc:
             # A winner that fails full synthesis becomes a per-entry error,
@@ -249,11 +244,11 @@ def explore_model(model, **kwargs):
     """One-call convenience wrapper: explore *model* with default settings.
 
     Keyword arguments are split between :class:`DesignSpaceExplorer`
-    (``platforms``, ``pins``, ``width``, ``cosim_params``, ``expectations``,
+    (``platforms``, ``pins``, ``cosim_params``, ``expectations``,
     ``environment``) and :meth:`~DesignSpaceExplorer.explore` (everything
     else).
     """
-    init_keys = ("platforms", "pins", "width", "cosim_params", "expectations",
+    init_keys = ("platforms", "pins", "cosim_params", "expectations",
                  "environment")
     init_kwargs = {key: kwargs.pop(key) for key in init_keys if key in kwargs}
     explorer = DesignSpaceExplorer(model, **init_kwargs)

@@ -17,12 +17,11 @@ from repro.utils.pool import WorkerPool
 _EVALUATOR = None
 
 
-def _init_worker(model_bytes, platform_names, width):
+def _init_worker(model_bytes, platform_names):
     global _EVALUATOR
     from repro.dse.cost import CandidateEvaluator
 
-    _EVALUATOR = CandidateEvaluator(pickle.loads(model_bytes), platform_names,
-                                    width=width)
+    _EVALUATOR = CandidateEvaluator(pickle.loads(model_bytes), platform_names)
 
 
 def _evaluate_one(candidate):
@@ -32,11 +31,11 @@ def _evaluate_one(candidate):
 class ParallelEvaluationPool:
     """Owns the worker pool for one exploration; use as a context manager."""
 
-    def __init__(self, model, platform_names, workers, width=16):
+    def __init__(self, model, platform_names, workers):
         self._pool = WorkerPool(
             workers,
             initializer=_init_worker,
-            initargs=(pickle.dumps(model), list(platform_names), width),
+            initargs=(pickle.dumps(model), list(platform_names)),
         )
 
     def evaluate_many(self, candidates):

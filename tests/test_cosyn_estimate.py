@@ -1,13 +1,13 @@
 """Determinism and merge coverage of the area/timing estimator.
 
 The DSE cost model memoizes per-module estimates and sums/maxes them via
-:meth:`AreaTimingEstimate.merge`; both only make sense when the same FSMD
-always yields the identical estimate.
+:func:`merge_estimates`, the helper hardware synthesis merges each
+module's processes with; both only make sense when the same FSMD always
+yields the identical estimate.
 """
 
-from repro.core.module import HardwareModule
-from repro.cosyn.hls.estimate import AreaTimingEstimate, estimate_fsmd, estimate_module
-from repro.dse.cost import build_hw_fsmds
+from repro.cosyn.hls.estimate import AreaTimingEstimate
+from repro.cosyn.hw_synthesis import merge_estimates, synthesize_process
 from repro.ir import Assign, FsmBuilder, INT, var
 
 
@@ -24,8 +24,8 @@ def make_compute_fsm(name="CALC"):
     return build.build(initial="Work")
 
 
-def make_fsmds(name="CALC"):
-    return build_hw_fsmds(HardwareModule("CalcMod", [make_compute_fsm(name)]))
+def make_estimate(name="CALC"):
+    return synthesize_process(make_compute_fsm(name)).estimate
 
 
 class TestAreaTimingEstimateMerge:
@@ -47,8 +47,7 @@ class TestAreaTimingEstimateMerge:
         assert merged.critical_path_ns == 45.0
 
     def test_merge_is_commutative_on_totals(self):
-        (fsmd,) = make_fsmds()
-        first = estimate_fsmd(fsmd)
+        first = make_estimate()
         second = AreaTimingEstimate("other", clbs_datapath=5,
                                     critical_path_ns=99.0, flip_flops=3)
         ab, ba = first.merge(second), second.merge(first)
@@ -70,35 +69,42 @@ class TestAreaTimingEstimateMerge:
 
 class TestEstimateDeterminism:
     def test_same_fsmd_yields_identical_estimate(self):
-        first = estimate_fsmd(make_fsmds()[0])
-        second = estimate_fsmd(make_fsmds()[0])
-        assert first.as_dict() == second.as_dict()
+        assert make_estimate().as_dict() == make_estimate().as_dict()
 
-    def test_estimate_module_is_deterministic(self):
+    def test_merge_estimates_is_deterministic(self):
         totals = []
         for _ in range(2):
-            total, per_process = estimate_module(make_fsmds(), "CalcMod")
+            estimate = make_estimate()
+            total = merge_estimates([estimate], "CalcMod")
             assert total.name == "CalcMod"
-            assert len(per_process) == 1
+            assert estimate.name == "CALC"
             totals.append(total.as_dict())
         assert totals[0] == totals[1]
 
-    def test_estimate_module_merges_multiple_processes(self):
-        fsmds = make_fsmds("P1") + make_fsmds("P2")
-        total, per_process = estimate_module(fsmds, "TwoProc")
-        assert len(per_process) == 2
+    def test_merge_estimates_merges_multiple_processes(self):
+        per_process = [make_estimate("P1"), make_estimate("P2")]
+        total = merge_estimates(per_process, "TwoProc")
+        assert total.name == "TwoProc"
         assert total.clbs_total == sum(e.clbs_total for e in per_process)
+        assert total.flip_flops == sum(e.flip_flops for e in per_process)
         assert total.critical_path_ns == max(e.critical_path_ns
                                              for e in per_process)
 
     def test_dse_hardware_cost_equals_direct_estimate(self):
-        """The memoized DSE hardware cost is exactly the estimator's answer."""
+        """The memoized DSE hardware cost is exactly the estimator's answer,
+        and the flow's module estimate."""
+        from repro.cosyn import CosynthesisFlow
         from repro.dse.cost import CandidateEvaluator
+        from repro.platforms import get_platform
         from tests.conftest import make_producer_consumer_model
 
         model = make_producer_consumer_model()
         evaluator = CandidateEvaluator(model, ("pc_at_fpga",))
         cached = evaluator.hardware_cost("ServerMod")
-        direct, _ = estimate_module(
-            build_hw_fsmds(model.module("ServerMod")), "ServerMod")
+        direct = merge_estimates(
+            [synthesize_process(fsm).estimate
+             for fsm in model.module("ServerMod").behaviours()], "ServerMod")
         assert cached.as_dict() == direct.as_dict()
+        flow = CosynthesisFlow(model, get_platform("pc_at_fpga")).run()
+        assert flow.hardware_result("ServerMod").estimate.as_dict() \
+            == cached.as_dict()

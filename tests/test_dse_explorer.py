@@ -176,7 +176,9 @@ class TestCostFlowParity:
     def test_static_feasibility_agrees_with_the_full_flow(self):
         """The cost model's prune must match CosynthesisFlow's verdict on
         every candidate, or DSE drops placements the flow accepts (and vice
-        versa) — differential parity over two exhaustively swept systems."""
+        versa) — differential parity over two exhaustively swept systems.
+        A feasible candidate with hardware also carries the flow's area and
+        clock, since both come from the same process synthesis."""
         from repro.cosyn import CosynthesisFlow
         from repro.dse import repartition
 
@@ -191,7 +193,12 @@ class TestCostFlowParity:
                     repartition(model, score.candidate.hw_modules),
                     explorer.platforms[score.candidate.platform],
                 )
-                assert score.feasible == flow.run().ok, score.candidate.label()
+                result = flow.run()
+                label = score.candidate.label()
+                assert score.feasible == result.ok, label
+                if score.feasible and score.candidate.hw_modules:
+                    assert score.area_clbs == result.total_clbs(), label
+                    assert score.clock_ns == result.system_clock_ns(), label
 
 
 class TestMemoization:
@@ -213,24 +220,50 @@ class TestMemoization:
         candidate = Candidate("pc_at_fpga", ("ServerMod",))
         assert first.evaluate(candidate) == second.evaluate(candidate)
 
+    def test_a_cached_error_keeps_one_traceback(self):
+        """Re-raising a memoised SynthesisError must not append each
+        request's frames to the one cached instance."""
+        import traceback
+
+        from repro.apps.motor_controller import build_system
+
+        model, _config = build_system()
+        evaluator = CandidateEvaluator(model, ("pc_at_fpga",))
+        # SpeedControlMod has three processes and cannot run as software.
+        candidate = Candidate("pc_at_fpga", ())
+
+        def depth():
+            with pytest.raises(SynthesisError) as excinfo:
+                evaluator.software_cost("SpeedControlMod", "pc_at_fpga")
+            return len(traceback.extract_tb(excinfo.value.__traceback__))
+
+        assert not evaluator.evaluate(candidate).feasible
+        first = depth()
+        for _ in range(50):
+            assert not evaluator.evaluate(candidate).feasible
+            assert depth() == first
+
 
 class TestFrontSynthesisReuse:
-    """One exploration synthesizes each hardware FSM once for its front."""
+    """One exploration synthesizes each hardware FSM once, cost model and
+    front together."""
 
     SEEDS = (0, 1, 3, 5, 7)
 
     @staticmethod
     def _count_hls(monkeypatch):
+        """Ids of the FSMs whose DFGs were built: every HLS run of an FSM
+        starts there."""
         from repro.cosyn import hw_synthesis
 
         calls = []
-        real = hw_synthesis.synthesize_process
+        real = hw_synthesis.build_fsm_dfgs
 
         def counting(fsm, **kwargs):
             calls.append(id(fsm))
             return real(fsm, **kwargs)
 
-        monkeypatch.setattr(hw_synthesis, "synthesize_process", counting)
+        monkeypatch.setattr(hw_synthesis, "build_fsm_dfgs", counting)
         return calls
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -254,13 +287,18 @@ class TestFrontSynthesisReuse:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_each_hardware_fsm_passes_hls_once(self, seed, monkeypatch):
         calls = self._count_hls(monkeypatch)
-        report = DesignSpaceExplorer(
-            generate_system(seed, networks=2).build_model()).explore()
+        explorer = DesignSpaceExplorer(
+            generate_system(seed, networks=2).build_model())
+        report = explorer.explore()
         assert calls and len(calls) == len(set(calls))
-        processes = sum(len(hw.processes)
-                        for winner in report.winners.values()
-                        for hw in winner.hardware.values())
-        assert processes > len(calls), "the front shares no FSM"
+        assert set(calls) == {id(fsm) for fsm in explorer.evaluator.hls_memo}
+        front = [process
+                 for winner in report.winners.values()
+                 for hw in winner.hardware.values()
+                 for process in hw.processes.values()]
+        assert {id(process.fsm) for process in front} <= set(calls)
+        assert len(front) > len({id(process.fsm) for process in front}), \
+            "the front shares no FSM"
 
     def test_a_shared_process_is_never_renamed_in_place(self, monkeypatch):
         """One-process modules report their process under the module name,
@@ -281,7 +319,8 @@ class TestFrontSynthesisReuse:
         for process in made:
             assert process.estimate.name == process.fsm.name
 
-    def test_nothing_of_the_memo_survives_explore(self, monkeypatch):
+    def test_the_memo_keeps_no_model_alive_once_the_explorer_is_released(
+            self, monkeypatch):
         import gc
         import weakref
 
@@ -300,11 +339,13 @@ class TestFrontSynthesisReuse:
         explorer = DesignSpaceExplorer(model)
         report = explorer.explore()
         assert len(memos) == len(report.front)
-        assert all(memo is memos[0] for memo in memos)
-        assert memos[0] == {}
+        assert all(memo is explorer.evaluator.hls_memo for memo in memos)
+        fsm_refs = [weakref.ref(fsm) for fsm in memos[0]]
+        assert fsm_refs
         del model, explorer, report, memos
         gc.collect()
         assert model_ref() is None
+        assert all(ref() is None for ref in fsm_refs)
 
 
 class TestHeuristicSearch:

@@ -48,8 +48,7 @@ bench-seed:
 # Full cosim perf sweep on the fused tier (controllers and hardware FSMs
 # inside the fused program); merges "current" into BENCH_cosim.json
 # (acceptance: >= 5x vs the interpreted seed on the largest
-# transition-rate AND mixed-system points, plus >= 1.5x batched-vs-
-# sequential amortization on the recorded batch section).
+# transition-rate AND mixed-system points).
 bench-cosim:
 	$(PYTHON) -m benchmarks.perf.cosim --label current --repeats 2
 
@@ -64,8 +63,7 @@ bench-cosim-quick:
 # CI regression gate: quick cosim tier must stay within 2x of the recorded
 # quick-baseline label in BENCH_cosim.json (refused if the baseline was
 # recorded on a different tier), every fast path must actually
-# be taken, the batched amortization must hold its threshold, and the
-# file's recorded acceptance verdict must be passing.
+# be taken, and the file's recorded acceptance verdict must be passing.
 bench-cosim-check:
 	$(PYTHON) -m benchmarks.perf.cosim --quick --check
 

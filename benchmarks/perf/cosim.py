@@ -16,13 +16,11 @@ and ``current`` on the fused tier — controllers and hardware FSMs inside
 the fused program of :mod:`repro.ir.syscompile` — so the file's
 speedup table *is* the compilation win.  The acceptance criteria demand
 :data:`ACCEPTANCE_POINTS` — the transition-rate workload's largest point
-**and** the mixed-system workload's largest point — plus the batched
-multi-scenario amortization of :data:`BATCH_THRESHOLD` x recorded in each
-run's ``batch`` section.  ``--check`` re-times the quick tier and fails
-when any point is more than ``--max-slowdown`` slower than the recorded
-baseline label, when a fast path was silently lost, when the batch
-speedup falls under its threshold, or when the file's recorded acceptance
-verdict itself is failing — the CI regression gate.
+**and** the mixed-system workload's largest point.  ``--check`` re-times
+the quick tier and fails when any point is more than ``--max-slowdown``
+slower than the recorded baseline label, when a fast path was silently
+lost, or when the file's recorded acceptance verdict itself is failing —
+the CI regression gate.
 """
 
 import argparse
@@ -42,19 +40,6 @@ ACCEPTANCE_POINTS = [
     ("transition_rate", 32, 5.0),
     ("mixed_system", 8, 5.0),
 ]
-
-#: Batched multi-scenario execution: generator seed, scenario counts and
-#: the required batched-over-sequential speedup.  A standalone job builds,
-#: lints and compiles its model once, so the batch only saves the N-1
-#: repeated generate/build/lint/codegen passes: 2.0-2.5x at 1000
-#: scenarios on a shared 2-core host (it was 4.0x while every job paid
-#: for that setup two to three times over).
-BATCH_SEED = 9
-BATCH_SCENARIOS = 1000
-BATCH_QUICK_SCENARIOS = 40
-BATCH_THRESHOLD = 1.5
-#: Timings per batch variant; the minimum wall time of each is recorded.
-BATCH_REPEATS = 3
 
 #: Tolerated wall-clock ratio of a quick --check run vs. the recorded
 #: baseline before the gate fails (absorbs runner-hardware variance).
@@ -111,61 +96,9 @@ def time_cosim_point(workload, size, tier=DEFAULT_TIER, quick=False,
     }
 
 
-def time_batch_point(quick=False, scenarios=None):
-    """Batched vs. sequential execution of the same generated system.
-
-    Runs :data:`BATCH_SEED`'s scenario *scenarios* times as independent
-    ``CosimJob`` executions and as a single ``CosimJob(batch=N)``, both
-    on the project-default tier, and reports the amortization speedup.
-    Each variant is timed :data:`BATCH_REPEATS` times and its minimum
-    wall time kept, so one slow timing cannot sink the speedup.
-    ``identical`` asserts the batched per-scenario fingerprints are
-    byte-identical to the sequential ones — the speedup is only
-    meaningful while that holds.
-    """
-    from repro.sweep.jobs import CosimJob
-
-    count = (scenarios if scenarios is not None
-             else (BATCH_QUICK_SCENARIOS if quick else BATCH_SCENARIOS))
-    # Warm the per-process caches (FSM programs, generator corpus) outside
-    # the timed region: both variants then start from the same state a
-    # long-running sweep worker would be in.
-    CosimJob(BATCH_SEED).execute()
-    sequential_wall = batch_wall = float("inf")
-    for _ in range(BATCH_REPEATS):
-        start = time.perf_counter()
-        sequential = [CosimJob(BATCH_SEED).execute()[0]
-                      for _ in range(count)]
-        sequential_wall = min(sequential_wall, time.perf_counter() - start)
-        start = time.perf_counter()
-        record, _ = CosimJob(BATCH_SEED, batch=count).execute()
-        batch_wall = min(batch_wall, time.perf_counter() - start)
-    identical = (
-        [entry["fingerprint_digest"] for entry in record["scenarios"]]
-        == [entry["fingerprint_digest"] for entry in sequential]
-    )
-    return {
-        "seed": BATCH_SEED,
-        "scenarios": count,
-        "tier": record["tier"],
-        "sequential_wall_s": sequential_wall,
-        "batch_wall_s": batch_wall,
-        "speedup": (round(sequential_wall / batch_wall, 2)
-                    if batch_wall > 0 else float("inf")),
-        "threshold": BATCH_THRESHOLD,
-        "identical": identical,
-    }
-
-
 def run_cosim_suite(quick=False, tier=DEFAULT_TIER, repeats=1, workloads=None,
-                    progress=None, include_batch=None):
-    """Run every cosim workload over its scale sweep; returns a run dict.
-
-    *include_batch* adds the batched-execution point (default: unless the
-    interpreted tier is benchmarked — the batch path always runs the
-    project default, so measuring it inside an interpreted seed run would
-    be misleading).
-    """
+                    progress=None):
+    """Run every cosim workload over its scale sweep; returns a run dict."""
     results = []
     for workload in (workloads or COSIM_WORKLOADS):
         sizes = workload.quick_sizes if quick else workload.sizes
@@ -180,7 +113,7 @@ def run_cosim_suite(quick=False, tier=DEFAULT_TIER, repeats=1, workloads=None,
                     f"wall={point['wall_s']:.4f}s "
                     f"fsm_steps={point['fsm']['steps']}"
                 )
-    run = {
+    return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "quick": bool(quick),
         "tier": tier,
@@ -189,20 +122,6 @@ def run_cosim_suite(quick=False, tier=DEFAULT_TIER, repeats=1, workloads=None,
         "platform": platform.platform(),
         "results": results,
     }
-    if include_batch is None:
-        include_batch = tier != "interpreted"
-    if include_batch:
-        batch = time_batch_point(quick=quick)
-        run["batch"] = batch
-        if progress is not None:
-            progress(
-                f"batch            n={batch['scenarios']:<4} "
-                f"seq={batch['sequential_wall_s']:.4f}s "
-                f"batch={batch['batch_wall_s']:.4f}s "
-                f"x{batch['speedup']:.2f} "
-                f"{'identical' if batch['identical'] else 'DIVERGED'}"
-            )
-    return run
 
 
 def check_against_baseline(baseline_run, run, max_slowdown=DEFAULT_MAX_SLOWDOWN):
@@ -300,8 +219,7 @@ def main(argv=None):
                         help="regression gate: run the quick tier and fail "
                              "when any point is more than --max-slowdown "
                              "slower than the recorded baseline label, a "
-                             "fast path was lost, the batch speedup is "
-                             "under threshold, or the file's recorded "
+                             "fast path was lost, or the file's recorded "
                              "acceptance verdict is failing")
     parser.add_argument("--baseline-label", default=DEFAULT_BASELINE_LABEL,
                         help="label --check compares against (default: "
@@ -353,39 +271,6 @@ def main(argv=None):
         paths_ok, path_lines = check_fast_paths(run)
         ok = ok and paths_ok
         lines.extend(path_lines)
-        batch = run.get("batch")
-        if batch is not None:
-            # The quick-scale batch (40 scenarios) amortizes less than the
-            # recorded full point, so the absolute BATCH_THRESHOLD belongs
-            # to the full-run record (checked below); the re-timed quick
-            # speedup is regression-gated against the baseline's recorded
-            # quick batch, same philosophy as the wall-clock points.
-            base_batch = baseline_run.get("batch")
-            floor = (base_batch["speedup"] / args.max_slowdown
-                     if base_batch else batch["threshold"])
-            verdict = "ok"
-            if not batch["identical"]:
-                ok = False
-                verdict = "DIVERGED"
-            elif batch["speedup"] < floor:
-                ok = False
-                verdict = "REGRESSED"
-            lines.append(
-                f"batch            n={batch['scenarios']:<4} "
-                f"x{batch['speedup']:.2f} (need {floor:.2f}x) "
-                f"{verdict}"
-            )
-        recorded_batch = document.get("runs", {}).get("current", {}).get("batch")
-        if recorded_batch is not None and (
-                not recorded_batch["identical"]
-                or recorded_batch["speedup"] < recorded_batch["threshold"]):
-            ok = False
-            lines.append(
-                f"recorded full-run batch failing: "
-                f"x{recorded_batch['speedup']:.2f} "
-                f"(need {recorded_batch['threshold']}x, identical="
-                f"{recorded_batch['identical']})"
-            )
         acceptance = document.get("acceptance")
         if acceptance is not None and not acceptance.get("pass"):
             ok = False

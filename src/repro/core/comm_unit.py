@@ -13,7 +13,7 @@ The unit itself is a library component: co-synthesis never synthesizes it,
 it swaps in the platform's real communication resources instead.
 """
 
-from repro.core.port import Port, check_unique_ports
+from repro.core.port import check_unique_ports
 from repro.core.service import Service
 from repro.ir.fsm import Fsm
 from repro.utils.errors import ModelError
@@ -49,7 +49,15 @@ class CommunicationUnit:
         self.services = {}
         self.interfaces = {}
         for service in services:
-            self.add_service(service)
+            if not isinstance(service, Service):
+                raise ModelError(f"{service!r} is not a Service")
+            if service.name in self.services:
+                raise ModelError(
+                    f"communication unit {name!r}: duplicate service {service.name!r}"
+                )
+            self.services[service.name] = service
+            interface = service.interface or "default"
+            self.interfaces.setdefault(interface, []).append(service.name)
         all_controllers = list(controllers)
         if controller is not None:
             all_controllers.insert(0, controller)
@@ -67,28 +75,6 @@ class CommunicationUnit:
     def controller(self):
         """The first controller (None when the unit is purely passive)."""
         return self.controllers[0] if self.controllers else None
-
-    # ----------------------------------------------------------------- build
-
-    def add_port(self, port):
-        if not isinstance(port, Port):
-            raise ModelError(f"{port!r} is not a Port")
-        if port.name in self.ports:
-            raise ModelError(f"communication unit {self.name!r}: duplicate port {port.name!r}")
-        self.ports[port.name] = port
-        return port
-
-    def add_service(self, service):
-        if not isinstance(service, Service):
-            raise ModelError(f"{service!r} is not a Service")
-        if service.name in self.services:
-            raise ModelError(
-                f"communication unit {self.name!r}: duplicate service {service.name!r}"
-            )
-        self.services[service.name] = service
-        interface = service.interface or "default"
-        self.interfaces.setdefault(interface, []).append(service.name)
-        return service
 
     # ----------------------------------------------------------------- query
 

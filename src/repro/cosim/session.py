@@ -26,11 +26,7 @@ from repro.cosim.sync import OneTransitionPerActivation
 from repro.cosim.tracing import ServiceCallTrace
 from repro.desim import Timeout, WaveformRecorder, create_simulator
 from repro.ir.interp import FsmInstance
-from repro.ir.syscompile import (
-    LateBoundService,
-    SystemCompileError,
-    compile_system,
-)
+from repro.ir.syscompile import SystemCompileError, compile_system
 from repro.lint.engine import validate_structure
 from repro.obs import TELEMETRY
 from repro.utils.errors import SimulationError
@@ -315,15 +311,10 @@ class CosimSession:
         for kind, owner, port in plan.signal_keys:
             table = self.unit_signals if kind == "unit" else self.module_signals
             signals.append(table[owner][port])
-        services = []
-        for module_name, service_name in plan.service_keys:
-            registry = self.hw_adapters[module_name].registry
-            try:
-                services.append(registry.get(service_name))
-            except SimulationError:
-                # Not bound (a lint warning, not an error): the canonical
-                # "no bound service" error must surface at call time.
-                services.append(LateBoundService(registry, service_name))
+        # Every called service is bound: an unbound call is refused with
+        # IF001 before the session is built.
+        services = [self.hw_adapters[module_name].registry.get(service_name)
+                    for module_name, service_name in plan.service_keys]
         self._fused_process.func = self.system_program.bind({
             "sim": self.simulator,
             "clock": self.clock,

@@ -747,24 +747,6 @@ class SystemProgram:
                 f"{len(self.plan.candidates)})")
 
 
-class LateBoundService:
-    """Stand-in for a service slot the registry cannot resolve at bind time.
-
-    Mirrors the per-FSM tier's late lookup: the canonical "no bound
-    service" error (or a service added later) surfaces at call time, not
-    at build time.
-    """
-
-    __slots__ = ("registry", "name")
-
-    def __init__(self, registry, name):
-        self.registry = registry
-        self.name = name
-
-    def step(self, arg_values):
-        return self.registry.get(self.name).step(arg_values)
-
-
 # ------------------------------------------------------------------- caches
 
 

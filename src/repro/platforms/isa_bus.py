@@ -2,8 +2,7 @@
 
 The paper's prototype uses "a 16-bit parallel bus (synchronous communication,
 10 MHz, address 300h)"; this model captures the address window, the word
-width and the transfer timing, and offers a small transaction log so the
-coherence benchmark can count bus cycles.
+width and the transfer timing.
 """
 
 from repro.platforms.base import BusModel
@@ -18,7 +17,6 @@ class IsaBus(BusModel):
                          cycles_per_transfer=cycles_per_transfer)
         self.base_address = base_address
         self.window = window
-        self.transactions = []
 
     def address_range(self):
         return range(self.base_address, self.base_address + self.window)
@@ -35,25 +33,3 @@ class IsaBus(BusModel):
         """
         base = self.base_address if base is None else base
         return {name: base + offset for offset, name in enumerate(port_names)}
-
-    # ------------------------------------------------------- transaction log
-
-    def record_read(self, address, value, time_ns):
-        self.transactions.append(("read", address, value, time_ns))
-
-    def record_write(self, address, value, time_ns):
-        self.transactions.append(("write", address, value, time_ns))
-
-    def traffic_summary(self):
-        """Aggregate statistics of the logged transactions."""
-        reads = sum(1 for kind, *_ in self.transactions if kind == "read")
-        writes = sum(1 for kind, *_ in self.transactions if kind == "write")
-        return {
-            "reads": reads,
-            "writes": writes,
-            "total": reads + writes,
-            "bus_time_ns": (reads + writes) * self.transfer_ns(1),
-        }
-
-    def reset_log(self):
-        self.transactions = []

@@ -17,11 +17,7 @@ This package serves those specs over HTTP from a persistent process:
   served from the cache without re-running HLS;
 * ``GET /metrics`` reports queue depth, jobs by state, cache hit/miss
   and the aggregated ``interpreted``/``fallback`` execution-tier
-  counters;
-* ``POST /tick`` advances the scheduler: configured re-sweep schedules
-  enqueue their job batches every N ticks, so an external timer (cron,
-  CI) drives periodic conformance/coverage sweeps through the same
-  queue.
+  counters.
 
 The implementation is standard library only (``http.server`` +
 ``json``); see ``docs/server.md`` for the route and schema reference,

@@ -3,16 +3,13 @@
 Serving::
 
     python -m repro.server --port 8080 --workers 2 \\
-        --cache-dir /tmp/repro-cache --schedule schedules.json
-
-``--schedule`` points at a JSON list of ``{"name", "every", "jobs"}``
-objects; an external timer POSTing ``/tick`` drives them.
+        --cache-dir /tmp/repro-cache
 
 ``--selfcheck`` boots the full stack — service, worker pool, HTTP server
 on an ephemeral port — and exercises it with real ``urllib`` clients:
 concurrent submissions of every job kind, polling to completion, the
 artifact route, a warm cacheable resubmission (must be served from the
-cache), the scheduler tick and the error statuses (400/404 paths via a
+cache) and the error statuses (400/404 paths via a
 malformed spec, a negative ``Content-Length`` and an unknown route).
 Exit code 0 means the service held up end to end; this is what
 ``make server-smoke`` runs.
@@ -49,8 +46,6 @@ def _build_parser():
                         help="bounded FIFO capacity (full queue -> 503)")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache root (omit to disable caching)")
-    parser.add_argument("--schedule", default=None, metavar="FILE",
-                        help="JSON list of tick-driven re-sweep schedules")
     parser.add_argument("--verbose", action="store_true",
                         help="log each HTTP request to stderr")
     parser.add_argument("--selfcheck", action="store_true",
@@ -58,20 +53,9 @@ def _build_parser():
     return parser
 
 
-def _load_schedules(path):
-    if path is None:
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        schedules = json.load(handle)
-    if not isinstance(schedules, list):
-        raise ValueError(f"schedule file must hold a JSON list: {path}")
-    return schedules
-
-
 def serve(args):
     service = JobService(workers=args.workers, queue_limit=args.queue_limit,
-                         cache=args.cache_dir,
-                         schedules=_load_schedules(args.schedule))
+                         cache=args.cache_dir)
     service.start()
     server = create_server(service, host=args.host, port=args.port,
                            verbose=args.verbose)
@@ -152,13 +136,9 @@ def selfcheck(args):
     cosyn_spec = {"kind": "cosyn", "seed": 1, "networks": 1,
                   "platform": "pc_at_fpga"}
     with tempfile.TemporaryDirectory(prefix="repro-server-") as cache_dir:
-        service = JobService(
-            workers=args.workers, queue_limit=args.queue_limit,
-            cache=cache_dir,
-            schedules=[{"name": "resweep", "every": 2,
-                        "jobs": [{"kind": "kernel", "size": "tiny",
-                                  "seed": 5}]}],
-        ).start()
+        service = JobService(workers=args.workers,
+                             queue_limit=args.queue_limit,
+                             cache=cache_dir).start()
         server = create_server(service, port=0, verbose=args.verbose)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -222,23 +202,13 @@ def selfcheck(args):
                    f"warm resubmit not cache-served: {reply}")
             note("warm cosyn resubmission served from cache (no re-run)")
 
-            # Scheduler: tick 1 is not due (every=2), tick 2 enqueues.
-            status, first = client.post("/tick", {})
-            status2, second = client.post("/tick", {})
-            _check(status == 200 and first["enqueued"] == [],
-                   f"tick 1 should enqueue nothing: {first}")
-            _check(status2 == 200 and len(second["enqueued"]) == 1,
-                   f"tick 2 should enqueue the schedule: {second}")
-            _wait_done(client, second["enqueued"])
-            note("POST /tick drives the re-sweep schedule")
-
             status, metrics = client.get("/metrics")
             _check(status == 200, f"GET /metrics -> {status}")
-            for key in ("queue", "jobs", "cache", "fsm", "ticks",
+            for key in ("queue", "jobs", "cache", "fsm",
                         "pool_replacements", "uptime_s"):
                 _check(key in metrics, f"/metrics missing {key!r}")
-            _check(metrics["jobs"]["by_state"]["done"] == 7,
-                   f"expected 7 done jobs: {metrics['jobs']}")
+            _check(metrics["jobs"]["by_state"]["done"] == 6,
+                   f"expected 6 done jobs: {metrics['jobs']}")
             _check(metrics["jobs"]["cache_served"] == 1,
                    f"expected 1 cache-served job: {metrics['jobs']}")
             _check(metrics["cache"]["hits"] >= 1,
@@ -251,7 +221,6 @@ def selfcheck(args):
                    f"expected fused-tier activity: {metrics['fsm']}")
             _check(metrics["fsm"]["system_fallback"] == 0,
                    f"unexpected fused-step fallback: {metrics['fsm']}")
-            _check(metrics["ticks"] == 2, f"expected 2 ticks: {metrics}")
             note("GET /metrics reports queue/cache/fsm counters")
 
             status, reply = client.post("/jobs", {"kind": "nonsense"})

@@ -15,7 +15,6 @@ GET    ``/jobs``                  summaries of every submitted job
 GET    ``/jobs/<id>``             full record of one job (spec, state, record)
 GET    ``/jobs/<id>/artifacts``   cached payload of a cacheable job
 POST   ``/jobs``                  submit one spec or a list → 202 Accepted
-POST   ``/tick``                  advance the re-sweep scheduler clock
 ====== ========================== ===========================================
 
 Errors: malformed JSON or an invalid spec is 400, an unknown route or job
@@ -39,7 +38,7 @@ def _route_template(method, path):
     ``other`` rather than minting a label per probe path.
     """
     path = path.split("?", 1)[0].rstrip("/") or "/"
-    if path in ("/metrics", "/metrics/prometheus", "/jobs", "/tick"):
+    if path in ("/metrics", "/metrics/prometheus", "/jobs"):
         return path
     if path.startswith("/jobs/"):
         parts = path[len("/jobs/"):].split("/")
@@ -178,9 +177,6 @@ class JobRequestHandler(BaseHTTPRequestHandler):
                 "accepted": len(records),
                 "jobs": [record.summary() for record in records],
             })
-            return
-        if path == "/tick":
-            self._send_json(200, service.tick())
             return
         self._error(404, f"unknown route: POST {self.path}")
 

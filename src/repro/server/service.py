@@ -1,12 +1,11 @@
-"""Job lifecycle behind the HTTP front: queue, states, pool, cache, ticks.
+"""Job lifecycle behind the HTTP front: queue, states, pool, cache.
 
 :class:`JobService` owns everything stateful: the bounded FIFO queue, the
 job table, the shared :class:`~repro.utils.pool.WorkerPool` the executor
 threads run jobs on, the :class:`~repro.sweep.cache.ArtifactCache` used
-both to short-circuit warm resubmissions and to store fresh payloads, and
-the tick-driven re-sweep schedules.  The HTTP layer
-(:mod:`repro.server.http`) is a thin JSON shim over this class, so the
-service is fully testable without a socket.
+both to short-circuit warm resubmissions and to store fresh payloads.
+The HTTP layer (:mod:`repro.server.http`) is a thin JSON shim over this
+class, so the service is fully testable without a socket.
 
 Design points:
 
@@ -54,16 +53,15 @@ class QueueFullError(ReproError):
 class JobRecord:
     """One submitted job: spec, lifecycle state, outcome."""
 
-    __slots__ = ("id", "job", "state", "source", "cache_key", "cached",
+    __slots__ = ("id", "job", "state", "cache_key", "cached",
                  "record", "error", "submitted_at", "started_at",
                  "finished_at", "submitted_mono", "started_mono",
                  "finished_mono")
 
-    def __init__(self, job_id, job, source):
+    def __init__(self, job_id, job):
         self.id = job_id
         self.job = job
         self.state = "queued"
-        self.source = source
         self.cache_key = None
         self.cached = False
         self.record = None
@@ -104,7 +102,6 @@ class JobRecord:
         data = self.summary()
         data.update({
             "spec": self.job.spec(),
-            "source": self.source,
             "cacheable": bool(self.job.cacheable),
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -119,8 +116,7 @@ class JobRecord:
 class JobService:
     """Queue, execute and account for co-design jobs; see the module doc."""
 
-    def __init__(self, workers=2, queue_limit=64, cache=None,
-                 schedules=None):
+    def __init__(self, workers=2, queue_limit=64, cache=None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if queue_limit < 1:
@@ -130,11 +126,6 @@ class JobService:
         if isinstance(cache, str):
             cache = ArtifactCache(cache)
         self.cache = cache
-        #: ``[{"name", "every", "jobs": [spec, ...]}, ...]`` — each entry
-        #: enqueues its specs on every ``every``-th tick (default 1).
-        self.schedules = list(schedules or [])
-        for schedule in self.schedules:
-            self._check_schedule(schedule)
 
         self._lock = threading.RLock()
         self._wake = threading.Condition(self._lock)
@@ -146,23 +137,10 @@ class JobService:
         self._stopping = False
         self._started_at = time.time()       # wall stamp, display only
         self._started_mono = time.monotonic()  # uptime source
-        self._ticks = 0
         self._pool_replacements = 0
         self._fsm_totals = {"steps": 0, "transitions_fired": 0,
                             "interpreted": 0, "fallback": 0,
                             "system_compile_hits": 0, "system_fallback": 0}
-
-    @staticmethod
-    def _check_schedule(schedule):
-        if (not isinstance(schedule, dict) or "jobs" not in schedule
-                or not isinstance(schedule["jobs"], list)):
-            raise ValueError(
-                f"schedule must be an object with a 'jobs' list: {schedule!r}"
-            )
-        if int(schedule.get("every", 1)) < 1:
-            raise ValueError(f"schedule 'every' must be >= 1: {schedule!r}")
-        for spec in schedule["jobs"]:
-            job_from_dict(spec)  # validate eagerly, at configuration time
 
     # ------------------------------------------------------------- lifecycle
 
@@ -195,7 +173,7 @@ class JobService:
 
     # ------------------------------------------------------------ submission
 
-    def submit_spec(self, spec, source="http"):
+    def submit_spec(self, spec):
         """Validate and enqueue one job spec; returns its :class:`JobRecord`.
 
         Raises ``ValueError`` for a malformed spec and
@@ -211,7 +189,7 @@ class JobService:
             with self._lock:
                 cached_payload = self.cache.get(cache_key)
         with self._wake:
-            record = JobRecord(f"job-{next(self._seq):06d}", job, source)
+            record = JobRecord(f"job-{next(self._seq):06d}", job)
             record.cache_key = cache_key
             if cached_payload is not None:
                 record.record = job.record_from_payload(cached_payload,
@@ -232,7 +210,7 @@ class JobService:
             self._wake.notify()
         return record
 
-    def submit_body(self, body, source="http"):
+    def submit_body(self, body):
         """Submit a decoded ``POST /jobs`` body: one spec or a list of specs.
 
         All-or-nothing: the whole batch is validated first and submitted
@@ -249,7 +227,7 @@ class JobService:
             records = []
             try:
                 for spec in specs:
-                    records.append(self.submit_spec(spec, source=source))
+                    records.append(self.submit_spec(spec))
             except QueueFullError:
                 for record in records:
                     self._jobs.pop(record.id, None)
@@ -299,8 +277,6 @@ class JobService:
                 },
                 "cache": cache_stats,
                 "fsm": dict(self._fsm_totals),
-                "ticks": self._ticks,
-                "schedules": len(self.schedules),
                 "pool_replacements": self._pool_replacements,
                 "started_at": self._started_at,
                 "uptime_s": round(time.monotonic() - self._started_mono, 3),
@@ -347,12 +323,6 @@ class JobService:
                             {"counter": counter}, value)
             for counter, value in sorted(snapshot["fsm"].items())
         )
-        lines.append("# TYPE repro_server_ticks_total counter")
-        lines.append(prometheus_line("repro_server_ticks_total", None,
-                                     snapshot["ticks"]))
-        lines.append("# TYPE repro_server_schedules gauge")
-        lines.append(prometheus_line("repro_server_schedules", None,
-                                     snapshot["schedules"]))
         lines.append("# TYPE repro_server_pool_replacements_total counter")
         lines.append(prometheus_line("repro_server_pool_replacements_total",
                                      None, snapshot["pool_replacements"]))
@@ -367,26 +337,6 @@ class JobService:
         if TELEMETRY.enabled:
             text += TELEMETRY.metrics.to_prometheus()
         return text
-
-    # ----------------------------------------------------------------- ticks
-
-    def tick(self):
-        """Advance the scheduler clock by one tick; enqueue due schedules."""
-        with self._lock:
-            self._ticks += 1
-            tick = self._ticks
-        enqueued, rejected = [], []
-        for schedule in self.schedules:
-            if tick % int(schedule.get("every", 1)):
-                continue
-            name = schedule.get("name", "schedule")
-            for spec in schedule["jobs"]:
-                try:
-                    record = self.submit_spec(spec, source=f"tick:{name}")
-                    enqueued.append(record.id)
-                except QueueFullError as exc:
-                    rejected.append(f"{name}: {exc}")
-        return {"tick": tick, "enqueued": enqueued, "rejected": rejected}
 
     # ------------------------------------------------------------- execution
 

@@ -11,12 +11,9 @@ report verbatim.  Three kinds cover the project's workloads:
   to a fixed horizon), functionally checked against the generator's
   expectations, fingerprinted; optionally executed through a mid-run
   checkpoint/restore round-trip (``checkpoint_at``), which by construction
-  must not change the fingerprint.  ``batch=N`` runs N scenarios of the
-  same generated system inside one job, amortizing model generation, lint
-  pre-flight and whole-system compilation across the batch while keeping
-  every per-scenario fingerprint byte-identical to a standalone run.
-  Either way a job builds its model once and every session, validation,
-  lint verdict and compiled program of the job derives from that object.
+  must not change the fingerprint.  A job builds its model once and
+  every session, validation, lint verdict and compiled program of the
+  job derives from that object.
 * :class:`CosynJob` — one generated system (optionally repartitioned, e.g.
   to a DSE Pareto candidate) co-synthesized on one platform.  The full
   artefact dict is the **cacheable payload**: the sweep service stores it
@@ -174,8 +171,7 @@ class CosimJob(SweepJob):
 
     def __init__(self, seed, networks=None, kernel="production", until=None,
                  checkpoint_at=None, tier=None, coverage=False,
-                 fault_kind=None, fault_unit_index=0, no_lint=False,
-                 batch=None, fault_at_offset=0):
+                 fault_kind=None, fault_unit_index=0, no_lint=False):
         self.seed = int(seed)
         self.networks = None if networks is None else int(networks)
         self.kernel = kernel
@@ -184,10 +180,6 @@ class CosimJob(SweepJob):
         from repro.cosim.session import DEFAULT_TIER, TIERS
 
         self.tier = _check_tier(tier, DEFAULT_TIER, TIERS)
-        self.batch = None if batch is None else int(batch)
-        if self.batch is not None and self.batch < 1:
-            raise ValueError("batch must be a positive scenario count")
-        self.fault_at_offset = int(fault_at_offset)
         self.until = None if until is None else int(until)
         self.checkpoint_at = (None if checkpoint_at is None
                               else int(checkpoint_at))
@@ -196,10 +188,6 @@ class CosimJob(SweepJob):
         if (self.checkpoint_at is not None and self.until is not None
                 and self.checkpoint_at >= self.until):
             raise ValueError("checkpoint_at must lie before until")
-        if self.checkpoint_at is not None and self.batch is not None:
-            raise ValueError("checkpoint_at does not combine with batch; "
-                             "checkpoint round-trips are a single-scenario "
-                             "concern")
         self.coverage = bool(coverage)
         if fault_kind is not None:
             from repro.cosim.faults import FAULT_KINDS
@@ -228,16 +216,13 @@ class CosimJob(SweepJob):
             "fault_kind": self.fault_kind,
             "fault_unit_index": self.fault_unit_index,
             "no_lint": self.no_lint,
-            "batch": self.batch,
-            "fault_at_offset": self.fault_at_offset,
         }
 
     @property
     def name(self):
         suffix = f"x{self.networks}" if self.networks is not None else ""
         fault = f"+{self.fault_kind}" if self.fault_kind is not None else ""
-        batch = f"*{self.batch}" if self.batch is not None else ""
-        return f"cosim-{self.seed}{suffix}{fault}{batch}@{self.kernel}"
+        return f"cosim-{self.seed}{suffix}{fault}@{self.kernel}"
 
     def _scenario(self):
         """The testkit scenario this job runs: plain, or faulted."""
@@ -249,19 +234,14 @@ class CosimJob(SweepJob):
                                                   networks=self.networks))
         return FaultScenario(self.seed, self.fault_kind,
                              networks=self.networks,
-                             unit_index=self.fault_unit_index,
-                             at_offset=self.fault_at_offset)
+                             unit_index=self.fault_unit_index)
 
-    def _run_scenario(self, scenario, model, index=0):
-        """One co-simulated scenario of *model*; ``(entry, coverage_or_none)``.
+    def execute(self):
+        """Run the scenario on the job's one model; ``(record, payload)``.
 
-        *entry* is the deterministic per-scenario report fragment — the
-        same fields whether the scenario runs standalone or inside a
-        batch, so batched fingerprints are directly comparable to
-        sequential ones.  Every session of the job (each batch scenario,
-        the checkpoint's restore target) shares the one *model* object, so
-        its validation, lint verdict and fused program are computed
-        once per job.
+        The checkpoint's restore target shares that *model* object, so
+        its validation, lint verdict and fused program are computed once
+        per job.
         """
         from repro.testkit.coverage import (
             CoverageMap,
@@ -274,15 +254,18 @@ class CosimJob(SweepJob):
             run_session_to_completion,
         )
 
+        scenario = self._scenario()
+        model = scenario.system.build_model()
+        lint = _lint_preflight(model, self.no_lint)
         coverage = CoverageMap() if self.coverage else None
-        session = scenario.build_session(self.kernel, self.tier, model, index)
+        session = scenario.build_session(self.kernel, self.tier, model)
         if coverage is not None:
             attach_session(session, coverage)
         if self.checkpoint_at is not None:
             session.run(until=self.checkpoint_at)
             checkpoint = session.save()
-            session = scenario.build_session(self.kernel, self.tier, model,
-                                             index).restore(checkpoint)
+            session = scenario.build_session(self.kernel, self.tier,
+                                             model).restore(checkpoint)
             if coverage is not None:
                 # Rewire the observers onto the restored instances; the
                 # map keeps accumulating across the checkpoint boundary.
@@ -296,7 +279,8 @@ class CosimJob(SweepJob):
             result = session.run(until=self.until)
             problems = None
         faulted = self.fault_kind is not None
-        entry = {
+        record = self._base_record()
+        record.update({
             "end_time": result.end_time,
             "service_calls": len(result.trace),
             "sw_finished_all": all(result.sw_finished.values()),
@@ -315,81 +299,26 @@ class CosimJob(SweepJob):
             ),
             "fault_survival": (not problems if faulted
                                and self.until is None else None),
-        }
+        })
         if coverage is not None:
             coverage.record_trace(result.trace)
-            universe = coverage_universe(session.model)
-            entry["scoreboard"] = scoreboard(
-                coverage, universe,
-                fault_survival=entry["fault_survival"],
+            record["scoreboard"] = scoreboard(
+                coverage, coverage_universe(session.model),
+                fault_survival=record["fault_survival"],
             )
-            entry["coverage_digest"] = coverage.digest()
-        return entry, coverage
-
-    def execute(self):
-        scenario = self._scenario()
-        model = scenario.system.build_model()
-        lint = _lint_preflight(model, self.no_lint)
-        if self.batch is None:
-            entry, coverage = self._run_scenario(scenario, model)
-            record = self._base_record()
-            record.update(entry)
-            # Lint pre-flight summary (None when skipped via no_lint); an
-            # error-level finding never reaches here — the job refuses.
-            record["lint"] = lint
-            coverages = [] if coverage is None else [coverage]
-        else:
-            # The batch shares the job's model exactly as a single scenario
-            # does; what it saves over N standalone jobs is N-1 generations,
-            # model builds, lint passes and fused-program compiles.
-            scenarios = []
-            coverages = []
-            for index in range(self.batch):
-                entry, coverage = self._run_scenario(scenario, model, index)
-                entry["index"] = index
-                scenarios.append(entry)
-                if coverage is not None:
-                    coverages.append(coverage)
-            record = self._base_record()
-            fsm_totals = {}
-            for entry in scenarios:
-                for key, value in entry["fsm"].items():
-                    fsm_totals[key] = fsm_totals.get(key, 0) + value
-            survivals = [entry["fault_survival"] for entry in scenarios
-                         if entry["fault_survival"] is not None]
-            problems = [f"scenario {entry['index']}: {problem}"
-                        for entry in scenarios
-                        for problem in entry["functional_problems"] or ()]
-            record.update({
-                "scenarios": scenarios,
-                "end_time": max(entry["end_time"] for entry in scenarios),
-                "service_calls": sum(entry["service_calls"]
-                                     for entry in scenarios),
-                "sw_finished_all": all(entry["sw_finished_all"]
-                                       for entry in scenarios),
-                "functional_problems": (None if self.fault_kind is not None
-                                        else problems),
-                "fsm": fsm_totals,
-                "tier": scenarios[0]["tier"],
-                "tier_reason": scenarios[0]["tier_reason"],
-                # The batch digest pins every per-scenario fingerprint.
-                "fingerprint_digest": content_digest(
-                    [entry["fingerprint_digest"] for entry in scenarios]
-                ),
-                "fault_survival": (sum(survivals) / len(survivals)
-                                   if survivals else None),
-                "lint": lint,
-            })
-        payload = None
-        if coverages:
-            record["cached"] = False
-            identity = set(self.spec()) | {"name", "error"}
-            payload = CanonicalPayload.render({
-                "record": {key: value for key, value in record.items()
-                           if key not in identity and key != "cached"},
-                "coverage": (coverages[0].as_dict() if self.batch is None
-                             else [cov.as_dict() for cov in coverages]),
-            })
+            record["coverage_digest"] = coverage.digest()
+        # Lint pre-flight summary (None when skipped via no_lint); an
+        # error-level finding never reaches here — the job refuses.
+        record["lint"] = lint
+        if coverage is None:
+            return record, None
+        record["cached"] = False
+        identity = set(self.spec()) | {"name", "error"}
+        payload = CanonicalPayload.render({
+            "record": {key: value for key, value in record.items()
+                       if key not in identity and key != "cached"},
+            "coverage": coverage.as_dict(),
+        })
         return record, payload
 
     def record_from_payload(self, payload, cached):

@@ -67,17 +67,16 @@ class SystemScenario:
         """Completion horizon of *session*, in ns."""
         return COSIM_MAX_TIME
 
-    def install(self, session, index):
-        """Arm a fresh *session* as scenario *index* of a batch."""
+    def install(self, session):
+        """Arm a fresh *session* with the family's extras (none here)."""
 
-    def build_session(self, kernel="production", tier=None, model=None,
-                      index=0):
+    def build_session(self, kernel="production", tier=None, model=None):
         """A fresh installed session; *model* defaults to a new build."""
         params = self.session_parameters()
         if model is None:
             model = self.system.build_model()
         session = CosimSession(model, kernel=kernel, tier=tier, **params)
-        self.install(session, index)
+        self.install(session)
         return session
 
     def run(self, kernel="production", tier=None, coverage=None):
@@ -110,11 +109,12 @@ class SystemScenario:
 class FaultScenario(SystemScenario):
     """One generated system plus one fault plan against one of its units.
 
-    Scenario *index* of a batch injects *at_offset* × *index* ns later.
+    The fault window is :func:`~repro.cosim.faults.default_fault_window`
+    of the system's clock.
     """
 
-    def __init__(self, seed, kind="stuck_handshake", at=None, duration=None,
-                 networks=None, unit_index=0, at_offset=0):
+    def __init__(self, seed, kind="stuck_handshake", networks=None,
+                 unit_index=0):
         if kind not in FAULT_KINDS:
             raise SimulationError(
                 f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
@@ -122,22 +122,18 @@ class FaultScenario(SystemScenario):
         super().__init__(generate_system(seed, networks=networks))
         self.kind = kind
         self.unit_index = unit_index
-        self.at_offset = at_offset
-        default_at, default_duration = default_fault_window(
+        self.at, self.duration = default_fault_window(
             self.system.cosim_params["clock_period"])
-        self.at = at if at is not None else default_at
-        self.duration = duration if duration is not None else default_duration
         self.name = f"fault-{kind}-{seed}"
 
     def max_time(self, session):
         return FAULT_MAX_TIME
 
-    def install(self, session, index):
+    def install(self, session):
         units = list(session.model.comm_units.values())
         unit = units[self.unit_index % len(units)]
         session.add_fault_plan(plan_for_unit(
-            self.kind, unit, at=self.at + index * self.at_offset,
-            duration=self.duration))
+            self.kind, unit, at=self.at, duration=self.duration))
 
     def observe(self, session, result):
         problems = [f"fault plan {injector.plan.name!r} never fired"

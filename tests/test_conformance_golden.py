@@ -7,8 +7,7 @@ sha256 over the ``fingerprint_digest``, ``fault_survival`` and
 records of a fixed job population:
 
 * plain runs to completion, seeds 0–299;
-* every fault kind × seeds 0–7, single-scenario (unit ``seed % 3``) and
-  batched (``batch=3``, ``fault_at_offset=500``);
+* every fault kind × seeds 0–7 (unit ``seed % 3``);
 * checkpoint round-trips with coverage collection, seeds 0–7.
 
 A second sha256 pins the records' ``fsm`` counter dicts (steps,
@@ -28,8 +27,8 @@ import pytest
 from repro.cosim.faults import FAULT_KINDS
 from repro.sweep.jobs import CosimJob
 
-GOLDEN = "6a1202eb8f56384d92309772b0d00ba2edaaec9cace44c422e654f43f7305fd0"
-GOLDEN_FSM = "fdbb69aa8a6a068183409e25656812417435dfc58ee96faf18c2403badc9741a"
+GOLDEN = "80a7ea10aeb43bb2a20cd9aa840c2bebf28ba3728611b5981e1aec602f75a068"
+GOLDEN_FSM = "5cf793dbbe25fe2fe75d2c3cd584d9a869473069f472f8fde4fb8b5f79e7d8e1"
 
 FIELDS = ("fingerprint_digest", "fault_survival", "coverage_digest")
 
@@ -41,8 +40,6 @@ def golden_jobs():
         for seed in range(8):
             jobs.append(CosimJob(seed, fault_kind=kind,
                                  fault_unit_index=seed % 3))
-            jobs.append(CosimJob(seed, fault_kind=kind, batch=3,
-                                 fault_at_offset=500))
     jobs.extend(CosimJob(seed, checkpoint_at=3000, coverage=True)
                 for seed in range(8))
     return jobs

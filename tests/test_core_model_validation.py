@@ -10,6 +10,7 @@ from repro.cosyn import CosynthesisFlow
 from repro.lint import lint_model
 from repro.platforms import get_platform
 from repro.sweep.jobs import _lint_preflight
+from repro.testkit.models import generate_system
 from repro.utils.errors import ModelError, ValidationError
 
 from tests.conftest import (
@@ -165,17 +166,26 @@ class TestRefusal:
         server = session.hardware_adapter("ServerMod").process_variables("SERVER")
         assert server["RECEIVED"] == 5
 
-    def test_unbound_service_refuses_session_and_preflight(self):
-        model = SystemModel("Sys")
-        model.add_software_module(make_host_module())
-        for refuse in (lambda: CosimSession(model),
-                       lambda: _lint_preflight(model, no_lint=False)):
-            with pytest.raises(ValidationError) as excinfo:
-                refuse()
-            (finding,) = excinfo.value.diagnostics
-            assert (finding.rule, finding.path) == ("IF001", "module/HostMod")
-            assert str(excinfo.value) == ("model validation failed: "
-                                          + finding.format())
+    @pytest.mark.parametrize("tier", ["fused", "interpreted"])
+    def test_unbound_service_refuses_session_and_preflight(self, tier):
+        software = SystemModel("Sys")
+        software.add_software_module(make_host_module())
+        # A hardware caller too: no tier ever binds a service it cannot
+        # resolve, because the session is refused before it is built.
+        hardware = generate_system(0).build_model()
+        hardware.bindings = [binding for binding in hardware.bindings
+                             if (binding.module, binding.service)
+                             != ("Prod0", "Put0")]
+        for model, path in ((software, "module/HostMod"),
+                            (hardware, "module/Prod0")):
+            for refuse in (lambda: CosimSession(model, tier=tier),
+                           lambda: _lint_preflight(model, no_lint=False)):
+                with pytest.raises(ValidationError) as excinfo:
+                    refuse()
+                (finding,) = excinfo.value.diagnostics
+                assert (finding.rule, finding.path) == ("IF001", path)
+                assert str(excinfo.value) == ("model validation failed: "
+                                              + finding.format())
 
     def test_missing_platform_view_refuses_flow(self, producer_consumer_model):
         library = build_view_library([producer_consumer_model.comm_unit("Channel")])

@@ -14,14 +14,12 @@ from tests.conftest import make_put_like_service, unit_port_findings
 
 class TestCommunicationUnit:
     def test_duplicate_service_rejected(self, put_service):
-        unit = CommunicationUnit("Unit", services=[put_service])
-        with pytest.raises(ModelError):
-            unit.add_service(put_service)
+        with pytest.raises(ModelError, match="duplicate service 'PUT'"):
+            CommunicationUnit("Unit", services=[put_service, put_service])
 
     def test_duplicate_port_rejected(self):
-        unit = CommunicationUnit("Unit", ports=[Port("A")])
-        with pytest.raises(ModelError):
-            unit.add_port(Port("A"))
+        with pytest.raises(ModelError, match="duplicate port 'A'"):
+            CommunicationUnit("Unit", ports=[Port("A"), Port("A")])
 
     def test_service_and_port_lookup(self, put_service):
         unit = CommunicationUnit("Unit", ports=[Port("DATAIN")], services=[put_service])

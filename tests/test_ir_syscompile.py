@@ -6,9 +6,8 @@ plan order — must be byte-identical — waveforms,
 traces, states, kernel statistics — to the interpreted per-FSM tier, on
 both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
-scenario families), plus the machinery around it: batched multi-scenario
-execution, program caching, the lint pre-flight refusal path and the
-tier counters.
+scenario families), plus the machinery around it: program caching, the
+lint pre-flight refusal path and the tier counters.
 
 The full 334-scenario sweep across both tiers runs via
 ``python -m repro.testkit --tier differential``; here the same check
@@ -52,7 +51,6 @@ from repro.testkit.scenarios import (
     RealtimeScenario,
     check_scenario,
 )
-from repro.utils.canonical import content_digest
 from repro.utils.errors import SimulationError
 from repro.utils.lru import LruCache
 
@@ -272,37 +270,6 @@ class TestCheckpointUnderFused:
         interpreted = CosimSession(system.build_model(), tier="interpreted",
                                    **system.cosim_params)
         assert interpreted.restore(checkpoint).simulator.now == 5_000
-
-
-class TestBatchedExecution:
-    def test_batch_digest_folds_the_sequential_digests(self):
-        sequential = [CosimJob(2, coverage=True).execute()
-                      for _ in range(3)]
-        batch_record, batch_payload = CosimJob(2, coverage=True,
-                                               batch=3).execute()
-        per_scenario = [record["fingerprint_digest"]
-                        for record, _ in sequential]
-        assert all(digest == per_scenario[0] for digest in per_scenario)
-        assert len(batch_record["scenarios"]) == 3
-        assert [entry["fingerprint_digest"]
-                for entry in batch_record["scenarios"]] == per_scenario
-        assert batch_record["fingerprint_digest"] \
-            == content_digest(per_scenario)
-        # Coverage payloads are per scenario and identical to standalone.
-        assert batch_payload["coverage"] \
-            == [payload["coverage"] for _, payload in sequential]
-
-    def test_faulted_batch_spreads_injection_offsets(self):
-        job = CosimJob(1, fault_kind="stuck_handshake", batch=2,
-                       fault_at_offset=500)
-        record, _ = job.execute()
-        assert len(record["scenarios"]) == 2
-        assert record["functional_problems"] is None
-        assert job.spec()["fault_at_offset"] == 500
-
-    def test_checkpoint_refuses_batch(self):
-        with pytest.raises(ValueError, match="single-scenario"):
-            CosimJob(0, checkpoint_at=1_000, batch=2)
 
 
 def _live_models():

@@ -18,12 +18,10 @@ if str(REPO_ROOT) not in sys.path:
 
 from benchmarks.perf.cosim import (  # noqa: E402  (path setup above)
     ACCEPTANCE_POINTS,
-    BATCH_THRESHOLD,
     SCHEMA,
     check_against_baseline,
     check_fast_paths,
     main,
-    time_batch_point,
     time_cosim_point,
 )
 from benchmarks.perf.cosim_workloads import COSIM_WORKLOADS  # noqa: E402
@@ -87,14 +85,6 @@ def test_interpreted_point_reports_interpreted_steps():
 def test_repeats_validated():
     with pytest.raises(ValueError, match="repeats"):
         time_cosim_point(TRANSITION_RATE, 2, repeats=0)
-
-
-def test_batch_point_is_byte_identical():
-    point = time_batch_point(scenarios=3)
-    assert point["identical"] is True
-    assert point["scenarios"] == 3
-    assert point["threshold"] == BATCH_THRESHOLD
-    assert point["batch_wall_s"] > 0
 
 
 def _synthetic_run(points, **extra):

@@ -65,16 +65,6 @@ class TestIsaBus:
         assert addresses == {"A": 0x300, "B": 0x301, "C": 0x302}
         assert addresses["C"] not in bus.address_range()
 
-    def test_transaction_log(self):
-        bus = IsaBus()
-        bus.record_write(0x300, 5, 100)
-        bus.record_read(0x301, 1, 200)
-        summary = bus.traffic_summary()
-        assert summary["reads"] == 1 and summary["writes"] == 1
-        assert summary["bus_time_ns"] == 2 * bus.transfer_ns(1)
-        bus.reset_log()
-        assert bus.traffic_summary()["total"] == 0
-
 
 class TestFpgaDevice:
     def test_family_members(self):

@@ -37,8 +37,6 @@ _EXPORTED_SCALARS = {
     ("queue", "workers"): "repro_server_workers",
     ("jobs", "submitted"): "repro_server_jobs_submitted_total",
     ("jobs", "cache_served"): "repro_server_cache_served_total",
-    ("ticks",): "repro_server_ticks_total",
-    ("schedules",): "repro_server_schedules",
     ("pool_replacements",): "repro_server_pool_replacements_total",
 }
 
@@ -237,39 +235,6 @@ class TestQueueShape:
             JobService(workers=0)
         with pytest.raises(ValueError, match="queue_limit"):
             JobService(queue_limit=0)
-        with pytest.raises(ValueError, match="schedule"):
-            JobService(schedules=[{"no": "jobs"}])
-        with pytest.raises(ValueError, match="unknown job kind"):
-            JobService(schedules=[{"jobs": [{"kind": "bogus"}]}])
-
-
-class TestTick:
-    def test_tick_enqueues_due_schedules_only(self):
-        service = JobService(workers=1, queue_limit=8, schedules=[
-            {"name": "everytick",
-             "jobs": [{"kind": "kernel", "size": "tiny", "seed": 7}]},
-            {"name": "everyother", "every": 2,
-             "jobs": [{"kind": "kernel", "size": "tiny", "seed": 8}]},
-        ])
-        first = service.tick()
-        assert first["tick"] == 1
-        assert len(first["enqueued"]) == 1  # only the every-tick schedule
-        second = service.tick()
-        assert len(second["enqueued"]) == 2
-        sources = [record.source for record in service.jobs()]
-        assert sources == ["tick:everytick", "tick:everytick",
-                           "tick:everyother"]
-
-    def test_tick_reports_queue_rejections(self):
-        service = JobService(workers=1, queue_limit=1, schedules=[
-            {"name": "wide",
-             "jobs": [{"kind": "kernel", "size": "tiny", "seed": 7},
-                      {"kind": "kernel", "size": "tiny", "seed": 8}]},
-        ])
-        outcome = service.tick()
-        assert len(outcome["enqueued"]) == 1
-        assert len(outcome["rejected"]) == 1
-        assert "wide" in outcome["rejected"][0]
 
 
 class TestHttpServer:
@@ -349,8 +314,7 @@ class TestHttpServer:
 
         errors = []
         expected_keys = {"format", "queue", "jobs", "cache", "fsm",
-                         "ticks", "schedules", "pool_replacements",
-                         "started_at", "uptime_s"}
+                         "pool_replacements", "started_at", "uptime_s"}
 
         def hammer():
             try:
@@ -426,6 +390,30 @@ class TestHttpServer:
             assert "unknown tier 'compiled'" in reply["error"]
         status, reply = self._call(endpoint, "GET", "/jobs")
         assert status == 200 and not reply["jobs"]
+
+    @pytest.mark.parametrize("retired", [
+        {"batch": 3},
+        {"fault_kind": "stuck_handshake", "fault_at_offset": 500},
+    ], ids=["batch", "fault_at_offset"])
+    def test_http_refuses_retired_cosim_arguments(self, endpoint, retired):
+        (argument,) = set(retired) - {"fault_kind"}
+        status, reply = self._call(endpoint, "POST", "/jobs",
+                                   {"kind": "cosim", "seed": 0, **retired})
+        assert status == 400
+        assert f"unexpected keyword argument '{argument}'" in reply["error"]
+        status, reply = self._call(endpoint, "GET", "/jobs")
+        assert status == 200 and not reply["jobs"]
+
+    # The retired re-sweep scheduler route is unknown, not ignored, and a
+    # read-only route refuses a POST.
+    @pytest.mark.parametrize("method, path", [
+        ("POST", "/tick"), ("GET", "/tick"), ("POST", "/metrics"),
+    ])
+    def test_http_unknown_route_is_404(self, endpoint, method, path):
+        body = {} if method == "POST" else None
+        status, reply = self._call(endpoint, method, path, body)
+        assert status == 404
+        assert reply["error"] == f"unknown route: {method} {path}"
 
     def test_negative_content_length_is_answered_400(self, endpoint):
         # read(-1) would read to EOF: no reply while the client waits.

@@ -171,6 +171,17 @@ class TestJobBehaviour:
         with pytest.raises(ValueError, match="bad cosim job"):
             job_from_dict({"kind": "cosim", "sneed": 3})
 
+    @pytest.mark.parametrize("retired", [
+        {"batch": 3},
+        {"fault_kind": "stuck_handshake", "fault_at_offset": 500},
+    ], ids=["batch", "fault_at_offset"])
+    def test_retired_cosim_argument_is_refused(self, retired):
+        # A retired argument is refused, never silently ignored.
+        with pytest.raises(ValueError, match="bad cosim job"):
+            job_from_dict({"kind": "cosim", "seed": 0, **retired})
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            CosimJob(0, **retired)
+
     def test_unknown_tier_is_refused_at_construction(self):
         for spec in ({"kind": "cosim", "seed": 0, "tier": "bogus"},
                      {"kind": "cosim", "seed": 0, "tier": "compiled"},

@@ -83,8 +83,8 @@ class TestOracleCatchesFailures:
         ]
 
     def test_fault_plan_beyond_the_horizon_never_fires(self):
-        scenario = FaultScenario(0, "stuck_handshake",
-                                 at=FAULT_MAX_TIME + 1_000)
+        scenario = FaultScenario(0, "stuck_handshake")
+        scenario.at = FAULT_MAX_TIME + 1_000
         problems = check_scenario(scenario, kernels=("production",))
         assert problems
         assert all(problem.startswith("fault-stuck_handshake-0: production: "
@@ -126,12 +126,6 @@ class TestFamilies:
         scenario = RealtimeScenario(0)
         assert check_scenario(scenario, tier="differential") == []
         assert len(runs) == 1
-
-    def test_batch_index_shifts_the_fault_window(self):
-        scenario = FaultScenario(1, "stuck_handshake", at_offset=500)
-        (first,) = scenario.build_session(index=0).fault_injectors.values()
-        (third,) = scenario.build_session(index=2).fault_injectors.values()
-        assert third.plan.events[0].time == first.plan.events[0].time + 1_000
 
 
 class TestSweepRunsTheKitScenario:

@@ -69,14 +69,15 @@ def build_distribution(config, name="DistributionMod", service_suffix=""):
     with build.state("Finish", done=True) as state:
         state.stay()
 
-    fsm = build.build(initial="Start")
-    # MSTATE deliberately discards the ReadMotorState result: the call is a
-    # pure synchronization point (the paper's Distribution FSM waits for the
-    # report before issuing the next segment).  Silence the dead-store rule.
-    fsm.lint_suppress = ("DF002:'MSTATE'",)
-    return SoftwareModule(
-        name, fsm,
+    module = SoftwareModule(
+        name, build.build(initial="Start"),
         description="Distribution subsystem: splits the travel into segments and "
                     "drives the Speed Control hardware through the "
                     "Distribution_Interface access procedures",
     )
+    # MSTATE deliberately discards the ReadMotorState result: the call is a
+    # pure synchronization point (the paper's Distribution FSM waits for the
+    # report before issuing the next segment).  Silence the dead-store rule;
+    # the module's scope covers its FSM.
+    module.lint_suppress = ("DF002:'MSTATE'",)
+    return module

@@ -34,6 +34,7 @@ from repro.comm.channels import (
     handshake_channel,
     fifo_channel,
     shared_register_channel,
+    library_stats,
 )
 from repro.comm.generator import generate_service_views, build_view_library
 
@@ -52,6 +53,7 @@ __all__ = [
     "handshake_channel",
     "fifo_channel",
     "shared_register_channel",
+    "library_stats",
     "generate_service_views",
     "build_view_library",
 ]

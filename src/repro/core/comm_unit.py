@@ -10,66 +10,78 @@ invoked through a procedure call mechanism".  It owns
   manager, up to a layered protocol).
 
 The unit itself is a library component: co-synthesis never synthesizes it,
-it swaps in the platform's real communication resources instead.
+it swaps in the platform's real communication resources instead.  Units and
+controllers are read-only once built, so one unit can serve every model
+that instantiates it (see :mod:`repro.comm.channels`).
 """
+
+from types import MappingProxyType
 
 from repro.core.port import check_unique_ports
 from repro.core.service import Service
 from repro.ir.fsm import Fsm
 from repro.utils.errors import ModelError
 from repro.utils.ids import check_identifier
+from repro.utils.readonly import ReadOnly
 
 
-class CommunicationController:
+class CommunicationController(ReadOnly):
     """The conflict-resolution / state-guarding FSM of a communication unit."""
 
     def __init__(self, name, fsm, description="", protocol=""):
-        self.name = check_identifier(name, "controller name")
+        name = check_identifier(name, "controller name")
         if not isinstance(fsm, Fsm):
             raise ModelError(f"controller {name!r}: fsm must be an Fsm")
-        self.fsm = fsm
-        self.description = description
-        #: Protocol template this controller was stamped from (e.g.
-        #: ``"handshake"``, ``"fifo(depth=4)"``); empty for hand-built
-        #: controllers.  Descriptive only: fused code generation reads the
-        #: FSM, so equal FSMs share one compiled fragment whatever their tag.
-        self.protocol = protocol
+        # ``protocol``: the protocol template this controller was stamped
+        # from (e.g. ``"handshake"``, ``"fifo(depth=4)"``); empty for
+        # hand-built controllers.  Descriptive only: fused code generation
+        # reads the FSM, so equal FSMs share one compiled fragment whatever
+        # their tag.
+        self._seal(name=name, fsm=fsm, description=description,
+                   protocol=protocol)
 
     def __repr__(self):
         return f"CommunicationController({self.name})"
 
 
-class CommunicationUnit:
+class CommunicationUnit(ReadOnly):
     """A communication unit: ports + services + optional controller."""
 
     def __init__(self, name, ports=(), services=(), controller=None, controllers=(),
                  description=""):
-        self.name = check_identifier(name, "communication unit name")
-        self.ports = check_unique_ports(ports, owner=f"communication unit {name!r}")
-        self.services = {}
-        self.interfaces = {}
+        name = check_identifier(name, "communication unit name")
+        ports = check_unique_ports(ports, owner=f"communication unit {name!r}")
+        by_name = {}
+        interfaces = {}
         for service in services:
             if not isinstance(service, Service):
                 raise ModelError(f"{service!r} is not a Service")
-            if service.name in self.services:
+            if service.name in by_name:
                 raise ModelError(
                     f"communication unit {name!r}: duplicate service {service.name!r}"
                 )
-            self.services[service.name] = service
+            by_name[service.name] = service
             interface = service.interface or "default"
-            self.interfaces.setdefault(interface, []).append(service.name)
+            interfaces[interface] = interfaces.get(interface, ()) + (service.name,)
         all_controllers = list(controllers)
         if controller is not None:
             all_controllers.insert(0, controller)
-        self.controllers = []
         for item in all_controllers:
             if not isinstance(item, CommunicationController):
                 raise ModelError(
                     f"communication unit {name!r}: {item!r} is not a "
                     "CommunicationController"
                 )
-            self.controllers.append(item)
-        self.description = description
+        self._seal(name=name, ports=MappingProxyType(ports),
+                   services=MappingProxyType(by_name),
+                   interfaces=MappingProxyType(interfaces),
+                   controllers=tuple(all_controllers), description=description)
+
+    def __reduce__(self):
+        return (CommunicationUnit,
+                (self.name, tuple(self.ports.values()),
+                 tuple(self.services.values()), None, self.controllers,
+                 self.description))
 
     @property
     def controller(self):

@@ -5,6 +5,7 @@ import enum
 from repro.ir.dtypes import DataType, BIT
 from repro.utils.errors import ModelError
 from repro.utils.ids import check_identifier
+from repro.utils.readonly import ReadOnly
 
 
 class PortDirection(enum.Enum):
@@ -15,24 +16,23 @@ class PortDirection(enum.Enum):
     INOUT = "inout"
 
 
-class Port:
+class Port(ReadOnly):
     """A named, typed, directed connection point.
 
     Ports belong to communication units (the register/handshake wires the
     access procedures manipulate) and to hardware modules (e.g. the motor's
-    pulse and direction inputs).
+    pulse and direction inputs).  Read-only once built.
     """
 
     def __init__(self, name, direction=PortDirection.INOUT, dtype=None, description=""):
-        self.name = check_identifier(name, "port name")
+        name = check_identifier(name, "port name")
         if not isinstance(direction, PortDirection):
             raise ModelError(f"port {name!r}: direction must be a PortDirection")
-        self.direction = direction
         dtype = dtype if dtype is not None else BIT
         if not isinstance(dtype, DataType):
             raise ModelError(f"port {name!r}: dtype must be a DataType")
-        self.dtype = dtype
-        self.description = description
+        self._seal(name=name, direction=direction, dtype=dtype,
+                   description=description)
 
     @property
     def initial(self):

@@ -12,24 +12,25 @@ from repro.ir.dtypes import DataType
 from repro.ir.fsm import Fsm
 from repro.utils.errors import ModelError
 from repro.utils.ids import check_identifier
+from repro.utils.readonly import ReadOnly
 
 
-class ServiceParam:
+class ServiceParam(ReadOnly):
     """A formal parameter of a service (e.g. ``REQUEST`` of ``PUT``)."""
 
     def __init__(self, name, dtype, description=""):
-        self.name = check_identifier(name, "service parameter")
+        name = check_identifier(name, "service parameter")
         if not isinstance(dtype, DataType):
             raise ModelError(f"parameter {name!r}: dtype must be a DataType")
-        self.dtype = dtype
-        self.description = description
+        self._seal(name=name, dtype=dtype, description=description)
 
     def __repr__(self):
         return f"ServiceParam({self.name}, {self.dtype!r})"
 
 
-class Service:
-    """An access procedure offered by a communication unit.
+class Service(ReadOnly):
+    """An access procedure offered by a communication unit; read-only once
+    built.
 
     Parameters
     ----------
@@ -53,12 +54,11 @@ class Service:
 
     def __init__(self, name, fsm, params=(), returns=None, interface=None,
                  description=""):
-        self.name = check_identifier(name, "service name")
+        name = check_identifier(name, "service name")
         if not isinstance(fsm, Fsm):
             raise ModelError(f"service {name!r}: fsm must be an Fsm")
-        self.fsm = fsm
-        self.params = tuple(params)
-        for param in self.params:
+        params = tuple(params)
+        for param in params:
             if not isinstance(param, ServiceParam):
                 raise ModelError(f"service {name!r}: {param!r} is not a ServiceParam")
             if param.name not in fsm.variables:
@@ -68,18 +68,17 @@ class Service:
                 )
         if returns is not None and not isinstance(returns, DataType):
             raise ModelError(f"service {name!r}: returns must be a DataType or None")
-        self.returns = returns
         if returns is not None and fsm.result_var is None:
             raise ModelError(
                 f"service {name!r}: declares a return type but the FSM has no result_var"
             )
-        self.interface = interface
-        self.description = description
         if not fsm.done_states:
             raise ModelError(
                 f"service {name!r}: the FSM needs at least one done state so callers "
                 "can detect completion"
             )
+        self._seal(name=name, fsm=fsm, params=params, returns=returns,
+                   interface=interface, description=description)
 
     @property
     def param_names(self):

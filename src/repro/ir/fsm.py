@@ -13,31 +13,33 @@ The paper structures every behaviour as an FSM:
 The classes below capture that structure.
 """
 
+from types import MappingProxyType
+
 from repro.ir.dtypes import DataType
 from repro.ir.expr import PortRef, Var, wrap
 from repro.ir.stmt import Assign, If, Nop, PortWrite, Stmt
 from repro.utils.errors import ModelError
 from repro.utils.ids import check_identifier
+from repro.utils.readonly import ReadOnly
 
 
-class VarDecl:
+class VarDecl(ReadOnly):
     """Declaration of an FSM variable (name, type, initial value)."""
 
     def __init__(self, name, dtype, init=None):
-        self.name = check_identifier(name, "variable name")
+        name = check_identifier(name, "variable name")
         if not isinstance(dtype, DataType):
             raise ModelError(f"variable {name!r}: dtype must be a DataType, got {dtype!r}")
-        self.dtype = dtype
-        #: whether the declaration carried an explicit initial value (the
-        #: lint use-before-init pass trusts explicit initialisers)
-        self.explicit_init = init is not None
-        self.init = dtype.check(init) if init is not None else dtype.default
+        # ``explicit_init``: whether the declaration carried an initial
+        # value (the lint use-before-init pass trusts explicit initialisers)
+        self._seal(name=name, dtype=dtype, explicit_init=init is not None,
+                   init=dtype.check(init) if init is not None else dtype.default)
 
     def __repr__(self):
         return f"VarDecl({self.name}, {self.dtype!r}, init={self.init!r})"
 
 
-class ServiceCall:
+class ServiceCall(ReadOnly):
     """Invocation of a communication-unit service from a transition.
 
     Parameters
@@ -53,15 +55,17 @@ class ServiceCall:
     """
 
     def __init__(self, service, args=(), store=None):
-        self.service = check_identifier(service, "service name")
-        self.args = tuple(wrap(arg) for arg in args)
-        self.store = check_identifier(store, "result variable") if store else None
+        self._seal(
+            service=check_identifier(service, "service name"),
+            args=tuple(wrap(arg) for arg in args),
+            store=check_identifier(store, "result variable") if store else None,
+        )
 
     def __repr__(self):
         return f"ServiceCall({self.service}, args={len(self.args)}, store={self.store})"
 
 
-class Transition:
+class Transition(ReadOnly):
     """A guarded transition of an FSM state.
 
     Exactly one of the following shapes is used:
@@ -75,12 +79,12 @@ class Transition:
     """
 
     def __init__(self, target, guard=None, actions=(), call=None):
-        self.target = check_identifier(target, "transition target")
-        self.guard = wrap(guard) if guard is not None else None
-        self.actions = _check_stmts(actions)
+        target = check_identifier(target, "transition target")
+        guard = wrap(guard) if guard is not None else None
+        actions = _check_stmts(actions)
         if call is not None and not isinstance(call, ServiceCall):
             raise ModelError(f"call must be a ServiceCall, got {call!r}")
-        self.call = call
+        self._seal(target=target, guard=guard, actions=actions, call=call)
 
     def __repr__(self):
         parts = [f"-> {self.target}"]
@@ -91,26 +95,29 @@ class Transition:
         return f"Transition({', '.join(parts)})"
 
 
-class State:
+class State(ReadOnly):
     """A named FSM state with entry actions and ordered transitions."""
 
     def __init__(self, name, actions=(), transitions=()):
-        self.name = check_identifier(name, "state name")
-        self.actions = _check_stmts(actions)
-        self.transitions = list(transitions)
-        for transition in self.transitions:
+        name = check_identifier(name, "state name")
+        actions = _check_stmts(actions)
+        transitions = tuple(transitions)
+        for transition in transitions:
             if not isinstance(transition, Transition):
                 raise ModelError(f"state {name!r}: {transition!r} is not a Transition")
+        self._seal(name=name, actions=actions, transitions=transitions)
 
     def __repr__(self):
         return f"State({self.name}, actions={len(self.actions)}, transitions={len(self.transitions)})"
 
 
-class Fsm:
+class Fsm(ReadOnly):
     """A complete finite-state machine.
 
-    An ``Fsm`` is immutable once built: nothing may change its states,
-    transitions, statements or variables afterwards.  The names it uses are
+    An ``Fsm`` is read-only once built, and so are its states,
+    transitions, calls and variable declarations: they refuse attribute
+    assignment, hold tuples, and ``states``/``variables`` are read-only
+    mappings.  To change a behaviour, build a new FSM.  The names it uses are
     found in one walk at construction and kept as plain attributes:
 
     * ``vars_read`` / ``vars_written`` — variable names, sorted; a service
@@ -146,68 +153,79 @@ class Fsm:
 
     def __init__(self, name, states, initial, variables=(), ports=(),
                  done_states=(), result_var=None):
-        self.name = check_identifier(name, "FSM name")
-        self.states = {}
-        self.state_order = []
+        name = check_identifier(name, "FSM name")
+        by_name = {}
         for state in states:
             if not isinstance(state, State):
                 raise ModelError(f"FSM {name!r}: {state!r} is not a State")
-            if state.name in self.states:
+            if state.name in by_name:
                 raise ModelError(f"FSM {name!r}: duplicate state {state.name!r}")
-            self.states[state.name] = state
-            self.state_order.append(state.name)
-        if initial not in self.states:
+            by_name[state.name] = state
+        if initial not in by_name:
             raise ModelError(f"FSM {name!r}: initial state {initial!r} not defined")
-        self.initial = initial
-        self.variables = {}
+        declared = {}
         for decl in variables:
             if not isinstance(decl, VarDecl):
                 raise ModelError(f"FSM {name!r}: {decl!r} is not a VarDecl")
-            if decl.name in self.variables:
+            if decl.name in declared:
                 raise ModelError(f"FSM {name!r}: duplicate variable {decl.name!r}")
-            self.variables[decl.name] = decl
-        self.ports = tuple(ports)
-        self.done_states = frozenset(done_states)
-        for done in self.done_states:
-            if done not in self.states:
+            declared[decl.name] = decl
+        done_states = frozenset(done_states)
+        for done in done_states:
+            if done not in by_name:
                 raise ModelError(f"FSM {name!r}: done state {done!r} not defined")
-        self.result_var = (
+        result_var = (
             check_identifier(result_var, "result variable") if result_var else None
         )
-        if self.result_var and self.result_var not in self.variables:
+        if result_var and result_var not in declared:
             raise ModelError(
-                f"FSM {name!r}: result variable {self.result_var!r} is not declared"
+                f"FSM {name!r}: result variable {result_var!r} is not declared"
             )
-        (self.vars_read, self.vars_written, self.ports_read,
-         self.ports_written, self.services_called) = _names(self)
+        vars_read, vars_written, ports_read, ports_written, services = _names(
+            name, by_name.values())
+        self._seal(
+            name=name,
+            # ``state()`` reads the plain dict behind the read-only ``states``.
+            _states=by_name, states=MappingProxyType(by_name),
+            state_order=tuple(by_name), initial=initial,
+            variables=MappingProxyType(declared), ports=tuple(ports),
+            done_states=done_states, result_var=result_var,
+            vars_read=vars_read, vars_written=vars_written,
+            ports_read=ports_read, ports_written=ports_written,
+            services_called=services,
+        )
+
+    def __reduce__(self):
+        return (Fsm, (self.name, tuple(self._states.values()), self.initial,
+                      tuple(self.variables.values()), self.ports,
+                      tuple(self.done_states), self.result_var))
 
     # ------------------------------------------------------------------ query
 
     def state(self, name):
         try:
-            return self.states[name]
+            return self._states[name]
         except KeyError:
             raise ModelError(f"FSM {self.name!r}: unknown state {name!r}") from None
 
     def iter_states(self):
         """Yield states in declaration order."""
-        for name in self.state_order:
-            yield self.states[name]
+        return iter(self._states.values())
 
     def __repr__(self):
         return f"Fsm({self.name}, states={len(self.states)}, initial={self.initial})"
 
 
 def _check_stmts(statements):
-    statements = list(statements)
+    statements = tuple(statements)
     for statement in statements:
         if not isinstance(statement, Stmt):
             raise ModelError(f"{statement!r} is not an IR statement")
     return statements
 
 
-def _names(fsm):
-    """Walk *fsm* once: the names it reads, writes and calls.
+def _names(fsm_name, states):
+    """Walk an FSM's *states* once: the names it reads, writes and calls.
 
     Expressions are visited in the order state actions, then each
     transition's guard, actions and call arguments; that order fixes the
@@ -237,9 +255,9 @@ def _names(fsm):
                 stmts(stmt.then)
                 stmts(stmt.orelse)
             elif not isinstance(stmt, Nop):
-                raise ModelError(f"FSM {fsm.name!r}: {stmt!r} is not an IR statement")
+                raise ModelError(f"FSM {fsm_name!r}: {stmt!r} is not an IR statement")
 
-    for state in fsm.iter_states():
+    for state in states:
         stmts(state.actions)
         for transition in state.transitions:
             if transition.guard is not None:

@@ -49,7 +49,10 @@ Each candidate is emitted as a *fragment*, a function of its own slots
 named locally (``i0``, ``g0…``, ``v0…``), so the same controller or
 datapath compiles to the same source in every model.  The source text
 keys the code-object cache, a fixed-size in-process LRU, so a fragment
-is compiled once per process, not once per model.  A session's step is
+is compiled once per process, not once per model; and since FSMs are
+read-only, each FSM's source is emitted once too, memoised on the FSM
+itself (the library controllers of :mod:`repro.comm.channels` are shared
+by every model of a process).  A session's step is
 then a short *fragment step* that calls its bound fragments in plan
 order and does the header work (``process_runs`` compensation, the edge
 test, the ``transactions`` total).  The program is cached per model in a
@@ -213,29 +216,28 @@ class _Slots:
     """The source names of one fragment's slots.
 
     A fragment numbers its own slots from 0, first use first, and records
-    the plan slot behind each local name: equal structure then emits
-    equal source wherever it sits in whichever model.
+    the port or service name behind each local name: equal structure then
+    emits equal source wherever it sits in whichever model.  A first use
+    also numbers the name's plan slot, in that same order.
     """
 
     def __init__(self, plan, cand):
         self.plan = plan
         self.cand = cand
-        self.signals = []   # plan signal slots, in local-name order
-        self.services = []  # plan service slots, in local-name order
-
-    @staticmethod
-    def _name(prefix, used, slot):
-        if slot not in used:
-            used.append(slot)
-        return f"{prefix}{used.index(slot)}"
+        self.ports = []     # port names, in local-name order
+        self.services = []  # service names, in local-name order
 
     def signal(self, port_name):
-        slot = self.plan.signal_slot(self.cand, port_name)
-        return self._name("g", self.signals, slot)
+        if port_name not in self.ports:
+            self.plan.signal_slot(self.cand, port_name)  # checks the wiring
+            self.ports.append(port_name)
+        return f"g{self.ports.index(port_name)}"
 
     def service(self, service_name):
-        slot = self.plan.service_slot(self.cand, service_name)
-        return self._name("v", self.services, slot)
+        if service_name not in self.services:
+            self.plan.service_slot(self.cand, service_name)
+            self.services.append(service_name)
+        return f"v{self.services.index(service_name)}"
 
 
 class _StateEmitter:
@@ -582,7 +584,7 @@ def _fragment_source(slots):
     lines.append("    except KeyError as _x:")
     lines.append(f"        raise _undefined(_x, _e, {cand.env_reads!r})")
     params = ["_dq", "_ses", "i0"]
-    params += [f"g{n}" for n in range(len(slots.signals))]
+    params += [f"g{n}" for n in range(len(slots.ports))]
     params += [f"v{n}" for n in range(len(slots.services))]
     return "\n".join([f"def _fragment({', '.join(params)}):",
                       *lines, "    return _w"])
@@ -693,16 +695,33 @@ def _compiled(source, filename):
 
 
 class _Fragment:
-    """One candidate's compiled fragment and the plan slots it binds."""
+    """One candidate's compiled fragment and the plan slots it binds.
+
+    The fragment's source and the port and service names it binds, in
+    their local first-use order, are a function of the FSM, its wired
+    ports and whether it has a call handler: they are memoised on the
+    FSM in :data:`_FRAGMENTS`, so a shared library controller is emitted
+    once per process.  Looking the names up through the plan in that
+    order numbers a fresh plan's slots exactly as emitting would.
+    """
 
     __slots__ = ("code", "signals", "services")
 
     def __init__(self, plan, cand):
-        slots = _Slots(plan, cand)
-        self.code = _compiled(_fragment_source(slots),
-                              "<syscompile:fragment>")
-        self.signals = slots.signals
-        self.services = slots.services
+        by_wiring = _FRAGMENTS.get(cand.fsm)
+        if by_wiring is None:
+            by_wiring = _FRAGMENTS[cand.fsm] = {}
+        wiring = (cand.available, cand.has_handler)
+        emitted = by_wiring.get(wiring)
+        if emitted is None:
+            slots = _Slots(plan, cand)
+            emitted = by_wiring[wiring] = (
+                _fragment_source(slots), tuple(slots.ports),
+                tuple(slots.services))
+        source, ports, services = emitted
+        self.code = _compiled(source, "<syscompile:fragment>")
+        self.signals = [plan.signal_slot(cand, name) for name in ports]
+        self.services = [plan.service_slot(cand, name) for name in services]
 
 
 class SystemProgram:
@@ -756,6 +775,9 @@ CODE_CACHE_SIZE = 256
 
 _SYSTEM_CACHE = weakref.WeakKeyDictionary()  # model -> SystemProgram
 _CODE_CACHE = LruCache(CODE_CACHE_SIZE)      # source -> code object
+#: fused FSM -> {(wired ports, has handler): (source, port names,
+#: service names)}; see :class:`_Fragment`.
+_FRAGMENTS = weakref.WeakKeyDictionary()
 
 
 def compile_system(model):

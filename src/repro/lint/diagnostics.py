@@ -9,9 +9,9 @@ is still part of the machine-readable report).
 Suppression entries are strings of the form ``"RULE"`` (silence a rule
 everywhere in the carrying object's scope) or ``"RULE:fragment"`` (silence
 the rule only where *fragment* occurs in the diagnostic's path or message).
-They can be passed to the engine directly or attached to model objects
-(``SystemModel``, modules, units, services, ``Fsm``) as a ``lint_suppress``
-attribute.
+They can be passed to the engine directly or attached to the
+``SystemModel`` or a module as a ``lint_suppress`` attribute (FSMs and
+communication units are read-only once built, so they carry none).
 """
 
 

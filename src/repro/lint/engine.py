@@ -12,11 +12,14 @@ passes, before suppression) is cached on first use; the *extended* stage
 caller asks for the full report.  The job pipeline's three readers — the
 sweep/server pre-flight, ``CosimSession`` validation and the fused-codegen
 gate of ``compile_system`` — all read this one memo, so a job lints its
-model once.  Below it, the structural stage takes each module FSM's and
-each communication unit's findings from a memo keyed on that object, so
-models that share them (a DSE front's repartitionings) check each once
-and re-run only their own binding pass and the FSM006 check.  Keying on
-an FSM is sound because an ``Fsm`` is immutable once built.
+model once.  Below it, both stages take each communication unit's
+findings, and the structural stage each module FSM's, from a memo keyed on
+that object (:func:`_memo_pass`).  Models that share them — every model
+built from the library units of :mod:`repro.comm.channels`, a DSE front's
+repartitionings — check each once per process and re-run only their own
+module, binding and race passes and the FSM006 check.  Keying on an
+object is sound because FSMs and units are read-only once built: they
+refuse attribute assignment and hold only tuples and read-only mappings.
 """
 
 import weakref
@@ -45,29 +48,14 @@ def _module_ports(module):
 
 
 def _collect_suppressions(model, extra=()):
-    """Suppression entries: engine args are global; entries attached to model
-    objects as ``lint_suppress`` are scoped to the object's path."""
+    """Suppression entries: engine args are global; entries attached to the
+    model or a module as ``lint_suppress`` are scoped to the object's path.
+    FSMs and library units are read-only, so they carry none."""
     entries = [(entry, "") for entry in extra]
     entries += [(entry, "") for entry in getattr(model, "lint_suppress", ())]
     for module in model.modules.values():
-        prefix = f"module/{module.name}"
-        entries += [(entry, prefix)
+        entries += [(entry, f"module/{module.name}")
                     for entry in getattr(module, "lint_suppress", ())]
-        for fsm in module.behaviours():
-            entries += [(entry, f"{prefix}/{fsm.name}")
-                        for entry in getattr(fsm, "lint_suppress", ())]
-    for unit in model.comm_units.values():
-        prefix = f"unit/{unit.name}"
-        entries += [(entry, prefix)
-                    for entry in getattr(unit, "lint_suppress", ())]
-        for service in unit.services.values():
-            entries += [(entry, f"{prefix}/service/{service.name}")
-                        for entry in getattr(service, "lint_suppress", ())]
-            entries += [(entry, f"{prefix}/service/{service.name}")
-                        for entry in getattr(service.fsm, "lint_suppress", ())]
-        for controller in unit.controllers:
-            entries += [(entry, f"{prefix}/controller/{controller.name}")
-                        for entry in getattr(controller.fsm, "lint_suppress", ())]
     return entries
 
 
@@ -90,29 +78,30 @@ def lint_model(model, library=None, platforms=(), disable=(), suppress=(),
     return report
 
 
-#: Module FSM or communication unit -> {path: diagnostics of its
-#: structural passes}.  Weak keys keep models collectable, and no
+#: Module FSM or communication unit -> {(stage, path): its diagnostics,
+#: before suppression}.  Weak keys keep models collectable, and no
 #: diagnostic refers back to its key.
 _PASSES = weakref.WeakKeyDictionary()
 
 
-def _memo_pass(item, path, run, report):
-    """Add ``run(item, path, report)``'s findings, computed once per path.
+def _memo_pass(item, stage, path, run, report):
+    """Add ``run(item, path, report)``'s findings, computed once per
+    *stage* and path.
 
     Repartitioned models (one per DSE front winner) share their FSMs and
-    communication units, so each is checked once however many models
-    hold it.  An ``Fsm`` is immutable once built; like
-    :func:`memo_report`, this also assumes a unit is not changed once
-    linted.
+    communication units, and every model of a process shares the library
+    units of :mod:`repro.comm.channels`, so each is checked once however
+    many models hold it.  Sound because FSMs and units are read-only
+    once built.
     """
-    by_path = _PASSES.get(item)
-    if by_path is None:
-        by_path = _PASSES[item] = {}
-    found = by_path.get(path)
+    by_key = _PASSES.get(item)
+    if by_key is None:
+        by_key = _PASSES[item] = {}
+    found = by_key.get((stage, path))
     if found is None:
         scratch = LintReport()
         run(item, path, scratch)
-        found = by_path[path] = tuple(scratch.diagnostics)
+        found = by_key[stage, path] = tuple(scratch.diagnostics)
     report.diagnostics.extend(found)
 
 
@@ -128,18 +117,41 @@ def _unit_passes(unit, path, report):
                                  f"{path}/controller/{controller.name}", report)
 
 
+def _unit_extended_passes(unit, path, report):
+    """Dataflow and port-write passes of a unit's service and controller
+    FSMs, then its protocol pass; *path* is ``unit/<name>``."""
+    for service in unit.services.values():
+        fsm_path = f"{path}/service/{service.name}"
+        var_env, port_env = _fsm_envs(service.fsm, unit.ports)
+        dataflow.dataflow_passes(service.fsm, fsm_path, report,
+                                 pre_assigned=service.param_names,
+                                 var_env=var_env, port_env=port_env)
+        interface.port_write_pass(service.fsm, fsm_path, report, unit.ports,
+                                  var_env=var_env, port_env=port_env)
+    for controller in unit.controllers:
+        fsm_path = f"{path}/controller/{controller.name}"
+        var_env, port_env = _fsm_envs(controller.fsm, unit.ports)
+        dataflow.dataflow_passes(controller.fsm, fsm_path, report,
+                                 var_env=var_env, port_env=port_env)
+        interface.port_write_pass(controller.fsm, fsm_path, report, unit.ports,
+                                  var_env=var_env, port_env=port_env)
+    protocol.protocol_pass(unit, report, path)
+
+
 def _structural_stage(model, report, library=None, platforms=()):
     """Behaviours, units, bindings and views."""
     with TELEMETRY.span("lint.structural", cat="lint", model=model.name):
         for module in model.modules.values():
             for fsm in module.behaviours():
-                _memo_pass(fsm, f"module/{module.name}/{fsm.name}",
+                _memo_pass(fsm, "structural",
+                           f"module/{module.name}/{fsm.name}",
                            dataflow.structural_pass, report)
             if isinstance(module, SoftwareModule) and len(module.behaviours()) != 1:
                 report.add(Diagnostic("FSM006", "error", f"module/{module.name}",
                                       "software modules have exactly one FSM"))
         for unit in model.comm_units.values():
-            _memo_pass(unit, f"unit/{unit.name}", _unit_passes, report)
+            _memo_pass(unit, "structural", f"unit/{unit.name}", _unit_passes,
+                       report)
         interface.binding_pass(model, report)
         if library is not None:
             interface.view_pass(model, library, platforms, report)
@@ -160,22 +172,8 @@ def _extended_stage(model, report, disable=(), suppress=()):
                 interface.port_write_pass(fsm, path, report, ports,
                                           var_env=var_env, port_env=port_env)
         for unit in model.comm_units.values():
-            for service in unit.services.values():
-                path = f"unit/{unit.name}/service/{service.name}"
-                var_env, port_env = _fsm_envs(service.fsm, unit.ports)
-                dataflow.dataflow_passes(service.fsm, path, report,
-                                         pre_assigned=service.param_names,
-                                         var_env=var_env, port_env=port_env)
-                interface.port_write_pass(service.fsm, path, report, unit.ports,
-                                          var_env=var_env, port_env=port_env)
-            for controller in unit.controllers:
-                path = f"unit/{unit.name}/controller/{controller.name}"
-                var_env, port_env = _fsm_envs(controller.fsm, unit.ports)
-                dataflow.dataflow_passes(controller.fsm, path, report,
-                                         var_env=var_env, port_env=port_env)
-                interface.port_write_pass(controller.fsm, path, report, unit.ports,
-                                          var_env=var_env, port_env=port_env)
-            protocol.protocol_pass(unit, report, f"unit/{unit.name}")
+            _memo_pass(unit, "extended", f"unit/{unit.name}",
+                       _unit_extended_passes, report)
         races.race_pass(model, report)
 
         entries = _collect_suppressions(model, suppress)
@@ -202,7 +200,8 @@ def memo_report(model, structural_only=False):
     on top of the cached structural diagnostics the first time the full
     report is asked for.  The returned report is shared: treat it as
     read-only.  Like the fused program cache, the memo assumes the
-    model is not mutated after it was first linted.
+    model is not mutated after it was first linted (its FSMs and units
+    cannot be; the model itself can).
     """
     stages = _MEMO.get(model)
     if stages is None:

@@ -173,7 +173,7 @@ def build_undeclared_port_model():
                                 prefix="NT")
     unit = CommunicationUnit("Net", ports=channel.ports.values(),
                              services=channel.services.values(),
-                             controllers=channel.controllers + [rogue])
+                             controllers=[*channel.controllers, rogue])
     model = SystemModel("UndeclaredPortMutant")
     model.add_comm_unit(unit)
     model.add_software_module(

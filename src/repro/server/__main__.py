@@ -9,7 +9,8 @@ Serving::
 on an ephemeral port — and exercises it with real ``urllib`` clients:
 concurrent submissions of every job kind, polling to completion, the
 artifact route, a warm cacheable resubmission (must be served from the
-cache) and the error statuses (400/404 paths via a
+cache), the ``/metrics`` counters in JSON and Prometheus form (the workers'
+communication-unit library among them) and the error statuses (400/404 paths via a
 malformed spec, a negative ``Content-Length`` and an unknown route).
 Exit code 0 means the service held up end to end; this is what
 ``make server-smoke`` runs.
@@ -25,6 +26,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.obs.metrics import parse_prometheus
 from repro.server.http import create_server
 from repro.server.service import JobService
 
@@ -96,6 +98,10 @@ class _Client:
 
     def get(self, path):
         return self.request("GET", path)
+
+    def get_text(self, path):
+        with urllib.request.urlopen(self.base + path, timeout=30) as response:
+            return response.status, response.read().decode("utf-8")
 
     def post(self, path, body):
         return self.request("POST", path, body)
@@ -204,7 +210,7 @@ def selfcheck(args):
 
             status, metrics = client.get("/metrics")
             _check(status == 200, f"GET /metrics -> {status}")
-            for key in ("queue", "jobs", "cache", "fsm",
+            for key in ("queue", "jobs", "cache", "fsm", "library",
                         "pool_replacements", "uptime_s"):
                 _check(key in metrics, f"/metrics missing {key!r}")
             _check(metrics["jobs"]["by_state"]["done"] == 6,
@@ -221,7 +227,24 @@ def selfcheck(args):
                    f"expected fused-tier activity: {metrics['fsm']}")
             _check(metrics["fsm"]["system_fallback"] == 0,
                    f"unexpected fused-step fallback: {metrics['fsm']}")
-            note("GET /metrics reports queue/cache/fsm counters")
+            library = metrics["library"]
+            _check(library["misses"] >= 1 and library["hits"] >= 0,
+                   f"expected unit-library builds: {library}")
+            _check(1 <= library["size"] <= library["misses"],
+                   f"unit-library size out of range: {library}")
+            note("GET /metrics reports queue/cache/fsm/library counters")
+
+            status, text = client.get_text("/metrics/prometheus")
+            _check(status == 200, f"GET /metrics/prometheus -> {status}")
+            samples = {name: value
+                       for name, labels, value in parse_prometheus(text)
+                       if not labels}
+            for key in ("hits", "misses", "size"):
+                name = ("repro_server_library_size" if key == "size"
+                        else f"repro_server_library_{key}_total")
+                _check(samples.get(name) == library[key],
+                       f"{name} = {samples.get(name)}, JSON {library}")
+            note("GET /metrics/prometheus exports the library counters")
 
             status, reply = client.post("/jobs", {"kind": "nonsense"})
             _check(status == 400, f"bad spec should 400, got {status}")

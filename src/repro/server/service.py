@@ -32,9 +32,11 @@ Design points:
 
 import collections
 import itertools
+import os
 import threading
 import time
 
+from repro.comm import library_stats
 from repro.obs import TELEMETRY, prometheus_line
 from repro.sweep.cache import ArtifactCache
 from repro.sweep.jobs import job_from_dict
@@ -48,6 +50,12 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 class QueueFullError(ReproError):
     """The bounded submission queue is at capacity (HTTP 503)."""
+
+
+def _execute_in_worker(job):
+    """Worker entry: the job's ``(record, payload)``, the worker's pid and
+    its unit-library counters (:func:`repro.comm.library_stats`)."""
+    return _execute_job(job), os.getpid(), library_stats()
 
 
 class JobRecord:
@@ -141,6 +149,11 @@ class JobService:
         self._fsm_totals = {"steps": 0, "transitions_fired": 0,
                             "interpreted": 0, "fallback": 0,
                             "system_compile_hits": 0, "system_fallback": 0}
+        #: worker pid -> its latest unit-library counters; the counts of
+        #: workers torn down with a broken pool are folded into
+        #: ``_library_retired``.
+        self._library = {}
+        self._library_retired = {"hits": 0, "misses": 0}
 
     # ------------------------------------------------------------- lifecycle
 
@@ -181,7 +194,10 @@ class JobService:
         Cacheable jobs whose content key hits are answered ``done``
         immediately, without queueing.
         """
-        job = job_from_dict(spec)
+        return self._submit(job_from_dict(spec))
+
+    def _submit(self, job):
+        """Enqueue one built *job* (or answer it from the cache)."""
         cached_payload = None
         cache_key = None
         if self.cache is not None and job.cacheable:
@@ -213,21 +229,22 @@ class JobService:
     def submit_body(self, body):
         """Submit a decoded ``POST /jobs`` body: one spec or a list of specs.
 
-        All-or-nothing: the whole batch is validated first and submitted
-        under the lock; on a mid-batch :class:`QueueFullError` everything
-        already accepted is rolled back, so a 503 never leaves half a
-        batch queued.  Returns the list of :class:`JobRecord`.
+        All-or-nothing: every spec is parsed once, before anything is
+        queued, so one malformed entry rejects the whole batch; the built
+        jobs are submitted under the lock, and on a mid-batch
+        :class:`QueueFullError` everything already accepted is rolled
+        back, so a 503 never leaves half a batch queued.  Returns the list
+        of :class:`JobRecord`.
         """
         specs = body if isinstance(body, list) else [body]
         if not specs:
             raise ValueError("empty job submission")
-        for spec in specs:
-            job_from_dict(spec)  # malformed entries reject the whole batch
+        jobs = [job_from_dict(spec) for spec in specs]
         with self._lock:  # re-entrant: executors cannot interleave with us
             records = []
             try:
-                for spec in specs:
-                    records.append(self.submit_spec(spec))
+                for job in jobs:
+                    records.append(self._submit(job))
             except QueueFullError:
                 for record in records:
                     self._jobs.pop(record.id, None)
@@ -277,10 +294,20 @@ class JobService:
                 },
                 "cache": cache_stats,
                 "fsm": dict(self._fsm_totals),
+                "library": self._library_totals(),
                 "pool_replacements": self._pool_replacements,
                 "started_at": self._started_at,
                 "uptime_s": round(time.monotonic() - self._started_mono, 3),
             }
+
+    def _library_totals(self):
+        """The workers' unit libraries: hits and misses since the service
+        started, and the units the live workers hold."""
+        totals = dict(self._library_retired, size=0)
+        for stats in self._library.values():
+            for key in totals:
+                totals[key] += stats[key]
+        return totals
 
     def prometheus_metrics(self):
         """The :meth:`metrics` counters in Prometheus text exposition.
@@ -323,6 +350,18 @@ class JobService:
                             {"counter": counter}, value)
             for counter, value in sorted(snapshot["fsm"].items())
         )
+        library = snapshot["library"]
+        lines += [
+            "# TYPE repro_server_library_hits_total counter",
+            prometheus_line("repro_server_library_hits_total", None,
+                            library["hits"]),
+            "# TYPE repro_server_library_misses_total counter",
+            prometheus_line("repro_server_library_misses_total", None,
+                            library["misses"]),
+            "# TYPE repro_server_library_size gauge",
+            prometheus_line("repro_server_library_size", None,
+                            library["size"]),
+        ]
         lines.append("# TYPE repro_server_pool_replacements_total counter")
         lines.append(prometheus_line("repro_server_pool_replacements_total",
                                      None, snapshot["pool_replacements"]))
@@ -353,8 +392,8 @@ class JobService:
                 record.started_mono = time.monotonic()
                 pool = self._pool
             try:
-                outcome, payload = pool.map(_execute_job, [record.job],
-                                            chunksize=1)[0]
+                (outcome, payload), pid, library = pool.map(
+                    _execute_in_worker, [record.job], chunksize=1)[0]
             except PoolError as exc:
                 self._replace_pool(pool)
                 self._finish(record, None, error=str(exc))
@@ -363,8 +402,10 @@ class JobService:
                 self._finish(record, None,
                              error=f"{type(exc).__name__}: {exc}")
                 continue
-            if (payload is not None and record.cache_key is not None):
-                with self._lock:
+            with self._lock:
+                if pool is self._pool:
+                    self._library[pid] = library
+                if payload is not None and record.cache_key is not None:
                     self.cache.put(record.cache_key, payload)
             self._finish(record, outcome, error=outcome.get("error"))
 
@@ -402,6 +443,10 @@ class JobService:
         with self._lock:
             if self._pool is broken and not self._stopping:
                 broken.terminate()
+                for stats in self._library.values():
+                    self._library_retired["hits"] += stats["hits"]
+                    self._library_retired["misses"] += stats["misses"]
+                self._library.clear()
                 self._pool = WorkerPool(self.workers)
                 self._pool_replacements += 1
 

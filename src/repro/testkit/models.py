@@ -54,7 +54,12 @@ class GeneratedSystem:
         self.sw_only = tuple(sw_only)
 
     def build_model(self):
-        """Return a **fresh** :class:`SystemModel` (never shared between runs)."""
+        """Return a **fresh** :class:`SystemModel`.
+
+        The model and its modules are new on every call, so runs never
+        share one; its communication units are the shared, read-only
+        library units of :mod:`repro.comm.channels`.
+        """
         with TELEMETRY.span("testkit.build_model", cat="testkit",
                             system=self.name):
             return self._builder()

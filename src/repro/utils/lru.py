@@ -1,11 +1,12 @@
 """A fixed-size least-recently-used map.
 
-The fused code cache of :mod:`repro.ir.syscompile` is keyed on the
-generated source, so long-running processes — sweep workers, the job
-server — would otherwise keep one entry per distinct fragment or step they
-ever compiled.  An :class:`LruCache` keeps the *maxsize* most recently
-used entries and evicts the rest; an evicted code object is simply
-recompiled on its next use.  (The retired per-FSM generator of
+Two process-wide memos would otherwise grow with every distinct input a
+long-running process — a sweep worker, the job server — ever saw: the
+fused code cache of :mod:`repro.ir.syscompile`, keyed on the generated
+source, and the communication-unit library of :mod:`repro.comm.channels`,
+keyed on a factory's arguments.  An :class:`LruCache` keeps the *maxsize*
+most recently used entries and evicts the rest; an evicted entry is
+simply rebuilt on its next use.  (The retired per-FSM generator of
 :mod:`repro.ir.compile` keeps no cache.)
 """
 

@@ -30,7 +30,7 @@ class TestChannelFactories:
 
     def test_shared_register_channel_has_no_controller(self):
         unit = shared_register_channel("Reg")
-        assert unit.controllers == []
+        assert unit.controllers == ()
         assert unit_port_findings(unit) == []
 
     def test_prefix_normalisation(self):

@@ -62,7 +62,7 @@ class TestCommunicationUnit:
     def test_unit_without_controller(self):
         unit = CommunicationUnit("Plain")
         assert unit.controller is None
-        assert unit.controllers == []
+        assert unit.controllers == ()
 
 
 class TestViews:

@@ -21,6 +21,7 @@ from repro.ir import (
     FsmBuilder,
     FsmInstance,
     INT,
+    Transition,
     evaluate,
     var,
 )
@@ -30,7 +31,7 @@ from repro.ir.expr import BinOp, Const, Expr, PortRef, UnOp, Var
 from repro.ir.interp import DEFAULT_HISTORY_LIMIT, DictPortAccessor
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, cosim_fingerprint, run_cosim
-from repro.utils.errors import SimulationError
+from repro.utils.errors import ModelError, SimulationError
 from tests.conftest import ProgramStepper
 
 
@@ -257,22 +258,29 @@ class TestCompiledTier:
                 instance.step()
             assert instance.steps == steps
 
-    def test_mutated_fsm_is_stepped_as_mutated(self):
-        from repro.ir import State, Transition
-
+    def test_a_changed_behaviour_is_a_second_fsm(self):
         fsm = counter_fsm()
-        stale = compile_fsm(fsm)
-        instance = FsmInstance(fsm)
-        instance.step()
-        # Mutate the FSM after compilation: the interpreter sees the new
-        # state at once; an earlier program does not.
-        late = State("Late", transitions=[Transition("Late")])
-        fsm.states["Late"] = late
-        fsm.state_order.append("Late")
+        with pytest.raises(TypeError):
+            fsm.states["Late"] = fsm.state("Stop")
+        # A behaviour with one more state is built as a second FSM; each
+        # program and each instance follows the FSM it was made from.
+        build = FsmBuilder("COUNTER")
+        build.variable("COUNT", INT, 0)
+        for state in fsm.iter_states():
+            build.add_state(state.name, state.actions, state.transitions,
+                            done=state.name in fsm.done_states)
+        build.add_state("Late", transitions=[Transition("Late")])
+        extended = build.build(initial=fsm.initial)
+        instance = FsmInstance(extended)
         instance.current = "Late"
         assert instance.step().to_state == "Late"
-        assert "Late" not in stale.states
-        assert "Late" in compile_fsm(fsm).states
+        assert "Late" not in compile_fsm(fsm).states
+        assert "Late" in compile_fsm(extended).states
+        assert "Late" not in fsm.states
+        original = FsmInstance(fsm)
+        original.current = "Late"
+        with pytest.raises(ModelError, match="unknown state 'Late'"):
+            original.step()
 
     def test_reset_runs_exactly_once_during_init(self):
         calls = []

@@ -18,7 +18,9 @@ import pytest
 from repro.obs import TELEMETRY
 from repro.obs.metrics import parse_prometheus
 from repro.server import JobService, QueueFullError, create_server
+from repro.server import service as server_service
 from repro.server.service import JOB_STATES
+from repro.sweep.jobs import job_from_dict
 
 
 def _wait_done(service, records, timeout=90):
@@ -38,6 +40,9 @@ _EXPORTED_SCALARS = {
     ("jobs", "submitted"): "repro_server_jobs_submitted_total",
     ("jobs", "cache_served"): "repro_server_cache_served_total",
     ("pool_replacements",): "repro_server_pool_replacements_total",
+    ("library", "hits"): "repro_server_library_hits_total",
+    ("library", "misses"): "repro_server_library_misses_total",
+    ("library", "size"): "repro_server_library_size",
 }
 
 #: ``JobService.metrics()`` mapping path -> (its sample, the key's label).
@@ -183,6 +188,11 @@ class TestJobLifecycle:
         assert metrics["fsm"]["steps"] > 0
         assert metrics["fsm"]["fallback"] == 0
         assert metrics["fsm"]["system_fallback"] == 0
+        # ... and built library units in the workers, which report them.
+        library = metrics["library"]
+        assert set(library) == {"hits", "misses", "size"}
+        assert library["misses"] >= 1
+        assert 1 <= library["size"] <= library["misses"]
 
 
 class TestQueueShape:
@@ -211,6 +221,27 @@ class TestQueueShape:
         # The rejected batch left nothing behind — not even its first job.
         assert len(service.jobs()) == 1
         assert service.metrics()["queue"]["depth"] == 1
+
+    def test_a_list_parses_each_spec_once(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return job_from_dict(spec)
+
+        monkeypatch.setattr(server_service, "job_from_dict", counting)
+        service = JobService(workers=1, queue_limit=8)
+        specs = [{"kind": "kernel", "size": "tiny", "seed": seed}
+                 for seed in range(5)]
+        records = service.submit_body(specs)
+        assert calls == specs
+        assert [record.job.spec()["seed"] for record in records] \
+            == list(range(5))
+        calls.clear()
+        with pytest.raises(ValueError, match="unknown job kind"):
+            service.submit_body([*specs, {"kind": "bogus"}])
+        assert len(calls) == 6
+        assert len(service.jobs()) == 5
 
     def test_invalid_spec_rejects_whole_batch_before_queueing(self):
         service = JobService(workers=1)
@@ -314,7 +345,8 @@ class TestHttpServer:
 
         errors = []
         expected_keys = {"format", "queue", "jobs", "cache", "fsm",
-                         "pool_replacements", "started_at", "uptime_s"}
+                         "library", "pool_replacements", "started_at",
+                         "uptime_s"}
 
         def hammer():
             try:
@@ -378,6 +410,16 @@ class TestHttpServer:
                                     "scenario": "system-0",
                                     "tier": "per-fsm"})
         assert status == 400 and "unknown tier 'per-fsm'" in reply["error"]
+        status, reply = self._call(endpoint, "GET", "/jobs")
+        assert status == 200 and not reply["jobs"]
+
+    def test_http_list_with_one_bad_entry_is_refused_whole(self, endpoint):
+        status, reply = self._call(endpoint, "POST", "/jobs", [
+            {"kind": "kernel", "size": "tiny", "seed": 0},
+            {"kind": "kernel", "size": "tiny", "seed": 1},
+            {"kind": "bogus"},
+        ])
+        assert status == 400 and "unknown job kind" in reply["error"]
         status, reply = self._call(endpoint, "GET", "/jobs")
         assert status == 200 and not reply["jobs"]
 

@@ -38,6 +38,8 @@ from repro.utils.errors import SimulationError
 #: registers one clocked process per FSM, each walking the IR tree — the
 #: oracle.  Software and service FSMs run on the interpreter on both
 #: tiers.  Both tiers are byte-identical in every conformance fingerprint.
+#: A requested ``fused`` falls back only under ``detect_races`` or when
+#: codegen raises :class:`~repro.ir.syscompile.SystemCompileError`.
 TIERS = ("fused", "interpreted")
 
 DEFAULT_TIER = "fused"
@@ -134,9 +136,6 @@ class CosimSession:
         self.wired_tier = None
         self.system_fallback_reason = None
         self.system_program = None
-        #: Candidate FSM steps the fused program handed back to the
-        #: interpreter at runtime.
-        self.system_fallback = 0
         self._fused_process = None
 
         self.simulator = create_simulator(kernel, detect_races=detect_races)
@@ -233,8 +232,8 @@ class CosimSession:
 
         The key, a lazy iterable, is the trace's record and pending counts
         and every FSM instance's state and variables; *cells* yields, when
-        called, the counters a steady period advances: ``system_fallback``,
-        each instance's ``steps``/``transitions_fired``, each adapter's
+        called, the counters a steady period advances: each instance's
+        ``steps``/``transitions_fired``, each adapter's
         ``cycles`` and each pending trace record's ``steps``.  A watched
         instance (``observer`` or ``trace`` history, as every software FSM)
         keeps ``steps`` in the key, so no period it steps in is steady.
@@ -257,7 +256,6 @@ class CosimSession:
             yield fsm.current, dict(fsm.env), fsm.sink is not None and fsm.steps
 
     def _steady_cells(self):
-        yield self, "system_fallback"
         for fsm in self._instances:
             if fsm.sink is None:
                 yield fsm, "steps"
@@ -271,10 +269,10 @@ class CosimSession:
         """Resolve the wired tier; compile the fused program when asked.
 
         A requested "fused" degrades to the "interpreted" wiring — with
-        :attr:`system_fallback_reason` recording why — when the model
-        carries un-fusable constructs or lint errors, or the kernel runs
-        with ``detect_races`` (write-race attribution needs one kernel
-        process per writer, which fusing removes).
+        :attr:`system_fallback_reason` recording why — when the kernel
+        runs with ``detect_races`` (write-race attribution needs one
+        kernel process per writer, which fusing removes) or codegen
+        cannot translate the model.  Lint findings never decide it.
         """
         self.wired_tier = self.tier
         if self.tier != "fused":
@@ -318,7 +316,6 @@ class CosimSession:
         self._fused_process.func = self.system_program.bind({
             "sim": self.simulator,
             "clock": self.clock,
-            "session": self,
             "signals": signals,
             "instances": instances,
             "services": services,
@@ -523,14 +520,13 @@ class CosimSession:
         self.build()
         kernel_snapshot = self.simulator.snapshot()
         return {
-            "format": 3,
+            "format": 4,
             "system": self.model.name,
             "kernel": self.kernel,
             # The wired tier, not the requested one: a fused tier registers
             # different kernel processes than the other tiers, so a
             # checkpoint only restores into a session wired the same way.
             "tier": self.wired_tier,
-            "system_fallback": self.system_fallback,
             "clock_period": self.clock_period,
             "sw_activation_period": self.sw_activation_period,
             "policy": self.activation_policy.name,
@@ -558,7 +554,7 @@ class CosimSession:
         checkpointed state.  ``run()`` then resumes exactly where the saved
         session stopped.
         """
-        if checkpoint.get("format") != 3:
+        if checkpoint.get("format") != 4:
             raise SimulationError(
                 f"unsupported session checkpoint format "
                 f"{checkpoint.get('format')!r}"
@@ -615,7 +611,6 @@ class CosimSession:
             monitors[name].restore_state(state)
         for name, state in checkpoint["faults"].items():
             self.fault_injectors[name].restore_state(state)
-        self.system_fallback = checkpoint["system_fallback"]
         return self
 
     # ------------------------------------------------------------------ query
@@ -645,13 +640,10 @@ class CosimSession:
         (tree-walking interpreter, fused step), so
         ``steps == interpreted + system_compile_hits``; the fused share is
         derived: the steps of a fused-wired session's controllers and
-        hardware processes, less ``system_fallback``.  ``fallback`` counts
-        the ``interpreted`` steps of a session whose wired tier fell back
-        from the requested one (:attr:`system_fallback_reason`), and
-        ``system_fallback`` the candidate steps the fused program handed
-        back to the interpreter at runtime (also counted in
-        ``interpreted``): a silent loss of the fast path shows up in
-        artefacts, not just wall-clock.
+        hardware processes.  ``fallback`` counts the ``interpreted`` steps
+        of a session whose wired tier fell back from the requested one
+        (:attr:`system_fallback_reason`): a silent loss of the fast path
+        shows up in artefacts, not just wall-clock.
         """
         steps = transitions = 0
         for instance in self.fsm_instances():
@@ -662,13 +654,15 @@ class CosimSession:
             fused = list(self.controller_instances.values())
             for adapter in self.hw_adapters.values():
                 fused.extend(adapter.instances.values())
-            hits = sum(fsm.steps for fsm in fused) - self.system_fallback
+            hits = sum(fsm.steps for fsm in fused)
         interpreted = steps - hits
         return {"steps": steps, "transitions_fired": transitions,
                 "interpreted": interpreted,
                 "fallback": interpreted if self.wired_tier != self.tier else 0,
                 "system_compile_hits": hits,
-                "system_fallback": self.system_fallback}
+                # Always 0: the fused step hands no step back.  Kept because
+                # perfbench/spans.py reads it; ROADMAP item 4 drops it.
+                "system_fallback": 0}
 
     def unit_signal(self, unit_name, port_name):
         """The simulation signal of a communication-unit port."""

@@ -41,9 +41,9 @@ the clock:
 
 Software executors, their activation processes and all service FSMs stay
 per-FSM on the interpreter (they are demand-driven, not clocked).  The
-generated code counts nothing on the session but the candidate steps it
-hands back to the interpreter: the session derives its fused steps from
-the candidate instances' own ``steps``.
+generated code counts nothing on the session: the session derives its
+fused steps from the candidate instances' own ``steps``.  A model with
+no candidate at all still compiles: its step does only the header work.
 
 Each candidate is emitted as a *fragment*, a function of its own slots
 named locally (``i0``, ``g0…``, ``v0…``), so the same controller or
@@ -73,7 +73,7 @@ from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.interp import StepResult, _int_div, _int_mod
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.obs import TELEMETRY
-from repro.utils.errors import SimulationError
+from repro.utils.errors import ModelError, SimulationError
 from repro.utils.lru import LruCache
 
 
@@ -110,9 +110,9 @@ _UNOP_TEMPLATES = {
 class SystemCompileError(SimulationError):
     """The model cannot be fused into a whole-system program.
 
-    Raised at compile time (unknown IR node, port not wired, lint
-    errors); the session reacts by falling back to the per-FSM
-    wiring and recording the reason — never by changing behaviour.
+    Raised at compile time (unknown IR node, port not wired); the
+    session reacts by falling back to the per-FSM wiring and recording
+    the reason — never by changing behaviour.
     """
 
 
@@ -531,8 +531,9 @@ def _fragment_source(slots):
     and, when the instance is watched (an observer or a ``trace``
     history: its :attr:`~repro.ir.interp.FsmInstance.sink`), the one
     observer call hands it the :class:`~repro.ir.interp.StepResult` the
-    interpreter would have.  An unknown state falls back to the
-    interpreter, which counts and observes its own step.  The slot parameters follow the body, since
+    interpreter would have.  An unknown state raises the interpreter's
+    :class:`~repro.utils.errors.ModelError` after counting the step, as
+    the interpreter does.  The slot parameters follow the body, since
     slots are named on first use.
     """
     cand = slots.cand
@@ -562,10 +563,7 @@ def _fragment_source(slots):
             lines.append("                pass")
     lines += [
         "            else:",
-        "                i0.steps -= 1",
-        "                _ses.system_fallback += 1",
-        "                i0.step()",
-        "                _ob = None  # i.step() observed itself",
+        "                raise ME(f'FSM {i0.fsm.name!r}: unknown state {_c!r}')",
         "            break",
         "        i0.transitions_fired += _f",
         "        if _ob is not None:",
@@ -583,7 +581,7 @@ def _fragment_source(slots):
     lines.append(f"            _ob(SR(_c, _t, _f, {done}, {result}, {called}))")
     lines.append("    except KeyError as _x:")
     lines.append(f"        raise _undefined(_x, _e, {cand.env_reads!r})")
-    params = ["_dq", "_ses", "i0"]
+    params = ["_dq", "i0"]
     params += [f"g{n}" for n in range(len(slots.ports))]
     params += [f"v{n}" for n in range(len(slots.services))]
     return "\n".join([f"def _fragment({', '.join(params)}):",
@@ -627,19 +625,16 @@ def _fragment_step_source(plan):
 
     The header compensates ``process_runs`` for the processes the step
     replaces and returns on a falling edge.  Each fragment returns its
-    write count; the first fragment names ``_w``, later ones add to it,
-    and the total is added to ``transactions``: a raising step adds none
-    of it.
+    write count, added to ``_w``, and the total is added to
+    ``transactions``: a raising step adds none of it.
     """
     body = []
-    assign = "="
     for adapter, cand in _plan_order(plan):
         if cand is None:
             body.append(f"    d{adapter}.cycles += 1")
-            continue
-        body.append(f"    _w {assign} f{cand.index}(_dq)")
-        assign = "+="
-    params = ["_sim", "_clk", "_ses"]
+        else:
+            body.append(f"    _w += f{cand.index}(_dq)")
+    params = ["_sim", "_clk"]
     params += [f"f{c.index}" for c in plan.candidates]
     params += [f"d{n}" for n in range(len(plan.adapter_keys))]
     rows = ",\n          ".join(", ".join(params[start:start + 12])
@@ -651,6 +646,7 @@ def _fragment_step_source(plan):
         "    if _clk._value != 1:",
         "        return",
         "    _dq = _sim._delta_queue.append",
+        "    _w = 0",
         *body,
         '    _st["transactions"] += _w',
     ])
@@ -673,6 +669,7 @@ _GLOBALS = {
     "__builtins__": builtins,
     "SR": StepResult,
     "SE": SimulationError,
+    "ME": ModelError,
     "_div": _int_div,
     "_mod": _int_mod,
     "_undefined": _undefined,
@@ -742,22 +739,21 @@ class SystemProgram:
     def bind(self, ctx):
         """Bind the fragment step to one session's objects.
 
-        *ctx* maps ``sim``/``clock``/``session`` plus the slot lists
+        *ctx* maps ``sim``/``clock`` plus the slot lists
         (``signals``/``instances``/``services``/``adapters``) in the
         orders recorded on :attr:`plan`.  They become the defaults of the
         step's and each fragment's parameters.
         """
-        sim, clock, session = ctx["sim"], ctx["clock"], ctx["session"]
         signals, services = ctx["signals"], ctx["services"]
         calls = [
             types.FunctionType(fragment.code, _GLOBALS, "_fragment", (
-                session, instance,
+                instance,
                 *[signals[slot] for slot in fragment.signals],
                 *[services[slot] for slot in fragment.services],
             ))
             for fragment, instance in zip(self.fragments, ctx["instances"])
         ]
-        defaults = (sim, clock, session, *calls, *ctx["adapters"])
+        defaults = (ctx["sim"], ctx["clock"], *calls, *ctx["adapters"])
         return types.FunctionType(self._fragment_step, _GLOBALS, "_step",
                                   defaults)
 
@@ -783,28 +779,14 @@ _FRAGMENTS = weakref.WeakKeyDictionary()
 def compile_system(model):
     """The (cached) fused program of *model*.
 
-    Compilation is gated on the static analyzer: error-level findings
-    refuse it (:class:`SystemCompileError`) exactly as they refuse
-    sweep/server jobs.  The verdict is read from the model's lint memo
-    (:func:`~repro.lint.engine.memo_report`), so a job whose pre-flight
-    already linted the model pays nothing here.  A model without a single
-    fusable FSM is refused too: there is nothing to fuse.
+    Raises :class:`SystemCompileError` when codegen cannot translate the
+    model.  Lint findings do not refuse it: a model the session accepts
+    (its structural stage is clean) runs the same on both tiers.
     """
-    from repro.lint.engine import memo_report
-
     with TELEMETRY.span("ir.compile_system", cat="ir", system=model.name):
-        errors = memo_report(model).errors
-        if errors:
-            raise SystemCompileError(
-                "lint errors refuse whole-system compilation: "
-                + "; ".join(diagnostic.format() for diagnostic in errors)
-            )
         program = _SYSTEM_CACHE.get(model)
         if program is not None:
             return program
-        plan = SystemPlan(model)
-        if not plan.candidates:
-            raise SystemCompileError("no fusable FSM")
-        program = SystemProgram(model, plan)
+        program = SystemProgram(model, SystemPlan(model))
         _SYSTEM_CACHE[model] = program
         return program

@@ -1,23 +1,23 @@
 """The lint engine: runs every pass over a :class:`SystemModel`.
 
 ``lint_model`` is the single entry point of the analyzer: the CLI, the
-job pre-flight, ``CosimSession``/``CosynthesisFlow`` validation (through
-:func:`validate_structure`) and the fused-codegen gate all read its
-:class:`LintReport`.
+job pre-flight and ``CosimSession``/``CosynthesisFlow`` validation
+(through :func:`validate_structure`) all read its :class:`LintReport`.
 
 ``memo_report`` is the same analysis memoised per model object, in the same
 two stages: the *structural* stage (FSM structure, interface and view
 passes, before suppression) is cached on first use; the *extended* stage
 (dataflow, protocol and race passes plus suppression) runs only when a
-caller asks for the full report.  The job pipeline's three readers — the
-sweep/server pre-flight, ``CosimSession`` validation and the fused-codegen
-gate of ``compile_system`` — all read this one memo, so a job lints its
-model once.  Below it, both stages take each communication unit's
-findings, and the structural stage each module FSM's, from a memo keyed on
-that object (:func:`_memo_pass`).  Models that share them — every model
-built from the library units of :mod:`repro.comm.channels`, a DSE front's
-repartitionings — check each once per process and re-run only their own
-module, binding and race passes and the FSM006 check.  Keying on an
+caller asks for the full report.  The job pipeline's two readers — the
+sweep/server pre-flight (full report) and ``CosimSession`` validation
+(structural stage) — read this one memo, so a job lints its model once,
+and a ``no_lint`` job runs the structural stage only.  Below it, both
+stages take each communication unit's findings, and the structural stage
+each module FSM's, from a memo keyed on that object (:func:`_memo_pass`).
+Models that share them — every model built from the library units of
+:mod:`repro.comm.channels`, a DSE front's repartitionings — check each
+once per process and re-run only their own module, binding and race
+passes and the FSM006 check.  Keying on an
 object is sound because FSMs and units are read-only once built: they
 refuse attribute assignment and hold only tuples and read-only mappings.
 """
@@ -146,6 +146,8 @@ def _structural_stage(model, report, library=None, platforms=()):
                 _memo_pass(fsm, "structural",
                            f"module/{module.name}/{fsm.name}",
                            dataflow.structural_pass, report)
+            if isinstance(module, HardwareModule):
+                interface.module_port_pass(module, report)
             if isinstance(module, SoftwareModule) and len(module.behaviours()) != 1:
                 report.add(Diagnostic("FSM006", "error", f"module/{module.name}",
                                       "software modules have exactly one FSM"))

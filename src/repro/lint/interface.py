@@ -1,8 +1,8 @@
 """Interface checks: bindings, service-call shapes and value ranges.
 
 The structural rules (IF001/IF002/IF008 plus the view checks
-VIEW001/VIEW002) check bindings, unit ports and view coverage.  The
-extended rules (IF003–IF007) use the declared data types and
+VIEW001/VIEW002) check bindings, unit and module ports and view
+coverage.  The extended rules (IF003–IF007) use the declared data types and
 interval evaluation; the width rules only fire on *definite* violations —
 the expression's value set and the target's range are disjoint, so no run
 can ever produce a legal value.  "Might overflow" (overlapping ranges) is
@@ -56,6 +56,18 @@ def unit_port_pass(unit, report):
                 "IF008", "error", f"unit/{unit.name}/controller/{controller.name}",
                 f"controller {controller.name!r} uses undeclared port "
                 f"{port_name!r}",
+                data={"port": port_name},
+            ))
+
+
+def module_port_pass(module, report):
+    """IF008: hardware processes touching ports the module lacks."""
+    known = set(module.all_signal_names())
+    for fsm in module.behaviours():
+        for port_name in sorted(set(fsm.ports_read + fsm.ports_written) - known):
+            report.add(Diagnostic(
+                "IF008", "error", f"module/{module.name}/{fsm.name}",
+                f"process {fsm.name!r} uses undeclared port {port_name!r}",
                 data={"port": port_name},
             ))
 

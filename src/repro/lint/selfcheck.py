@@ -20,7 +20,7 @@ from repro.comm import handshake_channel
 from repro.core import HardwareModule, SoftwareModule, SystemModel
 from repro.core.comm_unit import CommunicationController, CommunicationUnit
 from repro.core.service import Service
-from repro.ir import INT, Assign, FsmBuilder, var
+from repro.ir import INT, Assign, FsmBuilder, PortRef, var
 from repro.ir.dtypes import word_type
 from repro.ir.stmt import PortWrite
 from repro.lint.engine import lint_model
@@ -182,6 +182,16 @@ def build_undeclared_port_model():
     return model
 
 
+def build_undeclared_module_port_model():
+    """A hardware process reading a port its module never declares (IF008)."""
+    build = FsmBuilder("PROBE")
+    with build.state("Run") as state:
+        state.go("Run", when=PortRef("NOPE"))
+    model = SystemModel("UndeclaredModulePortMutant")
+    model.add_hardware_module(HardwareModule("H", [build.build(initial="Run")]))
+    return model
+
+
 def build_bad_protocol_model():
     """A get service acknowledging without waiting for data (PROTO002).
 
@@ -224,6 +234,7 @@ MUTANTS = {
     "undeclared-read": (build_undeclared_read_model, "FSM004"),
     "dead-store": (build_dead_store_model, "DF002"),
     "undeclared-port": (build_undeclared_port_model, "IF008"),
+    "undeclared-module-port": (build_undeclared_module_port_model, "IF008"),
 }
 
 

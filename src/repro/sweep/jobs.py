@@ -65,8 +65,8 @@ def _lint_preflight(model, no_lint):
     from repro.lint.engine import memo_report
     from repro.utils.errors import ValidationError
 
-    # The memoised report: the session's validation and the fused-codegen
-    # gate read the same one, so the model is linted once per job.
+    # The memoised report: the session's validation reads its structural
+    # stage, so the model is linted once per job.
     report = memo_report(model)
     if report.errors:
         raise ValidationError(report.errors)
@@ -288,7 +288,7 @@ class CosimJob(SweepJob):
             # the fault-survival signal, not an error.
             "functional_problems": None if faulted else problems,
             # Execution-tier counters: a sweep silently losing the fused
-            # fast path shows up here as fallback/system_fallback > 0 or
+            # fast path shows up here as fallback > 0 or
             # system_compile_hits == 0, and the tier decision carries its
             # reason (None when the requested tier was wired).
             "fsm": dict(result.fsm_counters),

@@ -28,7 +28,7 @@ from repro.cosim.faults import FAULT_KINDS
 from repro.sweep.jobs import CosimJob
 
 GOLDEN = "80a7ea10aeb43bb2a20cd9aa840c2bebf28ba3728611b5981e1aec602f75a068"
-GOLDEN_FSM = "5cf793dbbe25fe2fe75d2c3cd584d9a869473069f472f8fde4fb8b5f79e7d8e1"
+GOLDEN_FSM = "ab17af1e22c2496df260b2ac3a27d2318fba767e1de37e19c22d72c3c96862bf"
 
 FIELDS = ("fingerprint_digest", "fault_survival", "coverage_digest")
 

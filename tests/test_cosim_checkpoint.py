@@ -151,9 +151,9 @@ class TestSessionCheckpoint:
         )
         assert actual == expected
 
-    def test_restore_refuses_format_2_checkpoint(self):
-        # Format 2 kept port-accessor counts beside each controller state
-        # and the fused-step counters in a block of their own.
+    def test_restore_refuses_format_3_checkpoint(self):
+        # Format 3 kept the count of fused steps handed back to the
+        # interpreter, which can no longer be nonzero.
         system = generate_system(0)
         straight = make_session(system)
         expected = cosim_fingerprint(straight, straight.run(until=30_000))
@@ -161,19 +161,13 @@ class TestSessionCheckpoint:
         interrupted = make_session(system)
         interrupted.run(until=12_345)
         checkpoint = interrupted.save()
-        assert checkpoint["format"] == 3
-        checkpoint["format"] = 2
-        checkpoint["system_counters"] = {
-            "system_compile_hits": 0,
-            "system_fallback": checkpoint.pop("system_fallback"),
-        }
-        checkpoint["controllers"] = {
-            key: {"instance": state, "accessor": (0, 0)}
-            for key, state in checkpoint["controllers"].items()
-        }
+        assert checkpoint["format"] == 4
+        assert "system_fallback" not in checkpoint
+        checkpoint["format"] = 3
+        checkpoint["system_fallback"] = 0
         session = make_session(system).build()
         with pytest.raises(SimulationError,
-                           match="unsupported session checkpoint format 2"):
+                           match="unsupported session checkpoint format 3"):
             session.restore(checkpoint)
         # Left as built: it runs as if the restore had not been tried.
         assert session.simulator.now == 0

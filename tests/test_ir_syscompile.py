@@ -7,7 +7,8 @@ traces, states, kernel statistics — to the interpreted per-FSM tier, on
 both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
 scenario families), plus the machinery around it: program caching, the
-lint pre-flight refusal path and the tier counters.
+two tier fallbacks (race detection, a codegen error) and the tier
+counters.
 
 The full 334-scenario sweep across both tiers runs via
 ``python -m repro.testkit --tier differential``; here the same check
@@ -30,7 +31,6 @@ from repro.ir import (
     Assign,
     FsmBuilder,
     PortWrite,
-    SystemCompileError,
     compile_system,
     generate_system_source,
     port,
@@ -39,7 +39,7 @@ from repro.ir import (
 )
 from repro.ir.dtypes import word_type
 from repro.ir.expr import BinOp, Const
-from repro.ir.syscompile import SystemPlan, SystemProgram
+from repro.lint.rules import RULES_BY_ID
 from repro.lint.selfcheck import MUTANTS
 from repro.sweep.jobs import CosimJob
 from repro.sweep.service import SweepService
@@ -51,7 +51,8 @@ from repro.testkit.scenarios import (
     RealtimeScenario,
     check_scenario,
 )
-from repro.utils.errors import SimulationError
+from repro.utils.canonical import content_digest
+from repro.utils.errors import ModelError, SimulationError, ValidationError
 from repro.utils.lru import LruCache
 
 
@@ -186,10 +187,17 @@ class TestSessionModes:
         assert "detect_races" in session.system_fallback_reason
 
     @pytest.mark.parametrize("seed,races,reason", [
-        (113, False, "no fusable FSM"),
         (0, True, "detect_races attributes writes to kernel processes"),
+        (0, False, "cannot compile expression"),
     ])
-    def test_tier_decision_carries_its_reason(self, seed, races, reason):
+    def test_tier_decision_carries_its_reason(self, seed, races, reason,
+                                              monkeypatch):
+        if not races:
+            # Codegen meets an operator it has no template for; a fresh
+            # fragment memo makes it emit every FSM.
+            monkeypatch.delitem(syscompile._BINOP_TEMPLATES, "add")
+            monkeypatch.setattr(syscompile, "_FRAGMENTS",
+                                weakref.WeakKeyDictionary())
         system = generate_system(seed)
         session = CosimSession(system.build_model(), detect_races=races,
                                **system.cosim_params)
@@ -666,6 +674,35 @@ class TestRaisingStep:
         assert session.fsm_counters()["system_compile_hits"] == 35
 
     @pytest.mark.parametrize("kernel", ["production", "reference"])
+    @pytest.mark.parametrize("where,name", [("controller", "C1"),
+                                            ("hardware", "DP")])
+    def test_unknown_state_raises_the_interpreters_error(self, where, name,
+                                                         kernel):
+        runs = []
+        for tier in ("fused", "interpreted"):
+            model = self._model()
+            build = FsmBuilder("DP")
+            build.variable("K", INT, 0)
+            with build.state("Run") as state:
+                state.stay(actions=[Assign("K", var("K") + 1)])
+            model.add_hardware_module(
+                HardwareModule("Dp", [build.build(initial="Run")]))
+            session = CosimSession(model, kernel=kernel, tier=tier)
+            session.run(until=1_000)
+            assert session.wired_tier == tier
+            if where == "controller":
+                instance = session.controller_instances["Ring.C1"]
+            else:
+                instance = session.hw_adapters["Dp"].instances["DP"]
+            instance.current = "Nowhere"
+            with pytest.raises(ModelError) as raised:
+                session.run(until=2_000)
+            runs.append((str(raised.value),
+                         [each.steps for each in session.fsm_instances()]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == f"FSM {name!r}: unknown state 'Nowhere'"
+
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
     def test_deleted_variable_raises_after_the_same_writes(self, kernel):
         # C1 writes a port and M before it first reads the deleted N: the
         # fused step must raise where the interpreter does, not earlier.
@@ -692,29 +729,29 @@ class TestRaisingStep:
         assert envs["Ring.C1"] == {"M": 12}
 
 
-class TestLintPreflight:
-    def _mutant_model(self):
-        builder, rule = MUTANTS["dup-writer"]
-        return builder()
+class TestLintLeavesTheTierAlone:
+    """Structural lint errors refuse a session; no finding picks its tier."""
 
-    def test_lint_errors_refuse_compilation(self):
-        with pytest.raises(SystemCompileError, match="lint errors"):
-            compile_system(self._mutant_model())
-
-    def test_only_lint_refuses_the_mutant(self):
-        # Planned and generated without consulting lint, the mutant fuses.
-        model = self._mutant_model()
-        plan = SystemPlan(model)
-        assert plan.candidates
-        program = SystemProgram(model, plan)
-        assert program.plan is plan
-        assert len(program.fragments) == len(plan.candidates)
-
-    def test_session_degrades_to_interpreted_with_reason(self):
-        session = CosimSession(self._mutant_model())
-        session.build()
-        assert session.wired_tier == "interpreted"
-        assert "lint errors" in session.system_fallback_reason
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutant_is_refused_or_fuses_identically(self, name):
+        # Structural errors refuse the session; every other mutant,
+        # extended-stage errors included, runs fused.
+        builder, rule = MUTANTS[name]
+        catalog = RULES_BY_ID[rule]
+        if catalog.structural and catalog.severity == "error":
+            with pytest.raises(ValidationError):
+                CosimSession(builder())
+            return
+        digests = set()
+        for kernel in ("production", "reference"):
+            for tier in ("fused", "interpreted"):
+                session = CosimSession(builder(), kernel=kernel, tier=tier)
+                result = session.run(until=5_000)
+                assert session.wired_tier == tier
+                assert session.system_fallback_reason is None
+                digests.add(content_digest(cosim_fingerprint(session,
+                                                             result)))
+        assert len(digests) == 1
 
 
 class TestConstantDivisor:

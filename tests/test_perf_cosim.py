@@ -175,8 +175,8 @@ def test_check_fast_paths_flags_lost_tiers():
     fused_lost = {"tier": "fused", "results": [{
         "workload": "transition_rate", "n_processes": 2,
         "tier": "fused",
-        "fsm": {"steps": 10, "interpreted": 8, "fallback": 0,
-                "system_compile_hits": 2, "system_fallback": 8},
+        "fsm": {"steps": 10, "interpreted": 10, "fallback": 0,
+                "system_compile_hits": 0, "system_fallback": 0},
     }]}
     ok, lines = check_fast_paths(fused_lost)
     assert not ok

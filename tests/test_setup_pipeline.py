@@ -1,10 +1,10 @@
 """One setup pass per scenario: one model, one lint, no per-FSM programs.
 
-A single-scenario ``CosimJob`` builds its model once; the sweep pre-flight,
-the session's validation and the fused-codegen gate read one staged lint
-memo; no per-FSM program is compiled (FSMs outside the fused step run on
-the interpreter).  The fused code cache (fragments and steps) is keyed on
-content in a bounded LRU.
+A single-scenario ``CosimJob`` builds its model once; the sweep pre-flight
+and the session's validation read one staged lint memo, and a job run with
+``no_lint`` runs only its structural stage; no per-FSM program is compiled
+(FSMs outside the fused step run on the interpreter).  The fused code
+cache (fragments and steps) is keyed on content in a bounded LRU.
 """
 
 import os
@@ -69,6 +69,14 @@ class TestOneSetupPass:
         assert len(models) == 1
         assert len(extended) == 1
         assert _fused_fsms(models[0])
+
+    def test_no_lint_job_runs_no_extended_lint(self, monkeypatch):
+        extended = _count_calls(monkeypatch, engine, "_extended_stage")
+        record, _ = CosimJob(9, no_lint=True).execute()
+        assert record["error"] is None
+        assert record["lint"] is None
+        assert record["tier"] == "fused"
+        assert extended == []
 
     def test_fused_job_compiles_no_per_fsm_program(self, monkeypatch):
         compiled = _count_calls(monkeypatch, ir_compile, "compile_fsm")
@@ -185,35 +193,39 @@ class TestBoundedProgramCaches:
 
 
 class TestNoFusableFsm:
-    def test_compile_system_refuses_an_empty_plan(self):
+    def test_compile_system_accepts_an_empty_plan(self):
         model = generate_system(NO_FUSABLE_SEED).build_model()
-        assert not syscompile.SystemPlan(model).candidates
-        with pytest.raises(syscompile.SystemCompileError,
-                           match="no fusable FSM"):
-            compile_system(model)
+        program = compile_system(model)
+        assert not program.plan.candidates
+        assert program.fragments == []
+        source = syscompile.generate_system_source(model)
+        assert "    _w = 0\n" in source
+        assert "_fragment" not in source
 
-    def test_identical_across_tiers_with_reason(self):
+    @pytest.mark.parametrize("kernel", ["production", "reference"])
+    def test_identical_across_tiers_without_reason(self, kernel):
         system = generate_system(NO_FUSABLE_SEED)
         fingerprints = {}
         for tier in ("fused", "interpreted"):
             session = CosimSession(system.build_model(), tier=tier,
-                                   **system.cosim_params)
+                                   kernel=kernel, **system.cosim_params)
             result = session.run(until=40_000)
             fingerprints[tier] = cosim_fingerprint(session, result)
-            assert session.wired_tier == "interpreted"
-            if tier == "fused":
-                assert session.system_fallback_reason == "no fusable FSM"
+            assert session.wired_tier == tier
+            assert session.system_fallback_reason is None
         assert fingerprints["fused"] == fingerprints["interpreted"]
 
     def test_job_runs_clean(self):
         record, _ = CosimJob(NO_FUSABLE_SEED).execute()
         assert record["error"] is None
         assert not record["functional_problems"]
-        assert record["tier"] == "interpreted"
-        assert record["tier_reason"] == "no fusable FSM"
-        # Every step fell back to the interpreter, and says so.
-        assert record["fsm"]["fallback"] == record["fsm"]["interpreted"] \
-            == record["fsm"]["steps"] > 0
+        assert record["tier"] == "fused"
+        assert record["tier_reason"] is None
+        # No FSM is fused, and nothing fell back: every step is a
+        # software or service step, interpreted on both tiers.
+        assert record["fsm"]["fallback"] == 0
+        assert record["fsm"]["system_compile_hits"] == 0
+        assert record["fsm"]["interpreted"] == record["fsm"]["steps"] > 0
 
 
 class TestInterpretedJob:

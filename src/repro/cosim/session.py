@@ -26,7 +26,7 @@ from repro.cosim.sync import OneTransitionPerActivation
 from repro.cosim.tracing import ServiceCallTrace
 from repro.desim import Timeout, WaveformRecorder, create_simulator
 from repro.ir.interp import FsmInstance
-from repro.ir.syscompile import SystemCompileError, compile_system
+from repro.ir.syscompile import compile_system
 from repro.lint.engine import validate_structure
 from repro.obs import TELEMETRY
 from repro.utils.errors import SimulationError
@@ -38,8 +38,8 @@ from repro.utils.errors import SimulationError
 #: registers one clocked process per FSM, each walking the IR tree — the
 #: oracle.  Software and service FSMs run on the interpreter on both
 #: tiers.  Both tiers are byte-identical in every conformance fingerprint.
-#: A requested ``fused`` falls back only under ``detect_races`` or when
-#: codegen raises :class:`~repro.ir.syscompile.SystemCompileError`.
+#: A session runs the tier it resolves at construction, or refuses: race
+#: attribution (``detect_races``) needs the ``interpreted`` tier.
 TIERS = ("fused", "interpreted")
 
 DEFAULT_TIER = "fused"
@@ -80,8 +80,7 @@ class CosimResult:
             monitor.name: list(monitor.violations) for monitor in session.monitors
         }
         self.fsm_counters = session.fsm_counters()
-        self.tier = session.wired_tier
-        self.tier_reason = session.system_fallback_reason
+        self.tier = session.tier
 
     @property
     def all_monitors_ok(self):
@@ -97,7 +96,6 @@ class CosimResult:
             "hw_cycles": self.hw_cycles,
             "monitors_ok": self.all_monitors_ok,
             "tier": self.tier,
-            "tier_reason": self.tier_reason,
             "fsm": dict(self.fsm_counters),
             # Per-service latency distributions (simulated ns): count, mean,
             # p50/p95/max — the mean alone hides a saturated channel's tail.
@@ -123,18 +121,19 @@ class CosimSession:
         self.trace_signals = trace_signals
         self.kernel = kernel
         if tier is None:
-            tier = DEFAULT_TIER
+            tier = "interpreted" if detect_races else DEFAULT_TIER
         if tier not in TIERS:
             raise SimulationError(
                 f"unknown tier {tier!r}; expected one of {TIERS}"
             )
+        if tier == "fused" and detect_races:
+            raise SimulationError(
+                "tier 'fused' cannot run with detect_races: race attribution "
+                "needs one kernel process per writer, and the fused step "
+                "merges them"
+            )
         self.tier = tier
         self.detect_races = detect_races
-        #: Resolved at build time: the tier actually wired.  A requested
-        #: "fused" falls back to "interpreted" when the model cannot be
-        #: fused (reason in :attr:`system_fallback_reason`).
-        self.wired_tier = None
-        self.system_fallback_reason = None
         self.system_program = None
         self._fused_process = None
 
@@ -201,8 +200,8 @@ class CosimSession:
             return self._do_build()
 
     def _do_build(self):
+        self._system_prepare()  # first: a refusal leaves the session unbuilt
         self.clock = self.simulator.add_clock("hwclk", period=self.clock_period)
-        self._system_prepare()
         self._build_unit_signals()
         self._build_controllers()
         self._build_hardware()
@@ -266,29 +265,13 @@ class CosimSession:
             yield record, "steps"
 
     def _system_prepare(self):
-        """Resolve the wired tier; compile the fused program when asked.
+        """Compile the fused program when the session runs ``fused``.
 
-        A requested "fused" degrades to the "interpreted" wiring — with
-        :attr:`system_fallback_reason` recording why — when the kernel
-        runs with ``detect_races`` (write-race attribution needs one
-        kernel process per writer, which fusing removes) or codegen
-        cannot translate the model.  Lint findings never decide it.
+        A codegen refusal (:class:`~repro.utils.errors.ModelError`) reaches
+        the caller: a session never switches tiers.
         """
-        self.wired_tier = self.tier
-        if self.tier != "fused":
-            return
-        if self.detect_races:
-            self.system_fallback_reason = (
-                "detect_races attributes writes to kernel processes; the "
-                "fused step merges them"
-            )
-            self.wired_tier = "interpreted"
-            return
-        try:
+        if self.tier == "fused":
             self.system_program = compile_system(self.model)
-        except SystemCompileError as exc:
-            self.system_fallback_reason = str(exc)
-            self.wired_tier = "interpreted"
 
     def _system_bind(self):
         """Bind the fragment step to the built backplane, once.
@@ -296,7 +279,7 @@ class CosimSession:
         Runs after controllers and hardware exist: the placeholder process
         registered first on the clock receives the fragment step.
         """
-        if self.wired_tier != "fused":
+        if self.tier != "fused":
             return
         plan = self.system_program.plan
         instances = []
@@ -336,7 +319,7 @@ class CosimSession:
         # The fused step must occupy the clock-sensitivity position of the
         # first process it replaces (precedes), so registration happens
         # before any controller.
-        register = self.wired_tier != "fused"
+        register = self.tier != "fused"
         if not register:
             # No edge-filter wrapper frame: the fused step checks the edge.
             self._fused_process = self.simulator.add_process(
@@ -384,7 +367,7 @@ class CosimSession:
             registry = self._registry_for(module, software=False)
             self.hw_adapters[module.name] = HardwareAdapter(
                 module, self.simulator, self.clock, accessor, registry,
-                register=self.wired_tier != "fused",
+                register=self.tier != "fused",
             )
 
     def _build_software(self):
@@ -421,7 +404,7 @@ class CosimSession:
         """Build if needed, run the simulation and return a :class:`CosimResult`."""
         self.build()
         with TELEMETRY.span("cosim.run", cat="cosim", system=self.model.name,
-                            kernel=self.kernel, tier=self.wired_tier):
+                            kernel=self.kernel, tier=self.tier):
             end_time = self.simulator.run(until=until)
         result = CosimResult(self, end_time)
         if TELEMETRY.enabled:
@@ -440,7 +423,7 @@ class CosimSession:
         self.build()
         with TELEMETRY.span("cosim.run_until_software_done", cat="cosim",
                             system=self.model.name, kernel=self.kernel,
-                            tier=self.wired_tier):
+                            tier=self.tier):
             while self.simulator.now < max_time:
                 step = SOFTWARE_DONE_CHECK_NS
                 target = min((self.simulator.now // step + 1) * step, max_time)
@@ -464,7 +447,7 @@ class CosimSession:
         the previous flush — each simulated event is counted exactly once
         no matter how the run was sliced.
         """
-        labels = {"kernel": self.kernel, "tier": self.wired_tier}
+        labels = {"kernel": self.kernel, "tier": self.tier}
         metrics = TELEMETRY.metrics
         fsm = self.fsm_counters()
         current = {
@@ -523,10 +506,10 @@ class CosimSession:
             "format": 4,
             "system": self.model.name,
             "kernel": self.kernel,
-            # The wired tier, not the requested one: a fused tier registers
-            # different kernel processes than the other tiers, so a
-            # checkpoint only restores into a session wired the same way.
-            "tier": self.wired_tier,
+            # A fused tier registers different kernel processes than the
+            # interpreted one, so a checkpoint only restores into a session
+            # of the same tier.
+            "tier": self.tier,
             "clock_period": self.clock_period,
             "sw_activation_period": self.sw_activation_period,
             "policy": self.activation_policy.name,
@@ -559,7 +542,7 @@ class CosimSession:
                 f"unsupported session checkpoint format "
                 f"{checkpoint.get('format')!r}"
             )
-        self.build()  # resolves the wired tier compared below
+        self.build()
         mismatches = [
             f"{what}: checkpoint has {theirs!r}, session has {ours!r}"
             for what, theirs, ours in (
@@ -570,7 +553,7 @@ class CosimSession:
                  self.sw_activation_period),
                 ("activation policy", checkpoint["policy"],
                  self.activation_policy.name),
-                ("tier", checkpoint["tier"], self.wired_tier),
+                ("tier", checkpoint["tier"], self.tier),
             )
             if theirs != ours
         ]
@@ -639,18 +622,16 @@ class CosimSession:
         ``interpreted`` / ``system_compile_hits`` split the steps by engine
         (tree-walking interpreter, fused step), so
         ``steps == interpreted + system_compile_hits``; the fused share is
-        derived: the steps of a fused-wired session's controllers and
-        hardware processes.  ``fallback`` counts the ``interpreted`` steps
-        of a session whose wired tier fell back from the requested one
-        (:attr:`system_fallback_reason`): a silent loss of the fast path
-        shows up in artefacts, not just wall-clock.
+        derived: the steps of a fused session's controllers and hardware
+        processes.  ``fallback`` and ``system_fallback`` are always 0: a
+        session runs the tier it was given.
         """
         steps = transitions = 0
         for instance in self.fsm_instances():
             steps += instance.steps
             transitions += instance.transitions_fired
         hits = 0
-        if self.wired_tier == "fused":
+        if self.tier == "fused":
             fused = list(self.controller_instances.values())
             for adapter in self.hw_adapters.values():
                 fused.extend(adapter.instances.values())
@@ -658,10 +639,11 @@ class CosimSession:
         interpreted = steps - hits
         return {"steps": steps, "transitions_fired": transitions,
                 "interpreted": interpreted,
-                "fallback": interpreted if self.wired_tier != self.tier else 0,
+                # Always 0, as is system_fallback: no session switches
+                # tiers.  Kept because perfbench/spans.py reads both keys;
+                # ROADMAP item 4 drops them.
+                "fallback": 0,
                 "system_compile_hits": hits,
-                # Always 0: the fused step hands no step back.  Kept because
-                # perfbench/spans.py reads it; ROADMAP item 4 drops it.
                 "system_fallback": 0}
 
     def unit_signal(self, unit_name, port_name):

@@ -21,13 +21,13 @@ from repro.ir.interp import FsmInstance, NullPortAccessor
 class SoftwareExecutor:
     """Drives one software module's FSM inside a co-simulation."""
 
-    def __init__(self, module, registry, policy=None, ports=None):
+    def __init__(self, module, registry, policy=None):
         self.module = module
         self.registry = registry
         self.policy = policy or OneTransitionPerActivation()
         self.instance = FsmInstance(
             module.fsm,
-            ports=ports or NullPortAccessor(),
+            ports=NullPortAccessor(),
             call_handler=registry.call_handler(),
             trace=True,
         )

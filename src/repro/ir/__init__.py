@@ -88,7 +88,6 @@ __all__ = [
     "constant_fold",
     "reachable_states",
     "remove_unreachable_states",
-    "SystemCompileError",
     "SystemPlan",
     "SystemProgram",
     "compile_system",
@@ -96,8 +95,7 @@ __all__ = [
 ]
 
 _SYSCOMPILE_EXPORTS = frozenset({
-    "SystemCompileError", "SystemPlan", "SystemProgram", "compile_system",
-    "generate_system_source",
+    "SystemPlan", "SystemProgram", "compile_system", "generate_system_source",
 })
 
 

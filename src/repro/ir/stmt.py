@@ -6,6 +6,7 @@ views contain: variable assignments, port writes and conditionals.
 """
 
 from repro.ir.expr import wrap
+from repro.utils.errors import ModelError
 from repro.utils.ids import check_identifier
 
 
@@ -40,12 +41,14 @@ class PortWrite(Stmt):
 
 
 class If(Stmt):
-    """Conditional statement with optional else branch."""
+    """Conditional statement with optional else branch (tuples of Stmt)."""
 
     def __init__(self, cond, then, orelse=()):
         self.cond = wrap(cond)
-        self.then = list(then)
-        self.orelse = list(orelse)
+        self.then, self.orelse = tuple(then), tuple(orelse)
+        for stmt in self.then + self.orelse:
+            if not isinstance(stmt, Stmt):
+                raise ModelError(f"If branch holds a non-statement {stmt!r}")
 
     def __repr__(self):
         return f"If({self.cond!r}, then={len(self.then)}, orelse={len(self.orelse)})"

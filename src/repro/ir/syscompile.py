@@ -59,10 +59,11 @@ test, the ``transactions`` total).  The program is cached per model in a
 weak map; a program holds no reference to its model, so the entry goes
 when the model's last session does.
 
-The fused program is cross-checked end to end, not in-session: the
-conformance kit's ``--tier differential`` runs every scenario on the
-fused and interpreted tiers in separate sessions and compares
-their complete fingerprints.
+Codegen refuses what it cannot translate with a ``ModelError`` that no
+caller catches.  The fused program is cross-checked end to end, not
+in-session: the conformance kit's ``--tier differential`` runs every
+scenario on the fused and interpreted tiers in separate sessions and
+compares their complete fingerprints.
 """
 
 import builtins
@@ -105,15 +106,6 @@ _UNOP_TEMPLATES = {
     "neg": "(- {})",
     "abs": "abs({})",
 }
-
-
-class SystemCompileError(SimulationError):
-    """The model cannot be fused into a whole-system program.
-
-    Raised at compile time (unknown IR node, port not wired); the
-    session reacts by falling back to the per-FSM wiring and recording
-    the reason — never by changing behaviour.
-    """
 
 
 # --------------------------------------------------------------------- plan
@@ -183,7 +175,7 @@ class SystemPlan:
 
     def signal_slot(self, cand, port_name):
         if port_name not in cand.available:
-            raise SystemCompileError(
+            raise ModelError(
                 f"{cand.label}: port {port_name!r} is not wired to a signal"
             )
         key = (cand.sig_kind, cand.owner, port_name)
@@ -333,7 +325,7 @@ class _StateEmitter:
                 return f"({right} if {test} else {left})"
             template = _BINOP_TEMPLATES.get(expr.op)
             if template is None:
-                raise SystemCompileError(f"cannot compile expression {expr!r}")
+                raise ModelError(f"cannot compile expression {expr!r}")
             right = expr.right
             if (expr.op in ("div", "mod") and isinstance(right, Const)
                     and type(right.value) is int and right.value != 0):
@@ -342,9 +334,9 @@ class _StateEmitter:
         if isinstance(expr, UnOp):
             template = _UNOP_TEMPLATES.get(expr.op)
             if template is None:
-                raise SystemCompileError(f"cannot compile expression {expr!r}")
+                raise ModelError(f"cannot compile expression {expr!r}")
             return template.format(self.expr(expr.operand))
-        raise SystemCompileError(f"cannot compile expression {expr!r}")
+        raise ModelError(f"cannot compile expression {expr!r}")
 
     def operand(self, expr):
         """Source evaluating *expr* once, and source reading its value again.
@@ -432,7 +424,7 @@ class _StateEmitter:
             elif isinstance(stmt, Nop):
                 pass
             else:
-                raise SystemCompileError(f"cannot compile statement {stmt!r}")
+                raise ModelError(f"cannot compile statement {stmt!r}")
 
     def store(self, name):
         """The assignment target(s) of a write to variable *name*."""
@@ -779,9 +771,10 @@ _FRAGMENTS = weakref.WeakKeyDictionary()
 def compile_system(model):
     """The (cached) fused program of *model*.
 
-    Raises :class:`SystemCompileError` when codegen cannot translate the
-    model.  Lint findings do not refuse it: a model the session accepts
-    (its structural stage is clean) runs the same on both tiers.
+    Raises ``ModelError`` for an IR node codegen cannot translate or, in
+    a model that skipped validation, a port wired to no signal.  Lint
+    findings do not refuse it: a model the session accepts (its
+    structural stage is clean) runs the same on both tiers.
     """
     with TELEMETRY.span("ir.compile_system", cat="ir", system=model.name):
         program = _SYSTEM_CACHE.get(model)

@@ -146,8 +146,7 @@ def _structural_stage(model, report, library=None, platforms=()):
                 _memo_pass(fsm, "structural",
                            f"module/{module.name}/{fsm.name}",
                            dataflow.structural_pass, report)
-            if isinstance(module, HardwareModule):
-                interface.module_port_pass(module, report)
+            interface.module_port_pass(module, report)
             if isinstance(module, SoftwareModule) and len(module.behaviours()) != 1:
                 report.add(Diagnostic("FSM006", "error", f"module/{module.name}",
                                       "software modules have exactly one FSM"))

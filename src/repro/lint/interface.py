@@ -61,13 +61,20 @@ def unit_port_pass(unit, report):
 
 
 def module_port_pass(module, report):
-    """IF008: hardware processes touching ports the module lacks."""
-    known = set(module.all_signal_names())
+    """IF008: module FSMs touching ports they cannot reach.
+
+    A hardware process reaches its module's ports and internal signals; a
+    software FSM reaches none: software reaches hardware through services.
+    """
+    hardware = module.kind == "hardware"
+    known = set(module.all_signal_names()) if hardware else set()
     for fsm in module.behaviours():
         for port_name in sorted(set(fsm.ports_read + fsm.ports_written) - known):
             report.add(Diagnostic(
                 "IF008", "error", f"module/{module.name}/{fsm.name}",
-                f"process {fsm.name!r} uses undeclared port {port_name!r}",
+                f"process {fsm.name!r} uses undeclared port {port_name!r}"
+                if hardware else
+                f"software FSM {fsm.name!r} uses port {port_name!r}",
                 data={"port": port_name},
             ))
 

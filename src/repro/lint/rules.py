@@ -35,7 +35,9 @@ RULES = [
     Rule("IF005", "error", False, "port write can never be a legal value"),
     Rule("IF006", "error", False, "argument can never fit the parameter"),
     Rule("IF007", "warning", False, "stored result may not fit the variable"),
-    Rule("IF008", "error", True, "service/controller/hardware process uses an undeclared port"),
+    Rule("IF008", "error", True,
+         "service/controller/hardware process uses an undeclared port, "
+         "or a software FSM uses any port"),
     # Protocol misuse (derived from comm/protocols FSMs).
     Rule("PROTO001", "warning", False, "channel data written without its strobe"),
     Rule("PROTO002", "error", False, "acknowledge raised outside the data window"),

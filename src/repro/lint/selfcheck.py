@@ -182,13 +182,25 @@ def build_undeclared_port_model():
     return model
 
 
-def build_undeclared_module_port_model():
-    """A hardware process reading a port its module never declares (IF008)."""
+def _port_probe_fsm():
+    """An FSM reading port ``NOPE``, which no module declares."""
     build = FsmBuilder("PROBE")
     with build.state("Run") as state:
         state.go("Run", when=PortRef("NOPE"))
+    return build.build(initial="Run")
+
+
+def build_undeclared_module_port_model():
+    """A hardware process reading a port its module never declares (IF008)."""
     model = SystemModel("UndeclaredModulePortMutant")
-    model.add_hardware_module(HardwareModule("H", [build.build(initial="Run")]))
+    model.add_hardware_module(HardwareModule("H", [_port_probe_fsm()]))
+    return model
+
+
+def build_software_port_model():
+    """A software FSM reading a port (IF008): software has no ports."""
+    model = SystemModel("SoftwarePortMutant")
+    model.add_software_module(SoftwareModule("Sw", _port_probe_fsm()))
     return model
 
 
@@ -235,6 +247,7 @@ MUTANTS = {
     "dead-store": (build_dead_store_model, "DF002"),
     "undeclared-port": (build_undeclared_port_model, "IF008"),
     "undeclared-module-port": (build_undeclared_module_port_model, "IF008"),
+    "software-port": (build_software_port_model, "IF008"),
 }
 
 

@@ -16,8 +16,8 @@ This package serves those specs over HTTP from a persistent process:
   resubmission of a cacheable job (co-synthesis, DSE, coverage cosim) is
   served from the cache without re-running HLS;
 * ``GET /metrics`` reports queue depth, jobs by state, cache hit/miss
-  and the aggregated ``interpreted``/``fallback`` execution-tier
-  counters.
+  and the aggregated ``interpreted``/``system_compile_hits``
+  execution-tier counters.
 
 The implementation is standard library only (``http.server`` +
 ``json``); see ``docs/server.md`` for the route and schema reference,

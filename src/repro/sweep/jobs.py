@@ -287,13 +287,10 @@ class CosimJob(SweepJob):
             # A faulted run may legitimately miss its expectations; that is
             # the fault-survival signal, not an error.
             "functional_problems": None if faulted else problems,
-            # Execution-tier counters: a sweep silently losing the fused
-            # fast path shows up here as fallback > 0 or
-            # system_compile_hits == 0, and the tier decision carries its
-            # reason (None when the requested tier was wired).
+            # Execution-tier counters: steps split by engine, so a fused
+            # run shows its steps as system_compile_hits.
             "fsm": dict(result.fsm_counters),
             "tier": result.tier,
-            "tier_reason": result.tier_reason,
             "fingerprint_digest": content_digest(
                 cosim_fingerprint(session, result)
             ),

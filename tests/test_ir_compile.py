@@ -129,7 +129,7 @@ class TestGeneratedScenarioParity:
         fingerprints = {}
         for tier in ("fused", "interpreted"):
             session, result = run_cosim(system, "production", tier=tier)
-            assert session.wired_tier == tier
+            assert session.tier == tier
             fingerprints[tier] = cosim_fingerprint(session, result)
         assert fingerprints["fused"] == fingerprints["interpreted"]
 
@@ -391,15 +391,13 @@ class TestStateHistoryEviction:
 
 class TestSessionCounters:
     def test_summary_reports_tier_counters(self):
-        # Per-FSM wiring: every step is interpreted, and a requested
-        # interpreted tier is no fallback.
+        # Per-FSM wiring: every step is interpreted.
         session, result = run_cosim(generate_system(2), "production",
                                     tier="interpreted")
         counters = result.summary()["fsm"]
         assert counters["steps"] > 0
         assert counters["transitions_fired"] > 0
         assert counters["interpreted"] == counters["steps"]
-        assert counters["fallback"] == 0
         assert counters["system_compile_hits"] == 0
 
     def test_summary_reports_fused_tier_counters(self):
@@ -411,7 +409,6 @@ class TestSessionCounters:
         summary = result.summary()
         counters = summary["fsm"]
         assert summary["tier"] == "fused"
-        assert summary["tier_reason"] is None
         assert counters["system_compile_hits"] > 0
         assert counters["interpreted"] > 0
         assert counters["fallback"] == 0

@@ -102,5 +102,21 @@ class TestStatements:
         assert len(stmt.then) == 1
         assert len(stmt.orelse) == 1
 
+    @pytest.mark.parametrize("then,orelse", [
+        ([Assign("x", 1), var("x")], []),
+        ([Assign("x", 1)], [5]),
+    ])
+    def test_if_refuses_a_non_statement_branch(self, then, orelse):
+        with pytest.raises(ModelError, match="non-statement"):
+            If(var("a").eq(1), then, orelse)
+
+    def test_if_branches_are_frozen(self):
+        stmt = If(var("a").eq(1), [Assign("x", 1)])
+        assert isinstance(stmt.then, tuple) and stmt.orelse == ()
+        for branch in (stmt.then, stmt.orelse):
+            with pytest.raises(AttributeError):
+                branch.append(Nop())
+        assert len(stmt.then) == 1 and stmt.orelse == ()
+
     def test_nop_repr(self):
         assert "Nop" in repr(Nop())

@@ -90,7 +90,7 @@ def _fused_and_interpreted(expr, env):
             HardwareModule("Cd", [build.build(initial="Run")]))
         session = CosimSession(model, tier=tier)
         session.run(until=100)
-        assert session.wired_tier == tier
+        assert session.tier == tier
         variables = session.hw_adapters["Cd"].process_variables("PROP")
         finals.append((variables["R"], variables["T"]))
     return finals
@@ -185,7 +185,7 @@ def _observed_run(model, tier, kernel):
     """Everything one run of ``Hw.P`` exposes, types included."""
     session = CosimSession(model, tier=tier, kernel=kernel, clock_period=10)
     session.build()
-    assert session.wired_tier == tier
+    assert session.tier == tier
     instance = session.hw_adapters["Hw"].instances["P"]
     steps = []
     instance.observer = lambda r: steps.append(

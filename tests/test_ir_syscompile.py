@@ -7,8 +7,8 @@ traces, states, kernel statistics — to the interpreted per-FSM tier, on
 both kernels.  This file pins that promise over the
 testkit's generated population (plain, fault-injected and real-time
 scenario families), plus the machinery around it: program caching, the
-two tier fallbacks (race detection, a codegen error) and the tier
-counters.
+tier a session resolves (race detection runs interpreted; a codegen
+refusal reaches the caller) and the tier counters.
 
 The full 334-scenario sweep across both tiers runs via
 ``python -m repro.testkit --tier differential``; here the same check
@@ -40,7 +40,7 @@ from repro.ir import (
 from repro.ir.dtypes import word_type
 from repro.ir.expr import BinOp, Const
 from repro.lint.rules import RULES_BY_ID
-from repro.lint.selfcheck import MUTANTS
+from repro.lint.selfcheck import MUTANTS, build_dup_writer_model
 from repro.sweep.jobs import CosimJob
 from repro.sweep.service import SweepService
 from repro.testkit.models import generate_system
@@ -108,7 +108,7 @@ class TestSessionModes:
     def test_fused_is_the_default_tier(self):
         session = CosimSession(generate_system(0).build_model())
         session.run(until=20_000)
-        assert session.wired_tier == "fused"
+        assert session.tier == "fused"
         counters = session.fsm_counters()
         assert counters["system_compile_hits"] > 0
         assert counters["system_fallback"] == 0
@@ -122,7 +122,7 @@ class TestSessionModes:
         # a reset fault the interpreted share is still exactly the steps
         # of the FSMs outside the fused program: services and software.
         session, _ = FaultScenario(1, "reset_mid_transaction").run()
-        assert session.wired_tier == "fused"
+        assert session.tier == "fused"
         assert all(injector.cursor for injector
                    in session.fault_injectors.values())
         others = [service.instance
@@ -143,7 +143,7 @@ class TestSessionModes:
         scenario = FaultScenario(1, "reset_mid_transaction")
         session = scenario.build_session(tier=tier)
         session.build()
-        assert session.wired_tier == tier
+        assert session.tier == tier
         units = list(session.model.comm_units)
         marker = f"{units[scenario.unit_index % len(units)]}."
         reset = [instance for key, instance
@@ -166,45 +166,67 @@ class TestSessionModes:
         model = generate_system(0).build_model()
         session = CosimSession(model, tier="interpreted")
         session.run(until=5_000)
-        assert session.wired_tier == "interpreted"
+        assert session.tier == "interpreted"
         counters = session.fsm_counters()
         assert counters["system_compile_hits"] == 0
         assert counters["interpreted"] == counters["steps"] > 0
-        # Requested, not fallen back to.
-        assert counters["fallback"] == 0
 
     def test_unknown_tier_is_refused(self):
         for tier in ("per-fsm", "compiled"):
             with pytest.raises(SimulationError, match="unknown tier"):
                 CosimSession(generate_system(0).build_model(), tier=tier)
 
-    def test_detect_races_falls_back_to_interpreted(self):
-        session = CosimSession(generate_system(0).build_model(),
-                               detect_races=True)
-        session.build()
-        assert session.tier == "fused"
-        assert session.wired_tier == "interpreted"
-        assert "detect_races" in session.system_fallback_reason
+    def test_detect_races_resolves_to_interpreted(self):
+        # Race attribution picks the interpreted tier at construction, and
+        # both kernels attribute the dup-writer mutant's races alike.
+        logs = []
+        for kernel in ("production", "reference"):
+            session = CosimSession(build_dup_writer_model(), kernel=kernel,
+                                   detect_races=True)
+            assert session.tier == "interpreted"
+            session.run(until=5_000)
+            assert session.fsm_counters()["system_compile_hits"] == 0
+            logs.append(session.simulator.race_log)
+        assert logs[0] and logs[0] == logs[1]
 
-    @pytest.mark.parametrize("seed,races,reason", [
-        (0, True, "detect_races attributes writes to kernel processes"),
-        (0, False, "cannot compile expression"),
-    ])
-    def test_tier_decision_carries_its_reason(self, seed, races, reason,
-                                              monkeypatch):
-        if not races:
-            # Codegen meets an operator it has no template for; a fresh
-            # fragment memo makes it emit every FSM.
-            monkeypatch.delitem(syscompile._BINOP_TEMPLATES, "add")
-            monkeypatch.setattr(syscompile, "_FRAGMENTS",
-                                weakref.WeakKeyDictionary())
-        system = generate_system(seed)
-        session = CosimSession(system.build_model(), detect_races=races,
-                               **system.cosim_params)
-        summary = session.run(until=20_000).summary()
-        assert summary["tier"] == "interpreted"
-        assert summary["tier_reason"].startswith(reason)
-        assert summary["fsm"]["fallback"] == summary["fsm"]["steps"] > 0
+    def test_fused_with_detect_races_is_refused(self):
+        with pytest.raises(SimulationError,
+                           match="tier 'fused' cannot run with detect_races: "
+                                 "race attribution needs one kernel process "
+                                 "per writer"):
+            CosimSession(generate_system(0).build_model(), tier="fused",
+                         detect_races=True)
+
+
+class TestCodegenRefusal:
+    """A model codegen cannot translate is refused, never run elsewhere."""
+
+    @pytest.fixture
+    def no_add_template(self, monkeypatch):
+        # Codegen meets an operator it has no template for; a fresh
+        # fragment memo and program cache make it emit every FSM.
+        monkeypatch.delitem(syscompile._BINOP_TEMPLATES, "add")
+        monkeypatch.setattr(syscompile, "_FRAGMENTS",
+                            weakref.WeakKeyDictionary())
+        monkeypatch.setattr(syscompile, "_SYSTEM_CACHE",
+                            weakref.WeakKeyDictionary())
+
+    def test_build_raises_model_error(self, no_add_template):
+        system = generate_system(0)
+        session = CosimSession(system.build_model(), **system.cosim_params)
+        for _ in range(2):  # a refused build leaves the session untouched
+            with pytest.raises(ModelError, match="cannot compile expression"):
+                session.build()
+        # The interpreted tier needs no codegen.
+        interpreted = CosimSession(system.build_model(), tier="interpreted",
+                                   **system.cosim_params)
+        assert interpreted.run(until=5_000).tier == "interpreted"
+
+    def test_cosim_job_records_the_refusal(self, no_add_template):
+        report = SweepService([CosimJob(0)], workers=1).run()
+        [record] = report.records
+        assert record["error"].startswith(
+            "ModelError: cannot compile expression")
 
 
 class TestCheckpointUnderFused:
@@ -212,7 +234,7 @@ class TestCheckpointUnderFused:
         system = generate_system(4)
         straight = CosimSession(system.build_model(), **system.cosim_params)
         expected = straight.run(until=30_000)
-        assert straight.wired_tier == "fused"
+        assert straight.tier == "fused"
 
         interrupted = CosimSession(system.build_model(),
                                    **system.cosim_params)
@@ -233,7 +255,7 @@ class TestCheckpointUnderFused:
         first = cosim_fingerprint(session, session.run(until=30_000))
         session.restore(checkpoint)
         again = cosim_fingerprint(session, session.run(until=30_000))
-        assert session.wired_tier == "fused"
+        assert session.tier == "fused"
         reference = CosimSession(system.build_model(), tier="interpreted",
                                  **system.cosim_params)
         assert first == again == cosim_fingerprint(
@@ -260,10 +282,10 @@ class TestCheckpointUnderFused:
         resumed.restore(checkpoint).run(until=30_000)
         assert binds == [session, resumed]
 
-    def test_checkpoint_records_the_wired_tier(self):
-        # detect_races wires a fused request per FSM; the checkpoint must
-        # say so, and a fused session must refuse it by name rather than
-        # fail on the kernel's process registrations.
+    def test_raced_checkpoint_restores_only_into_interpreted(self):
+        # detect_races runs the interpreted tier; the checkpoint says so,
+        # and a fused session refuses it by name rather than fail on the
+        # kernel's process registrations.
         system = generate_system(4)
         raced = CosimSession(system.build_model(), detect_races=True,
                              **system.cosim_params)
@@ -296,7 +318,7 @@ class TestSourceCache:
         system = generate_system(1)
         session = CosimSession(system.build_model(), **system.cosim_params)
         result = session.run(until=20_000)
-        assert session.wired_tier == "fused"
+        assert session.tier == "fused"
         model = weakref.ref(session.model)
         assert len(syscompile._SYSTEM_CACHE) == 1
         del session, result
@@ -385,7 +407,7 @@ class TestObserverParity:
     def _observed_steps(cls, model, tier, params, until):
         session = CosimSession(model, tier=tier, **params)
         session.build()
-        assert session.wired_tier == tier
+        assert session.tier == tier
         instances = cls._instances(session)
         steps = {name: [] for name in instances}
         for name, instance in instances.items():
@@ -424,7 +446,7 @@ class TestObserverParity:
                 model, params = system.build_model(), system.cosim_params
             session = CosimSession(model, tier=tier, **params)
             session.build()
-            assert session.wired_tier == tier
+            assert session.tier == tier
             software = {executor.instance
                         for executor in session.sw_executors.values()}
             instances = self._instances(session)
@@ -572,7 +594,7 @@ class TestFragmentCache:
             session = CosimSession(_datapath_model(), clock_period=20,
                                    kernel=kernel, tier=tier)
             result = session.run(until=400)
-            assert session.wired_tier == tier
+            assert session.tier == tier
             fingerprints.append(cosim_fingerprint(session, result))
         assert fingerprints[0] == fingerprints[1]
 
@@ -656,7 +678,7 @@ class TestRaisingStep:
                                                             message, kernel):
         session = CosimSession(self._model(), kernel=kernel)
         session.run(until=1_000)
-        assert session.wired_tier == "fused"
+        assert session.tier == "fused"
         instances = session.controller_instances
         if kind == "undefined":
             del instances["Ring.C1"].env["N"]
@@ -689,7 +711,7 @@ class TestRaisingStep:
                 HardwareModule("Dp", [build.build(initial="Run")]))
             session = CosimSession(model, kernel=kernel, tier=tier)
             session.run(until=1_000)
-            assert session.wired_tier == tier
+            assert session.tier == tier
             if where == "controller":
                 instance = session.controller_instances["Ring.C1"]
             else:
@@ -711,7 +733,7 @@ class TestRaisingStep:
             session = CosimSession(self._model(late=True), kernel=kernel,
                                    tier=tier)
             session.run(until=1_000)
-            assert session.wired_tier == tier
+            assert session.tier == tier
             instances = session.controller_instances
             del instances["Ring.C1"].env["N"]
             with pytest.raises(SimulationError,
@@ -747,8 +769,7 @@ class TestLintLeavesTheTierAlone:
             for tier in ("fused", "interpreted"):
                 session = CosimSession(builder(), kernel=kernel, tier=tier)
                 result = session.run(until=5_000)
-                assert session.wired_tier == tier
-                assert session.system_fallback_reason is None
+                assert session.tier == tier
                 digests.add(content_digest(cosim_fingerprint(session,
                                                              result)))
         assert len(digests) == 1
@@ -786,7 +807,7 @@ class TestConstantDivisor:
         for tier in ("fused", "interpreted"):
             session = CosimSession(self._model(op, divisor), tier=tier)
             result = session.run(until=2_000)
-            assert session.wired_tier == tier
+            assert session.tier == tier
             fingerprints.append(cosim_fingerprint(session, result))
         assert fingerprints[0] == fingerprints[1]
 
@@ -824,7 +845,7 @@ class TestConstantDivisor:
         for tier in ("fused", "interpreted"):
             session = CosimSession(self._builtin_model(), tier=tier)
             result = session.run(until=2_000)
-            assert session.wired_tier == tier
+            assert session.tier == tier
             fingerprints.append(cosim_fingerprint(session, result))
         assert fingerprints[0] == fingerprints[1]
 
@@ -845,7 +866,7 @@ class TestConstantDivisor:
                 HardwareModule("Ul", [build.build(initial="Run")]))
             session = CosimSession(model, tier=tier)
             session.build()
-            assert session.wired_tier == tier
+            assert session.tier == tier
             with pytest.raises(TypeError) as error:
                 session.run(until=1_000)
             messages.append(str(error.value))
@@ -861,6 +882,6 @@ class TestConstantDivisor:
                                                       message):
         session = CosimSession(self._model(op, 0), tier=tier)
         session.build()  # code generation accepts the constant zero
-        assert session.wired_tier == tier
+        assert session.tier == tier
         with pytest.raises(SimulationError, match=f"^{message}$"):
             session.run(until=1_000)

@@ -151,6 +151,27 @@ class TestStructuralValidation:
         assert moved.as_dict() == fresh.as_dict()
         assert moved.by_rule(rule)
 
+    def test_software_fsm_port_is_refused_before_it_runs(self):
+        # Software reaches hardware only through services: a software FSM
+        # touching any port is an IF008 error, so the session refuses the
+        # model at construction instead of failing mid-run.
+        from repro.core import SoftwareModule, SystemModel
+        from repro.ir import FsmBuilder, PortRef, PortWrite
+
+        build = FsmBuilder("PROBE")
+        with build.state("Run") as state:
+            state.go("Run", when=PortRef("NOPE"),
+                     actions=[PortWrite("LED", 1)])
+        model = SystemModel("SoftwarePortProbe")
+        model.add_software_module(
+            SoftwareModule("Sw", build.build(initial="Run")))
+        with pytest.raises(ValidationError) as excinfo:
+            CosimSession(model)
+        findings = [(d.rule, d.path, d.data["port"])
+                    for d in excinfo.value.diagnostics]
+        assert findings == [("IF008", "module/Sw/PROBE", "LED"),
+                            ("IF008", "module/Sw/PROBE", "NOPE")]
+
     def test_extended_errors_do_not_refuse_a_session(self):
         builder, rule = MUTANTS["bad-width"]
         # IF006 is an extended (non-structural) error: validation passes.

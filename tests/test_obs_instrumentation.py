@@ -253,7 +253,7 @@ class TestCosimInstrumentation:
                 "repro_cosim_fsm_steps_total", {"series": []})["series"]
             totals.append({entry["labels"]["step_tier"]: entry["value"]
                            for entry in series})
-        assert session.wired_tier == tier
+        assert session.tier == tier
         assert injector.cursor  # the reset happened mid-run
         for before, after in zip(totals, totals[1:]):
             assert all(after[key] >= value for key, value in before.items())

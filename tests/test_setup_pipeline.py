@@ -177,7 +177,7 @@ class TestBoundedProgramCaches:
             system = generate_system(0)
             session = CosimSession(model, **system.cosim_params)
             result = session.run(until=20_000)
-            assert session.wired_tier == "fused"
+            assert session.tier == "fused"
             return cosim_fingerprint(session, result)
 
         first = generate_system(0).build_model()
@@ -203,7 +203,7 @@ class TestNoFusableFsm:
         assert "_fragment" not in source
 
     @pytest.mark.parametrize("kernel", ["production", "reference"])
-    def test_identical_across_tiers_without_reason(self, kernel):
+    def test_identical_across_tiers(self, kernel):
         system = generate_system(NO_FUSABLE_SEED)
         fingerprints = {}
         for tier in ("fused", "interpreted"):
@@ -211,8 +211,7 @@ class TestNoFusableFsm:
                                    kernel=kernel, **system.cosim_params)
             result = session.run(until=40_000)
             fingerprints[tier] = cosim_fingerprint(session, result)
-            assert session.wired_tier == tier
-            assert session.system_fallback_reason is None
+            assert session.tier == tier
         assert fingerprints["fused"] == fingerprints["interpreted"]
 
     def test_job_runs_clean(self):
@@ -220,10 +219,8 @@ class TestNoFusableFsm:
         assert record["error"] is None
         assert not record["functional_problems"]
         assert record["tier"] == "fused"
-        assert record["tier_reason"] is None
-        # No FSM is fused, and nothing fell back: every step is a
-        # software or service step, interpreted on both tiers.
-        assert record["fsm"]["fallback"] == 0
+        # No FSM is fused: every step is a software or service step,
+        # interpreted on both tiers.
         assert record["fsm"]["system_compile_hits"] == 0
         assert record["fsm"]["interpreted"] == record["fsm"]["steps"] > 0
 
@@ -236,8 +233,6 @@ class TestInterpretedJob:
         assert record["error"] is None
         assert not record["functional_problems"]
         assert record["tier"] == "interpreted"
-        assert record["tier_reason"] is None
         assert record["fsm"]["interpreted"] == record["fsm"]["steps"]
-        assert record["fsm"]["fallback"] == 0
         default, _ = CosimJob(0).execute()
         assert record["fingerprint_digest"] == default["fingerprint_digest"]

@@ -11,9 +11,10 @@ For every software module of the target, software synthesis
    software side of the real-time constraints.
 """
 
-from repro.ir.visitor import iter_expressions, iter_state_expressions, iter_statements
+import weakref
+
 from repro.ir.expr import PortRef
-from repro.ir.stmt import PortWrite
+from repro.ir.stmt import Assign, If, PortWrite
 from repro.swc.emitter import emit_program, emit_service_view
 from repro.utils.errors import SynthesisError
 from repro.utils.text import format_table
@@ -67,35 +68,79 @@ class SoftwareSynthesisResult:
         )
 
 
-def _fsm_access_counts(fsm):
-    """(statements, port reads, port writes) of one FSM (whole-FSM totals)."""
-    statements = sum(1 for _ in iter_statements(fsm))
-    reads = sum(1 for expr in iter_expressions(fsm) if isinstance(expr, PortRef))
-    writes = sum(1 for stmt in iter_statements(fsm) if isinstance(stmt, PortWrite))
-    return statements, reads, writes
+def _cost_summary(fsm):
+    """``(totals, worst)`` of one FSM, memoised on it in :data:`_SUMMARIES`.
+
+    *totals* is the whole FSM's (statements, port reads, port writes);
+    *worst* the largest per-state (statements, port reads, port writes)
+    step.  A pure function of the FSM, which is read-only once built, so
+    a library service FSM is walked once per process and a module FSM
+    once per exploration that repartitions it.
+    """
+    summary = _SUMMARIES.get(fsm)
+    if summary is None:
+        summary = _SUMMARIES[fsm] = _summarise(fsm)
+    return summary
 
 
-def _worst_state_costs(fsm):
-    """Worst-case per-step statement and access counts over the FSM states."""
+#: Fsm -> its :func:`_cost_summary`; weak keys keep FSMs collectable.
+_SUMMARIES = weakref.WeakKeyDictionary()
+
+
+def _summarise(fsm):
+    """Walk *fsm* once for its :func:`_cost_summary`.
+
+    The totals count nested ``If`` bodies; a state's step counts its
+    actions and each transition's actions and guard, but only the
+    top-level port writes, and at least one statement.  The worst step
+    is the first with the largest sum, starting from ``(1, 0, 0)``.
+    """
+    counts = [0, 0, 0]
     worst = (1, 0, 0)
     for state in fsm.iter_states():
+        reads = counts[1]
         statements = len(state.actions)
-        reads = 0
-        writes = 0
-        for stmt in state.actions:
-            writes += 1 if isinstance(stmt, PortWrite) else 0
+        writes = _walk(state.actions, counts)
         for transition in state.transitions:
-            statements += len(transition.actions) + (1 if transition.guard else 0)
-            for stmt in transition.actions:
-                writes += 1 if isinstance(stmt, PortWrite) else 0
-        reads = sum(
-            1 for expr in iter_state_expressions(state)
-            if isinstance(expr, PortRef)
-        )
-        candidate = (max(statements, 1), reads, writes)
-        if candidate[0] + candidate[1] + candidate[2] > sum(worst):
-            worst = candidate
-    return worst
+            statements += len(transition.actions)
+            writes += _walk(transition.actions, counts)
+            if transition.guard is not None:
+                statements += 1
+                counts[1] += _port_reads(transition.guard)
+            if transition.call is not None:
+                for arg in transition.call.args:
+                    counts[1] += _port_reads(arg)
+        step = (max(statements, 1), counts[1] - reads, writes)
+        if sum(step) > sum(worst):
+            worst = step
+    return tuple(counts), worst
+
+
+def _walk(statements, counts):
+    """Add the statements, port reads and port writes of *statements*,
+    nested ``If`` bodies included, to *counts*; return the port writes
+    among *statements* themselves."""
+    writes = 0
+    for stmt in statements:
+        counts[0] += 1
+        if isinstance(stmt, If):
+            counts[1] += _port_reads(stmt.cond)
+            _walk(stmt.then, counts)
+            _walk(stmt.orelse, counts)
+        elif isinstance(stmt, (Assign, PortWrite)):
+            counts[1] += _port_reads(stmt.expr)
+            if isinstance(stmt, PortWrite):
+                counts[2] += 1
+                writes += 1
+    return writes
+
+
+def _port_reads(expr):
+    """Number of port reads in *expr*."""
+    reads = 1 if isinstance(expr, PortRef) else 0
+    for child in expr.children():
+        reads += _port_reads(child)
+    return reads
 
 
 def estimate_software_metrics(platform, fsm, services):
@@ -105,17 +150,15 @@ def estimate_software_metrics(platform, fsm, services):
     platform timing model — **not** on the rest of the placement — which is
     what lets :mod:`repro.dse` memoize them per (module, side, platform).
     """
-    module_statements, _, _ = _fsm_access_counts(fsm)
-    total_statements = module_statements
+    (total_statements, _, _), worst = _cost_summary(fsm)
+    worst_statements, worst_reads, worst_writes = worst
     total_reads = 0
     total_writes = 0
-    worst_statements, worst_reads, worst_writes = _worst_state_costs(fsm)
     for service in services:
-        statements, reads, writes = _fsm_access_counts(service.fsm)
+        (statements, reads, writes), service_worst = _cost_summary(service.fsm)
         total_statements += statements
         total_reads += reads
         total_writes += writes
-        service_worst = _worst_state_costs(service.fsm)
         worst_statements = max(worst_statements, service_worst[0] + 2)
         worst_reads = max(worst_reads, service_worst[1])
         worst_writes = max(worst_writes, service_worst[2])

@@ -8,6 +8,8 @@ values are rendered as ``std_logic`` with ``'0'``/``'1'`` literals; other
 ports use VHDL integers.
 """
 
+import weakref
+
 from repro.ir.dtypes import BitType, EnumType
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
@@ -129,9 +131,35 @@ def _guard_expr(guard, context):
 
 
 def emit_service_procedure(service, context=None):
-    """Emit the hardware (VHDL) view of a service — the Figure 3c shape."""
+    """Emit the hardware (VHDL) view of a service — the Figure 3c shape.
+
+    The text reads only which of the ports the service's FSM reads or
+    writes are bit ports in *context*, so it is memoised on the service
+    in :data:`_PROCEDURES` under that set: the view library and every
+    synthesised module that declares a library service share one text.
+    Sound because a service is read-only once built.
+    """
     fsm = service.fsm
-    bit_ports = set(context.bit_ports) if context else set()
+    bits = context.bit_ports if context else ()
+    bit_ports = frozenset(name for name in fsm.ports_read + fsm.ports_written
+                          if name in bits)
+    by_bits = _PROCEDURES.get(service)
+    if by_bits is None:
+        by_bits = _PROCEDURES[service] = {}
+    text = by_bits.get(bit_ports)
+    if text is None:
+        text = by_bits[bit_ports] = _service_procedure(service, bit_ports)
+    return text
+
+
+#: Service -> {bit ports its FSM touches: its VHDL procedure}; weak keys
+#: keep services collectable.  See :func:`emit_service_procedure`.
+_PROCEDURES = weakref.WeakKeyDictionary()
+
+
+def _service_procedure(service, bit_ports):
+    """The VHDL procedure of *service*, rendering *bit_ports* as bits."""
+    fsm = service.fsm
     variable_names = {f"{service.name}_NEXT_STATE"}
     ctx = EmitContext(bit_ports=bit_ports, variable_names=variable_names)
     prefix = f"{service.name}_"

@@ -49,6 +49,18 @@ def _int_mod(a, b):
     return remainder if a >= 0 else -remainder
 
 
+def step_error(exc, fsm_name, state):
+    """The :class:`SimulationError` a step's ``TypeError`` or ``ValueError``
+    (an enum literal against an int, say) stands for.
+
+    Its text names the FSM and the state the step started in and keeps
+    the original message; the interpreter and the fused fragments both
+    raise it, so the two tiers fail with one text.
+    """
+    return SimulationError(
+        f"FSM {fsm_name!r} in state {state!r}: {type(exc).__name__}: {exc}")
+
+
 _BINARY_FUNCS = {
     "add": lambda a, b: a + b,
     "sub": lambda a, b: a - b,
@@ -256,53 +268,55 @@ class FsmInstance:
             self.env.update(args)
         self.steps += 1
         from_state = self.current
-        state = self.fsm.state(self.current)
-        for stmt in state.actions:
-            execute(stmt, self.env, self.ports)
-
-        fired = None
-        called = None
-        for transition in state.transitions:
-            ready = True
-            if transition.call is not None:
-                called = transition.call.service
-                if self.call_handler is None:
-                    raise SimulationError(
-                        f"FSM {self.fsm.name!r} calls service "
-                        f"{transition.call.service!r} but no call handler is bound"
-                    )
-                arg_values = [
-                    evaluate(arg, self.env, self.ports) for arg in transition.call.args
-                ]
-                call_done, value = self.call_handler(transition.call, arg_values)
-                if call_done and transition.call.store:
-                    self.env[transition.call.store] = value
-                ready = call_done
-            if not ready:
-                continue
-            if transition.guard is not None and not evaluate(
-                transition.guard, self.env, self.ports
-            ):
-                continue
-            for stmt in transition.actions:
+        try:
+            state = self.fsm.state(self.current)
+            for stmt in state.actions:
                 execute(stmt, self.env, self.ports)
-            self.current = transition.target
-            fired = transition
-            self.transitions_fired += 1
-            break
 
-        done = self.current in self.fsm.done_states
-        result = None
-        if done and self.fsm.result_var:
-            result = self.env.get(self.fsm.result_var)
-        step_result = StepResult(
-            from_state, self.current, fired is not None, done, result, called
-        )
-        if self.sink is not None:
-            self.sink(step_result)
-        if done and self.reset_on_done:
-            self.current = self.fsm.initial
-        return step_result
+            fired = None
+            called = None
+            for transition in state.transitions:
+                ready = True
+                if transition.call is not None:
+                    called = transition.call.service
+                    if self.call_handler is None:
+                        raise SimulationError(
+                            f"FSM {self.fsm.name!r} calls service "
+                            f"{transition.call.service!r} but no call handler is bound"
+                        )
+                    arg_values = [evaluate(arg, self.env, self.ports)
+                                  for arg in transition.call.args]
+                    call_done, value = self.call_handler(transition.call, arg_values)
+                    if call_done and transition.call.store:
+                        self.env[transition.call.store] = value
+                    ready = call_done
+                if not ready:
+                    continue
+                if transition.guard is not None and not evaluate(
+                    transition.guard, self.env, self.ports
+                ):
+                    continue
+                for stmt in transition.actions:
+                    execute(stmt, self.env, self.ports)
+                self.current = transition.target
+                fired = transition
+                self.transitions_fired += 1
+                break
+
+            done = self.current in self.fsm.done_states
+            result = None
+            if done and self.fsm.result_var:
+                result = self.env.get(self.fsm.result_var)
+            step_result = StepResult(
+                from_state, self.current, fired is not None, done, result, called
+            )
+            if self.sink is not None:
+                self.sink(step_result)
+            if done and self.reset_on_done:
+                self.current = self.fsm.initial
+            return step_result
+        except (TypeError, ValueError) as exc:
+            raise step_error(exc, self.fsm.name, from_state) from exc
 
     # ----------------------------------------------------------- state access
 

@@ -71,7 +71,7 @@ import types
 import weakref
 
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
-from repro.ir.interp import StepResult, _int_div, _int_mod
+from repro.ir.interp import StepResult, _int_div, _int_mod, step_error
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.obs import TELEMETRY
 from repro.utils.errors import ModelError, SimulationError
@@ -525,8 +525,9 @@ def _fragment_source(slots):
     observer call hands it the :class:`~repro.ir.interp.StepResult` the
     interpreter would have.  An unknown state raises the interpreter's
     :class:`~repro.utils.errors.ModelError` after counting the step, as
-    the interpreter does.  The slot parameters follow the body, since
-    slots are named on first use.
+    the interpreter does, and a ``TypeError`` or ``ValueError`` becomes
+    the interpreter's :func:`~repro.ir.interp.step_error`.  The slot
+    parameters follow the body, since slots are named on first use.
     """
     cand = slots.cand
     fsm = cand.fsm
@@ -573,6 +574,8 @@ def _fragment_source(slots):
     lines.append(f"            _ob(SR(_c, _t, _f, {done}, {result}, {called}))")
     lines.append("    except KeyError as _x:")
     lines.append(f"        raise _undefined(_x, _e, {cand.env_reads!r})")
+    lines.append("    except (TypeError, ValueError) as _x:")
+    lines.append("        raise _step_error(_x, i0.fsm.name, _c) from _x")
     params = ["_dq", "i0"]
     params += [f"g{n}" for n in range(len(slots.ports))]
     params += [f"v{n}" for n in range(len(slots.services))]
@@ -665,6 +668,7 @@ _GLOBALS = {
     "_div": _int_div,
     "_mod": _int_mod,
     "_undefined": _undefined,
+    "_step_error": step_error,
 }
 
 

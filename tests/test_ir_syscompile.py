@@ -849,11 +849,15 @@ class TestConstantDivisor:
             fingerprints.append(cosim_fingerprint(session, result))
         assert fingerprints[0] == fingerprints[1]
 
-    @pytest.mark.parametrize("op", ["min", "max"])
-    def test_min_max_raise_the_builtins_type_error(self, op):
-        # An enum literal against an int: the inline form makes the
-        # builtin's comparison, so it fails with the same message.
-        messages = []
+    @pytest.mark.parametrize("op,message", [
+        ("min", "'<' not supported between instances of 'str' and 'int'"),
+        ("max", "'>' not supported between instances of 'str' and 'int'"),
+        ("add", "unsupported operand type(s) for +: 'int' and 'str'"),
+    ])
+    def test_unlike_operands_raise_one_simulation_error(self, op, message):
+        # An enum literal against an int: both tiers map the step's
+        # TypeError to one SimulationError naming the FSM and the state.
+        expected = f"FSM 'MIXED' in state 'Run': TypeError: {message}"
         for tier in ("fused", "interpreted"):
             build = FsmBuilder("MIXED")
             build.variable("A", INT, 1)
@@ -867,11 +871,10 @@ class TestConstantDivisor:
             session = CosimSession(model, tier=tier)
             session.build()
             assert session.tier == tier
-            with pytest.raises(TypeError) as error:
+            with pytest.raises(SimulationError) as error:
                 session.run(until=1_000)
-            messages.append(str(error.value))
-        assert messages[0] == messages[1]
-        assert "between instances of 'str' and 'int'" in messages[0]
+            assert str(error.value) == expected
+            assert isinstance(error.value.__cause__, TypeError)
 
     @pytest.mark.parametrize("tier", ["fused", "interpreted"])
     @pytest.mark.parametrize("op,message", [

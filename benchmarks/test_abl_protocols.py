@@ -45,8 +45,8 @@ def run_protocol(channel_factory):
     return {
         "received": server["RECEIVED"],
         "total": server["TOTAL"],
-        "put_latency": result.trace.mean_latency("HostPut"),
-        "get_latency": result.trace.mean_latency("ServerGet"),
+        "put_latency": result.trace.latency_stats("HostPut")["mean"],
+        "get_latency": result.trace.latency_stats("ServerGet")["mean"],
         "controller_steps": controller_steps,
         "end_time": result.end_time,
     }

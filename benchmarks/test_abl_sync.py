@@ -33,7 +33,7 @@ def run_policy(policy_name, activation_period):
         "position": session.motor.position,
         "pulses": session.motor.pulse_count,
         "activations": executor.activations,
-        "transitions": executor.transitions,
+        "transitions": executor.instance.transitions_fired,
         "end_time": result.end_time,
     }
 

@@ -42,5 +42,5 @@ def test_fig2_host_server_exchange(benchmark):
     print("FIG2: host/server exchange through a communication unit")
     print(f"  words transferred : {server['RECEIVED']}")
     print(f"  checksum          : {server['TOTAL']} (expected {expected_total})")
-    print(f"  mean put latency  : {result.trace.mean_latency('HostPut'):.0f} ns")
-    print(f"  mean get latency  : {result.trace.mean_latency('ServerGet'):.0f} ns")
+    print(f"  mean put latency  : {result.trace.latency_stats('HostPut')['mean']:.0f} ns")
+    print(f"  mean get latency  : {result.trace.latency_stats('ServerGet')['mean']:.0f} ns")

@@ -11,8 +11,8 @@ The bench also replays the FSM in isolation to check the one-transition-per-
 activation rule and the state sequence of one segment.
 """
 
-from benchmarks.conftest import run_motor_cosimulation, small_motor_config
-from repro.apps.motor_controller import build_distribution
+from benchmarks.conftest import small_motor_config
+from repro.apps.motor_controller import build_distribution, build_session
 from repro.swc import emit_module_function
 
 
@@ -20,13 +20,16 @@ def regenerate_fig6():
     config = small_motor_config()
     module = build_distribution(config)
     c_code = emit_module_function(module)
-    session, result = run_motor_cosimulation(config)
+    session = build_session(config, clock_period=100).build()
     executor = session.software_executor("DistributionMod")
-    return config, module, c_code, executor, result
+    steps = []
+    executor.instance.observer = steps.append
+    result = session.run_until_software_done(max_time=20_000_000)
+    return config, module, c_code, executor, steps, result
 
 
 def test_fig6_distribution_subsystem(benchmark):
-    config, module, c_code, executor, result = benchmark.pedantic(
+    config, module, c_code, executor, steps, result = benchmark.pedantic(
         regenerate_fig6, rounds=1, iterations=1
     )
 
@@ -44,9 +47,12 @@ def test_fig6_distribution_subsystem(benchmark):
     assert "if (MotorPosition(TARGET)) { NextState = DISTRIBUTION_Next; }" in c_code
     assert "return DONE;" in c_code
 
-    # One transition per activation: visited states == fired transitions + 1.
-    history = executor.state_history()
-    assert len(history) == executor.transitions + 1
+    # One transition per activation: one step per activation, and visited
+    # states == fired transitions + 1.
+    assert len(steps) == executor.activations
+    history = [steps[0].from_state] + [step.to_state for step in steps
+                                       if step.fired]
+    assert len(history) == executor.instance.transitions_fired + 1
     assert history[0] == "Start" and history[-1] == "Finish"
     # The Step/MotorPositionCall/Next/ReadStateCall/NextStep cycle repeats once
     # per segment.
@@ -59,5 +65,5 @@ def test_fig6_distribution_subsystem(benchmark):
     print(f"  primitives         : {module.services_used()}")
     print(f"  generated C        : {len(c_code.splitlines())} lines")
     print(f"  activations        : {executor.activations} "
-          f"(transitions fired: {executor.transitions})")
+          f"(transitions fired: {executor.instance.transitions_fired})")
     print(f"  segments commanded : {executor.variables()['SEGMENTS']}")

@@ -12,7 +12,7 @@ Run with::
     python examples/motor_controller_cosim.py
 """
 
-from repro.analysis.metrics import latency_table, service_latency_stats
+from repro.analysis.metrics import latency_table
 from repro.apps.motor_controller import (
     MotorControllerConfig,
     RealTimeConstraints,
@@ -43,7 +43,7 @@ def main():
     print()
 
     print("per-service latency over the SW/HW interface:")
-    print(latency_table(service_latency_stats(result.trace)))
+    print(latency_table(result.trace.latency_summary()))
     print()
 
     constraints = RealTimeConstraints(config)

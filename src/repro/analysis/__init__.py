@@ -13,10 +13,9 @@ package provides exactly that layer on top of the flow:
 """
 
 from repro.analysis.metrics import (
-    LatencyStats,
     interface_traffic,
+    latency_table,
     service_boundary_words,
-    service_latency_stats,
     static_boundary_traffic,
 )
 from repro.analysis.timing import (
@@ -28,11 +27,10 @@ from repro.analysis.timing import (
 from repro.analysis.back_annotation import BackAnnotation, back_annotate
 
 __all__ = [
-    "service_latency_stats",
+    "latency_table",
     "interface_traffic",
     "service_boundary_words",
     "static_boundary_traffic",
-    "LatencyStats",
     "PulseTimingReport",
     "check_pulse_timing",
     "ResponseLatencyReport",

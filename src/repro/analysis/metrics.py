@@ -3,53 +3,19 @@
 from repro.utils.text import format_table
 
 
-class LatencyStats:
-    """Min / mean / max latency of a set of completed service invocations."""
-
-    def __init__(self, service, latencies):
-        self.service = service
-        self.latencies = list(latencies)
-
-    @property
-    def count(self):
-        return len(self.latencies)
-
-    @property
-    def minimum(self):
-        return min(self.latencies) if self.latencies else None
-
-    @property
-    def maximum(self):
-        return max(self.latencies) if self.latencies else None
-
-    @property
-    def mean(self):
-        if not self.latencies:
-            return None
-        return sum(self.latencies) / len(self.latencies)
-
-    def as_row(self):
-        return (self.service, self.count, self.minimum, round(self.mean, 1)
-                if self.mean is not None else None, self.maximum)
-
-    def __repr__(self):
-        return f"LatencyStats({self.service}, n={self.count}, mean={self.mean})"
-
-
-def service_latency_stats(trace, services=None):
-    """Per-service latency statistics from a :class:`ServiceCallTrace`."""
-    services = services or trace.services_seen()
-    stats = {}
-    for service in services:
-        latencies = [record.latency for record in trace.completed(service=service)]
-        stats[service] = LatencyStats(service, latencies)
-    return stats
-
-
-def latency_table(stats):
-    """Render latency statistics as a text table."""
-    rows = [stat.as_row() for _, stat in sorted(stats.items())]
-    return format_table(["service", "calls", "min (ns)", "mean (ns)", "max (ns)"], rows)
+def latency_table(summary):
+    """Render a :meth:`~repro.cosim.tracing.ServiceCallTrace.latency_summary`
+    as a text table, one row per service; a service with no completed
+    call shows ``-``."""
+    rows = []
+    for service, stats in sorted(summary.items()):
+        if stats is None:
+            rows.append((service, 0, "-", "-", "-", "-"))
+        else:
+            rows.append((service, stats["count"], round(stats["mean"], 1),
+                         stats["p50"], stats["p95"], stats["max"]))
+    return format_table(["service", "calls", "mean (ns)", "p50 (ns)",
+                         "p95 (ns)", "max (ns)"], rows)
 
 
 def service_boundary_words(service):

@@ -26,7 +26,6 @@ class HardwareAdapter:
                 fsm,
                 ports=accessor,
                 call_handler=registry.call_handler(),
-                trace=False,
             )
         self.cycles = 0
         # register=False leaves the clocked process out: the session's

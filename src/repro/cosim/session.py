@@ -53,6 +53,34 @@ def _unbound_system_step():  # pragma: no cover - rebound during build()
     raise SimulationError("fused step ran before it was bound")
 
 
+def _members(checkpoint):
+    """What a :meth:`CosimSession.save` checkpoint is keyed on, by name.
+
+    Each controller's FSM, each software executor's FSM and services,
+    each hardware adapter's processes and services, every service's FSM,
+    the monitors and the fault plans: a checkpoint restores only into a
+    session with the same members.
+    """
+    def services(state):
+        return {name: service["instance"]["fsm"]
+                for name, service in state["services"].items()}
+
+    return {
+        "controllers": {key: state["fsm"] for key, state
+                        in checkpoint["controllers"].items()},
+        "software executors": {
+            name: (state["instance"]["fsm"], services(state))
+            for name, state in checkpoint["sw_executors"].items()},
+        "hardware adapters": {
+            name: ({process: instance["fsm"]
+                    for process, instance in state["instances"].items()},
+                   services(state))
+            for name, state in checkpoint["hw_adapters"].items()},
+        "monitors": sorted(checkpoint["monitors"]),
+        "fault plans": sorted(checkpoint["faults"]),
+    }
+
+
 class CosimResult:
     """Summary of one co-simulation run."""
 
@@ -233,9 +261,9 @@ class CosimSession:
         and every FSM instance's state and variables; *cells* yields, when
         called, the counters a steady period advances: each instance's
         ``steps``/``transitions_fired``, each adapter's
-        ``cycles`` and each pending trace record's ``steps``.  A watched
-        instance (``observer`` or ``trace`` history, as every software FSM)
-        keeps ``steps`` in the key, so no period it steps in is steady.
+        ``cycles`` and each pending trace record's ``steps``.  An instance
+        with an ``observer`` keeps ``steps`` in the key, so no period it
+        steps in is steady.
         None while a monitor, a fault plan with events left or a clocked
         process the session does not own could see skipped edges
         (:meth:`repro.desim.kernel.Simulator._steady_period`).
@@ -252,11 +280,12 @@ class CosimSession:
     def _steady_key(self):
         yield len(self.trace.records), len(self.trace._open)
         for fsm in self._instances:
-            yield fsm.current, dict(fsm.env), fsm.sink is not None and fsm.steps
+            yield (fsm.current, dict(fsm.env),
+                   fsm.observer is not None and fsm.steps)
 
     def _steady_cells(self):
         for fsm in self._instances:
-            if fsm.sink is None:
+            if fsm.observer is None:
                 yield fsm, "steps"
                 yield fsm, "transitions_fired"
         for adapter in self.hw_adapters.values():
@@ -514,18 +543,25 @@ class CosimSession:
             "sw_activation_period": self.sw_activation_period,
             "policy": self.activation_policy.name,
             "simulator": kernel_snapshot,
-            "controllers": {key: instance.capture_state()
-                            for key, instance in self.controller_instances.items()},
-            "sw_executors": {name: executor.capture_state()
-                             for name, executor in self.sw_executors.items()},
-            "hw_adapters": {name: adapter.capture_state()
-                            for name, adapter in self.hw_adapters.items()},
+            **self._capture_backplane(),
             "trace": self.trace.capture_state(),
             "waveform": self.waveform.capture_state(),
             "monitors": {monitor.name: monitor.capture_state()
                          for monitor in self.monitors},
             "faults": {name: injector.capture_state()
                        for name, injector in self.fault_injectors.items()},
+        }
+
+    def _capture_backplane(self):
+        """The FSM-holding part of a checkpoint: controllers, software
+        executors and hardware adapters, each by name."""
+        return {
+            "controllers": {key: instance.capture_state()
+                            for key, instance in self.controller_instances.items()},
+            "sw_executors": {name: executor.capture_state()
+                             for name, executor in self.sw_executors.items()},
+            "hw_adapters": {name: adapter.capture_state()
+                            for name, adapter in self.hw_adapters.items()},
         }
 
     def restore(self, checkpoint):
@@ -566,20 +602,14 @@ class CosimSession:
         # that raises must leave the session exactly as built, never in a
         # half-restored hybrid of checkpoint and fresh state.
         monitors = {monitor.name: monitor for monitor in self.monitors}
-        for what, theirs, ours in (
-            ("controllers", checkpoint["controllers"],
-             self.controller_instances),
-            ("software executors", checkpoint["sw_executors"],
-             self.sw_executors),
-            ("hardware adapters", checkpoint["hw_adapters"],
-             self.hw_adapters),
-            ("monitors", checkpoint["monitors"], monitors),
-            ("fault plans", checkpoint["faults"], self.fault_injectors),
-        ):
-            if set(theirs) != set(ours):
+        ours = _members(dict(self._capture_backplane(), monitors=monitors,
+                             faults=self.fault_injectors))
+        theirs = _members(checkpoint)
+        for what in ours:
+            if theirs[what] != ours[what]:
                 raise SimulationError(
                     f"checkpoint {what} do not match this session's: "
-                    f"{sorted(theirs)} vs {sorted(ours)}"
+                    f"{theirs[what]} vs {ours[what]}"
                 )
         self.simulator.restore(checkpoint["simulator"])
         for key, state in checkpoint["controllers"].items():

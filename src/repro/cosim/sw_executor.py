@@ -29,10 +29,8 @@ class SoftwareExecutor:
             module.fsm,
             ports=NullPortAccessor(),
             call_handler=registry.call_handler(),
-            trace=True,
         )
         self.activations = 0
-        self.transitions = 0
 
     @property
     def finished(self):
@@ -48,31 +46,7 @@ class SoftwareExecutor:
         if self.finished:
             return []
         self.activations += 1
-        results = self.policy.activate(self.instance)
-        self.transitions += sum(1 for result in results if result.fired)
-        return results
-
-    def state_history(self):
-        """Sequence of states visited, from the FSM instance trace.
-
-        The trace is a ring buffer (``FsmInstance(history_limit=...)``): when
-        a very long run has evicted its oldest entries, the reconstruction
-        starts from the first *retained* step's source state instead of the
-        initial state, so the returned sequence is always an accurate
-        (possibly truncated-at-the-front) suffix — never a sequence that
-        silently skips from the initial state to late-run states.
-        """
-        history = self.instance.history
-        evicted = (history.maxlen is not None
-                   and self.instance.steps > len(history))
-        if evicted and history:
-            visited = [history[0].from_state]
-        else:
-            visited = [self.module.fsm.initial]
-        for result in history:
-            if result.fired:
-                visited.append(result.to_state)
-        return visited
+        return self.policy.activate(self.instance)
 
     def variables(self):
         """Current values of the module FSM's variables."""
@@ -85,7 +59,6 @@ class SoftwareExecutor:
         return {
             "instance": self.instance.capture_state(),
             "activations": self.activations,
-            "transitions": self.transitions,
             "services": self.registry.capture_state(),
         }
 
@@ -93,7 +66,6 @@ class SoftwareExecutor:
         """Overwrite run-time state with a :meth:`capture_state` copy."""
         self.instance.restore_state(state["instance"])
         self.activations = state["activations"]
-        self.transitions = state["transitions"]
         self.registry.restore_state(state["services"])
 
     def __repr__(self):

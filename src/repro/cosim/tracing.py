@@ -57,15 +57,14 @@ class ServiceCallTrace:
         self.records = []
         self._open = {}
 
-    def begin(self, caller, service, unit, time, args=(), token=None):
+    def begin(self, caller, service, unit, time, args=(), *, token):
         """Record one step of an invocation (idempotent while pending).
 
         *token* distinguishes successive invocations of the same service by
         the same caller: the :class:`~repro.cosim.services.ServiceInstance`
         passes its completed-invocation count, so two back-to-back calls in
         one delta cycle open two records instead of merging into one (which
-        would silently skew ``mean_latency``).  Without a token the legacy
-        ``(caller, service)`` keying applies.
+        would silently skew the latency statistics).
         """
         key = (caller, service, token)
         if key in self._open:
@@ -78,7 +77,7 @@ class ServiceCallTrace:
         self._open[key] = record
         return record
 
-    def complete(self, caller, service, time, result=None, token=None):
+    def complete(self, caller, service, time, result=None, *, token):
         """Mark the pending invocation of (*caller*, *service*) as completed.
 
         *token* must match the one passed to :meth:`begin`.
@@ -108,13 +107,6 @@ class ServiceCallTrace:
 
     def count(self, caller=None, service=None):
         return len(self.completed(caller, service))
-
-    def mean_latency(self, service=None, caller=None):
-        """Average latency (ns) of completed invocations, or None."""
-        records = self.completed(caller, service)
-        if not records:
-            return None
-        return sum(record.latency for record in records) / len(records)
 
     def latency_stats(self, service=None, caller=None):
         """Latency distribution of completed invocations (simulated ns).

@@ -21,16 +21,9 @@ such generated step must match byte for byte: StepResult streams,
 environments, port traffic, errors.
 """
 
-from collections import deque
-
 from repro.ir.expr import BinOp, Const, PortRef, UnOp, Var
 from repro.ir.stmt import Assign, If, Nop, PortWrite
 from repro.utils.errors import SimulationError
-
-#: Default cap on the ``trace=True`` step history.  A ring buffer of the
-#: most recent steps keeps long sweeps bounded in memory; pass
-#: ``history_limit=None`` for the old unbounded behaviour.
-DEFAULT_HISTORY_LIMIT = 100_000
 
 
 def _int_div(a, b):
@@ -188,28 +181,30 @@ class FsmInstance:
     reset_on_done:
         When true (service FSMs), reaching a done state resets the instance
         to the initial state so the next invocation starts fresh.
-    trace:
-        When true, every step appends a :class:`StepResult` to :attr:`history`
-        (a ring buffer of the most recent *history_limit* steps).
-    history_limit:
-        Cap on :attr:`history` when tracing; ``None`` disables the cap.
+
+    Attributes
+    ----------
+    observer:
+        Optional per-step callback ``observer(step_result)``, None when
+        nothing watches the instance.  Every step hands it its
+        :class:`StepResult`, on the interpreter and in the fused step
+        alike; coverage instrumentation (:mod:`repro.testkit.coverage`)
+        hangs off it.  Structural (not part of capture_state), like the
+        port accessor.
     """
 
-    def __init__(self, fsm, ports=None, call_handler=None, reset_on_done=False,
-                 trace=False, history_limit=DEFAULT_HISTORY_LIMIT):
+    def __init__(self, fsm, ports=None, call_handler=None, reset_on_done=False):
         self.fsm = fsm
         self.ports = ports or NullPortAccessor()
         self.call_handler = call_handler
         self.reset_on_done = reset_on_done
-        self.history_limit = history_limit
-        self._observer = None
-        self.trace = trace
+        self.observer = None
         self.steps = 0
         self.transitions_fired = 0
         self.reset()
 
     def reset(self):
-        """Restore initial state, variable values and history.
+        """Restore initial state and variable values.
 
         The work counters ``steps`` and ``transitions_fired`` keep
         counting: a reset (a ``reset_unit`` fault, say) undoes state, not
@@ -217,45 +212,6 @@ class FsmInstance:
         """
         self.current = self.fsm.initial
         self.env = {name: decl.init for name, decl in self.fsm.variables.items()}
-        self.history = deque(maxlen=self.history_limit)
-
-    @property
-    def observer(self):
-        """Optional per-step callback ``observer(step_result)``.
-
-        Invoked on every StepResult (also by the fused step); coverage
-        instrumentation (:mod:`repro.testkit.coverage`) hangs off this.
-        Structural (not part of capture_state), like the port accessor.
-        """
-        return self._observer
-
-    @observer.setter
-    def observer(self, observer):
-        self._observer = observer
-        self._watch()
-
-    @property
-    def trace(self):
-        """When true, every step appends its StepResult to :attr:`history`."""
-        return self._trace
-
-    @trace.setter
-    def trace(self, trace):
-        self._trace = trace
-        self._watch()
-
-    def _watch(self):
-        # ``sink`` is what a step hands its StepResult to, decided here once
-        # rather than on every step: None when nothing watches the instance,
-        # else the observer, or the observer and the history when traced.
-        # The interpreter and the fused fragments both read it, so an
-        # unwatched instance pays one attribute load per step on either tier.
-        self.sink = self._observe_and_record if self._trace else self._observer
-
-    def _observe_and_record(self, step_result):
-        if self._observer is not None:
-            self._observer(step_result)
-        self.history.append(step_result)
 
     @property
     def done(self):
@@ -310,8 +266,8 @@ class FsmInstance:
             step_result = StepResult(
                 from_state, self.current, fired is not None, done, result, called
             )
-            if self.sink is not None:
-                self.sink(step_result)
+            if self.observer is not None:
+                self.observer(step_result)
             if done and self.reset_on_done:
                 self.current = self.fsm.initial
             return step_result
@@ -325,7 +281,7 @@ class FsmInstance:
 
         The FSM description, port accessor and call handler are structural
         (rebuilt when the owning session is rebuilt); only current state,
-        variables, counters and the step history travel in a checkpoint.
+        variables and counters travel in a checkpoint.
         """
         return {
             "fsm": self.fsm.name,
@@ -333,11 +289,6 @@ class FsmInstance:
             "env": dict(self.env),
             "steps": self.steps,
             "transitions_fired": self.transitions_fired,
-            "history": [
-                (result.from_state, result.to_state, result.fired,
-                 result.done, result.result, result.called)
-                for result in self.history
-            ],
         }
 
     def restore_state(self, state):
@@ -351,8 +302,6 @@ class FsmInstance:
         self.env = dict(state["env"])
         self.steps = state["steps"]
         self.transitions_fired = state["transitions_fired"]
-        self.history = deque((StepResult(*entry) for entry in state["history"]),
-                             maxlen=self.history_limit)
 
     def run_to_done(self, max_steps=10_000, args=None):
         """Step repeatedly until a done state is reached (testing helper)."""

@@ -520,10 +520,10 @@ def _fragment_source(slots):
     State dispatch, then one observer site.  Every path records in ``_f``
     whether a transition fired (and in ``_cl`` the last service it
     called); after the dispatch ``_f`` is added to ``transitions_fired``
-    and, when the instance is watched (an observer or a ``trace``
-    history: its :attr:`~repro.ir.interp.FsmInstance.sink`), the one
-    observer call hands it the :class:`~repro.ir.interp.StepResult` the
-    interpreter would have.  An unknown state raises the interpreter's
+    and, when the instance has an
+    :attr:`~repro.ir.interp.FsmInstance.observer`, the one observer call
+    hands it the :class:`~repro.ir.interp.StepResult` the interpreter
+    would have.  An unknown state raises the interpreter's
     :class:`~repro.utils.errors.ModelError` after counting the step, as
     the interpreter does, and a ``TypeError`` or ``ValueError`` becomes
     the interpreter's :func:`~repro.ir.interp.step_error`.  The slot
@@ -540,7 +540,7 @@ def _fragment_source(slots):
         "        _e = i0.env",
         "        i0.steps += 1",
         "        _c = i0.current",
-        "        _ob = i0.sink",
+        "        _ob = i0.observer",
         "        _f = False",
     ]
     if has_calls:

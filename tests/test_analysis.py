@@ -6,9 +6,8 @@ from repro.analysis import (
     check_pulse_timing,
     check_response_latency,
     interface_traffic,
-    service_latency_stats,
+    latency_table,
 )
-from repro.analysis.metrics import LatencyStats, latency_table
 from repro.cosim.tracing import ServiceCallTrace
 from repro.desim import Simulator, Timeout, WaveformRecorder
 
@@ -22,28 +21,34 @@ def _trace_with_calls():
         ("HW", "Sample", "UnitB", 50, 60),
     ]
     for caller, service, unit, start, end in samples:
-        trace.begin(caller, service, unit, start)
-        trace.complete(caller, service, end)
+        trace.begin(caller, service, unit, start, token=start)
+        trace.complete(caller, service, end, token=start)
     return trace
 
 
 class TestLatencyStats:
     def test_per_service_statistics(self):
-        stats = service_latency_stats(_trace_with_calls())
-        assert stats["Put"].count == 2
-        assert stats["Put"].minimum == 200
-        assert stats["Put"].maximum == 300
-        assert stats["Put"].mean == pytest.approx(250)
-        assert stats["Sample"].mean == pytest.approx(10)
+        trace = _trace_with_calls()
+        put = trace.latency_stats(service="Put")
+        assert put == {"count": 2, "mean": pytest.approx(250), "p50": 200,
+                       "p95": 300, "max": 300}
+        assert trace.latency_stats(service="Sample")["mean"] == pytest.approx(10)
+        assert trace.latency_stats(service="Get", caller="SW") is None
 
-    def test_empty_stats(self):
-        stats = LatencyStats("Nothing", [])
-        assert stats.count == 0
-        assert stats.mean is None and stats.minimum is None
+    def test_pending_service_has_no_statistics(self):
+        trace = ServiceCallTrace()
+        trace.begin("SW", "Put", "UnitA", 0, token=0)
+        assert trace.latency_summary() == {"Put": None}
 
     def test_latency_table_render(self):
-        table = latency_table(service_latency_stats(_trace_with_calls()))
-        assert "Put" in table and "mean (ns)" in table
+        trace = _trace_with_calls()
+        trace.begin("SW", "Pending", "UnitA", 0, token=0)
+        table = latency_table(trace.latency_summary())
+        assert table.splitlines()[0] == (
+            "| service | calls | mean (ns) | p50 (ns) | p95 (ns) | max (ns) |")
+        assert "| Put     | 2     | 250.0     | 200      | 300      | 300      |" \
+            in table
+        assert "| Pending | 0     | -" in table
 
     def test_interface_traffic_filters_by_unit(self):
         traffic = interface_traffic(_trace_with_calls(), unit_name="UnitA")

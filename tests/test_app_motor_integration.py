@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import service_latency_stats
 from repro.apps.motor_controller import (
     MotorControllerConfig,
     RealTimeConstraints,
@@ -55,11 +54,12 @@ class TestMotorControllerCosimulation:
 
     def test_latency_statistics_are_consistent(self, motor_cosim_result):
         _, _, result = motor_cosim_result
-        stats = service_latency_stats(result.trace)
+        stats = result.trace.latency_summary()
         # Pulse emission through the HW/HW unit is much faster than the
         # software-visible handshake services.
-        assert stats["SendMotorPulses"].mean < stats["MotorPosition"].mean
-        assert stats["ReadSampledData"].mean <= stats["ReadMotorPosition"].mean
+        assert stats["SendMotorPulses"]["mean"] < stats["MotorPosition"]["mean"]
+        assert (stats["ReadSampledData"]["mean"]
+                <= stats["ReadMotorPosition"]["mean"])
 
     def test_command_channel_waveform_shows_handshakes(self, motor_cosim_result):
         config, session, _ = motor_cosim_result

@@ -11,8 +11,13 @@ import pickle
 
 import pytest
 
+from repro.core import HardwareModule, SystemModel
 from repro.cosim import CosimSession
 from repro.desim import Monitor
+from repro.ir.builder import FsmBuilder
+from repro.ir.dtypes import INT
+from repro.ir.expr import var
+from repro.ir.stmt import Assign
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import cosim_fingerprint, run_session_to_completion
 from repro.testkit.scenarios import FAULT_MAX_TIME, FaultScenario
@@ -188,6 +193,61 @@ class TestSessionCheckpoint:
         other = make_session(other_system)
         with pytest.raises(SimulationError, match="does not match"):
             other.restore(checkpoint)
+
+    @staticmethod
+    def _one_process_model(process):
+        """A model ``Same`` whose hardware module ``Cnt`` runs one counting
+        process FSM named *process*."""
+        build = FsmBuilder(process)
+        build.variable("N", INT, 0)
+        with build.state("Run") as state:
+            state.stay(actions=[Assign("N", var("N") + 1)])
+        model = SystemModel("Same")
+        model.add_hardware_module(
+            HardwareModule("Cnt", [build.build(initial="Run")]))
+        return model
+
+    @pytest.mark.parametrize("tier", ["fused", "interpreted"])
+    def test_restore_rejects_renamed_process_before_changing_anything(
+            self, tier):
+        saved = CosimSession(self._one_process_model("P1"), tier=tier)
+        saved.run(until=1_000)
+        checkpoint = saved.save()
+        session = CosimSession(self._one_process_model("P2"),
+                               tier=tier).build()
+        statistics = dict(session.simulator.statistics)
+        states = [(fsm.current, dict(fsm.env), fsm.steps)
+                  for fsm in session.fsm_instances()]
+        with pytest.raises(SimulationError, match="hardware adapters"):
+            session.restore(checkpoint)
+        assert session.simulator.now == 0
+        assert session.simulator.statistics == statistics
+        assert [(fsm.current, dict(fsm.env), fsm.steps)
+                for fsm in session.fsm_instances()] == states
+
+    @pytest.mark.parametrize("what", ["controllers", "software executors",
+                                      "hardware adapters"])
+    def test_restore_rejects_foreign_fsm_or_service_names(self, what):
+        system = generate_system(4)  # controllers, software and hardware
+        session = make_session(system)
+        session.run(until=1_000)
+        checkpoint = session.save()
+        if what == "controllers":
+            state = next(iter(checkpoint["controllers"].values()))
+            state["fsm"] = "Foreign"
+        elif what == "software executors":
+            state = next(iter(checkpoint["sw_executors"].values()))
+            services = state["services"]
+            services["Foreign"] = services.pop(next(iter(services)))
+        else:
+            state = next(iter(checkpoint["hw_adapters"].values()))
+            instance = next(iter(state["instances"].values()))
+            instance["fsm"] = "Foreign"
+        fresh = make_session(system).build()
+        with pytest.raises(SimulationError, match=what):
+            fresh.restore(checkpoint)
+        assert fresh.simulator.now == 0
+        assert all(fsm.steps == 0 for fsm in fresh.fsm_instances())
 
     def test_restore_rejects_missing_monitor(self):
         system = generate_system(0)

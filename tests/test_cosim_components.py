@@ -55,32 +55,42 @@ class TestPortAccessors:
 class TestServiceCallTrace:
     def test_begin_is_idempotent_while_pending(self):
         trace = ServiceCallTrace()
-        first = trace.begin("Mod", "Svc", "Unit", 100)
-        again = trace.begin("Mod", "Svc", "Unit", 200)
+        first = trace.begin("Mod", "Svc", "Unit", 100, token=0)
+        again = trace.begin("Mod", "Svc", "Unit", 200, token=0)
         assert first is again
         assert first.steps == 2
         assert len(trace) == 1
 
     def test_complete_closes_the_pending_record(self):
         trace = ServiceCallTrace()
-        trace.begin("Mod", "Svc", "Unit", 100)
-        record = trace.complete("Mod", "Svc", 400, result=7)
+        trace.begin("Mod", "Svc", "Unit", 100, token=0)
+        record = trace.complete("Mod", "Svc", 400, result=7, token=0)
         assert record.latency == 300
         assert record.result == 7
         assert trace.count(service="Svc") == 1
 
     def test_complete_without_begin_returns_none(self):
         trace = ServiceCallTrace()
-        assert trace.complete("Mod", "Svc", 10) is None
+        assert trace.complete("Mod", "Svc", 10, token=0) is None
+
+    def test_begin_and_complete_require_a_token(self):
+        # Without the invocation token two back-to-back calls would merge
+        # into one record.
+        trace = ServiceCallTrace()
+        with pytest.raises(TypeError):
+            trace.begin("Mod", "Svc", "Unit", 100)
+        with pytest.raises(TypeError):
+            trace.complete("Mod", "Svc", 100)
+        assert len(trace) == 0
 
     def test_statistics_and_filtering(self):
         trace = ServiceCallTrace()
-        for start, end in [(0, 100), (200, 500)]:
-            trace.begin("A", "Put", "U", start)
-            trace.complete("A", "Put", end)
-        trace.begin("B", "Get", "U", 50)
-        trace.complete("B", "Get", 60)
-        assert trace.mean_latency(service="Put") == pytest.approx(200)
+        for token, (start, end) in enumerate([(0, 100), (200, 500)]):
+            trace.begin("A", "Put", "U", start, token=token)
+            trace.complete("A", "Put", end, token=token)
+        trace.begin("B", "Get", "U", 50, token=0)
+        trace.complete("B", "Get", 60, token=0)
+        assert trace.latency_stats(service="Put")["mean"] == pytest.approx(200)
         assert trace.count(caller="A") == 2
         assert trace.services_seen() == ["Get", "Put"]
         table = trace.as_table()
@@ -105,7 +115,7 @@ class TestBackToBackInvocations:
         # Two back-to-back invocations of one service by one caller at the
         # same simulation time used to merge into a single trace record
         # (keyed by (caller, service)), halving the call count and skewing
-        # mean_latency; the instance's invocation token keeps them apart.
+        # the mean latency; the instance's invocation token keeps them apart.
         sim = Simulator()
         trace = ServiceCallTrace()
         instance = ServiceInstance("Caller", self._one_step_service(), "Unit",
@@ -116,7 +126,7 @@ class TestBackToBackInvocations:
         assert len(trace) == 2
         assert trace.count(caller="Caller", service="ECHO") == 2
         assert [record.args for record in trace.records] == [(7,), (8,)]
-        assert trace.mean_latency(service="ECHO") == 0
+        assert trace.latency_stats(service="ECHO")["mean"] == 0
 
     def test_trace_tokens_separate_overlapping_invocations(self):
         trace = ServiceCallTrace()

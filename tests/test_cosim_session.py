@@ -29,16 +29,22 @@ class TestProducerConsumerCosimulation:
         _, _, result = run_producer_consumer(words=4)
         assert result.trace.count(service="HostPut") == 4
         assert result.trace.count(service="ServerGet") == 4
-        assert result.trace.mean_latency("HostPut") > 0
+        assert result.trace.latency_stats("HostPut")["mean"] > 0
 
     def test_software_state_history_one_transition_per_activation(self):
-        _, session, _ = run_producer_consumer(words=3)
+        session = CosimSession(make_producer_consumer_model(words=3)).build()
         executor = session.software_executor("HostMod")
-        history = executor.state_history()
+        steps = []
+        executor.instance.observer = steps.append
+        session.run_until_software_done(max_time=500_000)
+        history = [steps[0].from_state] + [step.to_state for step in steps
+                                           if step.fired]
         assert history[0] == "Send"
         assert history[-1] == "Finish"
-        # One-transition rule: number of visited states == fired transitions + 1.
-        assert len(history) == executor.transitions + 1
+        # One-transition rule: one step per activation, and the number of
+        # visited states == fired transitions + 1.
+        assert len(steps) == executor.activations
+        assert len(history) == executor.instance.transitions_fired + 1
 
     def test_unit_and_module_signal_lookup(self):
         _, session, _ = run_producer_consumer(words=2)

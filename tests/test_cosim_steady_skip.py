@@ -160,19 +160,22 @@ class TestGuards:
         # Rising edges at 0, period, ..., the last slice's end.
         assert counts[id(session)] == SLICES[-1] // period + 1
 
-    def test_traced_instance_keeps_its_full_history(self, monkeypatch):
+    @pytest.mark.parametrize("tier", ["fused", "interpreted"])
+    def test_observed_controllers_see_every_step(self, tier, monkeypatch):
+        observed = {}
+
         def setup(session):
             session.build()
             for instance in session.controller_instances.values():
-                instance.trace = True
+                log = observed[instance] = []
+                instance.observer = log.append
 
         system = generate_system(5)
-        session = _guarded(system, setup, monkeypatch, tier="interpreted")
+        session = _guarded(system, setup, monkeypatch, tier=tier)
         assert session.simulator.clock_skipped_edges == 0
+        edges = SLICES[-1] // system.cosim_params["clock_period"] + 1
         for instance in session.controller_instances.values():
-            assert len(instance.history) == instance.steps
-            assert instance.steps == SLICES[-1] // (
-                system.cosim_params["clock_period"]) + 1
+            assert len(observed[instance]) == instance.steps == edges
 
     def test_monitor_keeps_the_skip_off(self, monkeypatch):
         def setup(session):

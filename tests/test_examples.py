@@ -31,6 +31,8 @@ EXPECTED_OUTPUT = {
         "segments_commanded: 4",
         "final_sw_state: Finish",
         "software_finished: True",
+        "| service              | calls | mean (ns) | p50 (ns) | p95 (ns) "
+        "| max (ns) |",
         "| pulse_ok                     | True    |",
         "| response_ok                  | True    |",
         "| overall                      | MET     |",

@@ -28,7 +28,7 @@ from repro.ir import (
 from repro.ir import compile as ir_compile
 from repro.ir.compile import CompileError, compile_expr_fn, compile_fsm
 from repro.ir.expr import BinOp, Const, Expr, PortRef, UnOp, Var
-from repro.ir.interp import DEFAULT_HISTORY_LIMIT, DictPortAccessor
+from repro.ir.interp import DictPortAccessor
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, cosim_fingerprint, run_cosim
 from repro.utils.errors import ModelError, SimulationError
@@ -306,45 +306,16 @@ class TestCompiledTier:
         assert_differential(fsm, steps=40, seed=7)
 
 
-class TestHistoryRingBuffer:
-    def test_default_cap_applies(self):
-        instance = FsmInstance(counter_fsm(), trace=True)
-        assert instance.history.maxlen == DEFAULT_HISTORY_LIMIT
-
-    def test_small_cap_keeps_most_recent_window(self):
-        build = FsmBuilder("SPIN")
-        build.variable("N", INT, 0)
-        with build.state("Run") as state:
-            state.stay(actions=[Assign("N", var("N") + 1)])
-        fsm = build.build(initial="Run")
-        instance = FsmInstance(fsm, trace=True, history_limit=4)
-        for _ in range(10):
-            instance.step()
-        assert instance.steps == 10
-        assert len(instance.history) == 4
-
-    def test_opt_out_is_unbounded(self):
-        instance = FsmInstance(counter_fsm(200), trace=True,
-                               history_limit=None)
-        for _ in range(150):
-            instance.step()
-        assert len(instance.history) == 150
-        assert instance.history.maxlen is None
-
-    def test_capture_restore_preserves_window_and_cap(self):
+class TestCaptureRestore:
+    def test_restored_instance_continues_identically(self):
         fsm = counter_fsm(50)
-        source = FsmInstance(fsm, trace=True, history_limit=8)
+        source = FsmInstance(fsm)
         for _ in range(20):
             source.step()
-        state = source.capture_state()
-        target = FsmInstance(fsm, trace=True, history_limit=8)
-        target.restore_state(state)
-        assert target.history.maxlen == 8
-        assert ([result_tuple(r) for r in target.history]
-                == [result_tuple(r) for r in source.history])
+        target = FsmInstance(fsm)
+        target.restore_state(source.capture_state())
         assert target.steps == source.steps
         assert target.transitions_fired == source.transitions_fired
-        # Both must continue identically after the round-trip.
         for _ in range(10):
             assert result_tuple(source.step()) == result_tuple(target.step())
 
@@ -360,33 +331,6 @@ class TestHistoryRingBuffer:
         target = FsmInstance(counter_fsm(50))
         target.restore_state(state)
         assert target.capture_state() == source.capture_state()
-
-
-class TestStateHistoryEviction:
-    def test_state_history_stays_accurate_after_ring_buffer_eviction(self):
-        from repro.cosim.services import ServiceRegistry
-        from repro.cosim.sw_executor import SoftwareExecutor
-        from repro.core import SoftwareModule
-
-        build = FsmBuilder("PING")
-        build.variable("N", INT, 0)
-        with build.state("Even") as state:
-            state.go("Odd", actions=[Assign("N", var("N") + 1)])
-        with build.state("Odd") as state:
-            state.go("Even")
-        module = SoftwareModule("PingMod", build.build(initial="Even"))
-        executor = SoftwareExecutor(module, ServiceRegistry("PingMod"))
-        # Shrink the ring buffer far below the run length to force eviction.
-        executor.instance.history = type(executor.instance.history)(maxlen=6)
-        executor.instance.history_limit = 6
-        for _ in range(25):
-            executor.activate()
-        visited = executor.state_history()
-        # Accurate suffix: starts at the first retained step's source state
-        # and alternates without any silent gap.
-        assert len(visited) == 7
-        for left, right in zip(visited, visited[1:]):
-            assert {left, right} == {"Even", "Odd"}
 
 
 class TestSessionCounters:

@@ -203,11 +203,13 @@ class TestFsmInstance:
         assert result.fired and result.done
         assert instance.env["RESULT"] == 77
 
-    def test_trace_records_history(self):
-        instance = FsmInstance(counter_fsm(2), trace=True)
-        instance.run_to_done()
-        assert len(instance.history) == instance.steps
-        assert instance.history[-1].done
+    def test_observer_sees_every_step(self):
+        instance = FsmInstance(counter_fsm(2))
+        steps = []
+        instance.observer = steps.append
+        last = instance.run_to_done()
+        assert len(steps) == instance.steps
+        assert steps[-1] is last and last.done
 
     def test_first_matching_transition_wins(self):
         build = FsmBuilder("PRIORITY")

@@ -435,35 +435,6 @@ class TestObserverParity:
         else:
             assert any(called for *_, called in steps)
 
-    @pytest.mark.parametrize("source", [5, 12, "counter"])
-    def test_traced_histories_are_equal_on_both_tiers(self, source):
-        histories = []
-        for tier in ("fused", "interpreted"):
-            if source == "counter":
-                model, params = self._counter_model()
-            else:
-                system = generate_system(source)
-                model, params = system.build_model(), system.cosim_params
-            session = CosimSession(model, tier=tier, **params)
-            session.build()
-            assert session.tier == tier
-            software = {executor.instance
-                        for executor in session.sw_executors.values()}
-            instances = self._instances(session)
-            traced = {name: instance for name, instance in instances.items()
-                      if instance not in software}
-            for instance in traced.values():
-                instance.trace = True
-            session.run(until=2_000)
-            for instance in traced.values():
-                assert len(instance.history) == instance.steps
-            histories.append({
-                name: [(r.from_state, r.to_state, r.fired, r.done, r.result,
-                        r.called) for r in instance.history]
-                for name, instance in instances.items()})
-        assert histories[0] == histories[1]
-        assert sum(map(len, histories[0].values())) > 0
-
 
 def _mix(dst, taps, modulus):
     """``dst = (weighted mix of taps) mod modulus`` as a deep BinOp tree."""

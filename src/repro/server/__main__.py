@@ -10,8 +10,9 @@ on an ephemeral port — and exercises it with real ``urllib`` clients:
 concurrent submissions of every job kind, polling to completion, the
 artifact route, a warm cacheable resubmission (must be served from the
 cache), the ``/metrics`` counters in JSON and Prometheus form (the workers'
-communication-unit library among them) and the error statuses (400/404 paths via a
-malformed spec, a negative ``Content-Length`` and an unknown route).
+communication-unit library and the ``repro_sweep_jobs_total`` outcomes
+among them) and the error statuses (400/404 paths via a malformed spec, a
+negative ``Content-Length`` and an unknown route).
 Exit code 0 means the service held up end to end; this is what
 ``make server-smoke`` runs.
 """
@@ -26,6 +27,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.obs import TELEMETRY
 from repro.obs.metrics import parse_prometheus
 from repro.server.http import create_server
 from repro.server.service import JobService
@@ -141,6 +143,7 @@ def selfcheck(args):
 
     cosyn_spec = {"kind": "cosyn", "seed": 1, "networks": 1,
                   "platform": "pc_at_fpga"}
+    TELEMETRY.enable()
     with tempfile.TemporaryDirectory(prefix="repro-server-") as cache_dir:
         service = JobService(workers=args.workers,
                              queue_limit=args.queue_limit,
@@ -240,7 +243,13 @@ def selfcheck(args):
                         else f"repro_server_library_{key}_total")
                 _check(samples.get(name) == library[key],
                        f"{name} = {samples.get(name)}, JSON {library}")
-            note("GET /metrics/prometheus exports the library counters")
+            outcomes = {(labels["kind"], labels["outcome"]): value
+                        for name, labels, value in parse_prometheus(text)
+                        if name == "repro_sweep_jobs_total"}
+            ok = sum(n for (_, outcome), n in outcomes.items() if outcome == "ok")
+            _check(outcomes.get(("cosyn", "cached")) == 1 and ok == 5,
+                   f"repro_sweep_jobs_total: {outcomes}")
+            note("GET /metrics/prometheus exports library and job counters")
 
             status, reply = client.post("/jobs", {"kind": "nonsense"})
             _check(status == 400, f"bad spec should 400, got {status}")
@@ -262,6 +271,8 @@ def selfcheck(args):
             server.shutdown()
             server.server_close()
             service.stop()
+            TELEMETRY.disable()
+            TELEMETRY.reset()
     print(f"selfcheck OK ({checks} checks)")
     return 0
 

@@ -18,8 +18,9 @@ POST   ``/jobs``                  submit one spec or a list → 202 Accepted
 ====== ========================== ===========================================
 
 Errors: malformed JSON or an invalid spec is 400, an unknown route or job
-id is 404, a full queue is 503 (back-pressure — retry after the backlog
-drains).  Every response body is a JSON object.
+id is 404, a body longer than :data:`MAX_BODY_BYTES` is 413, a full queue
+is 503 (back-pressure — retry after the backlog drains).  Every response
+body is a JSON object.
 """
 
 import json
@@ -28,6 +29,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import TELEMETRY
 from repro.server.service import QueueFullError
+
+#: Largest ``POST /jobs`` body read (a full 64-job batch is about 15 KB).
+MAX_BODY_BYTES = 1 << 20
+
+
+class BodyTooLargeError(ValueError):
+    """The declared ``Content-Length`` exceeds :data:`MAX_BODY_BYTES`."""
 
 
 def _route_template(method, path):
@@ -83,6 +91,10 @@ class JobRequestHandler(BaseHTTPRequestHandler):
             # answer and drop the connection.
             self.close_connection = True
             raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body would follow
+            raise BodyTooLargeError(
+                f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body (expected JSON)")
@@ -167,6 +179,9 @@ class JobRequestHandler(BaseHTTPRequestHandler):
             try:
                 body = self._read_body()
                 records = service.submit_body(body)
+            except BodyTooLargeError as exc:
+                self._error(413, str(exc))
+                return
             except ValueError as exc:
                 self._error(400, str(exc))
                 return

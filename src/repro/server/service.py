@@ -16,12 +16,12 @@ Design points:
   is enqueued behind a hard ``queue_limit`` (raising
   :class:`QueueFullError` → HTTP 503 — back-pressure, not an unbounded
   buffer).
-* **Execution preserves the sweep's purity rules.**  Jobs run in worker
-  *processes* (one ``pool.map`` of one item per job, several executor
+* **Execution goes through the sweep's step** (``lookup``,
+  ``_execute_job`` and ``settle`` in :mod:`repro.sweep.service`).  Jobs
+  run in worker *processes* (one ``pool.map`` of one item per job, several executor
   threads feeding the shared pool), so records stay pure functions of
-  their specs and a crashing job cannot take the service down.  Cache
-  writes happen in the service process only, after collection — exactly
-  like :class:`repro.sweep.service.SweepService`.
+  their specs and a crashing job cannot take the service down; cache
+  writes happen in the service process only, after collection.
 * **A dead worker fails one job, not the service.**  The pool surfaces a
   worker death as :class:`~repro.utils.pool.PoolError`; the executor
   marks its job ``failed`` and replaces the broken pool.  Jobs that were
@@ -40,7 +40,7 @@ from repro.comm import library_stats
 from repro.obs import TELEMETRY, prometheus_line
 from repro.sweep.cache import ArtifactCache
 from repro.sweep.jobs import job_from_dict
-from repro.sweep.service import _execute_job
+from repro.sweep.service import _execute_job, count_job, lookup, settle
 from repro.utils.errors import ReproError
 from repro.utils.pool import PoolError, WorkerPool
 
@@ -53,9 +53,14 @@ class QueueFullError(ReproError):
 
 
 def _execute_in_worker(job):
-    """Worker entry: the job's ``(record, payload)``, the worker's pid and
-    its unit-library counters (:func:`repro.comm.library_stats`)."""
+    """Worker entry: ``_execute_job``'s stamped outcome, the worker's pid
+    and its unit-library counters (:func:`repro.comm.library_stats`)."""
     return _execute_job(job), os.getpid(), library_stats()
+
+
+def _seconds(start, end):
+    """``end - start`` of two ``perf_counter`` stamps, or None."""
+    return None if start is None or end is None else end - start
 
 
 class JobRecord:
@@ -75,26 +80,14 @@ class JobRecord:
         self.record = None
         self.error = None
         # Wall-clock stamps are for display only; every *duration* is
-        # computed from the monotonic twins below — time.time() may jump
-        # (NTP step, clock slew) and must never feed a latency metric.
+        # computed from the perf_counter twins below — time.time() may
+        # jump (NTP step, clock slew) and must never feed a latency metric.
         self.submitted_at = time.time()
         self.started_at = None
         self.finished_at = None
-        self.submitted_mono = time.monotonic()
+        self.submitted_mono = time.perf_counter()
         self.started_mono = None
         self.finished_mono = None
-
-    def queue_wait_s(self):
-        """Seconds from submission to execution start (monotonic), or None."""
-        if self.started_mono is None:
-            return None
-        return self.started_mono - self.submitted_mono
-
-    def run_s(self):
-        """Seconds from execution start to finish (monotonic), or None."""
-        if self.started_mono is None or self.finished_mono is None:
-            return None
-        return self.finished_mono - self.started_mono
 
     def summary(self):
         return {
@@ -114,8 +107,8 @@ class JobRecord:
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "queue_wait_s": self.queue_wait_s(),
-            "run_s": self.run_s(),
+            "queue_wait_s": _seconds(self.submitted_mono, self.started_mono),
+            "run_s": _seconds(self.started_mono, self.finished_mono),
             "record": self.record,
         })
         return data
@@ -144,11 +137,10 @@ class JobService:
         self._pool = None
         self._stopping = False
         self._started_at = time.time()       # wall stamp, display only
-        self._started_mono = time.monotonic()  # uptime source
+        self._started_mono = time.perf_counter()  # uptime source
         self._pool_replacements = 0
         self._fsm_totals = {"steps": 0, "transitions_fired": 0,
-                            "interpreted": 0, "fallback": 0,
-                            "system_compile_hits": 0, "system_fallback": 0}
+                            "interpreted": 0, "system_compile_hits": 0}
         #: worker pid -> its latest unit-library counters; the counts of
         #: workers torn down with a broken pool are folded into
         #: ``_library_retired``.
@@ -186,72 +178,46 @@ class JobService:
 
     # ------------------------------------------------------------ submission
 
-    def submit_spec(self, spec):
-        """Validate and enqueue one job spec; returns its :class:`JobRecord`.
-
-        Raises ``ValueError`` for a malformed spec and
-        :class:`QueueFullError` when the FIFO is at ``queue_limit``.
-        Cacheable jobs whose content key hits are answered ``done``
-        immediately, without queueing.
-        """
-        return self._submit(job_from_dict(spec))
-
-    def _submit(self, job):
-        """Enqueue one built *job* (or answer it from the cache)."""
-        cached_payload = None
-        cache_key = None
-        if self.cache is not None and job.cacheable:
-            cache_key = ArtifactCache.key_for(job.spec())
-            with self._lock:
-                cached_payload = self.cache.get(cache_key)
-        with self._wake:
-            record = JobRecord(f"job-{next(self._seq):06d}", job)
-            record.cache_key = cache_key
-            if cached_payload is not None:
-                record.record = job.record_from_payload(cached_payload,
-                                                        cached=True)
-                record.cached = True
-                record.state = "done"
-                record.finished_at = time.time()
-                record.finished_mono = time.monotonic()
-                self._jobs[record.id] = record
-                return record
-            if len(self._queue) >= self.queue_limit:
-                raise QueueFullError(
-                    f"job queue is full ({self.queue_limit} queued); "
-                    "retry after the backlog drains"
-                )
-            self._jobs[record.id] = record
-            self._queue.append(record.id)
-            self._wake.notify()
-        return record
-
     def submit_body(self, body):
         """Submit a decoded ``POST /jobs`` body: one spec or a list of specs.
 
-        All-or-nothing: every spec is parsed once, before anything is
-        queued, so one malformed entry rejects the whole batch; the built
-        jobs are submitted under the lock, and on a mid-batch
-        :class:`QueueFullError` everything already accepted is rolled
-        back, so a 503 never leaves half a batch queued.  Returns the list
-        of :class:`JobRecord`.
+        All-or-nothing: a malformed spec (``ValueError``), or more
+        cache misses than the FIFO has room for (:class:`QueueFullError`),
+        refuses the whole batch before any of it is kept.  Cache hits are
+        answered ``done`` at once.  Returns the list of :class:`JobRecord`.
+        Specs are parsed under the lock, because job constructors import
+        lazily and concurrent first imports of one package can see each
+        other's half-initialised modules.
         """
         specs = body if isinstance(body, list) else [body]
         if not specs:
             raise ValueError("empty job submission")
-        jobs = [job_from_dict(spec) for spec in specs]
-        with self._lock:  # re-entrant: executors cannot interleave with us
+        with self._wake:
+            jobs = [job_from_dict(spec) for spec in specs]
+            looked_up = [(job, *lookup(job, self.cache)) for job in jobs]
+            queued = sum(1 for _, _, served in looked_up if served is None)
+            if len(self._queue) + queued > self.queue_limit:
+                raise QueueFullError(
+                    f"job queue is full ({len(self._queue)} of "
+                    f"{self.queue_limit} queued, {queued} more submitted); "
+                    "retry after the backlog drains")
             records = []
-            try:
-                for job in jobs:
-                    records.append(self._submit(job))
-            except QueueFullError:
-                for record in records:
-                    self._jobs.pop(record.id, None)
-                    if record.id in self._queue:
-                        self._queue.remove(record.id)
-                raise
-            return records
+            for job, key, served in looked_up:
+                record = JobRecord(f"job-{next(self._seq):06d}", job)
+                record.cache_key = key
+                self._jobs[record.id] = record
+                if served is None:
+                    self._queue.append(record.id)
+                else:
+                    record.record = served
+                    record.cached = True
+                    record.state = "done"
+                    record.finished_at = time.time()
+                    record.finished_mono = time.perf_counter()
+                    count_job(job.kind, "cached")
+                records.append(record)
+            self._wake.notify(queued)
+        return records
 
     # -------------------------------------------------------------- queries
 
@@ -297,7 +263,8 @@ class JobService:
                 "library": self._library_totals(),
                 "pool_replacements": self._pool_replacements,
                 "started_at": self._started_at,
-                "uptime_s": round(time.monotonic() - self._started_mono, 3),
+                "uptime_s": round(time.perf_counter() - self._started_mono,
+                                  3),
             }
 
     def _library_totals(self):
@@ -389,54 +356,39 @@ class JobService:
                 record = self._jobs[self._queue.popleft()]
                 record.state = "running"
                 record.started_at = time.time()
-                record.started_mono = time.monotonic()
+                record.started_mono = time.perf_counter()
                 pool = self._pool
             try:
-                (outcome, payload), pid, library = pool.map(
+                stamped, pid, library = pool.map(
                     _execute_in_worker, [record.job], chunksize=1)[0]
             except PoolError as exc:
                 self._replace_pool(pool)
-                self._finish(record, None, error=str(exc))
+                self._finish(record, None, str(exc))
                 continue
             except Exception as exc:  # job unpicklable, worker bug, ...
-                self._finish(record, None,
-                             error=f"{type(exc).__name__}: {exc}")
+                self._finish(record, None, f"{type(exc).__name__}: {exc}")
                 continue
             with self._lock:
                 if pool is self._pool:
                     self._library[pid] = library
-                if payload is not None and record.cache_key is not None:
-                    self.cache.put(record.cache_key, payload)
-            self._finish(record, outcome, error=outcome.get("error"))
+                outcome = settle(record.job, record.cache_key, self.cache,
+                                 stamped, record.submitted_mono)
+                self._finish(record, outcome, outcome.get("error"))
 
-    def _finish(self, record, outcome, error=None):
+    def _finish(self, record, outcome, error):
+        """Close *record*; *outcome* is None when no worker returned one."""
         with self._lock:
+            if outcome is None:
+                count_job(record.job.kind, "error")
             record.record = outcome
             record.error = error
             record.state = "failed" if error else "done"
             record.finished_at = time.time()
-            record.finished_mono = time.monotonic()
-            if TELEMETRY.enabled:
-                TELEMETRY.metrics.counter(
-                    "repro_server_jobs_total",
-                    labels={"kind": record.job.kind, "state": record.state},
-                    help="Jobs finished by the server, by kind and state.",
-                ).inc()
-                wait, run = record.queue_wait_s(), record.run_s()
-                if wait is not None:
-                    TELEMETRY.metrics.histogram(
-                        "repro_server_job_queue_wait_seconds",
-                        help="Submission-to-start wait per executed job.",
-                    ).observe(wait)
-                if run is not None:
-                    TELEMETRY.metrics.histogram(
-                        "repro_server_job_run_seconds",
-                        help="Start-to-finish run time per executed job.",
-                    ).observe(run)
+            record.finished_mono = time.perf_counter()
             fsm = (outcome or {}).get("fsm")
             if fsm:
                 for key in self._fsm_totals:
-                    self._fsm_totals[key] += fsm.get(key, 0)
+                    self._fsm_totals[key] += fsm[key]
 
     def _replace_pool(self, broken):
         """Swap the shared pool after a worker death (once per breakage)."""

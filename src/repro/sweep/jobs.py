@@ -414,8 +414,10 @@ class ConformanceJob(SweepJob):
 
     def __init__(self, scenario, tier=None):
         from repro.cosim.session import DEFAULT_TIER, TIERS
+        from repro.testkit.runner import parse_scenario_name
 
         self.scenario = str(scenario)
+        parse_scenario_name(self.scenario)  # refused here, like a bad tier
         # "differential" replays the scenario on every tier.
         self.tier = _check_tier(tier, DEFAULT_TIER, TIERS + ("differential",))
 

@@ -19,6 +19,10 @@ a warm-cache re-run performs **zero** HLS re-synthesis.
 Failures stay data: a job raising a :class:`~repro.utils.errors.ReproError`
 becomes an ``error`` record at its slot (deterministically), never an
 aborted batch.
+
+A sweep's jobs and the job server's (:mod:`repro.server.service`) take
+one step: :func:`lookup` in the calling process, :func:`_execute_job` in
+a worker, then :func:`settle` (store, count, trace) back in the caller.
 """
 
 import json
@@ -32,23 +36,70 @@ from repro.utils.text import format_table
 
 
 def _execute_job(job):
-    """Top-level worker entry: run one job, degrade errors to records."""
-    try:
-        return job.execute()
-    except ReproError as exc:
-        return job.error_record(exc), None
+    """Worker entry: ``((record, payload), start, end)`` of one job.
 
-
-def _execute_job_stamped(job):
-    """Worker entry carrying ``perf_counter`` stamps for the parent's trace.
-
-    Telemetry a forked worker collects dies with the worker; what survives
-    is this pair of monotonic stamps, from which the parent reconstructs
-    the job span and the queue-wait/run-time split.
+    A :class:`ReproError` becomes the job's error record.  A forked
+    worker's telemetry dies with it; the ``perf_counter`` stamps survive,
+    and :func:`settle` rebuilds the job's span and timings from them.
     """
     start = time.perf_counter()
-    outcome = _execute_job(job)
+    try:
+        outcome = job.execute()
+    except ReproError as exc:
+        outcome = job.error_record(exc), None
     return outcome, start, time.perf_counter()
+
+
+def lookup(job, cache):
+    """``(key, served_record)`` of *job* in *cache*, in the calling process.
+
+    *key* is None when the job is not cacheable or there is no cache, and
+    the record is None on a miss.  The caller counts a hit it keeps.
+    """
+    if cache is None or not job.cacheable:
+        return None, None
+    key = ArtifactCache.key_for(job.spec())
+    payload = cache.get(key)
+    if payload is None:
+        return key, None
+    return key, job.record_from_payload(payload, cached=True)
+
+
+def count_job(kind, outcome):
+    """Count one job of *kind* by *outcome* (``ok``/``error``/``cached``)."""
+    if TELEMETRY.enabled:
+        TELEMETRY.metrics.counter(
+            "repro_sweep_jobs_total",
+            labels={"kind": kind, "outcome": outcome},
+            help="Jobs by kind and outcome (ok/error/cached).",
+        ).inc()
+
+
+def settle(job, key, cache, stamped, handed_at):
+    """Store, count and trace one executed job; returns its record.
+
+    *stamped* is :func:`_execute_job`'s result.  The payload is put under
+    *key*, if any.  With telemetry on, the ``sweep.job`` span comes from
+    the worker's stamps and the queue wait runs from *handed_at* (a
+    ``perf_counter`` stamp) to the worker's start.
+    """
+    (record, payload), start, end = stamped
+    if TELEMETRY.enabled:
+        outcome = "error" if record.get("error") else "ok"
+        count_job(job.kind, outcome)
+        TELEMETRY.tracer.record("sweep.job", start, end, cat="sweep",
+                                job=job.name, kind=job.kind, outcome=outcome)
+        TELEMETRY.metrics.histogram(
+            "repro_sweep_job_seconds", labels={"kind": job.kind},
+            help="Per-job run time (seconds, worker-side).",
+        ).observe(end - start)
+        TELEMETRY.metrics.histogram(
+            "repro_sweep_queue_wait_seconds",
+            help="Hand-over-to-start wait per executed job (seconds).",
+        ).observe(max(0.0, start - handed_at))
+    if key is not None and payload is not None:
+        cache.put(key, payload)
+    return record
 
 
 class SweepReport:
@@ -182,22 +233,16 @@ class SweepService:
             if progress is not None:
                 progress(message)
 
-        obs = TELEMETRY if TELEMETRY.enabled else None
         records = [None] * len(self.jobs)
         pending = []  # (slot, job, cache_key_or_None)
         for slot, job in enumerate(self.jobs):
-            key = None
-            if self.cache is not None and job.cacheable:
-                key = ArtifactCache.key_for(job.spec())
-                payload = self.cache.get(key)
-                if payload is not None:
-                    records[slot] = job.record_from_payload(payload,
-                                                            cached=True)
-                    if obs is not None:
-                        self._obs_count(obs, job.kind, "cached")
-                    note(f"[cache ] {job.name}: hit")
-                    continue
-            pending.append((slot, job, key))
+            key, served = lookup(job, self.cache)
+            if served is not None:
+                records[slot] = served
+                count_job(job.kind, "cached")
+                note(f"[cache ] {job.name}: hit")
+            else:
+                pending.append((slot, job, key))
 
         if pending:
             workers_used = min(self.workers, len(pending))
@@ -205,27 +250,20 @@ class SweepService:
             dispatch_start = time.perf_counter()
             if self.workers > 1 and len(pending) > 1:
                 with WorkerPool(self.workers) as pool:
-                    stamped = pool.map(_execute_job_stamped,
+                    stamped = pool.map(_execute_job,
                                        [job for _, job, _ in pending])
             else:
-                stamped = [_execute_job_stamped(job)
-                           for _, job, _ in pending]
+                stamped = [_execute_job(job) for _, job, _ in pending]
             batch_seconds = time.perf_counter() - dispatch_start
             busy_seconds = 0.0
-            for (slot, job, key), (outcome, start, end) in zip(pending,
-                                                               stamped):
-                record, payload = outcome
+            for (slot, job, key), outcome in zip(pending, stamped):
+                record = settle(job, key, self.cache, outcome, dispatch_start)
                 records[slot] = record
-                busy_seconds += end - start
-                if obs is not None:
-                    self._obs_job(obs, job, record, dispatch_start, start,
-                                  end)
-                if key is not None and payload is not None:
-                    self.cache.put(key, payload)
+                busy_seconds += outcome[2] - outcome[1]
                 note(f"[done  ] {job.name}: "
                      f"{'ERROR' if record.get('error') else 'ok'}")
-            if obs is not None and batch_seconds > 0:
-                obs.metrics.gauge(
+            if TELEMETRY.enabled and batch_seconds > 0:
+                TELEMETRY.metrics.gauge(
                     "repro_sweep_worker_utilization",
                     help="Busy fraction of the worker pool over the last "
                          "batch (total job run time / workers / wall time).",
@@ -233,35 +271,3 @@ class SweepService:
 
         cache_stats = self.cache.stats if self.cache is not None else None
         return SweepReport(records, cache_stats=cache_stats)
-
-    # ------------------------------------------------------------- telemetry
-
-    @staticmethod
-    def _obs_count(obs, kind, outcome):
-        obs.metrics.counter(
-            "repro_sweep_jobs_total", labels={"kind": kind,
-                                              "outcome": outcome},
-            help="Sweep jobs by kind and outcome (ok/error/cached).",
-        ).inc()
-
-    @staticmethod
-    def _obs_job(obs, job, record, dispatch_start, start, end):
-        """One executed job: span plus queue-wait/run-time histograms.
-
-        The span is recorded post-hoc from the worker's stamps, so pooled
-        and serial runs land in the same trace with real timings; *queue
-        wait* is how long the job sat behind the dispatch point before a
-        worker (or the serial loop) picked it up.
-        """
-        outcome = "error" if record.get("error") else "ok"
-        SweepService._obs_count(obs, job.kind, outcome)
-        obs.tracer.record("sweep.job", start, end, cat="sweep",
-                          job=job.name, kind=job.kind, outcome=outcome)
-        obs.metrics.histogram(
-            "repro_sweep_job_seconds", labels={"kind": job.kind},
-            help="Per-job run time (seconds, worker-side).",
-        ).observe(end - start)
-        obs.metrics.histogram(
-            "repro_sweep_queue_wait_seconds",
-            help="Dispatch-to-start wait per executed job (seconds).",
-        ).observe(max(0.0, start - dispatch_start))

@@ -10,7 +10,7 @@ is all that is needed to reproduce it::
 """
 
 from repro.cosim.faults import FAULT_KINDS
-from repro.testkit.generator import KernelScenario
+from repro.testkit.generator import SIZES, KernelScenario
 from repro.testkit.models import generate_system
 from repro.testkit.oracles import check_cosim_conformance, check_cosyn_conformance
 from repro.testkit.scenarios import FaultScenario, RealtimeScenario, check_scenario
@@ -143,30 +143,43 @@ def run_conformance(kernel_tier=FULL_KERNEL_TIER,
     return report
 
 
+def parse_scenario_name(name):
+    """``(family, variant, seed)`` of a printed scenario name; *variant* is
+    the kernel size or the fault kind, else None.
+
+    ``ValueError`` unless *name* has one of the four forms :func:`replay`
+    takes, an int seed, a size in ``SIZES`` and a kind in ``FAULT_KINDS``.
+    """
+    family, _, rest = str(name).partition("-")
+    *head, seed = rest.split("-")
+    known = {"kernel": SIZES, "fault": FAULT_KINDS}.get(family, ())
+    if (family not in ("kernel", "system", "fault", "realtime")
+            or len(head) != bool(known) or not seed.isdecimal()
+            or any(value not in known for value in head)):
+        raise ValueError(
+            f"unrecognised scenario name {name!r}; expected "
+            f"'kernel-<size>-<seed>' (size in {sorted(SIZES)}), "
+            "'system-<seed>', 'fault-<kind>-<seed>' (kind in "
+            f"{list(FAULT_KINDS)}) or 'realtime-<seed>', with an int seed")
+    return family, head[0] if head else None, int(seed)
+
+
 def replay(name, tier=None):
     """Re-run one scenario from its printed name; returns problem strings.
 
     Accepts ``kernel-<size>-<seed>`` (differential kernel check),
     ``system-<seed>`` (both cosim and cosyn oracles),
     ``fault-<kind>-<seed>`` (differential fault-injection check) and
-    ``realtime-<seed>`` (back-annotated deadline check).
+    ``realtime-<seed>`` (back-annotated deadline check); any other name
+    raises ``ValueError`` (:func:`parse_scenario_name`).
     """
-    parts = name.split("-")
-    if parts[0] == "kernel" and len(parts) == 3:
-        return check_kernel_scenario(KernelScenario(int(parts[2]), size=parts[1]))
-    if parts[0] == "system" and len(parts) == 2:
-        system = generate_system(int(parts[1]))
+    family, variant, seed = parse_scenario_name(name)
+    if family == "kernel":
+        return check_kernel_scenario(KernelScenario(seed, size=variant))
+    if family == "system":
+        system = generate_system(seed)
         return (check_cosim_conformance(system, tier=tier)
                 + check_cosyn_conformance(system))
-    if parts[0] == "fault" and len(parts) >= 3:
-        kind = "-".join(parts[1:-1])
-        scenario = FaultScenario(int(parts[-1]), kind=kind)
-        return check_scenario(scenario, tier=tier)
-    if parts[0] == "realtime" and len(parts) == 2:
-        scenario = RealtimeScenario(int(parts[1]))
-        return check_scenario(scenario, tier=tier)
-    raise ValueError(
-        f"unrecognised scenario name {name!r}; expected "
-        "'kernel-<size>-<seed>', 'system-<seed>', 'fault-<kind>-<seed>' "
-        "or 'realtime-<seed>'"
-    )
+    if family == "fault":
+        return check_scenario(FaultScenario(seed, kind=variant), tier=tier)
+    return check_scenario(RealtimeScenario(seed), tier=tier)

@@ -20,6 +20,7 @@ from repro.obs.metrics import parse_prometheus
 from repro.server import JobService, QueueFullError, create_server
 from repro.server import service as server_service
 from repro.server.service import JOB_STATES
+from repro.sweep import ArtifactCache, SweepService
 from repro.sweep.jobs import job_from_dict
 
 
@@ -52,6 +53,10 @@ _EXPORTED_FAMILIES = {
     ("fsm",): ("repro_server_fsm_counter_total", "counter"),
 }
 
+#: Conformance scenario names refused when the job is built.
+_MALFORMED_SCENARIOS = ("bogus-1", "kernel-huge-1", "system-x",
+                        "fault-nope-3")
+
 #: The snapshot's schema version and its display-only wall stamp.
 _NOT_EXPORTED = {("format",), ("started_at",)}
 
@@ -75,7 +80,7 @@ def running_service(tmp_path_factory):
 
 class TestJobLifecycle:
     def test_kernel_job_runs_to_done(self, running_service):
-        record = running_service.submit_spec(
+        (record,) = running_service.submit_body(
             {"kind": "kernel", "size": "tiny", "seed": 11})
         assert record.state in ("queued", "running", "done")
         _wait_done(running_service, [record])
@@ -104,23 +109,23 @@ class TestJobLifecycle:
         assert conformance["ok"] is True
 
     def test_failed_job_reports_its_error(self, running_service):
-        # An unparsable conformance scenario raises inside the worker; the
-        # error degrades to a failed record, not a dead service.
-        record = running_service.submit_spec(
-            {"kind": "conformance", "scenario": "not-a-scenario"})
+        # An unknown platform raises inside the worker; the error degrades
+        # to a failed record, not a dead service.
+        (record,) = running_service.submit_body(
+            {"kind": "cosyn", "seed": 0, "platform": "nope"})
         _wait_done(running_service, [record])
         assert record.state == "failed"
-        assert "unrecognised scenario" in record.error
+        assert "SynthesisError: unknown platform 'nope'" in record.error
 
     def test_warm_cacheable_resubmission_is_served_from_cache(
             self, running_service):
         spec = {"kind": "cosim", "seed": 5, "networks": 1, "coverage": True}
-        cold = running_service.submit_spec(spec)
+        (cold,) = running_service.submit_body(spec)
         _wait_done(running_service, [cold])
         assert cold.state == "done" and not cold.cached
         assert running_service.artifact(cold.id) is not None
 
-        warm = running_service.submit_spec(spec)
+        (warm,) = running_service.submit_body(spec)
         # Answered at submission time: done immediately, never queued.
         assert warm.state == "done"
         assert warm.cached is True
@@ -129,19 +134,19 @@ class TestJobLifecycle:
         assert running_service.cache.stats["hits"] >= 1
 
     def test_artifact_of_uncacheable_job_is_none(self, running_service):
-        record = running_service.submit_spec(
+        (record,) = running_service.submit_body(
             {"kind": "kernel", "size": "tiny", "seed": 13})
         _wait_done(running_service, [record])
         assert running_service.artifact(record.id) is None
 
     def test_durations_come_from_the_monotonic_clock(self, running_service):
-        record = running_service.submit_spec(
+        (record,) = running_service.submit_body(
             {"kind": "kernel", "size": "tiny", "seed": 14})
         _wait_done(running_service, [record])
         data = record.as_dict()
         # Wall stamps are kept for display; the duration fields are
-        # monotonic differences and so can never be negative, even if the
-        # wall clock stepped backwards mid-job.
+        # perf_counter (monotonic) differences and so can never be
+        # negative, even if the wall clock stepped backwards mid-job.
         assert data["queue_wait_s"] >= 0
         assert data["run_s"] >= 0
         assert record.finished_mono >= record.started_mono \
@@ -186,8 +191,8 @@ class TestJobLifecycle:
         assert metrics["fsm"]["interpreted"] > 0
         assert metrics["fsm"]["system_compile_hits"] > 0
         assert metrics["fsm"]["steps"] > 0
-        assert metrics["fsm"]["fallback"] == 0
-        assert metrics["fsm"]["system_fallback"] == 0
+        assert "fallback" not in metrics["fsm"]
+        assert "system_fallback" not in metrics["fsm"]
         # ... and built library units in the workers, which report them.
         library = metrics["library"]
         assert set(library) == {"hits", "misses", "size"}
@@ -200,19 +205,19 @@ class TestQueueShape:
 
     def test_queue_full_raises_and_keeps_fifo_order(self):
         service = JobService(workers=1, queue_limit=2)
-        first = service.submit_spec({"kind": "kernel", "size": "tiny",
-                                     "seed": 0})
-        second = service.submit_spec({"kind": "kernel", "size": "tiny",
-                                      "seed": 1})
+        (first,) = service.submit_body({"kind": "kernel", "size": "tiny",
+                                        "seed": 0})
+        (second,) = service.submit_body({"kind": "kernel", "size": "tiny",
+                                         "seed": 1})
         with pytest.raises(QueueFullError):
-            service.submit_spec({"kind": "kernel", "size": "tiny",
+            service.submit_body({"kind": "kernel", "size": "tiny",
                                  "seed": 2})
         assert [r.id for r in service.jobs()] == [first.id, second.id]
         assert service.metrics()["queue"]["depth"] == 2
 
     def test_batch_is_all_or_nothing(self):
         service = JobService(workers=1, queue_limit=2)
-        service.submit_spec({"kind": "kernel", "size": "tiny", "seed": 0})
+        service.submit_body({"kind": "kernel", "size": "tiny", "seed": 0})
         with pytest.raises(QueueFullError):
             service.submit_body([
                 {"kind": "kernel", "size": "tiny", "seed": 1},
@@ -259,6 +264,17 @@ class TestQueueShape:
                 {"kind": "cosim", "seed": 0},
                 {"kind": "cosim", "seed": 1, "tier": "bogus"},
             ])
+        assert service.jobs() == []
+
+    @pytest.mark.parametrize("scenario", _MALFORMED_SCENARIOS)
+    def test_malformed_conformance_scenario_is_refused_when_built(
+            self, scenario):
+        spec = {"kind": "conformance", "scenario": scenario}
+        with pytest.raises(ValueError, match=f"scenario.*'{scenario}'"):
+            job_from_dict(spec)
+        service = JobService(workers=1)
+        with pytest.raises(ValueError):
+            service.submit_body(spec)
         assert service.jobs() == []
 
     def test_constructor_validation(self):
@@ -413,6 +429,15 @@ class TestHttpServer:
         status, reply = self._call(endpoint, "GET", "/jobs")
         assert status == 200 and not reply["jobs"]
 
+    def test_http_refuses_a_malformed_conformance_scenario(self, endpoint):
+        for scenario in _MALFORMED_SCENARIOS:
+            status, reply = self._call(endpoint, "POST", "/jobs",
+                                       {"kind": "conformance",
+                                        "scenario": scenario})
+            assert status == 400 and scenario in reply["error"]
+        status, reply = self._call(endpoint, "GET", "/jobs")
+        assert status == 200 and not reply["jobs"]
+
     def test_http_list_with_one_bad_entry_is_refused_whole(self, endpoint):
         status, reply = self._call(endpoint, "POST", "/jobs", [
             {"kind": "kernel", "size": "tiny", "seed": 0},
@@ -470,6 +495,20 @@ class TestHttpServer:
         assert head.split(b" ", 2)[1] == b"400"
         assert "Content-Length" in json.loads(body)["error"]
 
+    def test_oversized_body_is_answered_413_unread(self, endpoint):
+        # Only the headers are sent: a server that reads the declared
+        # 2 MiB would wait for them past the socket timeout.
+        host, port = endpoint[len("http://"):].split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         b"Content-Length: %d\r\n\r\n" % (2 << 20))
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"413"
+        assert "Content-Length 2097152" in json.loads(body)["error"]
+
     def test_http_error_statuses(self, endpoint):
         status, reply = self._call(endpoint, "POST", "/jobs",
                                    {"kind": "bogus"})
@@ -483,3 +522,79 @@ class TestHttpServer:
         status, reply = self._call(endpoint, "GET",
                                    "/jobs/job-000099/artifacts")
         assert status == 404
+
+
+class TestOneJobStep:
+    """The server looks up, runs, stores and counts through the sweep's step."""
+
+    SPEC = {"kind": "cosyn", "seed": 2, "networks": 1}
+
+    @pytest.fixture(autouse=True)
+    def clean_telemetry(self):
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+        yield
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+
+    @staticmethod
+    def _outcomes():
+        return {(labels["kind"], labels["outcome"]): value
+                for name, labels, value
+                in parse_prometheus(TELEMETRY.metrics.to_prometheus())
+                if name == "repro_sweep_jobs_total"}
+
+    def test_server_and_sweep_give_equal_records(self, tmp_path):
+        cache = ArtifactCache(tmp_path / "sweep")
+        swept = [SweepService([job_from_dict(self.SPEC)],
+                              cache=cache).run().records[0]
+                 for _ in range(2)]
+        service = JobService(workers=1,
+                             cache=str(tmp_path / "server")).start()
+        try:
+            (fresh,) = service.submit_body(self.SPEC)
+            _wait_done(service, [fresh])
+            (served,) = service.submit_body(self.SPEC)
+        finally:
+            service.stop()
+        assert [swept[0]["cached"], swept[1]["cached"]] == [False, True]
+        assert [fresh.record, served.record] == swept
+
+    def test_server_jobs_count_in_the_sweep_family(self, tmp_path):
+        TELEMETRY.enable()
+        service = JobService(workers=1, cache=str(tmp_path)).start()
+        try:
+            (fresh,) = service.submit_body(self.SPEC)
+            _wait_done(service, [fresh])
+            (served,) = service.submit_body(self.SPEC)
+            (failed,) = service.submit_body(
+                {"kind": "cosyn", "seed": 0, "platform": "nope"})
+            _wait_done(service, [failed])
+        finally:
+            service.stop()
+        assert served.cached and failed.state == "failed"
+        assert self._outcomes() == {("cosyn", "ok"): 1,
+                                    ("cosyn", "cached"): 1,
+                                    ("cosyn", "error"): 1}
+        assert len(TELEMETRY.tracer.spans(name="sweep.job")) == 2
+        samples = {name: value for name, _, value in parse_prometheus(
+            service.prometheus_metrics())}
+        assert samples["repro_sweep_queue_wait_seconds_count"] == 2
+        assert not any(name.startswith("repro_server_jobs_total")
+                       for name in samples)
+
+    def test_a_refused_batch_counts_nothing(self, tmp_path):
+        TELEMETRY.enable()
+        cache = ArtifactCache(tmp_path)
+        SweepService([job_from_dict(self.SPEC)], cache=cache).run()
+        before = self._outcomes()
+        service = JobService(workers=1, queue_limit=1, cache=cache)
+        with pytest.raises(QueueFullError):
+            service.submit_body([
+                self.SPEC,  # a cache hit, dropped with the batch
+                {"kind": "kernel", "size": "tiny", "seed": 0},
+                {"kind": "kernel", "size": "tiny", "seed": 1},
+            ])
+        assert service.jobs() == []
+        assert before == {("cosyn", "ok"): 1}
+        assert self._outcomes() == before

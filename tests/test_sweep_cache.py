@@ -296,12 +296,12 @@ class TestOneRenderingPerPayload:
         service = JobService(workers=1, cache=str(tmp_path)).start()
         try:
             spec = _cosyn_job().spec()
-            cold = service.submit_spec(spec)
+            (cold,) = service.submit_body(spec)
             deadline = time.monotonic() + 90
             while cold.state not in ("done", "failed"):
                 assert time.monotonic() < deadline, cold.summary()
                 time.sleep(0.02)
-            warm = service.submit_spec(spec)
+            (warm,) = service.submit_body(spec)
             assert cold.state == warm.state == "done"
             assert not cold.cached and warm.cached
             assert warm.record["artifact_digest"] \
